@@ -1,26 +1,20 @@
 """Build script: compiles the optional fast-kernel extension.
 
-The package is pure Python plus one Cython extension holding the modular
-arithmetic hot loops.  The extension is optional: if Cython or a C compiler
-is unavailable the build proceeds and the package falls back to the pure
-Python kernels at import time.
+The package is pure Python plus one hand-written C extension,
+`src/toricdim/_fastkernels.c`, holding the modular arithmetic hot loops.
+The extension is optional: without a C compiler the build proceeds and the
+package falls back to the pure-Python kernels at import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext = Extension(
-        "toricdim._fastkernels",
-        sources=["src/toricdim/_fastkernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    ext.optional = True
-    ext_modules = cythonize([ext], language_level=3)
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "toricdim._fastkernels",
+            ["src/toricdim/_fastkernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -59,10 +59,8 @@ from .kernels import backend_name
 from .modlinalg import (
     ALTERNATE_PRIMES,
     DEFAULT_PRIME,
-    PrimeField,
     eval_monomial,
     is_probable_prime,
-    khatri_rao,
     matrix_rank,
     random_torus_points,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "HomogeneityError",
     "LimitCheckReport",
     "MatrixSizeError",
-    "PrimeField",
     "RunConfig",
     "SecantDimensionReport",
     "Support",
@@ -118,7 +115,6 @@ __all__ = [
     "infinite_generic_hrank_toric",
     "is_binomial_segment",
     "is_probable_prime",
-    "khatri_rao",
     "kron",
     "limit_check",
     "matrix_rank",

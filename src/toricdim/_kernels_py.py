@@ -1,16 +1,25 @@
 """Pure-Python modular kernels: rank, Khatri-Rao, monomial evaluation.
 
-Fallback backend; arithmetic uses Python big ints, so any prime width works.
-The compiled backend in _fastkernels.pyx mirrors these signatures exactly and
-must return identical values.
+Fallback backend and the reference for the compiled one: _fastkernels.c
+mirrors rank_mod, kr_rank_mod and eval_columns_mod exactly, returns identical
+values and raises ValueError on the same malformed shapes.  Arithmetic uses
+Python big ints, so any prime width works here.
 """
 
 from __future__ import annotations
 
 
+def _residues(rows, p: int) -> list[list[int]]:
+    """Rows reduced mod p; ValueError unless all rows have the same length."""
+    mat = [[x % p for x in row] for row in rows]
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("rows have different lengths")
+    return mat
+
+
 def rank_mod(rows, p: int) -> int:
     """Rank of an integer matrix over F_p (entries reduced internally)."""
-    mat = [[x % p for x in row] for row in rows]
+    mat = _residues(rows, p)
     n_rows = len(mat)
     if n_rows == 0:
         return 0
@@ -41,10 +50,11 @@ def rank_mod(rows, p: int) -> int:
 
 def khatri_rao_mod(top, bottom, p: int):
     """Column-wise Kronecker product over F_p, top-index-major row blocks."""
-    bot = [[x % p for x in row] for row in bottom]
+    top, bot = _residues(top, p), _residues(bottom, p)
+    if top and bot and len(top[0]) != len(bot[0]):
+        raise ValueError("factors have different column counts")
     out = []
-    for trow in top:
-        t = [x % p for x in trow]
+    for t in top:
         for brow in bot:
             out.append([(a * b) % p for a, b in zip(t, brow)])
     return out
@@ -64,6 +74,10 @@ def eval_columns_mod(mat, point, p: int):
     if not mat:
         return []
     n_cols = len(mat[0])
+    if any(len(row) != n_cols for row in mat):
+        raise ValueError("rows have different lengths")
+    if len(point) != len(mat):
+        raise ValueError("point length differs from the number of rows")
     acc = [1] * n_cols
     for y, exps in zip(point, mat):
         y %= p

@@ -343,7 +343,8 @@ def _cmd_binomial_check(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, default=RunConfig().prime,
-                        help="modulus for the rank probes (probable prime > 2^16)")
+                        help="modulus for the rank probes "
+                             "(probable prime between 2^16 and 2^64)")
     common.add_argument("--trials", type=int, default=RunConfig().trials,
                         help="independent point draws per probe")
     common.add_argument("--seed", type=int, default=RunConfig().seed,

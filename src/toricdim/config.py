@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modlinalg import DEFAULT_PRIME, is_probable_prime
+from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.prime <= 2**16 or not is_probable_prime(self.prime):
-            raise ValueError("prime must be a probable prime greater than 2^16")
+        if not (2**16 < self.prime < PRIME_LIMIT and is_probable_prime(self.prime)):
+            raise ValueError("prime must be a probable prime between 2^16 and 2^64")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -1,9 +1,10 @@
 """Backend selection for the modular hot kernels.
 
-Prefers the compiled extension (`toricdim._fastkernels`); falls back to the
-pure-Python implementation when the extension is missing or when the
-environment variable TORICDIM_PURE is set to a non-empty value.  Both
-backends return identical values on identical inputs.
+Prefers the compiled extension (`toricdim._fastkernels`, built from
+`_fastkernels.c`); falls back to the pure-Python implementation in
+`_kernels_py` when the extension is missing or when the environment variable
+TORICDIM_PURE is set to a non-empty value.  Both backends return identical
+values on identical inputs, for every prime below 2^64.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ else:
         _BACKEND = "python"
 
 rank_mod = _impl.rank_mod
-khatri_rao_mod = _impl.khatri_rao_mod
 kr_rank_mod = _impl.kr_rank_mod
 eval_columns_mod = _impl.eval_columns_mod
 

@@ -15,6 +15,9 @@ from . import kernels
 from ._rational import rational_rank
 
 DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1
+# Every prime must lie below this: the compiled kernels hold residues in
+# 64-bit words.
+PRIME_LIMIT = 2**64
 # Fresh moduli for the tail of the retry ladder (both verified prime below).
 ALTERNATE_PRIMES = (2305843009213693967, 2305843009213693921)
 
@@ -50,34 +53,6 @@ def is_probable_prime(n: int) -> bool:
 assert all(is_probable_prime(p) for p in (DEFAULT_PRIME, *ALTERNATE_PRIMES))
 
 
-class PrimeField:
-    """A validated prime modulus with the handful of field ops tests use."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int = DEFAULT_PRIME):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not a (probable) prime")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-
 def eval_monomial(mat, point, prime: int = DEFAULT_PRIME) -> list[int]:
     """Evaluate all column monomials of an exponent matrix at a torus point.
 
@@ -85,18 +60,10 @@ def eval_monomial(mat, point, prime: int = DEFAULT_PRIME) -> list[int]:
     point coordinates to be nonzero mod the prime (they always are for
     points drawn by random_torus_points).
     """
+    if prime >= PRIME_LIMIT:
+        raise ValueError(f"{prime} is not below 2^64")
     rows = mat.row_lists() if hasattr(mat, "row_lists") else [list(r) for r in mat]
     return kernels.eval_columns_mod(rows, list(point), prime)
-
-
-def khatri_rao(top, bottom, prime: int = DEFAULT_PRIME) -> list[list[int]]:
-    """Column-wise Kronecker product over F_p; row blocks are top-index major:
-    output row i*len(bottom)+k is the entrywise product top[i] * bottom[k]."""
-    t = top.row_lists() if hasattr(top, "row_lists") else [list(r) for r in top]
-    b = bottom.row_lists() if hasattr(bottom, "row_lists") else [list(r) for r in bottom]
-    if t and b and len(t[0]) != len(b[0]):
-        raise ValueError("khatri_rao requires equal column counts")
-    return kernels.khatri_rao_mod(t, b, prime)
 
 
 def matrix_rank(rows, prime: int | None = None) -> int:
@@ -104,14 +71,9 @@ def matrix_rank(rows, prime: int | None = None) -> int:
     r = rows.row_lists() if hasattr(rows, "row_lists") else [list(x) for x in rows]
     if prime is None:
         return rational_rank(r)
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not a (probable) prime")
+    if not (prime < PRIME_LIMIT and is_probable_prime(prime)):
+        raise ValueError(f"{prime} is not a (probable) prime below 2^64")
     return kernels.rank_mod(r, prime)
-
-
-def transpose(rows) -> list[list[int]]:
-    r = rows.row_lists() if hasattr(rows, "row_lists") else [list(x) for x in rows]
-    return [list(col) for col in zip(*r)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,14 @@
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
 
 from toricdim import RunConfig
+
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fastkernels.c"
 
 _acceptance_lines: list[str] = []
 
@@ -19,3 +27,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def config():
     return RunConfig(trials=3, seed=0)
+
+
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    """The compiled kernels, built from `_fastkernels.c` into a temporary
+    directory whatever backend `toricdim.kernels` picked; skips without `cc`."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) to build the compiled kernels")
+    so = tmp_path_factory.mktemp("fastkernels") / (
+        "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    include = sysconfig.get_paths()["include"]
+    cmd = ["cc", "-O3", "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE), "-o", str(so)]
+    subprocess.run(cmd, check=True)
+    spec = importlib.util.spec_from_file_location("toricdim._fastkernels", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

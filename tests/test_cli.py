@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricdim import VarietyDescriptor, write_matrix_csv
+from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim, write_matrix_csv
 from toricdim.cli import (
     DescriptorError,
     SCHEMA_VERSION,
@@ -78,6 +78,19 @@ def test_dim_secant_exit_codes(capsys):
 
     code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5")
     assert code == 1  # defective case is reported but not certified
+    assert json.loads(out)["computed_dim"] == 13
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
+    # A prime above 2^63, where `a + p - x` no longer fits in 64 bits.
+    impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
+    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod"):
+        monkeypatch.setattr(kernels, name, getattr(impl, name))
+    secantdim._secant_dimension_cached.cache_clear()  # reports are cached per config
+    code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5",
+                           "--prime", "17293822569102704683")
+    assert code == 1  # Alexander-Hirschowitz defective: 13, not 14
     assert json.loads(out)["computed_dim"] == 13
 
 
@@ -192,6 +205,12 @@ def test_usage_errors_return_2(capsys):
 
     code, _, err = run_cli(capsys, "dim-secant", "rnc:8", "--r", "0")
     assert code == 2
+
+    # 2^64 + 13 is prime but too wide for the compiled kernels
+    code, out, err = run_cli(capsys, "dim-secant", "rnc:8", "--r", "2",
+                             "--prime", "18446744073709551629")
+    assert code == 2 and out == ""
+    assert "error:" in err and "2^64" in err
 
     with pytest.raises(SystemExit) as exc:
         main(["dim-secant"])  # missing required --r

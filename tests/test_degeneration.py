@@ -9,7 +9,6 @@ from toricdim import (
     VarietyDescriptor,
     build_family,
     demo_points,
-    khatri_rao,
     limit_check,
     normalize,
     rational_normal_curve,
@@ -22,6 +21,7 @@ from toricdim.degeneration import (
     khatri_rao_exact,
     limit_matrix,
 )
+from toricdim._kernels_py import khatri_rao_mod
 from toricdim._rational import rational_rank
 
 ABAR = normalize(rational_normal_curve(8))
@@ -97,7 +97,7 @@ def test_khatri_rao_exact_matches_modular_kernel():
     assert exact == [[Fraction(1), Fraction(21)], [Fraction(-4), Fraction(5)]]
     p = DEFAULT_PRIME
     ints = [[3, 4], [5, 6]]
-    as_mod = khatri_rao(ints, [[7, 8]], p)
+    as_mod = khatri_rao_mod(ints, [[7, 8]], p)
     as_exact = khatri_rao_exact(ints, [[7, 8]])
     assert [[x % p for x in row] for row in as_exact] == as_mod
 
