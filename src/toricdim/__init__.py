@@ -71,7 +71,6 @@ from .tropical import (
     TropicalSpan,
     classify_support,
     infinite_generic_hrank_toric,
-    is_binomial_segment,
     trop_hadamard_sum,
     trop_toric,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "generic_hrank_formula",
     "hadamard_dimension",
     "infinite_generic_hrank_toric",
-    "is_binomial_segment",
     "is_probable_prime",
     "kron",
     "limit_check",

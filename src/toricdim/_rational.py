@@ -44,47 +44,3 @@ def row_echelon(rows):
 
 def rational_rank(rows) -> int:
     return len(row_echelon(rows)[1])
-
-
-class SpanBasis:
-    """Incrementally maintained row-echelon basis of a rational span."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def residual(self, vector):
-        """Reduce `vector` against the basis; nonzero result means new direction."""
-        v = [Fraction(x) for x in vector]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vector) -> bool:
-        return not any(self.residual(vector))
-
-    def add(self, vector) -> bool:
-        """Insert `vector` into the span; returns True if it enlarged it."""
-        v = self.residual(vector)
-        for p, x in enumerate(v):
-            if x != 0:
-                inv = 1 / x
-                v = [a * inv for a in v]
-                for i, (row, q) in enumerate(zip(self.rows, self.pivots)):
-                    if row[p] != 0:
-                        f = row[p]
-                        self.rows[i] = [a - f * b for a, b in zip(row, v)]
-                self.rows.append(v)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

@@ -14,7 +14,10 @@ and verifies, at finitely many nu,
       of the limit product matrix, which lower-bounds the Hadamard dimension.
 
 Everything here is fractions.Fraction arithmetic; there is no tolerance
-anywhere except the explicit ratio band of check (a).
+anywhere except the explicit ratio band of check (a).  The coefficient
+matrices come from the one eta construction, `probing.eta`, with no prime:
+the same formula the F_p engines probe, and a secant variety is its
+one-factor case.
 
 Conventions: the input is one flat point tuple Y = (y_1 | ... | y_R) with
 y_1 = all-ones; the scaled points feed the Hadamard construction with y_1
@@ -33,6 +36,7 @@ import random
 
 from ._rational import rational_rank
 from .exponent import ExponentMatrix, HadamardSpec
+from .probing import eta, eval_columns_exact
 
 # Exact rational arithmetic stays fast only at small scale.
 MAX_TOTAL_ROWS = 64  # R * (rows of the chart matrix)
@@ -42,64 +46,16 @@ DEFAULT_NUS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 DEFAULT_RATIO_BAND = (Fraction(5), Fraction(20))
 
 
-def _eval_columns_exact(rows, point) -> list[Fraction]:
-    out = []
-    for h in range(len(rows[0])):
-        acc = Fraction(1)
-        for ell, row in enumerate(rows):
-            e = row[h]
-            if e:
-                acc *= Fraction(point[ell]) ** e
-        out.append(acc)
-    return out
+def eta_secant_exact(rows, points) -> list[list[Fraction]]:
+    """Rational twin of `secantdim.eta_secant`: `probing.eta`, one factor."""
+    return eta(rows, (len(points) - 1,), points)
 
 
-def eta_secant_exact(mat, points) -> list[list[Fraction]]:
-    """Rational twin of the prime-field secant coefficient matrix."""
-    rows = [list(r) for r in (mat.entries if isinstance(mat, ExponentMatrix) else mat)]
-    vals = [_eval_columns_exact(rows, pt) for pt in points]
-    v1 = vals[0]
-    tail = [[a * b for a, b in zip(v1, vj)] for vj in vals[1:]]
-    first = list(v1)
-    for trow in tail:
-        first = [a + b for a, b in zip(first, trow)]
-    return [first] + tail
-
-
-def eta_hadamard_exact(mat, spec: HadamardSpec, points) -> list[list[Fraction]]:
-    """Rational twin of the prime-field Hadamard coefficient matrix."""
-    rows = [list(r) for r in (mat.entries if isinstance(mat, ExponentMatrix) else mat)]
+def eta_hadamard_exact(rows, spec: HadamardSpec, points) -> list[list[Fraction]]:
+    """Rational twin of `hadamdim.eta_hadamard`: `probing.eta` over Fraction."""
     if len(points) != spec.total_points:
         raise ValueError(f"need {spec.total_points} points, got {len(points)}")
-    n_cols = len(rows[0])
-    v0 = _eval_columns_exact(rows, points[0])
-    factor_vals = []
-    offset = 1
-    for rp in spec.r_prime:
-        factor_vals.append(
-            [_eval_columns_exact(rows, points[offset + j]) for j in range(rp)]
-        )
-        offset += rp
-    sums = []
-    for vals in factor_vals:
-        s = [Fraction(1)] * n_cols
-        for v in vals:
-            s = [a + b for a, b in zip(s, v)]
-        sums.append(s)
-    m = spec.m
-    prefix = [[Fraction(1)] * n_cols]
-    for s in sums:
-        prefix.append([a * b for a, b in zip(prefix[-1], s)])
-    suffix = [[Fraction(1)] * n_cols for _ in range(m + 1)]
-    for k in range(m - 1, -1, -1):
-        suffix[k] = [a * b for a, b in zip(sums[k], suffix[k + 1])]
-    out = [[a * b for a, b in zip(v0, prefix[m])]]
-    for k in range(m):
-        others = [a * b for a, b in zip(prefix[k], suffix[k + 1])]
-        base = [a * b for a, b in zip(v0, others)]
-        for w in factor_vals[k]:
-            out.append([a * b for a, b in zip(base, w)])
-    return out
+    return eta(rows, spec.r_prime, points)
 
 
 def khatri_rao_exact(top, bottom) -> list[list[Fraction]]:
@@ -154,19 +110,12 @@ class DegenerationFamily:
 
     @cached_property
     def eta_scaled(self) -> list[list[Fraction]]:
-        return eta_hadamard_exact(self.abar, self.spec, self.scaled_points)
+        return eta_hadamard_exact(self.abar.entries, self.spec, self.scaled_points)
 
     @property
     def left_diag(self) -> tuple[Fraction, ...]:
         """Diagonal of the row scaling diag(1, 1/nu, ..., 1/nu)."""
         return (Fraction(1),) + (1 / self.nu,) * (self.spec.total_points - 1)
-
-    @property
-    def left_kron_diag(self) -> tuple[Fraction, ...]:
-        """Diagonal of the block row scaling acting on the full product
-        matrix: each left_diag entry repeated once per matrix row."""
-        n = self.abar.n_rows
-        return tuple(x for x in self.left_diag for _ in range(n))
 
     @cached_property
     def right_diag(self) -> tuple[Fraction, ...]:
@@ -201,10 +150,9 @@ def build_family(abar: ExponentMatrix, spec, points, nu) -> DegenerationFamily:
 
 def limit_matrix(abar: ExponentMatrix, points) -> list[list[Fraction]]:
     """The nu -> 0 limit: all-ones first row, then the plain monomial rows."""
-    rows = [list(r) for r in abar.entries]
     out = [[Fraction(1)] * abar.n_cols]
     for pt in points[1:]:
-        out.append(_eval_columns_exact(rows, pt))
+        out.append(eval_columns_exact(abar.entries, pt))
     return out
 
 
@@ -275,7 +223,6 @@ def limit_check(
     max_errors = []
     row0_ok = True
     kr_ranks = []
-    abar_rows = [list(r) for r in abar.entries]
     for nu in nus:
         fam = DegenerationFamily(abar, spec, pts, nu)
         m_matrix = fam.scaled_matrix
@@ -286,7 +233,7 @@ def limit_check(
             abs(a - b) for mrow, trow in zip(m_matrix, target) for a, b in zip(mrow, trow)
         )
         max_errors.append(err)
-        kr_ranks.append(rational_rank(khatri_rao_exact(fam.eta_scaled, abar_rows)))
+        kr_ranks.append(rational_rank(khatri_rao_exact(fam.eta_scaled, abar.entries)))
 
     ratios = []
     first_order_ok = True
@@ -304,9 +251,10 @@ def limit_check(
                 f"error ratio {q} outside band [{ratio_band[0]}, {ratio_band[1]}]"
             )
 
-    secant_rank = rational_rank(eta_secant_exact(abar, pts))
+    secant_eta = eta_secant_exact(abar.entries, pts)
+    secant_rank = rational_rank(secant_eta)
     limit_rank = rational_rank(target)
-    stacked_rank = rational_rank(target + eta_secant_exact(abar, pts))
+    stacked_rank = rational_rank(target + secant_eta)
     rowspan_ok = (
         secant_rank == spec.total_points
         and limit_rank == secant_rank
@@ -319,7 +267,7 @@ def limit_check(
             f"stacked rank {stacked_rank}, R = {spec.total_points}"
         )
 
-    limit_kr_rank = rational_rank(khatri_rao_exact(target, abar_rows))
+    limit_kr_rank = rational_rank(khatri_rao_exact(target, abar.entries))
     semicontinuity_ok = kr_ranks[-1] >= limit_kr_rank
     if not semicontinuity_ok:
         failures.append(
@@ -396,6 +344,6 @@ def demo_points(
                 build_family(abar, spec, candidate, nu).right_diag
         except ZeroDivisionError:
             continue
-        if rational_rank(eta_secant_exact(abar, candidate)) == spec.total_points:
+        if rational_rank(eta_secant_exact(abar.entries, candidate)) == spec.total_points:
             return candidate
     raise ValueError("could not sample nondegenerate demo points")

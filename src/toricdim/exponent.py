@@ -26,10 +26,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._rational import SpanBasis, rational_rank
+from ._rational import rational_rank
 
 # Builders refuse to materialize matrices wider than this unless overridden.
 DEFAULT_COLUMN_CAP = 10_000_000
+# Entries must lie in [-EXPONENT_LIMIT, EXPONENT_LIMIT): the compiled kernels
+# read exponents as signed 64-bit integers.
+EXPONENT_LIMIT = 2**63
 
 
 class MatrixSizeError(ValueError):
@@ -48,6 +51,8 @@ def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
         for x in t:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise TypeError(f"matrix entries must be integers, got {x!r}")
+            if not -EXPONENT_LIMIT <= x < EXPONENT_LIMIT:
+                raise ValueError(f"matrix entry {x} is outside [-2^63, 2^63)")
         if width is None:
             width = len(t)
         elif len(t) != width:
@@ -123,10 +128,8 @@ class ExponentMatrix:
             raise ValueError("degenerate matrix: duplicate columns")
         if self.is_homogeneous():
             return
-        basis = SpanBasis(self.n_cols)
-        for row in self.entries:
-            basis.add(row)
-        if not basis.contains([1] * self.n_cols):
+        ones = (1,) * self.n_cols
+        if rational_rank(self.entries + (ones,)) != self.rank():
             raise HomogeneityError("not projectively homogeneous")
 
 
@@ -217,25 +220,19 @@ def normalize(mat: ExponentMatrix) -> ExponentMatrix:
 
     Raises HomogeneityError when the all-ones vector is not in the row span.
     """
-    ncols = mat.n_cols
-    ones = (1,) * ncols
-    basis = SpanBasis(ncols)
-    for row in mat.entries:
-        basis.add(row)
-    if not basis.contains(ones):
+    ones = (1,) * mat.n_cols
+    target_rank = mat.rank()
+    if rational_rank(mat.entries + (ones,)) != target_rank:
         raise HomogeneityError("not projectively homogeneous")
-    target_rank = basis.rank
     picked: list[tuple[int, ...]] = [ones]
-    out = SpanBasis(ncols)
-    out.add(ones)
     candidates = [row for row in mat.entries if row[0] == 0]
     candidates += [
         tuple(x - row[0] for x in row) for row in mat.entries if row[0] != 0
     ]
     for cand in candidates:
-        if out.rank == target_rank:
+        if len(picked) == target_rank:
             break
-        if out.add(cand):
+        if rational_rank(picked + [cand]) > len(picked):
             picked.append(cand)
     return ExponentMatrix(tuple(picked))
 
@@ -403,14 +400,6 @@ class HadamardSpec:
     def total_points(self) -> int:
         """Number of parameter points: one shared point plus sum of (r_k - 1)."""
         return sum(self.r) - self.m + 1
-
-    def secant_index(self) -> int:
-        """R with sigma_R contained in the Hadamard product (chain lower end)."""
-        return self.total_points
-
-    def block_labels(self) -> list[tuple[int, int]]:
-        """(k, j) labels of the non-shared points, factor-major order."""
-        return [(k, j) for k in range(1, self.m + 1) for j in range(1, self.r[k - 1])]
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.r)) + ")"

@@ -3,8 +3,10 @@
 For factors r = (r_1, ..., r_m) the product sigma_{r_1}(X) * ... *
 sigma_{r_m}(X) is parametrized by one shared torus point y_0 plus r_k - 1
 points per factor, R = sum(r_k - 1) + 1 points in total.  The Jacobian again
-factors as eta (x) A (Khatri-Rao), with eta built from the coefficient sums
-below, so the probe is the same certified rank computation as for secants.
+factors as eta (x) A (Khatri-Rao).  The one eta construction lives in
+`probing.eta`; `eta_hadamard` calls it with the factors of the spec, and a
+secant variety is its one-factor case, so the probe is the same certified
+rank computation as for secants.
 
 Dimension chain used throughout:
 
@@ -22,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
-from .probing import probe_max_rank
+from .probing import eta, probe_max_rank
 from .secantdim import expected_secant_dim, secant_dimension
 
 STATUS_EXPECTED = "expected dimension"
@@ -35,59 +36,16 @@ STATUS_INFINITE = "infinite (toric idempotent)"
 STATUS_NOT_FILLED = "not filled (probabilistic)"
 
 
-def _vec_mul(u, v, p):
-    return [(a * b) % p for a, b in zip(u, v)]
-
-
-def eta_hadamard(mat, spec, points, prime: int) -> list[list[int]]:
-    """Coefficient matrix of the Hadamard-product Jacobian factorization.
-
-    With v = phi(y_0), w_{k,j} = phi(y_{k,j}) and S_k = 1 + sum_j w_{k,j},
-    multiplicativity of the monomial map collapses the lattice sums to
-
-        row 0      = v * S_1 * ... * S_m
-        row (k,j)  = v * w_{k,j} * prod_{h != k} S_h
-
-    which equals the sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over all
-    index tuples (resp. over tuples with j_k = j), term by term.  Rows are
-    ordered row 0 first, then (k, j) factor-major, matching the point order
-    (y_0 | y_{1,1} ... y_{1,r_1-1} | y_{2,1} ...).
-    """
-    rows = mat.row_lists() if hasattr(mat, "row_lists") else [list(r) for r in mat]
-    pts = points.points if hasattr(points, "points") else points
+def eta_hadamard(rows, spec: HadamardSpec, points, prime: int) -> list[list[int]]:
+    """Coefficient matrix of the Hadamard-product Jacobian factorization over
+    F_prime: `probing.eta` for the factors of `spec`, points ordered
+    (y_0 | y_{1,1} ... y_{1,r_1-1} | y_{2,1} ...)."""
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
-    if len(pts) != spec.total_points:
+    if len(points) != spec.total_points:
         raise ValueError(
-            f"need {spec.total_points} points for factors {spec.r}, got {len(pts)}"
+            f"need {spec.total_points} points for factors {spec.r}, got {len(points)}"
         )
-    n_cols = len(rows[0])
-    v0 = kernels.eval_columns_mod(rows, list(pts[0]), prime)
-    factor_vals = []
-    offset = 1
-    for rp in spec.r_prime:
-        factor_vals.append(
-            [kernels.eval_columns_mod(rows, list(pts[offset + j]), prime) for j in range(rp)]
-        )
-        offset += rp
-    sums = []
-    for vals in factor_vals:
-        s = [1] * n_cols
-        for v in vals:
-            s = [(a + b) % prime for a, b in zip(s, v)]
-        sums.append(s)
-    m = spec.m
-    prefix = [[1] * n_cols]
-    for s in sums:
-        prefix.append(_vec_mul(prefix[-1], s, prime))
-    suffix = [[1] * n_cols for _ in range(m + 1)]
-    for k in range(m - 1, -1, -1):
-        suffix[k] = _vec_mul(sums[k], suffix[k + 1], prime)
-    out = [_vec_mul(v0, prefix[m], prime)]
-    for k in range(m):
-        base = _vec_mul(v0, _vec_mul(prefix[k], suffix[k + 1], prime), prime)
-        for w in factor_vals[k]:
-            out.append(_vec_mul(base, w, prime))
-    return out
+    return eta(rows, spec.r_prime, points, prime)
 
 
 @dataclass(frozen=True)
@@ -157,13 +115,10 @@ def _hadamard_dimension_cached(
     parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
     expected_h = min(parameter_count, ambient)
     expected_big = expected_secant_dim(ambient, dim_x, R)
-    rows = mat.row_lists()
-
-    def rank_at(pts, prime):
-        eta = eta_hadamard(rows, spec, pts, prime)
-        return kernels.kr_rank_mod(eta, rows, prime)
-
-    probe = probe_max_rank(rank_at, R, mat.n_rows, config, expected_h + 1)
+    probe = probe_max_rank(
+        lambda rows, pts, prime: eta_hadamard(rows, spec, pts, prime),
+        mat.row_lists(), R, config, expected_h + 1,
+    )
     computed = probe.rank - 1
     defect = computed < expected_h
     return HadamardDimensionReport(

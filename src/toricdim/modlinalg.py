@@ -9,7 +9,6 @@ identity.  The default prime is the Mersenne prime 2^61 - 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import kernels
 from ._rational import rational_rank
@@ -76,23 +75,9 @@ def matrix_rank(rows, prime: int | None = None) -> int:
     return kernels.rank_mod(r, prime)
 
 
-@dataclass(frozen=True)
-class ParameterMatrix:
-    """A tuple of torus points (the columns of the parameter matrix Y)."""
-
-    points: tuple[tuple[int, ...], ...]
-    prime: int
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-    @property
-    def width(self) -> int:
-        return len(self.points[0]) if self.points else 0
-
-
-def random_torus_points(count: int, width: int, seed: int, prime: int) -> ParameterMatrix:
+def random_torus_points(
+    count: int, width: int, seed: int, prime: int
+) -> tuple[tuple[int, ...], ...]:
     """Draw `count` points with coordinates uniform in {1, ..., prime-1}.
 
     Deterministic for fixed (count, width, seed, prime); callers derive
@@ -101,7 +86,6 @@ def random_torus_points(count: int, width: int, seed: int, prime: int) -> Parame
     if count < 0 or width < 1:
         raise ValueError("need count >= 0 and width >= 1")
     rng = random.Random(seed)
-    pts = tuple(
+    return tuple(
         tuple(rng.randrange(1, prime) for _ in range(width)) for _ in range(count)
     )
-    return ParameterMatrix(pts, prime)

@@ -1,21 +1,100 @@
-"""Seeded rank-probing loop shared by the secant and Hadamard engines.
+"""The one eta construction and the seeded rank-probing loop.
 
-A probe evaluates `rank_at(points, prime)` at freshly drawn torus points and
-keeps the maximum rank seen.  The target rank is a mathematical ceiling
-(parameter count or ambient bound), so the loop may stop as soon as the
-target is reached: the reported maximum is identical to running every trial.
-Falling short triggers the retry ladder: fresh seeds at seed + trials + j,
-with the final two retries switching to alternate primes to rule out
-characteristic-p accidents.
+`eta` builds the coefficient matrix of the Jacobian factorization
+eta (x) A (Khatri-Rao) for a Hadamard product of secant varieties, over F_p
+or over the exact rationals.  A secant variety sigma_R(X) is its one-factor
+case (r' = (R - 1,)): `secantdim.eta_secant`, `hadamdim.eta_hadamard` and the
+two exact twins in `degeneration` are each one call into it.
+
+`probe_max_rank` evaluates the rank of eta (x) A at freshly drawn torus
+points and keeps the maximum rank seen.  The target rank is a mathematical
+ceiling (parameter count or ambient bound), so the loop may stop as soon as
+the target is reached: the reported maximum is identical to running every
+trial.  Falling short triggers the retry ladder: fresh seeds at
+seed + trials + j, with the final two retries switching to alternate primes
+to rule out characteristic-p accidents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
-from .modlinalg import ALTERNATE_PRIMES, ParameterMatrix, random_torus_points
+from . import kernels
 from .config import RunConfig
+from .modlinalg import ALTERNATE_PRIMES, random_torus_points
+
+
+def eval_columns_exact(rows, point) -> list[Fraction]:
+    """Every column monomial of `rows` at `point`, in exact rationals."""
+    out = []
+    for h in range(len(rows[0])):
+        acc = Fraction(1)
+        for ell, row in enumerate(rows):
+            e = row[h]
+            if e:
+                acc *= Fraction(point[ell]) ** e
+        out.append(acc)
+    return out
+
+
+def eta(rows, r_prime, points, prime: int | None = None) -> list:
+    """Coefficient matrix of the Hadamard-product Jacobian factorization.
+
+    `r_prime` = (r_1 - 1, ..., r_m - 1); the points are ordered
+    (y_0 | y_{1,1} ... y_{1,r'_1} | y_{2,1} ...).  With v = phi(y_0),
+    w_{k,j} = phi(y_{k,j}) and S_k = 1 + sum_j w_{k,j}, multiplicativity of
+    the monomial map phi collapses the lattice sums to
+
+        row 0      = v * S_1 * ... * S_m
+        row (k,j)  = v * w_{k,j} * prod_{h != k} S_h
+
+    which equals the sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over all
+    index tuples (resp. over tuples with j_k = j), term by term.  Rows are
+    ordered row 0 first, then (k, j) factor-major.  Entries are residues
+    mod `prime`, or `Fraction`s when `prime` is None.
+    """
+    if prime is None:
+        vals = [eval_columns_exact(rows, pt) for pt in points]
+
+        def mul(u, v):
+            return [a * b for a, b in zip(u, v)]
+
+        def ones_plus_sum(ws):
+            return [1 + sum(c) for c in zip(*ws)]
+    else:
+        vals = [kernels.eval_columns_mod(rows, list(pt), prime) for pt in points]
+
+        def mul(u, v):
+            return [a * b % prime for a, b in zip(u, v)]
+
+        def ones_plus_sum(ws):
+            return [(1 + sum(c)) % prime for c in zip(*ws)]
+
+    def times(u, v):
+        # None stands for an all-ones vector, which is never multiplied.
+        return u if v is None else v if u is None else mul(u, v)
+
+    blocks = []
+    offset = 1
+    for rp in r_prime:
+        blocks.append(vals[offset:offset + rp])
+        offset += rp
+    sums = [ones_plus_sum(ws) if ws else None for ws in blocks]  # S_k
+    # prefix[k] = v * S_1 * ... * S_k; suffix[k] = S_{k+1} * ... * S_m.
+    prefix = [vals[0]]
+    for s in sums:
+        prefix.append(times(prefix[-1], s))
+    suffix = [None] * (len(sums) + 1)
+    for k in range(len(sums) - 1, 0, -1):
+        suffix[k] = times(sums[k], suffix[k + 1])
+    out = [prefix[-1]]
+    for k, ws in enumerate(blocks):
+        if ws:
+            base = times(prefix[k], suffix[k + 1])
+            out.extend(mul(base, w) for w in ws)
+    return out
 
 
 @dataclass(frozen=True)
@@ -28,20 +107,21 @@ class ProbeResult:
 
 
 def probe_max_rank(
-    rank_at: Callable[[ParameterMatrix, int], int],
+    eta_at: Callable[[list, tuple, int], list],
+    rows: list[list[int]],
     n_points: int,
-    width: int,
     config: RunConfig,
     target_rank: int,
 ) -> ProbeResult:
+    """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws."""
     best = -1
     best_prime = config.prime
     attempts = 0
 
     def attempt(seed: int, prime: int) -> None:
         nonlocal best, best_prime, attempts
-        pts = random_torus_points(n_points, width, seed, prime)
-        r = rank_at(pts, prime)
+        pts = random_torus_points(n_points, len(rows), seed, prime)
+        r = kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
         attempts += 1
         if r > best:
             best = r

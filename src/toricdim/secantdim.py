@@ -3,7 +3,9 @@
 The affine cone of the R-th secant variety is parametrized by a torus
 monomial map whose Jacobian at a parameter matrix Y, after row scaling by Y,
 factors as the Khatri-Rao product of an R x (N+1) coefficient matrix
-(`eta_secant`) with the exponent matrix.  The projective dimension is the
+(`eta_secant`) with the exponent matrix.  sigma_R(X) is the one-factor
+Hadamard product, so `eta_secant` is the one-factor case of the one eta
+construction, `probing.eta`.  The projective dimension is the
 generic rank of that product minus one; ranks are probed over a large prime
 field, which certifies lower bounds, while the parameter count gives the
 upper bound
@@ -19,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import VarietyDescriptor
-from .probing import probe_max_rank
+from .probing import eta, probe_max_rank
 
 STATUS_NONDEFECTIVE = "nondefective"
 STATUS_DEFECTIVE = "defective (probabilistic)"
@@ -35,25 +36,16 @@ def expected_secant_dim(ambient_dim: int, variety_dim: int, R: int) -> int:
     return min(ambient_dim, R * (variety_dim + 1) - 1)
 
 
-def eta_secant(mat, points, prime: int) -> list[list[int]]:
+def eta_secant(rows, points, prime: int) -> list[list[int]]:
     """Coefficient matrix of the secant Jacobian factorization, R rows.
 
-    Row 1 is phi(y_1) + sum_{j >= 2} phi(y_1 * y_j); row j (j >= 2) is
-    phi(y_1 * y_j), with phi the affine monomial map of `mat` and * the
-    coordinatewise product.  Multiplicativity phi(x * y) = phi(x) * phi(y)
-    turns every row into products of single-point evaluations.
+    The one-factor case of `probing.eta`: row 1 is phi(y_1) * (1 + sum_{j >= 2}
+    phi(y_j)), row j (j >= 2) is phi(y_1 * y_j), with phi the affine monomial
+    map of `rows` and * the coordinatewise product.
     """
-    rows = mat.row_lists() if hasattr(mat, "row_lists") else [list(r) for r in mat]
-    pts = points.points if hasattr(points, "points") else points
-    if not pts:
+    if not points:
         raise ValueError("need at least one point")
-    vals = [kernels.eval_columns_mod(rows, list(pt), prime) for pt in pts]
-    v1 = vals[0]
-    tail = [[(a * b) % prime for a, b in zip(v1, vj)] for vj in vals[1:]]
-    first = list(v1)
-    for trow in tail:
-        first = [(a + b) % prime for a, b in zip(first, trow)]
-    return [first] + tail
+    return eta(rows, (len(points) - 1,), points, prime)
 
 
 @dataclass(frozen=True)
@@ -103,13 +95,7 @@ def _secant_dimension_cached(
     ambient = mat.ambient_dim
     dim_x = mat.rank() - 1
     expected = expected_secant_dim(ambient, dim_x, R)
-    rows = mat.row_lists()
-
-    def rank_at(pts, prime):
-        eta = eta_secant(rows, pts, prime)
-        return kernels.kr_rank_mod(eta, rows, prime)
-
-    probe = probe_max_rank(rank_at, R, mat.n_rows, config, expected + 1)
+    probe = probe_max_rank(eta_secant, mat.row_lists(), R, config, expected + 1)
     computed = probe.rank - 1
     defect = computed < expected
     return SecantDimensionReport(

@@ -59,16 +59,12 @@ class Support:
         return rational_rank(diffs) <= 1
 
 
-def is_binomial_segment(support: Support) -> bool:
-    """True iff the Newton polytope is a segment with no interior support
-    points, i.e. the polynomial has exactly two terms."""
-    return support.size == 2
-
-
 def classify_support(support: Support) -> str:
-    """Finer verdict than the boolean: collinear supports with three or more
-    points indicate a reducible polynomial (a univariate factorization after
-    a monomial change of coordinates), which we surface separately."""
+    """Shape of the Newton polytope of a support.  A binomial segment (a
+    segment with no interior support points) is exactly a two-term support;
+    collinear supports with three or more points indicate a reducible
+    polynomial (a univariate factorization after a monomial change of
+    coordinates), which we surface separately."""
     if support.size == 1:
         return VERDICT_POINT
     if support.size == 2:
@@ -110,13 +106,12 @@ def trop_toric(mat) -> TropicalSpan:
 
 @dataclass(frozen=True)
 class HadamardSumReport:
-    """Minkowski-sum identity check for tropicalized toric varieties."""
+    """Ranks of the Minkowski sum of two tropicalized toric varieties."""
 
     n_cols: int
     rank_a: int
     rank_b: int
     sum_rank: int
-    identity_ok: bool
 
     @property
     def projective_sum_dim(self) -> int:
@@ -129,7 +124,6 @@ class HadamardSumReport:
             "rank_b": self.rank_b,
             "sum_rank": self.sum_rank,
             "projective_sum_dim": self.projective_sum_dim,
-            "identity_ok": self.identity_ok,
         }
 
 
@@ -137,30 +131,18 @@ def trop_hadamard_sum(a, b) -> HadamardSumReport:
     """Compute the tropicalization of a Hadamard product of two toric
     varieties as the Minkowski (= linear-space) sum of their spans.
 
-    The sum is realized as the row span of the stacked matrices; the report
-    confirms the rank identities that pin it down: the stacked rank is the
-    rank of the union of the two echelon bases and sits between
-    max(rank_a, rank_b) and rank_a + rank_b.
+    The sum is realized as the row span of the stacked matrices, so its
+    rank sits between max(rank_a, rank_b) and rank_a + rank_b.
     """
     rows_a = _rows(a)
     rows_b = _rows(b)
     if len(rows_a[0]) != len(rows_b[0]):
         raise ValueError("column counts differ")
-    rank_a = rational_rank(rows_a)
-    rank_b = rational_rank(rows_b)
-    sum_rank = rational_rank(rows_a + rows_b)
-    basis_a, _ = row_echelon(rows_a)
-    basis_b, _ = row_echelon(rows_b)
-    basis_rank = rational_rank([list(r) for r in basis_a + basis_b]) if basis_a or basis_b else 0
-    identity_ok = (
-        basis_rank == sum_rank and max(rank_a, rank_b) <= sum_rank <= rank_a + rank_b
-    )
     return HadamardSumReport(
         n_cols=len(rows_a[0]),
-        rank_a=rank_a,
-        rank_b=rank_b,
-        sum_rank=sum_rank,
-        identity_ok=identity_ok,
+        rank_a=rational_rank(rows_a),
+        rank_b=rational_rank(rows_b),
+        sum_rank=rational_rank(rows_a + rows_b),
     )
 
 

@@ -94,6 +94,22 @@ def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
     assert json.loads(out)["computed_dim"] == 13
 
 
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_dim_secant_rejects_exponents_beyond_64_bits(
+    backend, request, monkeypatch, capsys, tmp_path
+):
+    # The compiled kernels read exponents as int64; both backends must refuse
+    # such a matrix with a message instead of answering or raising.
+    impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
+    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod"):
+        monkeypatch.setattr(kernels, name, getattr(impl, name))
+    path = tmp_path / "big.csv"
+    path.write_text(f"1,1,1\n0,1,{2**70}\n")
+    code, out, err = run_cli(capsys, "dim-secant", f"matrix:{path}", "--r", "1")
+    assert code == 2 and out == ""
+    assert "outside [-2^63, 2^63)" in err
+
+
 def test_dim_hadamard_json_values(capsys):
     code, out, _ = run_cli(
         capsys, "dim-hadamard", "veronese:d=4,n=2", "--r", "2,2,2,2"

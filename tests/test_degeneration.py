@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from toricdim import (
     normalize,
     rational_normal_curve,
     secant_dimension,
+    segre_veronese,
 )
 from toricdim.degeneration import (
     DEFAULT_NUS,
@@ -21,6 +23,7 @@ from toricdim.degeneration import (
     khatri_rao_exact,
     limit_matrix,
 )
+from toricdim.hadamdim import eta_hadamard
 from toricdim._kernels_py import khatri_rao_mod
 from toricdim._rational import rational_rank
 
@@ -63,14 +66,34 @@ def test_family_at_nu_one_is_the_identity_scaling():
     fam = build_family(ABAR, SPEC, pts, 1)
     assert fam.scaled_points == pts
     assert all(x == 1 for x in fam.left_diag)
-    assert fam.eta_scaled == eta_hadamard_exact(ABAR, fam.spec, pts)
+    assert fam.eta_scaled == eta_hadamard_exact(ABAR.entries, fam.spec, pts)
 
 
 def test_single_factor_exact_eta_reduces_to_secant():
     pts = demo_points(ABAR, (4,), seed=3)
-    assert eta_hadamard_exact(ABAR, HadamardSpec((4,)), pts) == eta_secant_exact(
-        ABAR, pts
-    )
+    assert eta_hadamard_exact(
+        ABAR.entries, HadamardSpec((4,)), pts
+    ) == eta_secant_exact(ABAR.entries, pts)
+
+
+def test_exact_eta_reduced_mod_p_matches_modular_eta():
+    # The same formula over Q and over F_p: at integer points the exact
+    # entries, reduced mod p, are the prime-field entries.
+    rng = random.Random(5)
+    p = DEFAULT_PRIME
+    for mat in (ABAR, normalize(segre_veronese((2,), (2,)))):
+        rows = mat.row_lists()
+        for r in ((2, 3), (4,), (1,), (1, 3), (2, 1, 2)):
+            spec = HadamardSpec(r)
+            pts = [
+                tuple(rng.randint(1, 9) for _ in rows) for _ in range(spec.total_points)
+            ]
+            exact = eta_hadamard_exact(rows, spec, pts)
+            reduced = [
+                [x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                for row in exact
+            ]
+            assert reduced == eta_hadamard(rows, spec, pts, p), (r, pts)
 
 
 def test_row0_exact_at_coarse_nu():
@@ -144,7 +167,7 @@ def test_demo_points_deterministic_and_near_identity():
         for x in pt:
             assert Fraction(1) < x <= Fraction(1) + Fraction(17, 128 * 9)
     # exact secant coefficient matrix has full rank at the sample
-    assert rational_rank(eta_secant_exact(ABAR, a)) == 4
+    assert rational_rank(eta_secant_exact(ABAR.entries, a)) == 4
 
 
 def test_semicontinuity_rank_never_below_limit():

@@ -115,6 +115,11 @@ def test_entries_must_be_integers():
         ExponentMatrix(((1.5, 2),))
     with pytest.raises(ValueError, match="ragged"):
         ExponentMatrix(((1, 2), (3,)))
+    # the compiled kernels read exponents as signed 64-bit integers
+    ExponentMatrix(((1, 1), (-(2**63), 2**63 - 1)))
+    for big in (2**63, -(2**63) - 1, 2**70):
+        with pytest.raises(ValueError, match="outside"):
+            ExponentMatrix(((1, 1), (0, big)))
 
 
 def test_normalize_rnc():
@@ -207,8 +212,6 @@ def test_hadamard_spec():
     assert spec.m == 2
     assert spec.r_prime == (1, 2)
     assert spec.total_points == 4
-    assert spec.secant_index() == 4
-    assert spec.block_labels() == [(1, 1), (2, 1), (2, 2)]
     assert str(spec) == "(2,3)"
     with pytest.raises(ValueError):
         HadamardSpec((2, 0))

@@ -85,7 +85,9 @@ def test_eta_hadamard_matches_lattice_sum_oracle():
     rng = random.Random(11)
     for mat in SMALL_MATS:
         rows = mat.row_lists()
-        for r in ((2,), (3,), (2, 2), (3, 2), (2, 2, 2), (3, 3)):
+        for r in (
+            (2,), (3,), (2, 2), (3, 2), (2, 2, 2), (3, 3), (1,), (1, 3), (2, 1, 2),
+        ):
             total = sum(rk - 1 for rk in r) + 1
             pts = [
                 tuple(rng.randrange(1, P) for _ in range(len(rows)))

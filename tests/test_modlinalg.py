@@ -106,9 +106,9 @@ def test_random_torus_points_deterministic_and_nonzero():
     a = random_torus_points(3, 4, seed=5, prime=DEFAULT_PRIME)
     b = random_torus_points(3, 4, seed=5, prime=DEFAULT_PRIME)
     c = random_torus_points(3, 4, seed=6, prime=DEFAULT_PRIME)
-    assert a.points == b.points
-    assert a.points != c.points
-    assert a.count == 3 and a.width == 4
-    assert all(1 <= x < DEFAULT_PRIME for pt in a.points for x in pt)
+    assert a == b
+    assert a != c
+    assert len(a) == 3 and all(len(pt) == 4 for pt in a)
+    assert all(1 <= x < DEFAULT_PRIME for pt in a for x in pt)
     with pytest.raises(ValueError):
         random_torus_points(2, 0, seed=0, prime=DEFAULT_PRIME)

@@ -6,7 +6,6 @@ from toricdim import (
     Support,
     classify_support,
     infinite_generic_hrank_toric,
-    is_binomial_segment,
     rational_normal_curve,
     segre_veronese,
     trop_hadamard_sum,
@@ -32,16 +31,12 @@ def test_support_validation():
     assert Support.of([(0, 3), (2, 1)]).size == 2
 
 
-def test_is_binomial_segment():
-    assert is_binomial_segment(Support.of([(2, 0), (0, 2)]))
-    assert is_binomial_segment(Support.of([(5,), (0,)]))
-    assert not is_binomial_segment(Support.of([(1, 0)]))
-    assert not is_binomial_segment(Support.of([(2, 0), (1, 1), (0, 2)]))
-
-
 def test_classify_support_all_verdicts():
     assert classify_support(Support.of([(4, 4)])) == VERDICT_POINT
+    assert classify_support(Support.of([(1, 0)])) == VERDICT_POINT
     assert classify_support(Support.of([(3, 0), (0, 3)])) == VERDICT_BINOMIAL
+    assert classify_support(Support.of([(2, 0), (0, 2)])) == VERDICT_BINOMIAL
+    assert classify_support(Support.of([(5,), (0,)])) == VERDICT_BINOMIAL
     # x^2, xy, y^2: collinear exponents, so it factors after a monomial
     # substitution even though it has three terms
     assert (
@@ -94,7 +89,6 @@ def test_trop_hadamard_sum_idempotent_and_disjoint():
     rnc = rational_normal_curve(5)
     same = trop_hadamard_sum(rnc, rnc)
     assert same.sum_rank == 2
-    assert same.identity_ok
     assert same.projective_sum_dim == 1
 
     a = [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -102,13 +96,11 @@ def test_trop_hadamard_sum_idempotent_and_disjoint():
     rep = trop_hadamard_sum(a, b)
     assert rep.rank_a == 2 and rep.rank_b == 2
     assert rep.sum_rank == 4  # complementary spans add up
-    assert rep.identity_ok
     d = rep.to_dict()
-    assert d["sum_rank"] == 4 and d["identity_ok"] is True
+    assert d["sum_rank"] == 4
 
     partial = trop_hadamard_sum([[1, 1, 1, 1], [0, 1, 2, 3]], [[0, 0, 1, 1], [1, 1, 1, 1]])
     assert partial.sum_rank == 3  # shared all-ones direction collapses once
-    assert partial.identity_ok
 
     with pytest.raises(ValueError, match="column counts"):
         trop_hadamard_sum([[1, 0]], [[1, 0, 0]])
