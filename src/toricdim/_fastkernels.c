@@ -1,14 +1,18 @@
-/* Compiled modular kernels: rank, Khatri-Rao rank, monomial evaluation.
+/* Compiled modular kernels: rank, Khatri-Rao rank, monomial evaluation, and
+ * the eta matrix of a probe attempt.
  *
- * Mirrors _kernels_py, which is the reference: same signatures, same values,
- * and ValueError on the same malformed shapes.  Residues live in 64-bit words
- * and products go through unsigned __int128, so every prime p < 2^64 works.
- * Built by `python3 setup.py build_ext --inplace`.
+ * Mirrors _kernels_py, which is the reference: same values, and ValueError on
+ * the same malformed shapes and non-invertible pivots.
+ * Residues live in 64-bit words and products go through unsigned __int128,
+ * so every modulus p < 2^64 works.  Built by
+ * `python3 setup.py build_ext --inplace`.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
@@ -16,6 +20,13 @@ typedef unsigned __int128 u128;
 static inline u64 mulmod(u64 a, u64 b, u64 p)
 {
     return (u64)(((u128)a * b) % p);
+}
+
+/* a + b mod p for a, b < p; the sum may wrap past 2^64 when p > 2^63. */
+static inline u64 addmod(u64 a, u64 b, u64 p)
+{
+    u64 s = a + b;
+    return (s < a || s >= p) ? s - p : s;
 }
 
 static u64 powmod(u64 base, u64 e, u64 p)
@@ -31,8 +42,29 @@ static u64 powmod(u64 base, u64 e, u64 p)
     return result;
 }
 
-/* Row-echelon elimination in place over F_p; returns the rank.  Entries must
- * already be reduced below p. */
+/* Inverse of a mod p by the extended Euclidean algorithm, so that a
+ * composite p behaves as in Python's pow(a, -1, p); 0 when a has no inverse
+ * (a true inverse is never 0, as p >= 2).  The coefficients of a alternate
+ * in sign and stay at most p in size, so only their sizes are kept. */
+static u64 invmod(u64 a, u64 p)
+{
+    u64 r0 = p, r1 = a % p, t0 = 0, t1 = 1;
+    int t1_positive = 1;
+    while (r1) {
+        u64 q = r0 / r1, r2 = r0 - q * r1, t2 = t0 + q * t1;
+        r0 = r1;
+        r1 = r2;
+        t0 = t1;
+        t1 = t2;
+        t1_positive = !t1_positive;
+    }
+    if (r0 != 1)
+        return 0;
+    return t1_positive ? p - t0 : t0;  /* t0 has the sign opposite to t1 */
+}
+
+/* Row-echelon elimination in place over Z/p; returns the rank, or -1 when a
+ * pivot has no inverse mod p.  Entries must already be reduced below p. */
 static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 p)
 {
     Py_ssize_t rank = 0;
@@ -52,7 +84,9 @@ static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 
                 other[j] = tmp;
             }
         }
-        u64 inv = powmod(prow[c], p - 2, p);
+        u64 inv = invmod(prow[c], p);
+        if (inv == 0)
+            return -1;
         for (Py_ssize_t j = c; j < n_cols; j++)
             prow[j] = mulmod(prow[j], inv, p);
         for (Py_ssize_t i = rank + 1; i < n_rows; i++) {
@@ -69,6 +103,70 @@ static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 
         rank++;
     }
     return rank;
+}
+
+/* Every column monomial of the n_vars x n_cols exponent matrix `exps` (int64
+ * stored as u64) at the point y (residues mod p), into acc.  A coordinate is
+ * inverted only when its row has a negative exponent; returns -1 when that
+ * coordinate has no inverse mod p. */
+static int eval_columns(const u64 *exps, Py_ssize_t n_vars, Py_ssize_t n_cols,
+                        const u64 *y, u64 p, u64 *acc)
+{
+    for (Py_ssize_t h = 0; h < n_cols; h++)
+        acc[h] = 1;
+    for (Py_ssize_t i = 0; i < n_vars; i++) {
+        const u64 *row = exps + i * n_cols;
+        u64 inv = 0;
+        for (Py_ssize_t h = 0; h < n_cols; h++) {
+            int64_t e = (int64_t)row[h];
+            if (e > 0) {
+                acc[h] = mulmod(acc[h], powmod(y[i], (u64)e, p), p);
+            } else if (e < 0) {
+                if (inv == 0 && (inv = invmod(y[i], p)) == 0)
+                    return -1;
+                acc[h] = mulmod(acc[h], powmod(inv, 0 - (u64)e, p), p);
+            }
+        }
+    }
+    return 0;
+}
+
+/* Replaces the rows v = phi(y_0), w_{1,1}, ..., w_{m,r'_m} of `vals` (length n
+ * each) by the rows of eta, the formula of _kernels_py.eta_of_columns:
+ * row 0 = v * S_1 ... S_m and row (k, j) = v * w_kj * prod_{h != k} S_h,
+ * with S_k = 1 + sum_j w_kj.  Scratch: s and suf hold m rows each, pre one
+ * row. */
+static void assemble_eta(u64 *vals, const Py_ssize_t *rp, Py_ssize_t m, Py_ssize_t n,
+                         u64 p, u64 *s, u64 *suf, u64 *pre)
+{
+    const u64 *w = vals + n;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        u64 *sk = s + k * n;
+        for (Py_ssize_t h = 0; h < n; h++)
+            sk[h] = 1;
+        for (Py_ssize_t j = 0; j < rp[k]; j++, w += n)
+            for (Py_ssize_t h = 0; h < n; h++)
+                sk[h] = addmod(sk[h], w[h], p);
+    }
+    /* suf[k]: the product of S over the factors after factor k (k from 0) */
+    for (Py_ssize_t k = m - 1; k >= 0; k--)
+        for (Py_ssize_t h = 0; h < n; h++)
+            suf[k * n + h] = k == m - 1 ? 1
+                : mulmod(s[(k + 1) * n + h], suf[(k + 1) * n + h], p);
+    /* pre: v times the S of the factors before factor k; of all, after the loop */
+    memcpy(pre, vals, n * sizeof(u64));
+    u64 *row = vals + n;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        u64 *base = suf + k * n;
+        for (Py_ssize_t h = 0; h < n; h++)
+            base[h] = mulmod(pre[h], base[h], p);
+        for (Py_ssize_t j = 0; j < rp[k]; j++, row += n)
+            for (Py_ssize_t h = 0; h < n; h++)
+                row[h] = mulmod(row[h], base[h], p);
+        for (Py_ssize_t h = 0; h < n; h++)
+            pre[h] = mulmod(pre[h], s[k * n + h], p);
+    }
+    memcpy(vals, pre, n * sizeof(u64));
 }
 
 /* x mod p in [0, p) with Python's sign convention; -1 with an exception set
@@ -157,6 +255,74 @@ static int read_prime(PyObject *p_obj, u64 *p)
     return PyErr_Occurred() ? -1 : 0;
 }
 
+/* Raises ValueError unless every one of the n residues is nonzero. */
+static int check_nonzero(const u64 *ys, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (ys[i] == 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "torus point has a coordinate divisible by the prime");
+            return -1;
+        }
+    return 0;
+}
+
+/* Reads r_prime: m non-negative factor sizes summing to n_pts - 1, into a
+ * new buffer (free it with PyMem_Free). */
+static int read_factors(PyObject *obj, Py_ssize_t n_pts, Py_ssize_t **rp, Py_ssize_t *m)
+{
+    unsigned long long total = 0;  /* saturates at ULLONG_MAX - 1 */
+    PyObject *seq = PySequence_Fast(obj, "expected a sequence of factor sizes");
+    if (seq == NULL)
+        return -1;
+    *m = PySequence_Fast_GET_SIZE(seq);
+    if ((*rp = PyMem_New(Py_ssize_t, *m + 1)) == NULL)
+        PyErr_NoMemory();
+    for (Py_ssize_t k = 0; *rp != NULL && k < *m; k++) {
+        Py_ssize_t v = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, k));
+        if (v == -1 && PyErr_Occurred())
+            break;
+        if (v < 0) {
+            PyErr_SetString(PyExc_ValueError, "factor sizes r' must be non-negative");
+            break;
+        }
+        (*rp)[k] = v;
+        total = (unsigned long long)v < ULLONG_MAX - 1 - total
+            ? total + (unsigned long long)v : ULLONG_MAX - 1;
+    }
+    Py_DECREF(seq);
+    if (!PyErr_Occurred() && total != (unsigned long long)n_pts - 1)
+        PyErr_Format(PyExc_ValueError, "factors r' need %llu points, got %zd",
+                     total + 1, n_pts);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* A new list of the n residues v as Python ints, or NULL with an exception. */
+static PyObject *int_list(const u64 *v, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t h = 0; out != NULL && h < n; h++) {
+        PyObject *x = PyLong_FromUnsignedLongLong(v[h]);
+        PyList_SET_ITEM(out, h, x);  /* a list with a NULL slot is safe to free */
+        if (x == NULL)
+            Py_CLEAR(out);
+    }
+    return out;
+}
+
+/* Python's own message for pow(x, -1, p) without an inverse. */
+static const char NOT_INVERTIBLE[] = "base is not invertible for the given modulus";
+
+/* The rank as a Python int, or ValueError for the -1 of a missing inverse. */
+static PyObject *rank_result(Py_ssize_t rank)
+{
+    if (rank < 0) {
+        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+        return NULL;
+    }
+    return PyLong_FromSsize_t(rank);
+}
+
 static PyObject *rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "p", NULL};
@@ -171,7 +337,7 @@ static PyObject *rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
     rank = rank_buffer(m, n_rows, n_cols, p);
     Py_END_ALLOW_THREADS
     PyMem_Free(m);
-    return PyLong_FromSsize_t(rank);
+    return rank_result(rank);
 }
 
 static PyObject *kr_rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -210,7 +376,7 @@ static PyObject *kr_rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
 done:
     PyMem_Free(t);
     PyMem_Free(b);
-    return PyErr_Occurred() ? NULL : PyLong_FromSsize_t(rank);
+    return PyErr_Occurred() ? NULL : rank_result(rank);
 }
 
 static PyObject *eval_columns_mod(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -219,6 +385,7 @@ static PyObject *eval_columns_mod(PyObject *self, PyObject *args, PyObject *kwar
     PyObject *mat, *point, *p_obj, *out = NULL;
     u64 p, *exps, *ys = NULL, *acc;
     Py_ssize_t n_rows, n_cols;
+    int failed = 0;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:eval_columns_mod", kwlist,
                                      &mat, &point, &p_obj)
         || read_prime(p_obj, &p) < 0
@@ -238,50 +405,90 @@ static PyObject *eval_columns_mod(PyObject *self, PyObject *args, PyObject *kwar
     else if ((ys = PyMem_New(u64, n_rows + n_cols)) == NULL)
         PyErr_NoMemory();
     else if (read_items(PySequence_Fast_ITEMS(seq), n_rows, p_obj, p, ys) == 0)
-        for (Py_ssize_t i = 0; i < n_rows; i++)
-            if (ys[i] == 0) {
-                PyErr_SetString(PyExc_ValueError,
-                                "torus point has a coordinate divisible by the prime");
-                break;
-            }
+        check_nonzero(ys, n_rows);
     Py_DECREF(seq);
     if (PyErr_Occurred())
         goto done;
     acc = ys + n_rows;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t h = 0; h < n_cols; h++)
-        acc[h] = 1 % p;
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        u64 y = ys[i], inv_y = powmod(y, p - 2, p);
-        for (Py_ssize_t h = 0; h < n_cols; h++) {
-            int64_t e = (int64_t)exps[i * n_cols + h];
-            u64 base = e >= 0 ? powmod(y, (u64)e, p) : powmod(inv_y, 0 - (u64)e, p);
-            acc[h] = mulmod(acc[h], base, p);
-        }
-    }
+    failed = eval_columns(exps, n_rows, n_cols, ys, p, acc) < 0;
     Py_END_ALLOW_THREADS
-    out = PyList_New(n_cols);
-    for (Py_ssize_t h = 0; out != NULL && h < n_cols; h++) {
-        PyObject *v = PyLong_FromUnsignedLongLong(acc[h]);
-        PyList_SET_ITEM(out, h, v);  /* a list with a NULL slot is safe to free */
-        if (v == NULL)
-            Py_CLEAR(out);
-    }
+    if (failed)
+        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+    else
+        out = int_list(acc, n_cols);
 done:
     PyMem_Free(exps);
     PyMem_Free(ys);
     return out;
 }
 
+static PyObject *eta_mod(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"rows", "r_prime", "points", "p", NULL};
+    PyObject *rows, *r_prime, *points, *p_obj, *out = NULL;
+    u64 p, *exps, *ys = NULL, *buf = NULL, *s, *suf, *pre;
+    Py_ssize_t *rp = NULL, n_vars, n_cols, n_pts, width, m;
+    int failed = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:eta_mod", kwlist,
+                                     &rows, &r_prime, &points, &p_obj)
+        || read_prime(p_obj, &p) < 0
+        || read_rows(rows, NULL, 0, &exps, &n_vars, &n_cols) < 0)
+        return NULL;
+    if (read_rows(points, p_obj, p, &ys, &n_pts, &width) < 0
+        || read_factors(r_prime, n_pts, &rp, &m) < 0)
+        goto done;
+    if (n_vars > 0 && width != n_vars) {
+        PyErr_SetString(PyExc_ValueError, "point length differs from the number of rows");
+        goto done;
+    }
+    /* eta's n_pts rows, then the scratch rows of assemble_eta */
+    if ((n_vars > 0 && check_nonzero(ys, n_pts * n_vars) < 0)
+        || (buf = PyMem_New(u64, (n_pts + 2 * m + 1) * n_cols)) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto done;
+    }
+    s = buf + n_pts * n_cols;
+    suf = s + m * n_cols;
+    pre = suf + m * n_cols;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t k = 0; !failed && k < n_pts; k++)
+        failed = eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, buf + k * n_cols) < 0;
+    if (!failed)
+        assemble_eta(buf, rp, m, n_cols, p, s, suf, pre);
+    Py_END_ALLOW_THREADS
+    if (failed) {
+        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+        goto done;
+    }
+    out = PyList_New(n_pts);
+    for (Py_ssize_t k = 0; out != NULL && k < n_pts; k++) {
+        PyObject *row = int_list(buf + k * n_cols, n_cols);
+        PyList_SET_ITEM(out, k, row);
+        if (row == NULL)
+            Py_CLEAR(out);
+    }
+done:
+    PyMem_Free(exps);
+    PyMem_Free(ys);
+    PyMem_Free(rp);
+    PyMem_Free(buf);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"rank_mod", (PyCFunction)(void (*)(void))rank_mod, METH_VARARGS | METH_KEYWORDS,
-     "Rank of an integer matrix over F_p (entries reduced internally)."},
+     "Rank of an integer matrix over Z/p (entries reduced internally)."},
     {"kr_rank_mod", (PyCFunction)(void (*)(void))kr_rank_mod, METH_VARARGS | METH_KEYWORDS,
      "rank_mod of the Khatri-Rao product without materializing Python rows."},
     {"eval_columns_mod", (PyCFunction)(void (*)(void))eval_columns_mod,
      METH_VARARGS | METH_KEYWORDS,
-     "Evaluate every column monomial of `mat` at `point` over F_p; mat[l][h] is\n"
+     "Evaluate every column monomial of `mat` at `point` over Z/p; mat[l][h] is\n"
      "the exponent of point[l] in column h and may be negative."},
+    {"eta_mod", (PyCFunction)(void (*)(void))eta_mod, METH_VARARGS | METH_KEYWORDS,
+     "eta over Z/p for the factors r_prime at the points (probing.eta): the\n"
+     "monomials of `rows` evaluated and combined without Python arithmetic."},
     {NULL, NULL, 0, NULL}
 };
 

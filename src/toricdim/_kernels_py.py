@@ -1,9 +1,12 @@
-"""Pure-Python modular kernels: rank, Khatri-Rao, monomial evaluation.
+"""Pure-Python modular kernels: rank, Khatri-Rao rank, monomial evaluation,
+and the eta matrix of a probe attempt.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod and eval_columns_mod exactly, returns identical
-values and raises ValueError on the same malformed shapes.  Arithmetic uses
-Python big ints, so any prime width works here.
+mirrors rank_mod, kr_rank_mod, eval_columns_mod and eta_mod exactly,
+returns identical values and raises ValueError on the same malformed shapes
+and non-invertible pivots.  Arithmetic uses Python big ints, so any modulus
+width works here.  `eta_of_columns` is the eta formula itself, over F_p or,
+for `probing.eta`, over the rationals.
 """
 
 from __future__ import annotations
@@ -18,8 +21,13 @@ def _residues(rows, p: int) -> list[list[int]]:
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p (entries reduced internally)."""
-    mat = _residues(rows, p)
+    """Rank of an integer matrix over Z/p (entries reduced internally)."""
+    return _rank_reduced(_residues(rows, p), p)
+
+
+def _rank_reduced(mat: list[list[int]], p: int) -> int:
+    """Rank over Z/p of equally long rows already reduced mod p; eliminates
+    in place."""
     n_rows = len(mat)
     if n_rows == 0:
         return 0
@@ -62,7 +70,7 @@ def khatri_rao_mod(top, bottom, p: int):
 
 def kr_rank_mod(top, bottom, p: int) -> int:
     """rank_mod of the Khatri-Rao product, fused for the compiled backend."""
-    return rank_mod(khatri_rao_mod(top, bottom, p), p)
+    return _rank_reduced(khatri_rao_mod(top, bottom, p), p)
 
 
 def eval_columns_mod(mat, point, p: int):
@@ -91,3 +99,62 @@ def eval_columns_mod(mat, point, p: int):
                 cache[e] = v
             acc[h] = (acc[h] * v) % p
     return acc
+
+
+def eta_of_columns(cols, r_prime, prime: int | None = None) -> list:
+    """`probing.eta` from the evaluated columns cols[i] = phi(points[i]):
+    residues mod `prime`, or exact products when `prime` is None.
+
+    ValueError unless the entries of `r_prime` are >= 0 and sum to
+    len(cols) - 1.  `_fastkernels.c` assembles eta in the same order.
+    """
+    if any(rp < 0 for rp in r_prime):
+        raise ValueError("factor sizes r' must be non-negative")
+    if sum(r_prime) != len(cols) - 1:
+        raise ValueError(
+            f"factors r' need {sum(r_prime) + 1} points, got {len(cols)}"
+        )
+    if prime is None:
+
+        def mul(u, v):
+            return [a * b for a, b in zip(u, v)]
+
+        def ones_plus_sum(ws):
+            return [1 + sum(c) for c in zip(*ws)]
+    else:
+
+        def mul(u, v):
+            return [a * b % prime for a, b in zip(u, v)]
+
+        def ones_plus_sum(ws):
+            return [(1 + sum(c)) % prime for c in zip(*ws)]
+
+    def times(u, v):
+        # None stands for an all-ones vector, which is never multiplied.
+        return u if v is None else v if u is None else mul(u, v)
+
+    blocks = []
+    offset = 1
+    for rp in r_prime:
+        blocks.append(cols[offset:offset + rp])
+        offset += rp
+    sums = [ones_plus_sum(ws) if ws else None for ws in blocks]  # S_k
+    # prefix[k] = v * S_1 * ... * S_k; suffix[k] = S_{k+1} * ... * S_m.
+    prefix = [cols[0]]
+    for s in sums:
+        prefix.append(times(prefix[-1], s))
+    suffix = [None] * (len(sums) + 1)
+    for k in range(len(sums) - 1, 0, -1):
+        suffix[k] = times(sums[k], suffix[k + 1])
+    out = [prefix[-1]]
+    for k, ws in enumerate(blocks):
+        if ws:
+            base = times(prefix[k], suffix[k + 1])
+            out.extend(mul(base, w) for w in ws)
+    return out
+
+
+def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
+    """`probing.eta` over F_p: eta_of_columns of the monomials of `rows`
+    evaluated at each point."""
+    return eta_of_columns([eval_columns_mod(rows, pt, p) for pt in points], r_prime, p)

@@ -6,6 +6,11 @@ from dataclasses import dataclass
 
 from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
+# Entries kept by each memoised matrix, rank, report and table function, so
+# memory stays bounded in long sweeps.  The extended experiments sweep needs
+# 548 distinct Hadamard reports, and every one of them is reused.
+CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class RunConfig:

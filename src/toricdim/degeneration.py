@@ -13,11 +13,12 @@ and verifies, at finitely many nu,
   (d) rank semicontinuity: the scaled product matrix keeps at least the rank
       of the limit product matrix, which lower-bounds the Hadamard dimension.
 
-Everything here is fractions.Fraction arithmetic; there is no tolerance
-anywhere except the explicit ratio band of check (a).  The coefficient
-matrices come from the one eta construction, `probing.eta`, with no prime:
-the same formula the F_p engines probe, and a secant variety is its
-one-factor case.
+Every check is fractions.Fraction arithmetic; there is no tolerance
+anywhere except the explicit ratio band of check (a).  Only `demo_points`
+works over F_p too, to reject draws that are degenerate or not generic
+before the exact checks run.  The coefficient matrices come from the one
+eta construction, `probing.eta`, with no prime: the same formula the F_p
+engines probe, and a secant variety is its one-factor case.
 
 Conventions: the input is one flat point tuple Y = (y_1 | ... | y_R) with
 y_1 = all-ones; the scaled points feed the Hadamard construction with y_1
@@ -34,9 +35,12 @@ from fractions import Fraction
 from functools import cached_property
 import random
 
+from . import kernels
 from ._rational import rational_rank
 from .exponent import ExponentMatrix, HadamardSpec
+from .modlinalg import DEFAULT_PRIME, random_torus_points
 from .probing import eta, eval_columns_exact
+from .secantdim import eta_secant
 
 # Exact rational arithmetic stays fast only at small scale.
 MAX_TOTAL_ROWS = 64  # R * (rows of the chart matrix)
@@ -53,8 +57,6 @@ def eta_secant_exact(rows, points) -> list[list[Fraction]]:
 
 def eta_hadamard_exact(rows, spec: HadamardSpec, points) -> list[list[Fraction]]:
     """Rational twin of `hadamdim.eta_hadamard`: `probing.eta` over Fraction."""
-    if len(points) != spec.total_points:
-        raise ValueError(f"need {spec.total_points} points, got {len(points)}")
     return eta(rows, spec.r_prime, points)
 
 
@@ -314,7 +316,9 @@ def demo_points(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Sample points for the convergence demo: the all-ones vector plus
     near-identity rational points 1 + a/D with integers a in [low, high]
-    and D = 128 * (largest absolute column degree).
+    and D = 128 * (largest absolute column degree).  Each coordinate takes
+    distinct values across the points; [low, high] is widened upwards only
+    when there are more points than values.
 
     Points this close to all-ones keep every monomial value within a small
     constant of 1, so the first error term of the scaled family dominates
@@ -322,28 +326,44 @@ def demo_points(
     Farther points converge too, but only at far smaller scales: the error
     saturates while nu * (sum of monomial values) stays large.
 
-    Resamples (bounded) when a draw is degenerate: a vanishing column
-    scaling entry at one of the probe scales, or a rank drop of the exact
-    secant coefficient matrix.
+    Resamples (bounded) when a draw is degenerate or not generic.  Reduced
+    mod DEFAULT_PRIME, the draw's secant coefficient matrix must have full
+    row rank R (so it has over Q too), and its Khatri-Rao product with the
+    matrix must reach the rank that product has at random F_p torus points.
+    Once check (c) of `limit_check` holds, the limit product has the rank of
+    that product over Q, which is at least its rank over F_p, so the
+    certified bound is the generic one.  Last, no column scaling entry may
+    vanish at one of the probe scales.
     """
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
+    rows = abar.row_lists()
+    R = spec.total_points
+    p = DEFAULT_PRIME
+    generic_rank = kernels.kr_rank_mod(
+        eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p
+    )
     denom = 128 * _max_column_degree(abar)
+    values = range(low, max(high, low + R - 2) + 1)
     for attempt in range(max_resample):
         rng = random.Random(seed + attempt)
-        pts = [(Fraction(1),) * abar.n_rows]
-        for _ in range(spec.total_points - 1):
-            pts.append(
-                tuple(
-                    Fraction(denom + rng.randint(low, high), denom)
-                    for _ in range(abar.n_rows)
-                )
-            )
-        candidate = tuple(pts)
+        columns = [rng.sample(values, R - 1) for _ in range(abar.n_rows)]
+        candidate = ((Fraction(1),) * abar.n_rows,) + tuple(
+            tuple(Fraction(denom + a, denom) for a in pt) for pt in zip(*columns)
+        )
+        secant_mod_p = eta_secant(
+            rows,
+            [[x.numerator * pow(x.denominator, -1, p) for x in pt] for pt in candidate],
+            p,
+        )
+        if (
+            kernels.rank_mod(secant_mod_p, p) < R
+            or kernels.kr_rank_mod(secant_mod_p, rows, p) < generic_rank
+        ):
+            continue
         try:
             for nu in nus:
                 build_family(abar, spec, candidate, nu).right_diag
         except ZeroDivisionError:
             continue
-        if rational_rank(eta_secant_exact(abar.entries, candidate)) == spec.total_points:
-            return candidate
+        return candidate
     raise ValueError("could not sample nondegenerate demo points")

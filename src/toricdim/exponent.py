@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._rational import rational_rank
+from .config import CACHE_SIZE
 
 # Builders refuse to materialize matrices wider than this unless overridden.
 DEFAULT_COLUMN_CAP = 10_000_000
@@ -133,7 +134,7 @@ class ExponentMatrix:
             raise HomogeneityError("not projectively homogeneous")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_rank(entries: tuple[tuple[int, ...], ...]) -> int:
     return rational_rank(entries)
 
@@ -369,7 +370,7 @@ class VarietyDescriptor:
         return self.label
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _descriptor_matrix(desc: VarietyDescriptor) -> ExponentMatrix:
     if desc.kind == "custom":
         return ExponentMatrix(desc.matrix_entries)

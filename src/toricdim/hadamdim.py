@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .probing import eta, probe_max_rank
 from .secantdim import expected_secant_dim, secant_dimension
@@ -41,10 +41,6 @@ def eta_hadamard(rows, spec: HadamardSpec, points, prime: int) -> list[list[int]
     F_prime: `probing.eta` for the factors of `spec`, points ordered
     (y_0 | y_{1,1} ... y_{1,r_1-1} | y_{2,1} ...)."""
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
-    if len(points) != spec.total_points:
-        raise ValueError(
-            f"need {spec.total_points} points for factors {spec.r}, got {len(points)}"
-        )
     return eta(rows, spec.r_prime, points, prime)
 
 
@@ -100,7 +96,7 @@ def hadamard_dimension(
     return _hadamard_dimension_cached(descriptor, spec, config)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _hadamard_dimension_cached(
     descriptor: VarietyDescriptor, spec: HadamardSpec, config: RunConfig
 ) -> HadamardDimensionReport:

@@ -28,6 +28,7 @@ else:
 rank_mod = _impl.rank_mod
 kr_rank_mod = _impl.kr_rank_mod
 eval_columns_mod = _impl.eval_columns_mod
+eta_mod = _impl.eta_mod
 
 
 def backend_name() -> str:

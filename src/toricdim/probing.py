@@ -6,13 +6,17 @@ or over the exact rationals.  A secant variety sigma_R(X) is its one-factor
 case (r' = (R - 1,)): `secantdim.eta_secant`, `hadamdim.eta_hadamard` and the
 two exact twins in `degeneration` are each one call into it.
 
-`probe_max_rank` evaluates the rank of eta (x) A at freshly drawn torus
-points and keeps the maximum rank seen.  The target rank is a mathematical
-ceiling (parameter count or ambient bound), so the loop may stop as soon as
-the target is reached: the reported maximum is identical to running every
-trial.  Falling short triggers the retry ladder: fresh seeds at
-seed + trials + j, with the final two retries switching to alternate primes
-to rule out characteristic-p accidents.
+`probe_max_rank` draws torus points and keeps the maximum rank of
+eta (x) A seen.  Each attempt is two kernel calls: the engine's eta at the
+points, which is `kernels.eta_mod` (monomials evaluated and eta assembled in
+C on the compiled backend, `_kernels_py.eta_of_columns` on the pure one),
+then `kernels.kr_rank_mod`, which forms the Khatri-Rao product and computes
+its rank.  The target rank is a mathematical ceiling (parameter count or
+ambient bound), so the loop may stop as soon as the target is reached: the
+reported maximum is identical to running every trial.  Falling short
+triggers the retry ladder: fresh seeds at seed + trials + j, with the final
+two retries switching to alternate primes to rule out characteristic-p
+accidents.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import kernels
+from ._kernels_py import eta_of_columns
 from .config import RunConfig
 from .modlinalg import ALTERNATE_PRIMES, random_torus_points
 
@@ -56,45 +61,8 @@ def eta(rows, r_prime, points, prime: int | None = None) -> list:
     mod `prime`, or `Fraction`s when `prime` is None.
     """
     if prime is None:
-        vals = [eval_columns_exact(rows, pt) for pt in points]
-
-        def mul(u, v):
-            return [a * b for a, b in zip(u, v)]
-
-        def ones_plus_sum(ws):
-            return [1 + sum(c) for c in zip(*ws)]
-    else:
-        vals = [kernels.eval_columns_mod(rows, list(pt), prime) for pt in points]
-
-        def mul(u, v):
-            return [a * b % prime for a, b in zip(u, v)]
-
-        def ones_plus_sum(ws):
-            return [(1 + sum(c)) % prime for c in zip(*ws)]
-
-    def times(u, v):
-        # None stands for an all-ones vector, which is never multiplied.
-        return u if v is None else v if u is None else mul(u, v)
-
-    blocks = []
-    offset = 1
-    for rp in r_prime:
-        blocks.append(vals[offset:offset + rp])
-        offset += rp
-    sums = [ones_plus_sum(ws) if ws else None for ws in blocks]  # S_k
-    # prefix[k] = v * S_1 * ... * S_k; suffix[k] = S_{k+1} * ... * S_m.
-    prefix = [vals[0]]
-    for s in sums:
-        prefix.append(times(prefix[-1], s))
-    suffix = [None] * (len(sums) + 1)
-    for k in range(len(sums) - 1, 0, -1):
-        suffix[k] = times(sums[k], suffix[k + 1])
-    out = [prefix[-1]]
-    for k, ws in enumerate(blocks):
-        if ws:
-            base = times(prefix[k], suffix[k + 1])
-            out.extend(mul(base, w) for w in ws)
-    return out
+        return eta_of_columns([eval_columns_exact(rows, pt) for pt in points], r_prime)
+    return kernels.eta_mod(rows, r_prime, points, prime)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
 from .exponent import VarietyDescriptor
 from .probing import eta, probe_max_rank
 
@@ -43,8 +43,6 @@ def eta_secant(rows, points, prime: int) -> list[list[int]]:
     phi(y_j)), row j (j >= 2) is phi(y_1 * y_j), with phi the affine monomial
     map of `rows` and * the coordinatewise product.
     """
-    if not points:
-        raise ValueError("need at least one point")
     return eta(rows, (len(points) - 1,), points, prime)
 
 
@@ -87,7 +85,7 @@ def secant_dimension(
     return _secant_dimension_cached(descriptor, R, config)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _secant_dimension_cached(
     descriptor: VarietyDescriptor, R: int, config: RunConfig
 ) -> SecantDimensionReport:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import binary_check_table, veronese_check_table
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
 from .exponent import VarietyDescriptor
 from .hadamdim import hadamard_dimension
 
@@ -188,7 +188,7 @@ def run_experiments_table(
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_table(name: str, extended: bool, config: RunConfig) -> tuple[TableRow, ...]:
     if name == "veronese":
         return tuple(run_veronese_table(config))

@@ -32,14 +32,16 @@ def config():
 @pytest.fixture(scope="session")
 def fast(tmp_path_factory):
     """The compiled kernels, built from `_fastkernels.c` into a temporary
-    directory whatever backend `toricdim.kernels` picked; skips without `cc`."""
+    directory whatever backend `toricdim.kernels` picked; skips without `cc`.
+    Any compiler warning fails the build here (setup.py keeps plain -O3)."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) to build the compiled kernels")
     so = tmp_path_factory.mktemp("fastkernels") / (
         "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     include = sysconfig.get_paths()["include"]
-    cmd = ["cc", "-O3", "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE), "-o", str(so)]
+    cmd = ["cc", "-O3", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+           "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE), "-o", str(so)]
     subprocess.run(cmd, check=True)
     spec = importlib.util.spec_from_file_location("toricdim._fastkernels", so)
     module = importlib.util.module_from_spec(spec)

@@ -85,7 +85,7 @@ def test_dim_secant_exit_codes(capsys):
 def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
     # A prime above 2^63, where `a + p - x` no longer fits in 64 bits.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
-    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod"):
+    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod", "eta_mod"):
         monkeypatch.setattr(kernels, name, getattr(impl, name))
     secantdim._secant_dimension_cached.cache_clear()  # reports are cached per config
     code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5",
@@ -101,7 +101,7 @@ def test_dim_secant_rejects_exponents_beyond_64_bits(
     # The compiled kernels read exponents as int64; both backends must refuse
     # such a matrix with a message instead of answering or raising.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
-    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod"):
+    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod", "eta_mod"):
         monkeypatch.setattr(kernels, name, getattr(impl, name))
     path = tmp_path / "big.csv"
     path.write_text(f"1,1,1\n0,1,{2**70}\n")

@@ -176,3 +176,31 @@ def test_semicontinuity_rank_never_below_limit():
         rep = limit_check(ABAR, (2, 2), pts)
         assert rep.kr_ranks[-1] >= rep.limit_kr_rank
         assert rep.dim_lower_bound == rep.limit_kr_rank - 1
+
+
+def test_demo_points_never_gives_up_on_a_long_curve():
+    # R = 8 points on rnc:30: with 16 values per coordinate drawn with
+    # replacement, two points often shared a coordinate and all 8 draws of
+    # some seeds were degenerate (seeds 12 and 13 here).
+    abar = normalize(rational_normal_curve(30))
+    for seed in range(40):
+        pts = demo_points(abar, (4, 5), seed=seed)
+        for coords in zip(*pts[1:]):
+            assert len(set(coords)) == len(coords), seed
+
+
+def test_demo_points_are_generic():
+    # On veronese:d=4,n=2 some draws passed every check but certified
+    # dimension >= 10 instead of min(14, 4 * 3 - 1) = 11 (seeds 65, 91, 99).
+    abar = normalize(segre_veronese((4,), (2,)))
+    for seed in range(60, 100):
+        pts = demo_points(abar, (2, 3), seed=seed)
+        limit_kr = khatri_rao_exact(limit_matrix(abar, pts), abar.entries)
+        assert rational_rank(limit_kr) - 1 == 11, seed
+        assert rational_rank(eta_secant_exact(abar.entries, pts)) == 4, seed
+
+
+def test_demo_points_widen_the_value_range_for_many_points():
+    pts = demo_points(ABAR, (9,), seed=0, low=2, high=4)
+    for coords in zip(*pts[1:]):
+        assert sorted(coords) == [1 + Fraction(a, 128 * 9) for a in range(2, 10)]

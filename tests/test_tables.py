@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from toricdim.config import RunConfig
+import toricdim
+from toricdim.config import CACHE_SIZE, RunConfig
 from toricdim.tables import (
     CSV_COLUMNS,
     _tuples_with_index,
@@ -71,3 +75,26 @@ def test_table_rows_serialize_with_frozen_columns():
 def test_unknown_table_rejected():
     with pytest.raises(ValueError, match="unknown table"):
         run_table("nonsense", CFG)
+
+
+def test_memoised_functions_are_bounded():
+    # Long sweeps must not grow memory without bound: every lru_cache in the
+    # package keeps at most config.CACHE_SIZE entries.
+    modules = [
+        importlib.import_module(f"toricdim.{m.name}")
+        for m in pkgutil.iter_modules(toricdim.__path__)
+    ]
+    cached = {
+        f"{mod.__name__}.{name}": fn.cache_parameters()["maxsize"]
+        for mod in modules
+        for name, fn in vars(mod).items()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
+    }
+    assert {
+        "toricdim.exponent._cached_rank",
+        "toricdim.exponent._descriptor_matrix",
+        "toricdim.secantdim._secant_dimension_cached",
+        "toricdim.hadamdim._hadamard_dimension_cached",
+        "toricdim.tables._cached_table",
+    } <= set(cached)
+    assert all(size == CACHE_SIZE for size in cached.values()), cached
