@@ -59,9 +59,7 @@ from .kernels import backend_name
 from .modlinalg import (
     ALTERNATE_PRIMES,
     DEFAULT_PRIME,
-    eval_monomial,
     is_probable_prime,
-    matrix_rank,
     random_torus_points,
 )
 from .secantdim import SecantDimensionReport, expected_secant_dim, secant_dimension
@@ -105,7 +103,6 @@ __all__ = [
     "classify_support",
     "demo_points",
     "enumerate_check_rvectors",
-    "eval_monomial",
     "expected_generic_hrank",
     "expected_secant_dim",
     "generic_hrank",
@@ -115,7 +112,6 @@ __all__ = [
     "is_probable_prime",
     "kron",
     "limit_check",
-    "matrix_rank",
     "normalize",
     "normalized_segre",
     "random_torus_points",

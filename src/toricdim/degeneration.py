@@ -13,9 +13,11 @@ and verifies, at finitely many nu,
   (d) rank semicontinuity: the scaled product matrix keeps at least the rank
       of the limit product matrix, which lower-bounds the Hadamard dimension.
 
-Every check is fractions.Fraction arithmetic; there is no tolerance
-anywhere except the explicit ratio band of check (a).  Only `demo_points`
-works over F_p too, to reject draws that are degenerate or not generic
+Every check is exact: the matrices are fractions.Fraction, and their ranks
+are exact ranks over Q, by a multi-modular elimination certified by
+Hadamard's bound (`_rational.rational_rank`).  There is no tolerance
+anywhere except the explicit ratio band of check (a).  `demo_points` also
+works over F_p directly, to reject draws that are degenerate or not generic
 before the exact checks run.  The coefficient matrices come from the one
 eta construction, `probing.eta`, with no prime: the same formula the F_p
 engines probe, and a secant variety is its one-factor case.
@@ -326,6 +328,9 @@ def demo_points(
     Farther points converge too, but only at far smaller scales: the error
     saturates while nu * (sum of monomial values) stays large.
 
+    ValueError, before any draw, when the instance is beyond the exact
+    verifier's limits or R exceeds the column count.
+
     Resamples (bounded) when a draw is degenerate or not generic.  Reduced
     mod DEFAULT_PRIME, the draw's secant coefficient matrix must have full
     row rank R (so it has over Q too), and its Khatri-Rao product with the
@@ -336,8 +341,14 @@ def demo_points(
     vanish at one of the probe scales.
     """
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
-    rows = abar.row_lists()
+    _check_guard(abar, spec)
     R = spec.total_points
+    if R > abar.n_cols:
+        raise ValueError(
+            f"R = {R} points exceed the {abar.n_cols} columns, so the secant "
+            f"coefficient matrix never has rank R (limit: R <= {abar.n_cols})"
+        )
+    rows = abar.row_lists()
     p = DEFAULT_PRIME
     generic_rank = kernels.kr_rank_mod(
         eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p

@@ -1,17 +1,17 @@
-"""Linear algebra over large prime fields and exact rationals.
+"""The primes and the random torus points of the F_p probes.
 
 All dimension probes run over F_p at uniformly random torus points; ranks
 computed there are certified lower bounds for the characteristic-zero
 generic rank, since every nonvanishing minor is an integer polynomial
-identity.  The default prime is the Mersenne prime 2^61 - 1.
+identity.  The default prime is the Mersenne prime 2^61 - 1.  Exact ranks
+over Q (`_rational.rational_rank`) come from the same F_p eliminations at a
+sequence of primes that starts with these ones, certified by Hadamard's
+bound.
 """
 
 from __future__ import annotations
 
 import random
-
-from . import kernels
-from ._rational import rational_rank
 
 DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1
 # Every prime must lie below this: the compiled kernels hold residues in
@@ -50,29 +50,6 @@ def is_probable_prime(n: int) -> bool:
 
 
 assert all(is_probable_prime(p) for p in (DEFAULT_PRIME, *ALTERNATE_PRIMES))
-
-
-def eval_monomial(mat, point, prime: int = DEFAULT_PRIME) -> list[int]:
-    """Evaluate all column monomials of an exponent matrix at a torus point.
-
-    Accepts an ExponentMatrix or plain rows; negative exponents require the
-    point coordinates to be nonzero mod the prime (they always are for
-    points drawn by random_torus_points).
-    """
-    if prime >= PRIME_LIMIT:
-        raise ValueError(f"{prime} is not below 2^64")
-    rows = mat.row_lists() if hasattr(mat, "row_lists") else [list(r) for r in mat]
-    return kernels.eval_columns_mod(rows, list(point), prime)
-
-
-def matrix_rank(rows, prime: int | None = None) -> int:
-    """Rank over F_prime, or over the exact rationals when prime is None."""
-    r = rows.row_lists() if hasattr(rows, "row_lists") else [list(x) for x in rows]
-    if prime is None:
-        return rational_rank(r)
-    if not (prime < PRIME_LIMIT and is_probable_prime(prime)):
-        raise ValueError(f"{prime} is not a (probable) prime below 2^64")
-    return kernels.rank_mod(r, prime)
 
 
 def random_torus_points(

@@ -181,6 +181,25 @@ def test_degeneration_demo_json(capsys):
     assert doc["nus"] == ["1/10", "1/100", "1/1000"]
 
 
+@pytest.mark.parametrize(
+    "descriptor, r, limit",
+    [
+        ("rnc:30", "20,20", "R*rows <= 64"),
+        ("rnc:8", "40,40", "R*rows <= 64"),
+        ("rnc:1", "2,2", "R <= 2"),
+        ("rnc:30", "16,17", "R <= 31"),
+    ],
+)
+def test_degeneration_demo_names_the_limit_it_exceeds(capsys, descriptor, r, limit):
+    code, out, err = run_cli(
+        capsys, "degeneration-demo", "--descriptor", descriptor, "--r", r
+    )
+    assert code == 2
+    assert out == ""
+    assert f"(limit: {limit}" in err or f"(limits: {limit}" in err
+    assert "could not sample" not in err
+
+
 def test_binomial_check_exit_codes(tmp_path, capsys):
     two = tmp_path / "two.txt"
     two.write_text("2 0\n0 2\n")

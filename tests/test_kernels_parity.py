@@ -7,8 +7,10 @@ so these tests run whichever backend `toricdim.kernels` picked.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricdim import DEFAULT_PRIME, backend_name
+from toricdim import DEFAULT_PRIME, backend_name, normalize, rational_normal_curve
 from toricdim import _kernels_py as py
 
 P64 = 17293822569102704683  # a prime above 2^63
@@ -76,6 +78,35 @@ def test_eval_columns_mod_parity_with_negative_exponents(fast):
             assert fast.eval_columns_mod(mat, point, p) == py.eval_columns_mod(
                 mat, point, p
             )
+
+
+def test_eval_columns_mod_rnc_powers(fast):
+    rows = normalize(rational_normal_curve(8)).row_lists()
+    # chart monomials are y0 * y1^h
+    for kernel in (py.eval_columns_mod, fast.eval_columns_mod):
+        assert kernel(rows, [1, 1], 101) == [1] * 9
+        assert kernel(rows, [1, 2], 101) == [pow(2, h, 101) for h in range(9)]
+        assert kernel(rows, [3, 2], 101) == [3 * pow(2, h, 101) % 101 for h in range(9)]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.integers(1, 100), min_size=4, max_size=4),
+)
+@settings(max_examples=50, deadline=None)
+def test_eval_columns_mod_multiplicative(fast, columns, coords):
+    rows = [list(r) for r in zip(*columns)]
+    x = coords[:2]
+    y = coords[2:]
+    xy = [(a * b) % 101 for a, b in zip(x, y)]
+    for kernel in (py.eval_columns_mod, fast.eval_columns_mod):
+        ex = kernel(rows, x, 101)
+        ey = kernel(rows, y, 101)
+        assert kernel(rows, xy, 101) == [(a * b) % 101 for a, b in zip(ex, ey)]
 
 
 def _outcome(fn, *args):
