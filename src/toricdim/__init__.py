@@ -28,7 +28,6 @@ from .classify import (
 from .degeneration import (
     DegenerationFamily,
     LimitCheckReport,
-    build_family,
     demo_points,
     limit_check,
 )
@@ -40,7 +39,6 @@ from .exponent import (
     VarietyDescriptor,
     kron,
     normalize,
-    normalized_segre,
     rational_normal_curve,
     read_matrix_csv,
     segre_veronese,
@@ -99,7 +97,6 @@ __all__ = [
     "backend_name",
     "binary_check_table",
     "binary_sv_defective",
-    "build_family",
     "classify_support",
     "demo_points",
     "enumerate_check_rvectors",
@@ -113,7 +110,6 @@ __all__ = [
     "kron",
     "limit_check",
     "normalize",
-    "normalized_segre",
     "random_torus_points",
     "rational_normal_curve",
     "read_matrix_csv",

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
-# Entries kept by each memoised matrix, rank, report and table function, so
-# memory stays bounded in long sweeps.  The extended experiments sweep needs
-# 548 distinct Hadamard reports, and every one of them is reused.
+# Entries kept by each memoised matrix, rank and secant-report function, so
+# memory stays bounded in long sweeps.  The extended experiments sweep asks
+# for 201 distinct secant reports 1700 times (the factor dimensions and the
+# sigma_R lower bound of its 536 Hadamard reports) and for 26 matrices and
+# ranks 737 times each, so every cache keeps all of its keys there.
 CACHE_SIZE = 1024
 
 

@@ -99,6 +99,15 @@ def _check_guard(abar: ExponentMatrix, spec: HadamardSpec) -> None:
         )
 
 
+def _check_nus(nus) -> tuple[Fraction, ...]:
+    nus = tuple(Fraction(nu) for nu in nus)
+    if not nus or any(nu <= 0 for nu in nus) or any(
+        later >= earlier for later, earlier in zip(nus[1:], nus)
+    ):
+        raise ValueError("need a strictly decreasing, positive nu sequence")
+    return nus
+
+
 @dataclass(frozen=True)
 class DegenerationFamily:
     """One member of the scaling family at a fixed nonzero nu."""
@@ -138,18 +147,6 @@ class DegenerationFamily:
             [l * x * c for x, c in zip(row, right)]
             for l, row in zip(left, self.eta_scaled)
         ]
-
-
-def build_family(abar: ExponentMatrix, spec, points, nu) -> DegenerationFamily:
-    """Validate inputs and assemble one scaled family member."""
-    spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
-    nu = Fraction(nu)
-    if nu == 0:
-        raise ValueError("nu must be nonzero")
-    _check_chart_form(abar)
-    _check_guard(abar, spec)
-    pts = _check_points(abar, spec, points)
-    return DegenerationFamily(abar, spec, pts, nu)
 
 
 def limit_matrix(abar: ExponentMatrix, points) -> list[list[Fraction]]:
@@ -213,11 +210,7 @@ def limit_check(
 ) -> LimitCheckReport:
     """Run all degeneration checks at each nu in a strictly decreasing list."""
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
-    nus = tuple(Fraction(nu) for nu in nus)
-    if not nus or any(nu <= 0 for nu in nus) or any(
-        later >= earlier for later, earlier in zip(nus[1:], nus)
-    ):
-        raise ValueError("need a strictly decreasing, positive nu sequence")
+    nus = _check_nus(nus)
     _check_chart_form(abar)
     _check_guard(abar, spec)
     pts = _check_points(abar, spec, points)
@@ -328,8 +321,9 @@ def demo_points(
     Farther points converge too, but only at far smaller scales: the error
     saturates while nu * (sum of monomial values) stays large.
 
-    ValueError, before any draw, when the instance is beyond the exact
-    verifier's limits or R exceeds the column count.
+    ValueError, before any draw, when `nus` is not strictly decreasing and
+    positive, `low` <= -D, the instance is beyond the exact verifier's
+    limits or R exceeds the column count.
 
     Resamples (bounded) when a draw is degenerate or not generic.  Reduced
     mod DEFAULT_PRIME, the draw's secant coefficient matrix must have full
@@ -337,9 +331,11 @@ def demo_points(
     matrix must reach the rank that product has at random F_p torus points.
     Once check (c) of `limit_check` holds, the limit product has the rank of
     that product over Q, which is at least its rank over F_p, so the
-    certified bound is the generic one.  Last, no column scaling entry may
-    vanish at one of the probe scales.
+    certified bound is the generic one.  No column scaling entry can vanish
+    at a positive scale: every coordinate is positive, so the first row of
+    the scaled eta is a product of positive rationals.
     """
+    _check_nus(nus)
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
     _check_guard(abar, spec)
     R = spec.total_points
@@ -348,12 +344,14 @@ def demo_points(
             f"R = {R} points exceed the {abar.n_cols} columns, so the secant "
             f"coefficient matrix never has rank R (limit: R <= {abar.n_cols})"
         )
+    denom = 128 * _max_column_degree(abar)
+    if low <= -denom:
+        raise ValueError(f"need low > -{denom}, so that every point is positive")
     rows = abar.row_lists()
     p = DEFAULT_PRIME
     generic_rank = kernels.kr_rank_mod(
         eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p
     )
-    denom = 128 * _max_column_degree(abar)
     values = range(low, max(high, low + R - 2) + 1)
     for attempt in range(max_resample):
         rng = random.Random(seed + attempt)
@@ -367,14 +365,8 @@ def demo_points(
             p,
         )
         if (
-            kernels.rank_mod(secant_mod_p, p) < R
-            or kernels.kr_rank_mod(secant_mod_p, rows, p) < generic_rank
+            kernels.rank_mod(secant_mod_p, p) >= R
+            and kernels.kr_rank_mod(secant_mod_p, rows, p) >= generic_rank
         ):
-            continue
-        try:
-            for nu in nus:
-                build_family(abar, spec, candidate, nu).right_diag
-        except ZeroDivisionError:
-            continue
-        return candidate
+            return candidate
     raise ValueError("could not sample nondegenerate demo points")

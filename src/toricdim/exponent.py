@@ -5,7 +5,7 @@ with one row per parameter coordinate and one column per ambient coordinate;
 column h is the exponent vector of the h-th monomial.  This module provides
 
   * the matrix container (`ExponentMatrix`) plus CSV import/export,
-  * builders for the Segre-Veronese family and the unit-chart Segre matrix,
+  * builders for the Segre-Veronese family,
   * `normalize`, which rewrites any matrix whose rational row span contains
     the all-ones vector into the chart form (all-ones first row, first
     column (1, 0, ..., 0)),
@@ -29,15 +29,15 @@ from functools import lru_cache
 from ._rational import rational_rank
 from .config import CACHE_SIZE
 
-# Builders refuse to materialize matrices wider than this unless overridden.
-DEFAULT_COLUMN_CAP = 10_000_000
+# Builders refuse to materialize matrices wider than this.
+COLUMN_CAP = 10_000_000
 # Entries must lie in [-EXPONENT_LIMIT, EXPONENT_LIMIT): the compiled kernels
 # read exponents as signed 64-bit integers.
 EXPONENT_LIMIT = 2**63
 
 
 class MatrixSizeError(ValueError):
-    """Requested matrix exceeds the configured column cap."""
+    """Requested matrix exceeds COLUMN_CAP columns."""
 
 
 class HomogeneityError(ValueError):
@@ -64,25 +64,19 @@ def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """Immutable integer matrix with optional per-column exponent labels.
+    """Immutable integer matrix.
 
     Entries may be negative (chart forms produced by `normalize`); the
     builders only emit non-negative entries.
     """
 
     entries: tuple[tuple[int, ...], ...]
-    column_labels: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         rows = _validated_rows(self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
-        if self.column_labels is not None:
-            labels = tuple(tuple(l) for l in self.column_labels)
-            if len(labels) != len(rows[0]):
-                raise ValueError("one column label per column required")
-            object.__setattr__(self, "column_labels", labels)
 
     @property
     def n_rows(self) -> int:
@@ -154,7 +148,7 @@ def homogeneous_exponents(degree: int, length: int):
             yield (first,) + rest
 
 
-def segre_veronese(degrees, dims, *, column_cap: int = DEFAULT_COLUMN_CAP) -> ExponentMatrix:
+def segre_veronese(degrees, dims) -> ExponentMatrix:
     """Exponent matrix of the Segre-Veronese embedding of P^n1 x ... x P^nk.
 
     `degrees[i]` is the Veronese degree on the i-th factor, `dims[i]` its
@@ -168,46 +162,19 @@ def segre_veronese(degrees, dims, *, column_cap: int = DEFAULT_COLUMN_CAP) -> Ex
     if any(d < 1 for d in degrees) or any(n < 1 for n in dims):
         raise ValueError("degrees and dims must all be >= 1")
     n_cols = math.prod(math.comb(n + d, d) for d, n in zip(degrees, dims))
-    if n_cols > column_cap:
-        raise MatrixSizeError(f"{n_cols} columns exceeds cap {column_cap}")
+    if n_cols > COLUMN_CAP:
+        raise MatrixSizeError(f"{n_cols} columns exceeds cap {COLUMN_CAP}")
     per_factor = [list(homogeneous_exponents(d, n + 1)) for d, n in zip(degrees, dims)]
-    labels = []
-    columns = []
-    for combo in itertools.product(*per_factor):
-        concat = tuple(itertools.chain.from_iterable(combo))
-        labels.append(concat)
-        columns.append(concat)
-    entries = tuple(zip(*columns))
-    return ExponentMatrix(entries, tuple(labels))
+    columns = [
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(*per_factor)
+    ]
+    return ExponentMatrix(tuple(zip(*columns)))
 
 
-def rational_normal_curve(degree: int, *, column_cap: int = DEFAULT_COLUMN_CAP) -> ExponentMatrix:
+def rational_normal_curve(degree: int) -> ExponentMatrix:
     """Degree-d rational normal curve in P^d (the n=1 Veronese)."""
-    return segre_veronese((degree,), (1,), column_cap=column_cap)
-
-
-def normalized_segre(factor_sizes, *, column_cap: int = DEFAULT_COLUMN_CAP) -> ExponentMatrix:
-    """Unit-chart Segre matrix: all-ones first row plus indicator rows.
-
-    For factor sizes (r'_1, ..., r'_m) the columns are indexed by tuples
-    (i_1, ..., i_m) with 0 <= i_k <= r'_k in ascending lex order; the row
-    labelled (k, j) has a 1 exactly where i_k == j.  The column order agrees
-    with segre_veronese((1,)*m, factor_sizes).
-    """
-    sizes = tuple(int(r) for r in factor_sizes)
-    if not sizes or any(r < 0 for r in sizes):
-        raise ValueError("factor sizes must be non-negative, at least one factor")
-    n_cols = math.prod(r + 1 for r in sizes)
-    if n_cols < 2:
-        raise ValueError("at least one factor size must be >= 1")
-    if n_cols > column_cap:
-        raise MatrixSizeError(f"{n_cols} columns exceeds cap {column_cap}")
-    labels = list(itertools.product(*(range(r + 1) for r in sizes)))
-    rows = [tuple(1 for _ in labels)]
-    for k, r in enumerate(sizes):
-        for j in range(1, r + 1):
-            rows.append(tuple(1 if idx[k] == j else 0 for idx in labels))
-    return ExponentMatrix(tuple(rows), tuple(labels))
+    return segre_veronese((degree,), (1,))
 
 
 def normalize(mat: ExponentMatrix) -> ExponentMatrix:
@@ -249,7 +216,7 @@ def _as_rows(obj) -> list[tuple[int, ...]]:
     return list(_validated_rows(obj))
 
 
-def kron(a, b, *, column_cap: int = DEFAULT_COLUMN_CAP) -> ExponentMatrix:
+def kron(a, b) -> ExponentMatrix:
     """Kronecker product, blocks in row-major order of the first argument.
 
     Accepts ExponentMatrix or plain row lists, so [[1]] acts as identity.
@@ -258,8 +225,8 @@ def kron(a, b, *, column_cap: int = DEFAULT_COLUMN_CAP) -> ExponentMatrix:
     if not arows or not brows:
         raise ValueError("kron requires two non-empty matrices")
     n_cols = len(arows[0]) * len(brows[0])
-    if n_cols > column_cap:
-        raise MatrixSizeError(f"{n_cols} columns exceeds cap {column_cap}")
+    if n_cols > COLUMN_CAP:
+        raise MatrixSizeError(f"{n_cols} columns exceeds cap {COLUMN_CAP}")
     out = []
     for ra in arows:
         for rb in brows:

@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .probing import eta, probe_max_rank
 from .secantdim import expected_secant_dim, secant_dimension
@@ -91,15 +90,13 @@ class HadamardDimensionReport:
 def hadamard_dimension(
     descriptor: VarietyDescriptor, r, config: RunConfig = DEFAULT_CONFIG
 ) -> HadamardDimensionReport:
-    """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X)."""
+    """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X).
+
+    Not memoised: no caller asks for the same report twice.  The factor
+    dimensions and the sigma_R lower bound come from the memoised
+    `secant_dimension`, which a sweep does reuse.
+    """
     spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
-    return _hadamard_dimension_cached(descriptor, spec, config)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _hadamard_dimension_cached(
-    descriptor: VarietyDescriptor, spec: HadamardSpec, config: RunConfig
-) -> HadamardDimensionReport:
     mat = descriptor.matrix()
     ambient = mat.ambient_dim
     dim_x = mat.rank() - 1

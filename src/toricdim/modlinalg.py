@@ -27,8 +27,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _MILLER_RABIN_BASES:
         if n % q == 0:
             return n == q
     d = n - 1

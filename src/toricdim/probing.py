@@ -71,7 +71,6 @@ class ProbeResult:
     prime: int  # modulus that achieved the reported rank
     attempts: int
     retried: bool
-    reached_target: bool
 
 
 def probe_max_rank(
@@ -81,32 +80,24 @@ def probe_max_rank(
     config: RunConfig,
     target_rank: int,
 ) -> ProbeResult:
-    """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws."""
+    """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws.
+
+    Draw i uses stream seed + i at `config.prime`, except that the last two
+    of the `max_retries` draws after the `trials` ones use the alternate
+    primes.  The loop stops as soon as the target rank is reached.
+    """
     best = -1
     best_prime = config.prime
+    draws = config.trials + config.max_retries
     attempts = 0
-
-    def attempt(seed: int, prime: int) -> None:
-        nonlocal best, best_prime, attempts
-        pts = random_torus_points(n_points, len(rows), seed, prime)
+    while attempts < draws and best < target_rank:
+        prime = config.prime
+        if config.max_retries >= 2 and attempts >= draws - 2:
+            prime = ALTERNATE_PRIMES[attempts - (draws - 2)]
+        pts = random_torus_points(n_points, len(rows), config.seed + attempts, prime)
         r = kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
         attempts += 1
         if r > best:
             best = r
             best_prime = prime
-
-    for t in range(config.trials):
-        attempt(config.seed + t, config.prime)
-        if best >= target_rank:
-            return ProbeResult(best, best_prime, attempts, False, True)
-
-    retried = False
-    for j in range(config.max_retries):
-        retried = True
-        prime = config.prime
-        if config.max_retries >= 2 and j >= config.max_retries - 2:
-            prime = ALTERNATE_PRIMES[j - (config.max_retries - 2)]
-        attempt(config.seed + config.trials + j, prime)
-        if best >= target_rank:
-            break
-    return ProbeResult(best, best_prime, attempts, retried, best >= target_rank)
+    return ProbeResult(best, best_prime, attempts, attempts > config.trials)

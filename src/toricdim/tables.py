@@ -22,12 +22,11 @@ is a machine-checked restatement of the claims it encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classify import binary_check_table, veronese_check_table
-from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import VarietyDescriptor
-from .hadamdim import hadamard_dimension
+from .hadamdim import HadamardDimensionReport, hadamard_dimension
 
 EXPERIMENT_GATING_NS = range(2, 7)
 EXPERIMENT_GATING_MAX_R = 12
@@ -73,14 +72,15 @@ CSV_COLUMNS = (
 )
 
 
-def _fill_row(table: str, descriptor: VarietyDescriptor, rvec, config: RunConfig) -> TableRow:
-    """Row whose target is the single-secant parameter bound min(N, R(d+1)-1)."""
-    rep = hadamard_dimension(descriptor, rvec, config)
-    target = rep.expected_dim_R
+def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
+    """Row for one Hadamard report, passing when the probed dimension equals
+    `target`: the single-secant parameter bound min(N, R(d+1)-1) in the
+    veronese and binary tables, the chain upper bound with probed factor
+    dims in the experiments table."""
     return TableRow(
         table=table,
-        descriptor=str(descriptor),
-        r=tuple(rvec),
+        descriptor=rep.descriptor,
+        r=rep.r,
         R=rep.R,
         ambient_dim=rep.ambient_dim,
         expected_dim=target,
@@ -90,34 +90,20 @@ def _fill_row(table: str, descriptor: VarietyDescriptor, rvec, config: RunConfig
     )
 
 
-def _chain_row(table: str, descriptor: VarietyDescriptor, rvec, config: RunConfig) -> TableRow:
-    """Row whose target is the chain upper bound with probed factor dims."""
-    rep = hadamard_dimension(descriptor, rvec, config)
-    return TableRow(
-        table=table,
-        descriptor=str(descriptor),
-        r=tuple(rvec),
-        R=rep.R,
-        ambient_dim=rep.ambient_dim,
-        expected_dim=rep.expected_dim_hadamard,
-        computed_dim=rep.computed_dim,
-        status=rep.status,
-        passed=rep.computed_dim == rep.expected_dim_hadamard,
-    )
-
-
 def run_veronese_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
-    return [
-        _fill_row("veronese", VarietyDescriptor.veronese(d, n), rvec, config)
-        for d, n, rvec in veronese_check_table()
-    ]
+    rows = []
+    for d, n, rvec in veronese_check_table():
+        rep = hadamard_dimension(VarietyDescriptor.veronese(d, n), rvec, config)
+        rows.append(_row("veronese", rep, rep.expected_dim_R))
+    return rows
 
 
 def run_binary_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
     rows = []
     for degrees, rvec in binary_check_table():
         desc = VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees))
-        rows.append(_fill_row("binary", desc, rvec, config))
+        rep = hadamard_dimension(desc, rvec, config)
+        rows.append(_row("binary", rep, rep.expected_dim_R))
     return rows
 
 
@@ -149,7 +135,7 @@ def _sweep_until_saturated(
         saturated = True
         for rvec in _tuples_with_index(m, big_r):
             rep = hadamard_dimension(descriptor, rvec, config)
-            rows.append(_chain_row(table, descriptor, rvec, config))
+            rows.append(_row(table, rep, rep.expected_dim_hadamard))
             if rep.parameter_count < rep.ambient_dim:
                 saturated = False
         if saturated:
@@ -171,7 +157,8 @@ def run_experiments_table(
                 for r2 in range(r1, EXPERIMENT_GATING_MAX_R):
                     if r1 + r2 - 1 > EXPERIMENT_GATING_MAX_R:
                         break
-                    rows.append(_chain_row("experiments", desc, (r1, r2), config))
+                    rep = hadamard_dimension(desc, (r1, r2), config)
+                    rows.append(_row("experiments", rep, rep.expected_dim_hadamard))
         return rows
     for n in range(2, 16):
         rows.extend(
@@ -188,18 +175,13 @@ def run_experiments_table(
     return rows
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _cached_table(name: str, extended: bool, config: RunConfig) -> tuple[TableRow, ...]:
-    if name == "veronese":
-        return tuple(run_veronese_table(config))
-    if name == "binary":
-        return tuple(run_binary_table(config))
-    if name == "experiments":
-        return tuple(run_experiments_table(config, extended=extended))
-    raise ValueError(f"unknown table {name!r}")
-
-
 def run_table(
     name: str, config: RunConfig = DEFAULT_CONFIG, *, extended: bool = False
 ) -> list[TableRow]:
-    return list(_cached_table(name, extended, config))
+    if name == "veronese":
+        return run_veronese_table(config)
+    if name == "binary":
+        return run_binary_table(config)
+    if name == "experiments":
+        return run_experiments_table(config, extended=extended)
+    raise ValueError(f"unknown table {name!r}")

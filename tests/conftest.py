@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from toricdim import RunConfig
+from toricdim.tables import run_table
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fastkernels.c"
 
@@ -27,6 +28,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def config():
     return RunConfig(trials=3, seed=0)
+
+
+@pytest.fixture(scope="session")
+def table_rows(config):
+    """`run_table(name, config)`, each stored table run once per session:
+    the acceptance and the table tests check the same rows."""
+    rows = {}
+
+    def get(name):
+        if name not in rows:
+            rows[name] = run_table(name, config)
+        return rows[name]
+
+    return get
 
 
 @pytest.fixture(scope="session")

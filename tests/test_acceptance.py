@@ -25,7 +25,6 @@ from toricdim import (
 )
 from toricdim.hadamdim import eta_hadamard
 from toricdim.secantdim import eta_secant
-from toricdim.tables import run_table
 
 CFG = RunConfig(trials=3, seed=0)
 
@@ -37,8 +36,8 @@ def _record(criterion: int, title: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def test_c1_veronese_check_tables():
-    rows = run_table("veronese", CFG)
+def test_c1_veronese_check_tables(table_rows):
+    rows = table_rows("veronese")
     counts = {}
     for row in rows:
         counts[row.descriptor] = counts.get(row.descriptor, 0) + 1
@@ -63,8 +62,8 @@ def test_c1_veronese_check_tables():
     _record(1, "Veronese check tables", ok, f"{len(rows)} rows, counts {sorted(counts.values())}")
 
 
-def test_c2_binary_check_tables():
-    rows = run_table("binary", CFG)
+def test_c2_binary_check_tables(table_rows):
+    rows = table_rows("binary")
     head, tail = rows[:-1], rows[-1]
     ok = len(head) == 10
     ok = ok and all(
@@ -106,8 +105,8 @@ def test_c4_alexander_hirschowitz_consistency():
             f"{probed} grid points, sigma_5 quartic surface dim {quintic.computed_dim}")
 
 
-def test_c5_experiment_subset():
-    rows = run_table("experiments", CFG)
+def test_c5_experiment_subset(table_rows):
+    rows = table_rows("experiments")
     ok = len(rows) == 150 and all(
         row.computed_dim == row.expected_dim and row.passed for row in rows
     )

@@ -87,7 +87,8 @@ def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
     for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod", "eta_mod"):
         monkeypatch.setattr(kernels, name, getattr(impl, name))
-    secantdim._secant_dimension_cached.cache_clear()  # reports are cached per config
+    # Secant reports are memoised per config, not per backend.
+    secantdim._secant_dimension_cached.cache_clear()
     code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5",
                            "--prime", "17293822569102704683")
     assert code == 1  # Alexander-Hirschowitz defective: 13, not 14

@@ -5,10 +5,10 @@ import pytest
 
 from toricdim import (
     DEFAULT_PRIME,
+    DegenerationFamily,
     HadamardSpec,
     RunConfig,
     VarietyDescriptor,
-    build_family,
     demo_points,
     limit_check,
     normalize,
@@ -16,6 +16,7 @@ from toricdim import (
     secant_dimension,
     segre_veronese,
 )
+from toricdim import degeneration
 from toricdim.degeneration import (
     DEFAULT_NUS,
     eta_hadamard_exact,
@@ -63,7 +64,7 @@ def test_lower_bound_matches_secant_probe():
 
 def test_family_at_nu_one_is_the_identity_scaling():
     pts = demo_points(ABAR, SPEC, seed=0)
-    fam = build_family(ABAR, SPEC, pts, 1)
+    fam = DegenerationFamily(ABAR, HadamardSpec(SPEC), pts, Fraction(1))
     assert fam.scaled_points == pts
     assert all(x == 1 for x in fam.left_diag)
     assert fam.eta_scaled == eta_hadamard_exact(ABAR.entries, fam.spec, pts)
@@ -99,7 +100,7 @@ def test_exact_eta_reduced_mod_p_matches_modular_eta():
 def test_row0_exact_at_coarse_nu():
     # exactness of the first row is algebraic, not asymptotic
     pts = demo_points(ABAR, (2, 2), seed=5)
-    fam = build_family(ABAR, (2, 2), pts, Fraction(3, 7))
+    fam = DegenerationFamily(ABAR, HadamardSpec((2, 2)), pts, Fraction(3, 7))
     assert fam.scaled_matrix[0] == [Fraction(1)] * ABAR.n_cols
 
 
@@ -125,19 +126,17 @@ def test_khatri_rao_exact_matches_modular_kernel():
     assert [[x % p for x in row] for row in as_exact] == as_mod
 
 
-def test_build_family_input_validation():
+def test_limit_check_input_validation():
     pts = demo_points(ABAR, SPEC, seed=0)
-    with pytest.raises(ValueError, match="nu must be nonzero"):
-        build_family(ABAR, SPEC, pts, 0)
     with pytest.raises(ValueError, match="chart form"):
-        build_family(rational_normal_curve(8), SPEC, pts, Fraction(1, 10))
+        limit_check(rational_normal_curve(8), SPEC, pts)
     with pytest.raises(ValueError, match="first point"):
-        build_family(ABAR, SPEC, (pts[1],) + pts[1:], Fraction(1, 10))
+        limit_check(ABAR, SPEC, (pts[1],) + pts[1:])
     with pytest.raises(ValueError, match="nonzero"):
         bad = (pts[0], (Fraction(0), Fraction(2))) + pts[2:]
-        build_family(ABAR, SPEC, bad, Fraction(1, 10))
+        limit_check(ABAR, SPEC, bad)
     with pytest.raises(ValueError, match="need 4 points"):
-        build_family(ABAR, SPEC, pts[:3], Fraction(1, 10))
+        limit_check(ABAR, SPEC, pts[:3])
 
 
 def test_guard_rejects_large_instances():
@@ -154,6 +153,28 @@ def test_limit_check_rejects_bad_nu_sequences():
         limit_check(ABAR, SPEC, pts, nus=())
     with pytest.raises(ValueError, match="strictly decreasing"):
         limit_check(ABAR, SPEC, pts, nus=(Fraction(1, 10), Fraction(-1, 100)))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        limit_check(ABAR, SPEC, pts, nus=(0,))
+
+
+@pytest.mark.parametrize("nus", [(0,), (Fraction(1, 10), Fraction(1, 10))])
+def test_demo_points_rejects_bad_nu_sequences_before_sampling(nus, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("demo_points drew points before checking nus")
+
+    monkeypatch.setattr(degeneration, "random_torus_points", no_draws)
+    monkeypatch.setattr(degeneration.random, "Random", no_draws)
+    with pytest.raises(ValueError, match="strictly decreasing, positive"):
+        demo_points(ABAR, SPEC, seed=0, nus=nus)
+
+
+def test_demo_points_are_positive():
+    # D = 128 * 9 for the chart matrix of rnc:8; a <= -D would give a point
+    # coordinate 1 + a/D <= 0.
+    with pytest.raises(ValueError, match="every point is positive"):
+        demo_points(ABAR, SPEC, seed=0, low=-128 * 9)
+    pts = demo_points(ABAR, SPEC, seed=0, low=-128 * 9 + 1)
+    assert all(x > 0 for pt in pts for x in pt)
 
 
 def test_demo_points_deterministic_and_near_identity():

@@ -12,13 +12,13 @@ from toricdim import (
     VarietyDescriptor,
     kron,
     normalize,
-    normalized_segre,
     rational_normal_curve,
     read_matrix_csv,
     segre_veronese,
     stack,
     write_matrix_csv,
 )
+from toricdim import exponent
 from toricdim.exponent import homogeneous_exponents
 
 # Hand-checked builder outputs; column order is descending lex of the
@@ -37,13 +37,6 @@ RNC8 = (
     (0, 1, 2, 3, 4, 5, 6, 7, 8),
 )
 
-NORMALIZED_SEGRE_12 = (
-    (1, 1, 1, 1, 1, 1),
-    (0, 0, 0, 1, 1, 1),
-    (0, 1, 0, 0, 1, 0),
-    (0, 0, 1, 0, 0, 1),
-)
-
 
 def test_segre_p1_x_p2_matrix():
     mat = segre_veronese((1, 1), (1, 2))
@@ -57,14 +50,6 @@ def test_rational_normal_curve_degree_8():
     assert mat.entries == RNC8
     assert mat.ambient_dim == 8
     assert mat.rank() == 2
-
-
-def test_normalized_segre_hand_case():
-    mat = normalized_segre((1, 2))
-    assert mat.entries == NORMALIZED_SEGRE_12
-    assert mat.column_labels == tuple(
-        (i, j) for i in range(2) for j in range(3)
-    )
 
 
 def test_homogeneous_exponents_descending_lex():
@@ -92,13 +77,16 @@ def test_segre_veronese_column_count(factors):
     mat.validate_variety()
 
 
-def test_builders_reject_bad_input():
+def test_builders_reject_bad_input(monkeypatch):
     with pytest.raises(ValueError):
         segre_veronese((0,), (1,))
     with pytest.raises(ValueError):
         segre_veronese((1, 2), (1,))
+    monkeypatch.setattr(exponent, "COLUMN_CAP", 100)
     with pytest.raises(MatrixSizeError):
-        segre_veronese((3,), (9,), column_cap=100)
+        segre_veronese((3,), (9,))
+    with pytest.raises(MatrixSizeError):
+        kron(rational_normal_curve(10), rational_normal_curve(10))
 
 
 def test_validate_variety_rejects_degenerate():

@@ -4,9 +4,11 @@ import pkgutil
 import pytest
 
 import toricdim
+from toricdim import VarietyDescriptor, tables
 from toricdim.config import CACHE_SIZE, RunConfig
 from toricdim.tables import (
     CSV_COLUMNS,
+    _sweep_until_saturated,
     _tuples_with_index,
     run_table,
 )
@@ -26,8 +28,8 @@ def test_tuples_with_index_enumeration():
             assert sum(r - 1 for r in t) + 1 == big_r
 
 
-def test_veronese_table_all_rows_pass():
-    rows = run_table("veronese", CFG)
+def test_veronese_table_all_rows_pass(table_rows):
+    rows = table_rows("veronese")
     assert len(rows) == 135
     assert all(row.passed for row in rows)
     assert {row.descriptor for row in rows} == {
@@ -42,8 +44,8 @@ def test_veronese_table_all_rows_pass():
         assert row.computed_dim == row.ambient_dim
 
 
-def test_binary_table_all_rows_pass():
-    rows = run_table("binary", CFG)
+def test_binary_table_all_rows_pass(table_rows):
+    rows = table_rows("binary")
     assert len(rows) == 11
     assert all(row.passed for row in rows)
     assert rows[-1].descriptor == "sv:d=1,1,1,1;n=1,1,1,1"
@@ -53,8 +55,8 @@ def test_binary_table_all_rows_pass():
     assert all(row.computed_dim == 26 for row in rows[:-1])
 
 
-def test_experiments_table_gating_subset():
-    rows = run_table("experiments", CFG)
+def test_experiments_table_gating_subset(table_rows):
+    rows = table_rows("experiments")
     assert len(rows) == 150
     assert all(row.passed for row in rows)
     assert all(len(row.r) == 2 for row in rows)
@@ -64,12 +66,26 @@ def test_experiments_table_gating_subset():
     assert descs == {f"veronese:d=2,n={n}" for n in range(2, 7)}
 
 
-def test_table_rows_serialize_with_frozen_columns():
-    row = run_table("binary", CFG)[0]
+def test_table_rows_serialize_with_frozen_columns(table_rows):
+    row = table_rows("binary")[0]
     d = row.to_dict()
     assert tuple(d.keys()) == CSV_COLUMNS
     assert d["pass"] is True
     assert d["table"] == "binary"
+
+
+def test_sweep_probes_each_row_once(monkeypatch):
+    calls = []
+    original = tables.hadamard_dimension
+
+    def counted(descriptor, r, config):
+        calls.append(tuple(r))
+        return original(descriptor, r, config)
+
+    monkeypatch.setattr(tables, "hadamard_dimension", counted)
+    rows = _sweep_until_saturated("experiments", VarietyDescriptor.veronese(2, 3), 2, CFG)
+    assert len(rows) > 1
+    assert calls == [row.r for row in rows]
 
 
 def test_unknown_table_rejected():
@@ -79,7 +95,9 @@ def test_unknown_table_rejected():
 
 def test_memoised_functions_are_bounded():
     # Long sweeps must not grow memory without bound: every lru_cache in the
-    # package keeps at most config.CACHE_SIZE entries.
+    # package keeps at most config.CACHE_SIZE entries.  The package memoises
+    # exactly these three functions, the ones a sweep reuses; a new cache
+    # must be added here.
     modules = [
         importlib.import_module(f"toricdim.{m.name}")
         for m in pkgutil.iter_modules(toricdim.__path__)
@@ -90,11 +108,9 @@ def test_memoised_functions_are_bounded():
         for name, fn in vars(mod).items()
         if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
     }
-    assert {
+    assert set(cached) == {
         "toricdim.exponent._cached_rank",
         "toricdim.exponent._descriptor_matrix",
         "toricdim.secantdim._secant_dimension_cached",
-        "toricdim.hadamdim._hadamard_dimension_cached",
-        "toricdim.tables._cached_table",
-    } <= set(cached)
+    }
     assert all(size == CACHE_SIZE for size in cached.values()), cached
