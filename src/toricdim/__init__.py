@@ -51,7 +51,6 @@ from .hadamdim import (
     expected_generic_hrank,
     generic_hrank,
     hadamard_dimension,
-    sv_generic_bound,
 )
 from .kernels import backend_name
 from .modlinalg import (
@@ -116,7 +115,6 @@ __all__ = [
     "secant_dimension",
     "segre_veronese",
     "stack",
-    "sv_generic_bound",
     "trop_hadamard_sum",
     "trop_toric",
     "veronese_check_table",

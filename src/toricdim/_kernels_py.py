@@ -4,9 +4,11 @@ and the eta matrix of a probe attempt.
 Fallback backend and the reference for the compiled one: _fastkernels.c
 mirrors rank_mod, kr_rank_mod, eval_columns_mod and eta_mod exactly,
 returns identical values and raises ValueError on the same malformed shapes
-and non-invertible pivots.  Arithmetic uses Python big ints, so any modulus
-width works here.  `eta_of_columns` is the eta formula itself, over F_p or,
-for `probing.eta`, over the rationals.
+and non-invertible pivots.  The ranks eliminate on rows packed into one
+Python int each, so a row update is one big-int multiply-add, with the
+reduction mod p delayed (`_rank_reduced`); any modulus width works here.
+`eta_of_columns` is the eta formula itself, over F_p or, for `probing.eta`,
+over the rationals.
 """
 
 from __future__ import annotations
@@ -25,33 +27,69 @@ def rank_mod(rows, p: int) -> int:
     return _rank_reduced(_residues(rows, p), p)
 
 
+def _pack(row, nbytes: int) -> int:
+    """The entries of `row` as one int, `nbytes` bytes each, the first in the
+    most significant bytes and the last in the lowest."""
+    return int.from_bytes(b"".join([x.to_bytes(nbytes, "big") for x in row]), "big")
+
+
 def _rank_reduced(mat: list[list[int]], p: int) -> int:
-    """Rank over Z/p of equally long rows already reduced mod p; eliminates
-    in place."""
+    """Rank over Z/p of equally long rows already reduced mod p.
+
+    Each row is packed into one int (`_pack`), column j in a fixed-width
+    slot n_cols-1-j, so the columns right of a pivot column c are the low
+    slots.  Eliminating below the pivot row b is then one big-int
+    multiply-add and one mask per row, `(row + (p - f) * b) & below`: slot
+    c becomes a multiple of p and is masked off with the slots left of it,
+    and every other slot grows by (p - f) * b_j without being reduced.  The
+    pivot row is unpacked, scaled by the pivot's inverse, reduced and
+    repacked; any other entry is reduced only when its slot is read as a
+    pivot candidate or a factor f.
+
+    No slot carries into the next.  An entry is < p when its row is packed
+    and when its row becomes the pivot row, so an update adds at most
+    (p - 1)^2 to a slot.  A row is updated once per pivot above it, at most
+    k = min(n_rows, n_cols) times, so a slot stays below p + k p^2 <=
+    (k + 1) p^2 < 2^(2 bitlen(p) + bitlen(k + 1)): that many bits, rounded
+    up to whole bytes, is the slot width.  Pivots, swaps and residues mod p
+    are those of the textbook elimination, so the rank is too, and a
+    non-invertible pivot modulo a composite number raises the ValueError of
+    `pow(f, -1, p)`.
+    """
     n_rows = len(mat)
     if n_rows == 0:
         return 0
     n_cols = len(mat[0])
+    nbytes = (2 * p.bit_length() + (min(n_rows, n_cols) + 1).bit_length() + 7) // 8
+    width = 8 * nbytes
+    slot = (1 << width) - 1
+    rows = [_pack(row, nbytes) for row in mat]
     rank = 0
     for c in range(n_cols):
         if rank == n_rows:
             break
-        piv = None
-        for i in range(rank, n_rows):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = pow(prow[c], -1, p)
-        prow[c:] = [(x * inv) % p for x in prow[c:]]
-        for i in range(rank + 1, n_rows):
-            f = mat[i][c]
+        shift = width * (n_cols - 1 - c)  # column c is (row >> shift) & slot
+        for piv in range(rank, n_rows):
+            f = (rows[piv] >> shift & slot) % p
             if f:
-                row = mat[i]
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], prow[c:])]
+                break
+        else:
+            continue
+        # Rows rank..piv-1 are zero in column c, and so is the row the swap
+        # moves to piv: the update starts after it.
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(f, -1, p)
+        row = rows[rank].to_bytes(nbytes * n_cols, "big")
+        prow = _pack(
+            [int.from_bytes(row[k:k + nbytes], "big") * inv % p
+             for k in range(c * nbytes, len(row), nbytes)],
+            nbytes,
+        )
+        below = (1 << shift) - 1
+        for i in range(piv + 1, n_rows):
+            f = (rows[i] >> shift & slot) % p
+            if f:
+                rows[i] = (rows[i] + (p - f) * prow) & below
         rank += 1
     return rank
 

@@ -19,9 +19,7 @@ is evaluated with computed per-factor dimensions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
@@ -216,26 +214,3 @@ def generic_hrank(
         str(descriptor), r, None, STATUS_NOT_FILLED, expected_m, tuple(trace),
         ambient, dim_x,
     )
-
-
-def sv_generic_bound(degrees, dims) -> tuple[int, int]:
-    """Non-defectivity / filling thresholds for secant Hadamard products of
-    Segre-Veronese varieties.
-
-    Returns (nondefective_below, fills_above): the product is not
-    Hadamard-defective whenever R <= prod C(n_i+d_i, d_i)/sum(n) - sum(n)
-    (floor of the right side), and fills the ambient space whenever
-    R >= prod C(n_i+d_i, d_i)/sum(n) + sum(n) (ceiling).  Both thresholds
-    are independent of the individual factor indices.
-    """
-    degrees = tuple(int(d) for d in degrees)
-    dims = tuple(int(n) for n in dims)
-    if len(degrees) != len(dims) or not degrees:
-        raise ValueError("degrees and dims must be equal-length, non-empty")
-    if any(d < 1 for d in degrees) or any(n < 1 for n in dims):
-        raise ValueError("degrees and dims must all be >= 1")
-    prod_c = math.prod(math.comb(n + d, d) for d, n in zip(degrees, dims))
-    s = sum(dims)
-    lower = Fraction(prod_c, s) - s
-    upper = Fraction(prod_c, s) + s
-    return (math.floor(lower), math.ceil(upper))

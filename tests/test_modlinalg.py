@@ -34,6 +34,60 @@ def test_miller_rabin_rejects_composites():
         assert is_probable_prime(n) == (n in (2, 3, 97, 7919))
 
 
+def test_miller_rabin_is_exact_below_10_to_the_5():
+    # 73 and 193 divide the base 28178, which is skipped for them.
+    n_max = 10**5
+    sieve = [False, False] + [True] * (n_max - 2)
+    for q in range(2, int(n_max**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n_max, q))
+    assert [n for n in range(n_max) if is_probable_prime(n)] == [
+        n for n in range(n_max) if sieve[n]
+    ]
+
+
+def test_miller_rabin_rejects_the_strong_pseudoprimes_to_the_first_prime_bases():
+    # psi_1 .. psi_8: the least strong pseudoprimes to all of 2, 3, ..., p_k.
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_probable_prime(n)
+
+
+def _miller_rabin_twelve_bases(n):
+    """The reference test: Miller-Rabin to the twelve prime bases up to 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % q == 0 for q in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_miller_rabin_below_2_64_agrees_with_the_twelve_prime_bases():
+    rng = random.Random(9)
+    odd = [rng.randrange(1, 2**64, 2) for _ in range(20_000)]
+    # Random odd numbers are rarely prime; add primes and near misses.
+    odd += [q + 2 * k for q in (DEFAULT_PRIME, *ALTERNATE_PRIMES, 2**64 - 59)
+            for k in range(-40, 1)]
+    assert [is_probable_prime(n) for n in odd] == [
+        _miller_rabin_twelve_bases(n) for n in odd
+    ]
+    assert is_probable_prime(2**64 - 59)  # the largest prime below 2^64
+
+
 def test_eval_monomial_at_ones():
     rows = rational_normal_curve(6).row_lists()
     assert kernels.eval_columns_mod(rows, [1, 1], P) == [1] * 7
