@@ -4,14 +4,11 @@
 Hadamard's bound (Cabay 1971; von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 5): it clears each row's denominators and takes the maximum
 of the ranks modulo a fixed sequence of primes until a bound on the minors
-proves that no larger rank is left.  `row_echelon` works over
-fractions.Fraction, for the callers that need a rational basis and not only
-a rank.  No floating point anywhere.
+proves that no larger rank is left.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 from math import lcm, prod
 
@@ -33,40 +30,6 @@ def _prime(i: int) -> int:
             n -= 2
         _PRIMES.append(n)
     return _PRIMES[i]
-
-
-def row_echelon(rows):
-    """Reduce a copy of `rows` to reduced row echelon form over the rationals.
-
-    Returns (echelon_rows, pivot_columns); zero rows are dropped, so the rank
-    is len(pivot_columns).
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
 
 
 def _integer_row(row) -> list[int]:

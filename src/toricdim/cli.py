@@ -23,6 +23,7 @@ import io
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .config import RunConfig
@@ -36,7 +37,7 @@ from .hadamdim import (
     hadamard_dimension,
 )
 from .secantdim import STATUS_NONDEFECTIVE, secant_dimension
-from .tables import CSV_COLUMNS, run_table
+from .tables import TableRow, run_table
 from .tropical import VERDICT_BINOMIAL, Support, classify_support
 
 SCHEMA_VERSION = 1
@@ -152,6 +153,25 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 # --- output plumbing ---------------------------------------------------------
 
 
+def _key(name: str) -> str:
+    return "pass" if name == "passed" else name
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+def report_dict(report) -> dict:
+    """The one serialisation of every report dataclass: its fields in
+    declaration order, tuples as lists, Fractions as strings, and
+    `TableRow.passed` under the key "pass"."""
+    return {_key(f.name): _plain(getattr(report, f.name)) for f in fields(report)}
+
+
 def _json_doc(payload: dict) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2) + "\n"
 
@@ -186,7 +206,8 @@ def _emit(doc: str, out_path: str | None) -> None:
         sys.stdout.write(doc)
 
 
-def _render_report(payload: dict, fmt: str) -> str:
+def _render_report(report, fmt: str) -> str:
+    payload = report_dict(report)
     if fmt == "json":
         return _json_doc(payload)
     if fmt == "csv":
@@ -205,25 +226,27 @@ def _config_from(args) -> RunConfig:
 
 def _cmd_dim_secant(args) -> int:
     rep = secant_dimension(parse_descriptor(args.descriptor), args.r, _config_from(args))
-    _emit(_render_report(rep.to_dict(), args.format or "json"), args.out)
+    _emit(_render_report(rep, args.format or "json"), args.out)
     return 0 if rep.status == STATUS_NONDEFECTIVE else 1
 
 
 def _cmd_dim_hadamard(args) -> int:
     rep = hadamard_dimension(parse_descriptor(args.descriptor), args.r, _config_from(args))
-    _emit(_render_report(rep.to_dict(), args.format or "json"), args.out)
+    _emit(_render_report(rep, args.format or "json"), args.out)
     return 0 if rep.status == STATUS_EXPECTED else 1
 
 
 def _cmd_generic_hrank(args) -> int:
     rep = generic_hrank(parse_descriptor(args.descriptor), args.r, _config_from(args))
-    _emit(_render_report(rep.to_dict(), args.format or "json"), args.out)
+    _emit(_render_report(rep, args.format or "json"), args.out)
     return 0 if rep.status in (STATUS_FOUND, STATUS_INFINITE) else 1
 
 
 def _cmd_verify_table(args) -> int:
+    if args.extended and args.table != "experiments":
+        raise ValueError("--extended applies only to the experiments table")
     rows = run_table(args.table, _config_from(args), extended=args.extended)
-    dicts = [row.to_dict() for row in rows]
+    dicts = [report_dict(row) for row in rows]
     fmt = args.format or "csv"
     if fmt == "json":
         doc = _json_doc(
@@ -237,7 +260,7 @@ def _cmd_verify_table(args) -> int:
             }
         )
     elif fmt == "csv":
-        doc = _csv_doc(CSV_COLUMNS, dicts)
+        doc = _csv_doc([_key(f.name) for f in fields(TableRow)], dicts)
     else:
         lines = [
             "{descriptor}  r=({r})  computed={computed_dim}  "
@@ -261,7 +284,7 @@ def _cmd_degeneration_demo(args) -> int:
     points = demo_points(abar, spec, args.seed, nus=args.nus)
     rep = limit_check(abar, spec, points, args.nus, label=str(desc))
     if (args.format or "text") == "json":
-        _emit(_json_doc(rep.to_dict()), args.out)
+        _emit(_json_doc(report_dict(rep)), args.out)
         return 0 if rep.all_pass else 1
     lines = [
         f"degeneration check: {rep.descriptor}  r={spec}  R={spec.total_points}",
@@ -400,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="factor indices (default 2,3)")
     p.add_argument("--nus", type=_fraction_list, default=DEFAULT_NUS,
                    metavar="F1,F2,...",
-                   help="strictly decreasing scale values (default 1/10,1/100,1/1000)")
+                   help="two or more strictly decreasing scale values "
+                        "(default 1/10,1/100,1/1000)")
     p.set_defaults(handler=_cmd_degeneration_demo)
 
     p = sub.add_parser("binomial-check", parents=[common],

@@ -49,7 +49,12 @@ MAX_TOTAL_ROWS = 64  # R * (rows of the chart matrix)
 MAX_AMBIENT = 128
 
 DEFAULT_NUS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-DEFAULT_RATIO_BAND = (Fraction(5), Fraction(20))
+# Check (a) passes when each ratio of successive errors lies in this band.
+RATIO_BAND = (Fraction(5), Fraction(20))
+# `demo_points` draws coordinates 1 + a/D with a from [LOW, HIGH] (widened
+# upwards for many points) and resamples at most MAX_RESAMPLE times.
+LOW, HIGH = 2, 17
+MAX_RESAMPLE = 8
 
 
 def eta_secant_exact(rows, points) -> list[list[Fraction]]:
@@ -100,11 +105,14 @@ def _check_guard(abar: ExponentMatrix, spec: HadamardSpec) -> None:
 
 
 def _check_nus(nus) -> tuple[Fraction, ...]:
+    """The ratio test of check (a) needs at least two scales."""
     nus = tuple(Fraction(nu) for nu in nus)
-    if not nus or any(nu <= 0 for nu in nus) or any(
+    if len(nus) < 2 or any(nu <= 0 for nu in nus) or any(
         later >= earlier for later, earlier in zip(nus[1:], nus)
     ):
-        raise ValueError("need a strictly decreasing, positive nu sequence")
+        raise ValueError(
+            "need a strictly decreasing, positive nu sequence of at least two values"
+        )
     return nus
 
 
@@ -177,27 +185,6 @@ class LimitCheckReport:
     all_pass: bool
     failures: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "r": list(self.r),
-            "nus": [str(nu) for nu in self.nus],
-            "max_errors": [str(e) for e in self.max_errors],
-            "error_ratios": [str(q) for q in self.error_ratios],
-            "ratio_band": [str(self.ratio_band[0]), str(self.ratio_band[1])],
-            "first_order_ok": self.first_order_ok,
-            "row0_exact_ok": self.row0_exact_ok,
-            "rowspan_ok": self.rowspan_ok,
-            "secant_rank": self.secant_rank,
-            "limit_rank": self.limit_rank,
-            "limit_kr_rank": self.limit_kr_rank,
-            "kr_ranks": list(self.kr_ranks),
-            "semicontinuity_ok": self.semicontinuity_ok,
-            "dim_lower_bound": self.dim_lower_bound,
-            "all_pass": self.all_pass,
-            "failures": list(self.failures),
-        }
-
 
 def limit_check(
     abar: ExponentMatrix,
@@ -205,10 +192,10 @@ def limit_check(
     points,
     nus=DEFAULT_NUS,
     *,
-    ratio_band=DEFAULT_RATIO_BAND,
     label: str = "",
 ) -> LimitCheckReport:
-    """Run all degeneration checks at each nu in a strictly decreasing list."""
+    """Run all degeneration checks at each nu in a strictly decreasing list
+    of at least two values."""
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
     nus = _check_nus(nus)
     _check_chart_form(abar)
@@ -242,10 +229,10 @@ def limit_check(
             continue
         q = bigger / smaller
         ratios.append(q)
-        if not ratio_band[0] <= q <= ratio_band[1]:
+        if not RATIO_BAND[0] <= q <= RATIO_BAND[1]:
             first_order_ok = False
             failures.append(
-                f"error ratio {q} outside band [{ratio_band[0]}, {ratio_band[1]}]"
+                f"error ratio {q} outside band [{RATIO_BAND[0]}, {RATIO_BAND[1]}]"
             )
 
     secant_eta = eta_secant_exact(abar.entries, pts)
@@ -278,7 +265,7 @@ def limit_check(
         nus=nus,
         max_errors=tuple(max_errors),
         error_ratios=tuple(ratios),
-        ratio_band=(Fraction(ratio_band[0]), Fraction(ratio_band[1])),
+        ratio_band=RATIO_BAND,
         first_order_ok=first_order_ok,
         row0_exact_ok=row0_ok,
         rowspan_ok=rowspan_ok,
@@ -305,14 +292,11 @@ def demo_points(
     seed: int = 0,
     *,
     nus=DEFAULT_NUS,
-    low: int = 2,
-    high: int = 17,
-    max_resample: int = 8,
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Sample points for the convergence demo: the all-ones vector plus
-    near-identity rational points 1 + a/D with integers a in [low, high]
+    near-identity rational points 1 + a/D with integers a in [LOW, HIGH]
     and D = 128 * (largest absolute column degree).  Each coordinate takes
-    distinct values across the points; [low, high] is widened upwards only
+    distinct values across the points; [LOW, HIGH] is widened upwards only
     when there are more points than values.
 
     Points this close to all-ones keep every monomial value within a small
@@ -321,9 +305,9 @@ def demo_points(
     Farther points converge too, but only at far smaller scales: the error
     saturates while nu * (sum of monomial values) stays large.
 
-    ValueError, before any draw, when `nus` is not strictly decreasing and
-    positive, `low` <= -D, the instance is beyond the exact verifier's
-    limits or R exceeds the column count.
+    ValueError, before any draw, when `nus` is not a strictly decreasing,
+    positive sequence of at least two values, the instance is beyond the
+    exact verifier's limits or R exceeds the column count.
 
     Resamples (bounded) when a draw is degenerate or not generic.  Reduced
     mod DEFAULT_PRIME, the draw's secant coefficient matrix must have full
@@ -345,15 +329,13 @@ def demo_points(
             f"coefficient matrix never has rank R (limit: R <= {abar.n_cols})"
         )
     denom = 128 * _max_column_degree(abar)
-    if low <= -denom:
-        raise ValueError(f"need low > -{denom}, so that every point is positive")
     rows = abar.row_lists()
     p = DEFAULT_PRIME
     generic_rank = kernels.kr_rank_mod(
         eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p
     )
-    values = range(low, max(high, low + R - 2) + 1)
-    for attempt in range(max_resample):
+    values = range(LOW, max(HIGH, LOW + R - 2) + 1)
+    for attempt in range(MAX_RESAMPLE):
         rng = random.Random(seed + attempt)
         columns = [rng.sample(values, R - 1) for _ in range(abar.n_rows)]
         candidate = ((Fraction(1),) * abar.n_rows,) + tuple(

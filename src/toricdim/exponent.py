@@ -4,12 +4,11 @@ A monomial embedding of a torus into P^N is recorded as an integer matrix
 with one row per parameter coordinate and one column per ambient coordinate;
 column h is the exponent vector of the h-th monomial.  This module provides
 
-  * the matrix container (`ExponentMatrix`) plus CSV import/export,
+  * the matrix container (`ExponentMatrix`) plus CSV import,
   * builders for the Segre-Veronese family,
   * `normalize`, which rewrites any matrix whose rational row span contains
     the all-ones vector into the chart form (all-ones first row, first
     column (1, 0, ..., 0)),
-  * structural operations `kron` and `stack`,
   * the `VarietyDescriptor` / `HadamardSpec` value types used by the
     dimension engines and the CLI.
 
@@ -172,11 +171,6 @@ def segre_veronese(degrees, dims) -> ExponentMatrix:
     return ExponentMatrix(tuple(zip(*columns)))
 
 
-def rational_normal_curve(degree: int) -> ExponentMatrix:
-    """Degree-d rational normal curve in P^d (the n=1 Veronese)."""
-    return segre_veronese((degree,), (1,))
-
-
 def normalize(mat: ExponentMatrix) -> ExponentMatrix:
     """Chart form: same rational row span, all-ones first row, first column e_1.
 
@@ -205,46 +199,6 @@ def normalize(mat: ExponentMatrix) -> ExponentMatrix:
     return ExponentMatrix(tuple(picked))
 
 
-# --- structural operations --------------------------------------------------
-
-
-def _as_rows(obj) -> list[tuple[int, ...]]:
-    if obj is None:
-        return []
-    if isinstance(obj, ExponentMatrix):
-        return list(obj.entries)
-    return list(_validated_rows(obj))
-
-
-def kron(a, b) -> ExponentMatrix:
-    """Kronecker product, blocks in row-major order of the first argument.
-
-    Accepts ExponentMatrix or plain row lists, so [[1]] acts as identity.
-    """
-    arows, brows = _as_rows(a), _as_rows(b)
-    if not arows or not brows:
-        raise ValueError("kron requires two non-empty matrices")
-    n_cols = len(arows[0]) * len(brows[0])
-    if n_cols > COLUMN_CAP:
-        raise MatrixSizeError(f"{n_cols} columns exceeds cap {COLUMN_CAP}")
-    out = []
-    for ra in arows:
-        for rb in brows:
-            out.append(tuple(x * y for x in ra for y in rb))
-    return ExponentMatrix(tuple(out))
-
-
-def stack(a, b) -> ExponentMatrix:
-    """Vertical concatenation; the combined rows act on disjoint parameter
-    blocks of one shared column set.  Either argument may be empty/None."""
-    arows, brows = _as_rows(a), _as_rows(b)
-    if not arows and not brows:
-        raise ValueError("stack of two empty matrices")
-    if arows and brows and len(arows[0]) != len(brows[0]):
-        raise ValueError("stack requires equal column counts")
-    return ExponentMatrix(tuple(arows + brows))
-
-
 # --- CSV --------------------------------------------------------------------
 
 
@@ -262,13 +216,6 @@ def read_matrix_csv(path) -> ExponentMatrix:
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     return ExponentMatrix(tuple(tuple(r) for r in rows))
-
-
-def write_matrix_csv(mat: ExponentMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mat.entries:
-            writer.writerow(row)
 
 
 # --- descriptors ------------------------------------------------------------

@@ -32,6 +32,9 @@ STATUS_FOUND = "found"
 STATUS_INFINITE = "infinite (toric idempotent)"
 STATUS_NOT_FILLED = "not filled (probabilistic)"
 
+# Powers `generic_hrank` tries past the expected m before it gives up.
+HRANK_MARGIN = 3
+
 
 def eta_hadamard(rows, spec: HadamardSpec, points, prime: int) -> list[list[int]]:
     """Coefficient matrix of the Hadamard-product Jacobian factorization over
@@ -61,28 +64,6 @@ class HadamardDimensionReport:
     trials: int
     prime: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "r": list(self.r),
-            "R": self.R,
-            "computed_dim": self.computed_dim,
-            "expected_dim_hadamard": self.expected_dim_hadamard,
-            "expected_dim_R": self.expected_dim_R,
-            "lower_bound_dim_R": self.lower_bound_dim_R,
-            "hadamard_defect_flag": self.hadamard_defect_flag,
-            "fills_ambient": self.fills_ambient,
-            "status": self.status,
-            "ambient_dim": self.ambient_dim,
-            "variety_dim": self.variety_dim,
-            "factor_dims": list(self.factor_dims),
-            "parameter_count": self.parameter_count,
-            "exceeds_ambient": self.exceeds_ambient,
-            "trials": self.trials,
-            "prime": self.prime,
-            "seed": self.seed,
-        }
 
 
 def hadamard_dimension(
@@ -160,31 +141,19 @@ class GenericHrankReport:
     ambient_dim: int
     variety_dim: int
 
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "r": self.r,
-            "found_m": self.found_m,
-            "status": self.status,
-            "expected_m": self.expected_m,
-            "trace": [list(t) for t in self.trace],
-            "ambient_dim": self.ambient_dim,
-            "variety_dim": self.variety_dim,
-        }
-
 
 def generic_hrank(
-    descriptor: VarietyDescriptor,
-    r: int,
-    config: RunConfig = DEFAULT_CONFIG,
-    *,
-    margin: int = 3,
+    descriptor: VarietyDescriptor, r: int, config: RunConfig = DEFAULT_CONFIG
 ) -> GenericHrankReport:
     """Smallest m such that sigma_r(X)^(*m) fills P^N, probed dimension-wise.
 
     For r = 1 Hadamard powers never grow (X * X = X for toric X), so unless
-    X is already dense the rank is reported as infinite.  The search reuses
-    one seed family across m and stops `margin` steps past the expected m.
+    X is already dense the rank is reported as infinite: a matrix of rank
+    below its column count has a nonzero integer kernel vector, a two-term
+    multiplicative relation among the coordinates that every Hadamard
+    product of points of X satisfies and a generic point of P^N does not.
+    The search reuses one seed family across m and stops HRANK_MARGIN steps
+    past the expected m.
     """
     mat = descriptor.matrix()
     ambient = mat.ambient_dim
@@ -202,7 +171,7 @@ def generic_hrank(
         )
     expected_m = expected_generic_hrank(ambient, dim_x, r)
     trace = []
-    for m in range(1, max(expected_m, 1) + margin + 1):
+    for m in range(1, max(expected_m, 1) + HRANK_MARGIN + 1):
         rep = hadamard_dimension(descriptor, (r,) * m, config)
         trace.append((m, rep.computed_dim))
         if rep.fills_ambient:

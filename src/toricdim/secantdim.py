@@ -60,21 +60,6 @@ class SecantDimensionReport:
     prime: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "R": self.R,
-            "computed_dim": self.computed_dim,
-            "expected_dim": self.expected_dim,
-            "defect_flag": self.defect_flag,
-            "status": self.status,
-            "ambient_dim": self.ambient_dim,
-            "variety_dim": self.variety_dim,
-            "trials": self.trials,
-            "prime": self.prime,
-            "seed": self.seed,
-        }
-
 
 def secant_dimension(
     descriptor: VarietyDescriptor, R: int, config: RunConfig = DEFAULT_CONFIG

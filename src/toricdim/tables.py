@@ -35,6 +35,9 @@ EXTENDED_HARD_CAP = 30
 
 @dataclass(frozen=True)
 class TableRow:
+    """One checked case.  The field order is the frozen CSV column order of
+    `verify-table`, with `passed` written as "pass"."""
+
     table: str
     descriptor: str
     r: tuple[int, ...]
@@ -44,32 +47,6 @@ class TableRow:
     computed_dim: int
     status: str
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "descriptor": self.descriptor,
-            "r": list(self.r),
-            "R": self.R,
-            "ambient_dim": self.ambient_dim,
-            "expected_dim": self.expected_dim,
-            "computed_dim": self.computed_dim,
-            "status": self.status,
-            "pass": self.passed,
-        }
-
-
-CSV_COLUMNS = (
-    "table",
-    "descriptor",
-    "r",
-    "R",
-    "ambient_dim",
-    "expected_dim",
-    "computed_dim",
-    "status",
-    "pass",
-)
 
 
 def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:

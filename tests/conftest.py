@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toricdim import RunConfig
+from toricdim import RunConfig, segre_veronese
 from toricdim.tables import run_table
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fastkernels.c"
@@ -16,6 +16,11 @@ _acceptance_lines: list[str] = []
 
 def record_acceptance(line: str) -> None:
     _acceptance_lines.append(line)
+
+
+def rational_normal_curve(degree: int):
+    """Degree-d rational normal curve in P^d (the n=1 Veronese)."""
+    return segre_veronese((degree,), (1,))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

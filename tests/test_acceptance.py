@@ -7,12 +7,12 @@ ratio band of the degeneration check, which is part of its definition.
 
 import random
 
-from conftest import record_acceptance
+from conftest import rational_normal_curve, record_acceptance
+from oracles import ah_defective
 
 from toricdim import (
     RunConfig,
     VarietyDescriptor,
-    ah_defective,
     demo_points,
     enumerate_check_rvectors,
     expected_generic_hrank,
@@ -20,7 +20,6 @@ from toricdim import (
     hadamard_dimension,
     limit_check,
     normalize,
-    rational_normal_curve,
     secant_dimension,
 )
 from toricdim.hadamdim import eta_hadamard

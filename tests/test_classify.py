@@ -2,17 +2,20 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import (
+    FormulaNotGuaranteedError,
+    ah_defective,
+    binary_sv_defective,
+    generic_hrank_formula,
+)
+
 from toricdim import (
     AH_SPORADIC,
-    FormulaNotGuaranteedError,
     RunConfig,
     VarietyDescriptor,
-    ah_defective,
     binary_check_table,
-    binary_sv_defective,
     enumerate_check_rvectors,
     generic_hrank,
-    generic_hrank_formula,
     veronese_check_table,
 )
 

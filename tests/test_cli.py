@@ -2,15 +2,13 @@ import json
 
 import pytest
 
-from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim, write_matrix_csv
+from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim
 from toricdim.cli import (
     DescriptorError,
     SCHEMA_VERSION,
     main,
     parse_descriptor,
 )
-from toricdim.exponent import ExponentMatrix
-from toricdim.tables import CSV_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -31,7 +29,7 @@ def test_parse_descriptor_kinds(tmp_path):
     assert parse_descriptor("rnc:8") == VarietyDescriptor.rnc(8)
 
     path = tmp_path / "mat.csv"
-    write_matrix_csv(ExponentMatrix(((1, 1, 1), (0, 1, 2))), str(path))
+    path.write_text("1,1,1\n0,1,2\n")
     desc = parse_descriptor(f"matrix:{path}")
     assert desc.kind == "custom"
     assert desc.matrix().entries == ((1, 1, 1), (0, 1, 2))
@@ -139,7 +137,9 @@ def test_verify_table_csv_default(capsys):
     code, out, _ = run_cli(capsys, "verify-table", "binary")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == (
+        "table,descriptor,r,R,ambient_dim,expected_dim,computed_dim,status,pass"
+    )
     assert len(lines) == 12
     assert all(line.endswith(",true") for line in lines[1:])
     assert "sv:d=1,1,1,1;n=1,1,1,1" in lines[-1]
@@ -256,6 +256,17 @@ def test_usage_errors_return_2(capsys):
         main(["verify-table", "nonsense"])
     assert exc.value.code == 2
 
+    # one scale value leaves the error-ratio check with nothing to test
+    code, out, err = run_cli(capsys, "degeneration-demo", "--nus", "1/10")
+    assert code == 2 and out == ""
+    assert "strictly decreasing, positive" in err
+
+    # only the experiments table has an extended form
+    for table in ("veronese", "binary"):
+        code, out, err = run_cli(capsys, "verify-table", table, "--extended")
+        assert code == 2 and out == ""
+        assert "--extended applies only to the experiments table" in err
+
 
 def test_json_reports_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
@@ -287,7 +298,7 @@ def test_text_format_report(capsys):
 
 def test_matrix_descriptor_through_cli(tmp_path, capsys):
     path = tmp_path / "rnc3.csv"
-    write_matrix_csv(ExponentMatrix(((3, 2, 1, 0), (0, 1, 2, 3))), str(path))
+    path.write_text("3,2,1,0\n0,1,2,3\n")
     code, out, _ = run_cli(capsys, "dim-secant", f"matrix:{path}", "--r", "2")
     assert code == 0
     assert json.loads(out)["computed_dim"] == 3

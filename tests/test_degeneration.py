@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rational_normal_curve
+
 from toricdim import (
     DEFAULT_PRIME,
     DegenerationFamily,
@@ -12,11 +14,11 @@ from toricdim import (
     demo_points,
     limit_check,
     normalize,
-    rational_normal_curve,
     secant_dimension,
     segre_veronese,
 )
 from toricdim import degeneration
+from toricdim.cli import report_dict
 from toricdim.degeneration import (
     DEFAULT_NUS,
     eta_hadamard_exact,
@@ -48,7 +50,7 @@ def test_default_demo_instance_passes_every_check():
     for q in rep.error_ratios:
         assert Fraction(5) <= q <= Fraction(20)
     assert rep.secant_rank == 4 and rep.limit_rank == 4
-    d = rep.to_dict()
+    d = report_dict(rep)
     assert d["r"] == [2, 3]
     assert d["nus"] == ["1/10", "1/100", "1/1000"]
 
@@ -155,9 +157,14 @@ def test_limit_check_rejects_bad_nu_sequences():
         limit_check(ABAR, SPEC, pts, nus=(Fraction(1, 10), Fraction(-1, 100)))
     with pytest.raises(ValueError, match="strictly decreasing"):
         limit_check(ABAR, SPEC, pts, nus=(0,))
+    # one scale gives no error ratio, so check (a) would pass unrun
+    with pytest.raises(ValueError, match="strictly decreasing, positive"):
+        limit_check(ABAR, SPEC, pts, nus=(Fraction(1, 10),))
 
 
-@pytest.mark.parametrize("nus", [(0,), (Fraction(1, 10), Fraction(1, 10))])
+@pytest.mark.parametrize(
+    "nus", [(0,), (Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 10),)]
+)
 def test_demo_points_rejects_bad_nu_sequences_before_sampling(nus, monkeypatch):
     def no_draws(*args):
         raise AssertionError("demo_points drew points before checking nus")
@@ -169,11 +176,7 @@ def test_demo_points_rejects_bad_nu_sequences_before_sampling(nus, monkeypatch):
 
 
 def test_demo_points_are_positive():
-    # D = 128 * 9 for the chart matrix of rnc:8; a <= -D would give a point
-    # coordinate 1 + a/D <= 0.
-    with pytest.raises(ValueError, match="every point is positive"):
-        demo_points(ABAR, SPEC, seed=0, low=-128 * 9)
-    pts = demo_points(ABAR, SPEC, seed=0, low=-128 * 9 + 1)
+    pts = demo_points(ABAR, SPEC, seed=0)
     assert all(x > 0 for pt in pts for x in pt)
 
 
@@ -222,6 +225,10 @@ def test_demo_points_are_generic():
 
 
 def test_demo_points_widen_the_value_range_for_many_points():
-    pts = demo_points(ABAR, (9,), seed=0, low=2, high=4)
+    # R = 18 points need 17 distinct values per coordinate, one more than
+    # a in [2, 17] gives, so the range widens to [2, 18].  The largest
+    # column degree of the chart matrix of rnc:30 is 1 + 30 = 31.
+    abar = normalize(rational_normal_curve(30))
+    pts = demo_points(abar, (18,), seed=0)
     for coords in zip(*pts[1:]):
-        assert sorted(coords) == [1 + Fraction(a, 128 * 9) for a in range(2, 10)]
+        assert sorted(coords) == [1 + Fraction(a, 128 * 31) for a in range(2, 19)]

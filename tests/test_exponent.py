@@ -1,8 +1,11 @@
+import csv
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import rational_normal_curve
 
 from toricdim import (
     ExponentMatrix,
@@ -10,15 +13,12 @@ from toricdim import (
     HomogeneityError,
     MatrixSizeError,
     VarietyDescriptor,
-    kron,
     normalize,
-    rational_normal_curve,
     read_matrix_csv,
     segre_veronese,
-    stack,
-    write_matrix_csv,
 )
 from toricdim import exponent
+from toricdim._rational import rational_rank
 from toricdim.exponent import homogeneous_exponents
 
 # Hand-checked builder outputs; column order is descending lex of the
@@ -85,8 +85,6 @@ def test_builders_reject_bad_input(monkeypatch):
     monkeypatch.setattr(exponent, "COLUMN_CAP", 100)
     with pytest.raises(MatrixSizeError):
         segre_veronese((3,), (9,))
-    with pytest.raises(MatrixSizeError):
-        kron(rational_normal_curve(10), rational_normal_curve(10))
 
 
 def test_validate_variety_rejects_degenerate():
@@ -127,7 +125,7 @@ def test_normalize_idempotent_and_span_preserving():
         assert abar.rank() == mat.rank()
         assert normalize(abar).entries == abar.entries
         # same rational row span: stacking adds no rank
-        assert stack(mat, abar).rank() == mat.rank()
+        assert rational_rank(mat.entries + abar.entries) == mat.rank()
 
 
 def test_normalize_rejects_inhomogeneous():
@@ -135,29 +133,11 @@ def test_normalize_rejects_inhomogeneous():
         normalize(ExponentMatrix(((1, 0), (2, 0))))
 
 
-def test_kron_identity_and_shape():
-    a = rational_normal_curve(2)
-    assert kron([[1]], a).entries == a.entries
-    assert kron(a, [[1]]).entries == a.entries
-    b = kron(a, a)
-    assert b.n_rows == 4 and b.n_cols == 9
-    assert b.entries[0][0] == a.entries[0][0] * a.entries[0][0]
-
-
-def test_stack_edges():
-    a = rational_normal_curve(2)
-    assert stack(a, None).entries == a.entries
-    assert stack(None, a).entries == a.entries
-    with pytest.raises(ValueError):
-        stack(None, None)
-    with pytest.raises(ValueError):
-        stack(a, [[1, 2]])
-
-
 def test_csv_round_trip(tmp_path):
     mat = segre_veronese((1, 1), (1, 2))
     path = tmp_path / "mat.csv"
-    write_matrix_csv(mat, path)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(mat.entries)
     again = read_matrix_csv(path)
     assert again.entries == mat.entries
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rational_normal_curve
+
 from toricdim import (
     HadamardSpec,
     RunConfig,
@@ -13,7 +15,6 @@ from toricdim import (
     generic_hrank,
     hadamard_dimension,
     normalize,
-    rational_normal_curve,
     segre_veronese,
 )
 from toricdim.exponent import ExponentMatrix

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdim import DEFAULT_PRIME, backend_name, normalize, rational_normal_curve
+from conftest import rational_normal_curve
+
+from toricdim import DEFAULT_PRIME, backend_name, normalize
 from toricdim import _kernels_py as py
 
 P64 = 17293822569102704683  # a prime above 2^63

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import rational_normal_curve
+
 from toricdim import (
     ALTERNATE_PRIMES,
     DEFAULT_PRIME,
@@ -10,7 +12,6 @@ from toricdim import (
     kernels,
     normalize,
     random_torus_points,
-    rational_normal_curve,
 )
 from toricdim._kernels_py import khatri_rao_mod
 from toricdim._rational import rational_rank

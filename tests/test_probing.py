@@ -1,4 +1,6 @@
-from toricdim import ALTERNATE_PRIMES, RunConfig, rational_normal_curve, probing
+from conftest import rational_normal_curve
+
+from toricdim import ALTERNATE_PRIMES, RunConfig, probing
 from toricdim.secantdim import eta_secant
 
 ROWS = rational_normal_curve(8).row_lists()

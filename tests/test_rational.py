@@ -8,14 +8,51 @@ from math import prod
 
 import pytest
 
-from toricdim import _kernels_py, kernels, rational_normal_curve
-from toricdim._rational import _prime, rational_rank, row_echelon
+from conftest import rational_normal_curve
+
+from toricdim import _kernels_py, kernels
+from toricdim._rational import _prime, rational_rank
 
 
 @pytest.fixture(params=["python", "c"], autouse=True)
 def backend(request, monkeypatch):
     impl = _kernels_py if request.param == "python" else request.getfixturevalue("fast")
     monkeypatch.setattr(kernels, "rank_mod", impl.rank_mod)
+
+
+def row_echelon(rows):
+    """Reduce a copy of `rows` to reduced row echelon form over the rationals,
+    the Fraction reference `rational_rank` is checked against.
+
+    Returns (echelon_rows, pivot_columns); zero rows are dropped, so the rank
+    is len(pivot_columns).
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 def reference_rank(rows) -> int:

@@ -2,12 +2,15 @@ import math
 
 import pytest
 
+from conftest import rational_normal_curve
+
 from toricdim import (
     RunConfig,
     VarietyDescriptor,
     expected_secant_dim,
     secant_dimension,
 )
+from toricdim.cli import report_dict
 from toricdim.secantdim import (
     STATUS_DEFECTIVE,
     STATUS_NONDEFECTIVE,
@@ -92,7 +95,7 @@ def test_dimension_monotone_in_r():
 
 def test_row_operations_on_exponents_do_not_change_dimension():
     # same projective toric variety, different lattice coordinates
-    from toricdim import normalize, rational_normal_curve
+    from toricdim import normalize
 
     raw = VarietyDescriptor.custom(rational_normal_curve(8), "rnc8-raw")
     chart = VarietyDescriptor.custom(normalize(rational_normal_curve(8)), "rnc8-chart")
@@ -114,7 +117,7 @@ def test_expected_secant_dim_values():
 
 def test_report_metadata_round_trip():
     rep = secant_dimension(VarietyDescriptor.rnc(4), 2, CFG)
-    d = rep.to_dict()
+    d = report_dict(rep)
     assert d["descriptor"] == "rnc:4"
     assert d["R"] == 2
     assert d["computed_dim"] == 3

@@ -5,13 +5,9 @@ import pytest
 
 import toricdim
 from toricdim import VarietyDescriptor, tables
+from toricdim.cli import report_dict
 from toricdim.config import CACHE_SIZE, RunConfig
-from toricdim.tables import (
-    CSV_COLUMNS,
-    _sweep_until_saturated,
-    _tuples_with_index,
-    run_table,
-)
+from toricdim.tables import _sweep_until_saturated, _tuples_with_index, run_table
 
 CFG = RunConfig(trials=3, seed=0)
 
@@ -68,8 +64,18 @@ def test_experiments_table_gating_subset(table_rows):
 
 def test_table_rows_serialize_with_frozen_columns(table_rows):
     row = table_rows("binary")[0]
-    d = row.to_dict()
-    assert tuple(d.keys()) == CSV_COLUMNS
+    d = report_dict(row)
+    assert tuple(d.keys()) == (
+        "table",
+        "descriptor",
+        "r",
+        "R",
+        "ambient_dim",
+        "expected_dim",
+        "computed_dim",
+        "status",
+        "pass",
+    )
     assert d["pass"] is True
     assert d["table"] == "binary"
 

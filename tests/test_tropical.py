@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from conftest import rational_normal_curve
+
 from toricdim import (
+    ExponentMatrix,
     Support,
+    VarietyDescriptor,
     classify_support,
-    infinite_generic_hrank_toric,
-    rational_normal_curve,
+    generic_hrank,
     segre_veronese,
-    trop_hadamard_sum,
-    trop_toric,
 )
+from toricdim._rational import rational_rank
+from toricdim.hadamdim import STATUS_FOUND, STATUS_INFINITE
 from toricdim.tropical import (
     VERDICT_BINOMIAL,
     VERDICT_NOT_SEGMENT,
@@ -62,62 +65,21 @@ def test_classification_invariant_under_affine_lattice_maps():
         )
 
 
-def test_trop_toric_dimensions():
-    span = trop_toric(rational_normal_curve(8))
-    assert span.dim == 2
-    assert span.projective_dim == 1
-    assert span.n_cols == 9
-
-    eye = trop_toric([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert eye.dim == 3
-
-    for degrees, dims in (((2,), (2,)), ((1, 1), (1, 2)), ((3,), (1,))):
-        mat = segre_veronese(degrees, dims)
-        assert trop_toric(mat).projective_dim == mat.rank() - 1
-
-
-def test_trop_toric_basis_spans_the_rows():
-    from toricdim._rational import rational_rank
-
-    mat = segre_veronese((1, 1), (1, 1))
-    span = trop_toric(mat)
-    stacked = [list(r) for r in span.basis] + [list(r) for r in mat.entries]
-    assert rational_rank(stacked) == span.dim
-
-
-def test_trop_hadamard_sum_idempotent_and_disjoint():
-    rnc = rational_normal_curve(5)
-    same = trop_hadamard_sum(rnc, rnc)
-    assert same.sum_rank == 2
-    assert same.projective_sum_dim == 1
-
-    a = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    b = [[0, 0, 1, 0], [0, 0, 0, 1]]
-    rep = trop_hadamard_sum(a, b)
-    assert rep.rank_a == 2 and rep.rank_b == 2
-    assert rep.sum_rank == 4  # complementary spans add up
-    d = rep.to_dict()
-    assert d["sum_rank"] == 4
-
-    partial = trop_hadamard_sum([[1, 1, 1, 1], [0, 1, 2, 3]], [[0, 0, 1, 1], [1, 1, 1, 1]])
-    assert partial.sum_rank == 3  # shared all-ones direction collapses once
-
-    with pytest.raises(ValueError, match="column counts"):
-        trop_hadamard_sum([[1, 0]], [[1, 0, 0]])
-
-
 def test_infinite_generic_hrank_criterion():
-    assert infinite_generic_hrank_toric(rational_normal_curve(8))
-    assert not infinite_generic_hrank_toric([[1, 0], [0, 1]])
-    # criterion is exactly rank < column count
-    for mat in (
-        rational_normal_curve(3),
-        segre_veronese((2,), (2,)),
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-    ):
-        rows = mat.row_lists() if hasattr(mat, "row_lists") else mat
-        from toricdim._rational import rational_rank
+    # For r = 1 the generic Hadamard rank is infinite exactly when the
+    # exponent matrix has rank below its column count: a kernel vector is a
+    # binomial relation that every Hadamard power keeps.
+    def hrank(rows):
+        return generic_hrank(VarietyDescriptor.custom(ExponentMatrix(rows)), 1)
 
-        assert infinite_generic_hrank_toric(mat) == (
-            rational_rank([list(r) for r in rows]) < len(rows[0])
+    assert hrank(rational_normal_curve(8).entries).status == STATUS_INFINITE
+    dense = hrank(((1, 0), (0, 1)))
+    assert dense.status == STATUS_FOUND and dense.found_m == 1
+    for rows in (
+        rational_normal_curve(3).entries,
+        segre_veronese((2,), (2,)).entries,
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ):
+        assert (hrank(rows).status == STATUS_INFINITE) == (
+            rational_rank(rows) < len(rows[0])
         )
