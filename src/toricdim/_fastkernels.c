@@ -3,8 +3,12 @@
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
  * the same malformed shapes and non-invertible pivots.
- * Residues live in 64-bit words and products go through unsigned __int128,
- * so every modulus p < 2^64 works.  Built by
+ * Residues live in 64-bit words, so every modulus p < 2^64 works.  One-off
+ * products go through unsigned __int128 and a 128-by-64-bit `%` (mulmod).
+ * The elimination's row updates need no division: a row update multiplies
+ * a whole row by one factor f, so floor(f 2^64 / p) is computed once per
+ * row, and each entry's f y mod p takes three word multiplies and one
+ * conditional subtraction (Shoup's method, see mulmod_shoup).  Built by
  * `python3 setup.py build_ext --inplace`.
  */
 
@@ -20,6 +24,35 @@ typedef unsigned __int128 u128;
 static inline u64 mulmod(u64 a, u64 b, u64 p)
 {
     return (u64)(((u128)a * b) % p);
+}
+
+/* floor(f 2^64 / p) for f < p, which is below 2^64: the precomputed
+ * quotient of mulmod_shoup. */
+static inline u64 shoup_quotient(u64 f, u64 p)
+{
+    return (u64)(((u128)f << 64) / p);
+}
+
+/* f y mod p for f < p and any y < 2^64, given fq = shoup_quotient(f, p)
+ * (V. Shoup's NTL; D. Harvey, J. Symb. Comp. 2014).  With
+ * fq = f 2^64 / p - e, 0 <= e < 1, the estimate q = floor(y fq / 2^64) is
+ * f y / p - e y / 2^64 rounded down, and e y / 2^64 < 1, so q is
+ * floor(f y / p) or one less: t = f y - q p lies in [0, 2p) and one
+ * subtraction of p reduces it.  Below 2^63, 2p < 2^64 and t is exact in
+ * 64-bit wrapping arithmetic.  From 2^63 on t needs 128 bits, and t >= p
+ * is tested on its two words, which gcc compiles without a jump (the
+ * outcome is a coin flip a branch predictor cannot learn).  The branch on
+ * p >> 63 is loop-invariant, and gcc -O3 unswitches a loop around it. */
+static inline u64 mulmod_shoup(u64 y, u64 f, u64 fq, u64 p)
+{
+    u64 q = (u64)(((u128)y * fq) >> 64);
+    if (p >> 63) {
+        u128 t = (u128)f * y - (u128)q * p;
+        u64 lo = (u64)t, hi = (u64)(t >> 64);
+        return (hi | (lo >= p)) ? lo - p : lo;
+    }
+    u64 t = f * y - q * p;
+    return t >= p ? t - p : t;
 }
 
 /* a + b mod p for a, b < p; the sum may wrap past 2^64 when p > 2^63. */
@@ -87,16 +120,18 @@ static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 
         u64 inv = invmod(prow[c], p);
         if (inv == 0)
             return -1;
+        u64 inv_q = shoup_quotient(inv, p);
         for (Py_ssize_t j = c; j < n_cols; j++)
-            prow[j] = mulmod(prow[j], inv, p);
+            prow[j] = mulmod_shoup(prow[j], inv, inv_q, p);
         for (Py_ssize_t i = rank + 1; i < n_rows; i++) {
             u64 *row = m + i * n_cols;
             u64 f = row[c];
             if (f == 0)
                 continue;
+            u64 fq = shoup_quotient(f, p);
             for (Py_ssize_t j = c; j < n_cols; j++) {
                 /* a - x mod p without a branch; a + p could overflow a u64 */
-                u64 a = row[j], x = mulmod(f, prow[j], p);
+                u64 a = row[j], x = mulmod_shoup(prow[j], f, fq, p);
                 row[j] = (a - x) + (a < x ? p : 0);
             }
         }

@@ -2,11 +2,14 @@
 and the eta matrix of a probe attempt.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod, eval_columns_mod and eta_mod exactly,
-returns identical values and raises ValueError on the same malformed shapes
-and non-invertible pivots.  The ranks eliminate on rows packed into one
-Python int each, so a row update is one big-int multiply-add, with the
-reduction mod p delayed (`_rank_reduced`); any modulus width works here.
+mirrors rank_mod, kr_rank_mod, eval_columns_mod and eta_mod exactly, with
+the same pivots, swaps and residues, so it returns identical values and
+raises ValueError on the same malformed shapes and non-invertible pivots.
+Only the arithmetic of a row update differs.  Here the ranks eliminate on
+rows packed into one Python int each, so a row update is one big-int
+multiply-add, with the reduction mod p delayed (`_rank_reduced`); any
+modulus width works here.  The C update reduces each entry at once, with a
+quotient precomputed per row in place of a division.
 `eta_of_columns` is the eta formula itself, over F_p or, for `probing.eta`,
 over the rationals.
 """

@@ -176,12 +176,17 @@ def _json_doc(payload: dict) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_cell(value):
+def _scalar(value):
+    """A boolean as true/false and None as an empty cell, in CSV and text."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    return "" if value is None else value
+
+
+def _csv_cell(value):
     if isinstance(value, (list, tuple)):
         return ",".join(map(str, value))
-    return value
+    return _scalar(value)
 
 
 def _csv_doc(columns, rows: list[dict]) -> str:
@@ -195,7 +200,8 @@ def _csv_doc(columns, rows: list[dict]) -> str:
 
 def _text_doc(payload: dict) -> str:
     width = max(len(k) for k in payload)
-    return "".join(f"{k.ljust(width)}  {payload[k]}\n" for k in payload)
+    return "".join(f"{k.ljust(width)}  {_scalar(payload[k])}".rstrip() + "\n"
+                   for k in payload)
 
 
 def _emit(doc: str, out_path: str | None) -> None:
@@ -213,6 +219,13 @@ def _render_report(report, fmt: str) -> str:
     if fmt == "csv":
         return _csv_doc(list(payload.keys()), [payload])
     return _text_doc(payload)
+
+
+def _text_or_json(args) -> str:
+    """--format of a command that has no CSV report; text by default."""
+    if args.format == "csv":
+        raise ValueError(f"{args.command} writes text or json, not csv")
+    return args.format or "text"
 
 
 def _config_from(args) -> RunConfig:
@@ -278,12 +291,13 @@ def _cmd_verify_table(args) -> int:
 
 
 def _cmd_degeneration_demo(args) -> int:
+    fmt = _text_or_json(args)
     desc = parse_descriptor(args.descriptor)
     abar = normalize(desc.matrix())
     spec = HadamardSpec(args.r)
     points = demo_points(abar, spec, args.seed, nus=args.nus)
     rep = limit_check(abar, spec, points, args.nus, label=str(desc))
-    if (args.format or "text") == "json":
+    if fmt == "json":
         _emit(_json_doc(report_dict(rep)), args.out)
         return 0 if rep.all_pass else 1
     lines = [
@@ -345,6 +359,7 @@ def _read_support(source: str) -> Support:
 
 
 def _cmd_binomial_check(args) -> int:
+    fmt = _text_or_json(args)
     support = _read_support(args.support)
     verdict = classify_support(support)
     payload = {
@@ -352,7 +367,6 @@ def _cmd_binomial_check(args) -> int:
         "binomial": verdict == VERDICT_BINOMIAL,
         "n_vectors": support.size,
     }
-    fmt = args.format or "text"
     if fmt == "json":
         _emit(_json_doc(payload), args.out)
     else:
@@ -376,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="extra reseeds when a probe misses its target")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default: json; verify-table: csv; "
-                             "degeneration-demo, binomial-check: text)")
+                             "degeneration-demo, binomial-check: text, and no "
+                             "csv)")
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
 

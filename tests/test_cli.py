@@ -267,6 +267,12 @@ def test_usage_errors_return_2(capsys):
         assert code == 2 and out == ""
         assert "--extended applies only to the experiments table" in err
 
+    # the demo and the support check have a text and a JSON report, no CSV
+    for argv in (["degeneration-demo"], ["binomial-check", "-"]):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2 and out == ""
+        assert f"error: {argv[0]} writes text or json, not csv" in err
+
 
 def test_json_reports_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"

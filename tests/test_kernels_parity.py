@@ -4,6 +4,7 @@
 so these tests run whichever backend `toricdim.kernels` picked.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,13 @@ from toricdim import _kernels_py as py
 
 P64 = 17293822569102704683  # a prime above 2^63
 P64_MAX = 18446744073709551557  # the largest prime below 2^64
+# The compiled row update reduces f y mod p in 64-bit words below 2^63 and
+# in 128 bits from 2^63 on: the nearest primes on either side of 2^63.
+P63_BELOW = 9223372036854775783  # 2^63 - 25
+P63_ABOVE = 9223372036854775837  # 2^63 + 29
+LARGE_PRIMES = [DEFAULT_PRIME, P64, P64_MAX, P63_BELOW, P63_ABOVE]
+# Moduli whose pivots may have no inverse, and the smallest ones.
+SMALL_AND_COMPOSITE = [2, 3, 2**64 - 1, 2**63 - 2]
 
 
 def _instances(seed, n=12):
@@ -92,7 +100,7 @@ def _planted(rng, n_rows, n_cols, rank, p, zero_cols=0):
     return [[x + p * rng.randrange(-3, 3) for x in row] for row in mat]
 
 
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, P64, P64_MAX])
+@pytest.mark.parametrize("p", LARGE_PRIMES)
 def test_rank_parity_on_large_planted_instances(fast, p):
     # Full rank, dependent rows, zero columns, tall and wide: 60-150 rows.
     rng = random.Random(p % 1000)
@@ -104,7 +112,7 @@ def test_rank_parity_on_large_planted_instances(fast, p):
         assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == rank
 
 
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, P64, P64_MAX])
+@pytest.mark.parametrize("p", LARGE_PRIMES)
 def test_kr_rank_parity_on_large_instances(fast, p):
     # 60-150 Khatri-Rao rows: a factor with dependent rows or zero columns
     # makes the product rank deficient.  With a random second factor the
@@ -121,13 +129,15 @@ def test_kr_rank_parity_on_large_instances(fast, p):
         assert rank == min(top_rank * n_bot, n_cols - zero_cols)
 
 
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, P64, P64_MAX])
+@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
 def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
     # Rows 0..n-2 have 1 on the diagonal and p - 1 right of it, and the last
     # row is their sum.  The last row meets f = 1 at every pivot and a pivot
     # row of p - 1, so each update adds (p - 1)^2 to every slot it has left,
     # and it must end as a multiple of p in every slot.  At p = 2^61 - 1 and
     # n = 100 its last slot reaches 99 (p - 1)^2 > 2^128, past 16 bytes.
+    # Every pivot is 1 or p - 1, a unit modulo any p, so the ranks hold for
+    # composite moduli too.
     for n in (60, 100, 150):
         upper = [[p - 1 if j > k else int(j == k) for j in range(n)] for k in range(n - 1)]
         mat = upper + [[sum(col) % p for col in zip(*upper)]]
@@ -137,6 +147,44 @@ def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
         full = [[p - 1] * n for _ in range(n)]
         assert py.rank_mod(full, p) == fast.rank_mod(full, p) == 1
         assert py.kr_rank_mod(full, full[:1], p) == fast.kr_rank_mod(full, full[:1], p) == 1
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
+def test_rank_parity_on_rows_of_p_minus_1(fast, p):
+    # (p - 1)^2 = 1 mod p is where the compiled row update's quotient
+    # estimate falls one short for most p, leaving t = f y - q p in [p, 2p)
+    # for the final subtraction.  Below a = (1, p-1, p-1, ...), the row
+    # b = (p-1, 0, 2, 0, 2, ...) is updated with f = p - 1 against pivot
+    # entries p - 1: the 0 slots take 0 - 1 and the 2 slots 2 - 1, so b
+    # becomes (0, -1, 1, -1, 1, ...) = -c exactly when each product was
+    # reduced below p.  Rank 2 modulo any number, in every row order.
+    for n in (3, 8, 41):
+        a = [1] + [p - 1] * (n - 1)
+        b = [p - 1] + [2 * (j % 2) for j in range(n - 1)]
+        c = [0] + [1 if j % 2 == 0 else p - 1 for j in range(n - 1)]
+        for mat in itertools.permutations([a, b, c]):
+            mat = list(mat)
+            assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == 2
+            assert py.kr_rank_mod(mat, [[1] * n], p) == 2
+            assert fast.kr_rank_mod(mat, [[1] * n], p) == 2
+
+
+def test_rank_parity_over_log_uniform_moduli(fast):
+    # Every width of modulus from 2 bits to 64, most of them composite:
+    # ranks, Khatri-Rao ranks and the errors of missing inverses agree.
+    rng = random.Random(9)
+    for _ in range(400):
+        p = max(2, min(int(2 ** rng.uniform(1, 64)), 2**64 - 1))
+        n_cols = rng.randint(1, 10)
+        rows = [[rng.randrange(-p, 2 * p) for _ in range(n_cols)]
+                for _ in range(rng.randint(1, 10))]
+        if len(rows) > 2 and rng.random() < 0.5:  # a dependent row
+            rows[-1] = [a - 5 * b for a, b in zip(rows[0], rows[1])]
+        top, bottom = rows[:rng.randint(1, 4)], rows[-rng.randint(1, 3):]
+        assert _outcome(fast.rank_mod, rows, p) == _outcome(py.rank_mod, rows, p), p
+        assert _outcome(fast.kr_rank_mod, top, bottom, p) == _outcome(
+            py.kr_rank_mod, top, bottom, p
+        ), p
 
 
 def test_eval_columns_mod_parity_with_negative_exponents(fast):
