@@ -43,6 +43,7 @@ CASES = [
     ("verify-table experiments --format text", 0, "verify-table-experiments.txt"),
     ("degeneration-demo", 0, "degeneration-demo.txt"),
     ("degeneration-demo --format json", 0, "degeneration-demo.json"),
+    ("degeneration-demo --format csv", 2, "degeneration-demo-csv.txt"),
     ("degeneration-demo --r 2,2", 0, "degeneration-demo-r22.txt"),
     ("degeneration-demo --r 2,2 --format json", 0, "degeneration-demo-r22.json"),
     ("degeneration-demo --descriptor veronese:d=4,n=2 --format json", 0,
