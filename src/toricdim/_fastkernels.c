@@ -1,5 +1,6 @@
-/* Compiled modular kernels: rank, Khatri-Rao rank, monomial evaluation, and
- * the eta matrix of a probe attempt.
+/* Compiled modular kernels, three entry points: rank_mod, kr_rank_mod (the
+ * rank of a Khatri-Rao product) and eta_mod (the eta matrix of a probe
+ * attempt, with the column monomials evaluated in place).
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
  * the same malformed shapes and non-invertible pivots.
@@ -414,50 +415,6 @@ done:
     return PyErr_Occurred() ? NULL : rank_result(rank);
 }
 
-static PyObject *eval_columns_mod(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"mat", "point", "p", NULL};
-    PyObject *mat, *point, *p_obj, *out = NULL;
-    u64 p, *exps, *ys = NULL, *acc;
-    Py_ssize_t n_rows, n_cols;
-    int failed = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:eval_columns_mod", kwlist,
-                                     &mat, &point, &p_obj)
-        || read_prime(p_obj, &p) < 0
-        || read_rows(mat, NULL, 0, &exps, &n_rows, &n_cols) < 0)
-        return NULL;
-    if (n_rows == 0) {
-        out = PyList_New(0);
-        goto done;
-    }
-    PyObject *seq = PySequence_Fast(point, "expected a sequence of coordinates");
-    if (seq == NULL)
-        goto done;
-    if (PySequence_Fast_GET_SIZE(seq) != n_rows)
-        PyErr_SetString(PyExc_ValueError,
-                        "point length differs from the number of rows");
-    /* one buffer: the point's residues, then the column products */
-    else if ((ys = PyMem_New(u64, n_rows + n_cols)) == NULL)
-        PyErr_NoMemory();
-    else if (read_items(PySequence_Fast_ITEMS(seq), n_rows, p_obj, p, ys) == 0)
-        check_nonzero(ys, n_rows);
-    Py_DECREF(seq);
-    if (PyErr_Occurred())
-        goto done;
-    acc = ys + n_rows;
-    Py_BEGIN_ALLOW_THREADS
-    failed = eval_columns(exps, n_rows, n_cols, ys, p, acc) < 0;
-    Py_END_ALLOW_THREADS
-    if (failed)
-        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
-    else
-        out = int_list(acc, n_cols);
-done:
-    PyMem_Free(exps);
-    PyMem_Free(ys);
-    return out;
-}
-
 static PyObject *eta_mod(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "r_prime", "points", "p", NULL};
@@ -517,10 +474,6 @@ static PyMethodDef methods[] = {
      "Rank of an integer matrix over Z/p (entries reduced internally)."},
     {"kr_rank_mod", (PyCFunction)(void (*)(void))kr_rank_mod, METH_VARARGS | METH_KEYWORDS,
      "rank_mod of the Khatri-Rao product without materializing Python rows."},
-    {"eval_columns_mod", (PyCFunction)(void (*)(void))eval_columns_mod,
-     METH_VARARGS | METH_KEYWORDS,
-     "Evaluate every column monomial of `mat` at `point` over Z/p; mat[l][h] is\n"
-     "the exponent of point[l] in column h and may be negative."},
     {"eta_mod", (PyCFunction)(void (*)(void))eta_mod, METH_VARARGS | METH_KEYWORDS,
      "eta over Z/p for the factors r_prime at the points (probing.eta): the\n"
      "monomials of `rows` evaluated and combined without Python arithmetic."},

@@ -2,9 +2,10 @@
 and the eta matrix of a probe attempt.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod, eval_columns_mod and eta_mod exactly, with
-the same pivots, swaps and residues, so it returns identical values and
-raises ValueError on the same malformed shapes and non-invertible pivots.
+mirrors rank_mod, kr_rank_mod and eta_mod exactly, with the same pivots,
+swaps and residues, so it returns identical values and raises ValueError on
+the same malformed shapes and non-invertible pivots.  It has no entry point
+of its own for eval_columns_mod: its eta_mod evaluates the monomials inside.
 Only the arithmetic of a row update differs.  Here the ranks eliminate on
 rows packed into one Python int each, so a row update is one big-int
 multiply-add, with the reduction mod p delayed (`_rank_reduced`); any

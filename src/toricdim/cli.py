@@ -378,22 +378,25 @@ def _cmd_binomial_check(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=RunConfig().prime,
-                        help="modulus for the rank probes "
-                             "(probable prime between 2^16 and 2^64)")
-    common.add_argument("--trials", type=int, default=RunConfig().trials,
-                        help="independent point draws per probe")
-    common.add_argument("--seed", type=int, default=RunConfig().seed,
-                        help="base seed; trial t draws from seed + t")
-    common.add_argument("--retries", type=int, default=RunConfig().max_retries,
-                        help="extra reseeds when a probe misses its target")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None,
+    # The options of the F_p rank probes, for the commands that run them.
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--prime", type=int, default=RunConfig().prime,
+                       help="modulus for the rank probes "
+                            "(probable prime between 2^16 and 2^64)")
+    probe.add_argument("--trials", type=int, default=RunConfig().trials,
+                       help="independent point draws per probe")
+    probe.add_argument("--seed", type=int, default=RunConfig().seed,
+                       help="base seed; trial t draws from seed + t")
+    probe.add_argument("--retries", type=int, default=RunConfig().max_retries,
+                       help="extra reseeds when a probe misses its target")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default: json; verify-table: csv; "
                              "degeneration-demo, binomial-check: text, and no "
                              "csv)")
-    common.add_argument("--out", metavar="FILE", default=None,
+    output.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
+    probing = [probe, output]
 
     parser = argparse.ArgumentParser(
         prog="toricdim",
@@ -402,35 +405,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim-secant", parents=[common],
+    p = sub.add_parser("dim-secant", parents=probing,
                        help="projective dimension of sigma_R(X)")
     p.add_argument("descriptor", help="variety descriptor, e.g. veronese:d=4,n=2")
     p.add_argument("--r", type=int, required=True, metavar="R", dest="r",
                    help="secant index R >= 1")
     p.set_defaults(handler=_cmd_dim_secant)
 
-    p = sub.add_parser("dim-hadamard", parents=[common],
+    p = sub.add_parser("dim-hadamard", parents=probing,
                        help="dimension of a Hadamard product of secant varieties")
     p.add_argument("descriptor")
     p.add_argument("--r", type=_r_vector, required=True, metavar="R1,R2,...",
                    help="factor indices, e.g. 2,2,2,2")
     p.set_defaults(handler=_cmd_dim_hadamard)
 
-    p = sub.add_parser("generic-hrank", parents=[common],
+    p = sub.add_parser("generic-hrank", parents=probing,
                        help="generic Hadamard rank: smallest filling power of sigma_r")
     p.add_argument("descriptor")
     p.add_argument("--r", type=int, required=True, metavar="R",
                    help="inner secant index r")
     p.set_defaults(handler=_cmd_generic_hrank)
 
-    p = sub.add_parser("verify-table", parents=[common],
+    p = sub.add_parser("verify-table", parents=probing,
                        help="re-run a stored check table")
     p.add_argument("table", choices=("veronese", "binary", "experiments"))
     p.add_argument("--extended", action="store_true",
                    help="experiments only: the full (slow) sweep")
     p.set_defaults(handler=_cmd_verify_table)
 
-    p = sub.add_parser("degeneration-demo", parents=[common],
+    p = sub.add_parser("degeneration-demo", parents=[output],
                        help="exact-rational verification of the scaling degeneration")
     p.add_argument("--descriptor", default="rnc:8",
                    help="variety to verify on (default rnc:8)")
@@ -440,9 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="F1,F2,...",
                    help="two or more strictly decreasing scale values "
                         "(default 1/10,1/100,1/1000)")
+    p.add_argument("--seed", type=int, default=RunConfig().seed,
+                   help="seed of the demo point draw")
     p.set_defaults(handler=_cmd_degeneration_demo)
 
-    p = sub.add_parser("binomial-check", parents=[common],
+    p = sub.add_parser("binomial-check", parents=[output],
                        help="is a polynomial support a binomial segment?")
     p.add_argument("support",
                    help="file of integer exponent vectors, one per line ('-' = stdin)")

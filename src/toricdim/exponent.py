@@ -270,16 +270,6 @@ class VarietyDescriptor:
     def matrix(self) -> ExponentMatrix:
         return _descriptor_matrix(self)
 
-    @property
-    def ambient_dim(self) -> int:
-        """Projective ambient dimension N."""
-        return self.matrix().ambient_dim
-
-    @property
-    def variety_dim(self) -> int:
-        """Projective dimension of the variety itself: rank of the matrix - 1."""
-        return self.matrix().rank() - 1
-
     def __str__(self) -> str:
         return self.label
 

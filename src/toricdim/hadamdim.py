@@ -87,9 +87,12 @@ def hadamard_dimension(
     parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
     expected_h = min(parameter_count, ambient)
     expected_big = expected_secant_dim(ambient, dim_x, R)
+    # sigma_r(X) is the linear span of X from r = N + 1 on, so each factor
+    # is probed with at most N + 1 points; the product is the same variety.
+    probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
     probe = probe_max_rank(
-        lambda rows, pts, prime: eta_hadamard(rows, spec, pts, prime),
-        mat.row_lists(), R, config, expected_h + 1,
+        lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
+        mat.row_lists(), probed.total_points, config, expected_h + 1,
     )
     computed = probe.rank - 1
     defect = computed < expected_h

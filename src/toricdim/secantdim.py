@@ -78,7 +78,10 @@ def _secant_dimension_cached(
     ambient = mat.ambient_dim
     dim_x = mat.rank() - 1
     expected = expected_secant_dim(ambient, dim_x, R)
-    probe = probe_max_rank(eta_secant, mat.row_lists(), R, config, expected + 1)
+    # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most that.
+    probe = probe_max_rank(
+        eta_secant, mat.row_lists(), min(R, ambient + 1), config, expected + 1
+    )
     computed = probe.rank - 1
     defect = computed < expected
     return SecantDimensionReport(

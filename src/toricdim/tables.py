@@ -22,6 +22,7 @@ is a machine-checked restatement of the claims it encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .classify import binary_check_table, veronese_check_table
 from .config import DEFAULT_CONFIG, RunConfig
@@ -85,19 +86,11 @@ def run_binary_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
 
 
 def _tuples_with_index(m: int, big_r: int):
-    """Non-decreasing m-tuples (r_1 <= ... <= r_m), r_i >= 2, index big_r."""
-
-    def rec(remaining: int, parts_left: int, minimum: int):
-        if parts_left == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        # leave at least `minimum` for each remaining part
-        for first in range(minimum, remaining - minimum * (parts_left - 1) + 1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(big_r + m - 1, m, 2)
+    """Non-decreasing m-tuples (r_1 <= ... <= r_m), r_i >= 2, index big_r,
+    in lexicographic order."""
+    for rvec in combinations_with_replacement(range(2, big_r + 1), m):
+        if sum(rvec) - m + 1 == big_r:
+            yield rvec
 
 
 def _sweep_until_saturated(

@@ -83,7 +83,7 @@ def test_dim_secant_exit_codes(capsys):
 def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
     # A prime above 2^63, where `a + p - x` no longer fits in 64 bits.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
-    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod", "eta_mod"):
+    for name in ("rank_mod", "kr_rank_mod", "eta_mod"):
         monkeypatch.setattr(kernels, name, getattr(impl, name))
     # Secant reports are memoised per config, not per backend.
     secantdim._secant_dimension_cached.cache_clear()
@@ -100,7 +100,7 @@ def test_dim_secant_rejects_exponents_beyond_64_bits(
     # The compiled kernels read exponents as int64; both backends must refuse
     # such a matrix with a message instead of answering or raising.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
-    for name in ("rank_mod", "kr_rank_mod", "eval_columns_mod", "eta_mod"):
+    for name in ("rank_mod", "kr_rank_mod", "eta_mod"):
         monkeypatch.setattr(kernels, name, getattr(impl, name))
     path = tmp_path / "big.csv"
     path.write_text(f"1,1,1\n0,1,{2**70}\n")
@@ -272,6 +272,22 @@ def test_usage_errors_return_2(capsys):
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 2 and out == ""
         assert f"error: {argv[0]} writes text or json, not csv" in err
+
+    # only the probing commands take --prime, --trials and --retries; the
+    # demo has its own --seed, the support check none
+    for argv in (
+        ["binomial-check", "F", "--prime", "4"],
+        ["binomial-check", "F", "--trials", "0"],
+        ["binomial-check", "F", "--seed", "1"],
+        ["binomial-check", "F", "--retries", "-3"],
+        ["degeneration-demo", "--trials", "0"],
+        ["degeneration-demo", "--prime", "4"],
+        ["degeneration-demo", "--retries", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_json_reports_are_byte_identical(tmp_path, capsys):

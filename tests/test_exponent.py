@@ -155,10 +155,10 @@ def test_csv_rejects_junk(tmp_path):
 def test_descriptor_labels_and_dims():
     v = VarietyDescriptor.veronese(4, 2)
     assert str(v) == "veronese:d=4,n=2"
-    assert v.ambient_dim == 14 and v.variety_dim == 2
+    assert v.matrix().ambient_dim == 14 and v.matrix().rank() - 1 == 2
     s = VarietyDescriptor.segre((1, 1, 1, 1))
     assert str(s) == "segre:n=1,1,1,1"
-    assert s.ambient_dim == 15 and s.variety_dim == 4
+    assert s.matrix().ambient_dim == 15 and s.matrix().rank() - 1 == 4
     sv = VarietyDescriptor.segre_veronese((2, 1), (1, 3))
     assert str(sv) == "sv:d=2,1;n=1,3"
     r = VarietyDescriptor.rnc(8)

@@ -2,8 +2,10 @@
 
 A name in `toricdim.__all__` must be referenced in the package outside its
 own definition and `__init__.py`, in a `perfbench/*.py` module, or in a
-fenced code block of README.md.  The sources are parsed, not imported, so
-perfbench's own imports never run here.
+fenced code block of README.md.  Every entry point of the compiled kernel
+must be called as `kernels.<name>` in the package outside `kernels.py`.
+The sources are parsed, not imported, so perfbench's own imports never run
+here.
 """
 
 import ast
@@ -62,3 +64,16 @@ def _referenced_names() -> set:
 def test_every_export_has_a_caller_outside_the_tests():
     unused = sorted(set(toricdim.__all__) - _referenced_names())
     assert not unused, f"exported, but only the tests use: {unused}"
+
+
+def test_every_compiled_kernel_has_a_caller(fast):
+    called = set()
+    for path in (ROOT / "src" / "toricdim").glob("*.py"):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "kernels"):
+                called.add(node.attr)
+    uncalled = sorted({name for name in dir(fast) if not name.startswith("_")} - called)
+    assert not uncalled, f"compiled, but no engine calls kernels.<name>: {uncalled}"

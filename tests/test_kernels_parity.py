@@ -43,6 +43,19 @@ def _instances(seed, n=12):
         yield top, bottom
 
 
+def _columns(impl):
+    """`eval_columns_mod` of `impl`: the column monomials phi(point) of `mat`
+    over Z/p.  The compiled module evaluates them only inside eta_mod, and
+    eta at one point with r' = (0,) is the single row phi(point)."""
+    if impl is py:
+        return py.eval_columns_mod
+    return lambda mat, point, p: impl.eta_mod(mat, (0,), [point], p)[0]
+
+
+def _kernel(impl, name):
+    return _columns(impl) if name == "eval_columns_mod" else getattr(impl, name)
+
+
 def test_backend_name_valid():
     assert backend_name() in ("c", "python")
 
@@ -197,15 +210,22 @@ def test_eval_columns_mod_parity_with_negative_exponents(fast):
         ]
         for p in (DEFAULT_PRIME, P64):
             point = [rng.randrange(1, p) for _ in range(n_vars)]
-            assert fast.eval_columns_mod(mat, point, p) == py.eval_columns_mod(
-                mat, point, p
-            )
+            assert _columns(fast)(mat, point, p) == py.eval_columns_mod(mat, point, p)
+    # Negative coordinates and coordinates wider than 64 bits, reduced first.
+    for _ in range(12):
+        n_vars = rng.randint(1, 4)
+        n_cols = rng.randint(1, 8)
+        mat = [[rng.randint(-5, 8) for _ in range(n_cols)] for _ in range(n_vars)]
+        for p in (DEFAULT_PRIME, P64):
+            point = [rng.choice((1, -1)) * rng.randrange(1, 2**70) for _ in range(n_vars)]
+            point = [x + 1 if x % p == 0 else x for x in point]
+            assert _columns(fast)(mat, point, p) == py.eval_columns_mod(mat, point, p)
 
 
 def test_eval_columns_mod_rnc_powers(fast):
     rows = normalize(rational_normal_curve(8)).row_lists()
     # chart monomials are y0 * y1^h
-    for kernel in (py.eval_columns_mod, fast.eval_columns_mod):
+    for kernel in (py.eval_columns_mod, _columns(fast)):
         assert kernel(rows, [1, 1], 101) == [1] * 9
         assert kernel(rows, [1, 2], 101) == [pow(2, h, 101) for h in range(9)]
         assert kernel(rows, [3, 2], 101) == [3 * pow(2, h, 101) % 101 for h in range(9)]
@@ -225,7 +245,7 @@ def test_eval_columns_mod_multiplicative(fast, columns, coords):
     x = coords[:2]
     y = coords[2:]
     xy = [(a * b) % 101 for a, b in zip(x, y)]
-    for kernel in (py.eval_columns_mod, fast.eval_columns_mod):
+    for kernel in (py.eval_columns_mod, _columns(fast)):
         ex = kernel(rows, x, 101)
         ey = kernel(rows, y, 101)
         assert kernel(rows, xy, 101) == [(a * b) % 101 for a, b in zip(ex, ey)]
@@ -273,7 +293,7 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
     mat = [[1, 2], [0, 1]]
     for impl in (fast, py):
         with pytest.raises(ValueError, match="divisible by the prime"):
-            impl.eval_columns_mod(mat, [3, 101], 101)
+            _columns(impl)(mat, [3, 101], 101)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +318,7 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
 def test_malformed_shapes_raise_value_error(fast, kernel, args):
     for impl in (fast, py):
         with pytest.raises(ValueError):
-            getattr(impl, kernel)(*args)
+            _kernel(impl, kernel)(*args)
 
 
 def test_factor_count_error_names_the_points_needed(fast):
@@ -324,7 +344,7 @@ def test_factor_count_error_names_the_points_needed(fast):
 def test_composite_modulus_without_inverse_raises_on_both_backends(fast, kernel, args):
     for impl in (fast, py):
         with pytest.raises(ValueError, match="not invertible"):
-            getattr(impl, kernel)(*args)
+            _kernel(impl, kernel)(*args)
 
 
 def test_composite_moduli_agree_with_the_pure_kernels(fast):
@@ -348,8 +368,8 @@ def test_composite_moduli_agree_with_the_pure_kernels(fast):
             ("eval_columns_mod", (exps, point, n)),
             ("eta_mod", (exps, (1,), [point, point[::-1]], n)),
         ):
-            assert _outcome(getattr(fast, kernel), *args) == _outcome(
-                getattr(py, kernel), *args
+            assert _outcome(_kernel(fast, kernel), *args) == _outcome(
+                _kernel(py, kernel), *args
             ), (kernel, args)
 
 
@@ -358,5 +378,5 @@ def test_empty_and_degenerate_shapes(fast):
         assert impl.rank_mod([], 101) == 0
         assert impl.rank_mod([[], []], 101) == 0
         assert impl.kr_rank_mod([[1, 2]], [], 101) == 0
-        assert impl.eval_columns_mod([], [1], 101) == []
+        assert _columns(impl)([], [1], 101) == []
         assert impl.eta_mod([], (1,), [[1], [2]], 101) == [[], []]

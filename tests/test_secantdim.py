@@ -8,6 +8,8 @@ from toricdim import (
     RunConfig,
     VarietyDescriptor,
     expected_secant_dim,
+    hadamard_dimension,
+    probing,
     secant_dimension,
 )
 from toricdim.cli import report_dict
@@ -90,7 +92,7 @@ def test_dimension_monotone_in_r():
     desc = VarietyDescriptor.segre_veronese((2, 1), (2, 1))
     dims = [secant_dimension(desc, r, CFG).computed_dim for r in range(1, 7)]
     assert dims == sorted(dims)
-    assert dims[-1] == desc.ambient_dim  # eventually fills the ambient space
+    assert dims[-1] == desc.matrix().ambient_dim  # eventually fills the ambient space
 
 
 def test_row_operations_on_exponents_do_not_change_dimension():
@@ -122,3 +124,24 @@ def test_report_metadata_round_trip():
     assert d["R"] == 2
     assert d["computed_dim"] == 3
     assert d["trials"] == 3 and d["seed"] == 0
+
+
+def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch):
+    # sigma_r(X) is the linear span of X from r = N + 1 on, so a larger
+    # index must not draw (and hold) more points.  The reports keep the
+    # indices as given.
+    desc = VarietyDescriptor.rnc(4)  # N = 4
+    draw = probing.random_torus_points
+    limit = 5
+
+    def spy(count, width, seed, prime):
+        assert count <= limit, f"asked for {count} points"
+        return draw(count, width, seed, prime)
+
+    monkeypatch.setattr(probing, "random_torus_points", spy)
+    rep = secant_dimension(desc, 10**12, CFG)
+    assert (rep.R, rep.computed_dim, rep.expected_dim) == (10**12, 4, 4)
+    limit = 9  # two factors of N + 1 points sharing one
+    rep = hadamard_dimension(desc, (10**12, 10**12), CFG)
+    assert (rep.r, rep.R, rep.parameter_count) == ((10**12, 10**12), 2 * 10**12 - 1, 7)
+    assert (rep.computed_dim, rep.factor_dims, rep.lower_bound_dim_R) == (4, (4, 4), 4)
