@@ -22,7 +22,6 @@ from .classify import (
     veronese_check_table,
 )
 from .degeneration import (
-    DegenerationFamily,
     LimitCheckReport,
     demo_points,
     limit_check,
@@ -61,7 +60,6 @@ __all__ = [
     "AH_SPORADIC",
     "DEFAULT_CONFIG",
     "DEFAULT_PRIME",
-    "DegenerationFamily",
     "ExponentMatrix",
     "GenericHrankReport",
     "HadamardDimensionReport",

@@ -54,12 +54,6 @@ class DescriptorError(ValueError):
         super().__init__(f"descriptor {text!r}: {message} (at position {pos})")
 
 
-def _expect(text: str, pos: int, token: str) -> int:
-    if not text.startswith(token, pos):
-        raise DescriptorError(text, pos, f"expected {token!r}")
-    return pos + len(token)
-
-
 def _int_at(text: str, pos: int) -> tuple[int, int]:
     m = _INT.match(text, pos)
     if not m:
@@ -67,19 +61,22 @@ def _int_at(text: str, pos: int) -> tuple[int, int]:
     return int(m.group()), m.end()
 
 
-def _int_list(text: str, pos: int) -> tuple[tuple[int, ...], int]:
-    vals = []
-    v, pos = _int_at(text, pos)
-    vals.append(v)
-    while pos < len(text) and text[pos] == ",":
-        v, pos = _int_at(text, pos + 1)
-        vals.append(v)
-    return tuple(vals), pos
-
-
-def _end(text: str, pos: int) -> None:
-    if pos != len(text):
-        raise DescriptorError(text, pos, "unexpected trailing text")
+# kind -> (fields as (literal before it, is a list), checks as (test on the
+# field values, message), constructor called with the field values)
+_GRAMMAR = {
+    "veronese": ((("d=", False), (",n=", False)),
+                 ((lambda d, n: min(d, n) >= 1, "d and n must be >= 1"),),
+                 VarietyDescriptor.veronese),
+    "segre": ((("n=", True),),
+              ((lambda n: min(n) >= 1, "factor dimensions must be >= 1"),),
+              VarietyDescriptor.segre),
+    "sv": ((("d=", True), (";n=", True)),
+           ((lambda d, n: len(d) == len(n), "d and n must have equal lengths"),
+            (lambda d, n: min(d + n) >= 1, "all entries must be >= 1")),
+           VarietyDescriptor.segre_veronese),
+    "rnc": ((("", False),), ((lambda d: d >= 1, "degree must be >= 1"),),
+            VarietyDescriptor.rnc),
+}
 
 
 def parse_descriptor(text: str) -> VarietyDescriptor:
@@ -92,45 +89,30 @@ def parse_descriptor(text: str) -> VarietyDescriptor:
     if not sep:
         raise DescriptorError(text, len(text), "expected ':' after the kind")
     pos = len(head) + 1
-    if head == "veronese":
-        pos = _expect(text, pos, "d=")
-        d, pos = _int_at(text, pos)
-        pos = _expect(text, pos, ",n=")
-        n, pos = _int_at(text, pos)
-        _end(text, pos)
-        if d < 1 or n < 1:
-            raise DescriptorError(text, pos, "d and n must be >= 1")
-        return VarietyDescriptor.veronese(d, n)
-    if head == "segre":
-        pos = _expect(text, pos, "n=")
-        dims, pos = _int_list(text, pos)
-        _end(text, pos)
-        if any(n < 1 for n in dims):
-            raise DescriptorError(text, pos, "factor dimensions must be >= 1")
-        return VarietyDescriptor.segre(dims)
-    if head == "sv":
-        pos = _expect(text, pos, "d=")
-        degrees, pos = _int_list(text, pos)
-        pos = _expect(text, pos, ";n=")
-        dims, pos = _int_list(text, pos)
-        _end(text, pos)
-        if len(degrees) != len(dims):
-            raise DescriptorError(text, pos, "d and n must have equal lengths")
-        if any(d < 1 for d in degrees) or any(n < 1 for n in dims):
-            raise DescriptorError(text, pos, "all entries must be >= 1")
-        return VarietyDescriptor.segre_veronese(degrees, dims)
-    if head == "rnc":
-        deg, pos = _int_at(text, pos)
-        _end(text, pos)
-        if deg < 1:
-            raise DescriptorError(text, pos, "degree must be >= 1")
-        return VarietyDescriptor.rnc(deg)
     if head == "matrix":
         path = text[pos:]
         if not path:
             raise DescriptorError(text, pos, "expected a file path")
         return VarietyDescriptor.custom(read_matrix_csv(path), label=text)
-    raise DescriptorError(text, 0, f"unknown kind {head!r}")
+    if head not in _GRAMMAR:
+        raise DescriptorError(text, 0, f"unknown kind {head!r}")
+    grammar, checks, make = _GRAMMAR[head]
+    values = []
+    for literal, is_list in grammar:
+        if not text.startswith(literal, pos):
+            raise DescriptorError(text, pos, f"expected {literal!r}")
+        value, pos = _int_at(text, pos + len(literal))
+        items = [value]
+        while is_list and text.startswith(",", pos):
+            value, pos = _int_at(text, pos + 1)
+            items.append(value)
+        values.append(tuple(items) if is_list else value)
+    if pos != len(text):
+        raise DescriptorError(text, pos, "unexpected trailing text")
+    for test, message in checks:
+        if not test(*values):
+            raise DescriptorError(text, pos, message)
+    return make(*values)
 
 
 def _r_vector(text: str) -> tuple[int, ...]:

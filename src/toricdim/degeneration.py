@@ -4,8 +4,8 @@ The dimension chain rests on one construction: scaling the first coordinate
 of every parameter point by nu and rescaling the Jacobian coefficient matrix
 back (rows by diag(1, 1/nu, ..., 1/nu), columns by the inverse of its first
 row) produces a family whose limit at nu -> 0 has the row span of the secant
-coefficient matrix.  This module rebuilds that family over exact rationals
-and verifies, at finitely many nu,
+coefficient matrix.  This module rebuilds that family over exact rationals,
+one scale at a time (`scaled_family`), and verifies, at finitely many nu,
 
   (a) first-order convergence to the limit matrix (error ratio test),
   (b) the first row is identically all-ones, exactly, for every nu,
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 import random
 
 from . import kernels
@@ -97,6 +96,11 @@ def _check_points(abar: ExponentMatrix, spec: HadamardSpec, points) -> tuple:
 
 
 def _check_guard(abar: ExponentMatrix, spec: HadamardSpec) -> None:
+    if spec.total_points < 2:
+        raise ValueError(
+            f"R = {spec.total_points} point makes M(nu) equal to its limit, so "
+            "the error ratio test has no error to compare (limit: R >= 2)"
+        )
     if spec.total_points * abar.n_rows > MAX_TOTAL_ROWS or abar.ambient_dim > MAX_AMBIENT:
         raise ValueError(
             "instance too large for exact rational verification "
@@ -116,45 +120,19 @@ def _check_nus(nus) -> tuple[Fraction, ...]:
     return nus
 
 
-@dataclass(frozen=True)
-class DegenerationFamily:
-    """One member of the scaling family at a fixed nonzero nu."""
-
-    abar: ExponentMatrix
-    spec: HadamardSpec
-    points: tuple[tuple[Fraction, ...], ...]
-    nu: Fraction
-
-    @cached_property
-    def scaled_points(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple((self.nu * pt[0],) + pt[1:] for pt in self.points)
-
-    @cached_property
-    def eta_scaled(self) -> list[list[Fraction]]:
-        return eta_hadamard_exact(self.abar.entries, self.spec, self.scaled_points)
-
-    @property
-    def left_diag(self) -> tuple[Fraction, ...]:
-        """Diagonal of the row scaling diag(1, 1/nu, ..., 1/nu)."""
-        return (Fraction(1),) + (1 / self.nu,) * (self.spec.total_points - 1)
-
-    @cached_property
-    def right_diag(self) -> tuple[Fraction, ...]:
-        """Diagonal of the column scaling: inverse of the first eta row."""
-        row0 = self.eta_scaled[0]
-        if any(x == 0 for x in row0):
-            raise ZeroDivisionError("degenerate points: first eta row has a zero")
-        return tuple(1 / x for x in row0)
-
-    @cached_property
-    def scaled_matrix(self) -> list[list[Fraction]]:
-        """M(nu): rows scaled by left_diag, columns by right_diag."""
-        left = self.left_diag
-        right = self.right_diag
-        return [
-            [l * x * c for x, c in zip(row, right)]
-            for l, row in zip(left, self.eta_scaled)
-        ]
+def scaled_family(abar: ExponentMatrix, spec: HadamardSpec, points, nu):
+    """The family at one nonzero nu: (eta_nu, M_nu).  eta_nu is eta at the
+    points with their first coordinates scaled by nu; M_nu is eta_nu with its
+    rows scaled by diag(1, 1/nu, ..., 1/nu) and its columns by the inverse of
+    its first row."""
+    scaled = tuple((nu * pt[0],) + pt[1:] for pt in points)
+    eta_nu = eta_hadamard_exact(abar.entries, spec, scaled)
+    if any(x == 0 for x in eta_nu[0]):
+        raise ZeroDivisionError("degenerate points: first eta row has a zero")
+    right = [1 / x for x in eta_nu[0]]
+    left = (Fraction(1),) + (1 / nu,) * (len(points) - 1)
+    m_nu = [[l * x * c for x, c in zip(row, right)] for l, row in zip(left, eta_nu)]
+    return eta_nu, m_nu
 
 
 def limit_matrix(abar: ExponentMatrix, points) -> list[list[Fraction]]:
@@ -194,8 +172,8 @@ def limit_check(
     *,
     label: str = "",
 ) -> LimitCheckReport:
-    """Run all degeneration checks at each nu in a strictly decreasing list
-    of at least two values."""
+    """Run all degeneration checks on R >= 2 points, at each nu in a strictly
+    decreasing list of at least two values."""
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
     nus = _check_nus(nus)
     _check_chart_form(abar)
@@ -208,16 +186,15 @@ def limit_check(
     row0_ok = True
     kr_ranks = []
     for nu in nus:
-        fam = DegenerationFamily(abar, spec, pts, nu)
-        m_matrix = fam.scaled_matrix
-        if any(x != 1 for x in m_matrix[0]):
+        eta_nu, m_nu = scaled_family(abar, spec, pts, nu)
+        if any(x != 1 for x in m_nu[0]):
             row0_ok = False
             failures.append(f"nu={nu}: first row of M(nu) differs from all-ones")
         err = max(
-            abs(a - b) for mrow, trow in zip(m_matrix, target) for a, b in zip(mrow, trow)
+            abs(a - b) for mrow, trow in zip(m_nu, target) for a, b in zip(mrow, trow)
         )
         max_errors.append(err)
-        kr_ranks.append(rational_rank(khatri_rao_exact(fam.eta_scaled, abar.entries)))
+        kr_ranks.append(rational_rank(khatri_rao_exact(eta_nu, abar.entries)))
 
     ratios = []
     first_order_ok = True
@@ -306,8 +283,8 @@ def demo_points(
     saturates while nu * (sum of monomial values) stays large.
 
     ValueError, before any draw, when `nus` is not a strictly decreasing,
-    positive sequence of at least two values, the instance is beyond the
-    exact verifier's limits or R exceeds the column count.
+    positive sequence of at least two values, R < 2, the instance is beyond
+    the exact verifier's limits or R exceeds the column count.
 
     Resamples (bounded) when a draw is degenerate or not generic.  Reduced
     mod DEFAULT_PRIME, the draw's secant coefficient matrix must have full
@@ -329,7 +306,7 @@ def demo_points(
             f"coefficient matrix never has rank R (limit: R <= {abar.n_cols})"
         )
     denom = 128 * _max_column_degree(abar)
-    rows = abar.row_lists()
+    rows = abar.entries
     p = DEFAULT_PRIME
     generic_rank = kernels.kr_rank_mod(
         eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p

@@ -96,10 +96,6 @@ class ExponentMatrix:
     def columns(self):
         return zip(*self.entries)
 
-    def row_lists(self) -> list[list[int]]:
-        """Mutable copy used at the kernel boundary."""
-        return [list(row) for row in self.entries]
-
     def is_homogeneous(self) -> bool:
         """True when all column sums agree (degree-homogeneous monomials)."""
         sums = {sum(col) for col in self.columns()}

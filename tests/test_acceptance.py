@@ -156,7 +156,7 @@ def test_c7_property_suites():
 
     for i in range(20):  # m = 1: both coefficient constructions coincide
         desc = pool[i % len(pool)]
-        rows = desc.matrix().row_lists()
+        rows = desc.matrix().entries
         big_r = 1 + i % 4
         pts = [
             tuple(rng.randrange(1, 101) for _ in range(len(rows)))

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim
 from toricdim.cli import (
@@ -35,32 +37,74 @@ def test_parse_descriptor_kinds(tmp_path):
     assert desc.matrix().entries == ((1, 1, 1), (0, 1, 2))
 
 
-def test_parse_descriptor_error_positions():
-    with pytest.raises(DescriptorError) as exc:
-        parse_descriptor("veronese:x=4,n=2")
-    assert exc.value.pos == 9
-    assert "expected 'd='" in str(exc.value)
+# (descriptor, position, message) for each class of malformed descriptor
+MALFORMED = [
+    ("veronese", 8, "expected ':' after the kind"),
+    ("", 0, "expected ':' after the kind"),
+    ("orbit:d=1", 0, "unknown kind 'orbit'"),
+    (":d=1", 0, "unknown kind ''"),
+    ("veronese:x=4,n=2", 9, "expected 'd='"),
+    ("veronese:d=4;n=2", 12, "expected ',n='"),
+    ("veronese:d=1,2,n=2", 12, "expected ',n='"),
+    ("segre:d=1", 6, "expected 'n='"),
+    ("sv:n=1;n=1", 3, "expected 'd='"),
+    ("sv:d=1,n=1", 7, "expected an integer"),
+    ("sv:d=1;d=1", 6, "expected ';n='"),
+    ("rnc:abc", 4, "expected an integer"),
+    ("rnc:", 4, "expected an integer"),
+    ("veronese:d=,n=2", 11, "expected an integer"),
+    ("veronese:d=2,n=", 15, "expected an integer"),
+    ("segre:n=", 8, "expected an integer"),
+    ("segre:n=1,", 10, "expected an integer"),
+    ("sv:d=1;n=1,,2", 11, "expected an integer"),
+    ("rnc:8junk", 5, "unexpected trailing text"),
+    ("rnc:1,2", 5, "unexpected trailing text"),
+    ("rnc:0x", 5, "unexpected trailing text"),
+    ("veronese:d=4,n=2x", 16, "unexpected trailing text"),
+    ("segre:n=1,1;", 11, "unexpected trailing text"),
+    ("sv:d=1;n=1 ", 10, "unexpected trailing text"),
+    ("veronese:d=0,n=2", 16, "d and n must be >= 1"),
+    ("veronese:d=2,n=-1", 17, "d and n must be >= 1"),
+    ("segre:n=1,0", 11, "factor dimensions must be >= 1"),
+    ("segre:n=-2", 10, "factor dimensions must be >= 1"),
+    ("sv:d=1,0;n=1,1", 14, "all entries must be >= 1"),
+    ("sv:d=1;n=0", 10, "all entries must be >= 1"),
+    ("rnc:0", 5, "degree must be >= 1"),
+    ("rnc:-3", 6, "degree must be >= 1"),
+    ("sv:d=1,2;n=1", 12, "d and n must have equal lengths"),
+    ("sv:d=0,2;n=1", 12, "d and n must have equal lengths"),
+    ("matrix:", 7, "expected a file path"),
+]
 
-    with pytest.raises(DescriptorError) as exc:
-        parse_descriptor("rnc:abc")
-    assert exc.value.pos == 4
 
+@pytest.mark.parametrize("text, pos, message", MALFORMED, ids=[t for t, *_ in MALFORMED])
+def test_descriptor_error_position_and_message(text, pos, message):
     with pytest.raises(DescriptorError) as exc:
-        parse_descriptor("rnc:8junk")
-    assert exc.value.pos == 5
-    assert "trailing" in str(exc.value)
+        parse_descriptor(text)
+    assert exc.value.pos == pos
+    assert str(exc.value) == f"descriptor {text!r}: {message} (at position {pos})"
 
-    with pytest.raises(DescriptorError):
-        parse_descriptor("veronese")
-    with pytest.raises(DescriptorError) as exc:
-        parse_descriptor("orbit:d=1")
-    assert "unknown kind" in str(exc.value)
-    with pytest.raises(DescriptorError):
-        parse_descriptor("sv:d=1,2;n=1")  # length mismatch
-    with pytest.raises(DescriptorError):
-        parse_descriptor("veronese:d=0,n=2")
-    with pytest.raises(DescriptorError):
-        parse_descriptor("matrix:")
+
+_SIZE = st.integers(min_value=1, max_value=99)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.builds(VarietyDescriptor.veronese, _SIZE, _SIZE),
+        st.builds(VarietyDescriptor.segre, st.lists(_SIZE, min_size=1, max_size=5)),
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda k: st.builds(
+                VarietyDescriptor.segre_veronese,
+                st.lists(_SIZE, min_size=k, max_size=k),
+                st.lists(_SIZE, min_size=k, max_size=k),
+            )
+        ),
+        st.builds(VarietyDescriptor.rnc, _SIZE),
+    )
+)
+def test_descriptor_round_trips_through_its_label(desc):
+    assert parse_descriptor(str(desc)) == desc
 
 
 # --- exit codes -------------------------------------------------------------
@@ -260,6 +304,12 @@ def test_usage_errors_return_2(capsys):
     code, out, err = run_cli(capsys, "degeneration-demo", "--nus", "1/10")
     assert code == 2 and out == ""
     assert "strictly decreasing, positive" in err
+
+    # one point leaves the error-ratio check with nothing to test
+    for r in ("1", "1,1"):
+        code, out, err = run_cli(capsys, "degeneration-demo", "--r", r)
+        assert code == 2 and out == ""
+        assert "(limit: R >= 2)" in err
 
     # only the experiments table has an extended form
     for table in ("veronese", "binary"):

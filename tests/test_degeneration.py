@@ -7,7 +7,6 @@ from conftest import rational_normal_curve
 
 from toricdim import (
     DEFAULT_PRIME,
-    DegenerationFamily,
     HadamardSpec,
     RunConfig,
     VarietyDescriptor,
@@ -25,6 +24,7 @@ from toricdim.degeneration import (
     eta_secant_exact,
     khatri_rao_exact,
     limit_matrix,
+    scaled_family,
 )
 from toricdim.hadamdim import eta_hadamard
 from toricdim._kernels_py import khatri_rao_mod
@@ -65,11 +65,11 @@ def test_lower_bound_matches_secant_probe():
 
 
 def test_family_at_nu_one_is_the_identity_scaling():
+    # at nu = 1 the points are unscaled and only the columns are rescaled
     pts = demo_points(ABAR, SPEC, seed=0)
-    fam = DegenerationFamily(ABAR, HadamardSpec(SPEC), pts, Fraction(1))
-    assert fam.scaled_points == pts
-    assert all(x == 1 for x in fam.left_diag)
-    assert fam.eta_scaled == eta_hadamard_exact(ABAR.entries, fam.spec, pts)
+    eta_nu, m_nu = scaled_family(ABAR, HadamardSpec(SPEC), pts, Fraction(1))
+    assert eta_nu == eta_hadamard_exact(ABAR.entries, HadamardSpec(SPEC), pts)
+    assert m_nu == [[x / c for x, c in zip(row, eta_nu[0])] for row in eta_nu]
 
 
 def test_single_factor_exact_eta_reduces_to_secant():
@@ -85,7 +85,7 @@ def test_exact_eta_reduced_mod_p_matches_modular_eta():
     rng = random.Random(5)
     p = DEFAULT_PRIME
     for mat in (ABAR, normalize(segre_veronese((2,), (2,)))):
-        rows = mat.row_lists()
+        rows = mat.entries
         for r in ((2, 3), (4,), (1,), (1, 3), (2, 1, 2)):
             spec = HadamardSpec(r)
             pts = [
@@ -102,8 +102,8 @@ def test_exact_eta_reduced_mod_p_matches_modular_eta():
 def test_row0_exact_at_coarse_nu():
     # exactness of the first row is algebraic, not asymptotic
     pts = demo_points(ABAR, (2, 2), seed=5)
-    fam = DegenerationFamily(ABAR, HadamardSpec((2, 2)), pts, Fraction(3, 7))
-    assert fam.scaled_matrix[0] == [Fraction(1)] * ABAR.n_cols
+    _, m_nu = scaled_family(ABAR, HadamardSpec((2, 2)), pts, Fraction(3, 7))
+    assert m_nu[0] == [Fraction(1)] * ABAR.n_cols
 
 
 def test_limit_matrix_structure():
@@ -173,6 +173,21 @@ def test_demo_points_rejects_bad_nu_sequences_before_sampling(nus, monkeypatch):
     monkeypatch.setattr(degeneration.random, "Random", no_draws)
     with pytest.raises(ValueError, match="strictly decreasing, positive"):
         demo_points(ABAR, SPEC, seed=0, nus=nus)
+
+
+@pytest.mark.parametrize("r", [(1,), (1, 1)])
+def test_one_point_is_rejected_before_sampling(r, monkeypatch):
+    # With R = 1, M(nu) is its limit at every nu: every error is 0 and the
+    # ratio test has nothing to measure.
+    def no_draws(*args):
+        raise AssertionError("demo_points drew points before checking R")
+
+    monkeypatch.setattr(degeneration, "random_torus_points", no_draws)
+    monkeypatch.setattr(degeneration.random, "Random", no_draws)
+    with pytest.raises(ValueError, match="limit: R >= 2"):
+        demo_points(ABAR, r, seed=0)
+    with pytest.raises(ValueError, match="limit: R >= 2"):
+        limit_check(ABAR, r, [(Fraction(1), Fraction(1))])
 
 
 def test_demo_points_are_positive():

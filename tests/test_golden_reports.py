@@ -1,7 +1,7 @@
 """CLI reports pinned byte for byte.
 
 Stdout and exit code of each report command in each format, recorded from
-the compiled backend and compared on whichever backend is active.  Every
+the compiled backend and compared on the pure and on the compiled one.  Every
 field of every report goes through the one codec (`cli.report_dict`), so a
 change to a report type or to the codec that alters a single byte fails
 here.  The inputs of the `matrix:` and `binomial-check` queries live next
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from toricdim import _kernels_py, kernels, secantdim
 from toricdim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,8 +55,21 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, name", CASES, ids=[name for *_, name in CASES])
-def test_report_bytes(argv, code, name, capsys, monkeypatch):
+def _check_report(impl, argv, code, name, capsys, monkeypatch):
+    for kernel in ("rank_mod", "kr_rank_mod", "eta_mod"):
+        monkeypatch.setattr(kernels, kernel, getattr(impl, kernel))
+    # Secant reports are memoised per config, not per backend.
+    secantdim._secant_dimension_cached.cache_clear()
     monkeypatch.chdir(GOLDEN)
     assert main(argv.split()) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, name", CASES, ids=[name for *_, name in CASES])
+def test_report_bytes(argv, code, name, capsys, monkeypatch):
+    _check_report(_kernels_py, argv, code, name, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv, code, name", CASES, ids=[name for *_, name in CASES])
+def test_report_bytes_compiled(argv, code, name, fast, capsys, monkeypatch):
+    _check_report(fast, argv, code, name, capsys, monkeypatch)

@@ -86,7 +86,7 @@ SMALL_MATS = (
 def test_eta_hadamard_matches_lattice_sum_oracle():
     rng = random.Random(11)
     for mat in SMALL_MATS:
-        rows = mat.row_lists()
+        rows = mat.entries
         for r in (
             (2,), (3,), (2, 2), (3, 2), (2, 2, 2), (3, 3), (1,), (1, 3), (2, 1, 2),
         ):
@@ -102,14 +102,14 @@ def test_eta_hadamard_matches_lattice_sum_oracle():
 
 def test_single_factor_reduces_to_secant_eta():
     rng = random.Random(23)
-    rows = rational_normal_curve(4).row_lists()
+    rows = rational_normal_curve(4).entries
     for big_r in (1, 2, 3, 4):
         pts = [(rng.randrange(1, P), rng.randrange(1, P)) for _ in range(big_r)]
         assert eta_hadamard(rows, (big_r,), pts, P) == eta_secant(rows, pts, P)
 
 
 def test_all_ones_points_count_tuples():
-    rows = rational_normal_curve(2).row_lists()
+    rows = rational_normal_curve(2).entries
     r = (2, 3, 4)
     pts = [(1, 1)] * 7
     eta = eta_hadamard(rows, r, pts, P)
@@ -131,7 +131,7 @@ def test_two_factor_hand_expansion():
 
 
 def test_eta_hadamard_point_count_checked():
-    rows = rational_normal_curve(2).row_lists()
+    rows = rational_normal_curve(2).entries
     with pytest.raises(ValueError, match="need 4 points"):
         eta_hadamard(rows, (2, 3), [(1, 1)] * 3, P)
 

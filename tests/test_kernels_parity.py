@@ -223,7 +223,7 @@ def test_eval_columns_mod_parity_with_negative_exponents(fast):
 
 
 def test_eval_columns_mod_rnc_powers(fast):
-    rows = normalize(rational_normal_curve(8)).row_lists()
+    rows = normalize(rational_normal_curve(8)).entries
     # chart monomials are y0 * y1^h
     for kernel in (py.eval_columns_mod, _columns(fast)):
         assert kernel(rows, [1, 1], 101) == [1] * 9

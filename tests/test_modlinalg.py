@@ -90,14 +90,14 @@ def test_miller_rabin_below_2_64_agrees_with_the_twelve_prime_bases():
 
 
 def test_eval_monomial_at_ones():
-    rows = rational_normal_curve(6).row_lists()
+    rows = rational_normal_curve(6).entries
     assert kernels.eval_columns_mod(rows, [1, 1], P) == [1] * 7
     with pytest.raises(ValueError):
         RunConfig(prime=18446744073709551629)  # prime, but above 2^64
 
 
 def test_eval_monomial_rnc_powers():
-    rows = normalize(rational_normal_curve(8)).row_lists()
+    rows = normalize(rational_normal_curve(8)).entries
     # chart monomials are y0 * y1^h
     assert kernels.eval_columns_mod(rows, [1, 2], P) == [pow(2, h, P) for h in range(9)]
     assert kernels.eval_columns_mod(rows, [3, 2], P) == [
@@ -119,7 +119,7 @@ def test_khatri_rao_hand_case():
 
 
 def test_matrix_rank_goldens():
-    rnc = rational_normal_curve(8).row_lists()
+    rnc = rational_normal_curve(8).entries
     for rows, rank in (
         ([[1, 0], [0, 1]], 2),
         ([[1, 2], [2, 4]], 1),

@@ -3,7 +3,7 @@ from conftest import rational_normal_curve
 from toricdim import ALTERNATE_PRIMES, RunConfig, probing
 from toricdim.secantdim import eta_secant
 
-ROWS = rational_normal_curve(8).row_lists()
+ROWS = rational_normal_curve(8).entries
 
 
 def draw_schedule(monkeypatch, config, target_rank):
