@@ -4,18 +4,30 @@ and the eta matrix of a probe attempt.
 Fallback backend and the reference for the compiled one: _fastkernels.c
 mirrors rank_mod, kr_rank_mod and eta_mod exactly, with the same pivots,
 swaps and residues, so it returns identical values and raises ValueError on
-the same malformed shapes and non-invertible pivots.  It has no entry point
-of its own for eval_columns_mod: its eta_mod evaluates the monomials inside.
-Only the arithmetic of a row update differs.  Here the ranks eliminate on
-rows packed into one Python int each, so a row update is one big-int
-multiply-add, with the reduction mod p delayed (`_rank_reduced`); any
-modulus width works here.  The C update reduces each entry at once, with a
-quotient precomputed per row in place of a division.
+the same moduli (both take 2 <= p < 2^64), malformed shapes and
+non-invertible pivots.  It has no entry point of its own for
+eval_columns_mod: its eta_mod evaluates the monomials inside.
+Only the arithmetic of the row updates differs, and when they are paid.
+Here the ranks eliminate on rows packed into one Python int each, so a row
+update is one big-int multiply-add, with the reduction mod p delayed
+(`_rank_reduced`).  The C elimination works in panels of up to 16 pivots:
+it brings a column or a pivot row up to date just before reading it, and
+every other entry once per panel, with one 128-bit sum of the panel's
+products and one reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for `probing.eta`,
 over the rationals.
 """
 
 from __future__ import annotations
+
+
+def _check_modulus(p: int) -> None:
+    """ValueError unless 2 <= p < 2^64, the moduli whose residues fit a
+    64-bit word; `_fastkernels.c` raises the same errors."""
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    if p >= 2**64:
+        raise ValueError("modulus must be below 2^64")
 
 
 def _residues(rows, p: int) -> list[list[int]]:
@@ -28,6 +40,7 @@ def _residues(rows, p: int) -> list[list[int]]:
 
 def rank_mod(rows, p: int) -> int:
     """Rank of an integer matrix over Z/p (entries reduced internally)."""
+    _check_modulus(p)
     return _rank_reduced(_residues(rows, p), p)
 
 
@@ -112,6 +125,7 @@ def khatri_rao_mod(top, bottom, p: int):
 
 def kr_rank_mod(top, bottom, p: int) -> int:
     """rank_mod of the Khatri-Rao product, fused for the compiled backend."""
+    _check_modulus(p)
     return _rank_reduced(khatri_rao_mod(top, bottom, p), p)
 
 
@@ -199,4 +213,5 @@ def eta_of_columns(cols, r_prime, prime: int | None = None) -> list:
 def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
     """`probing.eta` over F_p: eta_of_columns of the monomials of `rows`
     evaluated at each point."""
+    _check_modulus(p)
     return eta_of_columns([eval_columns_mod(rows, pt, p) for pt in points], r_prime, p)

@@ -98,12 +98,15 @@ def parse_descriptor(text: str) -> VarietyDescriptor:
         raise DescriptorError(text, 0, f"unknown kind {head!r}")
     grammar, checks, make = _GRAMMAR[head]
     values = []
-    for literal, is_list in grammar:
+    for k, (literal, is_list) in enumerate(grammar):
         if not text.startswith(literal, pos):
             raise DescriptorError(text, pos, f"expected {literal!r}")
         value, pos = _int_at(text, pos + len(literal))
         items = [value]
-        while is_list and text.startswith(",", pos):
+        # A comma without an integer after it ends a list that another
+        # field follows, so the error names that field's literal.
+        last = k == len(grammar) - 1
+        while is_list and text.startswith(",", pos) and (last or _INT.match(text, pos + 1)):
             value, pos = _int_at(text, pos + 1)
             items.append(value)
         values.append(tuple(items) if is_list else value)

@@ -49,6 +49,23 @@ def table_rows(config):
     return get
 
 
+def _build_kernels(tmp_path_factory, flags):
+    """`_fastkernels.c` compiled with `flags` into a temporary directory and
+    loaded; RuntimeError with the compiler's messages when it fails."""
+    so = tmp_path_factory.mktemp("fastkernels") / (
+        "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    include = sysconfig.get_paths()["include"]
+    cmd = ["cc", *flags, "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE), "-o", str(so)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} failed:\n{done.stderr}")
+    spec = importlib.util.spec_from_file_location("toricdim._fastkernels", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def fast(tmp_path_factory):
     """The compiled kernels, built from `_fastkernels.c` into a temporary
@@ -56,14 +73,23 @@ def fast(tmp_path_factory):
     Any compiler warning fails the build here (setup.py keeps plain -O3)."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) to build the compiled kernels")
-    so = tmp_path_factory.mktemp("fastkernels") / (
-        "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX")
+    return _build_kernels(
+        tmp_path_factory, ["-O3", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
     )
-    include = sysconfig.get_paths()["include"]
-    cmd = ["cc", "-O3", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
-           "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE), "-o", str(so)]
-    subprocess.run(cmd, check=True)
-    spec = importlib.util.spec_from_file_location("toricdim._fastkernels", so)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+
+
+@pytest.fixture(scope="session")
+def fast_ubsan(tmp_path_factory):
+    """The compiled kernels under the undefined-behaviour sanitizer: any
+    signed overflow, out-of-range shift or misaligned access ends the whole
+    test run with exit status 1 (`pytest -s` shows the sanitizer's report).
+    Skips only when `cc` cannot build that; the warnings are `fast`'s to
+    check."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) to build the compiled kernels")
+    try:
+        return _build_kernels(
+            tmp_path_factory, ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+        )
+    except RuntimeError as exc:
+        pytest.skip(f"no undefined-behaviour sanitizer build: {exc}")

@@ -48,7 +48,7 @@ MALFORMED = [
     ("veronese:d=1,2,n=2", 12, "expected ',n='"),
     ("segre:d=1", 6, "expected 'n='"),
     ("sv:n=1;n=1", 3, "expected 'd='"),
-    ("sv:d=1,n=1", 7, "expected an integer"),
+    ("sv:d=1,n=1", 6, "expected ';n='"),
     ("sv:d=1;d=1", 6, "expected ';n='"),
     ("rnc:abc", 4, "expected an integer"),
     ("rnc:", 4, "expected an integer"),

@@ -4,6 +4,7 @@
 so these tests run whichever backend `toricdim.kernels` picked.
 """
 
+import functools
 import itertools
 import random
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import rational_normal_curve
 
-from toricdim import DEFAULT_PRIME, backend_name, normalize
+from toricdim import DEFAULT_PRIME, backend_name, is_probable_prime, normalize
 from toricdim import _kernels_py as py
 
 P64 = 17293822569102704683  # a prime above 2^63
@@ -25,6 +26,15 @@ P63_ABOVE = 9223372036854775837  # 2^63 + 29
 LARGE_PRIMES = [DEFAULT_PRIME, P64, P64_MAX, P63_BELOW, P63_ABOVE]
 # Moduli whose pivots may have no inverse, and the smallest ones.
 SMALL_AND_COMPOSITE = [2, 3, 2**64 - 1, 2**63 - 2]
+# The compiled elimination defers the updates of up to
+# K(p) = min(16, (2^128 - 1) // (p - 1)^2) pivots into one 128-bit sum: the
+# nearest primes on either side of the switch from 16 to 15 (2^62) and of
+# the one from 2 to 1 (1 + 2^63.5), the largest prime below 2^64 (K = 1)
+# and two composites (K = 4 and 1).
+PANEL_MODULI = [
+    2**62 - 57, 2**62 + 135, 13043817825332782193, 13043817825332782231,
+    P64_MAX, 2**63 - 2, 2**64 - 1,
+]
 
 
 def _instances(seed, n=12):
@@ -113,16 +123,36 @@ def _planted(rng, n_rows, n_cols, rank, p, zero_cols=0):
     return [[x + p * rng.randrange(-3, 3) for x in row] for row in mat]
 
 
+@functools.cache
+def _planted_cases(p):
+    """Full rank, dependent rows, zero columns, tall and wide: 60-150 rows,
+    as (kernel, args, rank) cases."""
+    rng = random.Random(p % 1000)
+    return [
+        ("rank_mod", (_planted(rng, n_rows, n_cols, rank, p, zero_cols), p), rank)
+        for n_rows, n_cols, rank, zero_cols in (
+            (60, 60, 60, 0), (80, 80, 71, 0), (100, 100, 83, 5),
+            (150, 40, 40, 0), (150, 70, 61, 9), (60, 150, 60, 0), (70, 130, 52, 12),
+        )
+    ]
+
+
+def _check(impls, cases):
+    """Each case (kernel name, args, expected value or ValueError message)
+    on each backend."""
+    for kernel, args, want in cases:
+        for impl in impls:
+            assert _outcome(_kernel(impl, kernel), *args) == want, (impl.__name__, kernel, args[-1])
+
+
 @pytest.mark.parametrize("p", LARGE_PRIMES)
 def test_rank_parity_on_large_planted_instances(fast, p):
-    # Full rank, dependent rows, zero columns, tall and wide: 60-150 rows.
-    rng = random.Random(p % 1000)
-    for n_rows, n_cols, rank, zero_cols in (
-        (60, 60, 60, 0), (80, 80, 71, 0), (100, 100, 83, 5),
-        (150, 40, 40, 0), (150, 70, 61, 9), (60, 150, 60, 0), (70, 130, 52, 12),
-    ):
-        mat = _planted(rng, n_rows, n_cols, rank, p, zero_cols)
-        assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == rank
+    _check((py, fast), _planted_cases(p))
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_sanitized_rank_on_large_planted_instances(fast_ubsan, p):
+    _check((fast_ubsan,), _planted_cases(p))
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -142,8 +172,8 @@ def test_kr_rank_parity_on_large_instances(fast, p):
         assert rank == min(top_rank * n_bot, n_cols - zero_cols)
 
 
-@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
-def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
+@functools.cache
+def _growth_cases(p):
     # Rows 0..n-2 have 1 on the diagonal and p - 1 right of it, and the last
     # row is their sum.  The last row meets f = 1 at every pivot and a pivot
     # row of p - 1, so each update adds (p - 1)^2 to every slot it has left,
@@ -151,19 +181,32 @@ def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
     # n = 100 its last slot reaches 99 (p - 1)^2 > 2^128, past 16 bytes.
     # Every pivot is 1 or p - 1, a unit modulo any p, so the ranks hold for
     # composite moduli too.
+    cases = []
     for n in (60, 100, 150):
         upper = [[p - 1 if j > k else int(j == k) for j in range(n)] for k in range(n - 1)]
         mat = upper + [[sum(col) % p for col in zip(*upper)]]
-        ones = [[1] * n]
-        assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == n - 1
-        assert py.kr_rank_mod(mat, ones, p) == fast.kr_rank_mod(mat, ones, p) == n - 1
         full = [[p - 1] * n for _ in range(n)]
-        assert py.rank_mod(full, p) == fast.rank_mod(full, p) == 1
-        assert py.kr_rank_mod(full, full[:1], p) == fast.kr_rank_mod(full, full[:1], p) == 1
+        cases += [
+            ("rank_mod", (mat, p), n - 1),
+            ("kr_rank_mod", (mat, [[1] * n], p), n - 1),
+            ("rank_mod", (full, p), 1),
+            ("kr_rank_mod", (full, full[:1], p), 1),
+        ]
+    return cases
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
-def test_rank_parity_on_rows_of_p_minus_1(fast, p):
+def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
+    _check((py, fast), _growth_cases(p))
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
+def test_sanitized_rank_when_every_update_has_maximal_growth(fast_ubsan, p):
+    _check((fast_ubsan,), _growth_cases(p))
+
+
+@functools.cache
+def _p_minus_1_cases(p):
     # (p - 1)^2 = 1 mod p is where the compiled row update's quotient
     # estimate falls one short for most p, leaving t = f y - q p in [p, 2p)
     # for the final subtraction.  Below a = (1, p-1, p-1, ...), the row
@@ -171,21 +214,33 @@ def test_rank_parity_on_rows_of_p_minus_1(fast, p):
     # entries p - 1: the 0 slots take 0 - 1 and the 2 slots 2 - 1, so b
     # becomes (0, -1, 1, -1, 1, ...) = -c exactly when each product was
     # reduced below p.  Rank 2 modulo any number, in every row order.
+    cases = []
     for n in (3, 8, 41):
         a = [1] + [p - 1] * (n - 1)
         b = [p - 1] + [2 * (j % 2) for j in range(n - 1)]
         c = [0] + [1 if j % 2 == 0 else p - 1 for j in range(n - 1)]
         for mat in itertools.permutations([a, b, c]):
-            mat = list(mat)
-            assert py.rank_mod(mat, p) == fast.rank_mod(mat, p) == 2
-            assert py.kr_rank_mod(mat, [[1] * n], p) == 2
-            assert fast.kr_rank_mod(mat, [[1] * n], p) == 2
+            cases += [("rank_mod", (list(mat), p), 2), ("kr_rank_mod", (list(mat), [[1] * n], p), 2)]
+    return cases
 
 
-def test_rank_parity_over_log_uniform_moduli(fast):
+@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
+def test_rank_parity_on_rows_of_p_minus_1(fast, p):
+    _check((py, fast), _p_minus_1_cases(p))
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
+def test_sanitized_rank_on_rows_of_p_minus_1(fast_ubsan, p):
+    _check((fast_ubsan,), _p_minus_1_cases(p))
+
+
+@functools.cache
+def _log_uniform_cases():
     # Every width of modulus from 2 bits to 64, most of them composite:
-    # ranks, Khatri-Rao ranks and the errors of missing inverses agree.
+    # ranks, Khatri-Rao ranks and the errors of missing inverses, as the
+    # pure kernels give them.
     rng = random.Random(9)
+    cases = []
     for _ in range(400):
         p = max(2, min(int(2 ** rng.uniform(1, 64)), 2**64 - 1))
         n_cols = rng.randint(1, 10)
@@ -194,10 +249,123 @@ def test_rank_parity_over_log_uniform_moduli(fast):
         if len(rows) > 2 and rng.random() < 0.5:  # a dependent row
             rows[-1] = [a - 5 * b for a, b in zip(rows[0], rows[1])]
         top, bottom = rows[:rng.randint(1, 4)], rows[-rng.randint(1, 3):]
-        assert _outcome(fast.rank_mod, rows, p) == _outcome(py.rank_mod, rows, p), p
-        assert _outcome(fast.kr_rank_mod, top, bottom, p) == _outcome(
-            py.kr_rank_mod, top, bottom, p
-        ), p
+        cases.append(("rank_mod", (rows, p), _outcome(py.rank_mod, rows, p)))
+        cases.append(("kr_rank_mod", (top, bottom, p), _outcome(py.kr_rank_mod, top, bottom, p)))
+    return cases
+
+
+def test_rank_parity_over_log_uniform_moduli(fast):
+    _check((fast,), _log_uniform_cases())
+
+
+def test_sanitized_rank_over_log_uniform_moduli(fast_ubsan):
+    _check((fast_ubsan,), _log_uniform_cases())
+
+
+def _panel_width(p):
+    return min(16, (2**128 - 1) // (p - 1) ** 2)
+
+
+def test_panel_moduli_straddle_each_switch_of_the_panel_width():
+    assert [_panel_width(p) for p in PANEL_MODULI] == [16, 15, 2, 1, 1, 4, 1]
+
+
+def _echelon(n_cols, pivots, p, fill, rng, dependent=2, unit=None):
+    """L U plus `dependent` rows that are random combinations of its rows.
+
+    U has a 1 in row t at column pivots[t], zeros left of it and `fill`
+    right of it, or random residues when fill is None.  L is unit lower
+    triangular with L[i][s] = r_i g_s below the diagonal, where r_i = 1 and
+    g_s = fill, or both are random.  Without swaps, the elimination's factors
+    are the entries of L and its scaled pivot rows are those of U, so with
+    fill = p - 1 every deferred sum of k updates reaches k (p - 1)^2.
+    `unit` = (t, u) puts u in place of the 1 of pivot t.  Rank len(pivots)
+    unless a pivot has no inverse mod p.
+    """
+    def draw(x):
+        return rng.randrange(1, p) if fill is None else x
+
+    mat = []
+    below = [0] * n_cols  # sum of g_s U[s] over the rows s so far
+    for t, c in enumerate(pivots):
+        row = [0] * c + [unit[1] if unit and unit[0] == t else 1]
+        row += [draw(fill) for _ in range(c + 1, n_cols)]
+        r, g = draw(1), draw(fill)
+        mat.append([(a + r * b) % p for a, b in zip(row, below)])
+        below = [(b + g * a) % p for a, b in zip(row, below)]
+    for _ in range(dependent):
+        coeffs = [rng.randrange(p) for _ in mat]
+        mat.append([sum(a * row[j] for a, row in zip(coeffs, mat)) % p for j in range(n_cols)])
+    return mat
+
+
+# (columns, pivotless columns): with 16-pivot panels, column 0 is where
+# the first panel finds no first pivot, 15 where it finds no 16th, 16 and
+# 32 where the second and third panels find no first pivot, and the last
+# column is the last one a panel searches.
+PANEL_SHAPES = [
+    (15, ()), (16, ()), (17, ()), (33, ()), (17, (0,)), (17, (15,)), (20, (16, 19)),
+    (33, (5, 15, 16)), (40, (0, 15, 31, 32, 39)), (33, (32,)),
+]
+
+
+@pytest.mark.parametrize("p", PANEL_MODULI + [DEFAULT_PRIME])
+def test_rank_parity_inside_and_across_panels(fast, p):
+    # Square and wide, with dependent rows below, pivotless columns at the
+    # edges of panels, and every deferred sum at its largest (fill = p - 1)
+    # or random.
+    rng = random.Random(p % 997)
+    cases = []
+    for n_cols, pivotless in PANEL_SHAPES:
+        pivots = [c for c in range(n_cols) if c not in pivotless]
+        for fill in (p - 1, None):
+            for rows in (pivots, pivots[:len(pivots) // 2 + 1]):
+                cases.append(("rank_mod", (_echelon(n_cols, rows, p, fill, rng), p), len(rows)))
+    _check((py, fast), cases)
+
+
+@pytest.mark.parametrize("p", [2**62 - 1, 2**63 - 2, 2**64 - 1])
+def test_non_invertible_pivot_inside_a_panel_raises_on_both_backends(fast, p):
+    # 3 divides all three moduli, whose panels are 16, 4 and 1 pivots wide.
+    # As pivot 6 or 21 it falls inside a panel of 16 or of 4, after the
+    # deferred updates of the pivots before it, and both backends raise
+    # pow(3, -1, p)'s error.
+    rng = random.Random(5)
+    message = _outcome(pow, 3, -1, p)
+    for n_cols, t in ((24, 6), (40, 21)):
+        for fill in (p - 1, None):
+            mat = _echelon(n_cols, list(range(n_cols)), p, fill, rng, unit=(t, 3))
+            _check((py, fast), [("rank_mod", (mat, p), message),
+                                ("kr_rank_mod", (mat, [[1] * n_cols], p), message)])
+
+
+@pytest.mark.parametrize("p", [p for p in PANEL_MODULI if is_probable_prime(p)] + [DEFAULT_PRIME])
+def test_kr_rank_parity_with_sparse_exponent_rows(fast, p):
+    # Khatri-Rao rows eta_i * a_k with exponent rows a_k of 0, 1 and 2, as
+    # in a probe: in the first panels most rows below the pivots have some
+    # zero factors, and later ones have all of them nonzero.  A dependent
+    # top row makes the product rank deficient, so every deferred sum must
+    # be exact.
+    rng = random.Random(p % 991)
+    for n_top, n_bot, n_cols in ((8, 5, 60), (12, 4, 70)):
+        top = [[rng.randrange(1, p) for _ in range(n_cols)] for _ in range(n_top)]
+        top.append([(a - 3 * b) % p for a, b in zip(top[0], top[1])])
+        bottom = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(n_cols)] for _ in range(n_bot)]
+        rank = py.kr_rank_mod(top, bottom, p)
+        assert fast.kr_rank_mod(top, bottom, p) == rank
+        assert rank == py.rank_mod(py.khatri_rao_mod(top[:-1], bottom, p), p)
+
+
+@pytest.mark.parametrize("p", [-5, 0, 1, 2**64, 2**64 + 1])
+def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
+    for kernel, args in (
+        ("rank_mod", ([[1, 2]], p)),
+        ("kr_rank_mod", ([[1, 2]], [[3, 4]], p)),
+        ("eta_mod", ([[1, 0], [0, 1]], (0,), [[2, 3]], p)),
+    ):
+        message = _outcome(getattr(py, kernel), *args)
+        assert message.startswith("modulus must be")
+        assert _outcome(getattr(fast, kernel), *args) == message
 
 
 def test_eval_columns_mod_parity_with_negative_exponents(fast):
