@@ -161,17 +161,17 @@ def _json_doc(payload: dict) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _scalar(value):
-    """A boolean as true/false and None as an empty cell, in CSV and text."""
+def _cell(value):
+    """One report value as a CSV or text cell: a boolean as true/false, None
+    as an empty cell, a list as its items joined by commas (`2,2`), and a
+    list of lists as its inner lists joined by colons, those by commas
+    (`1:9,2:14,3:15`)."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return "" if value is None else value
-
-
-def _csv_cell(value):
     if isinstance(value, (list, tuple)):
-        return ",".join(map(str, value))
-    return _scalar(value)
+        return ",".join(":".join(map(str, v)) if isinstance(v, (list, tuple))
+                        else str(v) for v in value)
+    return "" if value is None else value
 
 
 def _csv_doc(columns, rows: list[dict]) -> str:
@@ -179,13 +179,13 @@ def _csv_doc(columns, rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in columns])
+        writer.writerow([_cell(row[c]) for c in columns])
     return buf.getvalue()
 
 
 def _text_doc(payload: dict) -> str:
     width = max(len(k) for k in payload)
-    return "".join(f"{k.ljust(width)}  {_scalar(payload[k])}".rstrip() + "\n"
+    return "".join(f"{k.ljust(width)}  {_cell(payload[k])}".rstrip() + "\n"
                    for k in payload)
 
 
@@ -264,7 +264,7 @@ def _cmd_verify_table(args) -> int:
             "{descriptor}  r=({r})  computed={computed_dim}  "
             "expected={expected_dim}  {outcome}".format(
                 outcome="pass" if d["pass"] else "FAIL",
-                **{**d, "r": ",".join(map(str, d["r"]))},
+                **{**d, "r": _cell(d["r"])},
             )
             for d in dicts
         ]
@@ -369,11 +369,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="modulus for the rank probes "
                             "(probable prime between 2^16 and 2^64)")
     probe.add_argument("--trials", type=int, default=RunConfig().trials,
-                       help="independent point draws per probe")
+                       help="point draws at --prime per probe (default: the "
+                            "fewest that bring the error bound of a "
+                            "probabilistic verdict to 2^-100 or below)")
     probe.add_argument("--seed", type=int, default=RunConfig().seed,
-                       help="base seed; trial t draws from seed + t")
+                       help="base seed; draw i of a probe uses seed + i")
     probe.add_argument("--retries", type=int, default=RunConfig().max_retries,
-                       help="extra reseeds when a probe misses its target")
+                       help="draws after the trials when a probe misses its "
+                            "target, the last two at alternate primes "
+                            f"(default {RunConfig().max_retries})")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default: json; verify-table: csv; "

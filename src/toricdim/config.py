@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
-# Entries kept by each memoised matrix, rank and secant-report function, so
-# memory stays bounded in long sweeps.  The extended experiments sweep asks
-# for 201 distinct secant reports 1700 times (the factor dimensions and the
-# sigma_R lower bound of its 536 Hadamard reports) and for 26 matrices and
-# ranks 737 times each, so every cache keeps all of its keys there.
+# Entries kept by each memoised matrix, rank, column-degree and secant-report
+# function, so memory stays bounded in long sweeps.  The extended experiments
+# sweep asks for 201 distinct secant reports 1700 times (the factor
+# dimensions and the sigma_R lower bound of its 536 Hadamard reports) and for
+# 26 matrices and ranks 737 times each, so every cache keeps all of its keys
+# there.
 CACHE_SIZE = 1024
 
 
@@ -18,18 +19,20 @@ CACHE_SIZE = 1024
 class RunConfig:
     """Reproducibility knobs: all randomness flows from `seed`.
 
-    Trial t draws its torus points from stream seed + t; when a probe falls
-    short of its target, up to `max_retries` further attempts continue at
-    seed + trials + j, the last two of them on alternate primes.
+    A probe's draw i takes its torus points from stream seed + i.  The first
+    `trials` draws are at `prime`; when `trials` is None, the error budget of
+    `probing` sets it from the probe's degree bound.  When a probe falls
+    short of its target, up to `max_retries` further draws follow, the last
+    two of them on alternate primes.
     """
 
     prime: int = DEFAULT_PRIME
-    trials: int = 3
+    trials: int | None = None
     seed: int = 0
-    max_retries: int = 5
+    max_retries: int = 2
 
     def __post_init__(self):
-        if self.trials < 1:
+        if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")

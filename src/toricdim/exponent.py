@@ -128,6 +128,18 @@ def _cached_rank(entries: tuple[tuple[int, ...], ...]) -> int:
     return rational_rank(entries)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def column_degrees(entries: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(D+, M) of an exponent matrix, once per matrix.
+
+    D+ = max_h sum_l max(A[l][h], 0) is the largest column degree counting
+    positive entries only; M = sum_l max_h max(-A[l][h], 0) is the degree of
+    the monomial that clears every negative exponent of one point's columns.
+    """
+    d_plus = max(sum(e for e in col if e > 0) for col in zip(*entries))
+    return d_plus, sum(max(0, -min(row)) for row in entries)
+
+
 # --- builders ---------------------------------------------------------------
 
 

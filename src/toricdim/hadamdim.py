@@ -64,6 +64,9 @@ class HadamardDimensionReport:
     trials: int
     prime: int
     seed: int
+    attempts: int
+    primes_tried: tuple[int, ...]
+    error_bound: float
 
 
 def hadamard_dimension(
@@ -92,7 +95,7 @@ def hadamard_dimension(
     probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
     probe = probe_max_rank(
         lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
-        mat.entries, probed.total_points, config, expected_h + 1,
+        mat.entries, probed.total_points, config, expected_h + 1, factors=probed.m,
     )
     computed = probe.rank - 1
     defect = computed < expected_h
@@ -112,9 +115,12 @@ def hadamard_dimension(
         factor_dims=factor_dims,
         parameter_count=parameter_count,
         exceeds_ambient=parameter_count > ambient,
-        trials=config.trials,
+        trials=probe.trials,
         prime=probe.prime,
         seed=config.seed,
+        attempts=probe.attempts,
+        primes_tried=probe.primes_tried,
+        error_bound=probe.error_bound,
     )
 
 

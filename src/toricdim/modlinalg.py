@@ -17,7 +17,8 @@ DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1
 # Every prime must lie below this: the compiled kernels hold residues in
 # 64-bit words.
 PRIME_LIMIT = 2**64
-# Fresh moduli for the tail of the retry ladder (both verified prime below).
+# Fresh moduli for the last two draws of a probe's schedule (both verified
+# prime below).
 ALTERNATE_PRIMES = (2305843009213693967, 2305843009213693921)
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -13,10 +13,18 @@ C on the compiled backend, `_kernels_py.eta_of_columns` on the pure one),
 then `kernels.kr_rank_mod`, which forms the Khatri-Rao product and computes
 its rank.  The target rank is a mathematical ceiling (parameter count or
 ambient bound), so the loop may stop as soon as the target is reached: the
-reported maximum is identical to running every trial.  Falling short
-triggers the retry ladder: fresh seeds at seed + trials + j, with the final
-two retries switching to alternate primes to rule out characteristic-p
-accidents.
+reported maximum is identical to running every draw.
+
+A probe that falls short runs one draw schedule: `trials` draws at the
+configured prime, then `max_retries` more, the last two at the alternate
+primes.  By default the error budget sets `trials`.  A g x g minor of
+eta (x) A, times the monomial that clears negative exponents, is a
+polynomial of degree at most `minor_degree` in the point coordinates, so by
+Schwartz-Zippel (Schwartz, JACM 1980; Zippel 1979) one uniform draw from
+(F_p^*)^n misses a rank that is there with probability at most
+deg / (p - 1), and `trials` is the least t with (deg / (p - 1))^t <= 2^-100.
+The bound assumes that p divides no coefficient of the minor; the draws at
+the alternate primes cover that case.
 """
 
 from __future__ import annotations
@@ -28,7 +36,11 @@ from typing import Callable
 from . import kernels
 from ._kernels_py import eta_of_columns
 from .config import RunConfig
+from .exponent import column_degrees
 from .modlinalg import ALTERNATE_PRIMES, random_torus_points
+
+# The error budget of the default draw schedule: 2^-ERROR_BUDGET_BITS.
+ERROR_BUDGET_BITS = 100
 
 
 def eval_columns_exact(rows, point) -> list[Fraction]:
@@ -70,26 +82,62 @@ class ProbeResult:
     rank: int
     prime: int  # modulus that achieved the reported rank
     attempts: int
-    retried: bool
+    retried: bool  # drew past the first `trials` draws
+    trials: int  # draws at the configured prime before the retries
+    primes_tried: tuple[int, ...]  # distinct moduli, in the order first drawn
+    error_bound: float  # (deg / (p - 1))^(draws at p) capped at 1; 0.0 at the target
+
+
+def minor_degree(rows, factors: int, n_points: int) -> int:
+    """Degree g(m+1)D+ + gRM, in the point coordinates, of a g x g minor of
+    eta (x) A times the monomial that clears negative exponents: m factors,
+    R points, g = min(R * rows, columns), (D+, M) = `column_degrees(rows)`."""
+    d_plus, clearing = column_degrees(rows)
+    g = min(n_points * len(rows), len(rows[0]))
+    return g * ((factors + 1) * d_plus + n_points * clearing)
+
+
+def budget_trials(degree: int, prime: int) -> int:
+    """Least t with (degree / (prime - 1))^t <= 2^-ERROR_BUDGET_BITS, in exact
+    integers.  ValueError when degree > (prime - 1)/2, where t would exceed
+    ERROR_BUDGET_BITS and grow without bound as degree nears prime - 1."""
+    if 2 * degree > prime - 1:
+        raise ValueError(
+            f"no error budget at prime {prime}: the minors have degree up to "
+            f"{degree}, above (p - 1)/2; use a larger prime or set the trials"
+        )
+    t = 1
+    while degree**t << ERROR_BUDGET_BITS > (prime - 1) ** t:
+        t += 1
+    return t
 
 
 def probe_max_rank(
     eta_at: Callable[[list, tuple, int], list],
-    rows: list[list[int]],
+    rows: tuple[tuple[int, ...], ...],
     n_points: int,
     config: RunConfig,
     target_rank: int,
+    factors: int = 1,
 ) -> ProbeResult:
     """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws.
 
-    Draw i uses stream seed + i at `config.prime`, except that the last two
-    of the `max_retries` draws after the `trials` ones use the alternate
-    primes.  The loop stops as soon as the target rank is reached.
+    `factors` is the number of Hadamard factors of `eta_at` (1 for a
+    secant).  Draw i uses stream seed + i at `config.prime`, except that the
+    last two of the `max_retries` draws after the `trials` ones use the
+    alternate primes; `budget_trials` sets `trials` when the config leaves
+    it None.  The loop stops as soon as the target rank is reached.
     """
+    degree = minor_degree(rows, factors, n_points)
+    trials = config.trials
+    if trials is None:
+        trials = budget_trials(degree, config.prime)
+    draws = trials + config.max_retries
     best = -1
     best_prime = config.prime
-    draws = config.trials + config.max_retries
     attempts = 0
+    at_prime = 0
+    tried = {}  # the moduli drawn at, in order
     while attempts < draws and best < target_rank:
         prime = config.prime
         if config.max_retries >= 2 and attempts >= draws - 2:
@@ -97,7 +145,15 @@ def probe_max_rank(
         pts = random_torus_points(n_points, len(rows), config.seed + attempts, prime)
         r = kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
         attempts += 1
+        at_prime += prime == config.prime
+        tried[prime] = None
         if r > best:
             best = r
             best_prime = prime
-    return ProbeResult(best, best_prime, attempts, attempts > config.trials)
+    error_bound = 0.0
+    if best < target_rank:
+        miss = min(Fraction(degree, config.prime - 1), 1)
+        error_bound = float(miss**at_prime)
+    return ProbeResult(
+        best, best_prime, attempts, attempts > trials, trials, tuple(tried), error_bound
+    )

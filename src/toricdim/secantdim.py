@@ -12,8 +12,9 @@ upper bound
 
     expected_dim = min(N, R * (dim X + 1) - 1).
 
-Equality of the two certifies non-defectivity; a persistent shortfall across
-reseeds and alternate primes is reported as "defective (probabilistic)".
+Equality of the two certifies non-defectivity; a shortfall that persists
+through the draw schedule of `probing` is reported as "defective
+(probabilistic)", with the error bound behind it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class SecantDimensionReport:
     trials: int
     prime: int
     seed: int
+    attempts: int
+    primes_tried: tuple[int, ...]
+    error_bound: float
 
 
 def secant_dimension(
@@ -80,7 +84,7 @@ def _secant_dimension_cached(
     expected = expected_secant_dim(ambient, dim_x, R)
     # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most that.
     probe = probe_max_rank(
-        eta_secant, mat.entries, min(R, ambient + 1), config, expected + 1
+        eta_secant, mat.entries, min(R, ambient + 1), config, expected + 1, factors=1
     )
     computed = probe.rank - 1
     defect = computed < expected
@@ -93,7 +97,10 @@ def _secant_dimension_cached(
         status=STATUS_DEFECTIVE if defect else STATUS_NONDEFECTIVE,
         ambient_dim=ambient,
         variety_dim=dim_x,
-        trials=config.trials,
+        trials=probe.trials,
         prime=probe.prime,
         seed=config.seed,
+        attempts=probe.attempts,
+        primes_tried=probe.primes_tried,
+        error_bound=probe.error_bound,
     )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim
+from toricdim import ALTERNATE_PRIMES, VarietyDescriptor, _kernels_py, kernels, secantdim
 from toricdim.cli import (
     DescriptorError,
     SCHEMA_VERSION,
@@ -151,6 +151,24 @@ def test_dim_secant_rejects_exponents_beyond_64_bits(
     code, out, err = run_cli(capsys, "dim-secant", f"matrix:{path}", "--r", "1")
     assert code == 2 and out == ""
     assert "outside [-2^63, 2^63)" in err
+
+
+def test_dim_secant_without_an_error_budget(tmp_path, capsys):
+    # v_2(P^2) with every exponent times 10^4: sigma_2 is still defective,
+    # and its minors have degree up to 6 * 2 * 20000 = 240000 >= p - 1.
+    path = tmp_path / "v2p2.csv"
+    path.write_text("20000,10000,10000,0,0,0\n0,10000,0,20000,10000,0\n"
+                    "0,0,10000,0,10000,20000\n")
+    argv = ("dim-secant", f"matrix:{path}", "--r", "2", "--prime", "65537")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "240000" in err and "65537" in err
+    # Explicit trials still run, with a bound that says nothing.
+    code, out, _ = run_cli(capsys, *argv, "--trials", "2")
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "defective (probabilistic)"
+    assert (doc["trials"], doc["attempts"], doc["error_bound"]) == (2, 4, 1.0)
+    assert doc["primes_tried"] == [65537, *ALTERNATE_PRIMES]
 
 
 def test_dim_hadamard_json_values(capsys):

@@ -1,12 +1,20 @@
+import itertools
+from fractions import Fraction
+
+import pytest
 from conftest import rational_normal_curve
 
-from toricdim import ALTERNATE_PRIMES, RunConfig, probing
+from toricdim import ALTERNATE_PRIMES, RunConfig, hadamard_dimension, probing
+from toricdim.cli import parse_descriptor
+from toricdim.exponent import column_degrees
 from toricdim.secantdim import eta_secant
 
 ROWS = rational_normal_curve(8).entries
+# The smallest prime RunConfig accepts: p - 1 = 2^16.
+SMALL_PRIME = 65537
 
 
-def draw_schedule(monkeypatch, config, target_rank):
+def draw_schedule(monkeypatch, config, target_rank, n_points=3):
     draws = []
     original = probing.random_torus_points
 
@@ -15,8 +23,13 @@ def draw_schedule(monkeypatch, config, target_rank):
         return original(count, width, seed, prime)
 
     monkeypatch.setattr(probing, "random_torus_points", recorded)
-    result = probing.probe_max_rank(eta_secant, ROWS, 3, config, target_rank)
+    result = probing.probe_max_rank(eta_secant, ROWS, n_points, config, target_rank)
     return result, draws
+
+
+def least_trials(degree, prime):
+    """The least t with (degree / (prime - 1))^t <= 2^-100, by search."""
+    return next(t for t in itertools.count(1) if degree**t * 2**100 <= (prime - 1) ** t)
 
 
 def test_probe_stops_at_the_target(monkeypatch):
@@ -47,3 +60,94 @@ def test_probe_without_retries_stops_after_the_trials(monkeypatch):
         assert result.attempts == 2 + retries
         assert result.retried == (retries > 0)
         assert draws == [(i, cfg.prime) for i in range(2 + retries)]
+
+
+def test_default_schedule_draws_the_budget_then_the_alternate_primes(monkeypatch):
+    # Three points of rnc:8 (2 x 9): g = min(3 * 2, 9) = 6, m = 1, D+ = 8, so
+    # deg = 6 * 2 * 8 = 96, and 96 / (2^61 - 2) > 2^-100 >= its square.
+    cfg = RunConfig(seed=10)
+    result, draws = draw_schedule(monkeypatch, cfg, 7)
+    assert draws == [
+        (10, cfg.prime), (11, cfg.prime), (12, ALTERNATE_PRIMES[0]), (13, ALTERNATE_PRIMES[1])
+    ]
+    assert (result.rank, result.prime, result.attempts, result.retried, result.trials) == (
+        6, cfg.prime, 4, True, 2
+    )
+    assert result.primes_tried == (cfg.prime, *ALTERNATE_PRIMES)
+    assert result.error_bound == float(Fraction(96, cfg.prime - 1) ** 2)
+    assert 0 < result.error_bound <= 2.0**-100
+
+
+def test_a_certified_probe_has_no_error_bound(monkeypatch):
+    result, draws = draw_schedule(monkeypatch, RunConfig(seed=10), 6)
+    assert draws == [(10, RunConfig().prime)]
+    assert (result.attempts, result.trials, result.error_bound) == (1, 2, 0.0)
+    assert result.primes_tried == (RunConfig().prime,)
+
+
+@pytest.mark.parametrize("n_points, degree", [(2, 64), (3, 96)])
+def test_budget_at_a_prime_just_above_2_16(monkeypatch, n_points, degree):
+    # g = min(2 * R, 9) and deg = g * 2 * 8.  At R = 2, (2^6 / 2^16)^10 is
+    # 2^-100 exactly, so t = 10 holds only with "<=".  The target is one
+    # above the shape ceiling 2R, so every draw of the schedule runs.
+    assert probing.minor_degree(ROWS, 1, n_points) == degree
+    t = least_trials(degree, SMALL_PRIME)
+    assert t == {64: 10, 96: 11}[degree]
+    cfg = RunConfig(prime=SMALL_PRIME)
+    result, draws = draw_schedule(monkeypatch, cfg, 2 * n_points + 1, n_points=n_points)
+    assert draws == [(i, SMALL_PRIME) for i in range(t)] + [
+        (t, ALTERNATE_PRIMES[0]), (t + 1, ALTERNATE_PRIMES[1])
+    ]
+    assert result.trials == t
+    assert result.error_bound == float(Fraction(degree, SMALL_PRIME - 1) ** t)
+    assert result.error_bound <= 2.0**-100
+
+
+def test_no_error_budget_raises_before_any_draw(monkeypatch):
+    # rnc:2000 at 20 points: deg = min(40, 2001) * 2 * 2000 = 160000 >= p - 1.
+    rows = rational_normal_curve(2000).entries
+    draws = []
+    monkeypatch.setattr(probing, "random_torus_points", lambda *a: draws.append(a))
+    with pytest.raises(ValueError, match="prime 65537: .* degree up to 160000"):
+        probing.probe_max_rank(eta_secant, rows, 20, RunConfig(prime=SMALL_PRIME), 41)
+    assert draws == []
+
+
+def test_the_budget_allows_at_most_100_draws():
+    # A draw that misses with probability up to 1/2 needs t = 100; beyond
+    # that no schedule is drawn.
+    assert probing.budget_trials(2**15, SMALL_PRIME) == 100
+    assert probing.budget_trials(2**15 - 1, SMALL_PRIME) == least_trials(2**15 - 1, SMALL_PRIME)
+    assert probing.budget_trials(0, SMALL_PRIME) == 1
+    with pytest.raises(ValueError, match="32769"):
+        probing.budget_trials(2**15 + 1, SMALL_PRIME)
+
+
+def test_column_degrees_with_negative_exponents(tmp_path):
+    path = tmp_path / "chart.csv"
+    path.write_text("1,1,1,1\n0,-1,2,-3\n0,2,-1,1\n")
+    entries = parse_descriptor(f"matrix:{path}").matrix().entries
+    # D+: the positive parts of the columns sum to 1, 3, 3, 2.  M: the most
+    # negative entries of the rows are 0, -3, -1.
+    assert column_degrees(entries) == (3, 4)
+    # Two points: g = min(2 * 3, 4) = 4, deg = 4 * (2 * 3 + 2 * 4).
+    assert probing.minor_degree(entries, 1, 2) == 56
+    # Two factors of two points each, three points in all.
+    assert probing.minor_degree(entries, 2, 3) == 4 * (3 * 3 + 3 * 4)
+
+
+def test_the_hadamard_probe_bounds_its_degree_with_its_factors(monkeypatch):
+    calls = []
+    original = probing.minor_degree
+
+    def recorded(rows, factors, n_points):
+        calls.append((len(rows), factors, n_points))
+        return original(rows, factors, n_points)
+
+    monkeypatch.setattr(probing, "minor_degree", recorded)
+    rep = hadamard_dimension(parse_descriptor("veronese:d=2,n=4"), (2, 2, 2))
+    # The product's own probe: 5 rows, 3 factors, 4 points, and
+    # deg = min(4 * 5, 15) * 4 * 2 = 120.
+    assert calls[-1] == (5, 3, 4)
+    assert rep.trials == least_trials(120, RunConfig().prime) == 2
+    assert (rep.error_bound, rep.attempts) == (0.0, 1)

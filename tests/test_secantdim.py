@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import rational_normal_curve
 
 from toricdim import (
+    ALTERNATE_PRIMES,
     RunConfig,
     VarietyDescriptor,
     expected_secant_dim,
@@ -124,6 +126,23 @@ def test_report_metadata_round_trip():
     assert d["R"] == 2
     assert d["computed_dim"] == 3
     assert d["trials"] == 3 and d["seed"] == 0
+
+
+def test_reports_state_how_they_were_reached():
+    p = RunConfig().prime
+    certified = secant_dimension(VarietyDescriptor.rnc(4), 2)
+    assert certified.status == STATUS_NONDEFECTIVE
+    assert (certified.error_bound, certified.attempts, certified.primes_tried) == (
+        0.0, 1, (p,)
+    )
+    # sigma_5 of v_4(P^2): g = min(5 * 3, 15) = 15, deg = 15 * 2 * 4 = 120,
+    # and 120 / (p - 1) > 2^-100 >= its square: two draws at p, then the
+    # alternate primes.
+    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
+    assert rep.status == STATUS_DEFECTIVE
+    assert (rep.trials, rep.attempts, rep.primes_tried) == (2, 4, (p, *ALTERNATE_PRIMES))
+    assert rep.error_bound == float(Fraction(120, p - 1) ** 2)
+    assert 0 < rep.error_bound <= 2.0**-100
 
 
 def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch):
