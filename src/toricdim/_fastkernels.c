@@ -481,7 +481,7 @@ static Py_ssize_t eliminate(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 p)
     return rank;
 }
 
-static PyObject *rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "p", NULL};
     PyObject *rows, *p_obj;
@@ -496,7 +496,7 @@ static PyObject *rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
     return PyErr_Occurred() ? NULL : rank_result(rank);
 }
 
-static PyObject *kr_rank_mod(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"top", "bottom", "p", NULL};
     PyObject *top, *bottom, *p_obj;
@@ -545,7 +545,7 @@ done:
     return PyErr_Occurred() ? NULL : rank_result(rank);
 }
 
-static PyObject *eta_mod(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *eta_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "r_prime", "points", "p", NULL};
     PyObject *rows, *r_prime, *points, *p_obj, *out = NULL;

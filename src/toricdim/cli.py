@@ -214,9 +214,7 @@ def _text_or_json(args) -> str:
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        prime=args.prime, trials=args.trials, seed=args.seed, max_retries=args.retries
-    )
+    return RunConfig(prime=args.prime, trials=args.trials, seed=args.seed)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -369,15 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="modulus for the rank probes "
                             "(probable prime between 2^16 and 2^64)")
     probe.add_argument("--trials", type=int, default=RunConfig().trials,
-                       help="point draws at --prime per probe (default: the "
-                            "fewest that bring the error bound of a "
+                       help="point draws at --prime per probe, before one "
+                            "draw at each of two alternate primes (default: "
+                            "the fewest that bring the error bound of a "
                             "probabilistic verdict to 2^-100 or below)")
     probe.add_argument("--seed", type=int, default=RunConfig().seed,
                        help="base seed; draw i of a probe uses seed + i")
-    probe.add_argument("--retries", type=int, default=RunConfig().max_retries,
-                       help="draws after the trials when a probe misses its "
-                            "target, the last two at alternate primes "
-                            f"(default {RunConfig().max_retries})")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default: json; verify-table: csv; "

@@ -21,21 +21,17 @@ class RunConfig:
 
     A probe's draw i takes its torus points from stream seed + i.  The first
     `trials` draws are at `prime`; when `trials` is None, the error budget of
-    `probing` sets it from the probe's degree bound.  When a probe falls
-    short of its target, up to `max_retries` further draws follow, the last
-    two of them on alternate primes.
+    `probing` sets it from the probe's degree bound.  A probe that falls
+    short of its target then draws once at each alternate prime.
     """
 
     prime: int = DEFAULT_PRIME
     trials: int | None = None
     seed: int = 0
-    max_retries: int = 2
 
     def __post_init__(self):
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if not (2**16 < self.prime < PRIME_LIMIT and is_probable_prime(self.prime)):
             raise ValueError("prime must be a probable prime between 2^16 and 2^64")
 

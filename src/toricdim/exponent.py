@@ -97,9 +97,14 @@ class ExponentMatrix:
         return zip(*self.entries)
 
     def is_homogeneous(self) -> bool:
-        """True when all column sums agree (degree-homogeneous monomials)."""
+        """True when the all-ones vector lies in the rational row span
+        (projective homogeneity).  Equal column sums c != 0 put it there,
+        1/c times the sum of the rows, with no rank to compute; equal sums
+        of 0 do not (rows 1,-1,0 and -1,1,0 are the conic xy = z^2)."""
         sums = {sum(col) for col in self.columns()}
-        return len(sums) == 1
+        if len(sums) == 1 and 0 not in sums:
+            return True
+        return rational_rank(self.entries + ((1,) * self.n_cols,)) == self.rank()
 
     def rank(self) -> int:
         return _cached_rank(self.entries)
@@ -108,18 +113,14 @@ class ExponentMatrix:
         """Check the non-degeneracy contract for matrices used as varieties.
 
         Requires at least two pairwise-distinct columns and projective
-        homogeneity: either all column sums equal, or (for pre-normalized
-        input) the all-ones vector lies in the rational row span.
+        homogeneity (`is_homogeneous`).
         """
         if self.n_cols < 2:
             raise ValueError("a variety matrix needs at least two columns")
         cols = list(self.columns())
         if len(set(cols)) != len(cols):
             raise ValueError("degenerate matrix: duplicate columns")
-        if self.is_homogeneous():
-            return
-        ones = (1,) * self.n_cols
-        if rational_rank(self.entries + (ones,)) != self.rank():
+        if not self.is_homogeneous():
             raise HomogeneityError("not projectively homogeneous")
 
 
@@ -190,10 +191,10 @@ def normalize(mat: ExponentMatrix) -> ExponentMatrix:
 
     Raises HomogeneityError when the all-ones vector is not in the row span.
     """
+    if not mat.is_homogeneous():
+        raise HomogeneityError("not projectively homogeneous")
     ones = (1,) * mat.n_cols
     target_rank = mat.rank()
-    if rational_rank(mat.entries + (ones,)) != target_rank:
-        raise HomogeneityError("not projectively homogeneous")
     picked: list[tuple[int, ...]] = [ones]
     candidates = [row for row in mat.entries if row[0] == 0]
     candidates += [

@@ -15,10 +15,10 @@ its rank.  The target rank is a mathematical ceiling (parameter count or
 ambient bound), so the loop may stop as soon as the target is reached: the
 reported maximum is identical to running every draw.
 
-A probe that falls short runs one draw schedule: `trials` draws at the
-configured prime, then `max_retries` more, the last two at the alternate
-primes.  By default the error budget sets `trials`.  A g x g minor of
-eta (x) A, times the monomial that clears negative exponents, is a
+Every probe runs one draw schedule, cut short once the target is reached:
+`trials` draws at the configured prime, then one draw at each of the two
+alternate primes.  By default the error budget sets `trials`.  A g x g
+minor of eta (x) A, times the monomial that clears negative exponents, is a
 polynomial of degree at most `minor_degree` in the point coordinates, so by
 Schwartz-Zippel (Schwartz, JACM 1980; Zippel 1979) one uniform draw from
 (F_p^*)^n misses a rank that is there with probability at most
@@ -83,7 +83,7 @@ class ProbeResult:
     prime: int  # modulus that achieved the reported rank
     attempts: int
     retried: bool  # drew past the first `trials` draws
-    trials: int  # draws at the configured prime before the retries
+    trials: int  # draws scheduled at the configured prime before the alternates
     primes_tried: tuple[int, ...]  # distinct moduli, in the order first drawn
     error_bound: float  # (deg / (p - 1))^(draws at p) capped at 1; 0.0 at the target
 
@@ -123,25 +123,23 @@ def probe_max_rank(
     """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws.
 
     `factors` is the number of Hadamard factors of `eta_at` (1 for a
-    secant).  Draw i uses stream seed + i at `config.prime`, except that the
-    last two of the `max_retries` draws after the `trials` ones use the
-    alternate primes; `budget_trials` sets `trials` when the config leaves
-    it None.  The loop stops as soon as the target rank is reached.
+    secant).  Draw i uses stream seed + i: the first `trials` draws are at
+    `config.prime`, the last two at the alternate primes; `budget_trials`
+    sets `trials` when the config leaves it None.  The loop stops as soon as
+    the target rank is reached.
     """
     degree = minor_degree(rows, factors, n_points)
     trials = config.trials
     if trials is None:
         trials = budget_trials(degree, config.prime)
-    draws = trials + config.max_retries
     best = -1
     best_prime = config.prime
     attempts = 0
     at_prime = 0
     tried = {}  # the moduli drawn at, in order
-    while attempts < draws and best < target_rank:
-        prime = config.prime
-        if config.max_retries >= 2 and attempts >= draws - 2:
-            prime = ALTERNATE_PRIMES[attempts - (draws - 2)]
+    for prime in (config.prime,) * trials + ALTERNATE_PRIMES:
+        if best >= target_rank:
+            break
         pts = random_torus_points(n_points, len(rows), config.seed + attempts, prime)
         r = kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
         attempts += 1

@@ -73,9 +73,7 @@ def fast(tmp_path_factory):
     Any compiler warning fails the build here (setup.py keeps plain -O3)."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) to build the compiled kernels")
-    return _build_kernels(
-        tmp_path_factory, ["-O3", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
-    )
+    return _build_kernels(tmp_path_factory, ["-O3", "-Wall", "-Wextra", "-Werror"])
 
 
 @pytest.fixture(scope="session")

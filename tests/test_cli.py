@@ -341,8 +341,8 @@ def test_usage_errors_return_2(capsys):
         assert code == 2 and out == ""
         assert f"error: {argv[0]} writes text or json, not csv" in err
 
-    # only the probing commands take --prime, --trials and --retries; the
-    # demo has its own --seed, the support check none
+    # only the probing commands take --prime, --trials and --seed; the demo
+    # has its own --seed, the support check none; no command takes --retries
     for argv in (
         ["binomial-check", "F", "--prime", "4"],
         ["binomial-check", "F", "--trials", "0"],
@@ -351,6 +351,10 @@ def test_usage_errors_return_2(capsys):
         ["degeneration-demo", "--trials", "0"],
         ["degeneration-demo", "--prime", "4"],
         ["degeneration-demo", "--retries", "1"],
+        ["dim-secant", "rnc:6", "--r", "2", "--retries", "2"],
+        ["dim-hadamard", "veronese:d=4,n=2", "--r", "2,2", "--retries", "2"],
+        ["generic-hrank", "rnc:8", "--r", "1", "--retries", "2"],
+        ["verify-table", "binary", "--retries", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -395,3 +399,18 @@ def test_matrix_descriptor_through_cli(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "dim-secant", "matrix:/nonexistent.csv", "--r", "2")
     assert code == 2
+
+
+def test_zero_column_sums_are_checked_against_the_row_span(tmp_path, capsys):
+    # The columns t1/t2, t2/t1, 1 all sum to 0, yet they map onto the conic
+    # xy = z^2, of dimension 1, and the all-ones vector is not in their span.
+    conic = tmp_path / "conic.csv"
+    conic.write_text("1,-1,0\n-1,1,0\n")
+    code, out, err = run_cli(capsys, "dim-secant", f"matrix:{conic}", "--r", "1")
+    assert code == 2 and out == ""
+    assert "not projectively homogeneous" in err
+    # Zero sums with the all-ones vector in the span, as half of rows 1 + 2.
+    chart = tmp_path / "chart.csv"
+    chart.write_text("2,0,1\n0,2,1\n-2,-2,-2\n")
+    code, out, _ = run_cli(capsys, "dim-secant", f"matrix:{chart}", "--r", "1")
+    assert json.loads(out)["variety_dim"] == 1

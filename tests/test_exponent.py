@@ -131,6 +131,9 @@ def test_normalize_idempotent_and_span_preserving():
 def test_normalize_rejects_inhomogeneous():
     with pytest.raises(HomogeneityError):
         normalize(ExponentMatrix(((1, 0), (2, 0))))
+    # equal column sums of 0 do not put the all-ones vector in the span
+    with pytest.raises(HomogeneityError, match="not projectively homogeneous"):
+        normalize(ExponentMatrix(((1, -1, 0), (-1, 1, 0))))
 
 
 def test_csv_round_trip(tmp_path):

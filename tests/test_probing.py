@@ -1,11 +1,12 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from conftest import rational_normal_curve
 
 from toricdim import ALTERNATE_PRIMES, RunConfig, hadamard_dimension, probing
-from toricdim.cli import parse_descriptor
+from toricdim.cli import main, parse_descriptor
 from toricdim.exponent import column_degrees
 from toricdim.secantdim import eta_secant
 
@@ -33,7 +34,7 @@ def least_trials(degree, prime):
 
 
 def test_probe_stops_at_the_target(monkeypatch):
-    cfg = RunConfig(trials=3, seed=10, max_retries=5)
+    cfg = RunConfig(trials=3, seed=10)
     result, draws = draw_schedule(monkeypatch, cfg, 6)
     assert (result.rank, result.prime, result.attempts, result.retried) == (
         6, cfg.prime, 1, False
@@ -43,23 +44,36 @@ def test_probe_stops_at_the_target(monkeypatch):
 
 def test_probe_short_of_its_target_runs_the_whole_ladder(monkeypatch):
     # sigma_3 of the rational normal curve in P^8 has rank 6 < 7: every trial
-    # and every retry runs, the last two on the alternate primes.
-    cfg = RunConfig(trials=3, seed=10, max_retries=5)
+    # runs, then one draw at each alternate prime.
+    cfg = RunConfig(trials=3, seed=10)
     result, draws = draw_schedule(monkeypatch, cfg, 7)
-    assert (result.rank, result.attempts, result.retried) == (6, 8, True)
+    assert (result.rank, result.attempts, result.retried) == (6, 5, True)
     assert result.prime == cfg.prime
-    assert draws == [(10 + i, cfg.prime) for i in range(6)] + [
-        (16, ALTERNATE_PRIMES[0]), (17, ALTERNATE_PRIMES[1])
+    assert draws == [(10 + i, cfg.prime) for i in range(3)] + [
+        (13, ALTERNATE_PRIMES[0]), (14, ALTERNATE_PRIMES[1])
     ]
 
 
-def test_probe_without_retries_stops_after_the_trials(monkeypatch):
-    for retries in (0, 1):
-        cfg = RunConfig(trials=2, seed=0, max_retries=retries)
-        result, draws = draw_schedule(monkeypatch, cfg, 7)
-        assert result.attempts == 2 + retries
-        assert result.retried == (retries > 0)
-        assert draws == [(i, cfg.prime) for i in range(2 + retries)]
+def test_every_short_probe_ends_at_both_alternate_primes(monkeypatch, capsys):
+    for trials in (1, 2, 3, None):
+        cfg = RunConfig(trials=trials)
+        with monkeypatch.context() as mp:
+            result, draws = draw_schedule(mp, cfg, 7)
+        t = result.trials
+        assert t == (trials or least_trials(96, cfg.prime))
+        assert draws == [(i, cfg.prime) for i in range(t)] + [
+            (t, ALTERNATE_PRIMES[0]), (t + 1, ALTERNATE_PRIMES[1])
+        ]
+        assert (result.attempts, result.retried) == (t + 2, True)
+        assert result.primes_tried == (cfg.prime, *ALTERNATE_PRIMES)
+    # With --prime at an alternate prime, the draw there counts towards the
+    # bound too, and the prime is listed once: (120 / (p - 1))^3 of 4 draws.
+    code = main(["dim-secant", "veronese:d=4,n=2", "--r", "5",
+                 "--prime", str(ALTERNATE_PRIMES[0])])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["attempts"], doc["trials"]) == (1, 4, 2)
+    assert doc["primes_tried"] == list(ALTERNATE_PRIMES)
+    assert doc["error_bound"] == 1.4094657650876813e-49
 
 
 def test_default_schedule_draws_the_budget_then_the_alternate_primes(monkeypatch):
