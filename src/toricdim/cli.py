@@ -214,7 +214,7 @@ def _text_or_json(args) -> str:
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(prime=args.prime, trials=args.trials, seed=args.seed)
+    return RunConfig(prime=args.prime, seed=args.seed)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -366,11 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--prime", type=int, default=RunConfig().prime,
                        help="modulus for the rank probes "
                             "(probable prime between 2^16 and 2^64)")
-    probe.add_argument("--trials", type=int, default=RunConfig().trials,
-                       help="point draws at --prime per probe, before one "
-                            "draw at each of two alternate primes (default: "
-                            "the fewest that bring the error bound of a "
-                            "probabilistic verdict to 2^-100 or below)")
     probe.add_argument("--seed", type=int, default=RunConfig().seed,
                        help="base seed; draw i of a probe uses seed + i")
     output = argparse.ArgumentParser(add_help=False)

@@ -23,7 +23,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._rational import rational_rank
 from .config import CACHE_SIZE
@@ -107,7 +107,23 @@ class ExponentMatrix:
         return rational_rank(self.entries + ((1,) * self.n_cols,)) == self.rank()
 
     def rank(self) -> int:
-        return _cached_rank(self.entries)
+        """Rank over Q, computed on the first call."""
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
+        return rational_rank(self.entries)
+
+    @cached_property
+    def column_degrees(self) -> tuple[int, int]:
+        """(D+, M), computed on the first use.
+
+        D+ = max_h sum_l max(A[l][h], 0) is the largest column degree counting
+        positive entries only; M = sum_l max_h max(-A[l][h], 0) is the degree of
+        the monomial that clears every negative exponent of one point's columns.
+        """
+        d_plus = max(sum(e for e in col if e > 0) for col in self.columns())
+        return d_plus, sum(max(0, -min(row)) for row in self.entries)
 
     def validate_variety(self) -> None:
         """Check the non-degeneracy contract for matrices used as varieties.
@@ -122,23 +138,6 @@ class ExponentMatrix:
             raise ValueError("degenerate matrix: duplicate columns")
         if not self.is_homogeneous():
             raise HomogeneityError("not projectively homogeneous")
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _cached_rank(entries: tuple[tuple[int, ...], ...]) -> int:
-    return rational_rank(entries)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def column_degrees(entries: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """(D+, M) of an exponent matrix, once per matrix.
-
-    D+ = max_h sum_l max(A[l][h], 0) is the largest column degree counting
-    positive entries only; M = sum_l max_h max(-A[l][h], 0) is the degree of
-    the monomial that clears every negative exponent of one point's columns.
-    """
-    d_plus = max(sum(e for e in col if e > 0) for col in zip(*entries))
-    return d_plus, sum(max(0, -min(row)) for row in entries)
 
 
 # --- builders ---------------------------------------------------------------

@@ -95,7 +95,7 @@ def hadamard_dimension(
     probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
     probe = probe_max_rank(
         lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
-        mat.entries, probed.total_points, config, expected_h + 1, factors=probed.m,
+        mat, probed.total_points, config, expected_h + 1, factors=probed.m,
     )
     computed = probe.rank - 1
     defect = computed < expected_h

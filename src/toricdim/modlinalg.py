@@ -21,19 +21,21 @@ PRIME_LIMIT = 2**64
 # prime below).
 ALTERNATE_PRIMES = (2305843009213693967, 2305843009213693921)
 
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sinclair's bases: with every base that is 0 mod n skipped, Miller-Rabin on
 # them is deterministic for n < 2^64.
 _BASES_BELOW_2_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases, after trial division by the primes up
-    to 37: deterministic for n < 2^64 with Sinclair's seven bases, and for
-    n < 3.3e24 with the twelve primes up to 37 as bases."""
+    """Miller-Rabin with Sinclair's seven bases, after trial division by the
+    primes up to 37: deterministic for n < 2^64.  ValueError for n >= 2^64,
+    which no modulus of the package reaches."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is not below 2^64")
     if n < 2:
         return False
-    for q in _MILLER_RABIN_BASES:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -41,7 +43,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES_BELOW_2_64 if n < 2**64 else _MILLER_RABIN_BASES:
+    for a in _BASES_BELOW_2_64:
         a %= n
         if a == 0:
             continue

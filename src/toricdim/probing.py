@@ -16,15 +16,15 @@ ambient bound), so the loop may stop as soon as the target is reached: the
 reported maximum is identical to running every draw.
 
 Every probe runs one draw schedule, cut short once the target is reached:
-`trials` draws at the configured prime, then one draw at each of the two
-alternate primes.  By default the error budget sets `trials`.  A g x g
-minor of eta (x) A, times the monomial that clears negative exponents, is a
-polynomial of degree at most `minor_degree` in the point coordinates, so by
-Schwartz-Zippel (Schwartz, JACM 1980; Zippel 1979) one uniform draw from
-(F_p^*)^n misses a rank that is there with probability at most
-deg / (p - 1), and `trials` is the least t with (deg / (p - 1))^t <= 2^-100.
-The bound assumes that p divides no coefficient of the minor; the draws at
-the alternate primes cover that case.
+t draws at the configured prime, then one draw at each of the two alternate
+primes, where the error budget sets t.  A g x g minor of eta (x) A, times
+the monomial that clears negative exponents, is a polynomial of degree at
+most `minor_degree` in the point coordinates, so by Schwartz-Zippel
+(Schwartz, JACM 1980; Zippel 1979) one uniform draw from (F_p^*)^n misses a
+rank that is there with probability at most deg / (p - 1), and t is the
+least with (deg / (p - 1))^t <= 2^-100.  The bound assumes that p divides
+no coefficient of the minor; the draws at the alternate primes cover that
+case.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from typing import Callable
 from . import kernels
 from ._kernels_py import eta_of_columns
 from .config import RunConfig
-from .exponent import column_degrees
+from .exponent import ExponentMatrix
 from .modlinalg import ALTERNATE_PRIMES, random_torus_points
 
-# The error budget of the default draw schedule: 2^-ERROR_BUDGET_BITS.
+# The error budget of the draw schedule: 2^-ERROR_BUDGET_BITS.
 ERROR_BUDGET_BITS = 100
 
 
@@ -85,15 +85,15 @@ class ProbeResult:
     retried: bool  # drew past the first `trials` draws
     trials: int  # draws scheduled at the configured prime before the alternates
     primes_tried: tuple[int, ...]  # distinct moduli, in the order first drawn
-    error_bound: float  # (deg / (p - 1))^(draws at p) capped at 1; 0.0 at the target
+    error_bound: float  # (deg / (p - 1))^(draws at p); 0.0 at the target
 
 
-def minor_degree(rows, factors: int, n_points: int) -> int:
+def minor_degree(mat: ExponentMatrix, factors: int, n_points: int) -> int:
     """Degree g(m+1)D+ + gRM, in the point coordinates, of a g x g minor of
     eta (x) A times the monomial that clears negative exponents: m factors,
-    R points, g = min(R * rows, columns), (D+, M) = `column_degrees(rows)`."""
-    d_plus, clearing = column_degrees(rows)
-    g = min(n_points * len(rows), len(rows[0]))
+    R points, g = min(R * rows, columns), (D+, M) = `mat.column_degrees`."""
+    d_plus, clearing = mat.column_degrees
+    g = min(n_points * mat.n_rows, mat.n_cols)
     return g * ((factors + 1) * d_plus + n_points * clearing)
 
 
@@ -104,7 +104,7 @@ def budget_trials(degree: int, prime: int) -> int:
     if 2 * degree > prime - 1:
         raise ValueError(
             f"no error budget at prime {prime}: the minors have degree up to "
-            f"{degree}, above (p - 1)/2; use a larger prime or set the trials"
+            f"{degree}, above (p - 1)/2; use a larger prime"
         )
     t = 1
     while degree**t << ERROR_BUDGET_BITS > (prime - 1) ** t:
@@ -114,24 +114,23 @@ def budget_trials(degree: int, prime: int) -> int:
 
 def probe_max_rank(
     eta_at: Callable[[list, tuple, int], list],
-    rows: tuple[tuple[int, ...], ...],
+    mat: ExponentMatrix,
     n_points: int,
     config: RunConfig,
     target_rank: int,
     factors: int = 1,
 ) -> ProbeResult:
-    """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws.
+    """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws,
+    where rows = `mat.entries`.
 
     `factors` is the number of Hadamard factors of `eta_at` (1 for a
-    secant).  Draw i uses stream seed + i: the first `trials` draws are at
-    `config.prime`, the last two at the alternate primes; `budget_trials`
-    sets `trials` when the config leaves it None.  The loop stops as soon as
-    the target rank is reached.
+    secant).  Draw i uses stream seed + i: the first `budget_trials` draws
+    are at `config.prime`, the last two at the alternate primes.  The loop
+    stops as soon as the target rank is reached.
     """
-    degree = minor_degree(rows, factors, n_points)
-    trials = config.trials
-    if trials is None:
-        trials = budget_trials(degree, config.prime)
+    degree = minor_degree(mat, factors, n_points)
+    trials = budget_trials(degree, config.prime)
+    rows = mat.entries
     best = -1
     best_prime = config.prime
     attempts = 0
@@ -150,8 +149,7 @@ def probe_max_rank(
             best_prime = prime
     error_bound = 0.0
     if best < target_rank:
-        miss = min(Fraction(degree, config.prime - 1), 1)
-        error_bound = float(miss**at_prime)
+        error_bound = float(Fraction(degree, config.prime - 1) ** at_prime)
     return ProbeResult(
         best, best_prime, attempts, attempts > trials, trials, tuple(tried), error_bound
     )

@@ -84,7 +84,7 @@ def _secant_dimension_cached(
     expected = expected_secant_dim(ambient, dim_x, R)
     # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most that.
     probe = probe_max_rank(
-        eta_secant, mat.entries, min(R, ambient + 1), config, expected + 1, factors=1
+        eta_secant, mat, min(R, ambient + 1), config, expected + 1, factors=1
     )
     computed = probe.rank - 1
     defect = computed < expected

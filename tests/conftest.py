@@ -32,7 +32,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def config():
-    return RunConfig(trials=3, seed=0)
+    return RunConfig(seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from toricdim import (
 from toricdim.hadamdim import eta_hadamard
 from toricdim.secantdim import eta_secant
 
-CFG = RunConfig(trials=3, seed=0)
+CFG = RunConfig(seed=0)
 
 
 def _record(criterion: int, title: str, ok: bool, detail: str) -> None:

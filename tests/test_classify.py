@@ -142,7 +142,7 @@ def test_generic_hrank_formula_high_degree():
 
 
 def test_formula_matches_probe_off_boundary():
-    cfg = RunConfig(trials=3, seed=0)
+    cfg = RunConfig(seed=0)
     cases = [
         (("veronese", (3, 2), 2), VarietyDescriptor.veronese(3, 2)),
         (("veronese", (3, 1), 3), VarietyDescriptor.veronese(3, 1)),
@@ -159,7 +159,7 @@ def test_formula_boundary_divergence_documented():
     formula numerator C(n+d,d) - n land on opposite sides of an integer; the
     probe then fills one power earlier than the closed form predicts."""
     formula = generic_hrank_formula("veronese", (4, 2), 2)
-    probe = generic_hrank(VarietyDescriptor.veronese(4, 2), 2, RunConfig(trials=3, seed=0))
+    probe = generic_hrank(VarietyDescriptor.veronese(4, 2), 2, RunConfig(seed=0))
     assert formula == 5
     assert probe.found_m == 4
     assert probe.status == "found"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdim import ALTERNATE_PRIMES, VarietyDescriptor, _kernels_py, kernels, secantdim
+from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim
 from toricdim.cli import (
     DescriptorError,
     SCHEMA_VERSION,
@@ -163,12 +163,6 @@ def test_dim_secant_without_an_error_budget(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "240000" in err and "65537" in err
-    # Explicit trials still run, with a bound that says nothing.
-    code, out, _ = run_cli(capsys, *argv, "--trials", "2")
-    doc = json.loads(out)
-    assert code == 1 and doc["status"] == "defective (probabilistic)"
-    assert (doc["trials"], doc["attempts"], doc["error_bound"]) == (2, 4, 1.0)
-    assert doc["primes_tried"] == [65537, *ALTERNATE_PRIMES]
 
 
 def test_dim_hadamard_json_values(capsys):
@@ -341,8 +335,9 @@ def test_usage_errors_return_2(capsys):
         assert code == 2 and out == ""
         assert f"error: {argv[0]} writes text or json, not csv" in err
 
-    # only the probing commands take --prime, --trials and --seed; the demo
-    # has its own --seed, the support check none; no command takes --retries
+    # only the probing commands take --prime and --seed; the demo has its
+    # own --seed, the support check none; no command takes --trials or
+    # --retries, whatever their value
     for argv in (
         ["binomial-check", "F", "--prime", "4"],
         ["binomial-check", "F", "--trials", "0"],
@@ -355,6 +350,10 @@ def test_usage_errors_return_2(capsys):
         ["dim-hadamard", "veronese:d=4,n=2", "--r", "2,2", "--retries", "2"],
         ["generic-hrank", "rnc:8", "--r", "1", "--retries", "2"],
         ["verify-table", "binary", "--retries", "2"],
+        ["dim-secant", "rnc:3", "--r", "2", "--trials", "10000000000000000000"],
+        ["dim-hadamard", "veronese:d=4,n=2", "--r", "2,2", "--trials", "2"],
+        ["generic-hrank", "rnc:8", "--r", "1", "--trials", "1"],
+        ["verify-table", "binary", "--trials", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

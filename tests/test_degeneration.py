@@ -59,7 +59,7 @@ def test_lower_bound_matches_secant_probe():
     rep = demo_instance()
     assert rep.dim_lower_bound == 7
     probe = secant_dimension(
-        VarietyDescriptor.rnc(8), 4, RunConfig(trials=3, seed=0)
+        VarietyDescriptor.rnc(8), 4, RunConfig(seed=0)
     )
     assert rep.dim_lower_bound == probe.computed_dim
 

@@ -17,7 +17,7 @@ from toricdim import (
     read_matrix_csv,
     segre_veronese,
 )
-from toricdim import exponent
+from toricdim import exponent, probing
 from toricdim._rational import rational_rank
 from toricdim.exponent import homogeneous_exponents
 
@@ -134,6 +134,17 @@ def test_normalize_rejects_inhomogeneous():
     # equal column sums of 0 do not put the all-ones vector in the span
     with pytest.raises(HomogeneityError, match="not projectively homogeneous"):
         normalize(ExponentMatrix(((1, -1, 0), (-1, 1, 0))))
+
+
+def test_column_degrees_with_negative_exponents():
+    mat = ExponentMatrix(((1, 1, 1, 1), (0, -1, 2, -3), (0, 2, -1, 1)))
+    # D+: the positive parts of the columns sum to 1, 3, 3, 2.  M: the most
+    # negative entries of the rows are 0, -3, -1.
+    assert mat.column_degrees == (3, 4)
+    # Two points: g = min(2 * 3, 4) = 4, deg = 4 * (2 * 3 + 2 * 4).
+    assert probing.minor_degree(mat, 1, 2) == 56
+    # Two factors of two points each, three points in all.
+    assert probing.minor_degree(mat, 2, 3) == 4 * (3 * 3 + 3 * 4)
 
 
 def test_csv_round_trip(tmp_path):

@@ -26,7 +26,7 @@ from toricdim.hadamdim import (
 )
 from toricdim.secantdim import eta_secant
 
-CFG = RunConfig(trials=3, seed=0)
+CFG = RunConfig(seed=0)
 P = 101
 
 

@@ -89,6 +89,14 @@ def test_miller_rabin_below_2_64_agrees_with_the_twelve_prime_bases():
     assert is_probable_prime(2**64 - 59)  # the largest prime below 2^64
 
 
+def test_primality_is_decided_below_2_64_only():
+    # No modulus of the package reaches 2^64: RunConfig refuses such a
+    # prime first, and the exact ranks use primes below 2^61.
+    for n in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError, match="not below 2\\^64"):
+            is_probable_prime(n)
+
+
 def test_eval_monomial_at_ones():
     rows = rational_normal_curve(6).entries
     assert kernels.eval_columns_mod(rows, [1, 1], P) == [1] * 7
@@ -132,6 +140,8 @@ def test_matrix_rank_goldens():
         RunConfig(prime=2305843009213693953)  # composite
     with pytest.raises(ValueError):
         RunConfig(prime=18446744073709551629)  # prime, but above 2^64
+    with pytest.raises(TypeError):
+        RunConfig(trials=3)  # the error budget alone sets the draws
 
 
 def test_matrix_rank_rational_matches_modular_small_entries():

@@ -7,10 +7,9 @@ from conftest import rational_normal_curve
 
 from toricdim import ALTERNATE_PRIMES, RunConfig, hadamard_dimension, probing
 from toricdim.cli import main, parse_descriptor
-from toricdim.exponent import column_degrees
 from toricdim.secantdim import eta_secant
 
-ROWS = rational_normal_curve(8).entries
+MAT = rational_normal_curve(8)
 # The smallest prime RunConfig accepts: p - 1 = 2^16.
 SMALL_PRIME = 65537
 
@@ -24,7 +23,7 @@ def draw_schedule(monkeypatch, config, target_rank, n_points=3):
         return original(count, width, seed, prime)
 
     monkeypatch.setattr(probing, "random_torus_points", recorded)
-    result = probing.probe_max_rank(eta_secant, ROWS, n_points, config, target_rank)
+    result = probing.probe_max_rank(eta_secant, MAT, n_points, config, target_rank)
     return result, draws
 
 
@@ -34,7 +33,7 @@ def least_trials(degree, prime):
 
 
 def test_probe_stops_at_the_target(monkeypatch):
-    cfg = RunConfig(trials=3, seed=10)
+    cfg = RunConfig(seed=10)
     result, draws = draw_schedule(monkeypatch, cfg, 6)
     assert (result.rank, result.prime, result.attempts, result.retried) == (
         6, cfg.prime, 1, False
@@ -42,32 +41,10 @@ def test_probe_stops_at_the_target(monkeypatch):
     assert draws == [(10, cfg.prime)]
 
 
-def test_probe_short_of_its_target_runs_the_whole_ladder(monkeypatch):
-    # sigma_3 of the rational normal curve in P^8 has rank 6 < 7: every trial
-    # runs, then one draw at each alternate prime.
-    cfg = RunConfig(trials=3, seed=10)
-    result, draws = draw_schedule(monkeypatch, cfg, 7)
-    assert (result.rank, result.attempts, result.retried) == (6, 5, True)
-    assert result.prime == cfg.prime
-    assert draws == [(10 + i, cfg.prime) for i in range(3)] + [
-        (13, ALTERNATE_PRIMES[0]), (14, ALTERNATE_PRIMES[1])
-    ]
-
-
-def test_every_short_probe_ends_at_both_alternate_primes(monkeypatch, capsys):
-    for trials in (1, 2, 3, None):
-        cfg = RunConfig(trials=trials)
-        with monkeypatch.context() as mp:
-            result, draws = draw_schedule(mp, cfg, 7)
-        t = result.trials
-        assert t == (trials or least_trials(96, cfg.prime))
-        assert draws == [(i, cfg.prime) for i in range(t)] + [
-            (t, ALTERNATE_PRIMES[0]), (t + 1, ALTERNATE_PRIMES[1])
-        ]
-        assert (result.attempts, result.retried) == (t + 2, True)
-        assert result.primes_tried == (cfg.prime, *ALTERNATE_PRIMES)
-    # With --prime at an alternate prime, the draw there counts towards the
-    # bound too, and the prime is listed once: (120 / (p - 1))^3 of 4 draws.
+def test_every_short_probe_ends_at_both_alternate_primes(capsys):
+    # Even with --prime at an alternate prime, a short probe ends with one
+    # draw at each: the draw there counts towards the bound too, and the
+    # prime is listed once: (120 / (p - 1))^3 of 4 draws.
     code = main(["dim-secant", "veronese:d=4,n=2", "--r", "5",
                  "--prime", str(ALTERNATE_PRIMES[0])])
     doc = json.loads(capsys.readouterr().out)
@@ -77,8 +54,10 @@ def test_every_short_probe_ends_at_both_alternate_primes(monkeypatch, capsys):
 
 
 def test_default_schedule_draws_the_budget_then_the_alternate_primes(monkeypatch):
-    # Three points of rnc:8 (2 x 9): g = min(3 * 2, 9) = 6, m = 1, D+ = 8, so
-    # deg = 6 * 2 * 8 = 96, and 96 / (2^61 - 2) > 2^-100 >= its square.
+    # sigma_3 of the rational normal curve in P^8 has rank 6 < 7, so every
+    # draw of the schedule runs.  Three points of rnc:8 (2 x 9):
+    # g = min(3 * 2, 9) = 6, m = 1, D+ = 8, so deg = 6 * 2 * 8 = 96, and
+    # 96 / (2^61 - 2) > 2^-100 >= its square.
     cfg = RunConfig(seed=10)
     result, draws = draw_schedule(monkeypatch, cfg, 7)
     assert draws == [
@@ -104,7 +83,7 @@ def test_budget_at_a_prime_just_above_2_16(monkeypatch, n_points, degree):
     # g = min(2 * R, 9) and deg = g * 2 * 8.  At R = 2, (2^6 / 2^16)^10 is
     # 2^-100 exactly, so t = 10 holds only with "<=".  The target is one
     # above the shape ceiling 2R, so every draw of the schedule runs.
-    assert probing.minor_degree(ROWS, 1, n_points) == degree
+    assert probing.minor_degree(MAT, 1, n_points) == degree
     t = least_trials(degree, SMALL_PRIME)
     assert t == {64: 10, 96: 11}[degree]
     cfg = RunConfig(prime=SMALL_PRIME)
@@ -119,11 +98,11 @@ def test_budget_at_a_prime_just_above_2_16(monkeypatch, n_points, degree):
 
 def test_no_error_budget_raises_before_any_draw(monkeypatch):
     # rnc:2000 at 20 points: deg = min(40, 2001) * 2 * 2000 = 160000 >= p - 1.
-    rows = rational_normal_curve(2000).entries
+    mat = rational_normal_curve(2000)
     draws = []
     monkeypatch.setattr(probing, "random_torus_points", lambda *a: draws.append(a))
     with pytest.raises(ValueError, match="prime 65537: .* degree up to 160000"):
-        probing.probe_max_rank(eta_secant, rows, 20, RunConfig(prime=SMALL_PRIME), 41)
+        probing.probe_max_rank(eta_secant, mat, 20, RunConfig(prime=SMALL_PRIME), 41)
     assert draws == []
 
 
@@ -137,26 +116,13 @@ def test_the_budget_allows_at_most_100_draws():
         probing.budget_trials(2**15 + 1, SMALL_PRIME)
 
 
-def test_column_degrees_with_negative_exponents(tmp_path):
-    path = tmp_path / "chart.csv"
-    path.write_text("1,1,1,1\n0,-1,2,-3\n0,2,-1,1\n")
-    entries = parse_descriptor(f"matrix:{path}").matrix().entries
-    # D+: the positive parts of the columns sum to 1, 3, 3, 2.  M: the most
-    # negative entries of the rows are 0, -3, -1.
-    assert column_degrees(entries) == (3, 4)
-    # Two points: g = min(2 * 3, 4) = 4, deg = 4 * (2 * 3 + 2 * 4).
-    assert probing.minor_degree(entries, 1, 2) == 56
-    # Two factors of two points each, three points in all.
-    assert probing.minor_degree(entries, 2, 3) == 4 * (3 * 3 + 3 * 4)
-
-
 def test_the_hadamard_probe_bounds_its_degree_with_its_factors(monkeypatch):
     calls = []
     original = probing.minor_degree
 
-    def recorded(rows, factors, n_points):
-        calls.append((len(rows), factors, n_points))
-        return original(rows, factors, n_points)
+    def recorded(mat, factors, n_points):
+        calls.append((mat.n_rows, factors, n_points))
+        return original(mat, factors, n_points)
 
     monkeypatch.setattr(probing, "minor_degree", recorded)
     rep = hadamard_dimension(parse_descriptor("veronese:d=2,n=4"), (2, 2, 2))

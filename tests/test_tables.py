@@ -9,7 +9,7 @@ from toricdim.cli import report_dict
 from toricdim.config import CACHE_SIZE, RunConfig
 from toricdim.tables import _sweep_until_saturated, _tuples_with_index, run_table
 
-CFG = RunConfig(trials=3, seed=0)
+CFG = RunConfig(seed=0)
 
 
 def test_tuples_with_index_enumeration():
@@ -102,7 +102,7 @@ def test_unknown_table_rejected():
 def test_memoised_functions_are_bounded():
     # Long sweeps must not grow memory without bound: every lru_cache in the
     # package keeps at most config.CACHE_SIZE entries.  The package memoises
-    # exactly these four functions, the ones a sweep reuses; a new cache
+    # exactly these two functions, the ones a sweep reuses; a new cache
     # must be added here.
     modules = [
         importlib.import_module(f"toricdim.{m.name}")
@@ -115,8 +115,6 @@ def test_memoised_functions_are_bounded():
         if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
     }
     assert set(cached) == {
-        "toricdim.exponent._cached_rank",
-        "toricdim.exponent.column_degrees",
         "toricdim.exponent._descriptor_matrix",
         "toricdim.secantdim._secant_dimension_cached",
     }
