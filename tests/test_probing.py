@@ -41,6 +41,22 @@ def test_probe_stops_at_the_target(monkeypatch):
     assert draws == [(10, cfg.prime)]
 
 
+def test_probe_short_of_its_target_runs_the_whole_ladder(monkeypatch):
+    # sigma_2 of the rational normal curve in P^8 has rank 4 < 5: every draw
+    # of the budget runs, then one draw at each alternate prime.  Two points:
+    # g = min(2 * 2, 9) = 4, so deg = 4 * 2 * 8 = 64.
+    cfg = RunConfig(seed=20)
+    result, draws = draw_schedule(monkeypatch, cfg, 5, n_points=2)
+    t = least_trials(64, cfg.prime)
+    assert t == result.trials == 2
+    assert (result.rank, result.prime, result.attempts, result.retried) == (
+        4, cfg.prime, t + 2, True
+    )
+    assert draws == [(20 + i, cfg.prime) for i in range(t)] + [
+        (20 + t, ALTERNATE_PRIMES[0]), (21 + t, ALTERNATE_PRIMES[1])
+    ]
+
+
 def test_every_short_probe_ends_at_both_alternate_primes(capsys):
     # Even with --prime at an alternate prime, a short probe ends with one
     # draw at each: the draw there counts towards the bound too, and the
