@@ -1,9 +1,11 @@
-/* Compiled modular kernels, three entry points: rank_mod, kr_rank_mod (the
- * rank of a Khatri-Rao product) and eta_mod (the eta matrix of a probe
- * attempt, with the column monomials evaluated in place).
+/* Compiled modular kernels, four entry points: rank_mod, kr_rank_mod (the
+ * rank of a Khatri-Rao product), eta_mod (the eta matrix of a probe
+ * attempt, with the column monomials evaluated in place) and
+ * torus_points_mod (the uniform points of (F_p^*)^n a probe attempt is
+ * taken at, from a counter-based SplitMix64 stream).
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
- * the same moduli, malformed shapes and non-invertible pivots.
+ * the same moduli, malformed shapes, counts and non-invertible pivots.
  * Residues live in 64-bit words, so every modulus 2 <= p < 2^64 works.
  * One-off products go through unsigned __int128 and a 128-by-64-bit `%`
  * (mulmod); a row of products by one factor f takes Shoup's method, with
@@ -169,6 +171,32 @@ static void update_row(u64 *row, const Py_ssize_t *cols, const u64 *pt, int w, i
                 acc += (u128)fs[s] * pt[j * w + ts[s]];
             row[j] = submod(row[j], (u64)(acc % p), p);
         }
+    }
+}
+
+/* SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+ * generators", OOPSLA 2014): the golden-ratio increment, and the finalizer
+ * that turns a counter into a word. */
+#define GAMMA 0x9E3779B97F4A7C15ULL
+
+static inline u64 mix64(u64 z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* The top 64 - shift bits of the first word mix64(base + k GAMMA),
+ * k = 1, 2, ..., that lie in [1, p): uniform on {1, ..., p - 1} when
+ * 64 - shift is the bit length of p - 1, where each word is accepted with
+ * probability (p - 1) / 2^(64 - shift) >= 1/2. */
+static inline u64 draw_residue(u64 base, int shift, u64 p)
+{
+    for (;;) {
+        base += GAMMA;
+        u64 v = mix64(base) >> shift;
+        if (v != 0 && v < p)
+            return v;
     }
 }
 
@@ -599,6 +627,54 @@ done:
     return out;
 }
 
+/* Point i of torus_points_mod, a new tuple of `width` residues drawn from
+ * the stream s_i, or NULL with an exception. */
+static PyObject *torus_point(u64 s_i, Py_ssize_t width, int shift, u64 p)
+{
+    PyObject *point = PyTuple_New(width);
+    for (Py_ssize_t l = 0; point != NULL && l < width; l++) {
+        PyObject *x = PyLong_FromUnsignedLongLong(
+            draw_residue(mix64(s_i + (u64)(l + 1) * GAMMA), shift, p));
+        PyTuple_SET_ITEM(point, l, x);  /* a tuple with a NULL slot is safe to free */
+        if (x == NULL)
+            Py_CLEAR(point);
+    }
+    return point;
+}
+
+/* _kernels_py.torus_points_mod: with s = mix64(seed + GAMMA) and
+ * s_i = mix64(s + (i + 1) GAMMA), coordinate l of point i is
+ * draw_residue(mix64(s_i + (l + 1) GAMMA)), all mod 2^64. */
+static PyObject *torus_points_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"count", "width", "seed", "p", NULL};
+    PyObject *seed_obj, *p_obj, *out;
+    Py_ssize_t count, width;
+    u64 p, seed;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nnOO:torus_points_mod", kwlist,
+                                     &count, &width, &seed_obj, &p_obj)
+        || read_prime(p_obj, &p) < 0)
+        return NULL;
+    if (count < 0 || width < 1) {
+        PyErr_SetString(PyExc_ValueError, "need count >= 0 and width >= 1");
+        return NULL;
+    }
+    /* the seed mod 2^64, negative seeds included */
+    seed = PyLong_AsUnsignedLongLongMask(seed_obj);
+    if (seed == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    int shift = __builtin_clzll(p - 1);  /* 64 minus the bit length of p - 1 >= 1 */
+    u64 s = mix64(seed + GAMMA);
+    out = PyTuple_New(count);
+    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
+        PyObject *point = torus_point(mix64(s + (u64)(i + 1) * GAMMA), width, shift, p);
+        PyTuple_SET_ITEM(out, i, point);
+        if (point == NULL)
+            Py_CLEAR(out);
+    }
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"rank_mod", (PyCFunction)(void (*)(void))rank_mod, METH_VARARGS | METH_KEYWORDS,
      "Rank of an integer matrix over Z/p (entries reduced internally)."},
@@ -607,6 +683,10 @@ static PyMethodDef methods[] = {
     {"eta_mod", (PyCFunction)(void (*)(void))eta_mod, METH_VARARGS | METH_KEYWORDS,
      "eta over Z/p for the factors r_prime at the points (probing.eta): the\n"
      "monomials of `rows` evaluated and combined without Python arithmetic."},
+    {"torus_points_mod", (PyCFunction)(void (*)(void))torus_points_mod,
+     METH_VARARGS | METH_KEYWORDS,
+     "`count` points of (F_p^*)^width from the SplitMix64 stream of `seed`\n"
+     "(_kernels_py.torus_points_mod)."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -1,12 +1,13 @@
 """Pure-Python modular kernels: rank, Khatri-Rao rank, monomial evaluation,
-and the eta matrix of a probe attempt.
+the eta matrix of a probe attempt and the torus points it is taken at.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod and eta_mod exactly, with the same pivots,
-swaps and residues, so it returns identical values and raises ValueError on
-the same moduli (both take 2 <= p < 2^64), malformed shapes and
-non-invertible pivots.  It has no entry point of its own for
-eval_columns_mod: its eta_mod evaluates the monomials inside.
+mirrors rank_mod, kr_rank_mod, eta_mod and torus_points_mod exactly, with
+the same pivots, swaps, residues and SplitMix64 words, so it returns
+identical values and raises ValueError on the same moduli (both take
+2 <= p < 2^64), malformed shapes, counts and non-invertible pivots.  It has
+no entry point of its own for eval_columns_mod: its eta_mod evaluates the
+monomials inside.
 Only the arithmetic of the row updates differs, and when they are paid.
 Here the ranks eliminate on rows packed into one Python int each, so a row
 update is one big-int multiply-add, with the reduction mod p delayed
@@ -19,6 +20,12 @@ over the rationals.
 """
 
 from __future__ import annotations
+
+# SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014) works on 64-bit words, and its counter steps by
+# the golden-ratio increment.
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _check_modulus(p: int) -> None:
@@ -215,3 +222,47 @@ def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
     evaluated at each point."""
     _check_modulus(p)
     return eta_of_columns([eval_columns_mod(rows, pt, p) for pt in points], r_prime, p)
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit word: a bijection of [0, 2^64)."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def torus_points_mod(
+    count: int, width: int, seed: int, p: int
+) -> tuple[tuple[int, ...], ...]:
+    """`count` points of (F_p^*)^width, every coordinate uniform on
+    {1, ..., p - 1}, from a counter-based SplitMix64 stream.
+
+    With s = mix(seed + G), s_i = mix(s + (i + 1) G) and
+    s_il = mix(s_i + (l + 1) G), where G is SplitMix64's increment, mix its
+    finalizer and all sums are mod 2^64, coordinate l of point i is
+    v = w >> (64 - bitlen(p - 1)) for the first word w = mix(s_il + k G),
+    k = 1, 2, ..., with 1 <= v < p.  Rejection keeps the draw exactly
+    uniform, and accepts each word with probability at least 1/2.  Each
+    coordinate is a function of (seed mod 2^64, i, l) alone: the points for
+    `count` are a prefix of those for `count + 1`, and the same holds for
+    `width`.  ValueError unless 2 <= p < 2^64, count >= 0 and width >= 1.
+    """
+    _check_modulus(p)
+    if count < 0 or width < 1:
+        raise ValueError("need count >= 0 and width >= 1")
+    shift = 64 - (p - 1).bit_length()
+    s = _mix64((seed + _GAMMA) & _MASK64)
+    points = []
+    for i in range(1, count + 1):
+        s_i = _mix64((s + i * _GAMMA) & _MASK64)
+        point = []
+        for ell in range(1, width + 1):
+            z = _mix64((s_i + ell * _GAMMA) & _MASK64)
+            while True:
+                z = (z + _GAMMA) & _MASK64
+                v = _mix64(z) >> shift
+                if 0 < v < p:
+                    break
+            point.append(v)
+        points.append(tuple(point))
+    return tuple(points)

@@ -19,10 +19,11 @@ CACHE_SIZE = 1024
 class RunConfig:
     """The modulus of the rank probes and the seed of their point draws.
 
-    A probe's draw i takes its torus points from stream seed + i.  Its first
-    draws are at `prime`, as many as the error budget of `probing` sets from
-    the probe's degree bound; a probe that falls short of its target then
-    draws once at each alternate prime.
+    A probe's draw i takes its torus points from stream seed + i, taken
+    mod 2^64 (`modlinalg.random_torus_points`).  Its first draws are at
+    `prime`, as many as the error budget of `probing` sets from the probe's
+    degree bound; a probe that falls short of its target then draws once at
+    each alternate prime.
     """
 
     prime: int = DEFAULT_PRIME

@@ -3,15 +3,17 @@
 All dimension probes run over F_p at uniformly random torus points; ranks
 computed there are certified lower bounds for the characteristic-zero
 generic rank, since every nonvanishing minor is an integer polynomial
-identity.  The default prime is the Mersenne prime 2^61 - 1.  Exact ranks
-over Q (`_rational.rational_rank`) come from the same F_p eliminations at a
+identity.  The points come from the kernels' counter-based SplitMix64
+stream (`kernels.torus_points_mod`), exactly uniform on (F_p^*)^n.  The
+default prime is the Mersenne prime 2^61 - 1.  Exact ranks over Q
+(`_rational.rational_rank`) come from the same F_p eliminations at a
 sequence of primes that starts with these ones, certified by Hadamard's
 bound.
 """
 
 from __future__ import annotations
 
-import random
+from . import kernels
 
 DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1
 # Every prime must lie below this: the compiled kernels hold residues in
@@ -67,12 +69,10 @@ def random_torus_points(
 ) -> tuple[tuple[int, ...], ...]:
     """Draw `count` points with coordinates uniform in {1, ..., prime-1}.
 
-    Deterministic for fixed (count, width, seed, prime); callers derive
-    per-trial streams as seed + trial index.
+    Deterministic for fixed (count, width, seed mod 2^64, prime), and
+    coordinate l of point i depends on (seed mod 2^64, i, l) alone, so a
+    draw of fewer points or coordinates is a prefix of a larger one; callers
+    derive per-trial streams as seed + trial index.  ValueError unless
+    count >= 0 and width >= 1 (`kernels.torus_points_mod`).
     """
-    if count < 0 or width < 1:
-        raise ValueError("need count >= 0 and width >= 1")
-    rng = random.Random(seed)
-    return tuple(
-        tuple(rng.randrange(1, prime) for _ in range(width)) for _ in range(count)
-    )
+    return kernels.torus_points_mod(count, width, seed, prime)

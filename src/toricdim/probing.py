@@ -7,13 +7,16 @@ case (r' = (R - 1,)): `secantdim.eta_secant`, `hadamdim.eta_hadamard` and the
 two exact twins in `degeneration` are each one call into it.
 
 `probe_max_rank` draws torus points and keeps the maximum rank of
-eta (x) A seen.  Each attempt is two kernel calls: the engine's eta at the
-points, which is `kernels.eta_mod` (monomials evaluated and eta assembled in
-C on the compiled backend, `_kernels_py.eta_of_columns` on the pure one),
-then `kernels.kr_rank_mod`, which forms the Khatri-Rao product and computes
-its rank.  The target rank is a mathematical ceiling (parameter count or
-ambient bound), so the loop may stop as soon as the target is reached: the
-reported maximum is identical to running every draw.
+eta (x) A seen.  Each attempt is three kernel calls: the draw
+(`modlinalg.random_torus_points`, which is `kernels.torus_points_mod`, a
+counter-based SplitMix64 stream exactly uniform on (F_p^*)^n), the
+engine's eta at the points, which is `kernels.eta_mod` (monomials evaluated
+and eta assembled in C on the compiled backend,
+`_kernels_py.eta_of_columns` on the pure one), then `kernels.kr_rank_mod`,
+which forms the Khatri-Rao product and computes its rank.  The target rank
+is a mathematical ceiling (parameter count or ambient bound), so the loop
+may stop as soon as the target is reached: the reported maximum is
+identical to running every draw.
 
 Every probe runs one draw schedule, cut short once the target is reached:
 t draws at the configured prime, then one draw at each of the two alternate

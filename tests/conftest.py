@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from toricdim import RunConfig, segre_veronese
+from toricdim import RunConfig, kernels, secantdim, segre_veronese
 from toricdim.tables import run_table
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fastkernels.c"
+# The entry points of the compiled kernel, all of which `use_kernels` swaps;
+# test_kernels_parity fails when the compiled module has another one.
+KERNEL_NAMES = ("rank_mod", "kr_rank_mod", "eta_mod", "torus_points_mod")
 
 _acceptance_lines: list[str] = []
 
@@ -21,6 +24,16 @@ def record_acceptance(line: str) -> None:
 def rational_normal_curve(degree: int):
     """Degree-d rational normal curve in P^d (the n=1 Veronese)."""
     return segre_veronese((degree,), (1,))
+
+
+def use_kernels(impl, monkeypatch) -> None:
+    """Route every kernel entry point (`KERNEL_NAMES`) through `impl`, the
+    pure `_kernels_py` or a compiled module, for the rest of the test, and
+    forget the secant reports, which are memoised per config and not per
+    backend."""
+    for name in KERNEL_NAMES:
+        monkeypatch.setattr(kernels, name, getattr(impl, name))
+    secantdim._secant_dimension_cached.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

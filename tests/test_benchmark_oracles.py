@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from toricdim import _kernels_py, kernels, secantdim
+from conftest import use_kernels
+
+from toricdim import _kernels_py
 from toricdim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,10 +33,7 @@ COPIES = {
 
 
 def _run(impl, argv, capsys, monkeypatch) -> str:
-    for kernel in ("rank_mod", "kr_rank_mod", "eta_mod"):
-        monkeypatch.setattr(kernels, kernel, getattr(impl, kernel))
-    # Secant reports are memoised per config, not per backend.
-    secantdim._secant_dimension_cached.cache_clear()
+    use_kernels(impl, monkeypatch)
     assert main(argv.split()) == 0
     return capsys.readouterr().out
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdim import VarietyDescriptor, _kernels_py, kernels, secantdim
+from conftest import use_kernels
+
+from toricdim import VarietyDescriptor, _kernels_py
 from toricdim.cli import (
     DescriptorError,
     SCHEMA_VERSION,
@@ -127,10 +129,7 @@ def test_dim_secant_exit_codes(capsys):
 def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
     # A prime above 2^63, where `a + p - x` no longer fits in 64 bits.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
-    for name in ("rank_mod", "kr_rank_mod", "eta_mod"):
-        monkeypatch.setattr(kernels, name, getattr(impl, name))
-    # Secant reports are memoised per config, not per backend.
-    secantdim._secant_dimension_cached.cache_clear()
+    use_kernels(impl, monkeypatch)
     code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5",
                            "--prime", "17293822569102704683")
     assert code == 1  # Alexander-Hirschowitz defective: 13, not 14
@@ -144,8 +143,7 @@ def test_dim_secant_rejects_exponents_beyond_64_bits(
     # The compiled kernels read exponents as int64; both backends must refuse
     # such a matrix with a message instead of answering or raising.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
-    for name in ("rank_mod", "kr_rank_mod", "eta_mod"):
-        monkeypatch.setattr(kernels, name, getattr(impl, name))
+    use_kernels(impl, monkeypatch)
     path = tmp_path / "big.csv"
     path.write_text(f"1,1,1\n0,1,{2**70}\n")
     code, out, err = run_cli(capsys, "dim-secant", f"matrix:{path}", "--r", "1")

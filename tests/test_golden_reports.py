@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from toricdim import _kernels_py, kernels, secantdim
+from conftest import use_kernels
+
+from toricdim import _kernels_py
 from toricdim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,10 +58,7 @@ CASES = [
 
 
 def _check_report(impl, argv, code, name, capsys, monkeypatch):
-    for kernel in ("rank_mod", "kr_rank_mod", "eta_mod"):
-        monkeypatch.setattr(kernels, kernel, getattr(impl, kernel))
-    # Secant reports are memoised per config, not per backend.
-    secantdim._secant_dimension_cached.cache_clear()
+    use_kernels(impl, monkeypatch)
     monkeypatch.chdir(GOLDEN)
     assert main(argv.split()) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_normal_curve
+from conftest import KERNEL_NAMES, rational_normal_curve
 
-from toricdim import DEFAULT_PRIME, backend_name, is_probable_prime, normalize
+from toricdim import (
+    ALTERNATE_PRIMES, DEFAULT_PRIME, backend_name, is_probable_prime, normalize,
+)
 from toricdim import _kernels_py as py
 
 P64 = 17293822569102704683  # a prime above 2^63
@@ -68,6 +70,11 @@ def _kernel(impl, name):
 
 def test_backend_name_valid():
     assert backend_name() in ("c", "python")
+
+
+def test_kernel_names_are_the_compiled_entry_points(fast):
+    # `use_kernels` swaps exactly these names, so no backend swap misses one.
+    assert sorted(KERNEL_NAMES) == sorted(n for n in dir(fast) if not n.startswith("_"))
 
 
 def test_rank_mod_parity(fast):
@@ -362,10 +369,50 @@ def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
         ("rank_mod", ([[1, 2]], p)),
         ("kr_rank_mod", ([[1, 2]], [[3, 4]], p)),
         ("eta_mod", ([[1, 0], [0, 1]], (0,), [[2, 3]], p)),
+        ("torus_points_mod", (2, 3, 0, p)),
     ):
         message = _outcome(getattr(py, kernel), *args)
         assert message.startswith("modulus must be")
         assert _outcome(getattr(fast, kernel), *args) == message
+
+
+# The smallest moduli (p = 2 accepts half of all words, p = 3 and 5 as
+# few), the probes' primes, and primes on either side of 2^63 (the top word
+# bit) up to 2^64 - 59, where a coordinate is a whole 64-bit word.  Powers
+# of two, where p and p - 1 differ in bit length, and 2^64 - 1: the kernels
+# draw modulo any number they accept.
+TORUS_MODULI = [
+    2, 3, 5, 65537, DEFAULT_PRIME, *ALTERNATE_PRIMES, P63_ABOVE, P64_MAX,
+    4, 2**32, 2**63, 2**64 - 1,
+]
+TORUS_SEEDS = [0, 1, -1, 2**64 - 1, 2**64, 10**30]
+
+
+@functools.cache
+def _torus_cases():
+    """The pure points at every modulus and seed, and the ValueErrors of a
+    negative count and of a width below 1, before or after a bad modulus."""
+    cases = [
+        ("torus_points_mod", args, py.torus_points_mod(*args))
+        for p in TORUS_MODULI for seed in TORUS_SEEDS
+        for args in ((7, 11, seed, p), (0, 3, seed, p))
+    ]
+    shape = "need count >= 0 and width >= 1"
+    for args, message in (
+        ((-1, 3, 0, 101), shape), ((2, 0, 0, 101), shape), ((-3, -4, 5, 101), shape),
+        ((-1, 0, 0, 1), "modulus must be at least 2"),
+        ((-1, 0, 0, 2**64), "modulus must be below 2^64"),
+    ):
+        cases.append(("torus_points_mod", args, message))
+    return cases
+
+
+def test_torus_points_parity(fast):
+    _check((py, fast), _torus_cases())
+
+
+def test_sanitized_torus_points(fast_ubsan):
+    _check((fast_ubsan,), _torus_cases())
 
 
 def test_eval_columns_mod_parity_with_negative_exponents(fast):

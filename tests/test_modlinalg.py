@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from toricdim import (
     normalize,
     random_torus_points,
 )
-from toricdim._kernels_py import khatri_rao_mod
+from toricdim._kernels_py import _GAMMA, _mix64, khatri_rao_mod
 from toricdim._rational import rational_rank
 
 P = 101
@@ -164,3 +165,54 @@ def test_random_torus_points_deterministic_and_nonzero():
     assert all(1 <= x < DEFAULT_PRIME for pt in a for x in pt)
     with pytest.raises(ValueError):
         random_torus_points(2, 0, seed=0, prime=DEFAULT_PRIME)
+
+
+@pytest.mark.parametrize("prime", [2, 7, 65537, DEFAULT_PRIME, 2**64 - 59])
+def test_torus_points_are_prefixes_in_count_and_width(prime):
+    # Coordinate l of point i depends on (seed, i, l) alone, so fewer points
+    # or fewer coordinates are a prefix of the larger draw.
+    for seed in (0, 3, -8, 10**30):
+        full = random_torus_points(6, 9, seed, prime)
+        for count in range(7):
+            assert random_torus_points(count, 9, seed, prime) == full[:count]
+        for width in range(1, 10):
+            assert random_torus_points(6, width, seed, prime) == tuple(
+                pt[:width] for pt in full
+            )
+
+
+def test_torus_points_at_p_2_are_all_ones():
+    for seed in (0, 1, -1, 2**64 + 5):
+        assert random_torus_points(20, 30, seed, 2) == ((1,) * 30,) * 20
+
+
+def test_torus_points_at_p_7_cover_every_unit_evenly():
+    # 6000 coordinates from one fixed seed: no 0, and each of 1..6 within
+    # 1000 +- 150, more than five standard deviations (28.9) of a uniform
+    # draw.  Deterministic, so it cannot flake.
+    counts = Counter(x for pt in random_torus_points(600, 10, 7, 7) for x in pt)
+    assert set(counts) == {1, 2, 3, 4, 5, 6}
+    assert all(850 <= n <= 1150 for n in counts.values()), counts
+
+
+def test_torus_point_stream_is_pinned():
+    # A change to any value here changes what every `--seed` draws.  The
+    # finalizer is SplitMix64's: from state 0 its first three outputs are
+    # mix(G), mix(2G) and mix(3G).
+    assert [_mix64(k * _GAMMA % 2**64) for k in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+    assert random_torus_points(2, 3, 0, DEFAULT_PRIME) == (
+        (298942442631659597, 1363789690725485060, 1552549522523125764),
+        (942814116989221697, 193849678990778109, 1204660289087302322),
+    )
+    assert random_torus_points(1, 4, 7, 65537) == ((22509, 35383, 45520, 39932),)
+    assert random_torus_points(3, 3, 2024, 7) == ((1, 3, 4), (6, 6, 6), (1, 6, 5))
+
+
+def test_torus_point_seeds_are_taken_mod_2_64():
+    p = 2**64 - 59
+    assert random_torus_points(1, 2, -5, p) == ((15822894932597671876, 3316030652901877112),)
+    assert random_torus_points(1, 2, 5, p) == ((16363363981095120648, 14476900367427998618),)
+    for seed in (-5, 0, 5, 10**30):
+        assert random_torus_points(2, 3, seed, p) == random_torus_points(2, 3, seed + 2**64, p)
