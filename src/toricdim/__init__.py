@@ -50,7 +50,12 @@ from .modlinalg import (
     is_probable_prime,
     random_torus_points,
 )
-from .secantdim import SecantDimensionReport, expected_secant_dim, secant_dimension
+from .secantdim import (
+    SecantDimensionReport,
+    expected_secant_dim,
+    secant_dimension,
+    secant_dimensions,
+)
 from .tropical import Support, classify_support
 
 __version__ = "0.1.0"
@@ -86,6 +91,7 @@ __all__ = [
     "random_torus_points",
     "read_matrix_csv",
     "secant_dimension",
+    "secant_dimensions",
     "segre_veronese",
     "veronese_check_table",
 ]

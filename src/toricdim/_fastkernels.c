@@ -1,8 +1,10 @@
-/* Compiled modular kernels, four entry points: rank_mod, kr_rank_mod (the
+/* Compiled modular kernels, five entry points: rank_mod, kr_rank_mod (the
  * rank of a Khatri-Rao product), eta_mod (the eta matrix of a probe
- * attempt, with the column monomials evaluated in place) and
- * torus_points_mod (the uniform points of (F_p^*)^n a probe attempt is
- * taken at, from a counter-based SplitMix64 stream).
+ * attempt, with the column monomials evaluated in place), secant_ranks_mod
+ * (the ranks of a secant probe's Terracini blocks, one streamed
+ * elimination for every R) and torus_points_mod (the uniform points of
+ * (F_p^*)^n a probe attempt is taken at, from a counter-based SplitMix64
+ * stream).
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
  * the same moduli, malformed shapes, counts and non-invertible pivots.
@@ -23,8 +25,10 @@
  * (2^61 - 1, its alternates and the primes of exact ranks), and 1 once
  * p - 1 exceeds 2^63.5.  At 16, one `%` serves 16 multiply-adds: on a
  * 495 x 495 Khatri-Rao rank at 2^61 - 1, panels of 8 and 32 took 40 and
- * 48 ms where 16 took 37 ms.  Built by `python3 setup.py build_ext
- * --inplace`.
+ * 48 ms where 16 took 37 ms.  The secant stream eliminates row by row
+ * instead, each row against every pivot row found before it, and pays each
+ * panel of them with the same two updates (column_update, update_row).
+ * Built by `python3 setup.py build_ext --inplace`.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -160,10 +164,13 @@ static void update_row(u64 *row, const Py_ssize_t *cols, const u64 *pt, int w, i
         u64 fq = shoup_quotient(fs[0], p);
         for (Py_ssize_t j = from; j < to; j++)
             row[j] = submod(row[j], mulmod_shoup(pt[j * w + ts[0]], fs[0], fq, p), p);
-    } else if (n == k) {
+    } else if (n == PANEL) {
         /* a full panel gets a constant trip count, which gcc unrolls */
         for (Py_ssize_t j = from; j < to; j++)
-            row[j] = submod(row[j], (u64)(dot(fs, pt + j * w, k == PANEL ? PANEL : k) % p), p);
+            row[j] = submod(row[j], (u64)(dot(fs, pt + j * w, PANEL) % p), p);
+    } else if (n == k) {
+        for (Py_ssize_t j = from; j < to; j++)
+            row[j] = submod(row[j], (u64)(dot(fs, pt + j * w, k) % p), p);
     } else if (n > 1) {
         for (Py_ssize_t j = from; j < to; j++) {
             u128 acc = 0;
@@ -172,6 +179,18 @@ static void update_row(u64 *row, const Py_ssize_t *cols, const u64 *pt, int w, i
             row[j] = submod(row[j], (u64)(acc % p), p);
         }
     }
+}
+
+/* row[c] -= sum_t f_t P_t[c] mod p for t < k, the factors f_t = row[cols[t]]
+ * and P_t[c] = pt[c * w + t] as in update_row: column c of a row brought up
+ * to date by the first k pivots of a panel, before it is read. */
+static inline void column_update(u64 *row, const Py_ssize_t *cols, const u64 *pt, int w,
+                                 int k, Py_ssize_t c, u64 p)
+{
+    u128 acc = 0;
+    for (int t = 0; t < k; t++)
+        acc += (u128)row[cols[t]] * pt[c * w + t];
+    row[c] = submod(row[c], (u64)(acc % p), p);
 }
 
 /* SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -223,13 +242,8 @@ static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 
         Py_ssize_t start = c;
         int k = 0;
         for (; c < n_cols && rank < n_rows && k < w; c++) {
-            for (Py_ssize_t i = rank; k > 0 && i < n_rows; i++) {
-                u64 *row = m + i * n_cols;
-                u128 acc = 0;
-                for (int t = 0; t < k; t++)
-                    acc += (u128)row[cols[t]] * pt[c * w + t];
-                row[c] = submod(row[c], (u64)(acc % p), p);
-            }
+            for (Py_ssize_t i = rank; k > 0 && i < n_rows; i++)
+                column_update(m + i * n_cols, cols, pt, w, k, c, p);
             Py_ssize_t piv = rank;
             while (piv < n_rows && m[piv * n_cols + c] == 0)
                 piv++;
@@ -262,6 +276,20 @@ static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 
     return rank;
 }
 
+/* x^e mod p for e >= 1 and a residue x, from the table pw[1..*top] of the
+ * powers of x below POWERS, which it extends as far as e needs; larger
+ * powers by powmod.  An exponent row repeats a few small exponents. */
+#define POWERS 16
+
+static inline u64 power(u64 *pw, int *top, u64 x, u64 e, u64 p)
+{
+    if (e >= POWERS)
+        return powmod(x, e, p);
+    for (; *top < (int)e; (*top)++)
+        pw[*top + 1] = *top ? mulmod(pw[*top], x, p) : x;
+    return pw[e];
+}
+
 /* Every column monomial of the n_vars x n_cols exponent matrix `exps` (int64
  * stored as u64) at the point y (residues mod p), into acc.  A coordinate is
  * inverted only when its row has a negative exponent; returns -1 when that
@@ -273,15 +301,16 @@ static int eval_columns(const u64 *exps, Py_ssize_t n_vars, Py_ssize_t n_cols,
         acc[h] = 1;
     for (Py_ssize_t i = 0; i < n_vars; i++) {
         const u64 *row = exps + i * n_cols;
-        u64 inv = 0;
+        u64 inv = 0, pos[POWERS], neg[POWERS];
+        int top_pos = 0, top_neg = 0;
         for (Py_ssize_t h = 0; h < n_cols; h++) {
             int64_t e = (int64_t)row[h];
             if (e > 0) {
-                acc[h] = mulmod(acc[h], powmod(y[i], (u64)e, p), p);
+                acc[h] = mulmod(acc[h], power(pos, &top_pos, y[i], (u64)e, p), p);
             } else if (e < 0) {
                 if (inv == 0 && (inv = invmod(y[i], p)) == 0)
                     return -1;
-                acc[h] = mulmod(acc[h], powmod(inv, 0 - (u64)e, p), p);
+                acc[h] = mulmod(acc[h], power(neg, &top_neg, inv, 0 - (u64)e, p), p);
             }
         }
     }
@@ -326,6 +355,87 @@ static void assemble_eta(u64 *vals, const Py_ssize_t *rp, Py_ssize_t m, Py_ssize
     memcpy(vals, pre, n * sizeof(u64));
 }
 
+/* v mod p in [0, p), with Python's sign convention. */
+static inline u64 signed_residue(long long v, u64 p)
+{
+    u64 m = (v < 0 ? (u64)(-(v + 1)) + 1 : (u64)v) % p;
+    return (v < 0 && m) ? p - m : m;
+}
+
+/* row reduced by the first `rank` pivot rows of secant_stream's basis, in
+ * order: each is the factor f of the row at the pivot's column, brought up
+ * to date by the pivots before it, times the pivot row.  Pivot t is scaled
+ * to 1 at its column piv[t], and is 0 left of it and at every earlier
+ * pivot column.  The pivots fill panels of w = panel_width(p), each
+ * transposed as rank_buffer's pt: entry j of pivot t at
+ * basis[(t / w) n_cols w + j w + t % w], its own column left out.  The row
+ * pays each panel as rank_buffer's rows do, by column_update at each pivot
+ * column in turn and update_row on the rest; its entries at those columns
+ * are then 0 by construction, and are cleared. */
+static void reduce_row(u64 *row, const u64 *basis, const Py_ssize_t *piv, int w,
+                       Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+{
+    for (Py_ssize_t from = 0; from < rank; from += w) {
+        int k = rank - from < w ? (int)(rank - from) : w;
+        const Py_ssize_t *cols = piv + from;
+        const u64 *pt = basis + from * n_cols;
+        Py_ssize_t lo = cols[0];
+        for (int t = 1; t < k; t++) {
+            column_update(row, cols, pt, w, t, cols[t], p);
+            lo = cols[t] < lo ? cols[t] : lo;
+        }
+        update_row(row, cols, pt, w, k, lo, n_cols, p);
+        for (int t = 0; t < k; t++)
+            row[cols[t]] = 0;
+    }
+}
+
+/* The streamed Terracini elimination of secant_ranks_mod.  Block b is the
+ * n_vars rows of the exponent matrix A (exps; amod holds its residues),
+ * each scaled entrywise by phi(z_b), with z_0 = y_0 and z_b = y_0 y_b;
+ * ranks[b] is the rank of blocks 0..b.  Each row is reduced by every pivot
+ * row found before it (reduce_row), and the first nonzero entry left, if
+ * any, is a new pivot.  No block is built once the rank is n_cols.
+ * Returns 0, or -1 when a coordinate or a pivot has no inverse mod p.
+ * Scratch: row, v and z hold n_cols words each. */
+static int secant_stream(const u64 *exps, const u64 *amod, Py_ssize_t n_vars,
+                         Py_ssize_t n_cols, const u64 *ys, Py_ssize_t n_pts, u64 p,
+                         u64 *basis, Py_ssize_t *piv, u64 *row, u64 *v, u64 *z,
+                         Py_ssize_t *ranks)
+{
+    int w = panel_width(p);
+    Py_ssize_t rank = 0;
+    for (Py_ssize_t b = 0; b < n_pts; b++) {
+        u64 *phi = b == 0 ? v : z;
+        for (Py_ssize_t i = 0; i < n_vars && rank < n_cols; i++) {
+            if (i == 0) {
+                if (eval_columns(exps, n_vars, n_cols, ys + b * n_vars, p, phi) < 0)
+                    return -1;
+                for (Py_ssize_t h = 0; b > 0 && h < n_cols; h++)
+                    z[h] = mulmod(z[h], v[h], p);
+            }
+            const u64 *a = amod + i * n_cols;
+            for (Py_ssize_t h = 0; h < n_cols; h++)
+                row[h] = a[h] ? mulmod(phi[h], a[h], p) : 0;
+            reduce_row(row, basis, piv, w, n_cols, rank, p);
+            Py_ssize_t c = 0;
+            while (c < n_cols && row[c] == 0)
+                c++;
+            if (c == n_cols)
+                continue;
+            u64 inv = invmod(row[c], p);
+            if (inv == 0)
+                return -1;
+            u64 inv_q = shoup_quotient(inv, p), *pt = basis + rank / w * n_cols * w + rank % w;
+            for (Py_ssize_t j = 0; j < n_cols; j++)
+                pt[j * w] = j > c ? mulmod_shoup(row[j], inv, inv_q, p) : 0;
+            piv[rank++] = c;
+        }
+        ranks[b] = rank;
+    }
+    return 0;
+}
+
 /* x mod p in [0, p) with Python's sign convention; -1 with an exception set
  * on failure.  Integers beyond 64 bits go through Python's own `%`. */
 static int residue(PyObject *x, PyObject *p_obj, u64 p, u64 *out)
@@ -335,8 +445,7 @@ static int residue(PyObject *x, PyObject *p_obj, u64 p, u64 *out)
     if (v == -1 && PyErr_Occurred())
         return -1;
     if (!overflow) {
-        u64 m = (v < 0 ? (u64)(-(v + 1)) + 1 : (u64)v) % p;
-        *out = (v < 0 && m) ? p - m : m;
+        *out = signed_residue(v, p);
         return 0;
     }
     PyObject *r = PyNumber_Remainder(x, p_obj);
@@ -627,6 +736,64 @@ done:
     return out;
 }
 
+/* _kernels_py.secant_ranks_mod: the rank after each block of the stacked
+ * blocks phi(z_b) (x) rows at the points y_0, ..., y_{R-1} (secant_stream). */
+static PyObject *secant_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"rows", "points", "p", NULL};
+    PyObject *rows, *points, *p_obj, *out = NULL;
+    u64 p, *exps, *ys = NULL, *buf = NULL;
+    Py_ssize_t *ranks = NULL, n_vars, n_cols, n_pts, width;
+    int failed;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:secant_ranks_mod", kwlist,
+                                     &rows, &points, &p_obj)
+        || read_prime(p_obj, &p) < 0
+        || read_rows(rows, NULL, 0, &exps, &n_vars, &n_cols) < 0)
+        return NULL;
+    if (read_rows(points, p_obj, p, &ys, &n_pts, &width) < 0)
+        goto done;
+    if (n_vars > 0 && n_pts > 0 && width != n_vars) {
+        PyErr_SetString(PyExc_ValueError, "point length differs from the number of rows");
+        goto done;
+    }
+    /* rank <= max_rank = min(n_cols, n_pts n_vars), so the basis needs at
+     * most ceil(max_rank / w) panels; then amod, row, v and z */
+    int w = panel_width(p);
+    Py_ssize_t max_rank = n_vars > 0 && n_pts > n_cols / n_vars ? n_cols : n_pts * n_vars;
+    Py_ssize_t basis_words = (max_rank + w - 1) / w * w * n_cols;
+    if ((n_vars > 0 && check_nonzero(ys, n_pts * n_vars) < 0)
+        || (buf = PyMem_New(u64, basis_words + (n_vars + 3) * n_cols)) == NULL
+        || (ranks = PyMem_New(Py_ssize_t, n_pts + max_rank + 1)) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto done;
+    }
+    u64 *amod = buf + basis_words, *row = amod + n_vars * n_cols;
+    for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
+        amod[j] = signed_residue((int64_t)exps[j], p);
+    Py_BEGIN_ALLOW_THREADS
+    failed = secant_stream(exps, amod, n_vars, n_cols, ys, n_pts, p, buf, ranks + n_pts,
+                           row, row + n_cols, row + 2 * n_cols, ranks) < 0;
+    Py_END_ALLOW_THREADS
+    if (failed) {
+        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+        goto done;
+    }
+    out = PyList_New(n_pts);
+    for (Py_ssize_t b = 0; out != NULL && b < n_pts; b++) {
+        PyObject *x = PyLong_FromSsize_t(ranks[b]);
+        PyList_SET_ITEM(out, b, x);  /* a list with a NULL slot is safe to free */
+        if (x == NULL)
+            Py_CLEAR(out);
+    }
+done:
+    PyMem_Free(exps);
+    PyMem_Free(ys);
+    PyMem_Free(buf);
+    PyMem_Free(ranks);
+    return out;
+}
+
 /* Point i of torus_points_mod, a new tuple of `width` residues drawn from
  * the stream s_i, or NULL with an exception. */
 static PyObject *torus_point(u64 s_i, Py_ssize_t width, int shift, u64 p)
@@ -683,6 +850,10 @@ static PyMethodDef methods[] = {
     {"eta_mod", (PyCFunction)(void (*)(void))eta_mod, METH_VARARGS | METH_KEYWORDS,
      "eta over Z/p for the factors r_prime at the points (probing.eta): the\n"
      "monomials of `rows` evaluated and combined without Python arithmetic."},
+    {"secant_ranks_mod", (PyCFunction)(void (*)(void))secant_ranks_mod,
+     METH_VARARGS | METH_KEYWORDS,
+     "The rank of the Terracini blocks phi(y_0 y_b) (x) rows, b = 0 .. R - 1,\n"
+     "after each block (_kernels_py.secant_ranks_mod)."},
     {"torus_points_mod", (PyCFunction)(void (*)(void))torus_points_mod,
      METH_VARARGS | METH_KEYWORDS,
      "`count` points of (F_p^*)^width from the SplitMix64 stream of `seed`\n"

@@ -1,20 +1,22 @@
 """Pure-Python modular kernels: rank, Khatri-Rao rank, monomial evaluation,
-the eta matrix of a probe attempt and the torus points it is taken at.
+the eta matrix of a probe attempt, the ranks of a secant probe's Terracini
+blocks and the torus points a probe is taken at.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod, eta_mod and torus_points_mod exactly, with
-the same pivots, swaps, residues and SplitMix64 words, so it returns
-identical values and raises ValueError on the same moduli (both take
-2 <= p < 2^64), malformed shapes, counts and non-invertible pivots.  It has
-no entry point of its own for eval_columns_mod: its eta_mod evaluates the
-monomials inside.
+mirrors rank_mod, kr_rank_mod, eta_mod, secant_ranks_mod and
+torus_points_mod exactly, with the same pivots, swaps, residues and
+SplitMix64 words, so it returns identical values and raises ValueError on
+the same moduli (both take 2 <= p < 2^64), malformed shapes, counts and
+non-invertible pivots.  It has no entry point of its own for
+eval_columns_mod: its eta_mod and secant_ranks_mod evaluate the monomials
+inside.
 Only the arithmetic of the row updates differs, and when they are paid.
 Here the ranks eliminate on rows packed into one Python int each, so a row
 update is one big-int multiply-add, with the reduction mod p delayed
-(`_rank_reduced`).  The C elimination works in panels of up to 16 pivots:
-it brings a column or a pivot row up to date just before reading it, and
-every other entry once per panel, with one 128-bit sum of the panel's
-products and one reduction.
+(`_rank_reduced`, `secant_ranks_mod`).  The C elimination works in panels
+of up to 16 pivots: it brings a column or a pivot row up to date just
+before reading it, and every other entry once per panel, with one 128-bit
+sum of the panel's products and one reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for `probing.eta`,
 over the rationals.
 """
@@ -222,6 +224,68 @@ def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
     evaluated at each point."""
     _check_modulus(p)
     return eta_of_columns([eval_columns_mod(rows, pt, p) for pt in points], r_prime, p)
+
+
+def secant_ranks_mod(rows, points, p: int) -> list[int]:
+    """The rank after each block of a secant probe's Terracini blocks.
+
+    For the points y_0, ..., y_{R-1}, block b is phi(z_b) (x) rows: the rows
+    of the exponent matrix, each scaled entrywise by the column monomials
+    phi at z_0 = y_0 and z_b = y_0 y_b.  Row b >= 1 of `probing.eta` for the
+    first B points is phi(z_b), and row 0 is the sum of all of them, so the
+    rank after block B - 1 is exactly the rank of eta (x) rows at those
+    points (Terracini's lemma).
+
+    The rows are eliminated one by one: each is reduced by the pivot rows
+    found before it, in the order they were found (row - f P, with f the
+    row's entry at the pivot's column), and its first nonzero entry left,
+    if any, is a new pivot, whose row is scaled to 1 there.  The points are
+    checked before any block is built, and no block is built once the rank
+    is the column count.  Rows are packed into one int each, as in
+    `_rank_reduced`; an entry grows by at most (p - 1)^2 per pivot, so a
+    slot of 2 bitlen(p) + bitlen(n_cols + 1) bits holds it.
+    """
+    _check_modulus(p)
+    mat = _residues(rows, p)
+    pts = _residues(points, p)
+    n_cols = len(mat[0]) if mat else 0
+    if mat and pts and len(pts[0]) != len(mat):
+        raise ValueError("point length differs from the number of rows")
+    if mat and any(0 in pt for pt in pts):
+        raise ValueError("torus point has a coordinate divisible by the prime")
+    nbytes = (2 * p.bit_length() + (n_cols + 1).bit_length() + 7) // 8
+    width = 8 * nbytes
+    slot = (1 << width) - 1
+    basis = []  # (shift of the pivot column, packed pivot row), in order found
+    ranks = []
+    for b, point in enumerate(pts):
+        if len(basis) < n_cols:
+            phi = eval_columns_mod(rows, point, p)
+            if b == 0:
+                v = phi
+            else:
+                phi = [x * y % p for x, y in zip(phi, v)]
+            for a in mat:
+                row = _pack([x * y % p for x, y in zip(phi, a)], nbytes)
+                for shift, prow in basis:
+                    f = (row >> shift & slot) % p
+                    if f:
+                        row += (p - f) * prow
+                raw = row.to_bytes(nbytes * n_cols, "big")
+                entries = [int.from_bytes(raw[k:k + nbytes], "big") % p
+                           for k in range(0, len(raw), nbytes)]
+                c = next((c for c, x in enumerate(entries) if x), None)
+                if c is None:
+                    continue
+                inv = pow(entries[c], -1, p)
+                basis.append((
+                    width * (n_cols - 1 - c),
+                    _pack([x * inv % p for x in entries[c:]], nbytes),
+                ))
+                if len(basis) == n_cols:
+                    break
+        ranks.append(len(basis))
+    return ranks
 
 
 def _mix64(z: int) -> int:

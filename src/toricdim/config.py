@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
 # Entries kept by each memoised function (the matrix of a descriptor and the
-# secant report), so memory stays bounded in long sweeps.  The extended
-# experiments sweep asks for 201 distinct secant reports 1700 times (the
-# factor dimensions and the sigma_R lower bound of its 536 Hadamard reports)
-# and for 26 matrices 737 times each, so both caches keep all of their keys
-# there.
+# slot of a secant report), so memory stays bounded in long sweeps.  The
+# extended experiments sweep asks for 754 distinct secant reports 2773
+# times: its 37 sweeps prefetch every index 2..30 of their 26 varieties,
+# then take the factor dimensions and the sigma_R lower bound of its 536
+# Hadamard reports.  It looks up the 26 matrices 562 times.  Both caches
+# keep all of their keys there.
 CACHE_SIZE = 1024
 
 

@@ -286,10 +286,13 @@ def demo_points(
     positive sequence of at least two values, R < 2, the instance is beyond
     the exact verifier's limits or R exceeds the column count.
 
-    Resamples (bounded) when a draw is degenerate or not generic.  Reduced
-    mod DEFAULT_PRIME, the draw's secant coefficient matrix must have full
-    row rank R (so it has over Q too), and its Khatri-Rao product with the
-    matrix must reach the rank that product has at random F_p torus points.
+    Draw `attempt` seeds its candidate points with (seed + attempt) mod
+    2^64, as the F_p draws take their seeds, so a negative seed draws points
+    of its own.  Resamples (bounded) when a draw is degenerate or not
+    generic.  Reduced mod DEFAULT_PRIME, the draw's secant coefficient
+    matrix must have full row rank R (so it has over Q too), and its
+    Khatri-Rao product with the matrix must reach the rank that product has
+    at random F_p torus points.
     Once check (c) of `limit_check` holds, the limit product has the rank of
     that product over Q, which is at least its rank over F_p, so the
     certified bound is the generic one.  No column scaling entry can vanish
@@ -313,7 +316,7 @@ def demo_points(
     )
     values = range(LOW, max(HIGH, LOW + R - 2) + 1)
     for attempt in range(MAX_RESAMPLE):
-        rng = random.Random(seed + attempt)
+        rng = random.Random((seed + attempt) % 2**64)
         columns = [rng.sample(values, R - 1) for _ in range(abar.n_rows)]
         candidate = ((Fraction(1),) * abar.n_rows,) + tuple(
             tuple(Fraction(denom + a, denom) for a in pt) for pt in zip(*columns)

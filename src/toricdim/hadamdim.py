@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .probing import eta, probe_max_rank
-from .secantdim import expected_secant_dim, secant_dimension
+from .secantdim import expected_secant_dim, prefetch_secant_dimensions, secant_dimensions
 
 STATUS_EXPECTED = "expected dimension"
 STATUS_HDEFECTIVE = "Hadamard-defective (probabilistic)"
@@ -75,18 +75,17 @@ def hadamard_dimension(
     """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X).
 
     Not memoised: no caller asks for the same report twice.  The factor
-    dimensions and the sigma_R lower bound come from the memoised
-    `secant_dimension`, which a sweep does reuse.
+    dimensions and the sigma_R lower bound come from one call of the
+    memoised `secant_dimensions`, whose reports a sweep does reuse.
     """
     spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
     mat = descriptor.matrix()
     ambient = mat.ambient_dim
     dim_x = mat.rank() - 1
-    factor_dims = tuple(
-        secant_dimension(descriptor, rk, config).computed_dim for rk in spec.r
-    )
     R = spec.total_points
-    lower = secant_dimension(descriptor, R, config).computed_dim
+    *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, R), config)
+    factor_dims = tuple(rep.computed_dim for rep in factors)
+    lower = lower_rep.computed_dim
     parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
     expected_h = min(parameter_count, ambient)
     expected_big = expected_secant_dim(ambient, dim_x, R)
@@ -162,7 +161,8 @@ def generic_hrank(
     multiplicative relation among the coordinates that every Hadamard
     product of points of X satisfies and a generic point of P^N does not.
     The search reuses one seed family across m and stops HRANK_MARGIN steps
-    past the expected m.
+    past the expected m.  The secant reports of every m it may try are
+    probed together before it starts (`prefetch_secant_dimensions`).
     """
     mat = descriptor.matrix()
     ambient = mat.ambient_dim
@@ -179,8 +179,10 @@ def generic_hrank(
             str(descriptor), r, None, STATUS_INFINITE, None, (), ambient, dim_x
         )
     expected_m = expected_generic_hrank(ambient, dim_x, r)
+    powers = range(1, max(expected_m, 1) + HRANK_MARGIN + 1)
+    prefetch_secant_dimensions(descriptor, (r, *(m * (r - 1) + 1 for m in powers)), config)
     trace = []
-    for m in range(1, max(expected_m, 1) + HRANK_MARGIN + 1):
+    for m in powers:
         rep = hadamard_dimension(descriptor, (r,) * m, config)
         trace.append((m, rep.computed_dim))
         if rep.fills_ambient:

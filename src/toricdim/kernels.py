@@ -1,9 +1,10 @@
 """Backend selection for the modular hot kernels.
 
 Prefers the compiled extension (`toricdim._fastkernels`, built from
-`_fastkernels.c`) for its four entry points, `rank_mod`, `kr_rank_mod`,
-`eta_mod` and `torus_points_mod` (the SplitMix64 point draw); falls back to
-the pure-Python implementation in `_kernels_py` when the extension is
+`_fastkernels.c`) for its five entry points, `rank_mod`, `kr_rank_mod`,
+`eta_mod`, `secant_ranks_mod` (the streamed Terracini elimination of the
+secant probes) and `torus_points_mod` (the SplitMix64 point draw); falls
+back to the pure-Python implementation in `_kernels_py` when the extension is
 missing or when the environment variable TORICDIM_PURE is set to a
 non-empty value.  Both backends return identical values on identical
 inputs, for every prime below 2^64.
@@ -29,6 +30,7 @@ rank_mod = _impl.rank_mod
 kr_rank_mod = _impl.kr_rank_mod
 eta_mod = _impl.eta_mod
 torus_points_mod = _impl.torus_points_mod
+secant_ranks_mod = _impl.secant_ranks_mod
 # No engine calls this: eta_mod evaluates the monomials itself.  It stays,
 # pure on both backends, only because the benchmark's trace wraps
 # `kernels.eval_columns_mod` by name, until that metric is retired.

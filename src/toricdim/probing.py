@@ -1,4 +1,4 @@
-"""The one eta construction and the seeded rank-probing loop.
+"""The one eta construction and the seeded rank-probing loops.
 
 `eta` builds the coefficient matrix of the Jacobian factorization
 eta (x) A (Khatri-Rao) for a Hadamard product of secant varieties, over F_p
@@ -13,10 +13,22 @@ counter-based SplitMix64 stream exactly uniform on (F_p^*)^n), the
 engine's eta at the points, which is `kernels.eta_mod` (monomials evaluated
 and eta assembled in C on the compiled backend,
 `_kernels_py.eta_of_columns` on the pure one), then `kernels.kr_rank_mod`,
-which forms the Khatri-Rao product and computes its rank.  The target rank
-is a mathematical ceiling (parameter count or ambient bound), so the loop
-may stop as soon as the target is reached: the reported maximum is
-identical to running every draw.
+which forms the Khatri-Rao product and computes its rank.  The Hadamard
+probe runs it.  The target rank is a mathematical ceiling (parameter count
+or ambient bound), so the loop may stop as soon as the target is reached:
+the reported maximum is identical to running every draw.
+
+`probe_secant_ranks` runs the secant probes of one variety together.  With
+z_1 = y_1 and z_j = y_1 y_j, row j >= 2 of the secant eta is phi(z_j) and
+row 1 is the sum of them all, so eta (x) A at R points has, by a
+unitriangular row operation, exactly the rank of the stacked blocks
+phi(z_j) (x) A, j <= R (Terracini's lemma; Friedenberg, Oneto and Williams,
+"Minkowski sums and Hadamard products of algebraic varieties", 2017).  The
+draw for R points is a prefix of the draw for more at the same seed, so a
+secant attempt is two kernel calls, the draw and
+`kernels.secant_ranks_mod`, whose one streamed elimination gives the rank
+after every block: one stream answers every R drawn at that seed and
+prime, and no eta is built.
 
 Every probe runs one draw schedule, cut short once the target is reached:
 t draws at the configured prime, then one draw at each of the two alternate
@@ -32,6 +44,7 @@ case.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -115,6 +128,31 @@ def budget_trials(degree: int, prime: int) -> int:
     return t
 
 
+def _schedule(mat: ExponentMatrix, factors: int, n_points: int, config: RunConfig):
+    """(degree, trials, moduli) of a probe's draw schedule: draw i is at
+    moduli[i], `budget_trials` draws at `config.prime`, then one at each
+    alternate prime."""
+    degree = minor_degree(mat, factors, n_points)
+    trials = budget_trials(degree, config.prime)
+    return degree, trials, (config.prime,) * trials + ALTERNATE_PRIMES
+
+
+def _result(draws, degree: int, trials: int, config: RunConfig, target_rank: int):
+    """The ProbeResult of the (prime, rank) of each draw made, in order."""
+    best, best_prime = -1, config.prime
+    for prime, r in draws:
+        if r > best:
+            best, best_prime = r, prime
+    error_bound = 0.0
+    if best < target_rank:
+        at_prime = sum(prime == config.prime for prime, _ in draws)
+        error_bound = float(Fraction(degree, config.prime - 1) ** at_prime)
+    primes_tried = tuple(dict.fromkeys(prime for prime, _ in draws))
+    return ProbeResult(
+        best, best_prime, len(draws), len(draws) > trials, trials, primes_tried, error_bound
+    )
+
+
 def probe_max_rank(
     eta_at: Callable[[list, tuple, int], list],
     mat: ExponentMatrix,
@@ -131,28 +169,50 @@ def probe_max_rank(
     are at `config.prime`, the last two at the alternate primes.  The loop
     stops as soon as the target rank is reached.
     """
-    degree = minor_degree(mat, factors, n_points)
-    trials = budget_trials(degree, config.prime)
+    degree, trials, moduli = _schedule(mat, factors, n_points, config)
     rows = mat.entries
-    best = -1
-    best_prime = config.prime
-    attempts = 0
-    at_prime = 0
-    tried = {}  # the moduli drawn at, in order
-    for prime in (config.prime,) * trials + ALTERNATE_PRIMES:
-        if best >= target_rank:
+    draws = []
+    for i, prime in enumerate(moduli):
+        pts = random_torus_points(n_points, len(rows), config.seed + i, prime)
+        draws.append((prime, kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)))
+        if draws[-1][1] >= target_rank:
             break
-        pts = random_torus_points(n_points, len(rows), config.seed + attempts, prime)
-        r = kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
-        attempts += 1
-        at_prime += prime == config.prime
-        tried[prime] = None
-        if r > best:
-            best = r
-            best_prime = prime
-    error_bound = 0.0
-    if best < target_rank:
-        error_bound = float(Fraction(degree, config.prime - 1) ** at_prime)
-    return ProbeResult(
-        best, best_prime, attempts, attempts > trials, trials, tuple(tried), error_bound
-    )
+    return _result(draws, degree, trials, config, target_rank)
+
+
+def probe_secant_ranks(
+    mat: ExponentMatrix, targets: dict[int, int], config: RunConfig
+) -> dict[int, ProbeResult]:
+    """`probe_max_rank(eta_secant, mat, n, config, target)` for every
+    n -> target of `targets`, from shared Terracini streams.
+
+    Each probe runs its own schedule.  At draw i, the probes still short of
+    their targets whose schedules put draw i at the same prime share one
+    `kernels.secant_ranks_mod` stream at seed + i, as long as the longest of
+    them: its points for n are those probe n draws, and its rank after
+    block n is the rank of eta_secant (x) A at them.  So every result is the
+    one `probe_max_rank` returns.  ValueError, before any draw, for the
+    first n in order without an error budget.
+    """
+    schedules = {n: _schedule(mat, 1, n, config) for n in targets}
+    draws = {n: [] for n in targets}
+    rows = mat.entries
+    for i in itertools.count():
+        due = {
+            n: moduli[i]
+            for n, (_, _, moduli) in schedules.items()
+            if i < len(moduli) and not (draws[n] and draws[n][-1][1] >= targets[n])
+        }
+        if not due:
+            break
+        for prime in dict.fromkeys(due.values()):
+            count = max(n for n, q in due.items() if q == prime)
+            pts = random_torus_points(count, len(rows), config.seed + i, prime)
+            ranks = kernels.secant_ranks_mod(rows, pts, prime)
+            for n, q in due.items():
+                if q == prime:
+                    draws[n].append((prime, ranks[n - 1]))
+    return {
+        n: _result(draws[n], degree, trials, config, targets[n])
+        for n, (degree, trials, _) in schedules.items()
+    }

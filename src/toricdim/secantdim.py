@@ -15,6 +15,12 @@ upper bound
 Equality of the two certifies non-defectivity; a shortfall that persists
 through the draw schedule of `probing` is reported as "defective
 (probabilistic)", with the error bound behind it.
+
+The probe itself builds no eta: `secant_dimensions` answers a list of R
+from shared Terracini streams (`probing.probe_secant_ranks`), one streamed
+elimination per draw whose rank after block R is the rank of
+eta_secant (x) A at R points, and memoises each report.  `eta_secant`
+stays for the degeneration verifier's generic-rank check.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
-from .exponent import VarietyDescriptor
-from .probing import eta, probe_max_rank
+from .exponent import ExponentMatrix, VarietyDescriptor
+from .probing import ProbeResult, eta, probe_secant_ranks
 
 STATUS_NONDEFECTIVE = "nondefective"
 STATUS_DEFECTIVE = "defective (probabilistic)"
@@ -69,23 +75,66 @@ def secant_dimension(
     descriptor: VarietyDescriptor, R: int, config: RunConfig = DEFAULT_CONFIG
 ) -> SecantDimensionReport:
     """Probe the projective dimension of the R-th secant variety."""
-    if R < 1:
+    return secant_dimensions(descriptor, (R,), config)[0]
+
+
+def secant_dimensions(
+    descriptor: VarietyDescriptor, Rs, config: RunConfig = DEFAULT_CONFIG
+) -> tuple[SecantDimensionReport, ...]:
+    """`secant_dimension` for each R of `Rs`, in order, probed together.
+
+    The reports are memoised per (descriptor, R, config).  Those not yet
+    known come from one `probing.probe_secant_ranks`: each draw of it is one
+    Terracini stream per prime, whose rank after block R answers sigma_R,
+    so a caller that will ask for several R gains by asking for them at
+    once.  Every report equals the one a lone probe of its R gives.
+    """
+    Rs = tuple(Rs)
+    if any(R < 1 for R in Rs):
         raise ValueError("R must be >= 1")
-    return _secant_dimension_cached(descriptor, R, config)
+    slots = {R: _secant_dimension_cached(descriptor, R, config) for R in Rs}
+    missing = [R for R, slot in slots.items() if not slot]
+    if missing:
+        mat = descriptor.matrix()
+        ambient = mat.ambient_dim
+        dim_x = mat.rank() - 1
+        # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most
+        # that, with the target of N + 1 points.
+        points = {R: min(R, ambient + 1) for R in missing}
+        targets = {n: expected_secant_dim(ambient, dim_x, n) + 1 for n in points.values()}
+        probes = probe_secant_ranks(mat, targets, config)
+        for R in missing:
+            slots[R].append(_report(descriptor, R, mat, probes[points[R]], config))
+    return tuple(slots[R][0] for R in Rs)
+
+
+def prefetch_secant_dimensions(descriptor: VarietyDescriptor, Rs, config: RunConfig) -> None:
+    """Memoise the reports of every R a search may ask for, from shared
+    streams.  Only a speed-up: when one of them has no error budget at the
+    configured prime, each R is probed when it is asked for, so an R the
+    search never reaches raises nothing."""
+    try:
+        secant_dimensions(descriptor, Rs, config)
+    except ValueError:
+        pass
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _secant_dimension_cached(
     descriptor: VarietyDescriptor, R: int, config: RunConfig
+) -> list[SecantDimensionReport]:
+    """The memo slot of one secant report: empty until `secant_dimensions`
+    probes it, then the report.  The lru_cache bounds how many are kept."""
+    return []
+
+
+def _report(
+    descriptor: VarietyDescriptor, R: int, mat: ExponentMatrix, probe: ProbeResult,
+    config: RunConfig,
 ) -> SecantDimensionReport:
-    mat = descriptor.matrix()
     ambient = mat.ambient_dim
     dim_x = mat.rank() - 1
     expected = expected_secant_dim(ambient, dim_x, R)
-    # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most that.
-    probe = probe_max_rank(
-        eta_secant, mat, min(R, ambient + 1), config, expected + 1, factors=1
-    )
     computed = probe.rank - 1
     defect = computed < expected
     return SecantDimensionReport(

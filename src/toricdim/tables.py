@@ -26,8 +26,9 @@ from itertools import combinations_with_replacement
 
 from .classify import binary_check_table, veronese_check_table
 from .config import DEFAULT_CONFIG, RunConfig
-from .exponent import VarietyDescriptor
+from .exponent import HadamardSpec, VarietyDescriptor
 from .hadamdim import HadamardDimensionReport, hadamard_dimension
+from .secantdim import prefetch_secant_dimensions
 
 EXPERIMENT_GATING_NS = range(2, 7)
 EXPERIMENT_GATING_MAX_R = 12
@@ -71,7 +72,11 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
 def run_veronese_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
     rows = []
     for d, n, rvec in veronese_check_table():
-        rep = hadamard_dimension(VarietyDescriptor.veronese(d, n), rvec, config)
+        desc = VarietyDescriptor.veronese(d, n)
+        # The factors of every vector of a case lie in 2..R, R its index.
+        spec = HadamardSpec(rvec)
+        prefetch_secant_dimensions(desc, range(2, spec.total_points + 1), config)
+        rep = hadamard_dimension(desc, spec, config)
         rows.append(_row("veronese", rep, rep.expected_dim_R))
     return rows
 
@@ -80,7 +85,9 @@ def run_binary_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
     rows = []
     for degrees, rvec in binary_check_table():
         desc = VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees))
-        rep = hadamard_dimension(desc, rvec, config)
+        spec = HadamardSpec(rvec)
+        prefetch_secant_dimensions(desc, range(2, spec.total_points + 1), config)
+        rep = hadamard_dimension(desc, spec, config)
         rows.append(_row("binary", rep, rep.expected_dim_R))
     return rows
 
@@ -98,6 +105,7 @@ def _sweep_until_saturated(
 ) -> list[TableRow]:
     """All m-factor rows for one descriptor, stopping one index step after
     every tuple at the current index is expected to fill the ambient space."""
+    prefetch_secant_dimensions(descriptor, range(2, EXTENDED_HARD_CAP + 1), config)
     rows = []
     seen_saturated = False
     big_r = m + 1
@@ -123,6 +131,7 @@ def run_experiments_table(
     if not extended:
         for n in EXPERIMENT_GATING_NS:
             desc = VarietyDescriptor.veronese(2, n)
+            prefetch_secant_dimensions(desc, range(2, EXPERIMENT_GATING_MAX_R + 1), config)
             for r1 in range(2, EXPERIMENT_GATING_MAX_R):
                 for r2 in range(r1, EXPERIMENT_GATING_MAX_R):
                     if r1 + r2 - 1 > EXPERIMENT_GATING_MAX_R:

@@ -225,6 +225,16 @@ def test_degeneration_demo_text_and_exit(capsys):
     }
 
 
+def test_degeneration_demo_seeds_are_taken_mod_2_64(capsys):
+    reports = {}
+    for seed in (-5, 5, 5 + 2**64):
+        code, reports[seed], _ = run_cli(
+            capsys, "degeneration-demo", "--seed", str(seed), "--format", "json"
+        )
+        assert code == 0
+    assert reports[-5] != reports[5] == reports[5 + 2**64]
+
+
 def test_degeneration_demo_json(capsys):
     code, out, _ = run_cli(
         capsys, "degeneration-demo", "--r", "2,2", "--format", "json"

@@ -209,6 +209,13 @@ def test_demo_points_deterministic_and_near_identity():
     assert rational_rank(eta_secant_exact(ABAR.entries, a)) == 4
 
 
+def test_demo_points_take_the_seed_mod_2_64():
+    # As the F_p draws do: a negative seed draws points of its own, and
+    # seeds 2^64 apart draw the same points.
+    assert demo_points(ABAR, SPEC, seed=-5) != demo_points(ABAR, SPEC, seed=5)
+    assert demo_points(ABAR, SPEC, seed=5) == demo_points(ABAR, SPEC, seed=5 + 2**64)
+
+
 def test_semicontinuity_rank_never_below_limit():
     for seed in (0, 1, 2):
         pts = demo_points(ABAR, (2, 2), seed=seed)

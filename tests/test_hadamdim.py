@@ -15,6 +15,7 @@ from toricdim import (
     generic_hrank,
     hadamard_dimension,
     normalize,
+    secant_dimension,
     segre_veronese,
 )
 from toricdim.exponent import ExponentMatrix
@@ -210,6 +211,21 @@ def test_generic_hrank_segre_four_factors():
     assert rep.expected_m == 3
     assert (2, 14) in rep.trace
     assert rep.trace[-1] == (3, 15)
+
+
+def test_generic_hrank_prefetch_raises_nothing_for_powers_it_never_reaches():
+    # A chart of the rational normal quartic with exponents up to 1000: at
+    # p = 65537, sigma_5 has minors of degree 5 * (2 * 1001 + 5 * 1000) =
+    # 35010 > (p - 1)/2, so it has no error budget; sigma_2 * sigma_2
+    # already fills P^4, and the search stops before it asks for sigma_5.
+    wide = VarietyDescriptor.custom(
+        ExponentMatrix(((1,) * 5, (-1000, -500, 0, 500, 1000))), "wide-quartic"
+    )
+    config = RunConfig(prime=65537)
+    rep = generic_hrank(wide, 2, config)
+    assert (rep.found_m, rep.trace) == (2, ((1, 3), (2, 4)))
+    with pytest.raises(ValueError, match="degree up to 35010"):
+        secant_dimension(wide, 5, config)
 
 
 def test_generic_hrank_r1_idempotent():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import KERNEL_NAMES, rational_normal_curve
 
 from toricdim import (
-    ALTERNATE_PRIMES, DEFAULT_PRIME, backend_name, is_probable_prime, normalize,
+    ALTERNATE_PRIMES, DEFAULT_PRIME, VarietyDescriptor, backend_name, is_probable_prime,
+    normalize,
 )
 from toricdim import _kernels_py as py
 
@@ -370,6 +371,7 @@ def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
         ("kr_rank_mod", ([[1, 2]], [[3, 4]], p)),
         ("eta_mod", ([[1, 0], [0, 1]], (0,), [[2, 3]], p)),
         ("torus_points_mod", (2, 3, 0, p)),
+        ("secant_ranks_mod", ([[1, 0], [0, 1]], [[2, 3]], p)),
     ):
         message = _outcome(getattr(py, kernel), *args)
         assert message.startswith("modulus must be")
@@ -413,6 +415,43 @@ def test_torus_points_parity(fast):
 
 def test_sanitized_torus_points(fast_ubsan):
     _check((fast_ubsan,), _torus_cases())
+
+
+@functools.cache
+def _stream_cases():
+    """The pure ranks after each block of the secant stream, or its
+    ValueError, at every modulus of the point draws: the chart of the
+    rational normal curve of degree 8, a quadratic Veronese of P^5 (21
+    columns, so the stream crosses panels at every width), and random
+    exponent matrices with negative entries, at 0, 1 and 7 points; then
+    a point list that reaches the column count at the first block, so that
+    a later point whose coordinate has no inverse is never evaluated."""
+    rng = random.Random(9)
+    mats = [
+        normalize(rational_normal_curve(8)).entries,
+        [list(row) for row in VarietyDescriptor.veronese(2, 5).matrix().entries],
+    ]
+    for _ in range(3):
+        n_vars = rng.randint(1, 4)
+        n_cols = rng.randint(2, 9)
+        mats.append([[rng.randint(-3, 4) for _ in range(n_cols)] for _ in range(n_vars)])
+    cases = []
+    for p in TORUS_MODULI:
+        for i, rows in enumerate(mats):
+            for count in (0, 1, 7):
+                args = (rows, py.torus_points_mod(count, len(rows), i + count, p), p)
+                cases.append(("secant_ranks_mod", args, _outcome(py.secant_ranks_mod, *args)))
+    args = ([[1, -1], [0, 1]], [[1, 1], [3, 3], [2, 2]], 4)
+    cases.append(("secant_ranks_mod", args, [2, 2, 2]))
+    return cases
+
+
+def test_secant_ranks_parity(fast):
+    _check((py, fast), _stream_cases())
+
+
+def test_sanitized_secant_ranks(fast_ubsan):
+    _check((fast_ubsan,), _stream_cases())
 
 
 def test_eval_columns_mod_parity_with_negative_exponents(fast):
@@ -528,9 +567,17 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
         ("eta_mod", ([[1, 2], [3, 4]], (2,), [[1, 2], [3, 4]], 101)),  # too few points
         ("eta_mod", ([[1, 2], [3, 4]], (0,), [[1, 2], [3, 4]], 101)),  # too many
         ("eta_mod", ([[1, 2], [3, 4]], (2, -1), [[1, 2], [3, 4]], 101)),
+        ("secant_ranks_mod", ([[1, 2], [3]], [[1, 2]], 101)),
+        ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2], [3]], 101)),
+        ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2, 3]], 101)),  # point width
+        ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2], [3, 202]], 101)),  # 0 mod p
     ],
 )
 def test_malformed_shapes_raise_value_error(fast, kernel, args):
+    message = _outcome(_kernel(py, kernel), *args)
+    assert isinstance(message, str)
+    if kernel == "secant_ranks_mod":
+        assert _outcome(fast.secant_ranks_mod, *args) == message
     for impl in (fast, py):
         with pytest.raises(ValueError):
             _kernel(impl, kernel)(*args)
@@ -554,12 +601,15 @@ def test_factor_count_error_names_the_points_needed(fast):
         ("eval_columns_mod", ([[-1]], [2], 4)),
         ("eta_mod", ([[1, 1], [0, -1]], (0,), [[1, 2]], 4)),
         ("eta_mod", ([[-1, 1]], (1,), [[3], [2]], 4)),
+        ("secant_ranks_mod", ([[1, 1], [0, -1]], [[1, 2]], 4)),  # a coordinate
+        ("secant_ranks_mod", ([[1, 2, 3]], [[1], [2]], 6)),  # the pivot of block 2
     ],
 )
 def test_composite_modulus_without_inverse_raises_on_both_backends(fast, kernel, args):
     for impl in (fast, py):
         with pytest.raises(ValueError, match="not invertible"):
             _kernel(impl, kernel)(*args)
+    assert _outcome(_kernel(fast, kernel), *args) == _outcome(_kernel(py, kernel), *args)
 
 
 def test_composite_moduli_agree_with_the_pure_kernels(fast):
@@ -582,6 +632,7 @@ def test_composite_moduli_agree_with_the_pure_kernels(fast):
             ("kr_rank_mod", (top, bottom, n)),
             ("eval_columns_mod", (exps, point, n)),
             ("eta_mod", (exps, (1,), [point, point[::-1]], n)),
+            ("secant_ranks_mod", (exps, [point, point[::-1]], n)),
         ):
             assert _outcome(_kernel(fast, kernel), *args) == _outcome(
                 _kernel(py, kernel), *args
@@ -595,3 +646,5 @@ def test_empty_and_degenerate_shapes(fast):
         assert impl.kr_rank_mod([[1, 2]], [], 101) == 0
         assert _columns(impl)([], [1], 101) == []
         assert impl.eta_mod([], (1,), [[1], [2]], 101) == [[], []]
+        assert impl.secant_ranks_mod([[1, 2]], [], 101) == []
+        assert impl.secant_ranks_mod([], [[1], [2]], 101) == [0, 0]

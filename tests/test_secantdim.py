@@ -7,14 +7,20 @@ from conftest import rational_normal_curve
 
 from toricdim import (
     ALTERNATE_PRIMES,
+    DEFAULT_PRIME,
+    ExponentMatrix,
     RunConfig,
     VarietyDescriptor,
     expected_secant_dim,
     hadamard_dimension,
+    kernels,
     probing,
+    random_torus_points,
     secant_dimension,
+    secant_dimensions,
+    secantdim,
 )
-from toricdim.cli import report_dict
+from toricdim.cli import parse_descriptor, report_dict
 from toricdim.secantdim import (
     STATUS_DEFECTIVE,
     STATUS_NONDEFECTIVE,
@@ -22,6 +28,17 @@ from toricdim.secantdim import (
 )
 
 CFG = RunConfig(seed=0)
+# Varieties of the Terracini stream tests, one of them a chart with
+# negative exponents.
+STREAM_VARIETIES = [
+    parse_descriptor(text)
+    for text in ("rnc:8", "veronese:d=2,n=4", "veronese:d=4,n=2", "sv:d=1,1,2;n=1,1,1")
+] + [
+    VarietyDescriptor.custom(
+        ExponentMatrix(((1,) * 6, (-2, -1, 0, 1, 0, 2), (0, 1, -1, 1, 2, -2))),
+        "negative-chart",
+    )
+]
 
 
 def classical_veronese_secant_dim(n, d, r):
@@ -165,3 +182,85 @@ def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch):
     rep = hadamard_dimension(desc, (10**12, 10**12), CFG)
     assert (rep.r, rep.R, rep.parameter_count) == ((10**12, 10**12), 2 * 10**12 - 1, 7)
     assert (rep.computed_dim, rep.factor_dims, rep.lower_bound_dim_R) == (4, (4, 4), 4)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 13, 7])
+def test_rank_after_block_R_is_the_eta_rank_at_R_points(p):
+    # Row j >= 2 of eta_secant is phi(y_1 y_j), row 1 the sum of them all,
+    # so the stream's rank after block R is exactly the rank of eta (x) A at
+    # the first R points, at every prime: at 7 and 13 many draws fall short
+    # of the generic rank, and they must fall short alike.
+    for desc in STREAM_VARIETIES:
+        rows = desc.matrix().entries
+        for seed in range(12):
+            pts = random_torus_points(8, len(rows), seed, p)
+            assert kernels.secant_ranks_mod(rows, pts, p) == [
+                kernels.kr_rank_mod(eta_secant(rows, pts[:R], p), rows, p)
+                for R in range(1, 9)
+            ], (str(desc), seed)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
+def test_batched_reports_equal_the_lone_reports(prime):
+    # Every field, with the memo cleared before each side, and the probe
+    # fields equal to those of the eta probe, `probe_max_rank(eta_secant,
+    # ...)`.  At 65537 the error budget draws 9 to 12 times, and for
+    # v_2(P^6) the defective sigma_2 (t = 10) and sigma_3 (t = 11) put draw
+    # 10 at different primes.
+    for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6)]:
+        config = RunConfig(prime=prime, seed=3)
+        mat = desc.matrix()
+        Rs = (4, 1, 2, 7, 3, 4, mat.ambient_dim + 2, 5)
+        secantdim._secant_dimension_cached.cache_clear()
+        batched = secant_dimensions(desc, Rs, config)
+        for R, rep in zip(Rs, batched):
+            secantdim._secant_dimension_cached.cache_clear()
+            assert report_dict(rep) == report_dict(secant_dimension(desc, R, config))
+            probe = probing.probe_max_rank(
+                eta_secant, mat, min(R, mat.ambient_dim + 1), config, rep.expected_dim + 1
+            )
+            assert (probe.rank - 1, probe.prime, probe.attempts, probe.trials) == (
+                rep.computed_dim, rep.prime, rep.attempts, rep.trials
+            )
+            assert (probe.primes_tried, probe.error_bound) == (rep.primes_tried, rep.error_bound)
+    with pytest.raises(ValueError, match="R must be >= 1"):
+        secant_dimensions(VarietyDescriptor.rnc(3), (2, 0), CFG)
+
+
+def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
+    calls = []
+    stream = kernels.secant_ranks_mod
+
+    def spy(rows, points, p):
+        calls.append((len(points), p))
+        return stream(rows, points, p)
+
+    monkeypatch.setattr(kernels, "secant_ranks_mod", spy)
+    secantdim._secant_dimension_cached.cache_clear()
+    # The rational normal curve is never defective: sigma_2, sigma_3 and
+    # sigma_7 of rnc:8 reach their targets at draw 0, from one stream.
+    reports = secant_dimensions(VarietyDescriptor.rnc(8), (2, 3, 7), CFG)
+    assert [rep.computed_dim for rep in reports] == [3, 5, 8]
+    assert calls == [(7, CFG.prime)]
+    # sigma_2 and sigma_3 of v_2(P^4) are defective and draw on, two draws at
+    # p and one at each alternate, from streams of 3 points; sigma_5 fills
+    # P^14 at draw 0, and is memoised for the next call.
+    calls.clear()
+    reports = secant_dimensions(VarietyDescriptor.veronese(2, 4), (5, 2, 3), CFG)
+    assert [rep.attempts for rep in reports] == [1, 4, 4]
+    assert calls == [(5, CFG.prime), (3, CFG.prime), (3, ALTERNATE_PRIMES[0]),
+                     (3, ALTERNATE_PRIMES[1])]
+    calls.clear()
+    assert secant_dimension(VarietyDescriptor.veronese(2, 4), 5, CFG) == reports[0]
+    assert calls == []
+    # At 65537 the budget of sigma_2 of v_2(P^6) is 10 draws and that of
+    # sigma_3 is 11: from draw 10 on they draw at different primes, each
+    # from a stream of its own.
+    small = RunConfig(prime=65537)
+    reports = secant_dimensions(VarietyDescriptor.veronese(2, 6), (2, 3), small)
+    assert [rep.trials for rep in reports] == [10, 11]
+    assert calls == [(3, 65537)] * 10 + [
+        (2, ALTERNATE_PRIMES[0]), (3, 65537),
+        (2, ALTERNATE_PRIMES[1]), (3, ALTERNATE_PRIMES[0]),
+        (3, ALTERNATE_PRIMES[1]),
+    ]
