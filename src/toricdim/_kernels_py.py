@@ -17,8 +17,8 @@ update is one big-int multiply-add, with the reduction mod p delayed
 of up to 16 pivots: it brings a column or a pivot row up to date just
 before reading it, and every other entry once per panel, with one 128-bit
 sum of the panel's products and one reduction.
-`eta_of_columns` is the eta formula itself, over F_p or, for `probing.eta`,
-over the rationals.
+`eta_of_columns` is the eta formula itself, over F_p or, for the exact
+degeneration verifier, over the integers.
 """
 
 from __future__ import annotations
@@ -166,9 +166,14 @@ def eval_columns_mod(mat, point, p: int):
     return acc
 
 
-def eta_of_columns(cols, r_prime, prime: int | None = None) -> list:
-    """`probing.eta` from the evaluated columns cols[i] = phi(points[i]):
-    residues mod `prime`, or exact products when `prime` is None.
+def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
+    """`probing.eta` from the evaluated columns.
+
+    With a prime, cols[i] = phi(points[i]) and the entries are residues mod
+    `prime`.  Without one, the columns are integers at a positive column
+    scale, cols[i] = one * phi(points[i]) coordinatewise, and so is the 1 of
+    each S_k: the entries are exact integer products, eta times
+    diag(one^(k+1)), where k counts the factors with r'_k > 0.
 
     ValueError unless the entries of `r_prime` are >= 0 and sum to
     len(cols) - 1.  `_fastkernels.c` assembles eta in the same order.
@@ -185,7 +190,7 @@ def eta_of_columns(cols, r_prime, prime: int | None = None) -> list:
             return [a * b for a, b in zip(u, v)]
 
         def ones_plus_sum(ws):
-            return [1 + sum(c) for c in zip(*ws)]
+            return [o + sum(c) for o, c in zip(one, zip(*ws))]
     else:
 
         def mul(u, v):

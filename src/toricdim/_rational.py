@@ -10,7 +10,7 @@ proves that no larger rank is left.  No floating point anywhere.
 from __future__ import annotations
 
 from itertools import count
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import kernels
 from .modlinalg import ALTERNATE_PRIMES, DEFAULT_PRIME, is_probable_prime
@@ -33,9 +33,27 @@ def _prime(i: int) -> int:
 
 
 def _integer_row(row) -> list[int]:
-    """`row` (ints or Fractions) times the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row]
+    """`row` (ints or Fractions) times the lcm of its denominators, divided
+    by the gcd of the result (its content)."""
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _primitive(rows) -> list[list[int]]:
+    """`rows` scaled to integers with every row's and then every column's
+    content divided out: the same rank, and smaller entries to bound."""
+    mat = [_integer_row(row) for row in rows]
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("rows have different lengths")
+    contents = [gcd(*col) for col in zip(*mat)]
+    if any(g > 1 for g in contents):
+        mat = [[x // g if g else x for x, g in zip(row, contents)] for row in mat]
+    return mat
 
 
 def rational_rank(rows) -> int:
@@ -46,12 +64,12 @@ def rational_rank(rows) -> int:
     nonzero integer; by Hadamard's inequality its absolute value is at most
     H, the product of the b+1 largest row norms, and every prime that gave
     rank at most b divides it.  So once the product of the primes tried
-    exceeds H (compared squared, in integers), b is the rank.  ValueError
-    when the rows have different lengths.
+    exceeds H (compared squared, in integers), b is the rank.  Dividing a
+    row or a column by its content changes no rank and shrinks H, so the
+    rows are made primitive first (`_primitive`).  ValueError when the rows
+    have different lengths.
     """
-    mat = [_integer_row(row) for row in rows]
-    if any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("rows have different lengths")
+    mat = _primitive(rows)
     full = min(len(mat), len(mat[0])) if mat else 0
     norms2 = sorted((sum(x * x for x in row) for row in mat), reverse=True)
     best, modulus = -1, 1

@@ -1,11 +1,11 @@
-"""Exact-rational verification of the secant-to-Hadamard degeneration.
+"""Exact verification of the secant-to-Hadamard degeneration.
 
 The dimension chain rests on one construction: scaling the first coordinate
 of every parameter point by nu and rescaling the Jacobian coefficient matrix
 back (rows by diag(1, 1/nu, ..., 1/nu), columns by the inverse of its first
 row) produces a family whose limit at nu -> 0 has the row span of the secant
-coefficient matrix.  This module rebuilds that family over exact rationals,
-one scale at a time (`scaled_family`), and verifies, at finitely many nu,
+coefficient matrix.  This module rebuilds that family exactly, one scale at
+a time (`scaled_family`), and verifies, at finitely many nu,
 
   (a) first-order convergence to the limit matrix (error ratio test),
   (b) the first row is identically all-ones, exactly, for every nu,
@@ -13,14 +13,16 @@ one scale at a time (`scaled_family`), and verifies, at finitely many nu,
   (d) rank semicontinuity: the scaled product matrix keeps at least the rank
       of the limit product matrix, which lower-bounds the Hadamard dimension.
 
-Every check is exact: the matrices are fractions.Fraction, and their ranks
-are exact ranks over Q, by a multi-modular elimination certified by
-Hadamard's bound (`_rational.rational_rank`).  There is no tolerance
-anywhere except the explicit ratio band of check (a).  `demo_points` also
-works over F_p directly, to reject draws that are degenerate or not generic
-before the exact checks run.  The coefficient matrices come from the one
-eta construction, `probing.eta`, with no prime: the same formula the F_p
-engines probe, and a secant variety is its one-factor case.
+Every check is exact, on integer matrices: the matrices over Q at known
+positive row and column scales, which change no rank.  Their ranks are
+exact, by a multi-modular elimination certified by Hadamard's bound
+(`_rational.rational_rank`); only the reported errors and their ratios are
+fractions.Fraction.  There is no tolerance anywhere except the explicit
+ratio band of check (a).  `demo_points` also works over F_p directly, to
+reject draws that are degenerate or not generic before the exact checks
+run.  The coefficient matrices come from the formula of `probing.eta` over
+the integers (`_kernels_py.eta_of_columns`), the one the F_p engines probe;
+a secant variety is its one-factor case.
 
 Conventions: the input is one flat point tuple Y = (y_1 | ... | y_R) with
 y_1 = all-ones; the scaled points feed the Hadamard construction with y_1
@@ -34,13 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 import random
 
 from . import kernels
+from ._kernels_py import eta_of_columns
 from ._rational import rational_rank
 from .exponent import ExponentMatrix, HadamardSpec
 from .modlinalg import DEFAULT_PRIME, random_torus_points
-from .probing import eta, eval_columns_exact
 from .secantdim import eta_secant
 
 # Exact rational arithmetic stays fast only at small scale.
@@ -56,29 +59,26 @@ LOW, HIGH = 2, 17
 MAX_RESAMPLE = 8
 
 
-def eta_secant_exact(rows, points) -> list[list[Fraction]]:
-    """Rational twin of `secantdim.eta_secant`: `probing.eta`, one factor."""
-    return eta(rows, (len(points) - 1,), points)
+def eta_secant_exact(cols, scale) -> list[list[int]]:
+    """Integer twin of `secantdim.eta_secant`: the one-factor eta of the
+    columns cols[i] = scale * phi(points[i]), times diag(scale^2)."""
+    return eta_of_columns(cols, (len(cols) - 1,), one=scale)
 
 
-def eta_hadamard_exact(rows, spec: HadamardSpec, points) -> list[list[Fraction]]:
-    """Rational twin of `hadamdim.eta_hadamard`: `probing.eta` over Fraction."""
-    return eta(rows, spec.r_prime, points)
+def eta_hadamard_exact(cols, spec: HadamardSpec, scale) -> list[list[int]]:
+    """Integer twin of `hadamdim.eta_hadamard`: the eta of the columns
+    cols[i] = scale * phi(points[i]), times a positive column scale."""
+    return eta_of_columns(cols, spec.r_prime, one=scale)
 
 
-def khatri_rao_exact(top, bottom) -> list[list[Fraction]]:
-    out = []
-    for trow in top:
-        for brow in bottom:
-            out.append([Fraction(a) * Fraction(b) for a, b in zip(trow, brow)])
-    return out
+def khatri_rao_exact(top, bottom) -> list[list[int]]:
+    return [[a * b for a, b in zip(trow, brow)] for trow in top for brow in bottom]
 
 
 def _check_chart_form(abar: ExponentMatrix) -> None:
     if any(x != 1 for x in abar.entries[0]):
         raise ValueError("matrix not in chart form: first row must be all ones")
-    first_col = abar.column(0)
-    if first_col != (1,) + (0,) * (abar.n_rows - 1):
+    if abar.column(0) != (1,) + (0,) * (abar.n_rows - 1):
         raise ValueError("matrix not in chart form: first column must be (1,0,...,0)")
 
 
@@ -120,27 +120,37 @@ def _check_nus(nus) -> tuple[Fraction, ...]:
     return nus
 
 
-def scaled_family(abar: ExponentMatrix, spec: HadamardSpec, points, nu):
-    """The family at one nonzero nu: (eta_nu, M_nu).  eta_nu is eta at the
-    points with their first coordinates scaled by nu; M_nu is eta_nu with its
-    rows scaled by diag(1, 1/nu, ..., 1/nu) and its columns by the inverse of
-    its first row."""
-    scaled = tuple((nu * pt[0],) + pt[1:] for pt in points)
-    eta_nu = eta_hadamard_exact(abar.entries, spec, scaled)
+def scaled_family(spec: HadamardSpec, cols, scale, nu):
+    """The family at nu = a/b > 0 from the (cols, scale) of `limit_matrix`,
+    in integers: (eta_nu, m_num, m_den).  phi at the nu-scaled points is
+    nu * phi, so eta_nu is the eta of a * cols at the column scale
+    b * scale.  M(nu), eta_nu with its rows scaled by diag(1, 1/nu, ...)
+    and its columns by the inverse of its first row, is m_num / m_den."""
+    a, b = nu.numerator, nu.denominator
+    cols_nu, scale_nu = [[a * x for x in col] for col in cols], [b * c for c in scale]
+    eta_nu = eta_hadamard_exact(cols_nu, spec, scale_nu)
     if any(x == 0 for x in eta_nu[0]):
         raise ZeroDivisionError("degenerate points: first eta row has a zero")
-    right = [1 / x for x in eta_nu[0]]
-    left = (Fraction(1),) + (1 / nu,) * (len(points) - 1)
-    m_nu = [[l * x * c for x, c in zip(row, right)] for l, row in zip(left, eta_nu)]
-    return eta_nu, m_nu
+    m_num = [eta_nu[0]] + [[b * x for x in row] for row in eta_nu[1:]]
+    m_den = [eta_nu[0]] + [[a * x for x in eta_nu[0]]] * (len(eta_nu) - 1)
+    return eta_nu, m_num, m_den
 
 
-def limit_matrix(abar: ExponentMatrix, points) -> list[list[Fraction]]:
-    """The nu -> 0 limit: all-ones first row, then the plain monomial rows."""
-    out = [[Fraction(1)] * abar.n_cols]
-    for pt in points[1:]:
-        out.append(eval_columns_exact(abar.entries, pt))
-    return out
+def limit_matrix(abar: ExponentMatrix, points) -> tuple[list[list[int]], list[int]]:
+    """The nu -> 0 limit (all-ones, then phi at each later point) as (rows,
+    scale): the limit times diag(scale), in integers, with scale[h] > 0 the lcm
+    of the denominators of column h.  Row i is scale * phi(points[i])."""
+    fracs = []
+    for pt in points:
+        nd = [(x.numerator, x.denominator) for x in pt]
+        row = []
+        for exps in zip(*abar.entries):
+            num = prod(n**e if e > 0 else d**-e for (n, d), e in zip(nd, exps))
+            den = prod(d**e if e > 0 else n**-e for (n, d), e in zip(nd, exps))
+            row.append((num, den) if den > 0 else (-num, -den))
+        fracs.append(row)
+    scale = [lcm(*(row[h][1] for row in fracs)) for h in range(abar.n_cols)]
+    return [[n * (c // d) for (n, d), c in zip(row, scale)] for row in fracs], scale
 
 
 @dataclass(frozen=True)
@@ -165,12 +175,7 @@ class LimitCheckReport:
 
 
 def limit_check(
-    abar: ExponentMatrix,
-    spec,
-    points,
-    nus=DEFAULT_NUS,
-    *,
-    label: str = "",
+    abar: ExponentMatrix, spec, points, nus=DEFAULT_NUS, *, label: str = ""
 ) -> LimitCheckReport:
     """Run all degeneration checks on R >= 2 points, at each nu in a strictly
     decreasing list of at least two values."""
@@ -181,19 +186,21 @@ def limit_check(
     pts = _check_points(abar, spec, points)
     failures: list[str] = []
 
-    target = limit_matrix(abar, pts)
-    max_errors = []
-    row0_ok = True
-    kr_ranks = []
+    target, scale = limit_matrix(abar, pts)
+    max_errors, kr_ranks, row0_ok = [], [], True
     for nu in nus:
-        eta_nu, m_nu = scaled_family(abar, spec, pts, nu)
-        if any(x != 1 for x in m_nu[0]):
+        eta_nu, m_num, m_den = scaled_family(spec, target, scale, nu)
+        if m_num[0] != m_den[0]:
             row0_ok = False
             failures.append(f"nu={nu}: first row of M(nu) differs from all-ones")
-        err = max(
-            abs(a - b) for mrow, trow in zip(m_nu, target) for a, b in zip(mrow, trow)
-        )
-        max_errors.append(err)
+        # |M(nu) - limit| is |n * c - d * t| / |d * c|, compared crosswise.
+        err_num, err_den = 0, 1
+        for nrow, drow, trow in zip(m_num, m_den, target):
+            for n, d, t, c in zip(nrow, drow, trow, scale):
+                num, den = abs(n * c - d * t), abs(d * c)
+                if num * err_den > err_num * den:
+                    err_num, err_den = num, den
+        max_errors.append(Fraction(err_num, err_den))
         kr_ranks.append(rational_rank(khatri_rao_exact(eta_nu, abar.entries)))
 
     ratios = []
@@ -212,10 +219,12 @@ def limit_check(
                 f"error ratio {q} outside band [{RATIO_BAND[0]}, {RATIO_BAND[1]}]"
             )
 
-    secant_eta = eta_secant_exact(abar.entries, pts)
+    # The secant rows are at the column scale scale^2: stack the limit there.
+    secant_eta = eta_secant_exact(target, scale)
     secant_rank = rational_rank(secant_eta)
     limit_rank = rational_rank(target)
-    stacked_rank = rational_rank(target + secant_eta)
+    stacked = [[x * c for x, c in zip(row, scale)] for row in target] + secant_eta
+    stacked_rank = rational_rank(stacked)
     rowspan_ok = (
         secant_rank == spec.total_points
         and limit_rank == secant_rank
@@ -257,18 +266,8 @@ def limit_check(
     )
 
 
-def _max_column_degree(abar: ExponentMatrix) -> int:
-    return max(
-        sum(abs(row[h]) for row in abar.entries) for h in range(abar.n_cols)
-    )
-
-
 def demo_points(
-    abar: ExponentMatrix,
-    spec,
-    seed: int = 0,
-    *,
-    nus=DEFAULT_NUS,
+    abar: ExponentMatrix, spec, seed: int = 0, *, nus=DEFAULT_NUS
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Sample points for the convergence demo: the all-ones vector plus
     near-identity rational points 1 + a/D with integers a in [LOW, HIGH]
@@ -308,8 +307,8 @@ def demo_points(
             f"R = {R} points exceed the {abar.n_cols} columns, so the secant "
             f"coefficient matrix never has rank R (limit: R <= {abar.n_cols})"
         )
-    denom = 128 * _max_column_degree(abar)
     rows = abar.entries
+    denom = 128 * max(sum(abs(e) for e in col) for col in zip(*rows))
     p = DEFAULT_PRIME
     generic_rank = kernels.kr_rank_mod(
         eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p

@@ -1,10 +1,11 @@
 """The one eta construction and the seeded rank-probing loops.
 
 `eta` builds the coefficient matrix of the Jacobian factorization
-eta (x) A (Khatri-Rao) for a Hadamard product of secant varieties, over F_p
-or over the exact rationals.  A secant variety sigma_R(X) is its one-factor
-case (r' = (R - 1,)): `secantdim.eta_secant`, `hadamdim.eta_hadamard` and the
-two exact twins in `degeneration` are each one call into it.
+eta (x) A (Khatri-Rao) for a Hadamard product of secant varieties, over F_p;
+the exact twins in `degeneration` run the same formula over the integers.
+A secant variety sigma_R(X) is its one-factor case (r' = (R - 1,)):
+`secantdim.eta_secant` and `hadamdim.eta_hadamard` are each one call into
+it.
 
 `probe_max_rank` draws torus points and keeps the maximum rank of
 eta (x) A seen.  Each attempt is three kernel calls: the draw
@@ -50,7 +51,6 @@ from fractions import Fraction
 from typing import Callable
 
 from . import kernels
-from ._kernels_py import eta_of_columns
 from .config import RunConfig
 from .exponent import ExponentMatrix
 from .modlinalg import ALTERNATE_PRIMES, random_torus_points
@@ -59,20 +59,7 @@ from .modlinalg import ALTERNATE_PRIMES, random_torus_points
 ERROR_BUDGET_BITS = 100
 
 
-def eval_columns_exact(rows, point) -> list[Fraction]:
-    """Every column monomial of `rows` at `point`, in exact rationals."""
-    out = []
-    for h in range(len(rows[0])):
-        acc = Fraction(1)
-        for ell, row in enumerate(rows):
-            e = row[h]
-            if e:
-                acc *= Fraction(point[ell]) ** e
-        out.append(acc)
-    return out
-
-
-def eta(rows, r_prime, points, prime: int | None = None) -> list:
+def eta(rows, r_prime, points, prime: int) -> list[list[int]]:
     """Coefficient matrix of the Hadamard-product Jacobian factorization.
 
     `r_prime` = (r_1 - 1, ..., r_m - 1); the points are ordered
@@ -86,10 +73,10 @@ def eta(rows, r_prime, points, prime: int | None = None) -> list:
     which equals the sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over all
     index tuples (resp. over tuples with j_k = j), term by term.  Rows are
     ordered row 0 first, then (k, j) factor-major.  Entries are residues
-    mod `prime`, or `Fraction`s when `prime` is None.
+    mod `prime`, from `kernels.eta_mod`.  The exact degeneration verifier
+    takes the same formula over the integers from
+    `_kernels_py.eta_of_columns`, the pure kernel's eta.
     """
-    if prime is None:
-        return eta_of_columns([eval_columns_exact(rows, pt) for pt in points], r_prime)
     return kernels.eta_mod(rows, r_prime, points, prime)
 
 

@@ -1,11 +1,24 @@
 """Closed-form oracles of the paper's classifications, which the tests
 compare the probes against: the defective Veronese secants
 (Alexander-Hirschowitz), the defective binary Segre-Veronese secants, and
-the generic Hadamard rank formulas with their hypotheses."""
+the generic Hadamard rank formulas with their hypotheses.  Also a reference
+for the exact degeneration verifier: `fraction_limit_check`, the same
+checks on `fractions.Fraction` matrices."""
 
+import itertools
 import math
+from fractions import Fraction
 
-from toricdim import AH_SPORADIC
+from toricdim import AH_SPORADIC, HadamardSpec
+from toricdim._rational import rational_rank
+from toricdim.degeneration import (
+    RATIO_BAND,
+    LimitCheckReport,
+    _check_chart_form,
+    _check_guard,
+    _check_nus,
+    _check_points,
+)
 
 
 class FormulaNotGuaranteedError(ValueError):
@@ -108,3 +121,149 @@ def generic_hrank_formula(family: str, params, r: int) -> int:
         numer = math.prod(math.comb(n + d, d) for d, n in zip(degrees, dims)) - s
         return _ceil_div(numer, (r - 1) * (s + 1))
     raise ValueError(f"unknown family {family!r}")
+
+
+# --- the degeneration verifier over Fraction ------------------------------------
+
+
+def fraction_monomials(rows, point) -> list[Fraction]:
+    """Every column monomial of `rows` at `point`, in exact rationals."""
+    return [
+        math.prod((Fraction(x) ** row[h] for x, row in zip(point, rows)), start=Fraction(1))
+        for h in range(len(rows[0]))
+    ]
+
+
+def fraction_eta(rows, r_prime, points) -> list[list[Fraction]]:
+    """eta over Q by its definition rather than its closed form: row 0 is the
+    sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over every index tuple,
+    where j_k = 0 leaves factor k out, and the row of point i >= 1 sums the
+    tuples that pick point i.  Points are ordered as for `probing.eta`."""
+    blocks, offset = [], 1
+    for rp in r_prime:
+        blocks.append(range(offset, offset + rp))
+        offset += rp
+    out = [[Fraction(0)] * len(rows[0]) for _ in points]
+    for pick in itertools.product(*[(None, *block) for block in blocks]):
+        chosen = [i for i in pick if i is not None]
+        point = [math.prod(c) for c in zip(points[0], *(points[i] for i in chosen))]
+        term = fraction_monomials(rows, point)
+        for i in [0, *chosen]:
+            out[i] = [a + b for a, b in zip(out[i], term)]
+    return out
+
+
+def fraction_scaled_family(abar, spec, points, nu):
+    """(eta_nu, M_nu) over Q: eta at the points with their first coordinates
+    scaled by nu, and eta_nu with its rows scaled by diag(1, 1/nu, ...,
+    1/nu) and its columns by the inverse of its first row."""
+    scaled = tuple((nu * pt[0],) + pt[1:] for pt in points)
+    eta_nu = fraction_eta(abar.entries, spec.r_prime, scaled)
+    if any(x == 0 for x in eta_nu[0]):
+        raise ZeroDivisionError("degenerate points: first eta row has a zero")
+    right = [1 / x for x in eta_nu[0]]
+    left = (Fraction(1),) + (1 / nu,) * (len(points) - 1)
+    m_nu = [[l * x * c for x, c in zip(row, right)] for l, row in zip(left, eta_nu)]
+    return eta_nu, m_nu
+
+
+def fraction_limit_matrix(abar, points) -> list[list[Fraction]]:
+    """The nu -> 0 limit: all-ones first row, then the plain monomial rows."""
+    out = [[Fraction(1)] * abar.n_cols]
+    for pt in points[1:]:
+        out.append(fraction_monomials(abar.entries, pt))
+    return out
+
+
+def fraction_khatri_rao(top, bottom) -> list[list[Fraction]]:
+    return [
+        [Fraction(a) * Fraction(b) for a, b in zip(trow, brow)]
+        for trow in top
+        for brow in bottom
+    ]
+
+
+def fraction_limit_check(abar, spec, points, nus, *, label: str = "") -> LimitCheckReport:
+    """`degeneration.limit_check` computed on Fraction matrices, with the
+    input checks of the verifier itself, as a test-only reference."""
+    spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
+    nus = _check_nus(nus)
+    _check_chart_form(abar)
+    _check_guard(abar, spec)
+    pts = _check_points(abar, spec, points)
+    failures: list[str] = []
+
+    target = fraction_limit_matrix(abar, pts)
+    max_errors = []
+    row0_ok = True
+    kr_ranks = []
+    for nu in nus:
+        eta_nu, m_nu = fraction_scaled_family(abar, spec, pts, nu)
+        if any(x != 1 for x in m_nu[0]):
+            row0_ok = False
+            failures.append(f"nu={nu}: first row of M(nu) differs from all-ones")
+        err = max(
+            abs(a - b) for mrow, trow in zip(m_nu, target) for a, b in zip(mrow, trow)
+        )
+        max_errors.append(err)
+        kr_ranks.append(rational_rank(fraction_khatri_rao(eta_nu, abar.entries)))
+
+    ratios = []
+    first_order_ok = True
+    for bigger, smaller in zip(max_errors, max_errors[1:]):
+        if smaller == 0:
+            failures.append("error vanished exactly; ratio test degenerate")
+            first_order_ok = False
+            ratios.append(Fraction(0))
+            continue
+        q = bigger / smaller
+        ratios.append(q)
+        if not RATIO_BAND[0] <= q <= RATIO_BAND[1]:
+            first_order_ok = False
+            failures.append(
+                f"error ratio {q} outside band [{RATIO_BAND[0]}, {RATIO_BAND[1]}]"
+            )
+
+    secant_eta = fraction_eta(abar.entries, (len(pts) - 1,), pts)
+    secant_rank = rational_rank(secant_eta)
+    limit_rank = rational_rank(target)
+    stacked_rank = rational_rank(target + secant_eta)
+    rowspan_ok = (
+        secant_rank == spec.total_points
+        and limit_rank == secant_rank
+        and stacked_rank == secant_rank
+    )
+    if not rowspan_ok:
+        failures.append(
+            "row span mismatch: "
+            f"secant rank {secant_rank}, limit rank {limit_rank}, "
+            f"stacked rank {stacked_rank}, R = {spec.total_points}"
+        )
+
+    limit_kr_rank = rational_rank(fraction_khatri_rao(target, abar.entries))
+    semicontinuity_ok = kr_ranks[-1] >= limit_kr_rank
+    if not semicontinuity_ok:
+        failures.append(
+            f"semicontinuity violated: rank {kr_ranks[-1]} at nu={nus[-1]} "
+            f"below limit rank {limit_kr_rank}"
+        )
+
+    return LimitCheckReport(
+        descriptor=label,
+        r=spec.r,
+        nus=nus,
+        max_errors=tuple(max_errors),
+        error_ratios=tuple(ratios),
+        ratio_band=RATIO_BAND,
+        first_order_ok=first_order_ok,
+        row0_exact_ok=row0_ok,
+        rowspan_ok=rowspan_ok,
+        secant_rank=secant_rank,
+        limit_rank=limit_rank,
+        limit_kr_rank=limit_kr_rank,
+        kr_ranks=tuple(kr_ranks),
+        semicontinuity_ok=semicontinuity_ok,
+        dim_lower_bound=limit_kr_rank - 1,
+        all_pass=not failures,
+        failures=tuple(failures),
+    )

@@ -1,12 +1,15 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from conftest import rational_normal_curve
+from oracles import fraction_eta, fraction_limit_check
 
 from toricdim import (
     DEFAULT_PRIME,
+    ExponentMatrix,
     HadamardSpec,
     RunConfig,
     VarietyDescriptor,
@@ -17,9 +20,10 @@ from toricdim import (
     segre_veronese,
 )
 from toricdim import degeneration
-from toricdim.cli import report_dict
+from toricdim.cli import parse_descriptor, report_dict
 from toricdim.degeneration import (
     DEFAULT_NUS,
+    LimitCheckReport,
     eta_hadamard_exact,
     eta_secant_exact,
     khatri_rao_exact,
@@ -32,6 +36,8 @@ from toricdim._rational import rational_rank
 
 ABAR = normalize(rational_normal_curve(8))
 SPEC = (2, 3)
+# A chart (all-ones first row, first column e_1) with negative exponents.
+NEGATIVE_CHART = ExponentMatrix(((1, 1, 1, 1, 1), (0, 1, -1, 2, -2), (0, 0, 1, -1, 3)))
 
 
 def demo_instance():
@@ -64,37 +70,54 @@ def test_lower_bound_matches_secant_probe():
     assert rep.dim_lower_bound == probe.computed_dim
 
 
+def as_fractions(num, den):
+    """The matrix num / den, entrywise."""
+    return [[Fraction(n, d) for n, d in zip(nrow, drow)] for nrow, drow in zip(num, den)]
+
+
 def test_family_at_nu_one_is_the_identity_scaling():
     # at nu = 1 the points are unscaled and only the columns are rescaled
     pts = demo_points(ABAR, SPEC, seed=0)
-    eta_nu, m_nu = scaled_family(ABAR, HadamardSpec(SPEC), pts, Fraction(1))
-    assert eta_nu == eta_hadamard_exact(ABAR.entries, HadamardSpec(SPEC), pts)
-    assert m_nu == [[x / c for x, c in zip(row, eta_nu[0])] for row in eta_nu]
+    cols, scale = limit_matrix(ABAR, pts)
+    eta_nu, m_num, m_den = scaled_family(HadamardSpec(SPEC), cols, scale, Fraction(1))
+    assert eta_nu == eta_hadamard_exact(cols, HadamardSpec(SPEC), scale)
+    assert as_fractions(m_num, m_den) == [
+        [Fraction(x, c) for x, c in zip(row, eta_nu[0])] for row in eta_nu
+    ]
 
 
 def test_single_factor_exact_eta_reduces_to_secant():
     pts = demo_points(ABAR, (4,), seed=3)
-    assert eta_hadamard_exact(
-        ABAR.entries, HadamardSpec((4,)), pts
-    ) == eta_secant_exact(ABAR.entries, pts)
+    cols, scale = limit_matrix(ABAR, pts)
+    assert eta_hadamard_exact(cols, HadamardSpec((4,)), scale) == eta_secant_exact(
+        cols, scale
+    )
+
+
+def column_power(spec: HadamardSpec) -> int:
+    """The power of the column scale in the exact eta: one for the first
+    point and one for each factor with r_k > 1."""
+    return 1 + sum(1 for rp in spec.r_prime if rp)
 
 
 def test_exact_eta_reduced_mod_p_matches_modular_eta():
-    # The same formula over Q and over F_p: at integer points the exact
-    # entries, reduced mod p, are the prime-field entries.
+    # The same formula over Z and over F_p: at integer points the exact
+    # entries, divided by their column scale and reduced mod p, are the
+    # prime-field entries.  Negative exponents make the scale more than 1.
     rng = random.Random(5)
     p = DEFAULT_PRIME
-    for mat in (ABAR, normalize(segre_veronese((2,), (2,)))):
+    for mat in (ABAR, normalize(segre_veronese((2,), (2,))), NEGATIVE_CHART):
         rows = mat.entries
         for r in ((2, 3), (4,), (1,), (1, 3), (2, 1, 2)):
             spec = HadamardSpec(r)
             pts = [
                 tuple(rng.randint(1, 9) for _ in rows) for _ in range(spec.total_points)
             ]
-            exact = eta_hadamard_exact(rows, spec, pts)
+            cols, scale = limit_matrix(mat, pts)
+            exact = eta_hadamard_exact(cols, spec, scale)
+            power = column_power(spec)
             reduced = [
-                [x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                for row in exact
+                [x * pow(c, -power, p) % p for x, c in zip(row, scale)] for row in exact
             ]
             assert reduced == eta_hadamard(rows, spec, pts, p), (r, pts)
 
@@ -102,25 +125,27 @@ def test_exact_eta_reduced_mod_p_matches_modular_eta():
 def test_row0_exact_at_coarse_nu():
     # exactness of the first row is algebraic, not asymptotic
     pts = demo_points(ABAR, (2, 2), seed=5)
-    _, m_nu = scaled_family(ABAR, HadamardSpec((2, 2)), pts, Fraction(3, 7))
-    assert m_nu[0] == [Fraction(1)] * ABAR.n_cols
+    cols, scale = limit_matrix(ABAR, pts)
+    _, m_num, m_den = scaled_family(HadamardSpec((2, 2)), cols, scale, Fraction(3, 7))
+    assert as_fractions(m_num, m_den)[0] == [Fraction(1)] * ABAR.n_cols
 
 
 def test_limit_matrix_structure():
     pts = demo_points(ABAR, SPEC, seed=0)
-    lim = limit_matrix(ABAR, pts)
-    assert lim[0] == [Fraction(1)] * 9
+    lim, scale = limit_matrix(ABAR, pts)
+    assert all(c > 0 for c in scale)
+    assert [Fraction(x, c) for x, c in zip(lim[0], scale)] == [Fraction(1)] * 9
     assert len(lim) == 4
     # rows 2.. are plain monomial evaluations of the tail points
-    assert lim[1][0] == pts[1][0]
-    assert lim[1][2] == pts[1][0] * pts[1][1] ** 2
+    assert Fraction(lim[1][0], scale[0]) == pts[1][0]
+    assert Fraction(lim[1][2], scale[2]) == pts[1][0] * pts[1][1] ** 2
 
 
 def test_khatri_rao_exact_matches_modular_kernel():
-    top = [[Fraction(1, 2), Fraction(3)], [Fraction(-2), Fraction(5, 7)]]
-    bottom = [[Fraction(2), Fraction(7)]]
+    top = [[1, 3], [-2, 5]]
+    bottom = [[2, 7]]
     exact = khatri_rao_exact(top, bottom)
-    assert exact == [[Fraction(1), Fraction(21)], [Fraction(-4), Fraction(5)]]
+    assert exact == [[2, 21], [-4, 35]]
     p = DEFAULT_PRIME
     ints = [[3, 4], [5, 6]]
     as_mod = khatri_rao_mod(ints, [[7, 8]], p)
@@ -206,7 +231,7 @@ def test_demo_points_deterministic_and_near_identity():
         for x in pt:
             assert Fraction(1) < x <= Fraction(1) + Fraction(17, 128 * 9)
     # exact secant coefficient matrix has full rank at the sample
-    assert rational_rank(eta_secant_exact(ABAR.entries, a)) == 4
+    assert rational_rank(eta_secant_exact(*limit_matrix(ABAR, a))) == 4
 
 
 def test_demo_points_take_the_seed_mod_2_64():
@@ -241,9 +266,10 @@ def test_demo_points_are_generic():
     abar = normalize(segre_veronese((4,), (2,)))
     for seed in range(60, 100):
         pts = demo_points(abar, (2, 3), seed=seed)
-        limit_kr = khatri_rao_exact(limit_matrix(abar, pts), abar.entries)
+        cols, scale = limit_matrix(abar, pts)
+        limit_kr = khatri_rao_exact(cols, abar.entries)
         assert rational_rank(limit_kr) - 1 == 11, seed
-        assert rational_rank(eta_secant_exact(abar.entries, pts)) == 4, seed
+        assert rational_rank(eta_secant_exact(cols, scale)) == 4, seed
 
 
 def test_demo_points_widen_the_value_range_for_many_points():
@@ -254,3 +280,113 @@ def test_demo_points_widen_the_value_range_for_many_points():
     pts = demo_points(abar, (18,), seed=0)
     for coords in zip(*pts[1:]):
         assert sorted(coords) == [1 + Fraction(a, 128 * 31) for a in range(2, 19)]
+
+
+# --- the integer verifier against the Fraction reference ---------------------
+
+
+def assert_matches_reference(abar, r, points, nus=DEFAULT_NUS) -> LimitCheckReport:
+    """`limit_check` equals `oracles.fraction_limit_check` field by field."""
+    got = limit_check(abar, r, points, nus, label="case")
+    want = fraction_limit_check(abar, r, points, nus, label="case")
+    for f in fields(LimitCheckReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    return got
+
+
+@pytest.mark.parametrize(
+    "desc, r",
+    [
+        ("rnc:8", (2, 3)),
+        ("rnc:20", (3, 4)),
+        ("rnc:30", (4, 5)),
+        ("veronese:d=4,n=2", (2, 3)),
+    ],
+)
+def test_limit_check_matches_the_fraction_reference_on_demo_points(desc, r):
+    # the queries of the benchmark's degeneration workload
+    abar = normalize(parse_descriptor(desc).matrix())
+    for seed in range(10):
+        assert assert_matches_reference(abar, r, demo_points(abar, r, seed=seed)).all_pass
+
+
+def test_three_factors_stack_limit_and_secant_rows_at_one_column_scale():
+    # rnc:6 --r 2,2,2, m = 3.  Stacking the limit rows at the column scale c
+    # and the secant rows at c^2 reads a false row span mismatch here.
+    abar = normalize(rational_normal_curve(6))
+    for seed in range(5):
+        pts = demo_points(abar, (2, 2, 2), seed=seed)
+        rep = assert_matches_reference(abar, (2, 2, 2), pts)
+        assert rep.rowspan_ok and rep.all_pass, rep.failures
+
+
+@pytest.mark.parametrize(
+    "nus",
+    [
+        (Fraction(3, 7), Fraction(2, 49)),
+        (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
+        (Fraction(5, 3), Fraction(4, 3), Fraction(1, 9)),
+    ],
+)
+def test_limit_check_matches_the_fraction_reference_at_other_nus(nus):
+    for seed in range(3):
+        pts = demo_points(ABAR, SPEC, seed=seed)
+        assert_matches_reference(ABAR, SPEC, pts, nus)
+
+
+def test_limit_check_matches_the_fraction_reference_at_negative_coordinates():
+    one = Fraction(1)
+    pts = [
+        (one, one),
+        (Fraction(-3, 5), Fraction(7, 4)),
+        (Fraction(11, 6), Fraction(-2, 9)),
+        (Fraction(-5, 8), Fraction(-13, 3)),
+    ]
+    assert_matches_reference(ABAR, SPEC, pts)
+    pts = [
+        (one, one, one),
+        (Fraction(-3, 5), Fraction(7, 4), Fraction(-2, 9)),
+        (Fraction(11, 6), Fraction(-5, 7), 3),
+    ]
+    for r in ((2, 2), (3,), (1, 3)):
+        assert_matches_reference(NEGATIVE_CHART, r, pts)
+
+
+def test_exact_eta_is_the_fraction_eta_at_a_positive_column_scale():
+    one = Fraction(1)
+    pts = [
+        (one, one, one),
+        (Fraction(-3, 5), Fraction(7, 4), Fraction(-2, 9)),
+        (Fraction(11, 6), Fraction(-5, 7), Fraction(3)),
+        (Fraction(2, 3), Fraction(9, 5), Fraction(-4, 11)),
+    ]
+    for r in ((2, 3), (4,), (1, 4), (2, 2, 1)):
+        spec = HadamardSpec(r)
+        head = pts[: spec.total_points]
+        cols, scale = limit_matrix(NEGATIVE_CHART, head)
+        assert all(c > 0 for c in scale)
+        power = column_power(spec)
+        assert eta_hadamard_exact(cols, spec, scale) == [
+            [x * c**power for x, c in zip(row, scale)]
+            for row in fraction_eta(NEGATIVE_CHART.entries, spec.r_prime, head)
+        ], r
+
+
+def test_repeated_point_fails_the_row_span_check_as_the_reference_does():
+    pts = demo_points(ABAR, SPEC, seed=0)
+    rep = assert_matches_reference(ABAR, SPEC, pts[:2] + (pts[1],) + pts[3:])
+    assert not rep.rowspan_ok and not rep.all_pass
+    assert any(f.startswith("row span mismatch") for f in rep.failures)
+
+
+@pytest.mark.parametrize("first", [-10, -100])
+def test_zero_in_the_first_eta_row_raises_as_the_reference_does(first):
+    # phi_0(y) = y_1, so S_1 = 1 + nu * y_1 vanishes in column 0 at
+    # nu = -1/first: the first scale for -10, the second for -100.
+    pts = demo_points(ABAR, SPEC, seed=0)
+    pts = (pts[0], (Fraction(first),) + pts[1][1:]) + pts[2:]
+    with pytest.raises(ZeroDivisionError) as got:
+        limit_check(ABAR, SPEC, pts)
+    with pytest.raises(ZeroDivisionError) as want:
+        fraction_limit_check(ABAR, SPEC, pts, DEFAULT_NUS)
+    assert str(got.value) == str(want.value) == "degenerate points: first eta row has a zero"

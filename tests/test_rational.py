@@ -4,7 +4,7 @@ so every case runs with the pure kernel and with the compiled `fast` one."""
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -130,3 +130,65 @@ def test_empty_and_degenerate_shapes():
 def test_ragged_rows_raise_value_error(rows):
     with pytest.raises(ValueError, match="different lengths"):
         rational_rank(rows)
+
+
+def coprime_factors(rng, count: int, bits: int = 200) -> list[int]:
+    """`count` pairwise coprime integers below 2^bits with no prime factor
+    below 500, so none shares a prime with a planted entry of at most 486."""
+    small = prod(p for p in range(2, 500) if all(p % q for q in range(2, p)))
+    out: list[int] = []
+    while len(out) < count:
+        x = rng.getrandbits(bits) | 1
+        if gcd(x, small) == 1 and all(gcd(x, y) == 1 for y in out):
+            out.append(x)
+    return out
+
+
+def scale_rows_and_columns(rows, row_factors, col_factors):
+    return [[x * a * b for x, b in zip(row, col_factors)] for row, a in zip(rows, row_factors)]
+
+
+def rank_mod_primes(monkeypatch, rows) -> list[int]:
+    """The primes `rational_rank(rows)` reduces modulo, in order."""
+    primes = []
+    inner = kernels.rank_mod
+
+    def spy(mat, p):
+        primes.append(p)
+        return inner(mat, p)
+
+    monkeypatch.setattr(kernels, "rank_mod", spy)
+    try:
+        rational_rank(rows)
+    finally:
+        monkeypatch.setattr(kernels, "rank_mod", inner)
+    return primes
+
+
+def test_planted_row_and_column_factors_keep_the_rank():
+    rng = random.Random(13)
+    for _ in range(16):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(0, min(n_rows, n_cols))
+        rows = planted(rng, n_rows, n_cols, rank, lambda: rng.randint(-9, 9))
+        row_factors = [rng.choice((1, -1)) * rng.randint(1, 2**200) for _ in range(n_rows)]
+        col_factors = [rng.choice((1, -1)) * rng.randint(1, 2**200) for _ in range(n_cols)]
+        scaled = scale_rows_and_columns(rows, row_factors, col_factors)
+        assert rational_rank(scaled) == reference_rank(scaled) == reference_rank(rows)
+
+
+def test_planted_factors_take_no_more_primes(monkeypatch):
+    # Dividing out each row's and then each column's content removes the
+    # factors, so the Hadamard bound, and with it the number of primes the
+    # certificate needs, is that of the matrix without them.
+    rng = random.Random(14)
+    for _ in range(12):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(1, min(n_rows, n_cols))
+        rows = planted(rng, n_rows, n_cols, rank, lambda: rng.randint(1, 9))
+        row_factors = coprime_factors(rng, n_rows)
+        col_factors = coprime_factors(rng, n_cols)
+        scaled = scale_rows_and_columns(rows, row_factors, col_factors)
+        assert rational_rank(scaled) == reference_rank(rows)
+        base = rank_mod_primes(monkeypatch, rows)
+        assert len(rank_mod_primes(monkeypatch, scaled)) <= len(base)
