@@ -15,15 +15,26 @@ from math import gcd, lcm, prod
 from . import kernels
 from .modlinalg import ALTERNATE_PRIMES, DEFAULT_PRIME, is_probable_prime
 
+# The first 61 primes below ALTERNATE_PRIMES, downwards, as offsets below
+# DEFAULT_PRIME: the consecutive primes `_prime` would search for, stored so
+# that a run does not search (a degeneration pass uses up to 54 primes).
+_STORED_OFFSETS = (
+    44, 228, 258, 282, 338, 390, 402, 464, 530, 578, 674, 758, 798, 818,
+    828, 842, 858, 938, 984, 1014, 1152, 1194, 1214, 1280, 1298, 1350, 1370,
+    1424, 1488, 1524, 1532, 1542, 1608, 1620, 1668, 1740, 1752, 1812, 1844,
+    1848, 1854, 1862, 1868, 1908, 1920, 1922, 1944, 1958, 2022, 2082, 2114,
+    2132, 2184, 2370, 2372, 2382, 2384, 2400, 2538, 2550, 2594,
+)
 # The primes `rational_rank` tries, in order: DEFAULT_PRIME, ALTERNATE_PRIMES,
 # then the primes below all of them, downwards.  The list only grows, on
-# demand, and is the same in every run; none is searched for at import.
-_PRIMES = [DEFAULT_PRIME, *ALTERNATE_PRIMES]
+# demand past the stored ones, and is the same in every run.
+_PRIMES = [DEFAULT_PRIME, *ALTERNATE_PRIMES, *(DEFAULT_PRIME - d for d in _STORED_OFFSETS)]
 
 
 def _prime(i: int) -> int:
-    """The i-th prime of the sequence, found with `is_probable_prime`
-    (deterministic at this size) the first time it is asked for."""
+    """The i-th prime of the sequence; past the stored ones, found with
+    `is_probable_prime` (deterministic at this size) the first time it is
+    asked for."""
     while len(_PRIMES) <= i:
         n = min(_PRIMES) - 2
         while not is_probable_prime(n):

@@ -15,6 +15,15 @@ Dimension chain used throughout:
 
 where expected_dim_hadamard = min(sum_i dim sigma_{r_i}(X) - (m-1) dim X, N)
 is evaluated with computed per-factor dimensions.
+
+The chain settles a product before any probe of its own: dim sigma_R(X) is
+a certified lower bound (the degeneration of the paper), and the product
+probe's target is expected_dim_hadamard + 1.  So when lower_bound_dim_R
+reaches expected_dim_hadamard, `hadamard_dimension` reports it as
+computed_dim and draws nothing: attempts and trials 0, no primes tried,
+error bound 0.0, and the prime of the sigma_R report.  The verdict rests on
+the probed factor dimensions as upper bounds, as the product probe's target
+does.  Power m = 1 is sigma_r itself and is always settled.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
-from .probing import eta, probe_max_rank
+from .probing import ProbeResult, eta, probe_max_rank
 from .secantdim import expected_secant_dim, prefetch_secant_dimensions, secant_dimensions
 
 STATUS_EXPECTED = "expected dimension"
@@ -89,13 +98,19 @@ def hadamard_dimension(
     parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
     expected_h = min(parameter_count, ambient)
     expected_big = expected_secant_dim(ambient, dim_x, R)
-    # sigma_r(X) is the linear span of X from r = N + 1 on, so each factor
-    # is probed with at most N + 1 points; the product is the same variety.
-    probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
-    probe = probe_max_rank(
-        lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
-        mat, probed.total_points, config, expected_h + 1, factors=probed.m,
-    )
+    if lower >= expected_h:
+        # Settled by the chain: the certified lower bound already meets the
+        # ceiling the product probe would stop at.
+        probe = ProbeResult(lower + 1, lower_rep.prime, 0, False, 0, (), 0.0)
+    else:
+        # sigma_r(X) is the linear span of X from r = N + 1 on, so each
+        # factor is probed with at most N + 1 points; the product is the
+        # same variety.
+        probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
+        probe = probe_max_rank(
+            lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
+            mat, probed.total_points, config, expected_h + 1, factors=probed.m,
+        )
     computed = probe.rank - 1
     defect = computed < expected_h
     return HadamardDimensionReport(

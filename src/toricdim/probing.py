@@ -15,9 +15,12 @@ engine's eta at the points, which is `kernels.eta_mod` (monomials evaluated
 and eta assembled in C on the compiled backend,
 `_kernels_py.eta_of_columns` on the pure one), then `kernels.kr_rank_mod`,
 which forms the Khatri-Rao product and computes its rank.  The Hadamard
-probe runs it.  The target rank is a mathematical ceiling (parameter count
-or ambient bound), so the loop may stop as soon as the target is reached:
-the reported maximum is identical to running every draw.
+probe runs it.  The target rank is a ceiling (parameter count or ambient
+bound), so the loop may stop as soon as the target is reached: the
+reported maximum is identical to running every draw.  For a secant probe
+the ceiling is mathematical.  For a Hadamard probe it rests on the probed
+factor dimensions, which are exact only when the factor probes reached
+their own targets (ROADMAP item 8).
 
 `probe_secant_ranks` runs the secant probes of one variety together.  With
 z_1 = y_1 and z_j = y_1 y_j, row j >= 2 of the secant eta is phi(z_j) and

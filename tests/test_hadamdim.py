@@ -14,10 +14,12 @@ from toricdim import (
     expected_generic_hrank,
     generic_hrank,
     hadamard_dimension,
+    hadamdim,
     normalize,
     secant_dimension,
     segre_veronese,
 )
+from toricdim.cli import main, parse_descriptor
 from toricdim.exponent import ExponentMatrix
 from toricdim.hadamdim import (
     STATUS_EXPECTED,
@@ -25,7 +27,9 @@ from toricdim.hadamdim import (
     STATUS_INFINITE,
     eta_hadamard,
 )
+from toricdim.probing import probe_max_rank
 from toricdim.secantdim import eta_secant
+from toricdim.tables import run_table
 
 CFG = RunConfig(seed=0)
 P = 101
@@ -148,6 +152,11 @@ def test_quartic_surface_hypersurface_case():
     assert rep.fills_ambient
     assert rep.status == STATUS_EXPECTED
     assert rep.R == 5
+    # sigma_5 is the defective Alexander-Hirschowitz case (13 < 14), so the
+    # lower bound settles nothing and the product still probes; its report
+    # bytes are pinned in test_golden_reports.
+    assert rep.lower_bound_dim_R == 13
+    assert rep.attempts >= 1
     # each factor is sigma_2 of the quartic surface, dimension 2*3 - 1 = 5
     assert rep.factor_dims == (5, 5, 5, 5)
     assert rep.parameter_count == 4 * 5 - 3 * 2
@@ -185,6 +194,65 @@ def test_dimension_chain_and_factor_order_invariance():
         assert rep.expected_dim_hadamard <= rep.expected_dim_R
         flipped = hadamard_dimension(desc, tuple(reversed(r)), CFG)
         assert flipped.computed_dim == rep.computed_dim
+
+
+# --- products the sigma_R lower bound settles -------------------------------
+
+
+def _no_probe(*args, **kwargs):
+    raise AssertionError("a settled product made a probe of its own")
+
+
+@pytest.mark.parametrize("desc, r", [
+    (VarietyDescriptor.rnc(8), (2, 3)),
+    (VarietyDescriptor.rnc(8), (3,)),  # m = 1 is sigma_3 itself
+    (VarietyDescriptor.segre((1, 1, 1)), (2, 2)),
+])
+def test_settled_product_makes_no_probe(desc, r, monkeypatch):
+    monkeypatch.setattr(hadamdim, "probe_max_rank", _no_probe)
+    rep = hadamard_dimension(desc, r, CFG)
+    assert rep.lower_bound_dim_R >= rep.expected_dim_hadamard
+    assert rep.computed_dim == rep.lower_bound_dim_R
+    assert (rep.attempts, rep.trials, rep.primes_tried, rep.error_bound) == (0, 0, (), 0.0)
+    assert rep.prime == secant_dimension(desc, rep.R, CFG).prime
+    assert rep.status == STATUS_EXPECTED and not rep.hadamard_defect_flag
+
+
+def test_settled_product_needs_no_error_budget_of_its_own(tmp_path, capsys):
+    # A chart of the rational normal quartic with exponents up to 1200: at
+    # p = 65537 the product probe of sigma_2 * sigma_2 would have minors of
+    # degree up to 36015 > (p - 1)/2, and no error budget; sigma_3 already
+    # fills P^4, which settles the product.
+    wide = VarietyDescriptor.custom(
+        ExponentMatrix(((1,) * 5, (-1200, -600, 0, 600, 1200))), "wide-quartic"
+    )
+    rep = hadamard_dimension(wide, (2, 2), RunConfig(prime=65537))
+    assert (rep.computed_dim, rep.fills_ambient, rep.attempts) == (4, True, 0)
+    path = tmp_path / "wide.csv"
+    path.write_text("1,1,1,1,1\n-1200,-600,0,600,1200\n")
+    argv = ["dim-hadamard", f"matrix:{path}", "--r", "2,2", "--prime", "65537"]
+    assert main(argv) == 0
+    assert '"computed_dim": 4' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_settled_experiments_rows_match_a_direct_product_probe(seed):
+    config = RunConfig(seed=seed)
+    settled = 0
+    for row in run_table("experiments", config):
+        desc = parse_descriptor(row.descriptor)
+        rep = hadamard_dimension(desc, row.r, config)
+        if rep.lower_bound_dim_R < rep.expected_dim_hadamard:
+            continue
+        settled += 1
+        spec = HadamardSpec(tuple(min(rk, rep.ambient_dim + 1) for rk in row.r))
+        probe = probe_max_rank(
+            lambda rows, pts, p: eta_hadamard(rows, spec, pts, p),
+            desc.matrix(), spec.total_points, config, rep.expected_dim_hadamard + 1,
+            factors=spec.m,
+        )
+        assert probe.rank - 1 == rep.computed_dim == row.computed_dim, row
+    assert settled >= 100
 
 
 def test_hadamard_spec_validation():

@@ -11,7 +11,8 @@ import pytest
 from conftest import rational_normal_curve
 
 from toricdim import _kernels_py, kernels
-from toricdim._rational import _prime, rational_rank
+from toricdim._rational import _STORED_OFFSETS, _prime, rational_rank
+from toricdim.modlinalg import ALTERNATE_PRIMES, DEFAULT_PRIME, is_probable_prime
 
 
 @pytest.fixture(params=["python", "c"], autouse=True)
@@ -116,6 +117,22 @@ def test_minor_divisible_by_the_first_primes():
         rows = [[1, 0, 0], [1, product, 0]]
         assert all(kernels.rank_mod(rows, _prime(i)) == 1 for i in range(k))
         assert rational_rank(rows) == reference_rank(rows) == 2
+
+
+def test_stored_primes_are_the_consecutive_primes_below_the_fixed_three():
+    # The stored primes and the two the search adds past them are every
+    # integer below the fixed three that `is_probable_prime` accepts,
+    # downwards, none skipped.
+    below = []
+    n = min(ALTERNATE_PRIMES)
+    while len(below) < len(_STORED_OFFSETS) + 2:
+        n -= 1
+        if is_probable_prime(n):
+            below.append(n)
+    assert [DEFAULT_PRIME - d for d in _STORED_OFFSETS] == below[:-2]
+    assert [_prime(i) for i in range(3 + len(below))] == [
+        DEFAULT_PRIME, *ALTERNATE_PRIMES, *below
+    ]
 
 
 def test_empty_and_degenerate_shapes():
