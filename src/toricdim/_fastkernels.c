@@ -13,21 +13,21 @@
  * (mulmod); a row of products by one factor f takes Shoup's method, with
  * floor(f 2^64 / p) computed once (mulmod_shoup).
  *
- * The elimination defers its reductions, as the dense linear algebra
- * libraries over word-size primes do (Dumas, Giorgi and Pernet, "Dense
- * linear algebra over word-size prime fields: the FFLAS and FFPACK
- * packages", ACM TOMS 2008).  It works in panels of up to K pivots, and each
- * entry right of a panel is updated once: its k <= K products f_t P_t[j]
- * are summed in one unsigned __int128 and reduced by one `%`.  Residues are
- * at most p - 1, so the sum is exact while K (p - 1)^2 < 2^128, and K(p) =
+ * Every rank adds rows, in order, to one row echelon basis (add_row): a
+ * row is reduced by the pivot rows found so far, and its first nonzero
+ * entry left, if any, is a new pivot.  The reductions are deferred, as the
+ * dense linear algebra libraries over word-size primes do (Dumas, Giorgi
+ * and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
+ * and FFPACK packages", ACM TOMS 2008).  The pivots are kept in panels of
+ * up to K, and a row pays a panel's k <= K products f_t P_t[j] at each
+ * entry with one unsigned __int128 sum and one `%`.  Residues are at most
+ * p - 1, so the sum is exact while K (p - 1)^2 < 2^128, and K(p) =
  * min(16, floor((2^128 - 1) / (p - 1)^2)) (panel_width).  K is 16 for
  * every p <= 2^62, which holds every prime the program picks itself
  * (2^61 - 1, its alternates and the primes of exact ranks), and 1 once
- * p - 1 exceeds 2^63.5.  At 16, one `%` serves 16 multiply-adds: on a
- * 495 x 495 Khatri-Rao rank at 2^61 - 1, panels of 8 and 32 took 40 and
- * 48 ms where 16 took 37 ms.  The secant stream eliminates row by row
- * instead, each row against every pivot row found before it, and pays each
- * panel of them with the same two updates (column_update, update_row).
+ * p - 1 exceeds 2^63.5.  On a 495 x 495 Khatri-Rao rank at 2^61 - 1, the
+ * fastest of 15 runs took 32 and 40 ms with panels of 8 and 32, and 28 ms
+ * with 16 (a 2-vCPU Xeon virtual machine).
  * Built by `python3 setup.py build_ext --inplace`.
  */
 
@@ -219,63 +219,6 @@ static inline u64 draw_residue(u64 base, int shift, u64 p)
     }
 }
 
-/* Row-echelon elimination in place over Z/p; returns the rank, or -1 when a
- * pivot has no inverse mod p.  Entries must already be reduced below p.
- * Scratch: n_cols * PANEL words.
- *
- * Right-looking, in panels of up to w = panel_width(p) pivots.  Within a
- * panel, row i below the pivots owes the update -f_t P_t for each pivot t
- * found so far, and pays it only where it is read: a column is brought up
- * to date just before its pivot search, and a pivot row just before it is
- * scaled.  At the end of the panel every trailing entry pays all k updates
- * at once (update_row).  The pivots, swaps and every residue read are
- * those of the textbook elimination, one pivot at a time, so the rank and
- * the non-invertible pivot are too.  The factor f_t stays where the
- * column update left it, in the row at the column of pivot t, as in an LU
- * factorization; the scaled pivot rows are kept transposed, P_t[j] at
- * pt[j * w + t], so that the k entries one update reads are adjacent. */
-static Py_ssize_t rank_buffer(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 p, u64 *pt)
-{
-    int w = panel_width(p);
-    Py_ssize_t rank = 0, c = 0, cols[PANEL];
-    while (c < n_cols && rank < n_rows) {
-        Py_ssize_t start = c;
-        int k = 0;
-        for (; c < n_cols && rank < n_rows && k < w; c++) {
-            for (Py_ssize_t i = rank; k > 0 && i < n_rows; i++)
-                column_update(m + i * n_cols, cols, pt, w, k, c, p);
-            Py_ssize_t piv = rank;
-            while (piv < n_rows && m[piv * n_cols + c] == 0)
-                piv++;
-            if (piv == n_rows)
-                continue;
-            u64 *prow = m + rank * n_cols;
-            if (piv != rank) {
-                /* the panel's factors move with their rows; columns left of
-                 * it are never read again in rows >= rank */
-                u64 *other = m + piv * n_cols;
-                for (Py_ssize_t j = start; j < n_cols; j++) {
-                    u64 tmp = prow[j];
-                    prow[j] = other[j];
-                    other[j] = tmp;
-                }
-            }
-            update_row(prow, cols, pt, w, k, c + 1, n_cols, p);
-            u64 inv = invmod(prow[c], p);
-            if (inv == 0)
-                return -1;
-            u64 inv_q = shoup_quotient(inv, p);
-            for (Py_ssize_t j = c + 1; j < n_cols; j++)
-                pt[j * w + k] = mulmod_shoup(prow[j], inv, inv_q, p);
-            cols[k++] = c;
-            rank++;
-        }
-        for (Py_ssize_t i = rank; k > 0 && i < n_rows; i++)
-            update_row(m + i * n_cols, cols, pt, w, k, c, n_cols, p);
-    }
-    return rank;
-}
-
 /* x^e mod p for e >= 1 and a residue x, from the table pw[1..*top] of the
  * powers of x below POWERS, which it extends as far as e needs; larger
  * powers by powmod.  An exponent row repeats a few small exponents. */
@@ -362,16 +305,19 @@ static inline u64 signed_residue(long long v, u64 p)
     return (v < 0 && m) ? p - m : m;
 }
 
-/* row reduced by the first `rank` pivot rows of secant_stream's basis, in
- * order: each is the factor f of the row at the pivot's column, brought up
- * to date by the pivots before it, times the pivot row.  Pivot t is scaled
- * to 1 at its column piv[t], and is 0 left of it and at every earlier
- * pivot column.  The pivots fill panels of w = panel_width(p), each
- * transposed as rank_buffer's pt: entry j of pivot t at
- * basis[(t / w) n_cols w + j w + t % w], its own column left out.  The row
- * pays each panel as rank_buffer's rows do, by column_update at each pivot
- * column in turn and update_row on the rest; its entries at those columns
- * are then 0 by construction, and are cleared. */
+/* row reduced by the first `rank` pivot rows of an echelon basis, in the
+ * order they were found: each is the factor f of the row at the pivot's
+ * column, brought up to date by the pivots before it, times the pivot row.
+ * Pivot t is scaled to 1 at its column piv[t], and is 0 left of it and at
+ * every earlier pivot column.  The pivots fill panels of
+ * w = panel_width(p), each transposed: entry j of pivot t at
+ * basis[(t / w) n_cols w + j w + t % w], its own column left out, so that
+ * the k entries one update reads are adjacent.  The row pays each panel by
+ * column_update at each pivot column in turn, which brings a factor up to
+ * date just before it is read, and by update_row on the columns right of
+ * the panel's first one; when the panel's columns are contiguous, on those
+ * right of its last.  Its entries at the pivot columns are then 0 by
+ * construction, and are cleared. */
 static void reduce_row(u64 *row, const u64 *basis, const Py_ssize_t *piv, int w,
                        Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
 {
@@ -379,25 +325,48 @@ static void reduce_row(u64 *row, const u64 *basis, const Py_ssize_t *piv, int w,
         int k = rank - from < w ? (int)(rank - from) : w;
         const Py_ssize_t *cols = piv + from;
         const u64 *pt = basis + from * n_cols;
-        Py_ssize_t lo = cols[0];
+        Py_ssize_t lo = cols[0], hi = cols[0];
         for (int t = 1; t < k; t++) {
             column_update(row, cols, pt, w, t, cols[t], p);
             lo = cols[t] < lo ? cols[t] : lo;
+            hi = cols[t] > hi ? cols[t] : hi;
         }
-        update_row(row, cols, pt, w, k, lo, n_cols, p);
+        update_row(row, cols, pt, w, k, hi - lo >= k ? lo + 1 : hi + 1, n_cols, p);
         for (int t = 0; t < k; t++)
             row[cols[t]] = 0;
     }
 }
 
+/* Adds row (residues, clobbered) to the echelon basis of reduce_row, which
+ * holds `rank` pivots: the row is reduced by them, and its first nonzero
+ * entry left, if any, is a new pivot, whose row is scaled to 1 there.
+ * Returns the new rank, or -1 when that pivot has no inverse mod p. */
+static Py_ssize_t add_row(u64 *row, u64 *basis, Py_ssize_t *piv, int w,
+                          Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+{
+    reduce_row(row, basis, piv, w, n_cols, rank, p);
+    Py_ssize_t c = 0;
+    while (c < n_cols && row[c] == 0)
+        c++;
+    if (c == n_cols)
+        return rank;
+    u64 inv = invmod(row[c], p);
+    if (inv == 0)
+        return -1;
+    u64 inv_q = shoup_quotient(inv, p), *pt = basis + rank / w * n_cols * w + rank % w;
+    for (Py_ssize_t j = 0; j < n_cols; j++)
+        pt[j * w] = j > c ? mulmod_shoup(row[j], inv, inv_q, p) : 0;
+    piv[rank] = c;
+    return rank + 1;
+}
+
 /* The streamed Terracini elimination of secant_ranks_mod.  Block b is the
  * n_vars rows of the exponent matrix A (exps; amod holds its residues),
  * each scaled entrywise by phi(z_b), with z_0 = y_0 and z_b = y_0 y_b;
- * ranks[b] is the rank of blocks 0..b.  Each row is reduced by every pivot
- * row found before it (reduce_row), and the first nonzero entry left, if
- * any, is a new pivot.  No block is built once the rank is n_cols.
- * Returns 0, or -1 when a coordinate or a pivot has no inverse mod p.
- * Scratch: row, v and z hold n_cols words each. */
+ * ranks[b] is the rank of blocks 0..b.  Each row is added to one echelon
+ * basis (add_row).  No block is built once the rank is n_cols.  Returns 0,
+ * or -1 when a coordinate or a pivot has no inverse mod p.  Scratch: row,
+ * v and z hold n_cols words each. */
 static int secant_stream(const u64 *exps, const u64 *amod, Py_ssize_t n_vars,
                          Py_ssize_t n_cols, const u64 *ys, Py_ssize_t n_pts, u64 p,
                          u64 *basis, Py_ssize_t *piv, u64 *row, u64 *v, u64 *z,
@@ -417,23 +386,52 @@ static int secant_stream(const u64 *exps, const u64 *amod, Py_ssize_t n_vars,
             const u64 *a = amod + i * n_cols;
             for (Py_ssize_t h = 0; h < n_cols; h++)
                 row[h] = a[h] ? mulmod(phi[h], a[h], p) : 0;
-            reduce_row(row, basis, piv, w, n_cols, rank, p);
-            Py_ssize_t c = 0;
-            while (c < n_cols && row[c] == 0)
-                c++;
-            if (c == n_cols)
-                continue;
-            u64 inv = invmod(row[c], p);
-            if (inv == 0)
+            if ((rank = add_row(row, basis, piv, w, n_cols, rank, p)) < 0)
                 return -1;
-            u64 inv_q = shoup_quotient(inv, p), *pt = basis + rank / w * n_cols * w + rank % w;
-            for (Py_ssize_t j = 0; j < n_cols; j++)
-                pt[j * w] = j > c ? mulmod_shoup(row[j], inv, inv_q, p) : 0;
-            piv[rank++] = c;
         }
         ranks[b] = rank;
     }
     return 0;
+}
+
+/* The rank of the nt nb rows top[i] * bottom[k] (entrywise, in top-major
+ * order), or of the nt rows of top when bottom is NULL (nb = 1), each built
+ * in one scratch row and added to one echelon basis (add_row); no row is
+ * built once the rank is n_cols.  Releases the GIL while it eliminates.
+ * Returns the rank, -1 for a pivot without an inverse, or -2 with
+ * MemoryError set. */
+static Py_ssize_t kr_rank(const u64 *top, Py_ssize_t nt, const u64 *bottom, Py_ssize_t nb,
+                          Py_ssize_t n_cols, u64 p)
+{
+    int w = panel_width(p);
+    Py_ssize_t max_rank = nt * nb < n_cols ? nt * nb : n_cols, rank = 0;
+    Py_ssize_t words = (max_rank + w - 1) / w * w * n_cols;
+    /* the basis of ceil(max_rank / w) panels, the scratch row, then the
+     * Shoup quotients of bottom */
+    u64 *buf = PyMem_New(u64, words + (bottom ? nb + 1 : 1) * n_cols);
+    Py_ssize_t *piv = PyMem_New(Py_ssize_t, max_rank + 1);
+    if (buf == NULL || piv == NULL) {
+        PyMem_Free(buf);
+        PyMem_Free(piv);
+        PyErr_NoMemory();
+        return -2;
+    }
+    u64 *row = buf + words, *bq = row + n_cols;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t h = 0; bottom && h < nb * n_cols; h++)
+        bq[h] = shoup_quotient(bottom[h], p);
+    for (Py_ssize_t i = 0; i < nt * nb && rank >= 0 && rank < n_cols; i++) {
+        const u64 *ti = top + i / nb * n_cols;
+        if (bottom == NULL)
+            memcpy(row, ti, n_cols * sizeof(u64));
+        for (Py_ssize_t h = 0, at = i % nb * n_cols; bottom && h < n_cols; h++)
+            row[h] = mulmod_shoup(ti[h], bottom[at + h], bq[at + h], p);
+        rank = add_row(row, buf, piv, w, n_cols, rank, p);
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_Free(buf);
+    PyMem_Free(piv);
+    return rank;
 }
 
 /* x mod p in [0, p) with Python's sign convention; -1 with an exception set
@@ -601,23 +599,6 @@ static PyObject *rank_result(Py_ssize_t rank)
     return PyLong_FromSsize_t(rank);
 }
 
-/* rank_buffer on m, with a scratch of its own and without the GIL: the rank,
- * -1 for a pivot without an inverse, or -2 with MemoryError set. */
-static Py_ssize_t eliminate(u64 *m, Py_ssize_t n_rows, Py_ssize_t n_cols, u64 p)
-{
-    Py_ssize_t rank;
-    u64 *scratch = PyMem_New(u64, n_cols * PANEL);
-    if (scratch == NULL) {
-        PyErr_NoMemory();
-        return -2;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    rank = rank_buffer(m, n_rows, n_cols, p, scratch);
-    Py_END_ALLOW_THREADS
-    PyMem_Free(scratch);
-    return rank;
-}
-
 static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "p", NULL};
@@ -628,7 +609,7 @@ static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         || read_prime(p_obj, &p) < 0
         || read_rows(rows, p_obj, p, &m, &n_rows, &n_cols) < 0)
         return NULL;
-    rank = eliminate(m, n_rows, n_cols, p);
+    rank = kr_rank(m, n_rows, NULL, 1, n_cols, p);
     PyMem_Free(m);
     return PyErr_Occurred() ? NULL : rank_result(rank);
 }
@@ -637,7 +618,7 @@ static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject
 {
     static char *kwlist[] = {"top", "bottom", "p", NULL};
     PyObject *top, *bottom, *p_obj;
-    u64 p, *t, *b = NULL, *kr, *bq;
+    u64 p, *t, *b = NULL;
     Py_ssize_t nt, nb, n_cols, nb_cols, rank = 0;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:kr_rank_mod", kwlist,
                                      &top, &bottom, &p_obj)
@@ -650,32 +631,7 @@ static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject
         PyErr_SetString(PyExc_ValueError, "factors have different column counts");
         goto done;
     }
-    /* the product's rows, then the Shoup quotients of one row of bottom */
-    kr = PyMem_New(u64, (nt * nb + 1) * n_cols);
-    if (kr == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    bq = kr + nt * nb * n_cols;
-    Py_BEGIN_ALLOW_THREADS
-    /* row i * nb + k of the product is top[i] * bottom[k], entrywise */
-    for (Py_ssize_t k = 0; k < nb; k++) {
-        const u64 *bk = b + k * n_cols;
-        for (Py_ssize_t h = 0; h < n_cols; h++)
-            bq[h] = shoup_quotient(bk[h], p);
-        for (Py_ssize_t i = 0; i < nt; i++) {
-            u64 *dst = kr + (i * nb + k) * n_cols;
-            for (Py_ssize_t h = 0; h < n_cols; h++)
-                dst[h] = mulmod_shoup(t[i * n_cols + h], bk[h], bq[h], p);
-        }
-    }
-    Py_END_ALLOW_THREADS
-    /* the factors are dead: their memory can hold the elimination's scratch */
-    PyMem_Free(t);
-    PyMem_Free(b);
-    t = b = NULL;
-    rank = eliminate(kr, nt * nb, n_cols, p);
-    PyMem_Free(kr);
+    rank = kr_rank(t, nt, b, nb, n_cols, p);
 done:
     PyMem_Free(t);
     PyMem_Free(b);

@@ -4,24 +4,24 @@ blocks and the torus points a probe is taken at.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
 mirrors rank_mod, kr_rank_mod, eta_mod, secant_ranks_mod and
-torus_points_mod exactly, with the same pivots, swaps, residues and
-SplitMix64 words, so it returns identical values and raises ValueError on
-the same moduli (both take 2 <= p < 2^64), malformed shapes, counts and
+torus_points_mod exactly, with the same pivots, residues and SplitMix64
+words, so it returns identical values and raises ValueError on the same
+moduli (both take 2 <= p < 2^64), malformed shapes, counts and
 non-invertible pivots.  It has no entry point of its own for
 eval_columns_mod: its eta_mod and secant_ranks_mod evaluate the monomials
-inside.
-Only the arithmetic of the row updates differs, and when they are paid.
-Here the ranks eliminate on rows packed into one Python int each, so a row
-update is one big-int multiply-add, with the reduction mod p delayed
-(`_rank_reduced`, `secant_ranks_mod`).  The C elimination works in panels
-of up to 16 pivots: it brings a column or a pivot row up to date just
-before reading it, and every other entry once per panel, with one 128-bit
-sum of the panel's products and one reduction.
+inside.  On both sides every rank adds rows, in order, to one row echelon
+basis (`_Echelon` here, add_row in C), and only the arithmetic of a
+reduction differs: here a row is packed into one Python int, so reducing
+it by a pivot row is one big-int multiply-add with the reduction mod p
+delayed; in C a row pays a panel of up to 16 pivot rows at once, with one
+128-bit sum of their products per entry and one reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for the exact
 degeneration verifier, over the integers.
 """
 
 from __future__ import annotations
+
+import bisect
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 # generators", OOPSLA 2014) works on 64-bit words, and its counter steps by
@@ -50,7 +50,8 @@ def _residues(rows, p: int) -> list[list[int]]:
 def rank_mod(rows, p: int) -> int:
     """Rank of an integer matrix over Z/p (entries reduced internally)."""
     _check_modulus(p)
-    return _rank_reduced(_residues(rows, p), p)
+    mat = _residues(rows, p)
+    return _rank(mat, len(mat), len(mat[0]) if mat else 0, p)
 
 
 def _pack(row, nbytes: int) -> int:
@@ -59,83 +60,105 @@ def _pack(row, nbytes: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(nbytes, "big") for x in row]), "big")
 
 
-def _rank_reduced(mat: list[list[int]], p: int) -> int:
-    """Rank over Z/p of equally long rows already reduced mod p.
+class _Echelon:
+    """A row echelon basis over Z/p that grows one row at a time (`add`).
 
-    Each row is packed into one int (`_pack`), column j in a fixed-width
-    slot n_cols-1-j, so the columns right of a pivot column c are the low
-    slots.  Eliminating below the pivot row b is then one big-int
-    multiply-add and one mask per row, `(row + (p - f) * b) & below`: slot
-    c becomes a multiple of p and is masked off with the slots left of it,
-    and every other slot grows by (p - f) * b_j without being reduced.  The
-    pivot row is unpacked, scaled by the pivot's inverse, reduced and
-    repacked; any other entry is reduced only when its slot is read as a
-    pivot candidate or a factor f.
+    Adding a row reduces it by the pivot rows found so far, row - f P with f
+    the row's entry at the pivot's column; its first nonzero entry left, if
+    any, is a new pivot, whose row is scaled to 1 there.  A pivot row is 0
+    left of its column and at every pivot column found before it, so it
+    changes the factor of a later pivot only when its own column is further
+    left.  Reducing in increasing order of the pivot columns therefore reads
+    each factor after every pivot that changes it, as in the order the
+    pivots were found (`_fastkernels.c`): the factors and the row are the
+    same.
 
-    No slot carries into the next.  An entry is < p when its row is packed
-    and when its row becomes the pivot row, so an update adds at most
-    (p - 1)^2 to a slot.  A row is updated once per pivot above it, at most
-    k = min(n_rows, n_cols) times, so a slot stays below p + k p^2 <=
-    (k + 1) p^2 < 2^(2 bitlen(p) + bitlen(k + 1)): that many bits, rounded
-    up to whole bytes, is the slot width.  Pivots, swaps and residues mod p
-    are those of the textbook elimination, so the rank is too, and a
-    non-invertible pivot modulo a composite number raises the ValueError of
-    `pow(f, -1, p)`.
+    Rows are packed (`_pack`), column j in slot n_cols-1-j, so the columns
+    right of a column c are the low slots; a pivot row is packed from its
+    own column on.  A reduction is one multiply-add, `row + (p - f) P`: slot
+    c becomes a multiple of p and every other slot grows by (p - f) P_j,
+    unreduced until it is read.  Once the columns 0..c are all pivot
+    columns, a row is 0 mod p there after the pivot of column c, and it is
+    cut to the slots right of c, which keeps the ints short.  An entry is
+    < p when packed, and grows by at most (p - 1)^2 per pivot, k <=
+    max_rank times: a slot of 2 bitlen(p) + bitlen(k + 1) bits, rounded up
+    to whole bytes, holds it.  A pivot without an inverse modulo a composite
+    number raises the ValueError of `pow(f, -1, p)`.
     """
-    n_rows = len(mat)
-    if n_rows == 0:
-        return 0
-    n_cols = len(mat[0])
-    nbytes = (2 * p.bit_length() + (min(n_rows, n_cols) + 1).bit_length() + 7) // 8
-    width = 8 * nbytes
-    slot = (1 << width) - 1
-    rows = [_pack(row, nbytes) for row in mat]
-    rank = 0
-    for c in range(n_cols):
-        if rank == n_rows:
+
+    def __init__(self, n_cols: int, p: int, max_rank: int):
+        self.n_cols = n_cols
+        self.p = p
+        self.nbytes = (2 * p.bit_length() + (max_rank + 1).bit_length() + 7) // 8
+        self.cols: list[int] = []  # the pivot columns, increasing
+        # Per pivot column, in the same order: the shift of its slot, its
+        # packed row, and the mask that cuts a row after it (0 for no cut).
+        self.pivots: list[tuple[int, int, int]] = []
+        self.lead = 0  # columns 0..lead-1 are all pivot columns
+
+    def add(self, entries) -> None:
+        """Reduce the residues `entries` by the pivots, and keep the first
+        nonzero entry left, if any, as a new pivot."""
+        p, nbytes, lead = self.p, self.nbytes, self.lead
+        slot = (1 << 8 * nbytes) - 1
+        row = _pack(entries, nbytes)
+        for shift, prow, cut in self.pivots:
+            f = (row >> shift & slot) % p
+            if f:
+                row += (p - f) * prow
+                if cut:
+                    row &= cut
+        raw = row.to_bytes(nbytes * self.n_cols, "big")
+        left = [int.from_bytes(raw[k:k + nbytes], "big")
+                for k in range(lead * nbytes, len(raw), nbytes)]
+        i = next((i for i, x in enumerate(left) if x % p), None)
+        if i is None:
+            return
+        inv = pow(left[i], -1, p)
+        c = lead + i
+        at = bisect.bisect(self.cols, c)
+        self.cols.insert(at, c)
+        shift = 8 * nbytes * (self.n_cols - 1 - c)
+        self.pivots.insert(at, (shift, _pack([x * inv % p for x in left[i:]], nbytes), 0))
+        while lead < len(self.cols) and self.cols[lead] == lead:
+            shift, prow, _ = self.pivots[lead]
+            self.pivots[lead] = (shift, prow, (1 << shift) - 1)
+            lead += 1
+        self.lead = lead
+
+
+def _rank(rows, n_rows: int, n_cols: int, p: int) -> int:
+    """The rank over Z/p of `n_rows` rows of `n_cols` residues, added in
+    order to one `_Echelon` until the rank is the column count."""
+    echelon = _Echelon(n_cols, p, min(n_rows, n_cols))
+    for row in rows:
+        echelon.add(row)
+        if len(echelon.cols) == n_cols:
             break
-        shift = width * (n_cols - 1 - c)  # column c is (row >> shift) & slot
-        for piv in range(rank, n_rows):
-            f = (rows[piv] >> shift & slot) % p
-            if f:
-                break
-        else:
-            continue
-        # Rows rank..piv-1 are zero in column c, and so is the row the swap
-        # moves to piv: the update starts after it.
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(f, -1, p)
-        row = rows[rank].to_bytes(nbytes * n_cols, "big")
-        prow = _pack(
-            [int.from_bytes(row[k:k + nbytes], "big") * inv % p
-             for k in range(c * nbytes, len(row), nbytes)],
-            nbytes,
-        )
-        below = (1 << shift) - 1
-        for i in range(piv + 1, n_rows):
-            f = (rows[i] >> shift & slot) % p
-            if f:
-                rows[i] = (rows[i] + (p - f) * prow) & below
-        rank += 1
-    return rank
+    return len(echelon.cols)
+
+
+def _khatri_rao_rows(top, bottom, p: int):
+    """The rows of `khatri_rao_mod` one at a time, after its ValueErrors."""
+    top, bot = _residues(top, p), _residues(bottom, p)
+    if top and bot and len(top[0]) != len(bot[0]):
+        raise ValueError("factors have different column counts")
+    for t in top:
+        for brow in bot:
+            yield [(a * b) % p for a, b in zip(t, brow)]
 
 
 def khatri_rao_mod(top, bottom, p: int):
     """Column-wise Kronecker product over F_p, top-index-major row blocks."""
-    top, bot = _residues(top, p), _residues(bottom, p)
-    if top and bot and len(top[0]) != len(bot[0]):
-        raise ValueError("factors have different column counts")
-    out = []
-    for t in top:
-        for brow in bot:
-            out.append([(a * b) % p for a, b in zip(t, brow)])
-    return out
+    return list(_khatri_rao_rows(top, bottom, p))
 
 
 def kr_rank_mod(top, bottom, p: int) -> int:
-    """rank_mod of the Khatri-Rao product, fused for the compiled backend."""
+    """rank_mod of the Khatri-Rao product, its rows built only until the
+    rank is the column count."""
     _check_modulus(p)
-    return _rank_reduced(khatri_rao_mod(top, bottom, p), p)
+    n_cols = len(top[0]) if top else 0
+    return _rank(_khatri_rao_rows(top, bottom, p), len(top) * len(bottom), n_cols, p)
 
 
 def eval_columns_mod(mat, point, p: int):
@@ -241,14 +264,9 @@ def secant_ranks_mod(rows, points, p: int) -> list[int]:
     rank after block B - 1 is exactly the rank of eta (x) rows at those
     points (Terracini's lemma).
 
-    The rows are eliminated one by one: each is reduced by the pivot rows
-    found before it, in the order they were found (row - f P, with f the
-    row's entry at the pivot's column), and its first nonzero entry left,
-    if any, is a new pivot, whose row is scaled to 1 there.  The points are
-    checked before any block is built, and no block is built once the rank
-    is the column count.  Rows are packed into one int each, as in
-    `_rank_reduced`; an entry grows by at most (p - 1)^2 per pivot, so a
-    slot of 2 bitlen(p) + bitlen(n_cols + 1) bits holds it.
+    The rows are added in order to one `_Echelon`.  The points are checked
+    before any block is built, and no block is built once the rank is the
+    column count.
     """
     _check_modulus(p)
     mat = _residues(rows, p)
@@ -258,38 +276,20 @@ def secant_ranks_mod(rows, points, p: int) -> list[int]:
         raise ValueError("point length differs from the number of rows")
     if mat and any(0 in pt for pt in pts):
         raise ValueError("torus point has a coordinate divisible by the prime")
-    nbytes = (2 * p.bit_length() + (n_cols + 1).bit_length() + 7) // 8
-    width = 8 * nbytes
-    slot = (1 << width) - 1
-    basis = []  # (shift of the pivot column, packed pivot row), in order found
+    echelon = _Echelon(n_cols, p, min(len(pts) * len(mat), n_cols))
     ranks = []
     for b, point in enumerate(pts):
-        if len(basis) < n_cols:
+        if len(echelon.cols) < n_cols:
             phi = eval_columns_mod(rows, point, p)
             if b == 0:
                 v = phi
             else:
                 phi = [x * y % p for x, y in zip(phi, v)]
             for a in mat:
-                row = _pack([x * y % p for x, y in zip(phi, a)], nbytes)
-                for shift, prow in basis:
-                    f = (row >> shift & slot) % p
-                    if f:
-                        row += (p - f) * prow
-                raw = row.to_bytes(nbytes * n_cols, "big")
-                entries = [int.from_bytes(raw[k:k + nbytes], "big") % p
-                           for k in range(0, len(raw), nbytes)]
-                c = next((c for c, x in enumerate(entries) if x), None)
-                if c is None:
-                    continue
-                inv = pow(entries[c], -1, p)
-                basis.append((
-                    width * (n_cols - 1 - c),
-                    _pack([x * inv % p for x in entries[c:]], nbytes),
-                ))
-                if len(basis) == n_cols:
+                echelon.add([x * y % p for x, y in zip(phi, a)])
+                if len(echelon.cols) == n_cols:
                     break
-        ranks.append(len(basis))
+        ranks.append(len(echelon.cols))
     return ranks
 
 

@@ -6,8 +6,10 @@ Prefers the compiled extension (`toricdim._fastkernels`, built from
 secant probes) and `torus_points_mod` (the SplitMix64 point draw); falls
 back to the pure-Python implementation in `_kernels_py` when the extension is
 missing or when the environment variable TORICDIM_PURE is set to a
-non-empty value.  Both backends return identical values on identical
-inputs, for every prime below 2^64.
+non-empty value.  Each backend has one elimination: its three ranks add
+rows, in order, to one row echelon basis, and stop once the rank is the
+column count.  Both backends return identical values on identical inputs,
+for every prime below 2^64.
 """
 
 from __future__ import annotations

@@ -69,26 +69,17 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
     )
 
 
-def run_veronese_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
+def _run_check_table(table: str, cases, config: RunConfig) -> list[TableRow]:
+    """The veronese or binary table: one row per (descriptor, r-vector)
+    case, passing when the probed dimension equals the single-secant
+    parameter bound of the vector's index R."""
     rows = []
-    for d, n, rvec in veronese_check_table():
-        desc = VarietyDescriptor.veronese(d, n)
+    for desc, rvec in cases:
         # The factors of every vector of a case lie in 2..R, R its index.
         spec = HadamardSpec(rvec)
         prefetch_secant_dimensions(desc, range(2, spec.total_points + 1), config)
         rep = hadamard_dimension(desc, spec, config)
-        rows.append(_row("veronese", rep, rep.expected_dim_R))
-    return rows
-
-
-def run_binary_table(config: RunConfig = DEFAULT_CONFIG) -> list[TableRow]:
-    rows = []
-    for degrees, rvec in binary_check_table():
-        desc = VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees))
-        spec = HadamardSpec(rvec)
-        prefetch_secant_dimensions(desc, range(2, spec.total_points + 1), config)
-        rep = hadamard_dimension(desc, spec, config)
-        rows.append(_row("binary", rep, rep.expected_dim_R))
+        rows.append(_row(table, rep, rep.expected_dim_R))
     return rows
 
 
@@ -158,9 +149,16 @@ def run_table(
     name: str, config: RunConfig = DEFAULT_CONFIG, *, extended: bool = False
 ) -> list[TableRow]:
     if name == "veronese":
-        return run_veronese_table(config)
+        cases = [
+            (VarietyDescriptor.veronese(d, n), rvec) for d, n, rvec in veronese_check_table()
+        ]
+        return _run_check_table(name, cases, config)
     if name == "binary":
-        return run_binary_table(config)
+        cases = [
+            (VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees)), rvec)
+            for degrees, rvec in binary_check_table()
+        ]
+        return _run_check_table(name, cases, config)
     if name == "experiments":
         return run_experiments_table(config, extended=extended)
     raise ValueError(f"unknown table {name!r}")

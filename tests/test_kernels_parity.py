@@ -200,10 +200,18 @@ def _growth_cases(p):
             ("rank_mod", (full, p), 1),
             ("kr_rank_mod", (full, full[:1], p), 1),
         ]
+    # Rows that find their pivots out of column order, at columns 2, 0, 3,
+    # 1, 6 and 4, then two dependent rows.  After the first two pivots the
+    # all-pivot leading columns are 0 alone, after four 0..3, after six
+    # 0..4: the pure echelon must reduce a row by column 0's pivot before
+    # column 2's, which was found first, and may cut it only after a pivot
+    # inside that run.
+    mat = _echelon(8, [2, 0, 3, 1, 6, 4], p, p - 1, random.Random(p % 1000))
+    cases += [("rank_mod", (mat, p), 6), ("kr_rank_mod", (mat, [[1] * 8], p), 6)]
     return cases
 
 
-@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE)
+@pytest.mark.parametrize("p", LARGE_PRIMES + SMALL_AND_COMPOSITE + [6])
 def test_rank_parity_when_every_update_has_maximal_growth(fast, p):
     _check((py, fast), _growth_cases(p))
 
@@ -307,10 +315,11 @@ def _echelon(n_cols, pivots, p, fill, rng, dependent=2, unit=None):
     return mat
 
 
-# (columns, pivotless columns): with 16-pivot panels, column 0 is where
-# the first panel finds no first pivot, 15 where it finds no 16th, 16 and
-# 32 where the second and third panels find no first pivot, and the last
-# column is the last one a panel searches.
+# (columns, pivotless columns): the rows find their pivots in column
+# order, 16 to a panel, so a pivotless column comes before the columns of a
+# panel (0 in (17, (0,))), falls between them (15 in (17, (15,)), which a
+# row must update together with the panel's own columns), or comes after
+# them all (the last column).
 PANEL_SHAPES = [
     (15, ()), (16, ()), (17, ()), (33, ()), (17, (0,)), (17, (15,)), (20, (16, 19)),
     (33, (5, 15, 16)), (40, (0, 15, 31, 32, 39)), (33, (32,)),
