@@ -15,12 +15,6 @@ Quick start::
 """
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .classify import (
-    AH_SPORADIC,
-    binary_check_table,
-    enumerate_check_rvectors,
-    veronese_check_table,
-)
 from .degeneration import (
     LimitCheckReport,
     demo_points,
@@ -55,6 +49,12 @@ from .secantdim import (
     expected_secant_dim,
     secant_dimension,
     secant_dimensions,
+)
+from .tables import (
+    AH_SPORADIC,
+    binary_check_table,
+    enumerate_check_rvectors,
+    veronese_check_table,
 )
 from .tropical import Support, classify_support
 

@@ -1,11 +1,12 @@
-"""Table runners behind the `verify-table` command.
+"""The stored check tables behind the `verify-table` command.
 
 Three tables:
 
-  * veronese: every sporadic defective Veronese secant case, decomposed into
-    all multi-factor vectors with the same index; each row must reach the
-    parameter-count dimension of the corresponding single secant (ambient
-    fill except where that bound is below N).
+  * veronese: every sporadic defective Veronese secant case of the
+    Alexander-Hirschowitz classification, decomposed into all multi-factor
+    vectors with the same index; each row must reach the parameter-count
+    dimension of the corresponding single secant (ambient fill except where
+    that bound is below N).
   * binary: the two sporadic defective binary Segre-Veronese cases, same
     row shape.
   * experiments: quadratic Veronese varieties (always defective), pairs of
@@ -15,6 +16,12 @@ Three tables:
     the defective binary families, each capped one index step past ambient
     saturation.
 
+A sporadic case of index R is checked through every factor vector
+(r_1 >= ... >= r_m >= 2), m >= 2, with sum(r_k - 1) + 1 = R: these are the
+products whose dimension must be checked directly when sigma_R itself is
+defective, and there are p(R-1) - 1 of them, one per partition of R - 1
+into two or more parts.
+
 A row passes when the probed dimension equals its stated target, so a table
 is a machine-checked restatement of the claims it encodes.
 """
@@ -22,13 +29,16 @@ is a machine-checked restatement of the claims it encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
-from .classify import binary_check_table, veronese_check_table
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .hadamdim import HadamardDimensionReport, hadamard_dimension
 from .secantdim import prefetch_secant_dimensions
+
+# Sporadic defective Veronese cases (d, n, r) with d >= 3; for d = 2 the
+# defective range is exactly 2 <= r <= n.
+AH_SPORADIC = frozenset({(3, 4, 7), (4, 2, 5), (4, 3, 9), (4, 4, 14)})
 
 EXPERIMENT_GATING_NS = range(2, 7)
 EXPERIMENT_GATING_MAX_R = 12
@@ -51,11 +61,78 @@ class TableRow:
     passed: bool
 
 
+def _tuples_with_index(m: int, big_r: int, low: int = 2):
+    """Non-decreasing m-tuples (low <= r_1 <= ... <= r_m), m >= 1, index
+    sum(r_i - 1) + 1 = big_r, in lexicographic order."""
+    if m == 1:
+        if big_r >= low:
+            yield (big_r,)
+        return
+    # The m - 1 entries after `first` are at least `first`, so their index
+    # big_r - first + 1 is at least (m - 1)(first - 1) + 1.
+    for first in range(low, (big_r - 1) // m + 2):
+        for rest in _tuples_with_index(m - 1, big_r - first + 1, first):
+            yield (first, *rest)
+
+
+def enumerate_check_rvectors(R: int) -> list[tuple[int, ...]]:
+    """All factor vectors (r_1 >= ... >= r_m >= 2), m >= 2, with
+    sum(r_k - 1) + 1 = R, sorted ascending-lexicographically.
+
+    These are the cases whose product dimension must be checked directly
+    when sigma_R itself is defective; there are p(R-1) - 1 of them.
+    """
+    if R < 3:
+        raise ValueError("R must be >= 3 (smallest multi-factor case is (2,2))")
+    return sorted(rvec[::-1] for m in range(2, R) for rvec in _tuples_with_index(m, R))
+
+
+def veronese_check_table() -> list[tuple[int, int, tuple[int, ...]]]:
+    """(d, n, r-vector) rows covering all sporadic defective Veronese cases."""
+    return [
+        (d, n, rvec) for d, n, big_r in sorted(AH_SPORADIC)
+        for rvec in enumerate_check_rvectors(big_r)
+    ]
+
+
+def binary_check_table() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(degrees, r-vector) rows covering the sporadic defective binary cases.
+
+    The family exceptions (2,2t) and (1,1,2t) are excluded from the closed
+    form altogether, so only (2,2,2) with R = 7 and (1,1,1,1) with R = 3
+    need direct checks.
+    """
+    return [((2, 2, 2), rvec) for rvec in enumerate_check_rvectors(7)] + [
+        ((1, 1, 1, 1), (2, 2))
+    ]
+
+
+def _binary(degrees: tuple[int, ...]) -> VarietyDescriptor:
+    return VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees))
+
+
+def _experiment_cases() -> list[tuple[VarietyDescriptor, tuple[int, ...]]]:
+    pairs = combinations_with_replacement(range(2, EXPERIMENT_GATING_MAX_R), 2)
+    pairs = [r for r in pairs if sum(r) - 1 <= EXPERIMENT_GATING_MAX_R]
+    return [(VarietyDescriptor.veronese(2, n), r) for n in EXPERIMENT_GATING_NS for r in pairs]
+
+
+# table -> (its (descriptor, r-vector) cases, the report field each row must
+# equal): the single-secant parameter bound min(N, R(d+1)-1) of the vector's
+# index R in the veronese and binary tables, the chain upper bound with
+# probed factor dims in the experiments table.
+_TABLES = {
+    "veronese": (lambda: [(VarietyDescriptor.veronese(d, n), r)
+                          for d, n, r in veronese_check_table()], "expected_dim_R"),
+    "binary": (lambda: [(_binary(degrees), r) for degrees, r in binary_check_table()],
+               "expected_dim_R"),
+    "experiments": (_experiment_cases, "expected_dim_hadamard"),
+}
+
+
 def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
     """Row for one Hadamard report, passing when the probed dimension equals
-    `target`: the single-secant parameter bound min(N, R(d+1)-1) in the
-    veronese and binary tables, the chain upper bound with probed factor
-    dims in the experiments table."""
+    `target`."""
     return TableRow(
         table=table,
         descriptor=rep.descriptor,
@@ -69,26 +146,19 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
     )
 
 
-def _run_check_table(table: str, cases, config: RunConfig) -> list[TableRow]:
-    """The veronese or binary table: one row per (descriptor, r-vector)
-    case, passing when the probed dimension equals the single-secant
-    parameter bound of the vector's index R."""
+def _run_cases(table: str, cases, target: str, config: RunConfig) -> list[TableRow]:
+    """One row per (descriptor, r-vector) case, in order.  The factors and
+    the index of a vector lie in 2..R, R its index, so each run of cases on
+    one descriptor first fetches the secants 2..(largest R) in one batch."""
     rows = []
-    for desc, rvec in cases:
-        # The factors of every vector of a case lie in 2..R, R its index.
-        spec = HadamardSpec(rvec)
-        prefetch_secant_dimensions(desc, range(2, spec.total_points + 1), config)
-        rep = hadamard_dimension(desc, spec, config)
-        rows.append(_row(table, rep, rep.expected_dim_R))
+    for desc, run in groupby(cases, key=lambda case: case[0]):
+        rvecs = [rvec for _, rvec in run]
+        top = max(HadamardSpec(rvec).total_points for rvec in rvecs)
+        prefetch_secant_dimensions(desc, range(2, top + 1), config)
+        for rvec in rvecs:
+            rep = hadamard_dimension(desc, rvec, config)
+            rows.append(_row(table, rep, getattr(rep, target)))
     return rows
-
-
-def _tuples_with_index(m: int, big_r: int):
-    """Non-decreasing m-tuples (r_1 <= ... <= r_m), r_i >= 2, index big_r,
-    in lexicographic order."""
-    for rvec in combinations_with_replacement(range(2, big_r + 1), m):
-        if sum(rvec) - m + 1 == big_r:
-            yield rvec
 
 
 def _sweep_until_saturated(
@@ -115,50 +185,17 @@ def _sweep_until_saturated(
     return rows
 
 
-def run_experiments_table(
-    config: RunConfig = DEFAULT_CONFIG, *, extended: bool = False
-) -> list[TableRow]:
-    rows = []
-    if not extended:
-        for n in EXPERIMENT_GATING_NS:
-            desc = VarietyDescriptor.veronese(2, n)
-            prefetch_secant_dimensions(desc, range(2, EXPERIMENT_GATING_MAX_R + 1), config)
-            for r1 in range(2, EXPERIMENT_GATING_MAX_R):
-                for r2 in range(r1, EXPERIMENT_GATING_MAX_R):
-                    if r1 + r2 - 1 > EXPERIMENT_GATING_MAX_R:
-                        break
-                    rep = hadamard_dimension(desc, (r1, r2), config)
-                    rows.append(_row("experiments", rep, rep.expected_dim_hadamard))
-        return rows
-    for n in range(2, 16):
-        rows.extend(
-            _sweep_until_saturated("experiments", VarietyDescriptor.veronese(2, n), 2, config)
-        )
-    for n in range(2, 13):
-        rows.extend(
-            _sweep_until_saturated("experiments", VarietyDescriptor.veronese(2, n), 3, config)
-        )
-    for t in range(1, 7):
-        for degrees in ((2, 2 * t), (1, 1, 2 * t)):
-            desc = VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees))
-            rows.extend(_sweep_until_saturated("experiments", desc, 2, config))
-    return rows
-
-
 def run_table(
     name: str, config: RunConfig = DEFAULT_CONFIG, *, extended: bool = False
 ) -> list[TableRow]:
-    if name == "veronese":
-        cases = [
-            (VarietyDescriptor.veronese(d, n), rvec) for d, n, rvec in veronese_check_table()
-        ]
-        return _run_check_table(name, cases, config)
-    if name == "binary":
-        cases = [
-            (VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees)), rvec)
-            for degrees, rvec in binary_check_table()
-        ]
-        return _run_check_table(name, cases, config)
-    if name == "experiments":
-        return run_experiments_table(config, extended=extended)
-    raise ValueError(f"unknown table {name!r}")
+    if name not in _TABLES:
+        raise ValueError(f"unknown table {name!r}")
+    if extended and name != "experiments":
+        raise ValueError("--extended applies only to the experiments table")
+    if not extended:
+        cases, target = _TABLES[name]
+        return _run_cases(name, cases(), target, config)
+    sweeps = [(VarietyDescriptor.veronese(2, n), 2) for n in range(2, 16)]
+    sweeps += [(VarietyDescriptor.veronese(2, n), 3) for n in range(2, 13)]
+    sweeps += [(_binary(degs), 2) for t in range(1, 7) for degs in ((2, 2 * t), (1, 1, 2 * t))]
+    return [row for desc, m in sweeps for row in _sweep_until_saturated(name, desc, m, config)]

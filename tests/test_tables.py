@@ -1,15 +1,24 @@
 import importlib
 import pkgutil
+from itertools import combinations_with_replacement
 
 import pytest
 
 import toricdim
-from toricdim import VarietyDescriptor, tables
+from toricdim import VarietyDescriptor, enumerate_check_rvectors, tables
 from toricdim.cli import report_dict
 from toricdim.config import CACHE_SIZE, RunConfig
 from toricdim.tables import _sweep_until_saturated, _tuples_with_index, run_table
 
 CFG = RunConfig(seed=0)
+
+
+def _brute_force_tuples(m, big_r):
+    """Every non-decreasing m-tuple over 2..big_r, kept when its index is big_r."""
+    return [
+        rvec for rvec in combinations_with_replacement(range(2, big_r + 1), m)
+        if sum(rvec) - m + 1 == big_r
+    ]
 
 
 def test_tuples_with_index_enumeration():
@@ -22,6 +31,15 @@ def test_tuples_with_index_enumeration():
             assert all(r >= 2 for r in t)
             assert tuple(sorted(t)) == t
             assert sum(r - 1 for r in t) + 1 == big_r
+    # the recursion against the filter over every multiset, empty cases too
+    for m in range(1, 5):
+        for big_r in range(1, 21):
+            assert list(_tuples_with_index(m, big_r)) == _brute_force_tuples(m, big_r)
+    for big_r in range(3, 13):
+        want = sorted(
+            rvec[::-1] for m in range(2, big_r) for rvec in _brute_force_tuples(m, big_r)
+        )
+        assert enumerate_check_rvectors(big_r) == want
 
 
 def test_veronese_table_all_rows_pass(table_rows):
@@ -97,6 +115,12 @@ def test_sweep_probes_each_row_once(monkeypatch):
 def test_unknown_table_rejected():
     with pytest.raises(ValueError, match="unknown table"):
         run_table("nonsense", CFG)
+    with pytest.raises(ValueError, match="unknown table"):
+        run_table("nonsense", CFG, extended=True)
+    # only the experiments table has an extended form
+    for name in ("veronese", "binary"):
+        with pytest.raises(ValueError, match="--extended applies only to the experiments"):
+            run_table(name, CFG, extended=True)
 
 
 def test_memoised_functions_are_bounded():
