@@ -24,6 +24,17 @@ computed_dim and draws nothing: attempts and trials 0, no primes tried,
 error bound 0.0, and the prime of the sigma_R report.  The verdict rests on
 the probed factor dimensions as upper bounds, as the product probe's target
 does.  Power m = 1 is sigma_r itself and is always settled.
+
+Products nest, too: sigma_{r-1}(X) lies in sigma_r(X), so a product
+contains the product with one r_k lowered by 1, and the rank probe of any
+product is a certified lower bound on the dimension of every product that
+contains it (the Hadamard form of the Terracini argument of Friedenberg,
+Oneto and Williams, 2017).  A caller that has answered such a product
+passes its (computed_dim, prime) as `contained`; when sigma_R does not
+settle the product and that bound reaches expected_dim_hadamard, the
+report carries the bound as computed_dim and the prime it rests on, draws
+nothing as above, and keeps lower_bound_dim_R the sigma_R dimension.  The
+table runners of `tables` pass it.
 """
 
 from __future__ import annotations
@@ -79,13 +90,16 @@ class HadamardDimensionReport:
 
 
 def hadamard_dimension(
-    descriptor: VarietyDescriptor, r, config: RunConfig = DEFAULT_CONFIG
+    descriptor: VarietyDescriptor, r, config: RunConfig = DEFAULT_CONFIG, *,
+    contained: tuple[int, int] | None = None,
 ) -> HadamardDimensionReport:
     """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X).
 
     Not memoised: no caller asks for the same report twice.  The factor
     dimensions and the sigma_R lower bound come from one call of the
     memoised `secant_dimensions`, whose reports a sweep does reuse.
+    `contained` is the (computed_dim, prime) of a product that this one
+    contains, a certified lower bound that settles it as sigma_R does.
     """
     spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
     mat = descriptor.matrix()
@@ -102,6 +116,8 @@ def hadamard_dimension(
         # Settled by the chain: the certified lower bound already meets the
         # ceiling the product probe would stop at.
         probe = ProbeResult(lower + 1, lower_rep.prime, 0, False, 0, (), 0.0)
+    elif contained is not None and contained[0] >= expected_h:
+        probe = ProbeResult(contained[0] + 1, contained[1], 0, False, 0, (), 0.0)
     else:
         # sigma_r(X) is the linear span of X from r = N + 1 on, so each
         # factor is probed with at most N + 1 points; the product is the

@@ -146,6 +146,26 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
     )
 
 
+def _answer(
+    descriptor: VarietyDescriptor, rvec: tuple[int, ...], answered: dict, config: RunConfig
+) -> HadamardDimensionReport:
+    """`hadamard_dimension` of one r-vector, bounded below by the products
+    it contains that this run has answered, and recorded in `answered`
+    (sorted r-vector -> (computed_dim, prime)) for the vectors after it.
+
+    sigma_{r-1}(X) lies in sigma_r(X), and so the product with one r_k >= 3
+    lowered by 1 lies in this one (the factors commute, so it is looked up
+    re-sorted); the largest dimension among those answered is a certified
+    lower bound on this product's."""
+    lower = (
+        tuple(sorted((*rvec[:k], rk - 1, *rvec[k + 1:]))) for k, rk in enumerate(rvec) if rk >= 3
+    )
+    contained = max((answered[v] for v in lower if v in answered), default=None)
+    rep = hadamard_dimension(descriptor, rvec, config, contained=contained)
+    answered[tuple(sorted(rvec))] = (rep.computed_dim, rep.prime)
+    return rep
+
+
 def _run_cases(table: str, cases, target: str, config: RunConfig) -> list[TableRow]:
     """One row per (descriptor, r-vector) case, in order.  The factors and
     the index of a vector lie in 2..R, R its index, so each run of cases on
@@ -155,8 +175,9 @@ def _run_cases(table: str, cases, target: str, config: RunConfig) -> list[TableR
         rvecs = [rvec for _, rvec in run]
         top = max(HadamardSpec(rvec).total_points for rvec in rvecs)
         prefetch_secant_dimensions(desc, range(2, top + 1), config)
+        answered = {}
         for rvec in rvecs:
-            rep = hadamard_dimension(desc, rvec, config)
+            rep = _answer(desc, rvec, answered, config)
             rows.append(_row(table, rep, getattr(rep, target)))
     return rows
 
@@ -165,15 +186,28 @@ def _sweep_until_saturated(
     table: str, descriptor: VarietyDescriptor, m: int, config: RunConfig
 ) -> list[TableRow]:
     """All m-factor rows for one descriptor, stopping one index step after
-    every tuple at the current index is expected to fill the ambient space."""
-    prefetch_secant_dimensions(descriptor, range(2, EXTENDED_HARD_CAP + 1), config)
+    every tuple at the current index is expected to fill the ambient space.
+
+    Every product of index R contains sigma_R, so the sweep is saturated
+    by the index where sigma_R fills P^N, and reads one index past that and
+    past m + 1.  sigma_R fills at R_0 = ceil((N + 1) / (dim X + 1)) when X
+    is nondefective; one batch fetches the secants up to dim X indices
+    later, room for a defective X (the quadric Veronese of dimension n
+    fills at n + 1).  An index past the batch is probed when asked for,
+    with the same report."""
+    mat = descriptor.matrix()
+    dim_x = mat.rank() - 1
+    fill = -(-(mat.ambient_dim + 1) // (dim_x + 1))
+    top = min(max(m + 1, fill + dim_x) + 1, EXTENDED_HARD_CAP)
+    prefetch_secant_dimensions(descriptor, range(2, top + 1), config)
     rows = []
+    answered = {}
     seen_saturated = False
     big_r = m + 1
     while big_r <= EXTENDED_HARD_CAP:
         saturated = True
         for rvec in _tuples_with_index(m, big_r):
-            rep = hadamard_dimension(descriptor, rvec, config)
+            rep = _answer(descriptor, rvec, answered, config)
             rows.append(_row(table, rep, rep.expected_dim_hadamard))
             if rep.parameter_count < rep.ambient_dim:
                 saturated = False

@@ -55,10 +55,20 @@ def test_generic_hrank_equals_its_oracle(oracle, argv, capsys, monkeypatch):
     assert json.loads(out) == json.loads((BENCH_GOLDEN / oracle).read_text())
 
 
-def test_extended_sweep_equals_its_oracle(fast, capsys, monkeypatch):
-    out = _run(fast, "verify-table experiments --extended", capsys, monkeypatch)
+def _check_extended_sweep(impl, capsys, monkeypatch):
+    out = _run(impl, "verify-table experiments --extended", capsys, monkeypatch)
     rows = list(csv.reader(io.StringIO(out)))
     want = list(csv.reader(io.StringIO((BENCH_GOLDEN / "experiments-extended.csv").read_text())))
     assert len(rows) == len(want) == 537
     for i, (row, golden) in enumerate(zip(rows, want)):
         assert row == golden, f"row {i}"
+
+
+def test_extended_sweep_equals_its_oracle(fast, capsys, monkeypatch):
+    _check_extended_sweep(fast, capsys, monkeypatch)
+
+
+def test_extended_sweep_equals_its_oracle_on_the_pure_kernels(capsys, monkeypatch):
+    # The sweep settles products by containment, so which products it
+    # probes depends on the answers before them: check that on both backends.
+    _check_extended_sweep(_kernels_py, capsys, monkeypatch)

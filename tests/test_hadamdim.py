@@ -18,6 +18,7 @@ from toricdim import (
     normalize,
     secant_dimension,
     segre_veronese,
+    tables,
 )
 from toricdim.cli import main, parse_descriptor
 from toricdim.exponent import ExponentMatrix
@@ -235,6 +236,59 @@ def test_settled_product_needs_no_error_budget_of_its_own(tmp_path, capsys):
     assert '"computed_dim": 4' in capsys.readouterr().out
 
 
+def test_contained_product_makes_no_probe(monkeypatch):
+    # v2(P^6): sigma_2 * sigma_4 fills P^27, and sigma_6 (dim 26) falls
+    # short of it, so the product sigma_2 * sigma_5 that contains it is
+    # settled by containment and not by sigma_R.
+    desc = VarietyDescriptor.veronese(2, 6)
+    inner = hadamard_dimension(desc, (2, 4), CFG)
+    assert inner.computed_dim == inner.ambient_dim == 27 and inner.attempts > 0
+    bound = (inner.computed_dim, 65537)  # the report carries the bound's prime
+    monkeypatch.setattr(hadamdim, "probe_max_rank", _no_probe)
+    rep = hadamard_dimension(desc, (2, 5), CFG, contained=bound)
+    assert rep.lower_bound_dim_R == secant_dimension(desc, 6, CFG).computed_dim == 26
+    assert rep.computed_dim == rep.expected_dim_hadamard == 27
+    assert (rep.attempts, rep.trials, rep.primes_tried, rep.error_bound) == (0, 0, (), 0.0)
+    assert rep.prime == 65537
+    assert rep.status == STATUS_EXPECTED and rep.fills_ambient
+    # a bound below the product's ceiling settles nothing
+    with pytest.raises(AssertionError, match="made a probe"):
+        hadamard_dimension(desc, (2, 5), CFG, contained=(26, inner.prime))
+
+
+def _direct_product_dim(desc, r, config, expected_h) -> int:
+    """dim of sigma_{r_1} * ... * sigma_{r_m} from its own rank probe."""
+    spec = HadamardSpec(tuple(min(rk, desc.matrix().ambient_dim + 1) for rk in r))
+    probe = probe_max_rank(
+        lambda rows, pts, p: eta_hadamard(rows, spec, pts, p),
+        desc.matrix(), spec.total_points, config, expected_h + 1, factors=spec.m,
+    )
+    return probe.rank - 1
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_contained_sweep_rows_match_a_direct_product_probe(seed, monkeypatch):
+    config = RunConfig(seed=seed)
+    reports = []
+
+    def kept(descriptor, r, config, **bounds):
+        reports.append((descriptor, hadamard_dimension(descriptor, r, config, **bounds)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(tables, "hadamard_dimension", kept)
+    rows = run_table("experiments", config, extended=True)
+    assert [rep.r for _, rep in reports] == [row.r for row in rows]
+    # settled, and not by sigma_R
+    settled = [
+        (desc, rep) for desc, rep in reports
+        if rep.attempts == 0 and rep.lower_bound_dim_R < rep.expected_dim_hadamard
+    ]
+    for desc, rep in settled:
+        direct = _direct_product_dim(desc, rep.r, config, rep.expected_dim_hadamard)
+        assert direct == rep.computed_dim, (rep.descriptor, rep.r)
+    assert len(settled) >= 100
+
+
 @pytest.mark.parametrize("seed", (0, 3))
 def test_settled_experiments_rows_match_a_direct_product_probe(seed):
     config = RunConfig(seed=seed)
@@ -245,13 +299,8 @@ def test_settled_experiments_rows_match_a_direct_product_probe(seed):
         if rep.lower_bound_dim_R < rep.expected_dim_hadamard:
             continue
         settled += 1
-        spec = HadamardSpec(tuple(min(rk, rep.ambient_dim + 1) for rk in row.r))
-        probe = probe_max_rank(
-            lambda rows, pts, p: eta_hadamard(rows, spec, pts, p),
-            desc.matrix(), spec.total_points, config, rep.expected_dim_hadamard + 1,
-            factors=spec.m,
-        )
-        assert probe.rank - 1 == rep.computed_dim == row.computed_dim, row
+        direct = _direct_product_dim(desc, row.r, config, rep.expected_dim_hadamard)
+        assert direct == rep.computed_dim == row.computed_dim, row
     assert settled >= 100
 
 

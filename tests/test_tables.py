@@ -5,10 +5,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 import toricdim
-from toricdim import VarietyDescriptor, enumerate_check_rvectors, tables
+from toricdim import VarietyDescriptor, enumerate_check_rvectors, hadamdim, tables
 from toricdim.cli import report_dict
 from toricdim.config import CACHE_SIZE, RunConfig
-from toricdim.tables import _sweep_until_saturated, _tuples_with_index, run_table
+from toricdim.tables import _run_cases, _sweep_until_saturated, _tuples_with_index, run_table
 
 CFG = RunConfig(seed=0)
 
@@ -102,14 +102,35 @@ def test_sweep_probes_each_row_once(monkeypatch):
     calls = []
     original = tables.hadamard_dimension
 
-    def counted(descriptor, r, config):
+    def counted(descriptor, r, config, **bounds):
         calls.append(tuple(r))
-        return original(descriptor, r, config)
+        return original(descriptor, r, config, **bounds)
 
     monkeypatch.setattr(tables, "hadamard_dimension", counted)
     rows = _sweep_until_saturated("experiments", VarietyDescriptor.veronese(2, 3), 2, CFG)
     assert len(rows) > 1
     assert calls == [row.r for row in rows]
+
+
+def test_cases_bound_each_product_by_the_products_it_contains(monkeypatch):
+    # v2(P^6): sigma_2 * sigma_4 fills P^27 while sigma_6 falls short, so it
+    # settles sigma_2 * sigma_5, written (5, 2) as the veronese table writes
+    # its vectors and so found only re-sorted.  It is no bound on
+    # sigma_2 * sigma_3 (dim 23), which it contains and which must be probed.
+    probes = []
+    original = hadamdim.probe_max_rank
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hadamdim, "probe_max_rank", counted)
+    desc = VarietyDescriptor.veronese(2, 6)
+    cases = [(desc, (4, 2)), (desc, (5, 2)), (desc, (3, 2))]
+    rows = _run_cases("experiments", cases, "expected_dim_hadamard", CFG)
+    assert [row.computed_dim for row in rows] == [27, 27, 23]
+    assert all(row.passed for row in rows)
+    assert len(probes) == 2
 
 
 def test_unknown_table_rejected():
