@@ -804,8 +804,9 @@ static PyMethodDef methods[] = {
     {"kr_rank_mod", (PyCFunction)(void (*)(void))kr_rank_mod, METH_VARARGS | METH_KEYWORDS,
      "rank_mod of the Khatri-Rao product without materializing Python rows."},
     {"eta_mod", (PyCFunction)(void (*)(void))eta_mod, METH_VARARGS | METH_KEYWORDS,
-     "eta over Z/p for the factors r_prime at the points (probing.eta): the\n"
-     "monomials of `rows` evaluated and combined without Python arithmetic."},
+     "eta over Z/p for the factors r_prime at the points\n"
+     "(_kernels_py.eta_of_columns): the monomials of `rows` evaluated and\n"
+     "combined without Python arithmetic."},
     {"secant_ranks_mod", (PyCFunction)(void (*)(void))secant_ranks_mod,
      METH_VARARGS | METH_KEYWORDS,
      "The rank of the Terracini blocks phi(y_0 y_b) (x) rows, b = 0 .. R - 1,\n"

@@ -190,7 +190,22 @@ def eval_columns_mod(mat, point, p: int):
 
 
 def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
-    """`probing.eta` from the evaluated columns.
+    """Coefficient matrix eta of the Jacobian factorization eta (x) A
+    (Khatri-Rao) of a Hadamard product of secant varieties, from the
+    evaluated columns.
+
+    `r_prime` = (r_1 - 1, ..., r_m - 1); the columns are ordered
+    (y_0 | y_{1,1} ... y_{1,r'_1} | y_{2,1} ...).  With v = phi(y_0),
+    w_{k,j} = phi(y_{k,j}) and S_k = 1 + sum_j w_{k,j}, multiplicativity of
+    the monomial map phi collapses the lattice sums to
+
+        row 0      = v * S_1 * ... * S_m
+        row (k,j)  = v * w_{k,j} * prod_{h != k} S_h
+
+    which equals the sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over all
+    index tuples (resp. over tuples with j_k = j), term by term.  Rows are
+    ordered row 0 first, then (k, j) factor-major.  A secant variety
+    sigma_R(X) is the one-factor case r' = (R - 1,).
 
     With a prime, cols[i] = phi(points[i]) and the entries are residues mod
     `prime`.  Without one, the columns are integers at a positive column
@@ -248,8 +263,8 @@ def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
 
 
 def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
-    """`probing.eta` over F_p: eta_of_columns of the monomials of `rows`
-    evaluated at each point."""
+    """eta over F_p: eta_of_columns of the monomials of `rows` evaluated at
+    each point."""
     _check_modulus(p)
     return eta_of_columns([eval_columns_mod(rows, pt, p) for pt in points], r_prime, p)
 
@@ -259,10 +274,10 @@ def secant_ranks_mod(rows, points, p: int) -> list[int]:
 
     For the points y_0, ..., y_{R-1}, block b is phi(z_b) (x) rows: the rows
     of the exponent matrix, each scaled entrywise by the column monomials
-    phi at z_0 = y_0 and z_b = y_0 y_b.  Row b >= 1 of `probing.eta` for the
-    first B points is phi(z_b), and row 0 is the sum of all of them, so the
-    rank after block B - 1 is exactly the rank of eta (x) rows at those
-    points (Terracini's lemma).
+    phi at z_0 = y_0 and z_b = y_0 y_b.  Row b >= 1 of the one-factor
+    `eta_of_columns` at the first B points is phi(z_b), and row 0 is the sum
+    of all of them, so the rank after block B - 1 is exactly the rank of
+    eta (x) rows at those points (Terracini's lemma).
 
     The rows are added in order to one `_Echelon`.  The points are checked
     before any block is built, and no block is built once the rank is the

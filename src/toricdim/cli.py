@@ -11,8 +11,8 @@ Subcommands map one-to-one onto the engine entry points:
 
 Exit codes: 0 when every reported check passes (for dimension queries: the
 result is certified, not merely probabilistic), 1 when any check fails, 2 on
-usage errors.  Identical inputs produce byte-identical reports; JSON carries
-a top-level `schema` field, CSV column order is frozen.
+usage errors and out of memory.  Identical inputs produce byte-identical
+reports; JSON carries a top-level `schema` field, CSV column order is frozen.
 """
 
 from __future__ import annotations
@@ -438,6 +438,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (DescriptorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # which carries no text of its own
+        print("error: out of memory: the query's matrices do not fit", file=sys.stderr)
         return 2
 
 

@@ -20,9 +20,9 @@ exact, by a multi-modular elimination certified by Hadamard's bound
 fractions.Fraction.  There is no tolerance anywhere except the explicit
 ratio band of check (a).  `demo_points` also works over F_p directly, to
 reject draws that are degenerate or not generic before the exact checks
-run.  The coefficient matrices come from the formula of `probing.eta` over
-the integers (`_kernels_py.eta_of_columns`), the one the F_p engines probe;
-a secant variety is its one-factor case.
+run.  The coefficient matrices come from the eta formula over the integers
+(`_kernels_py.eta_of_columns`), the one the F_p engines probe; a secant
+variety is its one-factor case.
 
 Conventions: the input is one flat point tuple Y = (y_1 | ... | y_R) with
 y_1 = all-ones; the scaled points feed the Hadamard construction with y_1

@@ -28,15 +28,16 @@ from functools import cached_property, lru_cache
 from ._rational import rational_rank
 from .config import CACHE_SIZE
 
-# Builders refuse to materialize matrices wider than this.
-COLUMN_CAP = 10_000_000
+# Builders refuse to materialize more entries (rows x columns) than this: a
+# build peaks at about 48 bytes per entry, so near 1 GiB.
+ENTRY_CAP = 20_000_000
 # Entries must lie in [-EXPONENT_LIMIT, EXPONENT_LIMIT): the compiled kernels
 # read exponents as signed 64-bit integers.
 EXPONENT_LIMIT = 2**63
 
 
 class MatrixSizeError(ValueError):
-    """Requested matrix exceeds COLUMN_CAP columns."""
+    """Requested matrix exceeds ENTRY_CAP entries."""
 
 
 class HomogeneityError(ValueError):
@@ -144,15 +145,21 @@ class ExponentMatrix:
 
 
 def homogeneous_exponents(degree: int, length: int):
-    """Yield all exponent vectors of the given total degree, descending lex."""
+    """Yield all exponent vectors of the given total degree, descending lex,
+    without recursion, so that any length works."""
     if degree < 0 or length < 1:
         raise ValueError("degree must be >= 0 and length >= 1")
-    if length == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in homogeneous_exponents(degree - first, length - 1):
-            yield (first,) + rest
+    exps = [degree] + [0] * (length - 1)
+    while True:
+        yield tuple(exps)
+        # The next vector: the last nonzero entry before the final one, at i,
+        # gives one unit to i + 1, and the final entry moves there too.
+        i = length - 2
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:
+            return
+        exps[i], exps[-1], exps[i + 1] = exps[i] - 1, 0, exps[-1] + 1
 
 
 def segre_veronese(degrees, dims) -> ExponentMatrix:
@@ -169,8 +176,9 @@ def segre_veronese(degrees, dims) -> ExponentMatrix:
     if any(d < 1 for d in degrees) or any(n < 1 for n in dims):
         raise ValueError("degrees and dims must all be >= 1")
     n_cols = math.prod(math.comb(n + d, d) for d, n in zip(degrees, dims))
-    if n_cols > COLUMN_CAP:
-        raise MatrixSizeError(f"{n_cols} columns exceeds cap {COLUMN_CAP}")
+    n_entries = (sum(dims) + len(dims)) * n_cols
+    if n_entries > ENTRY_CAP:
+        raise MatrixSizeError(f"{n_entries} matrix entries exceeds cap {ENTRY_CAP}")
     per_factor = [list(homogeneous_exponents(d, n + 1)) for d, n in zip(degrees, dims)]
     columns = [
         tuple(itertools.chain.from_iterable(combo))

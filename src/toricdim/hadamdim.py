@@ -3,10 +3,10 @@
 For factors r = (r_1, ..., r_m) the product sigma_{r_1}(X) * ... *
 sigma_{r_m}(X) is parametrized by one shared torus point y_0 plus r_k - 1
 points per factor, R = sum(r_k - 1) + 1 points in total.  The Jacobian again
-factors as eta (x) A (Khatri-Rao).  The one eta construction lives in
-`probing.eta`; `eta_hadamard` calls it with the factors of the spec, and a
-secant variety is its one-factor case, so the probe is the same certified
-rank computation as for secants.
+factors as eta (x) A (Khatri-Rao).  The one eta formula is
+`_kernels_py.eta_of_columns`; `eta_hadamard` takes it over F_p with the
+factors of the spec, and a secant variety is its one-factor case, so the
+probe is the same certified rank computation as for secants.
 
 Dimension chain used throughout:
 
@@ -16,35 +16,34 @@ Dimension chain used throughout:
 where expected_dim_hadamard = min(sum_i dim sigma_{r_i}(X) - (m-1) dim X, N)
 is evaluated with computed per-factor dimensions.
 
-The chain settles a product before any probe of its own: dim sigma_R(X) is
-a certified lower bound (the degeneration of the paper), and the product
-probe's target is expected_dim_hadamard + 1.  So when lower_bound_dim_R
+One settle rule decides a product before any probe of its own.  Its bound
+is a certified lower bound on the product's dimension, with the prime it
+rests on: dim sigma_R(X) (the degeneration of the paper), or, when larger,
+the dimension of a product it contains.  Products nest: sigma_{r-1}(X) lies
+in sigma_r(X), so a product contains the product with one r_k lowered by 1,
+and the rank probe of any product is a certified lower bound on the
+dimension of every product that contains it (the Hadamard form of the
+Terracini argument of Friedenberg, Oneto and Williams, 2017).  A caller
+that has answered such a product passes its (computed_dim, prime) as
+`contained`; the table runners of `tables` do, and sigma_R wins a tie.
+The product probe's target is expected_dim_hadamard + 1, so when the bound
 reaches expected_dim_hadamard, `hadamard_dimension` reports it as
 computed_dim and draws nothing: attempts and trials 0, no primes tried,
-error bound 0.0, and the prime of the sigma_R report.  The verdict rests on
-the probed factor dimensions as upper bounds, as the product probe's target
-does.  Power m = 1 is sigma_r itself and is always settled.
-
-Products nest, too: sigma_{r-1}(X) lies in sigma_r(X), so a product
-contains the product with one r_k lowered by 1, and the rank probe of any
-product is a certified lower bound on the dimension of every product that
-contains it (the Hadamard form of the Terracini argument of Friedenberg,
-Oneto and Williams, 2017).  A caller that has answered such a product
-passes its (computed_dim, prime) as `contained`; when sigma_R does not
-settle the product and that bound reaches expected_dim_hadamard, the
-report carries the bound as computed_dim and the prime it rests on, draws
-nothing as above, and keeps lower_bound_dim_R the sigma_R dimension.  The
-table runners of `tables` pass it.
+error bound 0.0, and the prime of the bound.  lower_bound_dim_R stays the
+sigma_R dimension.  The verdict rests on the probed factor dimensions as
+upper bounds, as the product probe's target does.  Power m = 1 is sigma_r
+itself and is always settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
-from .probing import ProbeResult, eta, probe_max_rank
-from .secantdim import expected_secant_dim, prefetch_secant_dimensions, secant_dimensions
+from .probing import ProbeResult, probe_max_rank
+from .secantdim import prefetch_secant_dimensions, secant_dimensions
 
 STATUS_EXPECTED = "expected dimension"
 STATUS_HDEFECTIVE = "Hadamard-defective (probabilistic)"
@@ -58,10 +57,10 @@ HRANK_MARGIN = 3
 
 def eta_hadamard(rows, spec: HadamardSpec, points, prime: int) -> list[list[int]]:
     """Coefficient matrix of the Hadamard-product Jacobian factorization over
-    F_prime: `probing.eta` for the factors of `spec`, points ordered
-    (y_0 | y_{1,1} ... y_{1,r_1-1} | y_{2,1} ...)."""
+    F_prime: `_kernels_py.eta_of_columns` for the factors of `spec`, points
+    ordered (y_0 | y_{1,1} ... y_{1,r_1-1} | y_{2,1} ...)."""
     spec = spec if isinstance(spec, HadamardSpec) else HadamardSpec(tuple(spec))
-    return eta(rows, spec.r_prime, points, prime)
+    return kernels.eta_mod(rows, spec.r_prime, points, prime)
 
 
 @dataclass(frozen=True)
@@ -99,25 +98,25 @@ def hadamard_dimension(
     dimensions and the sigma_R lower bound come from one call of the
     memoised `secant_dimensions`, whose reports a sweep does reuse.
     `contained` is the (computed_dim, prime) of a product that this one
-    contains, a certified lower bound that settles it as sigma_R does.
+    contains, a certified lower bound that the settle rule weighs against
+    sigma_R's.
     """
     spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
-    mat = descriptor.matrix()
-    ambient = mat.ambient_dim
-    dim_x = mat.rank() - 1
     R = spec.total_points
     *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, R), config)
+    ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
     factor_dims = tuple(rep.computed_dim for rep in factors)
-    lower = lower_rep.computed_dim
     parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
     expected_h = min(parameter_count, ambient)
-    expected_big = expected_secant_dim(ambient, dim_x, R)
-    if lower >= expected_h:
-        # Settled by the chain: the certified lower bound already meets the
-        # ceiling the product probe would stop at.
-        probe = ProbeResult(lower + 1, lower_rep.prime, 0, False, 0, (), 0.0)
-    elif contained is not None and contained[0] >= expected_h:
-        probe = ProbeResult(contained[0] + 1, contained[1], 0, False, 0, (), 0.0)
+    # The certified lower bound and the prime it rests on: sigma_R's, or the
+    # larger contained product's; sigma_R wins a tie.
+    bound = (lower_rep.computed_dim, lower_rep.prime)
+    if contained is not None and contained[0] > bound[0]:
+        bound = contained
+    if bound[0] >= expected_h:
+        # Settled: the bound already meets the ceiling the product probe
+        # would stop at.
+        probe = ProbeResult(bound[0] + 1, bound[1], 0, False, 0, (), 0.0)
     else:
         # sigma_r(X) is the linear span of X from r = N + 1 on, so each
         # factor is probed with at most N + 1 points; the product is the
@@ -125,7 +124,8 @@ def hadamard_dimension(
         probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
         probe = probe_max_rank(
             lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
-            mat, probed.total_points, config, expected_h + 1, factors=probed.m,
+            descriptor.matrix(), probed.total_points, config, expected_h + 1,
+            factors=probed.m,
         )
     computed = probe.rank - 1
     defect = computed < expected_h
@@ -135,8 +135,8 @@ def hadamard_dimension(
         R=R,
         computed_dim=computed,
         expected_dim_hadamard=expected_h,
-        expected_dim_R=expected_big,
-        lower_bound_dim_R=lower,
+        expected_dim_R=lower_rep.expected_dim,
+        lower_bound_dim_R=lower_rep.computed_dim,
         hadamard_defect_flag=defect,
         fills_ambient=computed == ambient,
         status=STATUS_HDEFECTIVE if defect else STATUS_EXPECTED,

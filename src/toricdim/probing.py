@@ -1,26 +1,24 @@
-"""The one eta construction and the seeded rank-probing loops.
+"""The seeded rank probes: one walk of a draw schedule for every probe.
 
-`eta` builds the coefficient matrix of the Jacobian factorization
-eta (x) A (Khatri-Rao) for a Hadamard product of secant varieties, over F_p;
-the exact twins in `degeneration` run the same formula over the integers.
-A secant variety sigma_R(X) is its one-factor case (r' = (R - 1,)):
-`secantdim.eta_secant` and `hadamdim.eta_hadamard` are each one call into
-it.
+A probe asks for the generic rank of eta (x) A (Khatri-Rao), the Jacobian
+factorization of a Hadamard product of secant varieties, whose eta formula
+is `_kernels_py.eta_of_columns`; a secant variety sigma_R(X) is its
+one-factor case.  `_probe` walks a probe's draw schedule in order and stops
+at the first draw that reaches the target rank.  The target is a ceiling
+(parameter count or ambient bound), so the reported maximum is identical
+to running every draw.  For a secant probe the ceiling is mathematical.
+For a Hadamard probe it rests on the probed factor dimensions, which are
+exact only when the factor probes reached their own targets (ROADMAP
+item 8).
 
-`probe_max_rank` draws torus points and keeps the maximum rank of
-eta (x) A seen.  Each attempt is three kernel calls: the draw
-(`modlinalg.random_torus_points`, which is `kernels.torus_points_mod`, a
-counter-based SplitMix64 stream exactly uniform on (F_p^*)^n), the
-engine's eta at the points, which is `kernels.eta_mod` (monomials evaluated
-and eta assembled in C on the compiled backend,
-`_kernels_py.eta_of_columns` on the pure one), then `kernels.kr_rank_mod`,
-which forms the Khatri-Rao product and computes its rank.  The Hadamard
-probe runs it.  The target rank is a ceiling (parameter count or ambient
-bound), so the loop may stop as soon as the target is reached: the
-reported maximum is identical to running every draw.  For a secant probe
-the ceiling is mathematical.  For a Hadamard probe it rests on the probed
-factor dimensions, which are exact only when the factor probes reached
-their own targets (ROADMAP item 8).
+`probe_max_rank` is the Hadamard probe.  Each draw is three kernel calls:
+the points (`modlinalg.random_torus_points`, which is
+`kernels.torus_points_mod`, a counter-based SplitMix64 stream exactly
+uniform on (F_p^*)^n), the engine's eta at the points, which is
+`kernels.eta_mod` (monomials evaluated and eta assembled in C on the
+compiled backend, `_kernels_py.eta_of_columns` on the pure one), then
+`kernels.kr_rank_mod`, which forms the Khatri-Rao product and computes its
+rank.
 
 `probe_secant_ranks` runs the secant probes of one variety together.  With
 z_1 = y_1 and z_j = y_1 y_j, row j >= 2 of the secant eta is phi(z_j) and
@@ -48,7 +46,6 @@ case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -60,27 +57,6 @@ from .modlinalg import ALTERNATE_PRIMES, random_torus_points
 
 # The error budget of the draw schedule: 2^-ERROR_BUDGET_BITS.
 ERROR_BUDGET_BITS = 100
-
-
-def eta(rows, r_prime, points, prime: int) -> list[list[int]]:
-    """Coefficient matrix of the Hadamard-product Jacobian factorization.
-
-    `r_prime` = (r_1 - 1, ..., r_m - 1); the points are ordered
-    (y_0 | y_{1,1} ... y_{1,r'_1} | y_{2,1} ...).  With v = phi(y_0),
-    w_{k,j} = phi(y_{k,j}) and S_k = 1 + sum_j w_{k,j}, multiplicativity of
-    the monomial map phi collapses the lattice sums to
-
-        row 0      = v * S_1 * ... * S_m
-        row (k,j)  = v * w_{k,j} * prod_{h != k} S_h
-
-    which equals the sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over all
-    index tuples (resp. over tuples with j_k = j), term by term.  Rows are
-    ordered row 0 first, then (k, j) factor-major.  Entries are residues
-    mod `prime`, from `kernels.eta_mod`.  The exact degeneration verifier
-    takes the same formula over the integers from
-    `_kernels_py.eta_of_columns`, the pure kernel's eta.
-    """
-    return kernels.eta_mod(rows, r_prime, points, prime)
 
 
 @dataclass(frozen=True)
@@ -127,17 +103,22 @@ def _schedule(mat: ExponentMatrix, factors: int, n_points: int, config: RunConfi
     return degree, trials, (config.prime,) * trials + ALTERNATE_PRIMES
 
 
-def _result(draws, degree: int, trials: int, config: RunConfig, target_rank: int):
-    """The ProbeResult of the (prime, rank) of each draw made, in order."""
-    best, best_prime = -1, config.prime
-    for prime, r in draws:
-        if r > best:
-            best, best_prime = r, prime
+def _probe(schedule, target_rank: int, config: RunConfig, rank_at) -> ProbeResult:
+    """Walk a `_schedule` in order, where rank_at(i, prime) is the rank of
+    draw i at `prime`; stop at the first draw that reaches the target, and
+    return the ProbeResult of the draws made."""
+    degree, trials, moduli = schedule
+    draws = []
+    for i, prime in enumerate(moduli):
+        draws.append((rank_at(i, prime), prime))
+        if draws[-1][0] >= target_rank:
+            break
+    best, best_prime = max(draws, key=lambda draw: draw[0])
     error_bound = 0.0
     if best < target_rank:
-        at_prime = sum(prime == config.prime for prime, _ in draws)
+        at_prime = sum(prime == config.prime for _, prime in draws)
         error_bound = float(Fraction(degree, config.prime - 1) ** at_prime)
-    primes_tried = tuple(dict.fromkeys(prime for prime, _ in draws))
+    primes_tried = tuple(dict.fromkeys(prime for _, prime in draws))
     return ProbeResult(
         best, best_prime, len(draws), len(draws) > trials, trials, primes_tried, error_bound
     )
@@ -156,18 +137,16 @@ def probe_max_rank(
 
     `factors` is the number of Hadamard factors of `eta_at` (1 for a
     secant).  Draw i uses stream seed + i: the first `budget_trials` draws
-    are at `config.prime`, the last two at the alternate primes.  The loop
+    are at `config.prime`, the last two at the alternate primes.  The walk
     stops as soon as the target rank is reached.
     """
-    degree, trials, moduli = _schedule(mat, factors, n_points, config)
     rows = mat.entries
-    draws = []
-    for i, prime in enumerate(moduli):
+
+    def rank_at(i, prime):
         pts = random_torus_points(n_points, len(rows), config.seed + i, prime)
-        draws.append((prime, kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)))
-        if draws[-1][1] >= target_rank:
-            break
-    return _result(draws, degree, trials, config, target_rank)
+        return kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
+
+    return _probe(_schedule(mat, factors, n_points, config), target_rank, config, rank_at)
 
 
 def probe_secant_ranks(
@@ -176,33 +155,26 @@ def probe_secant_ranks(
     """`probe_max_rank(eta_secant, mat, n, config, target)` for every
     n -> target of `targets`, from shared Terracini streams.
 
-    Each probe runs its own schedule.  At draw i, the probes still short of
-    their targets whose schedules put draw i at the same prime share one
-    `kernels.secant_ranks_mod` stream at seed + i, as long as the longest of
-    them: its points for n are those probe n draws, and its rank after
-    block n is the rank of eta_secant (x) A at them.  So every result is the
-    one `probe_max_rank` returns.  ValueError, before any draw, for the
+    The probes walk their own schedules, the largest n first.  Draw i at
+    prime q reads the `kernels.secant_ranks_mod` stream at seed + i and q,
+    drawn by the first probe to reach it with its own n points, the most of
+    any probe that reaches it; its rank after block n is the rank of
+    eta_secant (x) A at the first n.  ValueError, before any draw, for the
     first n in order without an error budget.
     """
     schedules = {n: _schedule(mat, 1, n, config) for n in targets}
-    draws = {n: [] for n in targets}
     rows = mat.entries
-    for i in itertools.count():
-        due = {
-            n: moduli[i]
-            for n, (_, _, moduli) in schedules.items()
-            if i < len(moduli) and not (draws[n] and draws[n][-1][1] >= targets[n])
-        }
-        if not due:
-            break
-        for prime in dict.fromkeys(due.values()):
-            count = max(n for n, q in due.items() if q == prime)
-            pts = random_torus_points(count, len(rows), config.seed + i, prime)
-            ranks = kernels.secant_ranks_mod(rows, pts, prime)
-            for n, q in due.items():
-                if q == prime:
-                    draws[n].append((prime, ranks[n - 1]))
-    return {
-        n: _result(draws[n], degree, trials, config, targets[n])
-        for n, (degree, trials, _) in schedules.items()
+    streams = {}
+
+    def rank_at(n, i, prime):
+        ranks = streams.get((i, prime))
+        if ranks is None:
+            pts = random_torus_points(n, len(rows), config.seed + i, prime)
+            ranks = streams[i, prime] = kernels.secant_ranks_mod(rows, pts, prime)
+        return ranks[n - 1]
+
+    probes = {
+        n: _probe(schedules[n], targets[n], config, lambda i, prime, n=n: rank_at(n, i, prime))
+        for n in sorted(targets, reverse=True)
     }
+    return {n: probes[n] for n in targets}

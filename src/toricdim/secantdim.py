@@ -5,7 +5,7 @@ monomial map whose Jacobian at a parameter matrix Y, after row scaling by Y,
 factors as the Khatri-Rao product of an R x (N+1) coefficient matrix
 (`eta_secant`) with the exponent matrix.  sigma_R(X) is the one-factor
 Hadamard product, so `eta_secant` is the one-factor case of the one eta
-construction, `probing.eta`.  The projective dimension is the
+formula, `_kernels_py.eta_of_columns`.  The projective dimension is the
 generic rank of that product minus one; ranks are probed over a large prime
 field, which certifies lower bounds, while the parameter count gives the
 upper bound
@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import kernels
 from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
-from .exponent import ExponentMatrix, VarietyDescriptor
-from .probing import ProbeResult, eta, probe_secant_ranks
+from .exponent import VarietyDescriptor
+from .probing import ProbeResult, probe_secant_ranks
 
 STATUS_NONDEFECTIVE = "nondefective"
 STATUS_DEFECTIVE = "defective (probabilistic)"
@@ -46,11 +47,12 @@ def expected_secant_dim(ambient_dim: int, variety_dim: int, R: int) -> int:
 def eta_secant(rows, points, prime: int) -> list[list[int]]:
     """Coefficient matrix of the secant Jacobian factorization, R rows.
 
-    The one-factor case of `probing.eta`: row 1 is phi(y_1) * (1 + sum_{j >= 2}
-    phi(y_j)), row j (j >= 2) is phi(y_1 * y_j), with phi the affine monomial
-    map of `rows` and * the coordinatewise product.
+    The one-factor case of `_kernels_py.eta_of_columns`: row 1 is
+    phi(y_1) * (1 + sum_{j >= 2} phi(y_j)), row j (j >= 2) is
+    phi(y_1 * y_j), with phi the affine monomial map of `rows` and * the
+    coordinatewise product.
     """
-    return eta(rows, (len(points) - 1,), points, prime)
+    return kernels.eta_mod(rows, (len(points) - 1,), points, prime)
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,14 @@ def secant_dimensions(
         ambient = mat.ambient_dim
         dim_x = mat.rank() - 1
         # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most
-        # that, with the target of N + 1 points.
+        # that, with the target of N + 1 points, which is also sigma_R's.
         points = {R: min(R, ambient + 1) for R in missing}
         targets = {n: expected_secant_dim(ambient, dim_x, n) + 1 for n in points.values()}
         probes = probe_secant_ranks(mat, targets, config)
-        for R in missing:
-            slots[R].append(_report(descriptor, R, mat, probes[points[R]], config))
+        for R, n in points.items():
+            slots[R].append(
+                _report(descriptor, R, ambient, dim_x, targets[n] - 1, probes[n], config)
+            )
     return tuple(slots[R][0] for R in Rs)
 
 
@@ -129,12 +133,9 @@ def _secant_dimension_cached(
 
 
 def _report(
-    descriptor: VarietyDescriptor, R: int, mat: ExponentMatrix, probe: ProbeResult,
-    config: RunConfig,
+    descriptor: VarietyDescriptor, R: int, ambient: int, dim_x: int, expected: int,
+    probe: ProbeResult, config: RunConfig,
 ) -> SecantDimensionReport:
-    ambient = mat.ambient_dim
-    dim_x = mat.rank() - 1
-    expected = expected_secant_dim(ambient, dim_x, R)
     computed = probe.rank - 1
     defect = computed < expected
     return SecantDimensionReport(

@@ -1,15 +1,17 @@
 """Closed-form oracles of the paper's classifications, which the tests
 compare the probes against: the defective Veronese secants
 (Alexander-Hirschowitz), the defective binary Segre-Veronese secants, and
-the generic Hadamard rank formulas with their hypotheses.  Also a reference
-for the exact degeneration verifier: `fraction_limit_check`, the same
-checks on `fractions.Fraction` matrices."""
+the generic Hadamard rank formulas with their hypotheses.  Also two
+references: `grouped_secant_ranks`, the secant probes walked draw by draw
+with the due probes grouped per prime, and, for the exact degeneration
+verifier, `fraction_limit_check`, the same checks on `fractions.Fraction`
+matrices."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from toricdim import AH_SPORADIC, HadamardSpec
+from toricdim import AH_SPORADIC, HadamardSpec, kernels
 from toricdim._rational import rational_rank
 from toricdim.degeneration import (
     RATIO_BAND,
@@ -19,6 +21,8 @@ from toricdim.degeneration import (
     _check_nus,
     _check_points,
 )
+from toricdim.modlinalg import random_torus_points
+from toricdim.probing import ProbeResult, _schedule
 
 
 class FormulaNotGuaranteedError(ValueError):
@@ -64,8 +68,6 @@ def binary_sv_defective(degrees, s: int) -> bool:
     if ds == (1, 1, 1, 1) and s == 3:
         return True
     return False
-
-
 
 
 def generic_hrank_formula(family: str, params, r: int) -> int:
@@ -123,6 +125,50 @@ def generic_hrank_formula(family: str, params, r: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
+# --- the secant probes, grouped draw by draw -----------------------------------
+
+
+def grouped_secant_ranks(mat, targets: dict, config) -> dict:
+    """`probing.probe_secant_ranks` as a loop over draw indices: at draw i,
+    the probes still short of their targets whose schedules put draw i at
+    the same prime share one `kernels.secant_ranks_mod` stream at seed + i,
+    as long as the longest of them."""
+    schedules = {n: _schedule(mat, 1, n, config) for n in targets}
+    draws = {n: [] for n in targets}
+    rows = mat.entries
+    for i in itertools.count():
+        due = {
+            n: moduli[i]
+            for n, (_, _, moduli) in schedules.items()
+            if i < len(moduli) and not (draws[n] and draws[n][-1][1] >= targets[n])
+        }
+        if not due:
+            break
+        for prime in dict.fromkeys(due.values()):
+            count = max(n for n, q in due.items() if q == prime)
+            pts = random_torus_points(count, len(rows), config.seed + i, prime)
+            ranks = kernels.secant_ranks_mod(rows, pts, prime)
+            for n, q in due.items():
+                if q == prime:
+                    draws[n].append((prime, ranks[n - 1]))
+    results = {}
+    for n, (degree, trials, _) in schedules.items():
+        best, best_prime = -1, config.prime
+        for prime, r in draws[n]:
+            if r > best:
+                best, best_prime = r, prime
+        error_bound = 0.0
+        if best < targets[n]:
+            at_prime = sum(prime == config.prime for prime, _ in draws[n])
+            error_bound = float(Fraction(degree, config.prime - 1) ** at_prime)
+        primes_tried = tuple(dict.fromkeys(prime for prime, _ in draws[n]))
+        attempts = len(draws[n])
+        results[n] = ProbeResult(
+            best, best_prime, attempts, attempts > trials, trials, primes_tried, error_bound
+        )
+    return results
+
+
 # --- the degeneration verifier over Fraction ------------------------------------
 
 
@@ -138,7 +184,8 @@ def fraction_eta(rows, r_prime, points) -> list[list[Fraction]]:
     """eta over Q by its definition rather than its closed form: row 0 is the
     sum of phi(y_0 * y_{1,j_1} * ... * y_{m,j_m}) over every index tuple,
     where j_k = 0 leaves factor k out, and the row of point i >= 1 sums the
-    tuples that pick point i.  Points are ordered as for `probing.eta`."""
+    tuples that pick point i.  Points are ordered as for
+    `_kernels_py.eta_of_columns`."""
     blocks, offset = [], 1
     for rp in r_prime:
         blocks.append(range(offset, offset + rp))

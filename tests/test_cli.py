@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import use_kernels
 
-from toricdim import VarietyDescriptor, _kernels_py
+from toricdim import VarietyDescriptor, _kernels_py, cli
 from toricdim.cli import (
     DescriptorError,
     SCHEMA_VERSION,
@@ -367,6 +367,22 @@ def test_usage_errors_return_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2_with_a_message(monkeypatch, capsys):
+    # a builder over its entry cap exits 2 before it builds
+    code, out, err = run_cli(capsys, "dim-secant", "veronese:d=2,n=4000", "--r", "2")
+    assert code == 2 and out == ""
+    assert "exceeds cap" in err
+    # an engine whose allocation fails, as secant_ranks_mod's basis does for
+    # rnc:100000 --r 50000 under a 3 GB address-space limit, exits 2 too
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "secant_dimension", exhausted)
+    code, out, err = run_cli(capsys, "dim-secant", "rnc:8", "--r", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory")
 
 
 def test_json_reports_are_byte_identical(tmp_path, capsys):

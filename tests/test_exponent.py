@@ -82,9 +82,57 @@ def test_builders_reject_bad_input(monkeypatch):
         segre_veronese((0,), (1,))
     with pytest.raises(ValueError):
         segre_veronese((1, 2), (1,))
-    monkeypatch.setattr(exponent, "COLUMN_CAP", 100)
+    # 10 rows x 220 columns
+    monkeypatch.setattr(exponent, "ENTRY_CAP", 2199)
     with pytest.raises(MatrixSizeError):
         segre_veronese((3,), (9,))
+    monkeypatch.setattr(exponent, "ENTRY_CAP", 2200)
+    assert segre_veronese((3,), (9,)).n_cols == 220
+
+
+def _recursive_exponents(degree, length):
+    # The recursive builder the iterative one replaced: one generator per
+    # variable, so a length near the recursion limit overflows it.
+    if length == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in _recursive_exponents(degree - first, length - 1):
+            yield (first,) + rest
+
+
+def test_homogeneous_exponents_match_the_recursive_builder():
+    for degree in range(8):
+        for length in range(1, 9):
+            assert list(homogeneous_exponents(degree, length)) == list(
+                _recursive_exponents(degree, length)
+            ), (degree, length)
+    with pytest.raises(ValueError):
+        next(homogeneous_exponents(-1, 2))
+    with pytest.raises(ValueError):
+        next(homogeneous_exponents(2, 0))
+
+
+def test_builder_needs_no_recursion_for_a_long_factor():
+    # P^1 x P^999: 1002 rows and 2000 columns, past the recursion limit of
+    # one generator per variable
+    mat = VarietyDescriptor.segre((1, 999)).matrix()
+    assert (mat.n_rows, mat.n_cols) == (1002, 2000)
+    assert mat.column(0) == (1, 0, 1) + (0,) * 999
+    assert mat.column(1999) == (0, 1) + (0,) * 999 + (1,)
+    rnc = rational_normal_curve(100_000)
+    assert rnc.n_cols == 100_001 and rnc.column(1) == (99_999, 1)
+
+
+def test_over_cap_builder_refuses_before_building(monkeypatch):
+    # v_2(P^4000) has 4001 x 8006001 entries; it must fail on the count,
+    # before a single exponent vector is made.
+    def no_build(degree, length):
+        raise AssertionError("built an exponent vector")
+
+    monkeypatch.setattr(exponent, "homogeneous_exponents", no_build)
+    with pytest.raises(MatrixSizeError, match="32032010001 matrix entries"):
+        segre_veronese((2,), (4000,))
 
 
 def test_validate_variety_rejects_degenerate():

@@ -8,6 +8,7 @@ import pytest
 from conftest import rational_normal_curve
 
 from toricdim import (
+    ALTERNATE_PRIMES,
     HadamardSpec,
     RunConfig,
     VarietyDescriptor,
@@ -20,7 +21,7 @@ from toricdim import (
     segre_veronese,
     tables,
 )
-from toricdim.cli import main, parse_descriptor
+from toricdim.cli import main, parse_descriptor, report_dict
 from toricdim.exponent import ExponentMatrix
 from toricdim.hadamdim import (
     STATUS_EXPECTED,
@@ -217,6 +218,23 @@ def test_settled_product_makes_no_probe(desc, r, monkeypatch):
     assert (rep.attempts, rep.trials, rep.primes_tried, rep.error_bound) == (0, 0, (), 0.0)
     assert rep.prime == secant_dimension(desc, rep.R, CFG).prime
     assert rep.status == STATUS_EXPECTED and not rep.hadamard_defect_flag
+
+
+@pytest.mark.parametrize("desc, r", [
+    (VarietyDescriptor.rnc(8), (2, 3)),
+    (VarietyDescriptor.segre((1, 1, 1)), (2, 2)),
+])
+def test_sigma_R_wins_a_tie_with_a_contained_product(desc, r, monkeypatch):
+    # A contained product's bound equal to sigma_R's, or below it, changes
+    # nothing: the report keeps sigma_R's prime, and equals the report
+    # without the bound, field for field.
+    monkeypatch.setattr(hadamdim, "probe_max_rank", _no_probe)
+    rep = hadamard_dimension(desc, r, CFG)
+    assert rep.computed_dim == rep.expected_dim_hadamard == rep.lower_bound_dim_R
+    assert rep.prime not in ALTERNATE_PRIMES
+    for dim in (rep.expected_dim_hadamard, rep.expected_dim_hadamard - 1):
+        tied = hadamard_dimension(desc, r, CFG, contained=(dim, ALTERNATE_PRIMES[0]))
+        assert report_dict(tied) == report_dict(rep)
 
 
 def test_settled_product_needs_no_error_budget_of_its_own(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rational_normal_curve
+from oracles import grouped_secant_ranks
 
 from toricdim import (
     ALTERNATE_PRIMES,
@@ -227,6 +228,39 @@ def test_batched_reports_equal_the_lone_reports(prime):
         secant_dimensions(VarietyDescriptor.rnc(3), (2, 0), CFG)
 
 
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
+def test_walked_secant_probes_equal_the_grouped_reference(prime, monkeypatch):
+    # Largest n first, each probe walking its own schedule, against the
+    # draw-by-draw grouping: equal results and the same multiset of streams
+    # (length, prime, first point), on nondefective varieties (rnc:8, the
+    # binary Segre-Veronese) and defective ones (v_2(P^4), v_4(P^2) at 5,
+    # v_2(P^6) whose budgets at 65537 split its draws across primes).
+    calls = []
+    stream = kernels.secant_ranks_mod
+
+    def spy(rows, points, p):
+        calls.append((len(points), p, tuple(points[0])))
+        return stream(rows, points, p)
+
+    monkeypatch.setattr(kernels, "secant_ranks_mod", spy)
+    for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6)]:
+        mat = desc.matrix()
+        dim_x = mat.rank() - 1
+        for seed in (0, 5):
+            config = RunConfig(prime=prime, seed=seed)
+            targets = {
+                n: expected_secant_dim(mat.ambient_dim, dim_x, n) + 1
+                for n in (3, 1, 5, 2, 4, 6)
+            }
+            calls.clear()
+            walked = probing.probe_secant_ranks(mat, targets, config)
+            walked_calls = sorted(calls)
+            calls.clear()
+            assert walked == grouped_secant_ranks(mat, targets, config), (str(desc), seed)
+            assert list(walked) == list(targets)
+            assert walked_calls == sorted(calls), (str(desc), seed)
+
+
 def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
     calls = []
     stream = kernels.secant_ranks_mod
@@ -255,12 +289,12 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
     assert calls == []
     # At 65537 the budget of sigma_2 of v_2(P^6) is 10 draws and that of
     # sigma_3 is 11: from draw 10 on they draw at different primes, each
-    # from a stream of its own.
+    # from a stream of its own.  sigma_3 walks first and draws all 13 of its
+    # streams; sigma_2 reads its first 10 and draws its two alternates.
     small = RunConfig(prime=65537)
     reports = secant_dimensions(VarietyDescriptor.veronese(2, 6), (2, 3), small)
     assert [rep.trials for rep in reports] == [10, 11]
-    assert calls == [(3, 65537)] * 10 + [
-        (2, ALTERNATE_PRIMES[0]), (3, 65537),
-        (2, ALTERNATE_PRIMES[1]), (3, ALTERNATE_PRIMES[0]),
-        (3, ALTERNATE_PRIMES[1]),
+    assert calls == [(3, 65537)] * 11 + [
+        (3, ALTERNATE_PRIMES[0]), (3, ALTERNATE_PRIMES[1]),
+        (2, ALTERNATE_PRIMES[0]), (2, ALTERNATE_PRIMES[1]),
     ]
