@@ -7,15 +7,21 @@
  * stream).
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
- * the same moduli, malformed shapes, counts and non-invertible pivots.
+ * the same moduli, malformed shapes, counts and non-invertible pivots, in
+ * the same order; eta_mod and secant_ranks_mod read their exponent rows and
+ * points through one reader (read_points).  No entry point releases the GIL.
  * Residues live in 64-bit words, so every modulus 2 <= p < 2^64 works.
  * One-off products go through unsigned __int128 and a 128-by-64-bit `%`
  * (mulmod); a row of products by one factor f takes Shoup's method, with
  * floor(f 2^64 / p) computed once (mulmod_shoup).
  *
- * Every rank adds rows, in order, to one row echelon basis (add_row): a
- * row is reduced by the pivot rows found so far, and its first nonzero
- * entry left, if any, is a new pivot.  The reductions are deferred, as the
+ * Every rank is one loop (kr_rank) that forms Khatri-Rao rows, a top row
+ * times each bottom row entrywise, and adds them, in order, to one row
+ * echelon basis (add_row).  The top rows come from a buffer, or, for
+ * secant_ranks_mod, are a block's column monomials, evaluated only when the
+ * loop reaches the block; rank_mod's one bottom row is all ones.  A row is
+ * reduced by the pivot rows found so far, and its first nonzero entry left,
+ * if any, is a new pivot.  The reductions are deferred, as the
  * dense linear algebra libraries over word-size primes do (Dumas, Giorgi
  * and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
  * and FFPACK packages", ACM TOMS 2008).  The pivots are kept in panels of
@@ -360,55 +366,45 @@ static Py_ssize_t add_row(u64 *row, u64 *basis, Py_ssize_t *piv, int w,
     return rank + 1;
 }
 
-/* The streamed Terracini elimination of secant_ranks_mod.  Block b is the
- * n_vars rows of the exponent matrix A (exps; amod holds its residues),
- * each scaled entrywise by phi(z_b), with z_0 = y_0 and z_b = y_0 y_b;
- * ranks[b] is the rank of blocks 0..b.  Each row is added to one echelon
- * basis (add_row).  No block is built once the rank is n_cols.  Returns 0,
- * or -1 when a coordinate or a pivot has no inverse mod p.  Scratch: row,
- * v and z hold n_cols words each. */
-static int secant_stream(const u64 *exps, const u64 *amod, Py_ssize_t n_vars,
-                         Py_ssize_t n_cols, const u64 *ys, Py_ssize_t n_pts, u64 p,
-                         u64 *basis, Py_ssize_t *piv, u64 *row, u64 *v, u64 *z,
-                         Py_ssize_t *ranks)
+/* The top rows of kr_rank: those of a row-major buffer, or, when rows is
+ * NULL, the phi(z_i) of secant_ranks_mod, the column monomials of the
+ * n_vars x n_cols exponent matrix exps at z_0 = y_0 and z_i = y_0 y_i for
+ * the points y_i of ys.  Scratch: z holds n_vars words, phi n_cols. */
+struct tops {
+    const u64 *rows, *exps, *ys;
+    Py_ssize_t n_vars;
+    u64 *z, *phi;
+};
+
+/* Top row i of src, or NULL when a coordinate of z_i has no inverse mod p. */
+static const u64 *top_row(const struct tops *src, Py_ssize_t i, Py_ssize_t n_cols, u64 p)
 {
-    int w = panel_width(p);
-    Py_ssize_t rank = 0;
-    for (Py_ssize_t b = 0; b < n_pts; b++) {
-        u64 *phi = b == 0 ? v : z;
-        for (Py_ssize_t i = 0; i < n_vars && rank < n_cols; i++) {
-            if (i == 0) {
-                if (eval_columns(exps, n_vars, n_cols, ys + b * n_vars, p, phi) < 0)
-                    return -1;
-                for (Py_ssize_t h = 0; b > 0 && h < n_cols; h++)
-                    z[h] = mulmod(z[h], v[h], p);
-            }
-            const u64 *a = amod + i * n_cols;
-            for (Py_ssize_t h = 0; h < n_cols; h++)
-                row[h] = a[h] ? mulmod(phi[h], a[h], p) : 0;
-            if ((rank = add_row(row, basis, piv, w, n_cols, rank, p)) < 0)
-                return -1;
-        }
-        ranks[b] = rank;
-    }
-    return 0;
+    if (src->rows != NULL)
+        return src->rows + i * n_cols;
+    const u64 *y = src->ys + i * src->n_vars;
+    for (Py_ssize_t l = 0; i > 0 && l < src->n_vars; l++)
+        src->z[l] = mulmod(src->ys[l], y[l], p);
+    if (eval_columns(src->exps, src->n_vars, n_cols, i > 0 ? src->z : y, p, src->phi) < 0)
+        return NULL;
+    return src->phi;
 }
 
-/* The rank of the nt nb rows top[i] * bottom[k] (entrywise, in top-major
- * order), or of the nt rows of top when bottom is NULL (nb = 1), each built
- * in one scratch row and added to one echelon basis (add_row); no row is
- * built once the rank is n_cols.  Releases the GIL while it eliminates.
- * Returns the rank, -1 for a pivot without an inverse, or -2 with
- * MemoryError set. */
-static Py_ssize_t kr_rank(const u64 *top, Py_ssize_t nt, const u64 *bottom, Py_ssize_t nb,
-                          Py_ssize_t n_cols, u64 p)
+/* The rank of the nt nb rows t_i * bottom[k] (entrywise, in top-major
+ * order), for the top rows t_i of src, each row built in one scratch row
+ * by Shoup's products and added to one echelon basis (add_row).  No top
+ * row is formed, and no row built, once the rank is n_cols.  ranks[i], when
+ * ranks is not NULL, is the rank after the rows of t_i.  Returns the rank,
+ * -1 for a pivot or a coordinate without an inverse, or -2 with MemoryError
+ * set. */
+static Py_ssize_t kr_rank(const struct tops *src, Py_ssize_t nt, const u64 *bottom,
+                          Py_ssize_t nb, Py_ssize_t n_cols, u64 p, u64 *ranks)
 {
     int w = panel_width(p);
-    Py_ssize_t max_rank = nt * nb < n_cols ? nt * nb : n_cols, rank = 0;
+    Py_ssize_t max_rank = nb > 0 && nt > n_cols / nb ? n_cols : nt * nb, rank = 0;
     Py_ssize_t words = (max_rank + w - 1) / w * w * n_cols;
     /* the basis of ceil(max_rank / w) panels, the scratch row, then the
      * Shoup quotients of bottom */
-    u64 *buf = PyMem_New(u64, words + (bottom ? nb + 1 : 1) * n_cols);
+    u64 *buf = PyMem_New(u64, words + (nb + 1) * n_cols);
     Py_ssize_t *piv = PyMem_New(Py_ssize_t, max_rank + 1);
     if (buf == NULL || piv == NULL) {
         PyMem_Free(buf);
@@ -417,18 +413,21 @@ static Py_ssize_t kr_rank(const u64 *top, Py_ssize_t nt, const u64 *bottom, Py_s
         return -2;
     }
     u64 *row = buf + words, *bq = row + n_cols;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t h = 0; bottom && h < nb * n_cols; h++)
+    for (Py_ssize_t h = 0; h < nb * n_cols; h++)
         bq[h] = shoup_quotient(bottom[h], p);
-    for (Py_ssize_t i = 0; i < nt * nb && rank >= 0 && rank < n_cols; i++) {
-        const u64 *ti = top + i / nb * n_cols;
-        if (bottom == NULL)
-            memcpy(row, ti, n_cols * sizeof(u64));
-        for (Py_ssize_t h = 0, at = i % nb * n_cols; bottom && h < n_cols; h++)
-            row[h] = mulmod_shoup(ti[h], bottom[at + h], bq[at + h], p);
-        rank = add_row(row, buf, piv, w, n_cols, rank, p);
+    for (Py_ssize_t i = 0; i < nt && rank >= 0; i++) {
+        const u64 *ti = rank < n_cols ? top_row(src, i, n_cols, p) : NULL;
+        if (ti == NULL && rank < n_cols)
+            rank = -1;
+        for (Py_ssize_t at = 0; ti != NULL && at < nb * n_cols && rank >= 0 && rank < n_cols;
+             at += n_cols) {
+            for (Py_ssize_t h = 0; h < n_cols; h++)
+                row[h] = mulmod_shoup(ti[h], bottom[at + h], bq[at + h], p);
+            rank = add_row(row, buf, piv, w, n_cols, rank, p);
+        }
+        if (ranks != NULL)
+            ranks[i] = (u64)rank;
     }
-    Py_END_ALLOW_THREADS
     PyMem_Free(buf);
     PyMem_Free(piv);
     return rank;
@@ -531,16 +530,32 @@ static int read_prime(PyObject *p_obj, u64 *p)
     return 0;
 }
 
-/* Raises ValueError unless every one of the n residues is nonzero. */
-static int check_nonzero(const u64 *ys, Py_ssize_t n)
+/* Reads the exponent rows (int64 stored as u64) and the points (residues
+ * mod p) of eta_mod and secant_ranks_mod into new buffers (free both with
+ * PyMem_Free), with the ValueErrors of _kernels_py._points in its order.
+ * Returns -1 with an exception set, and both buffers NULL, on failure. */
+static int read_points(PyObject *rows, PyObject *points, PyObject *p_obj, u64 p,
+                       u64 **exps, Py_ssize_t *n_vars, Py_ssize_t *n_cols,
+                       u64 **ys, Py_ssize_t *n_pts)
 {
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (ys[i] == 0) {
-            PyErr_SetString(PyExc_ValueError,
-                            "torus point has a coordinate divisible by the prime");
-            return -1;
-        }
-    return 0;
+    Py_ssize_t width;
+    *ys = NULL;
+    if (read_rows(rows, NULL, 0, exps, n_vars, n_cols) < 0)
+        return -1;
+    if (read_rows(points, p_obj, p, ys, n_pts, &width) == 0 && *n_vars > 0) {
+        if (*n_pts > 0 && width != *n_vars)
+            PyErr_SetString(PyExc_ValueError, "point length differs from the number of rows");
+        for (Py_ssize_t j = 0; !PyErr_Occurred() && j < *n_pts * width; j++)
+            if ((*ys)[j] == 0)
+                PyErr_SetString(PyExc_ValueError,
+                                "torus point has a coordinate divisible by the prime");
+    }
+    if (!PyErr_Occurred())
+        return 0;
+    PyMem_Free(*exps);
+    PyMem_Free(*ys);
+    *exps = *ys = NULL;
+    return -1;
 }
 
 /* Reads r_prime: m non-negative factor sizes summing to n_pts - 1, into a
@@ -589,97 +604,94 @@ static PyObject *int_list(const u64 *v, Py_ssize_t n)
 /* Python's own message for pow(x, -1, p) without an inverse. */
 static const char NOT_INVERTIBLE[] = "base is not invertible for the given modulus";
 
-/* The rank as a Python int, or ValueError for the -1 of a missing inverse. */
-static PyObject *rank_result(Py_ssize_t rank)
+/* Sets ValueError for the -1 of a missing inverse; true for any failure. */
+static int rank_failed(Py_ssize_t rank)
 {
-    if (rank < 0) {
+    if (rank == -1)
         PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
-        return NULL;
-    }
-    return PyLong_FromSsize_t(rank);
+    return rank < 0;
 }
 
+/* The Khatri-Rao rank of the rows with one all-ones row. */
 static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "p", NULL};
-    PyObject *rows, *p_obj;
-    u64 p, *m;
+    PyObject *rows, *p_obj, *out = NULL;
+    u64 p, *m, *ones;
     Py_ssize_t n_rows, n_cols, rank;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:rank_mod", kwlist, &rows, &p_obj)
         || read_prime(p_obj, &p) < 0
         || read_rows(rows, p_obj, p, &m, &n_rows, &n_cols) < 0)
         return NULL;
-    rank = kr_rank(m, n_rows, NULL, 1, n_cols, p);
+    if ((ones = PyMem_New(u64, n_cols)) == NULL) {
+        PyErr_NoMemory();
+    } else {
+        for (Py_ssize_t h = 0; h < n_cols; h++)
+            ones[h] = 1;
+        struct tops src = {.rows = m};
+        if (!rank_failed(rank = kr_rank(&src, n_rows, ones, 1, n_cols, p, NULL)))
+            out = PyLong_FromSsize_t(rank);
+    }
     PyMem_Free(m);
-    return PyErr_Occurred() ? NULL : rank_result(rank);
+    PyMem_Free(ones);
+    return out;
 }
 
 static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"top", "bottom", "p", NULL};
-    PyObject *top, *bottom, *p_obj;
+    PyObject *top, *bottom, *p_obj, *out = NULL;
     u64 p, *t, *b = NULL;
-    Py_ssize_t nt, nb, n_cols, nb_cols, rank = 0;
+    Py_ssize_t nt, nb, n_cols, nb_cols, rank;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:kr_rank_mod", kwlist,
                                      &top, &bottom, &p_obj)
         || read_prime(p_obj, &p) < 0
         || read_rows(top, p_obj, p, &t, &nt, &n_cols) < 0)
         return NULL;
-    if (read_rows(bottom, p_obj, p, &b, &nb, &nb_cols) < 0 || nt == 0 || nb == 0)
-        goto done;
-    if (nb_cols != n_cols) {
-        PyErr_SetString(PyExc_ValueError, "factors have different column counts");
-        goto done;
+    struct tops src = {.rows = t};
+    if (read_rows(bottom, p_obj, p, &b, &nb, &nb_cols) == 0) {
+        if (nt > 0 && nb > 0 && nb_cols != n_cols)
+            PyErr_SetString(PyExc_ValueError, "factors have different column counts");
+        else if (!rank_failed(rank = kr_rank(&src, nt, b, nb, n_cols, p, NULL)))
+            out = PyLong_FromSsize_t(rank);
     }
-    rank = kr_rank(t, nt, b, nb, n_cols, p);
-done:
     PyMem_Free(t);
     PyMem_Free(b);
-    return PyErr_Occurred() ? NULL : rank_result(rank);
+    return out;
 }
 
 static PyObject *eta_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "r_prime", "points", "p", NULL};
     PyObject *rows, *r_prime, *points, *p_obj, *out = NULL;
-    u64 p, *exps, *ys = NULL, *buf = NULL, *s, *suf, *pre;
-    Py_ssize_t *rp = NULL, n_vars, n_cols, n_pts, width, m;
-    int failed = 0;
+    u64 p, *exps, *ys, *vals, *scratch = NULL;
+    Py_ssize_t *rp = NULL, n_vars, n_cols, n_pts, m;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:eta_mod", kwlist,
                                      &rows, &r_prime, &points, &p_obj)
         || read_prime(p_obj, &p) < 0
-        || read_rows(rows, NULL, 0, &exps, &n_vars, &n_cols) < 0)
+        || read_points(rows, points, p_obj, p, &exps, &n_vars, &n_cols, &ys, &n_pts) < 0)
         return NULL;
-    if (read_rows(points, p_obj, p, &ys, &n_pts, &width) < 0
-        || read_factors(r_prime, n_pts, &rp, &m) < 0)
-        goto done;
-    if (n_vars > 0 && width != n_vars) {
-        PyErr_SetString(PyExc_ValueError, "point length differs from the number of rows");
-        goto done;
-    }
-    /* eta's n_pts rows, then the scratch rows of assemble_eta */
-    if ((n_vars > 0 && check_nonzero(ys, n_pts * n_vars) < 0)
-        || (buf = PyMem_New(u64, (n_pts + 2 * m + 1) * n_cols)) == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_NoMemory();
+    /* phi at each point, then r', then eta in place, with the 2m + 1 scratch
+     * rows of assemble_eta */
+    if ((vals = PyMem_New(u64, n_pts * n_cols)) == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
-    s = buf + n_pts * n_cols;
-    suf = s + m * n_cols;
-    pre = suf + m * n_cols;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t k = 0; !failed && k < n_pts; k++)
-        failed = eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, buf + k * n_cols) < 0;
-    if (!failed)
-        assemble_eta(buf, rp, m, n_cols, p, s, suf, pre);
-    Py_END_ALLOW_THREADS
-    if (failed) {
-        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+    for (Py_ssize_t k = 0; k < n_pts; k++)
+        if (eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, vals + k * n_cols) < 0) {
+            PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+            goto done;
+        }
+    if (read_factors(r_prime, n_pts, &rp, &m) < 0)
+        goto done;
+    if ((scratch = PyMem_New(u64, (2 * m + 1) * n_cols)) == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
+    assemble_eta(vals, rp, m, n_cols, p, scratch, scratch + m * n_cols, scratch + 2 * m * n_cols);
     out = PyList_New(n_pts);
     for (Py_ssize_t k = 0; out != NULL && k < n_pts; k++) {
-        PyObject *row = int_list(buf + k * n_cols, n_cols);
+        PyObject *row = int_list(vals + k * n_cols, n_cols);
         PyList_SET_ITEM(out, k, row);
         if (row == NULL)
             Py_CLEAR(out);
@@ -688,65 +700,39 @@ done:
     PyMem_Free(exps);
     PyMem_Free(ys);
     PyMem_Free(rp);
-    PyMem_Free(buf);
+    PyMem_Free(vals);
+    PyMem_Free(scratch);
     return out;
 }
 
 /* _kernels_py.secant_ranks_mod: the rank after each block of the stacked
- * blocks phi(z_b) (x) rows at the points y_0, ..., y_{R-1} (secant_stream). */
+ * blocks phi(z_b) (x) rows at the points y_0, ..., y_{R-1}, by kr_rank
+ * with the top rows phi(z_b) and the bottom rows the exponent rows mod p. */
 static PyObject *secant_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "points", "p", NULL};
     PyObject *rows, *points, *p_obj, *out = NULL;
-    u64 p, *exps, *ys = NULL, *buf = NULL;
-    Py_ssize_t *ranks = NULL, n_vars, n_cols, n_pts, width;
-    int failed;
+    u64 p, *exps, *ys, *buf;
+    Py_ssize_t n_vars, n_cols, n_pts;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:secant_ranks_mod", kwlist,
                                      &rows, &points, &p_obj)
         || read_prime(p_obj, &p) < 0
-        || read_rows(rows, NULL, 0, &exps, &n_vars, &n_cols) < 0)
+        || read_points(rows, points, p_obj, p, &exps, &n_vars, &n_cols, &ys, &n_pts) < 0)
         return NULL;
-    if (read_rows(points, p_obj, p, &ys, &n_pts, &width) < 0)
-        goto done;
-    if (n_vars > 0 && n_pts > 0 && width != n_vars) {
-        PyErr_SetString(PyExc_ValueError, "point length differs from the number of rows");
-        goto done;
+    /* the exponent rows mod p, phi(z_b), z_b and the ranks */
+    if ((buf = PyMem_New(u64, (n_vars + 1) * n_cols + n_vars + n_pts)) == NULL) {
+        PyErr_NoMemory();
+    } else {
+        for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
+            buf[j] = signed_residue((int64_t)exps[j], p);
+        u64 *phi = buf + n_vars * n_cols, *z = phi + n_cols, *ranks = z + n_vars;
+        struct tops src = {.exps = exps, .ys = ys, .n_vars = n_vars, .z = z, .phi = phi};
+        if (!rank_failed(kr_rank(&src, n_pts, buf, n_vars, n_cols, p, ranks)))
+            out = int_list(ranks, n_pts);
     }
-    /* rank <= max_rank = min(n_cols, n_pts n_vars), so the basis needs at
-     * most ceil(max_rank / w) panels; then amod, row, v and z */
-    int w = panel_width(p);
-    Py_ssize_t max_rank = n_vars > 0 && n_pts > n_cols / n_vars ? n_cols : n_pts * n_vars;
-    Py_ssize_t basis_words = (max_rank + w - 1) / w * w * n_cols;
-    if ((n_vars > 0 && check_nonzero(ys, n_pts * n_vars) < 0)
-        || (buf = PyMem_New(u64, basis_words + (n_vars + 3) * n_cols)) == NULL
-        || (ranks = PyMem_New(Py_ssize_t, n_pts + max_rank + 1)) == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_NoMemory();
-        goto done;
-    }
-    u64 *amod = buf + basis_words, *row = amod + n_vars * n_cols;
-    for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
-        amod[j] = signed_residue((int64_t)exps[j], p);
-    Py_BEGIN_ALLOW_THREADS
-    failed = secant_stream(exps, amod, n_vars, n_cols, ys, n_pts, p, buf, ranks + n_pts,
-                           row, row + n_cols, row + 2 * n_cols, ranks) < 0;
-    Py_END_ALLOW_THREADS
-    if (failed) {
-        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
-        goto done;
-    }
-    out = PyList_New(n_pts);
-    for (Py_ssize_t b = 0; out != NULL && b < n_pts; b++) {
-        PyObject *x = PyLong_FromSsize_t(ranks[b]);
-        PyList_SET_ITEM(out, b, x);  /* a list with a NULL slot is safe to free */
-        if (x == NULL)
-            Py_CLEAR(out);
-    }
-done:
     PyMem_Free(exps);
     PyMem_Free(ys);
     PyMem_Free(buf);
-    PyMem_Free(ranks);
     return out;
 }
 

@@ -7,14 +7,16 @@ mirrors rank_mod, kr_rank_mod, eta_mod, secant_ranks_mod and
 torus_points_mod exactly, with the same pivots, residues and SplitMix64
 words, so it returns identical values and raises ValueError on the same
 moduli (both take 2 <= p < 2^64), malformed shapes, counts and
-non-invertible pivots.  It has no entry point of its own for
-eval_columns_mod: its eta_mod and secant_ranks_mod evaluate the monomials
-inside.  On both sides every rank adds rows, in order, to one row echelon
-basis (`_Echelon` here, add_row in C), and only the arithmetic of a
-reduction differs: here a row is packed into one Python int, so reducing
-it by a pivot row is one big-int multiply-add with the reduction mod p
-delayed; in C a row pays a panel of up to 16 pivot rows at once, with one
-128-bit sum of their products per entry and one reduction.
+non-invertible pivots, in the same order.  It has no entry point of its
+own for eval_columns_mod.  On both sides one reader checks the input of
+eta_mod and secant_ranks_mod (`_points` here, read_points in C), and one
+loop computes every rank (`_kr_ranks`, kr_rank): it forms Khatri-Rao rows
+and adds them, in order, to one row echelon basis (`_Echelon`, add_row).
+Only the arithmetic of a reduction differs: here a row is packed into one
+Python int, so reducing it by a pivot row is one big-int multiply-add with
+the reduction mod p delayed; in C a row pays a panel of up to 16 pivot
+rows at once, with one 128-bit sum of their products per entry and one
+reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for the exact
 degeneration verifier, over the integers.
 """
@@ -48,10 +50,12 @@ def _residues(rows, p: int) -> list[list[int]]:
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank of an integer matrix over Z/p (entries reduced internally)."""
+    """Rank of an integer matrix over Z/p (entries reduced internally): the
+    Khatri-Rao rank of the rows with one all-ones row."""
     _check_modulus(p)
     mat = _residues(rows, p)
-    return _rank(mat, len(mat), len(mat[0]) if mat else 0, p)
+    n_cols = len(mat[0]) if mat else 0
+    return max(_kr_ranks(mat, len(mat), [[1] * n_cols], n_cols, p), default=0)
 
 
 def _pack(row, nbytes: int) -> int:
@@ -127,58 +131,70 @@ class _Echelon:
         self.lead = lead
 
 
-def _rank(rows, n_rows: int, n_cols: int, p: int) -> int:
-    """The rank over Z/p of `n_rows` rows of `n_cols` residues, added in
-    order to one `_Echelon` until the rank is the column count."""
-    echelon = _Echelon(n_cols, p, min(n_rows, n_cols))
-    for row in rows:
-        echelon.add(row)
-        if len(echelon.cols) == n_cols:
-            break
-    return len(echelon.cols)
+def _kr_ranks(tops, n: int, bottom, n_cols: int, p: int) -> list[int]:
+    """The rank over Z/p after each top row's block of the Khatri-Rao rows
+    t * b (entrywise), for the `n` residue rows t of the iterable `tops`
+    and, for each, the residue rows b of `bottom` in order, all added to one
+    `_Echelon`.  A top row is read only while the rank is below the column
+    count, and no row is formed once it is not."""
+    echelon = _Echelon(n_cols, p, min(n * len(bottom), n_cols))
+    cols, tops, ranks = echelon.cols, iter(tops), []
+    while len(ranks) < n and len(cols) < n_cols:
+        t = next(tops)
+        for b in bottom:
+            echelon.add([x * y % p for x, y in zip(t, b)])
+            if len(cols) == n_cols:
+                break
+        ranks.append(len(cols))
+    return ranks + [len(cols)] * (n - len(ranks))
 
 
-def _khatri_rao_rows(top, bottom, p: int):
-    """The rows of `khatri_rao_mod` one at a time, after its ValueErrors."""
-    top, bot = _residues(top, p), _residues(bottom, p)
-    if top and bot and len(top[0]) != len(bot[0]):
+def _factors(top, bottom, p: int):
+    """The residues of the two factors of a Khatri-Rao product, after its
+    ValueErrors."""
+    top, bottom = _residues(top, p), _residues(bottom, p)
+    if top and bottom and len(top[0]) != len(bottom[0]):
         raise ValueError("factors have different column counts")
-    for t in top:
-        for brow in bot:
-            yield [(a * b) % p for a, b in zip(t, brow)]
+    return top, bottom
 
 
 def khatri_rao_mod(top, bottom, p: int):
     """Column-wise Kronecker product over F_p, top-index-major row blocks."""
-    return list(_khatri_rao_rows(top, bottom, p))
+    top, bottom = _factors(top, bottom, p)
+    return [[x * y % p for x, y in zip(t, b)] for t in top for b in bottom]
 
 
 def kr_rank_mod(top, bottom, p: int) -> int:
-    """rank_mod of the Khatri-Rao product, its rows built only until the
+    """rank_mod of the Khatri-Rao product, its rows formed only until the
     rank is the column count."""
     _check_modulus(p)
+    top, bottom = _factors(top, bottom, p)
     n_cols = len(top[0]) if top else 0
-    return _rank(_khatri_rao_rows(top, bottom, p), len(top) * len(bottom), n_cols, p)
+    return max(_kr_ranks(top, len(top), bottom, n_cols, p), default=0)
 
 
-def eval_columns_mod(mat, point, p: int):
-    """Evaluate every column monomial of `mat` at `point` over F_p.
-
-    mat[l][h] is the exponent of point[l] in column h; negative exponents are
-    allowed (point coordinates must be invertible, i.e. nonzero mod p).
-    """
-    if not mat:
-        return []
-    n_cols = len(mat[0])
-    if any(len(row) != n_cols for row in mat):
+def _points(rows, points, p: int) -> list[list[int]]:
+    """The points of eta_mod and secant_ranks_mod mod p, after their
+    ValueErrors, in this order: exponent rows, then points, of different
+    lengths; a point length other than the number of rows, or a coordinate
+    divisible by p, where there are rows.  read_points in C is the same."""
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows have different lengths")
-    if len(point) != len(mat):
+    pts = _residues(points, p)
+    if rows and pts and len(pts[0]) != len(rows):
         raise ValueError("point length differs from the number of rows")
-    acc = [1] * n_cols
+    if rows and any(0 in pt for pt in pts):
+        raise ValueError("torus point has a coordinate divisible by the prime")
+    return pts
+
+
+def monomials_mod(mat, point, p: int):
+    """Every column monomial of `mat` at a point that `_points` returned:
+    mat[l][h] is the exponent of point[l] in column h, negative exponents
+    included.  A coordinate without an inverse mod p raises the ValueError
+    of `pow(y, -1, p)`."""
+    acc = [1] * len(mat[0]) if mat else []
     for y, exps in zip(point, mat):
-        y %= p
-        if y == 0:
-            raise ValueError("torus point has a coordinate divisible by the prime")
         cache: dict[int, int] = {}
         for h, e in enumerate(exps):
             v = cache.get(e)
@@ -187,6 +203,12 @@ def eval_columns_mod(mat, point, p: int):
                 cache[e] = v
             acc[h] = (acc[h] * v) % p
     return acc
+
+
+def eval_columns_mod(mat, point, p: int):
+    """`monomials_mod` of `mat` at `point`, after the ValueErrors of
+    `_points` (point coordinates must be nonzero mod p)."""
+    return monomials_mod(mat, _points(mat, [point], p)[0], p)
 
 
 def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
@@ -266,7 +288,8 @@ def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
     """eta over F_p: eta_of_columns of the monomials of `rows` evaluated at
     each point."""
     _check_modulus(p)
-    return eta_of_columns([eval_columns_mod(rows, pt, p) for pt in points], r_prime, p)
+    pts = _points(rows, points, p)
+    return eta_of_columns([monomials_mod(rows, pt, p) for pt in pts], r_prime, p)
 
 
 def secant_ranks_mod(rows, points, p: int) -> list[int]:
@@ -279,33 +302,17 @@ def secant_ranks_mod(rows, points, p: int) -> list[int]:
     of all of them, so the rank after block B - 1 is exactly the rank of
     eta (x) rows at those points (Terracini's lemma).
 
-    The rows are added in order to one `_Echelon`.  The points are checked
-    before any block is built, and no block is built once the rank is the
-    column count.
+    One loop, `_kr_ranks`, adds the blocks' rows in order to one `_Echelon`:
+    the points are checked first (`_points`), and phi(z_b) is evaluated only
+    once the elimination reaches block b, so that no point is evaluated once
+    the rank is the column count.
     """
     _check_modulus(p)
-    mat = _residues(rows, p)
-    pts = _residues(points, p)
-    n_cols = len(mat[0]) if mat else 0
-    if mat and pts and len(pts[0]) != len(mat):
-        raise ValueError("point length differs from the number of rows")
-    if mat and any(0 in pt for pt in pts):
-        raise ValueError("torus point has a coordinate divisible by the prime")
-    echelon = _Echelon(n_cols, p, min(len(pts) * len(mat), n_cols))
-    ranks = []
-    for b, point in enumerate(pts):
-        if len(echelon.cols) < n_cols:
-            phi = eval_columns_mod(rows, point, p)
-            if b == 0:
-                v = phi
-            else:
-                phi = [x * y % p for x, y in zip(phi, v)]
-            for a in mat:
-                echelon.add([x * y % p for x, y in zip(phi, a)])
-                if len(echelon.cols) == n_cols:
-                    break
-        ranks.append(len(echelon.cols))
-    return ranks
+    pts = _points(rows, points, p)
+    zs = pts[:1] + [[x * y % p for x, y in zip(pts[0], pt)] for pt in pts[1:]]
+    n_cols = len(rows[0]) if rows else 0
+    tops = (monomials_mod(rows, z, p) for z in zs)
+    return _kr_ranks(tops, len(zs), _residues(rows, p), n_cols, p)
 
 
 def _mix64(z: int) -> int:

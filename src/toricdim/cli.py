@@ -206,11 +206,14 @@ def _render_report(report, fmt: str) -> str:
     return _text_doc(payload)
 
 
-def _text_or_json(args) -> str:
-    """--format of a command that has no CSV report; text by default."""
-    if args.format == "csv":
-        raise ValueError(f"{args.command} writes text or json, not csv")
-    return args.format or "text"
+def _output_format(args) -> str:
+    """--format, checked against the formats the command declares
+    (`set_defaults`), or the first of them when it is not given."""
+    if args.format is None:
+        return args.formats[0]
+    if args.format not in args.formats:
+        raise ValueError(f"{args.command} writes {' or '.join(args.formats)}, not {args.format}")
+    return args.format
 
 
 def _config_from(args) -> RunConfig:
@@ -233,15 +236,14 @@ _PROBES = {
 def _cmd_probe(args) -> int:
     engine, certified = _PROBES[args.command]
     rep = globals()[engine](parse_descriptor(args.descriptor), args.r, _config_from(args))
-    _emit(_render_report(rep, args.format or "json"), args.out)
+    _emit(_render_report(rep, args.format), args.out)
     return 0 if rep.status in certified else 1
 
 
 def _cmd_verify_table(args) -> int:
     rows = run_table(args.table, _config_from(args), extended=args.extended)
     dicts = [report_dict(row) for row in rows]
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         doc = _json_doc(
             {
                 "table": args.table,
@@ -252,7 +254,7 @@ def _cmd_verify_table(args) -> int:
                 "all_pass": all(d["pass"] for d in dicts),
             }
         )
-    elif fmt == "csv":
+    elif args.format == "csv":
         doc = _csv_doc([_key(f.name) for f in fields(TableRow)], dicts)
     else:
         lines = [
@@ -271,13 +273,12 @@ def _cmd_verify_table(args) -> int:
 
 
 def _cmd_degeneration_demo(args) -> int:
-    fmt = _text_or_json(args)
     desc = parse_descriptor(args.descriptor)
     abar = normalize(desc.matrix())
     spec = HadamardSpec(args.r)
     points = demo_points(abar, spec, args.seed, nus=args.nus)
     rep = limit_check(abar, spec, points, args.nus, label=str(desc))
-    if fmt == "json":
+    if args.format == "json":
         _emit(_json_doc(report_dict(rep)), args.out)
         return 0 if rep.all_pass else 1
     lines = [
@@ -339,7 +340,6 @@ def _read_support(source: str) -> Support:
 
 
 def _cmd_binomial_check(args) -> int:
-    fmt = _text_or_json(args)
     support = _read_support(args.support)
     verdict = classify_support(support)
     payload = {
@@ -347,7 +347,7 @@ def _cmd_binomial_check(args) -> int:
         "binomial": verdict == VERDICT_BINOMIAL,
         "n_vectors": support.size,
     }
-    if fmt == "json":
+    if args.format == "json":
         _emit(_json_doc(payload), args.out)
     else:
         _emit(f"{verdict} ({support.size} support vectors)\n", args.out)
@@ -373,6 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
     probing = [probe, output]
+    # Each command's output formats, its default first.
+    every_format, no_csv = ("json", "csv", "text"), ("text", "json")
 
     parser = argparse.ArgumentParser(
         prog="toricdim",
@@ -386,28 +388,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("descriptor", help="variety descriptor, e.g. veronese:d=4,n=2")
     p.add_argument("--r", type=int, required=True, metavar="R", dest="r",
                    help="secant index R >= 1")
-    p.set_defaults(handler=_cmd_probe)
+    p.set_defaults(handler=_cmd_probe, formats=every_format)
 
     p = sub.add_parser("dim-hadamard", parents=probing,
                        help="dimension of a Hadamard product of secant varieties")
     p.add_argument("descriptor")
     p.add_argument("--r", type=_r_vector, required=True, metavar="R1,R2,...",
                    help="factor indices, e.g. 2,2,2,2")
-    p.set_defaults(handler=_cmd_probe)
+    p.set_defaults(handler=_cmd_probe, formats=every_format)
 
     p = sub.add_parser("generic-hrank", parents=probing,
                        help="generic Hadamard rank: smallest filling power of sigma_r")
     p.add_argument("descriptor")
     p.add_argument("--r", type=int, required=True, metavar="R",
                    help="inner secant index r")
-    p.set_defaults(handler=_cmd_probe)
+    p.set_defaults(handler=_cmd_probe, formats=every_format)
 
     p = sub.add_parser("verify-table", parents=probing,
                        help="re-run a stored check table")
     p.add_argument("table", choices=("veronese", "binary", "experiments"))
     p.add_argument("--extended", action="store_true",
                    help="experiments only: the full (slow) sweep")
-    p.set_defaults(handler=_cmd_verify_table)
+    p.set_defaults(handler=_cmd_verify_table, formats=("csv", "json", "text"))
 
     p = sub.add_parser("degeneration-demo", parents=[output],
                        help="exact-rational verification of the scaling degeneration")
@@ -421,13 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default 1/10,1/100,1/1000)")
     p.add_argument("--seed", type=int, default=RunConfig().seed,
                    help="seed of the demo point draw")
-    p.set_defaults(handler=_cmd_degeneration_demo)
+    p.set_defaults(handler=_cmd_degeneration_demo, formats=no_csv)
 
     p = sub.add_parser("binomial-check", parents=[output],
                        help="is a polynomial support a binomial segment?")
     p.add_argument("support",
                    help="file of integer exponent vectors, one per line ('-' = stdin)")
-    p.set_defaults(handler=_cmd_binomial_check)
+    p.set_defaults(handler=_cmd_binomial_check, formats=no_csv)
     return parser
 
 
@@ -435,6 +437,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.format = _output_format(args)
         return args.handler(args)
     except (DescriptorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,12 @@ Prefers the compiled extension (`toricdim._fastkernels`, built from
 secant probes) and `torus_points_mod` (the SplitMix64 point draw); falls
 back to the pure-Python implementation in `_kernels_py` when the extension is
 missing or when the environment variable TORICDIM_PURE is set to a
-non-empty value.  Each backend has one elimination: its three ranks add
-rows, in order, to one row echelon basis, and stop once the rank is the
-column count.  Both backends return identical values on identical inputs,
-for every prime below 2^64.
+non-empty value.  Each backend has one elimination loop: its three ranks
+form Khatri-Rao rows, add them, in order, to one row echelon basis, and
+stop once the rank is the column count.  Each reads the exponent rows and
+points of `eta_mod` and `secant_ranks_mod` through one checker.  Both
+backends return identical values on identical inputs, for every prime
+below 2^64, and raise the same ValueError on malformed ones.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ kr_rank_mod = _impl.kr_rank_mod
 eta_mod = _impl.eta_mod
 torus_points_mod = _impl.torus_points_mod
 secant_ranks_mod = _impl.secant_ranks_mod
-# No engine calls this: eta_mod evaluates the monomials itself.  It stays,
-# pure on both backends, only because the benchmark's trace wraps
-# `kernels.eval_columns_mod` by name, until that metric is retired.
-eval_columns_mod = _kernels_py.eval_columns_mod
+# No engine calls this.  It stays, pure on both backends, only because the
+# benchmark's trace wraps `kernels.eval_columns_mod` by name, until that
+# metric is retired.  It is the unchecked evaluation of one point that the
+# pure eta_mod and secant_ranks_mod run, so the trace times their monomials.
+eval_columns_mod = _kernels_py.monomials_mod
 
 
 def backend_name() -> str:

@@ -657,3 +657,67 @@ def test_empty_and_degenerate_shapes(fast):
         assert impl.eta_mod([], (1,), [[1], [2]], 101) == [[], []]
         assert impl.secant_ranks_mod([[1, 2]], [], 101) == []
         assert impl.secant_ranks_mod([], [[1], [2]], 101) == [0, 0]
+
+
+def _ragged(rng, n_rows, n_cols, low):
+    """n_rows rows of n_cols entries in low..8; 15% of the time one row is
+    an entry shorter or longer."""
+    rows = [[rng.randint(low, 8) for _ in range(n_cols)] for _ in range(n_rows)]
+    if rows and rng.random() < 0.15:
+        row = rng.choice(rows)
+        if row and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(1)
+    return rows
+
+
+@functools.cache
+def _fuzz_cases(n=20000):
+    """Seeded malformed inputs for the four kernels that read matrices, with
+    the pure outcome: 0-3 exponent rows of 0-3 entries in -1..8, 0-3 points
+    of one width from n_vars - 1 to n_vars + 1 with coordinates 0..8 (each
+    matrix ragged 15% of the time), a prime or a composite modulus, and r'
+    of 0-2 entries in -1..2."""
+    rng = random.Random(1)
+    cases = []
+    for _ in range(n):
+        rows = _ragged(rng, rng.randint(0, 3), rng.randint(0, 3), -1)
+        width = max(0, len(rows) + rng.randint(-1, 1))
+        points = _ragged(rng, rng.randint(0, 3), width, 0)
+        p = rng.choice((4, 6, 7, 101))
+        r_prime = tuple(rng.randint(-1, 2) for _ in range(rng.randint(0, 2)))
+        for kernel, args in (
+            ("rank_mod", (rows, p)),
+            ("kr_rank_mod", (points, rows, p)),
+            ("eta_mod", (rows, r_prime, points, p)),
+            ("secant_ranks_mod", (rows, points, p)),
+        ):
+            cases.append((kernel, args, _outcome(getattr(py, kernel), *args)))
+    return cases
+
+
+def test_malformed_input_parity(fast):
+    _check((fast,), _fuzz_cases())
+
+
+def test_sanitized_malformed_input(fast_ubsan):
+    _check((fast_ubsan,), _fuzz_cases())
+
+
+@pytest.mark.parametrize(
+    "kernel, args, want",
+    [
+        # The width of the points is checked before their count against r'.
+        ("eta_mod", ([[1, 2], [3, 4]], (5,), [[1, 2, 3], [4, 5, 6]], 101),
+         "point length differs from the number of rows"),
+        # Points of different lengths, even where there are no rows.
+        ("eta_mod", ([], (2, 0), [[], [5], []], 7), "rows have different lengths"),
+        # A point without an inverse at modulus 4, reached while the rank
+        # (at most 2 after the first block) is below the 3 columns.
+        ("secant_ranks_mod", ([[1, -1, 2], [0, 1, 1]], [[1, 1], [2, 2], [3, 3]], 4),
+         "base is not invertible for the given modulus"),
+    ],
+)
+def test_malformed_input_raises_the_same_error(fast, fast_ubsan, kernel, args, want):
+    _check((py, fast, fast_ubsan), [(kernel, args, want)])
