@@ -14,84 +14,55 @@ Quick start::
     assert report.computed_dim == 14
 """
 
-from .config import DEFAULT_CONFIG, RunConfig
-from .degeneration import (
-    LimitCheckReport,
-    demo_points,
-    limit_check,
-)
-from .exponent import (
-    ExponentMatrix,
-    HadamardSpec,
-    HomogeneityError,
-    MatrixSizeError,
-    VarietyDescriptor,
-    normalize,
-    read_matrix_csv,
-    segre_veronese,
-)
-from .hadamdim import (
-    GenericHrankReport,
-    HadamardDimensionReport,
-    expected_generic_hrank,
-    generic_hrank,
-    hadamard_dimension,
-)
-from .kernels import backend_name
-from .modlinalg import (
-    ALTERNATE_PRIMES,
-    DEFAULT_PRIME,
-    is_probable_prime,
-    random_torus_points,
-)
-from .secantdim import (
-    SecantDimensionReport,
-    expected_secant_dim,
-    secant_dimension,
-    secant_dimensions,
-)
-from .tables import (
-    AH_SPORADIC,
-    binary_check_table,
-    enumerate_check_rvectors,
-    veronese_check_table,
-)
-from .tropical import Support, classify_support
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALTERNATE_PRIMES",
-    "AH_SPORADIC",
-    "DEFAULT_CONFIG",
-    "DEFAULT_PRIME",
-    "ExponentMatrix",
-    "GenericHrankReport",
-    "HadamardDimensionReport",
-    "HadamardSpec",
-    "HomogeneityError",
-    "LimitCheckReport",
-    "MatrixSizeError",
-    "RunConfig",
-    "SecantDimensionReport",
-    "Support",
-    "VarietyDescriptor",
-    "backend_name",
-    "binary_check_table",
-    "classify_support",
-    "demo_points",
-    "enumerate_check_rvectors",
-    "expected_generic_hrank",
-    "expected_secant_dim",
-    "generic_hrank",
-    "hadamard_dimension",
-    "is_probable_prime",
-    "limit_check",
-    "normalize",
-    "random_torus_points",
-    "read_matrix_csv",
-    "secant_dimension",
-    "secant_dimensions",
-    "segre_veronese",
-    "veronese_check_table",
-]
+# Exported name -> the submodule that defines it.  A name is imported on its
+# first use (PEP 562), so `import toricdim` loads no submodule and a command
+# loads only the modules it runs.
+_EXPORTS = {
+    "ALTERNATE_PRIMES": "modlinalg",
+    "AH_SPORADIC": "tables",
+    "DEFAULT_CONFIG": "config",
+    "DEFAULT_PRIME": "modlinalg",
+    "ExponentMatrix": "exponent",
+    "GenericHrankReport": "hadamdim",
+    "HadamardDimensionReport": "hadamdim",
+    "HadamardSpec": "exponent",
+    "HomogeneityError": "exponent",
+    "LimitCheckReport": "degeneration",
+    "MatrixSizeError": "exponent",
+    "RunConfig": "config",
+    "SecantDimensionReport": "secantdim",
+    "Support": "tropical",
+    "VarietyDescriptor": "exponent",
+    "backend_name": "kernels",
+    "binary_check_table": "tables",
+    "classify_support": "tropical",
+    "demo_points": "degeneration",
+    "enumerate_check_rvectors": "tables",
+    "expected_generic_hrank": "hadamdim",
+    "expected_secant_dim": "secantdim",
+    "generic_hrank": "hadamdim",
+    "hadamard_dimension": "hadamdim",
+    "is_probable_prime": "modlinalg",
+    "limit_check": "degeneration",
+    "normalize": "exponent",
+    "random_torus_points": "modlinalg",
+    "read_matrix_csv": "exponent",
+    "secant_dimension": "secantdim",
+    "secant_dimensions": "secantdim",
+    "segre_veronese": "exponent",
+    "veronese_check_table": "tables",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

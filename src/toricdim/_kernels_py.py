@@ -21,8 +21,6 @@ reduction.
 degeneration verifier, over the integers.
 """
 
-from __future__ import annotations
-
 import bisect
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number

@@ -7,8 +7,6 @@ of the ranks modulo a fixed sequence of primes until a bound on the minors
 proves that no larger rank is left.  No floating point anywhere.
 """
 
-from __future__ import annotations
-
 from itertools import count
 from math import gcd, lcm, prod
 

@@ -15,15 +15,12 @@ usage errors and out of memory.  Identical inputs produce byte-identical
 reports; JSON carries a top-level `schema` field, CSV column order is frozen.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import io
 import json
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from .config import RunConfig
@@ -38,7 +35,6 @@ from .hadamdim import (
 )
 from .secantdim import STATUS_NONDEFECTIVE, secant_dimension
 from .tables import TableRow, run_table
-from .tropical import VERDICT_BINOMIAL, Support, classify_support
 
 SCHEMA_VERSION = 1
 
@@ -151,10 +147,10 @@ def _plain(value):
 
 
 def report_dict(report) -> dict:
-    """The one serialisation of every report dataclass: its fields in
-    declaration order, tuples as lists, Fractions as strings, and
-    `TableRow.passed` under the key "pass"."""
-    return {_key(f.name): _plain(getattr(report, f.name)) for f in fields(report)}
+    """The one serialisation of every report, a named tuple: its fields in
+    declaration order (`_fields`), tuples as lists, Fractions as strings,
+    and `TableRow.passed` under the key "pass"."""
+    return {_key(name): _plain(value) for name, value in zip(report._fields, report)}
 
 
 def _json_doc(payload: dict) -> str:
@@ -255,7 +251,7 @@ def _cmd_verify_table(args) -> int:
             }
         )
     elif args.format == "csv":
-        doc = _csv_doc([_key(f.name) for f in fields(TableRow)], dicts)
+        doc = _csv_doc([_key(name) for name in TableRow._fields], dicts)
     else:
         lines = [
             "{descriptor}  r=({r})  computed={computed_dim}  "
@@ -319,7 +315,7 @@ def _pf(ok: bool) -> str:
     return "pass" if ok else "FAIL"
 
 
-def _read_support(source: str) -> Support:
+def _read_vectors(source: str) -> list[tuple[int, ...]]:
     if source == "-":
         raw = sys.stdin.read()
     else:
@@ -336,11 +332,14 @@ def _read_support(source: str) -> Support:
             raise ValueError(f"{source}:{lineno}: non-integer entry")
     if not vectors:
         raise ValueError(f"{source}: empty support")
-    return Support.of(vectors)
+    return vectors
 
 
 def _cmd_binomial_check(args) -> int:
-    support = _read_support(args.support)
+    # Imported here: no other command uses the Newton-polytope module.
+    from .tropical import VERDICT_BINOMIAL, Support, classify_support
+
+    support = Support.of(_read_vectors(args.support))
     verdict = classify_support(support)
     payload = {
         "verdict": verdict,

@@ -1,8 +1,6 @@
 """Run configuration shared by the dimension engines and the CLI."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
@@ -16,8 +14,12 @@ from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfig(NamedTuple):
+    prime: int = DEFAULT_PRIME
+    seed: int = 0
+
+
+class RunConfig(_RunConfig):
     """The modulus of the rank probes and the seed of their point draws.
 
     A probe's draw i takes its torus points from stream seed + i, taken
@@ -27,12 +29,13 @@ class RunConfig:
     each alternate prime.
     """
 
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (2**16 < self.prime < PRIME_LIMIT and is_probable_prime(self.prime)):
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if not (2**16 < config.prime < PRIME_LIMIT and is_probable_prime(config.prime)):
             raise ValueError("prime must be a probable prime between 2^16 and 2^64")
+        return config
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -34,12 +34,10 @@ first column (1, 0, ..., 0)), which makes every monomial linear in the
 first coordinate.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 import random
+from typing import NamedTuple
 
 from . import kernels
 from ._kernels_py import eta_of_columns
@@ -155,8 +153,7 @@ def limit_matrix(abar: ExponentMatrix, points) -> tuple[list[list[int]], list[in
     return [[n * (c // d) for (n, d), c in zip(row, scale)] for row in fracs], scale
 
 
-@dataclass(frozen=True)
-class LimitCheckReport:
+class LimitCheckReport(NamedTuple):
     descriptor: str
     r: tuple[int, ...]
     nus: tuple[Fraction, ...]

@@ -17,13 +17,11 @@ order of the concatenated exponent vectors.  For Segre factors this is
 ascending lexicographic order of the index tuples (0,...,0), (0,...,1), ...
 """
 
-from __future__ import annotations
-
 import csv
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from ._rational import rational_rank
 from .config import CACHE_SIZE
@@ -62,21 +60,23 @@ def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class _ExponentMatrix(NamedTuple):
+    entries: tuple[tuple[int, ...], ...]
+
+
+class ExponentMatrix(_ExponentMatrix):
     """Immutable integer matrix.
 
     Entries may be negative (chart forms produced by `normalize`); the
-    builders only emit non-negative entries.
+    builders only emit non-negative entries.  No `__slots__`: the cached
+    rank and column degrees live in the instance dict.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = _validated_rows(self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __new__(cls, entries):
+        rows = _validated_rows(entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
+        return super().__new__(cls, rows)
 
     @property
     def n_rows(self) -> int:
@@ -237,8 +237,7 @@ def read_matrix_csv(path) -> ExponentMatrix:
 # --- descriptors ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
+class VarietyDescriptor(NamedTuple):
     """Hashable recipe for an embedded toric variety.
 
     kind is one of "veronese", "segre", "segre_veronese", "rnc", "custom";
@@ -297,17 +296,20 @@ def _descriptor_matrix(desc: VarietyDescriptor) -> ExponentMatrix:
     return segre_veronese(desc.degrees, desc.dims)
 
 
-@dataclass(frozen=True)
-class HadamardSpec:
-    """Factor list (r_1, ..., r_m) of a Hadamard product of secant varieties."""
-
+class _HadamardSpec(NamedTuple):
     r: tuple[int, ...]
 
-    def __post_init__(self):
-        r = tuple(int(x) for x in self.r)
+
+class HadamardSpec(_HadamardSpec):
+    """Factor list (r_1, ..., r_m) of a Hadamard product of secant varieties."""
+
+    __slots__ = ()
+
+    def __new__(cls, r):
+        r = tuple(int(x) for x in r)
         if not r or any(x < 1 for x in r):
             raise ValueError("every factor index r_k must be >= 1")
-        object.__setattr__(self, "r", r)
+        return super().__new__(cls, r)
 
     @property
     def m(self) -> int:

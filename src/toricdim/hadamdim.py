@@ -35,9 +35,7 @@ upper bounds, as the product probe's target does.  Power m = 1 is sigma_r
 itself and is always settled.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .config import DEFAULT_CONFIG, RunConfig
@@ -63,8 +61,7 @@ def eta_hadamard(rows, spec: HadamardSpec, points, prime: int) -> list[list[int]
     return kernels.eta_mod(rows, spec.r_prime, points, prime)
 
 
-@dataclass(frozen=True)
-class HadamardDimensionReport:
+class HadamardDimensionReport(NamedTuple):
     descriptor: str
     r: tuple[int, ...]
     R: int
@@ -169,8 +166,7 @@ def expected_generic_hrank(ambient_dim: int, variety_dim: int, r: int) -> int:
     return -((variety_dim - ambient_dim) // q)
 
 
-@dataclass(frozen=True)
-class GenericHrankReport:
+class GenericHrankReport(NamedTuple):
     descriptor: str
     r: int
     found_m: int | None

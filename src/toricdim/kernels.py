@@ -14,8 +14,6 @@ backends return identical values on identical inputs, for every prime
 below 2^64, and raise the same ValueError on malformed ones.
 """
 
-from __future__ import annotations
-
 import os
 
 from . import _kernels_py

@@ -11,8 +11,6 @@ sequence of primes that starts with these ones, certified by Hadamard's
 bound.
 """
 
-from __future__ import annotations
-
 from . import kernels
 
 DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1

@@ -44,11 +44,8 @@ no coefficient of the minor; the draws at the alternate primes cover that
 case.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import kernels
 from .config import RunConfig
@@ -59,8 +56,7 @@ from .modlinalg import ALTERNATE_PRIMES, random_torus_points
 ERROR_BUDGET_BITS = 100
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     rank: int
     prime: int  # modulus that achieved the reported rank
     attempts: int

@@ -23,10 +23,8 @@ eta_secant (x) A at R points, and memoises each report.  `eta_secant`
 stays for the degeneration verifier's generic-rank check.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
 from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
@@ -55,8 +53,7 @@ def eta_secant(rows, points, prime: int) -> list[list[int]]:
     return kernels.eta_mod(rows, (len(points) - 1,), points, prime)
 
 
-@dataclass(frozen=True)
-class SecantDimensionReport:
+class SecantDimensionReport(NamedTuple):
     descriptor: str
     R: int
     computed_dim: int

@@ -26,10 +26,8 @@ A row passes when the probed dimension equals its stated target, so a table
 is a machine-checked restatement of the claims it encodes.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
@@ -45,8 +43,7 @@ EXPERIMENT_GATING_MAX_R = 12
 EXTENDED_HARD_CAP = 30
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One checked case.  The field order is the frozen CSV column order of
     `verify-table`, with `passed` written as "pass"."""
 

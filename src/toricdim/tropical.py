@@ -5,9 +5,7 @@ point, a binomial segment, a segment with interior support points, or not a
 segment.  Collinearity is one exact rational rank (`_rational.rational_rank`).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._rational import rational_rank
 
@@ -17,8 +15,11 @@ VERDICT_SEGMENT_INTERIOR = "segment-with-interior-points"
 VERDICT_NOT_SEGMENT = "not-a-segment"
 
 
-@dataclass(frozen=True)
-class Support:
+class _Support(NamedTuple):
+    vectors: tuple[tuple[int, ...], ...]
+
+
+class Support(_Support):
     """Exponent vectors of the monomials appearing in a polynomial.
 
     Coefficients are not stored; callers are responsible for passing the
@@ -26,18 +27,19 @@ class Support:
     conclusions require it.
     """
 
-    vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.vectors:
+    def __new__(cls, vectors):
+        if not vectors:
             raise ValueError("support must be non-empty")
-        width = len(self.vectors[0])
-        if any(len(v) != width for v in self.vectors):
+        width = len(vectors[0])
+        if any(len(v) != width for v in vectors):
             raise ValueError("support vectors must share one length")
-        if len(set(self.vectors)) != len(self.vectors):
+        if len(set(vectors)) != len(vectors):
             raise ValueError("support vectors must be pairwise distinct")
-        if any(x < 0 for v in self.vectors for x in v):
+        if any(x < 0 for v in vectors for x in v):
             raise ValueError("support vectors must be nonnegative")
+        return super().__new__(cls, vectors)
 
     @staticmethod
     def of(vectors) -> "Support":

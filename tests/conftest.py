@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import shutil
 import subprocess
 import sysconfig
@@ -66,7 +67,10 @@ def table_rows(config):
 
 def _build_kernels(tmp_path_factory, flags):
     """`_fastkernels.c` compiled with `flags` into a temporary directory and
-    loaded; RuntimeError with the compiler's messages when it fails."""
+    loaded; skips without `cc`, RuntimeError with the compiler's messages
+    when the build fails."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) to build the compiled kernels")
     so = tmp_path_factory.mktemp("fastkernels") / (
         "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX")
     )
@@ -83,12 +87,11 @@ def _build_kernels(tmp_path_factory, flags):
 
 @pytest.fixture(scope="session")
 def fast(tmp_path_factory):
-    """The compiled kernels, built from `_fastkernels.c` into a temporary
-    directory whatever backend `toricdim.kernels` picked; skips without `cc`.
-    Any compiler warning fails the build here (setup.py keeps plain -O3)."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) to build the compiled kernels")
-    return _build_kernels(tmp_path_factory, ["-O3", "-Wall", "-Wextra", "-Werror"])
+    """The compiled kernels, built whatever backend `toricdim.kernels` picked,
+    where any compiler warning fails the build.  TORICDIM_FAST_CFLAGS
+    replaces the flags: CI's AddressSanitizer job instruments them so."""
+    flags = os.environ.get("TORICDIM_FAST_CFLAGS", "-O3 -Wall -Wextra -Werror")
+    return _build_kernels(tmp_path_factory, flags.split())
 
 
 @pytest.fixture(scope="session")
@@ -96,10 +99,7 @@ def fast_ubsan(tmp_path_factory):
     """The compiled kernels under the undefined-behaviour sanitizer: any
     signed overflow, out-of-range shift or misaligned access ends the whole
     test run with exit status 1 (`pytest -s` shows the sanitizer's report).
-    Skips only when `cc` cannot build that; the warnings are `fast`'s to
-    check."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) to build the compiled kernels")
+    Skips when `cc` cannot build that; the warnings are `fast`'s to check."""
     try:
         return _build_kernels(
             tmp_path_factory, ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"]

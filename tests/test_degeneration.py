@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -289,8 +288,8 @@ def assert_matches_reference(abar, r, points, nus=DEFAULT_NUS) -> LimitCheckRepo
     """`limit_check` equals `oracles.fraction_limit_check` field by field."""
     got = limit_check(abar, r, points, nus, label="case")
     want = fraction_limit_check(abar, r, points, nus, label="case")
-    for f in fields(LimitCheckReport):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for name in LimitCheckReport._fields:
+        assert getattr(got, name) == getattr(want, name), name
     return got
 
 
