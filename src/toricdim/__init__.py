@@ -46,6 +46,7 @@ _EXPORTS = {
     "expected_secant_dim": "secantdim",
     "generic_hrank": "hadamdim",
     "hadamard_dimension": "hadamdim",
+    "hadamard_dimensions": "hadamdim",
     "is_probable_prime": "modlinalg",
     "limit_check": "degeneration",
     "normalize": "exponent",

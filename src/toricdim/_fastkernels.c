@@ -1,25 +1,29 @@
-/* Compiled modular kernels, five entry points: rank_mod, kr_rank_mod (the
+/* Compiled modular kernels, six entry points: rank_mod, kr_rank_mod (the
  * rank of a Khatri-Rao product), eta_mod (the eta matrix of a probe
  * attempt, with the column monomials evaluated in place), secant_ranks_mod
  * (the ranks of a secant probe's Terracini blocks, one streamed
- * elimination for every R) and torus_points_mod (the uniform points of
- * (F_p^*)^n a probe attempt is taken at, from a counter-based SplitMix64
- * stream).
+ * elimination for every R), hadamard_ranks_mod (the ranks of a batch of
+ * Hadamard probes from their normalised blocks, one walk that rewinds the
+ * basis to the factors each vector shares with the one before it) and
+ * torus_points_mod (the uniform points of (F_p^*)^n a probe attempt is
+ * taken at, from a counter-based SplitMix64 stream).
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
  * the same moduli, malformed shapes, counts and non-invertible pivots, in
- * the same order; eta_mod and secant_ranks_mod read their exponent rows and
- * points through one reader (read_points).  No entry point releases the GIL.
- * Residues live in 64-bit words, so every modulus 2 <= p < 2^64 works.
- * One-off products go through unsigned __int128 and a 128-by-64-bit `%`
- * (mulmod); a row of products by one factor f takes Shoup's method, with
- * floor(f 2^64 / p) computed once (mulmod_shoup).
+ * the same order; eta_mod, secant_ranks_mod and hadamard_ranks_mod read
+ * their exponent rows and points through one reader (read_points).  No
+ * entry point releases the GIL.  Residues live in 64-bit words, so every
+ * modulus 2 <= p < 2^64 works.  One-off products go through unsigned
+ * __int128 and a 128-by-64-bit `%` (mulmod); a row of products by one
+ * factor f takes Shoup's method, with floor(f 2^64 / p) computed once
+ * (mulmod_shoup).
  *
  * Every rank is one loop (kr_rank) that forms Khatri-Rao rows, a top row
  * times each bottom row entrywise, and adds them, in order, to one row
- * echelon basis (add_row).  The top rows come from a buffer, or, for
- * secant_ranks_mod, are a block's column monomials, evaluated only when the
- * loop reaches the block; rank_mod's one bottom row is all ones.  A row is
+ * echelon basis (add_row).  The top rows come from a buffer, from a
+ * buffer scaled entrywise (hadamard_ranks_mod's normalised blocks), or,
+ * for secant_ranks_mod, are a block's column monomials, evaluated only when
+ * the loop reaches the block; rank_mod's one bottom row is all ones.  A row is
  * reduced by the pivot rows found so far, and its first nonzero entry left,
  * if any, is a new pivot.  The reductions are deferred, as the
  * dense linear algebra libraries over word-size primes do (Dumas, Giorgi
@@ -304,6 +308,31 @@ static void assemble_eta(u64 *vals, const Py_ssize_t *rp, Py_ssize_t m, Py_ssize
     memcpy(vals, pre, n * sizeof(u64));
 }
 
+/* u = v / S mod p entrywise, with S = 1 + the sum of the rp rows of w
+ * (length n each), from one inverse, that of the product of the S
+ * (Montgomery's batch inversion), as _kernels_py._scale.  Returns -1 when
+ * some S has no inverse mod p.  Scratch: s holds n words. */
+static int scale_rows(u64 *u, const u64 *v, const u64 *w, Py_ssize_t rp, Py_ssize_t n,
+                      u64 p, u64 *s)
+{
+    u64 acc = 1;
+    for (Py_ssize_t h = 0; h < n; h++) {
+        s[h] = 1;
+        for (Py_ssize_t j = 0; j < rp; j++)
+            s[h] = addmod(s[h], w[j * n + h], p);
+        u[h] = acc;  /* the product of the S left of h */
+        acc = mulmod(acc, s[h], p);
+    }
+    u64 inv = invmod(acc, p);
+    if (inv == 0)
+        return -1;
+    for (Py_ssize_t h = n - 1; h >= 0; h--) {
+        u[h] = mulmod(mulmod(u[h], inv, p), v[h], p);
+        inv = mulmod(inv, s[h], p);
+    }
+    return 0;
+}
+
 /* v mod p in [0, p), with Python's sign convention. */
 static inline u64 signed_residue(long long v, u64 p)
 {
@@ -366,12 +395,13 @@ static Py_ssize_t add_row(u64 *row, u64 *basis, Py_ssize_t *piv, int w,
     return rank + 1;
 }
 
-/* The top rows of kr_rank: those of a row-major buffer, or, when rows is
- * NULL, the phi(z_i) of secant_ranks_mod, the column monomials of the
- * n_vars x n_cols exponent matrix exps at z_0 = y_0 and z_i = y_0 y_i for
- * the points y_i of ys.  Scratch: z holds n_vars words, phi n_cols. */
+/* The top rows of kr_rank: those of a row-major buffer, each scaled
+ * entrywise by `scale` when it is not NULL, or, when rows is NULL, the
+ * phi(z_i) of secant_ranks_mod, the column monomials of the n_vars x n_cols
+ * exponent matrix exps at z_0 = y_0 and z_i = y_0 y_i for the points y_i of
+ * ys.  Scratch: z holds n_vars words, phi n_cols. */
 struct tops {
-    const u64 *rows, *exps, *ys;
+    const u64 *rows, *scale, *exps, *ys;
     Py_ssize_t n_vars;
     u64 *z, *phi;
 };
@@ -379,6 +409,11 @@ struct tops {
 /* Top row i of src, or NULL when a coordinate of z_i has no inverse mod p. */
 static const u64 *top_row(const struct tops *src, Py_ssize_t i, Py_ssize_t n_cols, u64 p)
 {
+    if (src->scale != NULL) {
+        for (Py_ssize_t h = 0; h < n_cols; h++)
+            src->phi[h] = mulmod(src->scale[h], src->rows[i * n_cols + h], p);
+        return src->phi;
+    }
     if (src->rows != NULL)
         return src->rows + i * n_cols;
     const u64 *y = src->ys + i * src->n_vars;
@@ -389,32 +424,58 @@ static const u64 *top_row(const struct tops *src, Py_ssize_t i, Py_ssize_t n_col
     return src->phi;
 }
 
-/* The rank of the nt nb rows t_i * bottom[k] (entrywise, in top-major
- * order), for the top rows t_i of src, each row built in one scratch row
- * by Shoup's products and added to one echelon basis (add_row).  No top
- * row is formed, and no row built, once the rank is n_cols.  ranks[i], when
- * ranks is not NULL, is the rank after the rows of t_i.  Returns the rank,
- * -1 for a pivot or a coordinate without an inverse, or -2 with MemoryError
- * set. */
-static Py_ssize_t kr_rank(const struct tops *src, Py_ssize_t nt, const u64 *bottom,
-                          Py_ssize_t nb, Py_ssize_t n_cols, u64 p, u64 *ranks)
+/* The echelon basis of kr_rank, with room for the rank of nt top rows by
+ * the nb bottom rows, in panels of panel_width(p); then one scratch row and
+ * the Shoup quotients of the bottom rows, which kr_rank multiplies every
+ * top row by.  The basis is
+ * append-only: pivot t never changes once found, so the basis after its
+ * first r pivots is the basis, with its rank set back to r. */
+struct basis {
+    u64 *buf, *row, *bq;
+    Py_ssize_t *piv;
+};
+
+static void basis_free(struct basis *b)
+{
+    PyMem_Free(b->buf);
+    PyMem_Free(b->piv);
+}
+
+/* Returns -1 with MemoryError set, and nothing to free, on failure. */
+static int basis_new(struct basis *b, Py_ssize_t nt, const u64 *bottom, Py_ssize_t nb,
+                     Py_ssize_t n_cols, u64 p)
+{
+    Py_ssize_t max_rank = nb > 0 && nt > n_cols / nb ? n_cols : nt * nb;
+    int w = panel_width(p);
+    Py_ssize_t words = (max_rank + w - 1) / w * w * n_cols;
+    b->buf = PyMem_New(u64, words + (nb + 1) * n_cols);
+    b->piv = PyMem_New(Py_ssize_t, max_rank + 1);
+    if (b->buf == NULL || b->piv == NULL) {
+        basis_free(b);
+        b->buf = NULL;
+        b->piv = NULL;
+        PyErr_NoMemory();
+        return -1;
+    }
+    b->row = b->buf + words;
+    b->bq = b->row + n_cols;
+    for (Py_ssize_t h = 0; h < nb * n_cols; h++)
+        b->bq[h] = shoup_quotient(bottom[h], p);
+    return 0;
+}
+
+/* The rank of the basis b of rank `rank` with the nt nb rows t_i * bottom[k]
+ * (entrywise, in top-major order) added, for the top rows t_i of src, each
+ * row built in b's scratch row by Shoup's products and added by add_row.
+ * No top row is formed, and no row built, once the rank is n_cols.
+ * ranks[i], when ranks is not NULL, is the rank after the rows of t_i.
+ * Returns the rank, or -1 for a pivot or a coordinate without an inverse.
+ * The panel width is worked out here, where the compiler sees its bound. */
+static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssize_t nt,
+                          const u64 *bottom, Py_ssize_t nb, Py_ssize_t n_cols, u64 p,
+                          Py_ssize_t rank, u64 *ranks)
 {
     int w = panel_width(p);
-    Py_ssize_t max_rank = nb > 0 && nt > n_cols / nb ? n_cols : nt * nb, rank = 0;
-    Py_ssize_t words = (max_rank + w - 1) / w * w * n_cols;
-    /* the basis of ceil(max_rank / w) panels, the scratch row, then the
-     * Shoup quotients of bottom */
-    u64 *buf = PyMem_New(u64, words + (nb + 1) * n_cols);
-    Py_ssize_t *piv = PyMem_New(Py_ssize_t, max_rank + 1);
-    if (buf == NULL || piv == NULL) {
-        PyMem_Free(buf);
-        PyMem_Free(piv);
-        PyErr_NoMemory();
-        return -2;
-    }
-    u64 *row = buf + words, *bq = row + n_cols;
-    for (Py_ssize_t h = 0; h < nb * n_cols; h++)
-        bq[h] = shoup_quotient(bottom[h], p);
     for (Py_ssize_t i = 0; i < nt && rank >= 0; i++) {
         const u64 *ti = rank < n_cols ? top_row(src, i, n_cols, p) : NULL;
         if (ti == NULL && rank < n_cols)
@@ -422,14 +483,25 @@ static Py_ssize_t kr_rank(const struct tops *src, Py_ssize_t nt, const u64 *bott
         for (Py_ssize_t at = 0; ti != NULL && at < nb * n_cols && rank >= 0 && rank < n_cols;
              at += n_cols) {
             for (Py_ssize_t h = 0; h < n_cols; h++)
-                row[h] = mulmod_shoup(ti[h], bottom[at + h], bq[at + h], p);
-            rank = add_row(row, buf, piv, w, n_cols, rank, p);
+                b->row[h] = mulmod_shoup(ti[h], bottom[at + h], b->bq[at + h], p);
+            rank = add_row(b->row, b->buf, b->piv, w, n_cols, rank, p);
         }
         if (ranks != NULL)
             ranks[i] = (u64)rank;
     }
-    PyMem_Free(buf);
-    PyMem_Free(piv);
+    return rank;
+}
+
+/* kr_rank from rank 0 in a basis of its own, sized for its rows: -2 with
+ * MemoryError set when that basis does not fit. */
+static Py_ssize_t kr_rank_new(const struct tops *src, Py_ssize_t nt, const u64 *bottom,
+                              Py_ssize_t nb, Py_ssize_t n_cols, u64 p, u64 *ranks)
+{
+    struct basis b;
+    if (basis_new(&b, nt, bottom, nb, n_cols, p) < 0)
+        return -2;
+    Py_ssize_t rank = kr_rank(&b, src, nt, bottom, nb, n_cols, p, 0, ranks);
+    basis_free(&b);
     return rank;
 }
 
@@ -531,8 +603,9 @@ static int read_prime(PyObject *p_obj, u64 *p)
 }
 
 /* Reads the exponent rows (int64 stored as u64) and the points (residues
- * mod p) of eta_mod and secant_ranks_mod into new buffers (free both with
- * PyMem_Free), with the ValueErrors of _kernels_py._points in its order.
+ * mod p) of eta_mod, secant_ranks_mod and hadamard_ranks_mod into new
+ * buffers (free both with PyMem_Free), with the ValueErrors of
+ * _kernels_py._points in its order.
  * Returns -1 with an exception set, and both buffers NULL, on failure. */
 static int read_points(PyObject *rows, PyObject *points, PyObject *p_obj, u64 p,
                        u64 **exps, Py_ssize_t *n_vars, Py_ssize_t *n_cols,
@@ -558,9 +631,12 @@ static int read_points(PyObject *rows, PyObject *points, PyObject *p_obj, u64 p,
     return -1;
 }
 
-/* Reads r_prime: m non-negative factor sizes summing to n_pts - 1, into a
- * new buffer (free it with PyMem_Free). */
-static int read_factors(PyObject *obj, Py_ssize_t n_pts, Py_ssize_t **rp, Py_ssize_t *m)
+/* Reads r_prime: m non-negative factor sizes that need sum + 1 points,
+ * exactly n_pts or, when not `exact`, at most n_pts, into a new buffer (free
+ * it with PyMem_Free, also on failure), with the ValueErrors of
+ * _kernels_py._check_factors. */
+static int read_factors(PyObject *obj, Py_ssize_t n_pts, int exact, Py_ssize_t **rp,
+                        Py_ssize_t *m)
 {
     unsigned long long total = 0;  /* saturates at ULLONG_MAX - 1 */
     PyObject *seq = PySequence_Fast(obj, "expected a sequence of factor sizes");
@@ -582,7 +658,8 @@ static int read_factors(PyObject *obj, Py_ssize_t n_pts, Py_ssize_t **rp, Py_ssi
             ? total + (unsigned long long)v : ULLONG_MAX - 1;
     }
     Py_DECREF(seq);
-    if (!PyErr_Occurred() && total != (unsigned long long)n_pts - 1)
+    if (!PyErr_Occurred() && (exact ? total + 1 != (unsigned long long)n_pts
+                              : total + 1 > (unsigned long long)n_pts))
         PyErr_Format(PyExc_ValueError, "factors r' need %llu points, got %zd",
                      total + 1, n_pts);
     return PyErr_Occurred() ? -1 : 0;
@@ -629,7 +706,7 @@ static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         for (Py_ssize_t h = 0; h < n_cols; h++)
             ones[h] = 1;
         struct tops src = {.rows = m};
-        if (!rank_failed(rank = kr_rank(&src, n_rows, ones, 1, n_cols, p, NULL)))
+        if (!rank_failed(rank = kr_rank_new(&src, n_rows, ones, 1, n_cols, p, NULL)))
             out = PyLong_FromSsize_t(rank);
     }
     PyMem_Free(m);
@@ -652,7 +729,7 @@ static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject
     if (read_rows(bottom, p_obj, p, &b, &nb, &nb_cols) == 0) {
         if (nt > 0 && nb > 0 && nb_cols != n_cols)
             PyErr_SetString(PyExc_ValueError, "factors have different column counts");
-        else if (!rank_failed(rank = kr_rank(&src, nt, b, nb, n_cols, p, NULL)))
+        else if (!rank_failed(rank = kr_rank_new(&src, nt, b, nb, n_cols, p, NULL)))
             out = PyLong_FromSsize_t(rank);
     }
     PyMem_Free(t);
@@ -682,7 +759,7 @@ static PyObject *eta_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kw
             PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
             goto done;
         }
-    if (read_factors(r_prime, n_pts, &rp, &m) < 0)
+    if (read_factors(r_prime, n_pts, 1, &rp, &m) < 0)
         goto done;
     if ((scratch = PyMem_New(u64, (2 * m + 1) * n_cols)) == NULL) {
         PyErr_NoMemory();
@@ -727,12 +804,117 @@ static PyObject *secant_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, PyO
             buf[j] = signed_residue((int64_t)exps[j], p);
         u64 *phi = buf + n_vars * n_cols, *z = phi + n_cols, *ranks = z + n_vars;
         struct tops src = {.exps = exps, .ys = ys, .n_vars = n_vars, .z = z, .phi = phi};
-        if (!rank_failed(kr_rank(&src, n_pts, buf, n_vars, n_cols, p, ranks)))
+        if (!rank_failed(kr_rank_new(&src, n_pts, buf, n_vars, n_cols, p, ranks)))
             out = int_list(ranks, n_pts);
     }
     PyMem_Free(exps);
     PyMem_Free(ys);
     PyMem_Free(buf);
+    return out;
+}
+
+/* _kernels_py.hadamard_ranks_mod: the rank of eta (x) rows for each factor
+ * list r' of r_primes at the first sum(r') + 1 points, or None when some
+ * S_k(c) has no inverse, from one walk.  phi is evaluated once at each
+ * point a list needs.  Block 0 is phi(y_0) (x) rows and factor k's blocks
+ * are (u_k phi(y_kj)) (x) rows, u_k = phi(y_0) / S_k (scale_rows), by
+ * kr_rank with the scaled rows as top rows.  A list resumes from the basis
+ * after the factors it shares with the list before it: at[k] is the rank
+ * after block 0 and the first k factors of that list, for k < ready. */
+static PyObject *hadamard_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"rows", "r_primes", "points", "p", NULL};
+    PyObject *rows, *r_primes, *points, *p_obj, *seq = NULL, *out = NULL;
+    u64 p, *exps, *ys, *buf = NULL;
+    Py_ssize_t n_vars, n_cols, n_pts, n_lists = 0, **rps = NULL, *ms = NULL, *at = NULL;
+    Py_ssize_t need = 0, depth = 0, ready = 0, prev = 0;
+    struct basis b = {NULL, NULL, NULL, NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:hadamard_ranks_mod", kwlist,
+                                     &rows, &r_primes, &points, &p_obj)
+        || read_prime(p_obj, &p) < 0
+        || read_points(rows, points, p_obj, p, &exps, &n_vars, &n_cols, &ys, &n_pts) < 0)
+        return NULL;
+    if ((seq = PySequence_Fast(r_primes, "expected a sequence of factor lists")) == NULL)
+        goto done;
+    n_lists = PySequence_Fast_GET_SIZE(seq);
+    rps = PyMem_Calloc(n_lists + 1, sizeof(*rps));
+    if ((ms = PyMem_New(Py_ssize_t, n_lists + 1)) == NULL || rps == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t v = 0; v < n_lists; v++) {
+        if (read_factors(PySequence_Fast_GET_ITEM(seq, v), n_pts, 0, rps + v, ms + v) < 0)
+            goto done;
+        Py_ssize_t total = 1;
+        for (Py_ssize_t k = 0; k < ms[v]; k++)
+            total += rps[v][k];
+        need = total > need ? total : need;
+        depth = ms[v] > depth ? ms[v] : depth;
+    }
+    /* phi at each point, the exponent rows mod p, u_k, then two scratch rows */
+    buf = PyMem_New(u64, (need + n_vars + depth + 2) * n_cols);
+    if (buf == NULL || (at = PyMem_New(Py_ssize_t, depth + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    u64 *phi = buf, *bottom = phi + need * n_cols, *u = bottom + n_vars * n_cols;
+    u64 *s = u + depth * n_cols, *scaled = s + n_cols;
+    for (Py_ssize_t k = 0; k < need; k++)
+        if (eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, phi + k * n_cols) < 0) {
+            PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+            goto done;
+        }
+    for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
+        bottom[j] = signed_residue((int64_t)exps[j], p);
+    if (basis_new(&b, need, bottom, n_vars, n_cols, p) < 0
+        || (out = PyList_New(n_lists)) == NULL)
+        goto done;
+    for (Py_ssize_t v = 0; v < n_lists; v++) {
+        const Py_ssize_t *rp = rps[v];
+        Py_ssize_t m = ms[v], j = 0, k, start = 1, first;
+        while (j + 1 < ready && j < m && rp[j] == rps[prev][j])
+            start += rp[j++];
+        for (k = j, first = start; k < m; start += rp[k++])
+            if (scale_rows(u + k * n_cols, phi, phi + start * n_cols, rp[k], n_cols, p, s) < 0)
+                break;
+        prev = v;
+        ready = ready < j + 1 ? ready : j + 1;
+        PyObject *x = Py_None;
+        if (k == m) {
+            struct tops src = {.rows = phi};
+            if (ready == 0)
+                ready = (at[0] = kr_rank(&b, &src, 1, bottom, n_vars, n_cols, p, 0, NULL)) >= 0;
+            Py_ssize_t rank = ready ? at[j] : -1;
+            for (k = j, start = first; k < m && rank >= 0; start += rp[k++]) {
+                src = (struct tops){.rows = phi + start * n_cols, .scale = u + k * n_cols,
+                                    .phi = scaled};
+                at[k + 1] = rank = kr_rank(&b, &src, rp[k], bottom, n_vars, n_cols, p, rank, NULL);
+            }
+            if (rank_failed(rank))
+                goto fail;
+            ready = m + 1;
+            x = PyLong_FromSsize_t(rank);
+        } else {
+            Py_INCREF(x);
+        }
+        PyList_SET_ITEM(out, v, x);  /* a list with a NULL slot is safe to free */
+        if (x == NULL)
+            goto fail;
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    for (Py_ssize_t v = 0; rps != NULL && v < n_lists; v++)
+        PyMem_Free(rps[v]);
+    Py_XDECREF(seq);
+    PyMem_Free(exps);
+    PyMem_Free(ys);
+    PyMem_Free(rps);
+    PyMem_Free(ms);
+    PyMem_Free(buf);
+    PyMem_Free(at);
+    basis_free(&b);
     return out;
 }
 
@@ -797,6 +979,10 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "The rank of the Terracini blocks phi(y_0 y_b) (x) rows, b = 0 .. R - 1,\n"
      "after each block (_kernels_py.secant_ranks_mod)."},
+    {"hadamard_ranks_mod", (PyCFunction)(void (*)(void))hadamard_ranks_mod,
+     METH_VARARGS | METH_KEYWORDS,
+     "The rank of eta (x) rows for each factor list r' of r_primes, from the\n"
+     "normalised blocks in one walk, or None (_kernels_py.hadamard_ranks_mod)."},
     {"torus_points_mod", (PyCFunction)(void (*)(void))torus_points_mod,
      METH_VARARGS | METH_KEYWORDS,
      "`count` points of (F_p^*)^width from the SplitMix64 stream of `seed`\n"

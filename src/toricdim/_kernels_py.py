@@ -1,17 +1,25 @@
 """Pure-Python modular kernels: rank, Khatri-Rao rank, monomial evaluation,
 the eta matrix of a probe attempt, the ranks of a secant probe's Terracini
-blocks and the torus points a probe is taken at.
+blocks, the ranks of a batch of Hadamard probes from their normalised
+blocks, and the torus points a probe is taken at.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod, eta_mod, secant_ranks_mod and
-torus_points_mod exactly, with the same pivots, residues and SplitMix64
-words, so it returns identical values and raises ValueError on the same
-moduli (both take 2 <= p < 2^64), malformed shapes, counts and
-non-invertible pivots, in the same order.  It has no entry point of its
-own for eval_columns_mod.  On both sides one reader checks the input of
-eta_mod and secant_ranks_mod (`_points` here, read_points in C), and one
-loop computes every rank (`_kr_ranks`, kr_rank): it forms Khatri-Rao rows
-and adds them, in order, to one row echelon basis (`_Echelon`, add_row).
+mirrors rank_mod, kr_rank_mod, eta_mod, secant_ranks_mod,
+hadamard_ranks_mod and torus_points_mod exactly, with the same pivots,
+residues and SplitMix64 words, so it returns identical values and raises
+ValueError on the same moduli (both take 2 <= p < 2^64), malformed shapes,
+counts and non-invertible pivots, in the same order.  It has no entry
+point of its own for eval_columns_mod.  On both sides one reader checks the
+points of eta_mod, secant_ranks_mod and hadamard_ranks_mod (`_points` here,
+read_points in C), and one loop computes every rank (`_kr_ranks`,
+kr_rank): it forms Khatri-Rao rows and adds them, in order, to one row
+echelon basis (`_Echelon`, add_row).  hadamard_ranks_mod gives that loop
+the normalised blocks as top rows, each v / S_k from one batch inversion
+per factor (`_scale`, scale_rows), and rewinds the basis to the factors a
+vector shares with the one before it: here to a copy of the pivot lists
+(`_Echelon.state`), whose packed rows are shared; in C, whose basis only
+grows, to the rank after those factors.  A vector with an S_k that is not
+a unit gets None.
 Only the arithmetic of a reduction differs: here a row is packed into one
 Python int, so reducing it by a pivot row is one big-int multiply-add with
 the reduction mod p delayed; in C a row pays a panel of up to 16 pivot
@@ -128,14 +136,24 @@ class _Echelon:
             lead += 1
         self.lead = lead
 
+    def state(self):
+        """The basis as it stands, for `restore`: copies of its lists, whose
+        packed rows are shared."""
+        return self.cols[:], self.pivots[:], self.lead
 
-def _kr_ranks(tops, n: int, bottom, n_cols: int, p: int) -> list[int]:
+    def restore(self, state) -> None:
+        cols, pivots, self.lead = state
+        self.cols, self.pivots = cols[:], pivots[:]
+
+
+def _kr_ranks(tops, n: int, bottom, n_cols: int, p: int, echelon=None) -> list[int]:
     """The rank over Z/p after each top row's block of the Khatri-Rao rows
     t * b (entrywise), for the `n` residue rows t of the iterable `tops`
     and, for each, the residue rows b of `bottom` in order, all added to one
-    `_Echelon`.  A top row is read only while the rank is below the column
-    count, and no row is formed once it is not."""
-    echelon = _Echelon(n_cols, p, min(n * len(bottom), n_cols))
+    `_Echelon`: `echelon`, or a new one.  A top row is read only while the
+    rank is below the column count, and no row is formed once it is not."""
+    if echelon is None:
+        echelon = _Echelon(n_cols, p, min(n * len(bottom), n_cols))
     cols, tops, ranks = echelon.cols, iter(tops), []
     while len(ranks) < n and len(cols) < n_cols:
         t = next(tops)
@@ -172,10 +190,11 @@ def kr_rank_mod(top, bottom, p: int) -> int:
 
 
 def _points(rows, points, p: int) -> list[list[int]]:
-    """The points of eta_mod and secant_ranks_mod mod p, after their
-    ValueErrors, in this order: exponent rows, then points, of different
-    lengths; a point length other than the number of rows, or a coordinate
-    divisible by p, where there are rows.  read_points in C is the same."""
+    """The points of eta_mod, secant_ranks_mod and hadamard_ranks_mod mod p,
+    after their ValueErrors, in this order: exponent rows, then points, of
+    different lengths; a point length other than the number of rows, or a
+    coordinate divisible by p, where there are rows.  read_points in C is
+    the same."""
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows have different lengths")
     pts = _residues(points, p)
@@ -209,6 +228,16 @@ def eval_columns_mod(mat, point, p: int):
     return monomials_mod(mat, _points(mat, [point], p)[0], p)
 
 
+def _check_factors(r_prime, n_points: int, exact: bool = True) -> None:
+    """ValueError unless the factor sizes r' are >= 0 and need sum(r') + 1
+    points: exactly n_points, or at most n_points when not `exact`."""
+    if any(rp < 0 for rp in r_prime):
+        raise ValueError("factor sizes r' must be non-negative")
+    need = sum(r_prime) + 1
+    if need > n_points or exact and need != n_points:
+        raise ValueError(f"factors r' need {need} points, got {n_points}")
+
+
 def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
     """Coefficient matrix eta of the Jacobian factorization eta (x) A
     (Khatri-Rao) of a Hadamard product of secant varieties, from the
@@ -236,12 +265,7 @@ def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
     ValueError unless the entries of `r_prime` are >= 0 and sum to
     len(cols) - 1.  `_fastkernels.c` assembles eta in the same order.
     """
-    if any(rp < 0 for rp in r_prime):
-        raise ValueError("factor sizes r' must be non-negative")
-    if sum(r_prime) != len(cols) - 1:
-        raise ValueError(
-            f"factors r' need {sum(r_prime) + 1} points, got {len(cols)}"
-        )
+    _check_factors(r_prime, len(cols))
     if prime is None:
 
         def mul(u, v):
@@ -311,6 +335,82 @@ def secant_ranks_mod(rows, points, p: int) -> list[int]:
     n_cols = len(rows[0]) if rows else 0
     tops = (monomials_mod(rows, z, p) for z in zs)
     return _kr_ranks(tops, len(zs), _residues(rows, p), n_cols, p)
+
+
+def _scale(v, ws, p: int):
+    """v / S mod p entrywise, S = 1 + the sum of the rows ws, from one
+    inverse, that of the product of the S (Montgomery's batch inversion);
+    None when some S has no inverse mod p."""
+    s = [1] * len(v)
+    for w in ws:
+        s = [a + b for a, b in zip(s, w)]
+    before, acc = [], 1  # before[h]: the product of the S left of h
+    for x in s:
+        before.append(acc)
+        acc = acc * x % p
+    try:
+        inv = pow(acc, -1, p)
+    except ValueError:
+        return None
+    out = [0] * len(v)
+    for h in reversed(range(len(v))):
+        out[h] = before[h] * inv % p * v[h] % p
+        inv = inv * s[h] % p
+    return out
+
+
+def hadamard_ranks_mod(rows, r_primes, points, p: int) -> list:
+    """The rank of eta (x) rows for each factor list r' of `r_primes`, at
+    its first sum(r') + 1 points, from one walk; None for a list whose
+    normalised blocks do not exist mod p, which `eta_mod` and `kr_rank_mod`
+    then answer.
+
+    Column c of eta divided by prod_h S_h(c) keeps every pivot, and every
+    missing inverse, row for row, when each S_h(c) is a unit.  Row 0 becomes
+    v = phi(y_0) and row (k, j) v w_kj / S_k (`eta_of_columns` notation),
+    which depend on y_0 and factor k's points alone.  So each list resumes
+    from the basis after the factors it shares with the list before it
+    (`_Echelon.state`); in lexicographic order they share the most.  The
+    ValueErrors, in order: those of `_points`, those of each r' in turn (a
+    negative size, more points than given), then a missing inverse, at phi
+    (evaluated once at each point a list needs) or at a pivot.  Each rank
+    stops only at the column count, as `kr_rank_mod`'s does.
+    """
+    _check_modulus(p)
+    pts = _points(rows, points, p)
+    for r_prime in r_primes:
+        _check_factors(r_prime, len(pts), exact=False)
+    need = max((sum(r_prime) + 1 for r_prime in r_primes), default=0)
+    phis = [monomials_mod(rows, pt, p) for pt in pts[:need]]
+    bottom = _residues(rows, p)
+    n_cols = len(rows[0]) if rows else 0
+    echelon = _Echelon(n_cols, p, min(need * len(bottom), n_cols))
+    # The basis after block 0 and after each factor of `prev`, then the
+    # scaled v / S_k of its factors.
+    states, scales, prev, ranks = [], [], (), []
+    for r_prime in r_primes:
+        j = 0
+        while j + 1 < len(states) and j < len(r_prime) and r_prime[j] == prev[j]:
+            j += 1
+        del states[j + 1:], scales[j:]
+        prev, starts = r_prime, [1 + sum(r_prime[:k]) for k in range(len(r_prime))]
+        for k in range(j, len(r_prime)):
+            scales.append(_scale(phis[0], phis[starts[k]:starts[k] + r_prime[k]], p))
+            if scales[-1] is None:
+                ranks.append(None)
+                break
+        else:
+            if not states:
+                _kr_ranks(phis[:1], 1, bottom, n_cols, p, echelon)
+                states.append(echelon.state())
+            echelon.restore(states[j])
+            for k in range(j, len(r_prime)):
+                ws = phis[starts[k]:starts[k] + r_prime[k]]
+                tops = ([x * y % p for x, y in zip(scales[k], w)] for w in ws)
+                _kr_ranks(tops, r_prime[k], bottom, n_cols, p, echelon)
+                states.append(echelon.state())
+            ranks.append(len(echelon.cols))
+    return ranks
 
 
 def _mix64(z: int) -> int:

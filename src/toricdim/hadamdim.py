@@ -6,7 +6,10 @@ points per factor, R = sum(r_k - 1) + 1 points in total.  The Jacobian again
 factors as eta (x) A (Khatri-Rao).  The one eta formula is
 `_kernels_py.eta_of_columns`; `eta_hadamard` takes it over F_p with the
 factors of the spec, and a secant variety is its one-factor case, so the
-probe is the same certified rank computation as for secants.
+probe is the same certified rank computation as for secants.  The probe
+itself builds eta only for a draw where some S_k has a coordinate that is
+0 mod p: otherwise it eliminates the normalised blocks of
+`probing.probe_hadamard_ranks`, which have the same rank.
 
 Dimension chain used throughout:
 
@@ -33,6 +36,11 @@ error bound 0.0, and the prime of the bound.  lower_bound_dim_R stays the
 sigma_R dimension.  The verdict rests on the probed factor dimensions as
 upper bounds, as the product probe's target does.  Power m = 1 is sigma_r
 itself and is always settled.
+
+`hadamard_dimensions` applies the rule to each vector of a batch on one
+descriptor and probes the unsettled ones together, so that their draws
+share the normalised blocks of their common leading factors and the
+elimination after them; `hadamard_dimension` is its batch of one.
 """
 
 from typing import NamedTuple
@@ -40,7 +48,7 @@ from typing import NamedTuple
 from . import kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
-from .probing import ProbeResult, probe_max_rank
+from .probing import ProbeResult, probe_hadamard_ranks
 from .secantdim import prefetch_secant_dimensions, secant_dimensions
 
 STATUS_EXPECTED = "expected dimension"
@@ -89,47 +97,73 @@ def hadamard_dimension(
     descriptor: VarietyDescriptor, r, config: RunConfig = DEFAULT_CONFIG, *,
     contained: tuple[int, int] | None = None,
 ) -> HadamardDimensionReport:
-    """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X).
+    """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X):
+    `hadamard_dimensions` of one factor vector.
 
-    Not memoised: no caller asks for the same report twice.  The factor
-    dimensions and the sigma_R lower bound come from one call of the
-    memoised `secant_dimensions`, whose reports a sweep does reuse.
     `contained` is the (computed_dim, prime) of a product that this one
     contains, a certified lower bound that the settle rule weighs against
     sigma_R's.
     """
-    spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
-    R = spec.total_points
-    *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, R), config)
-    ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
-    factor_dims = tuple(rep.computed_dim for rep in factors)
-    parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
-    expected_h = min(parameter_count, ambient)
-    # The certified lower bound and the prime it rests on: sigma_R's, or the
-    # larger contained product's; sigma_R wins a tie.
-    bound = (lower_rep.computed_dim, lower_rep.prime)
-    if contained is not None and contained[0] > bound[0]:
-        bound = contained
-    if bound[0] >= expected_h:
-        # Settled: the bound already meets the ceiling the product probe
-        # would stop at.
-        probe = ProbeResult(bound[0] + 1, bound[1], 0, False, 0, (), 0.0)
-    else:
-        # sigma_r(X) is the linear span of X from r = N + 1 on, so each
-        # factor is probed with at most N + 1 points; the product is the
-        # same variety.
-        probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
-        probe = probe_max_rank(
-            lambda rows, pts, prime: eta_hadamard(rows, probed, pts, prime),
-            descriptor.matrix(), probed.total_points, config, expected_h + 1,
-            factors=probed.m,
-        )
+    return hadamard_dimensions(descriptor, (r,), config, contained=(contained,))[0]
+
+
+def hadamard_dimensions(
+    descriptor: VarietyDescriptor, rs, config: RunConfig = DEFAULT_CONFIG, *,
+    contained=None,
+) -> tuple[HadamardDimensionReport, ...]:
+    """`hadamard_dimension` of each factor vector of `rs`, in order, with the
+    bound contained[k] (or None) for rs[k]; every report equals the lone one.
+
+    Not memoised: no caller asks for the same report twice.  The factor
+    dimensions and the sigma_R lower bound come from the memoised
+    `secant_dimensions`, whose reports a sweep does reuse.  The settle rule
+    decides each vector; the unsettled ones are probed together, by one
+    `probe_hadamard_ranks`.
+    """
+    specs = [r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r)) for r in rs]
+    parts, probes = [], []
+    for spec, inner in zip(specs, contained or (None,) * len(specs)):
+        *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, spec.total_points), config)
+        ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
+        factor_dims = tuple(rep.computed_dim for rep in factors)
+        parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
+        expected_h = min(parameter_count, ambient)
+        # The certified lower bound and the prime it rests on: sigma_R's, or
+        # the larger contained product's; sigma_R wins a tie.
+        bound = (lower_rep.computed_dim, lower_rep.prime)
+        if inner is not None and inner[0] > bound[0]:
+            bound = inner
+        if bound[0] >= expected_h:
+            # Settled: the bound already meets the ceiling the product probe
+            # would stop at.
+            probe = ProbeResult(bound[0] + 1, bound[1], 0, False, 0, (), 0.0)
+        else:
+            # sigma_r(X) is the linear span of X from r = N + 1 on, so each
+            # factor is probed with at most N + 1 points; the product is the
+            # same variety.
+            probe = None
+            probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
+            probes.append((probed, expected_h + 1))
+        parts.append((spec, lower_rep, factor_dims, parameter_count, expected_h, probe))
+    results = iter(
+        probe_hadamard_ranks(eta_hadamard, descriptor.matrix(), probes, config) if probes else ()
+    )
+    return tuple(
+        _report(descriptor, *part[:-1], part[-1] or next(results), config) for part in parts
+    )
+
+
+def _report(
+    descriptor: VarietyDescriptor, spec: HadamardSpec, lower_rep, factor_dims: tuple[int, ...],
+    parameter_count: int, expected_h: int, probe: ProbeResult, config: RunConfig,
+) -> HadamardDimensionReport:
+    ambient = lower_rep.ambient_dim
     computed = probe.rank - 1
     defect = computed < expected_h
     return HadamardDimensionReport(
         descriptor=str(descriptor),
         r=spec.r,
-        R=R,
+        R=spec.total_points,
         computed_dim=computed,
         expected_dim_hadamard=expected_h,
         expected_dim_R=lower_rep.expected_dim,
@@ -138,7 +172,7 @@ def hadamard_dimension(
         fills_ambient=computed == ambient,
         status=STATUS_HDEFECTIVE if defect else STATUS_EXPECTED,
         ambient_dim=ambient,
-        variety_dim=dim_x,
+        variety_dim=lower_rep.variety_dim,
         factor_dims=factor_dims,
         parameter_count=parameter_count,
         exceeds_ambient=parameter_count > ambient,

@@ -11,14 +11,20 @@ For a Hadamard probe it rests on the probed factor dimensions, which are
 exact only when the factor probes reached their own targets (ROADMAP
 item 8).
 
-`probe_max_rank` is the Hadamard probe.  Each draw is three kernel calls:
-the points (`modlinalg.random_torus_points`, which is
-`kernels.torus_points_mod`, a counter-based SplitMix64 stream exactly
-uniform on (F_p^*)^n), the engine's eta at the points, which is
-`kernels.eta_mod` (monomials evaluated and eta assembled in C on the
-compiled backend, `_kernels_py.eta_of_columns` on the pure one), then
-`kernels.kr_rank_mod`, which forms the Khatri-Rao product and computes its
-rank.
+`probe_hadamard_ranks` runs the Hadamard probes of one variety together,
+and `probe_max_rank` is its batch of one.  A draw is two kernel calls: the
+points (`modlinalg.random_torus_points`, which is `kernels.torus_points_mod`,
+a counter-based SplitMix64 stream exactly uniform on (F_p^*)^n), then
+`kernels.hadamard_ranks_mod`.  It divides column c of eta by
+prod_h S_h(c), S_k = 1 + sum_j phi(y_kj) as in `eta_of_columns`: a column
+scaling by units, when every S_h(c) is one, that keeps the rank.  The blocks
+of factor k become v phi(y_kj) / S_k, v = phi(y_0), which depend on y_0 and
+factor k's points alone; the points are a prefix-stable stream (y_0 |
+factor 1 | ...), so vectors in lexicographic order of r' share their
+leading factors' blocks and the elimination after them.  Where an S_k(c) is
+not a unit mod p, the draw's rank is `kernels.kr_rank_mod` of the caller's
+eta (`hadamdim.eta_hadamard`).  Either way it is the rank of eta (x) A at
+the draw's points, so the error budget below stands.
 
 `probe_secant_ranks` runs the secant probes of one variety together.  With
 z_1 = y_1 and z_j = y_1 y_j, row j >= 2 of the secant eta is phi(z_j) and
@@ -45,11 +51,12 @@ case.
 """
 
 from fractions import Fraction
+from itertools import count
 from typing import Callable, NamedTuple
 
 from . import kernels
 from .config import RunConfig
-from .exponent import ExponentMatrix
+from .exponent import ExponentMatrix, HadamardSpec
 from .modlinalg import ALTERNATE_PRIMES, random_torus_points
 
 # The error budget of the draw schedule: 2^-ERROR_BUDGET_BITS.
@@ -103,12 +110,17 @@ def _probe(schedule, target_rank: int, config: RunConfig, rank_at) -> ProbeResul
     """Walk a `_schedule` in order, where rank_at(i, prime) is the rank of
     draw i at `prime`; stop at the first draw that reaches the target, and
     return the ProbeResult of the draws made."""
-    degree, trials, moduli = schedule
     draws = []
-    for i, prime in enumerate(moduli):
+    for i, prime in enumerate(schedule[2]):
         draws.append((rank_at(i, prime), prime))
         if draws[-1][0] >= target_rank:
             break
+    return _result(schedule, draws, target_rank, config)
+
+
+def _result(schedule, draws, target_rank: int, config: RunConfig) -> ProbeResult:
+    """The ProbeResult of the (rank, prime) draws of a walked `_schedule`."""
+    degree, trials, _ = schedule
     best, best_prime = max(draws, key=lambda draw: draw[0])
     error_bound = 0.0
     if best < target_rank:
@@ -121,35 +133,73 @@ def _probe(schedule, target_rank: int, config: RunConfig, rank_at) -> ProbeResul
 
 
 def probe_max_rank(
-    eta_at: Callable[[list, tuple, int], list],
+    eta_at: Callable[[list, HadamardSpec, tuple, int], list],
     mat: ExponentMatrix,
-    n_points: int,
+    spec: HadamardSpec,
     config: RunConfig,
     target_rank: int,
-    factors: int = 1,
 ) -> ProbeResult:
-    """Maximum rank of eta_at(rows, points, p) (x) rows over the seeded draws,
-    where rows = `mat.entries`.
+    """Maximum rank of eta (x) rows over the seeded draws, for the factors
+    of `spec` and rows = `mat.entries`: `probe_hadamard_ranks` of one probe.
+    eta_at(rows, spec, points, p) is eta at a draw whose normalised blocks
+    do not exist."""
+    return probe_hadamard_ranks(eta_at, mat, [(spec, target_rank)], config)[0]
 
-    `factors` is the number of Hadamard factors of `eta_at` (1 for a
-    secant).  Draw i uses stream seed + i: the first `budget_trials` draws
-    are at `config.prime`, the last two at the alternate primes.  The walk
-    stops as soon as the target rank is reached.
+
+def probe_hadamard_ranks(
+    eta_at: Callable[[list, HadamardSpec, tuple, int], list],
+    mat: ExponentMatrix,
+    probes: list[tuple[HadamardSpec, int]],
+    config: RunConfig,
+) -> list[ProbeResult]:
+    """The ProbeResult of each (spec, target) of `probes`, in order, from
+    shared `kernels.hadamard_ranks_mod` walks.
+
+    Each probe walks its own schedule.  Draw i at prime q is one walk over
+    the probes that draw it, those still short of their targets, in
+    lexicographic order of r', at the points of stream seed + i and q for
+    the most points any of them takes; each takes its first ones.  A probe
+    whose normalised blocks do not exist at a draw takes
+    `kernels.kr_rank_mod(eta_at(rows, spec, points, q), rows, q)` instead.
+    ValueError, before any draw, for the first probe in order without an
+    error budget.
     """
     rows = mat.entries
-
-    def rank_at(i, prime):
-        pts = random_torus_points(n_points, len(rows), config.seed + i, prime)
-        return kernels.kr_rank_mod(eta_at(rows, pts, prime), rows, prime)
-
-    return _probe(_schedule(mat, factors, n_points, config), target_rank, config, rank_at)
+    schedules = [_schedule(mat, spec.m, spec.total_points, config) for spec, _ in probes]
+    draws = [[] for _ in probes]
+    for i in count():
+        walks = {}
+        for k, ((_, target), (_, _, moduli)) in enumerate(zip(probes, schedules)):
+            walked = draws[k]
+            if len(walked) == i < len(moduli) and not (walked and walked[-1][0] >= target):
+                walks.setdefault(moduli[i], []).append(k)
+        if not walks:
+            break
+        for prime, ks in walks.items():
+            specs = sorted({probes[k][0] for k in ks})  # as their r', lexicographically
+            pts = random_torus_points(
+                max(spec.total_points for spec in specs), len(rows), config.seed + i, prime
+            )
+            ranks = kernels.hadamard_ranks_mod(rows, [spec.r_prime for spec in specs], pts, prime)
+            rank_of = {}
+            for spec, rank in zip(specs, ranks):
+                if rank is None:
+                    eta = eta_at(rows, spec, pts[:spec.total_points], prime)
+                    rank = kernels.kr_rank_mod(eta, rows, prime)
+                rank_of[spec] = rank
+            for k in ks:
+                draws[k].append((rank_of[probes[k][0]], prime))
+    return [
+        _result(schedule, walked, target, config)
+        for schedule, walked, (_, target) in zip(schedules, draws, probes)
+    ]
 
 
 def probe_secant_ranks(
     mat: ExponentMatrix, targets: dict[int, int], config: RunConfig
 ) -> dict[int, ProbeResult]:
-    """`probe_max_rank(eta_secant, mat, n, config, target)` for every
-    n -> target of `targets`, from shared Terracini streams.
+    """The one-factor `probe_max_rank` of n points for every n -> target of
+    `targets`, from shared Terracini streams.
 
     The probes walk their own schedules, the largest n first.  Draw i at
     prime q reads the `kernels.secant_ranks_mod` stream at seed + i and q,

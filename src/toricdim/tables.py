@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
-from .hadamdim import HadamardDimensionReport, hadamard_dimension
+from .hadamdim import HadamardDimensionReport, hadamard_dimensions
 from .secantdim import prefetch_secant_dimensions
 
 # Sporadic defective Veronese cases (d, n, r) with d >= 3; for d = 2 the
@@ -144,38 +144,45 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
 
 
 def _answer(
-    descriptor: VarietyDescriptor, rvec: tuple[int, ...], answered: dict, config: RunConfig
-) -> HadamardDimensionReport:
-    """`hadamard_dimension` of one r-vector, bounded below by the products
-    it contains that this run has answered, and recorded in `answered`
-    (sorted r-vector -> (computed_dim, prime)) for the vectors after it.
+    descriptor: VarietyDescriptor, rvecs: list, answered: dict, config: RunConfig
+) -> tuple[HadamardDimensionReport, ...]:
+    """`hadamard_dimensions` of a run of r-vectors of one index, each
+    bounded below by the products it contains that this run has answered,
+    and recorded in `answered` (sorted r-vector -> (computed_dim, prime))
+    for the vectors after them.
 
     sigma_{r-1}(X) lies in sigma_r(X), and so the product with one r_k >= 3
     lowered by 1 lies in this one (the factors commute, so it is looked up
     re-sorted); the largest dimension among those answered is a certified
-    lower bound on this product's."""
-    lower = (
-        tuple(sorted((*rvec[:k], rk - 1, *rvec[k + 1:]))) for k, rk in enumerate(rvec) if rk >= 3
-    )
-    contained = max((answered[v] for v in lower if v in answered), default=None)
-    rep = hadamard_dimension(descriptor, rvec, config, contained=contained)
-    answered[tuple(sorted(rvec))] = (rep.computed_dim, rep.prime)
-    return rep
+    lower bound on this product's.  Those products have a lower index, so
+    none of them is in the run itself."""
+    contained = []
+    for rvec in rvecs:
+        lower = (
+            tuple(sorted((*rvec[:k], rk - 1, *rvec[k + 1:])))
+            for k, rk in enumerate(rvec) if rk >= 3
+        )
+        contained.append(max((answered[v] for v in lower if v in answered), default=None))
+    reps = hadamard_dimensions(descriptor, rvecs, config, contained=contained)
+    for rvec, rep in zip(rvecs, reps):
+        answered[tuple(sorted(rvec))] = (rep.computed_dim, rep.prime)
+    return reps
 
 
 def _run_cases(table: str, cases, target: str, config: RunConfig) -> list[TableRow]:
     """One row per (descriptor, r-vector) case, in order.  The factors and
     the index of a vector lie in 2..R, R its index, so each run of cases on
-    one descriptor first fetches the secants 2..(largest R) in one batch."""
+    one descriptor first fetches the secants 2..(largest R) in one batch;
+    each run of vectors of one index in it is answered together."""
     rows = []
     for desc, run in groupby(cases, key=lambda case: case[0]):
         rvecs = [rvec for _, rvec in run]
         top = max(HadamardSpec(rvec).total_points for rvec in rvecs)
         prefetch_secant_dimensions(desc, range(2, top + 1), config)
         answered = {}
-        for rvec in rvecs:
-            rep = _answer(desc, rvec, answered, config)
-            rows.append(_row(table, rep, getattr(rep, target)))
+        for _, same in groupby(rvecs, key=lambda rvec: HadamardSpec(rvec).total_points):
+            for rep in _answer(desc, list(same), answered, config):
+                rows.append(_row(table, rep, getattr(rep, target)))
     return rows
 
 
@@ -203,8 +210,7 @@ def _sweep_until_saturated(
     big_r = m + 1
     while big_r <= EXTENDED_HARD_CAP:
         saturated = True
-        for rvec in _tuples_with_index(m, big_r):
-            rep = _answer(descriptor, rvec, answered, config)
+        for rep in _answer(descriptor, list(_tuples_with_index(m, big_r)), answered, config):
             rows.append(_row(table, rep, rep.expected_dim_hadamard))
             if rep.parameter_count < rep.ambient_dim:
                 saturated = False

@@ -14,7 +14,8 @@ KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fas
 # The entry points of the compiled kernel, all of which `use_kernels` swaps;
 # test_kernels_parity fails when the compiled module has another one.
 KERNEL_NAMES = (
-    "rank_mod", "kr_rank_mod", "eta_mod", "torus_points_mod", "secant_ranks_mod"
+    "rank_mod", "kr_rank_mod", "eta_mod", "torus_points_mod", "secant_ranks_mod",
+    "hadamard_ranks_mod",
 )
 
 _acceptance_lines: list[str] = []

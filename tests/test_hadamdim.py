@@ -9,13 +9,16 @@ from conftest import rational_normal_curve
 
 from toricdim import (
     ALTERNATE_PRIMES,
+    DEFAULT_PRIME,
     HadamardSpec,
     RunConfig,
     VarietyDescriptor,
     expected_generic_hrank,
     generic_hrank,
     hadamard_dimension,
+    hadamard_dimensions,
     hadamdim,
+    kernels,
     normalize,
     secant_dimension,
     segre_veronese,
@@ -211,7 +214,7 @@ def _no_probe(*args, **kwargs):
     (VarietyDescriptor.segre((1, 1, 1)), (2, 2)),
 ])
 def test_settled_product_makes_no_probe(desc, r, monkeypatch):
-    monkeypatch.setattr(hadamdim, "probe_max_rank", _no_probe)
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", _no_probe)
     rep = hadamard_dimension(desc, r, CFG)
     assert rep.lower_bound_dim_R >= rep.expected_dim_hadamard
     assert rep.computed_dim == rep.lower_bound_dim_R
@@ -228,7 +231,7 @@ def test_sigma_R_wins_a_tie_with_a_contained_product(desc, r, monkeypatch):
     # A contained product's bound equal to sigma_R's, or below it, changes
     # nothing: the report keeps sigma_R's prime, and equals the report
     # without the bound, field for field.
-    monkeypatch.setattr(hadamdim, "probe_max_rank", _no_probe)
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", _no_probe)
     rep = hadamard_dimension(desc, r, CFG)
     assert rep.computed_dim == rep.expected_dim_hadamard == rep.lower_bound_dim_R
     assert rep.prime not in ALTERNATE_PRIMES
@@ -262,7 +265,7 @@ def test_contained_product_makes_no_probe(monkeypatch):
     inner = hadamard_dimension(desc, (2, 4), CFG)
     assert inner.computed_dim == inner.ambient_dim == 27 and inner.attempts > 0
     bound = (inner.computed_dim, 65537)  # the report carries the bound's prime
-    monkeypatch.setattr(hadamdim, "probe_max_rank", _no_probe)
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", _no_probe)
     rep = hadamard_dimension(desc, (2, 5), CFG, contained=bound)
     assert rep.lower_bound_dim_R == secant_dimension(desc, 6, CFG).computed_dim == 26
     assert rep.computed_dim == rep.expected_dim_hadamard == 27
@@ -277,10 +280,7 @@ def test_contained_product_makes_no_probe(monkeypatch):
 def _direct_product_dim(desc, r, config, expected_h) -> int:
     """dim of sigma_{r_1} * ... * sigma_{r_m} from its own rank probe."""
     spec = HadamardSpec(tuple(min(rk, desc.matrix().ambient_dim + 1) for rk in r))
-    probe = probe_max_rank(
-        lambda rows, pts, p: eta_hadamard(rows, spec, pts, p),
-        desc.matrix(), spec.total_points, config, expected_h + 1, factors=spec.m,
-    )
+    probe = probe_max_rank(eta_hadamard, desc.matrix(), spec, config, expected_h + 1)
     return probe.rank - 1
 
 
@@ -289,11 +289,12 @@ def test_contained_sweep_rows_match_a_direct_product_probe(seed, monkeypatch):
     config = RunConfig(seed=seed)
     reports = []
 
-    def kept(descriptor, r, config, **bounds):
-        reports.append((descriptor, hadamard_dimension(descriptor, r, config, **bounds)))
-        return reports[-1][1]
+    def kept(descriptor, rs, config, **bounds):
+        batch = hadamard_dimensions(descriptor, rs, config, **bounds)
+        reports.extend((descriptor, rep) for rep in batch)
+        return batch
 
-    monkeypatch.setattr(tables, "hadamard_dimension", kept)
+    monkeypatch.setattr(tables, "hadamard_dimensions", kept)
     rows = run_table("experiments", config, extended=True)
     assert [rep.r for _, rep in reports] == [row.r for row in rows]
     # settled, and not by sigma_R
@@ -320,6 +321,42 @@ def test_settled_experiments_rows_match_a_direct_product_probe(seed):
         direct = _direct_product_dim(desc, row.r, config, rep.expected_dim_hadamard)
         assert direct == rep.computed_dim == row.computed_dim, row
     assert settled >= 100
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
+def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
+    # v_2(P^4) at indices 3 and 4, where sigma_R falls short and every
+    # product is probed.  A kernel that withholds one rank makes (2, 3) short
+    # at every draw, so it walks its whole schedule, and (2, 2, 2) short at
+    # the configured prime, so it reaches its target at the first alternate;
+    # the others stop at draw 0.  The batch draws once per (draw, prime),
+    # with its factor lists in lexicographic order.
+    config = RunConfig(prime=prime, seed=4)
+    walk = kernels.hadamard_ranks_mod
+    short = {(1, 2): (prime, *ALTERNATE_PRIMES), (1, 1, 1): (prime,)}
+    walks = []
+
+    def withheld(rows, r_primes, points, p):
+        walks.append(list(r_primes))
+        ranks = walk(rows, r_primes, points, p)
+        return [rank if rank is None else rank - (p in short.get(tuple(rp), ()))
+                for rp, rank in zip(r_primes, ranks)]
+
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", withheld)
+    desc = VarietyDescriptor.veronese(2, 4)
+    rs = [(2, 2), (2, 2, 2), (2, 3), (3, 2)]
+    batched = hadamard_dimensions(desc, rs, config)
+    assert all(sorted(batch) == batch for batch in walks)
+    assert len(walks) == batched[2].attempts
+    for r, rep in zip(rs, batched):
+        assert report_dict(rep) == report_dict(hadamard_dimension(desc, r, config))
+    assert [rep.attempts for rep in batched[::3]] == [1, 1]
+    trials = batched[2].trials
+    assert trials > 1 and batched[2].hadamard_defect_flag and batched[2].error_bound > 0
+    assert batched[2].attempts == trials + 2
+    assert batched[2].primes_tried == (prime, *ALTERNATE_PRIMES)
+    assert (batched[1].attempts, batched[1].prime) == (batched[1].trials + 1, ALTERNATE_PRIMES[0])
+    assert batched[1].error_bound == 0.0 and not batched[1].hadamard_defect_flag
 
 
 def test_hadamard_spec_validation():

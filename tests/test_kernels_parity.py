@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import KERNEL_NAMES, rational_normal_curve
 
 from toricdim import (
-    ALTERNATE_PRIMES, DEFAULT_PRIME, VarietyDescriptor, backend_name, is_probable_prime,
+    ALTERNATE_PRIMES, DEFAULT_PRIME, VarietyDescriptor, backend_name, is_probable_prime, kernels,
     normalize,
 )
 from toricdim import _kernels_py as py
@@ -74,8 +74,12 @@ def test_backend_name_valid():
 
 
 def test_kernel_names_are_the_compiled_entry_points(fast):
-    # `use_kernels` swaps exactly these names, so no backend swap misses one.
+    # `use_kernels` swaps exactly these names, so no backend swap misses one,
+    # and `kernels` serves each of them from the backend it picked.
     assert sorted(KERNEL_NAMES) == sorted(n for n in dir(fast) if not n.startswith("_"))
+    assert "hadamard_ranks_mod" in KERNEL_NAMES
+    for name in KERNEL_NAMES:
+        assert getattr(kernels, name) is getattr(kernels._impl, name)
 
 
 def test_rank_mod_parity(fast):
@@ -381,6 +385,7 @@ def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
         ("eta_mod", ([[1, 0], [0, 1]], (0,), [[2, 3]], p)),
         ("torus_points_mod", (2, 3, 0, p)),
         ("secant_ranks_mod", ([[1, 0], [0, 1]], [[2, 3]], p)),
+        ("hadamard_ranks_mod", ([[1, 0], [0, 1]], [(0,)], [[2, 3]], p)),
     ):
         message = _outcome(getattr(py, kernel), *args)
         assert message.startswith("modulus must be")
@@ -580,13 +585,18 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
         ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2], [3]], 101)),
         ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2, 3]], 101)),  # point width
         ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2], [3, 202]], 101)),  # 0 mod p
+        ("hadamard_ranks_mod", ([[1, 2], [3]], [(1,)], [[1, 2], [3, 4]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(1,)], [[1, 2], [3, 202]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,), (1, 1)], [[1, 2], [3, 4]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(1,), (2, -1)], [[1, 2], [3, 4]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(1, -1), (3,)], [[1, 2], [3, 4]], 101)),
     ],
 )
 def test_malformed_shapes_raise_value_error(fast, kernel, args):
     message = _outcome(_kernel(py, kernel), *args)
     assert isinstance(message, str)
-    if kernel == "secant_ranks_mod":
-        assert _outcome(fast.secant_ranks_mod, *args) == message
+    if kernel in ("secant_ranks_mod", "hadamard_ranks_mod"):
+        assert _outcome(getattr(fast, kernel), *args) == message
     for impl in (fast, py):
         with pytest.raises(ValueError):
             _kernel(impl, kernel)(*args)
@@ -657,6 +667,8 @@ def test_empty_and_degenerate_shapes(fast):
         assert impl.eta_mod([], (1,), [[1], [2]], 101) == [[], []]
         assert impl.secant_ranks_mod([[1, 2]], [], 101) == []
         assert impl.secant_ranks_mod([], [[1], [2]], 101) == [0, 0]
+        assert impl.hadamard_ranks_mod([[1, 2]], [], [], 101) == []
+        assert impl.hadamard_ranks_mod([], [(1,), ()], [[1], [2]], 101) == [0, 0]
 
 
 def _ragged(rng, n_rows, n_cols, low):
@@ -678,8 +690,9 @@ def _fuzz_cases(n=20000):
     the pure outcome: 0-3 exponent rows of 0-3 entries in -1..8, 0-3 points
     of one width from n_vars - 1 to n_vars + 1 with coordinates 0..8 (each
     matrix ragged 15% of the time), a prime or a composite modulus, and r'
-    of 0-2 entries in -1..2."""
-    rng = random.Random(1)
+    of 0-2 entries in -1..2; for `hadamard_ranks_mod`, 0-3 such r' of
+    different lengths, from a generator of their own."""
+    rng, lists = random.Random(1), random.Random(2)
     cases = []
     for _ in range(n):
         rows = _ragged(rng, rng.randint(0, 3), rng.randint(0, 3), -1)
@@ -692,6 +705,10 @@ def _fuzz_cases(n=20000):
             ("kr_rank_mod", (points, rows, p)),
             ("eta_mod", (rows, r_prime, points, p)),
             ("secant_ranks_mod", (rows, points, p)),
+            ("hadamard_ranks_mod", (rows, [
+                tuple(lists.randint(-1, 2) for _ in range(lists.randint(0, 2)))
+                for _ in range(lists.randint(0, 3))
+            ], points, p)),
         ):
             cases.append((kernel, args, _outcome(getattr(py, kernel), *args)))
     return cases
@@ -721,3 +738,94 @@ def test_sanitized_malformed_input(fast_ubsan):
 )
 def test_malformed_input_raises_the_same_error(fast, fast_ubsan, kernel, args, want):
     _check((py, fast, fast_ubsan), [(kernel, args, want)])
+
+
+def _current_form(impl, rows, r_prime, points, p):
+    """The rank of eta (x) rows at the first sum(r') + 1 points, as the
+    probes took it before the normalised blocks, or its ValueError."""
+    n = sum(r_prime) + 1
+    return _outcome(lambda: impl.kr_rank_mod(impl.eta_mod(rows, r_prime, points[:n], p), rows, p))
+
+
+# Where S_k(c) = 0 is common (5 to 13), the probes' prime, a prime above
+# 2^63, and composite moduli, where a pivot or a coordinate may have no
+# inverse.
+HADAMARD_MODULI = [5, 7, 11, 13, DEFAULT_PRIME, P64, 4, 6, 9, 15, 2**63 - 2, 2**64 - 1]
+
+
+@functools.cache
+def _hadamard_cases():
+    """Random exponent matrices, some with negative exponents, and batches
+    of factor lists r' in lexicographic order (repeats, shared prefixes and
+    empty lists among them), at the points of the probes' stream for the
+    most points any list takes, at every modulus of HADAMARD_MODULI; then
+    the batches one list at a time, at that list's own points."""
+    rng = random.Random(11)
+    cases = []
+    for p in HADAMARD_MODULI:
+        for _ in range(12):
+            n_vars, n_cols = rng.randint(1, 4), rng.randint(1, 24)
+            low = rng.choice((0, 0, -2))
+            rows = [[rng.randint(low, 4) for _ in range(n_cols)] for _ in range(n_vars)]
+            batch = sorted(
+                tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 10))
+            )
+            need = max(sum(r_prime) + 1 for r_prime in batch)
+            points = py.torus_points_mod(need, n_vars, rng.randrange(2**64), p)
+            cases.append((rows, batch, points, p))
+            cases += [(rows, [r_prime], points[:sum(r_prime) + 1], p) for r_prime in batch]
+    return cases
+
+
+def _check_hadamard(impls, cases):
+    """Each list's rank is None or the current form's, on each backend.  A
+    batch of one with a ValueError has the current form's, and a batch with
+    one has that of one of its lists.  Returns the count of None."""
+    fallbacks = 0
+    for rows, batch, points, p in cases:
+        want = [_current_form(py, rows, r_prime, points, p) for r_prime in batch]
+        for impl in impls:
+            got = _outcome(impl.hadamard_ranks_mod, rows, batch, points, p)
+            if isinstance(got, str):
+                assert got in want and (len(batch) > 1 or [got] == want), (p, rows, batch)
+                continue
+            assert len(got) == len(batch)
+            for rank, current in zip(got, want):
+                assert rank is None or rank == current, (p, rows, batch)
+            fallbacks += got.count(None)
+    return fallbacks
+
+
+def test_hadamard_ranks_equal_the_current_form(fast):
+    cases = _hadamard_cases()
+    for rows, batch, points, p in cases:
+        assert _outcome(fast.hadamard_ranks_mod, rows, batch, points, p) == _outcome(
+            py.hadamard_ranks_mod, rows, batch, points, p
+        )
+    assert _check_hadamard((py,), cases) > 0
+    # At the large primes no S_k(c) is 0, so every list has its rank.
+    large = [case for case in cases if case[3] in (DEFAULT_PRIME, P64)]
+    assert _check_hadamard((py,), large) == 0
+
+
+def test_sanitized_hadamard_ranks(fast_ubsan):
+    _check_hadamard((fast_ubsan,), _hadamard_cases())
+
+
+def _planted_zero(p):
+    """The chart of the rational normal quartic, whose column h is
+    y_0 y_1^h, at points whose second is (-1, 2): S_1(0) = 1 + (p - 1) is
+    0 for the factor lists (1,) and (1, 1), which need the fallback.  The
+    third point (1, 2) makes S_1 = 1 + (p - 1) 2^h + 2^h = 1 for (2,)."""
+    rows = [[1] * 5, [0, 1, 2, 3, 4]]
+    return rows, [(1,), (1, 1), (2,)], [[3, 5], [p - 1, 2], [1, 2]], p
+
+
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
+def test_planted_non_unit_takes_the_fallback(fast, p):
+    rows, batch, points, p = _planted_zero(p)
+    for impl in (py, fast):
+        ranks = impl.hadamard_ranks_mod(rows, batch, points, p)
+        assert ranks[:2] == [None, None]
+        assert ranks[2] == _current_form(impl, rows, batch[2], points, p)

@@ -3,11 +3,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import rational_normal_curve
+from conftest import rational_normal_curve, use_kernels
 
-from toricdim import ALTERNATE_PRIMES, RunConfig, hadamard_dimension, probing
+from toricdim import (
+    ALTERNATE_PRIMES, ExponentMatrix, HadamardSpec, RunConfig, hadamard_dimension, kernels,
+    probing,
+)
+from toricdim import _kernels_py as py
 from toricdim.cli import main, parse_descriptor
-from toricdim.secantdim import eta_secant
+from toricdim.hadamdim import eta_hadamard
 
 MAT = rational_normal_curve(8)
 # The smallest prime RunConfig accepts: p - 1 = 2^16.
@@ -23,7 +27,9 @@ def draw_schedule(monkeypatch, config, target_rank, n_points=3):
         return original(count, width, seed, prime)
 
     monkeypatch.setattr(probing, "random_torus_points", recorded)
-    result = probing.probe_max_rank(eta_secant, MAT, n_points, config, target_rank)
+    result = probing.probe_max_rank(
+        eta_hadamard, MAT, HadamardSpec((n_points,)), config, target_rank
+    )
     return result, draws
 
 
@@ -118,7 +124,9 @@ def test_no_error_budget_raises_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(probing, "random_torus_points", lambda *a: draws.append(a))
     with pytest.raises(ValueError, match="prime 65537: .* degree up to 160000"):
-        probing.probe_max_rank(eta_secant, mat, 20, RunConfig(prime=SMALL_PRIME), 41)
+        probing.probe_max_rank(
+            eta_hadamard, mat, HadamardSpec((20,)), RunConfig(prime=SMALL_PRIME), 41
+        )
     assert draws == []
 
 
@@ -147,3 +155,26 @@ def test_the_hadamard_probe_bounds_its_degree_with_its_factors(monkeypatch):
     assert calls[-1] == (5, 3, 4)
     assert rep.trials == least_trials(120, RunConfig().prime) == 2
     assert (rep.error_bound, rep.attempts) == (0.0, 1)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_a_draw_without_normalised_blocks_takes_the_current_form(backend, fast, monkeypatch):
+    # Column 0 of the rational normal quartic's chart is y_0, and the factor
+    # point (-1, 2) puts S_1(0) = 1 + (p - 1) = 0: no normalised blocks, so
+    # the draw's rank is kr_rank_mod of eta_at's eta, on either backend.
+    use_kernels(py if backend == "python" else fast, monkeypatch)
+    config = RunConfig(seed=0)
+    points = ((3, 5), (config.prime - 1, 2))
+    monkeypatch.setattr(probing, "random_torus_points", lambda *args: points)
+    mat = ExponentMatrix(((1,) * 5, (0, 1, 2, 3, 4)))
+    etas = []
+
+    def eta_at(rows, spec, pts, p):
+        etas.append(eta_hadamard(rows, spec, pts, p))
+        return etas[-1]
+
+    spec = HadamardSpec((2,))
+    assert kernels.hadamard_ranks_mod(mat.entries, [spec.r_prime], points, config.prime) == [None]
+    result = probing.probe_max_rank(eta_at, mat, spec, config, 4)
+    assert len(etas) == result.attempts == 1
+    assert result.rank == kernels.kr_rank_mod(etas[0], mat.entries, config.prime) == 4

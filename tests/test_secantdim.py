@@ -10,6 +10,7 @@ from toricdim import (
     ALTERNATE_PRIMES,
     DEFAULT_PRIME,
     ExponentMatrix,
+    HadamardSpec,
     RunConfig,
     VarietyDescriptor,
     expected_secant_dim,
@@ -22,6 +23,7 @@ from toricdim import (
     secantdim,
 )
 from toricdim.cli import parse_descriptor, report_dict
+from toricdim.hadamdim import eta_hadamard
 from toricdim.secantdim import (
     STATUS_DEFECTIVE,
     STATUS_NONDEFECTIVE,
@@ -204,10 +206,10 @@ def test_rank_after_block_R_is_the_eta_rank_at_R_points(p):
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
 def test_batched_reports_equal_the_lone_reports(prime):
     # Every field, with the memo cleared before each side, and the probe
-    # fields equal to those of the eta probe, `probe_max_rank(eta_secant,
-    # ...)`.  At 65537 the error budget draws 9 to 12 times, and for
-    # v_2(P^6) the defective sigma_2 (t = 10) and sigma_3 (t = 11) put draw
-    # 10 at different primes.
+    # fields equal to those of the one-factor Hadamard probe,
+    # `probe_max_rank(eta_hadamard, ...)`.  At 65537 the error budget draws
+    # 9 to 12 times, and for v_2(P^6) the defective sigma_2 (t = 10) and
+    # sigma_3 (t = 11) put draw 10 at different primes.
     for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6)]:
         config = RunConfig(prime=prime, seed=3)
         mat = desc.matrix()
@@ -217,9 +219,8 @@ def test_batched_reports_equal_the_lone_reports(prime):
         for R, rep in zip(Rs, batched):
             secantdim._secant_dimension_cached.cache_clear()
             assert report_dict(rep) == report_dict(secant_dimension(desc, R, config))
-            probe = probing.probe_max_rank(
-                eta_secant, mat, min(R, mat.ambient_dim + 1), config, rep.expected_dim + 1
-            )
+            spec = HadamardSpec((min(R, mat.ambient_dim + 1),))
+            probe = probing.probe_max_rank(eta_hadamard, mat, spec, config, rep.expected_dim + 1)
             assert (probe.rank - 1, probe.prime, probe.attempts, probe.trials) == (
                 rep.computed_dim, rep.prime, rep.attempts, rep.trials
             )

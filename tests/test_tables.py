@@ -99,17 +99,20 @@ def test_table_rows_serialize_with_frozen_columns(table_rows):
 
 
 def test_sweep_probes_each_row_once(monkeypatch):
-    calls = []
-    original = tables.hadamard_dimension
+    # One batch per index, in order, and each row asked for once.
+    batches = []
+    original = tables.hadamard_dimensions
 
-    def counted(descriptor, r, config, **bounds):
-        calls.append(tuple(r))
-        return original(descriptor, r, config, **bounds)
+    def counted(descriptor, rs, config, **bounds):
+        batches.append([tuple(r) for r in rs])
+        return original(descriptor, rs, config, **bounds)
 
-    monkeypatch.setattr(tables, "hadamard_dimension", counted)
+    monkeypatch.setattr(tables, "hadamard_dimensions", counted)
     rows = _sweep_until_saturated("experiments", VarietyDescriptor.veronese(2, 3), 2, CFG)
     assert len(rows) > 1
-    assert calls == [row.r for row in rows]
+    assert [r for batch in batches for r in batch] == [row.r for row in rows]
+    indices = [{sum(r) - len(r) + 1 for r in batch} for batch in batches]
+    assert indices == [{big_r} for big_r in range(3, 3 + len(batches))]
 
 
 def test_cases_bound_each_product_by_the_products_it_contains(monkeypatch):
@@ -118,19 +121,19 @@ def test_cases_bound_each_product_by_the_products_it_contains(monkeypatch):
     # its vectors and so found only re-sorted.  It is no bound on
     # sigma_2 * sigma_3 (dim 23), which it contains and which must be probed.
     probes = []
-    original = hadamdim.probe_max_rank
+    original = hadamdim.probe_hadamard_ranks
 
-    def counted(*args, **kwargs):
-        probes.append(args)
-        return original(*args, **kwargs)
+    def counted(eta_at, mat, batch, config):
+        probes.extend(spec.r for spec, _ in batch)
+        return original(eta_at, mat, batch, config)
 
-    monkeypatch.setattr(hadamdim, "probe_max_rank", counted)
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", counted)
     desc = VarietyDescriptor.veronese(2, 6)
     cases = [(desc, (4, 2)), (desc, (5, 2)), (desc, (3, 2))]
     rows = _run_cases("experiments", cases, "expected_dim_hadamard", CFG)
     assert [row.computed_dim for row in rows] == [27, 27, 23]
     assert all(row.passed for row in rows)
-    assert len(probes) == 2
+    assert probes == [(4, 2), (3, 2)]
 
 
 def test_unknown_table_rejected():
