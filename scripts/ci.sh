@@ -10,7 +10,7 @@
 #            preloads every step
 #   tier1    the tier-1 suite; TORICDIM_PURE=1 runs it on the pure kernels
 #   large    under a 3 GB address-space limit, a factor of 1000 variables
-#            builds, and a builder over its entry cap and a probe whose basis
+#            builds, and a builder over its entry cap and a probe whose walk
 #            does not fit exit 2 with a message, never a traceback
 #   install  install the package and check, from outside the checkout, that
 #            its console script's report equals the benchmark's oracle; skipped

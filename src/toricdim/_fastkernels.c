@@ -1,34 +1,31 @@
-/* Compiled modular kernels, six entry points: rank_mod, kr_rank_mod (the
+/* Compiled modular kernels, five entry points: rank_mod, kr_rank_mod (the
  * rank of a Khatri-Rao product), eta_mod (the eta matrix of a probe
- * attempt, with the column monomials evaluated in place), secant_ranks_mod
- * (the ranks of a secant probe's Terracini blocks, one streamed
- * elimination for every R), hadamard_ranks_mod (the ranks of a batch of
- * Hadamard probes from their normalised blocks, one walk that rewinds the
- * basis to the factors each vector shares with the one before it) and
- * torus_points_mod (the uniform points of (F_p^*)^n a probe attempt is
- * taken at, from a counter-based SplitMix64 stream).
+ * attempt, with the column monomials evaluated in place), hadamard_ranks_mod
+ * (the ranks of a batch of Hadamard probes, secant probes among them, from
+ * their normalised blocks, one walk that rewinds the basis to the blocks
+ * each list shares with the one before it) and torus_points_mod (the
+ * uniform points of (F_p^*)^n a probe attempt is taken at, from a
+ * counter-based SplitMix64 stream).
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
  * the same moduli, malformed shapes, counts and non-invertible pivots, in
- * the same order; eta_mod, secant_ranks_mod and hadamard_ranks_mod read
- * their exponent rows and points through one reader (read_points).  No
- * entry point releases the GIL.  Residues live in 64-bit words, so every
- * modulus 2 <= p < 2^64 works.  One-off products go through unsigned
- * __int128 and a 128-by-64-bit `%` (mulmod); a row of products by one
- * factor f takes Shoup's method, with floor(f 2^64 / p) computed once
- * (mulmod_shoup).
+ * the same order; eta_mod and hadamard_ranks_mod read their exponent rows
+ * and points through one reader (read_points).  No entry point releases
+ * the GIL.  Residues live in 64-bit words, so every modulus 2 <= p < 2^64
+ * works.  One-off products go through unsigned __int128 and a 128-by-64-bit
+ * `%` (mulmod); a row of products by one factor f takes Shoup's method,
+ * with floor(f 2^64 / p) computed once (mulmod_shoup).
  *
  * Every rank is one loop (kr_rank) that forms Khatri-Rao rows, a top row
  * times each bottom row entrywise, and adds them, in order, to one row
- * echelon basis (add_row).  The top rows come from a buffer, from a
- * buffer scaled entrywise (hadamard_ranks_mod's normalised blocks), or,
- * for secant_ranks_mod, are a block's column monomials, evaluated only when
- * the loop reaches the block; rank_mod's one bottom row is all ones.  A row is
- * reduced by the pivot rows found so far, and its first nonzero entry left,
- * if any, is a new pivot.  The reductions are deferred, as the
- * dense linear algebra libraries over word-size primes do (Dumas, Giorgi
- * and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
- * and FFPACK packages", ACM TOMS 2008).  The pivots are kept in panels of
+ * echelon basis (add_row).  The top rows come from a buffer, or from a
+ * buffer scaled entrywise (hadamard_ranks_mod's normalised blocks);
+ * rank_mod's one bottom row is all ones.  A row is reduced by the pivot
+ * rows found so far, and its first nonzero entry left, if any, is a new
+ * pivot.  The reductions are deferred, as the dense linear algebra
+ * libraries over word-size primes do (Dumas, Giorgi and Pernet, "Dense
+ * linear algebra over word-size prime fields: the FFLAS and FFPACK
+ * packages", ACM TOMS 2008).  The pivots are kept in panels of
  * up to K, and a row pays a panel's k <= K products f_t P_t[j] at each
  * entry with one unsigned __int128 sum and one `%`.  Residues are at most
  * p - 1, so the sum is exact while K (p - 1)^2 < 2^128, and K(p) =
@@ -310,8 +307,8 @@ static void assemble_eta(u64 *vals, const Py_ssize_t *rp, Py_ssize_t m, Py_ssize
 
 /* u = v / S mod p entrywise, with S = 1 + the sum of the rp rows of w
  * (length n each), from one inverse, that of the product of the S
- * (Montgomery's batch inversion), as _kernels_py._scale.  Returns -1 when
- * some S has no inverse mod p.  Scratch: s holds n words. */
+ * (Montgomery's batch inversion), as _kernels_py._scale(v, S).  Returns -1
+ * when some S has no inverse mod p.  Scratch: s holds n words. */
 static int scale_rows(u64 *u, const u64 *v, const u64 *w, Py_ssize_t rp, Py_ssize_t n,
                       u64 p, u64 *s)
 {
@@ -396,32 +393,19 @@ static Py_ssize_t add_row(u64 *row, u64 *basis, Py_ssize_t *piv, int w,
 }
 
 /* The top rows of kr_rank: those of a row-major buffer, each scaled
- * entrywise by `scale` when it is not NULL, or, when rows is NULL, the
- * phi(z_i) of secant_ranks_mod, the column monomials of the n_vars x n_cols
- * exponent matrix exps at z_0 = y_0 and z_i = y_0 y_i for the points y_i of
- * ys.  Scratch: z holds n_vars words, phi n_cols. */
+ * entrywise by `scale`, into the scratch row `scaled`, when it is not NULL. */
 struct tops {
-    const u64 *rows, *scale, *exps, *ys;
-    Py_ssize_t n_vars;
-    u64 *z, *phi;
+    const u64 *rows, *scale;
+    u64 *scaled;
 };
 
-/* Top row i of src, or NULL when a coordinate of z_i has no inverse mod p. */
 static const u64 *top_row(const struct tops *src, Py_ssize_t i, Py_ssize_t n_cols, u64 p)
 {
-    if (src->scale != NULL) {
-        for (Py_ssize_t h = 0; h < n_cols; h++)
-            src->phi[h] = mulmod(src->scale[h], src->rows[i * n_cols + h], p);
-        return src->phi;
-    }
-    if (src->rows != NULL)
+    if (src->scale == NULL)
         return src->rows + i * n_cols;
-    const u64 *y = src->ys + i * src->n_vars;
-    for (Py_ssize_t l = 0; i > 0 && l < src->n_vars; l++)
-        src->z[l] = mulmod(src->ys[l], y[l], p);
-    if (eval_columns(src->exps, src->n_vars, n_cols, i > 0 ? src->z : y, p, src->phi) < 0)
-        return NULL;
-    return src->phi;
+    for (Py_ssize_t h = 0; h < n_cols; h++)
+        src->scaled[h] = mulmod(src->scale[h], src->rows[i * n_cols + h], p);
+    return src->scaled;
 }
 
 /* The echelon basis of kr_rank, with room for the rank of nt top rows by
@@ -469,17 +453,15 @@ static int basis_new(struct basis *b, Py_ssize_t nt, const u64 *bottom, Py_ssize
  * row built in b's scratch row by Shoup's products and added by add_row.
  * No top row is formed, and no row built, once the rank is n_cols.
  * ranks[i], when ranks is not NULL, is the rank after the rows of t_i.
- * Returns the rank, or -1 for a pivot or a coordinate without an inverse.
+ * Returns the rank, or -1 for a pivot without an inverse.
  * The panel width is worked out here, where the compiler sees its bound. */
 static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssize_t nt,
                           const u64 *bottom, Py_ssize_t nb, Py_ssize_t n_cols, u64 p,
-                          Py_ssize_t rank, u64 *ranks)
+                          Py_ssize_t rank, Py_ssize_t *ranks)
 {
     int w = panel_width(p);
     for (Py_ssize_t i = 0; i < nt && rank >= 0; i++) {
         const u64 *ti = rank < n_cols ? top_row(src, i, n_cols, p) : NULL;
-        if (ti == NULL && rank < n_cols)
-            rank = -1;
         for (Py_ssize_t at = 0; ti != NULL && at < nb * n_cols && rank >= 0 && rank < n_cols;
              at += n_cols) {
             for (Py_ssize_t h = 0; h < n_cols; h++)
@@ -487,7 +469,7 @@ static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssiz
             rank = add_row(b->row, b->buf, b->piv, w, n_cols, rank, p);
         }
         if (ranks != NULL)
-            ranks[i] = (u64)rank;
+            ranks[i] = rank;
     }
     return rank;
 }
@@ -495,12 +477,12 @@ static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssiz
 /* kr_rank from rank 0 in a basis of its own, sized for its rows: -2 with
  * MemoryError set when that basis does not fit. */
 static Py_ssize_t kr_rank_new(const struct tops *src, Py_ssize_t nt, const u64 *bottom,
-                              Py_ssize_t nb, Py_ssize_t n_cols, u64 p, u64 *ranks)
+                              Py_ssize_t nb, Py_ssize_t n_cols, u64 p)
 {
     struct basis b;
     if (basis_new(&b, nt, bottom, nb, n_cols, p) < 0)
         return -2;
-    Py_ssize_t rank = kr_rank(&b, src, nt, bottom, nb, n_cols, p, 0, ranks);
+    Py_ssize_t rank = kr_rank(&b, src, nt, bottom, nb, n_cols, p, 0, NULL);
     basis_free(&b);
     return rank;
 }
@@ -603,9 +585,8 @@ static int read_prime(PyObject *p_obj, u64 *p)
 }
 
 /* Reads the exponent rows (int64 stored as u64) and the points (residues
- * mod p) of eta_mod, secant_ranks_mod and hadamard_ranks_mod into new
- * buffers (free both with PyMem_Free), with the ValueErrors of
- * _kernels_py._points in its order.
+ * mod p) of eta_mod and hadamard_ranks_mod into new buffers (free both with
+ * PyMem_Free), with the ValueErrors of _kernels_py._points in its order.
  * Returns -1 with an exception set, and both buffers NULL, on failure. */
 static int read_points(PyObject *rows, PyObject *points, PyObject *p_obj, u64 p,
                        u64 **exps, Py_ssize_t *n_vars, Py_ssize_t *n_cols,
@@ -706,7 +687,7 @@ static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         for (Py_ssize_t h = 0; h < n_cols; h++)
             ones[h] = 1;
         struct tops src = {.rows = m};
-        if (!rank_failed(rank = kr_rank_new(&src, n_rows, ones, 1, n_cols, p, NULL)))
+        if (!rank_failed(rank = kr_rank_new(&src, n_rows, ones, 1, n_cols, p)))
             out = PyLong_FromSsize_t(rank);
     }
     PyMem_Free(m);
@@ -729,7 +710,7 @@ static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject
     if (read_rows(bottom, p_obj, p, &b, &nb, &nb_cols) == 0) {
         if (nt > 0 && nb > 0 && nb_cols != n_cols)
             PyErr_SetString(PyExc_ValueError, "factors have different column counts");
-        else if (!rank_failed(rank = kr_rank_new(&src, nt, b, nb, n_cols, p, NULL)))
+        else if (!rank_failed(rank = kr_rank_new(&src, nt, b, nb, n_cols, p)))
             out = PyLong_FromSsize_t(rank);
     }
     PyMem_Free(t);
@@ -782,52 +763,33 @@ done:
     return out;
 }
 
-/* _kernels_py.secant_ranks_mod: the rank after each block of the stacked
- * blocks phi(z_b) (x) rows at the points y_0, ..., y_{R-1}, by kr_rank
- * with the top rows phi(z_b) and the bottom rows the exponent rows mod p. */
-static PyObject *secant_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+/* _kernels_py._shared: the leading blocks that the walks of the factor
+ * lists a (ma sizes) and b (mb) share. */
+static Py_ssize_t shared_blocks(const Py_ssize_t *a, Py_ssize_t ma, const Py_ssize_t *b,
+                                Py_ssize_t mb)
 {
-    static char *kwlist[] = {"rows", "points", "p", NULL};
-    PyObject *rows, *points, *p_obj, *out = NULL;
-    u64 p, *exps, *ys, *buf;
-    Py_ssize_t n_vars, n_cols, n_pts;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:secant_ranks_mod", kwlist,
-                                     &rows, &points, &p_obj)
-        || read_prime(p_obj, &p) < 0
-        || read_points(rows, points, p_obj, p, &exps, &n_vars, &n_cols, &ys, &n_pts) < 0)
-        return NULL;
-    /* the exponent rows mod p, phi(z_b), z_b and the ranks */
-    if ((buf = PyMem_New(u64, (n_vars + 1) * n_cols + n_vars + n_pts)) == NULL) {
-        PyErr_NoMemory();
-    } else {
-        for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
-            buf[j] = signed_residue((int64_t)exps[j], p);
-        u64 *phi = buf + n_vars * n_cols, *z = phi + n_cols, *ranks = z + n_vars;
-        struct tops src = {.exps = exps, .ys = ys, .n_vars = n_vars, .z = z, .phi = phi};
-        if (!rank_failed(kr_rank_new(&src, n_pts, buf, n_vars, n_cols, p, ranks)))
-            out = int_list(ranks, n_pts);
-    }
-    PyMem_Free(exps);
-    PyMem_Free(ys);
-    PyMem_Free(buf);
-    return out;
+    Py_ssize_t a1 = ma ? a[0] : 0, b1 = mb ? b[0] : 0, shared = 1 + (a1 < b1 ? a1 : b1);
+    for (Py_ssize_t k = 1; a1 == b1 && k < ma && k < mb && a[k] == b[k]; k++)
+        shared += a[k];
+    return shared;
 }
 
 /* _kernels_py.hadamard_ranks_mod: the rank of eta (x) rows for each factor
  * list r' of r_primes at the first sum(r') + 1 points, or None when some
- * S_k(c) has no inverse, from one walk.  phi is evaluated once at each
- * point a list needs.  Block 0 is phi(y_0) (x) rows and factor k's blocks
- * are (u_k phi(y_kj)) (x) rows, u_k = phi(y_0) / S_k (scale_rows), by
- * kr_rank with the scaled rows as top rows.  A list resumes from the basis
- * after the factors it shares with the list before it: at[k] is the rank
- * after block 0 and the first k factors of that list, for k < ready. */
+ * S_k(c), k >= 2, has no inverse, from one walk.  phi is evaluated once at
+ * each point a list needs.  By kr_rank, with the bottom rows v * rows mod p,
+ * v = phi(y_0), the top row of block 0 is all ones (in phi's row 0), those
+ * of factor 1 are phi(y_1j), and those of factor k phi(y_kj) scaled by
+ * u_k = S_1 / S_k (scale_rows).  A list resumes from the basis after the
+ * blocks it shares with the list before it: at[b] is the rank after block b
+ * of the walk, for b < ready. */
 static PyObject *hadamard_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "r_primes", "points", "p", NULL};
     PyObject *rows, *r_primes, *points, *p_obj, *seq = NULL, *out = NULL;
     u64 p, *exps, *ys, *buf = NULL;
     Py_ssize_t n_vars, n_cols, n_pts, n_lists = 0, **rps = NULL, *ms = NULL, *at = NULL;
-    Py_ssize_t need = 0, depth = 0, ready = 0, prev = 0;
+    Py_ssize_t need = 0, depth = 0, ready = 0;
     struct basis b = {NULL, NULL, NULL, NULL};
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:hadamard_ranks_mod", kwlist,
                                      &rows, &r_primes, &points, &p_obj)
@@ -851,48 +813,61 @@ static PyObject *hadamard_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, P
         need = total > need ? total : need;
         depth = ms[v] > depth ? ms[v] : depth;
     }
-    /* phi at each point, the exponent rows mod p, u_k, then two scratch rows */
-    buf = PyMem_New(u64, (need + n_vars + depth + 2) * n_cols);
-    if (buf == NULL || (at = PyMem_New(Py_ssize_t, depth + 1)) == NULL) {
+    /* phi at each point, the bottom rows, u_k, then three scratch rows */
+    buf = PyMem_New(u64, (need + n_vars + depth + 3) * n_cols);
+    if (buf == NULL || (at = PyMem_New(Py_ssize_t, need + 1)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     u64 *phi = buf, *bottom = phi + need * n_cols, *u = bottom + n_vars * n_cols;
-    u64 *s = u + depth * n_cols, *scaled = s + n_cols;
+    u64 *s1 = u + depth * n_cols, *s = s1 + n_cols, *scaled = s + n_cols;
     for (Py_ssize_t k = 0; k < need; k++)
         if (eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, phi + k * n_cols) < 0) {
             PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
             goto done;
         }
     for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
-        bottom[j] = signed_residue((int64_t)exps[j], p);
+        bottom[j] = mulmod(signed_residue((int64_t)exps[j], p), need ? phi[j % n_cols] : 1, p);
+    for (Py_ssize_t h = 0; need && h < n_cols; h++)
+        phi[h] = 1;
     if (basis_new(&b, need, bottom, n_vars, n_cols, p) < 0
         || (out = PyList_New(n_lists)) == NULL)
         goto done;
     for (Py_ssize_t v = 0; v < n_lists; v++) {
         const Py_ssize_t *rp = rps[v];
-        Py_ssize_t m = ms[v], j = 0, k, start = 1, first;
-        while (j + 1 < ready && j < m && rp[j] == rps[prev][j])
-            start += rp[j++];
-        for (k = j, first = start; k < m; start += rp[k++])
-            if (scale_rows(u + k * n_cols, phi, phi + start * n_cols, rp[k], n_cols, p, s) < 0)
+        Py_ssize_t m = ms[v], first = m ? rp[0] : 0, k = 1, start = 1 + first, end;
+        if (v > 0) {
+            Py_ssize_t keep = shared_blocks(rps[v - 1], ms[v - 1], rp, m);
+            ready = keep < ready ? keep : ready;
+        }
+        for (int have_s1 = 0; k < m; start += rp[k++]) {
+            if (start + rp[k] <= ready)
+                continue;
+            for (Py_ssize_t h = 0; !have_s1 && h < n_cols; h++) {
+                s1[h] = 1;
+                for (Py_ssize_t j = 1; j <= first; j++)
+                    s1[h] = addmod(s1[h], phi[j * n_cols + h], p);
+            }
+            have_s1 = 1;
+            if (scale_rows(u + k * n_cols, s1, phi + start * n_cols, rp[k], n_cols, p, s) < 0)
                 break;
-        prev = v;
-        ready = ready < j + 1 ? ready : j + 1;
+        }
         PyObject *x = Py_None;
-        if (k == m) {
-            struct tops src = {.rows = phi};
-            if (ready == 0)
-                ready = (at[0] = kr_rank(&b, &src, 1, bottom, n_vars, n_cols, p, 0, NULL)) >= 0;
-            Py_ssize_t rank = ready ? at[j] : -1;
-            for (k = j, start = first; k < m && rank >= 0; start += rp[k++]) {
-                src = (struct tops){.rows = phi + start * n_cols, .scale = u + k * n_cols,
-                                    .phi = scaled};
-                at[k + 1] = rank = kr_rank(&b, &src, rp[k], bottom, n_vars, n_cols, p, rank, NULL);
+        if (k >= m) {
+            /* blocks [start, end): block 0 and factor 1's, then those of
+             * each factor k with its scale, from block `ready` on */
+            Py_ssize_t rank = ready ? at[ready - 1] : 0;
+            for (k = 0, start = 0; (k == 0 || k < m) && rank >= 0; k++, start = end) {
+                end = k ? start + rp[k] : 1 + first;
+                Py_ssize_t from = start > ready ? start : ready;
+                struct tops src = {phi + from * n_cols, k ? u + k * n_cols : NULL, scaled};
+                if (end > from)
+                    rank = kr_rank(&b, &src, end - from, bottom, n_vars, n_cols, p, rank,
+                                   at + from);
             }
             if (rank_failed(rank))
                 goto fail;
-            ready = m + 1;
+            ready = start;
             x = PyLong_FromSsize_t(rank);
         } else {
             Py_INCREF(x);
@@ -975,10 +950,6 @@ static PyMethodDef methods[] = {
      "eta over Z/p for the factors r_prime at the points\n"
      "(_kernels_py.eta_of_columns): the monomials of `rows` evaluated and\n"
      "combined without Python arithmetic."},
-    {"secant_ranks_mod", (PyCFunction)(void (*)(void))secant_ranks_mod,
-     METH_VARARGS | METH_KEYWORDS,
-     "The rank of the Terracini blocks phi(y_0 y_b) (x) rows, b = 0 .. R - 1,\n"
-     "after each block (_kernels_py.secant_ranks_mod)."},
     {"hadamard_ranks_mod", (PyCFunction)(void (*)(void))hadamard_ranks_mod,
      METH_VARARGS | METH_KEYWORDS,
      "The rank of eta (x) rows for each factor list r' of r_primes, from the\n"

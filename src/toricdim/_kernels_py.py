@@ -1,35 +1,30 @@
 """Pure-Python modular kernels: rank, Khatri-Rao rank, monomial evaluation,
-the eta matrix of a probe attempt, the ranks of a secant probe's Terracini
-blocks, the ranks of a batch of Hadamard probes from their normalised
-blocks, and the torus points a probe is taken at.
+the eta matrix of a probe attempt, the ranks of a batch of Hadamard probes
+(secant probes among them) from their normalised blocks, and the torus
+points a probe is taken at.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod, eta_mod, secant_ranks_mod,
-hadamard_ranks_mod and torus_points_mod exactly, with the same pivots,
-residues and SplitMix64 words, so it returns identical values and raises
-ValueError on the same moduli (both take 2 <= p < 2^64), malformed shapes,
-counts and non-invertible pivots, in the same order.  It has no entry
-point of its own for eval_columns_mod.  On both sides one reader checks the
-points of eta_mod, secant_ranks_mod and hadamard_ranks_mod (`_points` here,
-read_points in C), and one loop computes every rank (`_kr_ranks`,
-kr_rank): it forms Khatri-Rao rows and adds them, in order, to one row
-echelon basis (`_Echelon`, add_row).  hadamard_ranks_mod gives that loop
-the normalised blocks as top rows, each v / S_k from one batch inversion
-per factor (`_scale`, scale_rows), and rewinds the basis to the factors a
-vector shares with the one before it: here to a copy of the pivot lists
-(`_Echelon.state`), whose packed rows are shared; in C, whose basis only
-grows, to the rank after those factors.  A vector with an S_k that is not
-a unit gets None.
-Only the arithmetic of a reduction differs: here a row is packed into one
-Python int, so reducing it by a pivot row is one big-int multiply-add with
-the reduction mod p delayed; in C a row pays a panel of up to 16 pivot
-rows at once, with one 128-bit sum of their products per entry and one
-reduction.
+mirrors rank_mod, kr_rank_mod, eta_mod, hadamard_ranks_mod and
+torus_points_mod exactly, with the same pivots, residues and SplitMix64
+words, so it returns identical values and raises ValueError on the same
+moduli (both take 2 <= p < 2^64), malformed shapes, counts and
+non-invertible pivots, in the same order.  It has no entry point of its own
+for eval_columns_mod.  On both sides one reader checks the points of eta_mod
+and hadamard_ranks_mod (`_points` here, read_points in C), and one loop
+computes every rank (`_kr_ranks`, kr_rank): it forms Khatri-Rao rows and
+adds them, in order, to one row echelon basis (`_Echelon`, add_row), which
+hadamard_ranks_mod rewinds to an earlier rank (`_Echelon.truncate`; in C,
+the rank set back).  Only the arithmetic of a reduction differs: here a
+row is packed into one Python int, so reducing it by a pivot row is one
+big-int multiply-add with the reduction mod p delayed; in C a row pays a
+panel of up to 16 pivot rows at once, with one 128-bit sum of their
+products per entry and one reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for the exact
 degeneration verifier, over the integers.
 """
 
 import bisect
+from itertools import takewhile
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 # generators", OOPSLA 2014) works on 64-bit words, and its counter steps by
@@ -101,6 +96,7 @@ class _Echelon:
         self.p = p
         self.nbytes = (2 * p.bit_length() + (max_rank + 1).bit_length() + 7) // 8
         self.cols: list[int] = []  # the pivot columns, increasing
+        self.found: list[int] = []  # the same, in the order they were found
         # Per pivot column, in the same order: the shift of its slot, its
         # packed row, and the mask that cuts a row after it (0 for no cut).
         self.pivots: list[tuple[int, int, int]] = []
@@ -128,6 +124,7 @@ class _Echelon:
         c = lead + i
         at = bisect.bisect(self.cols, c)
         self.cols.insert(at, c)
+        self.found.append(c)
         shift = 8 * nbytes * (self.n_cols - 1 - c)
         self.pivots.insert(at, (shift, _pack([x * inv % p for x in left[i:]], nbytes), 0))
         while lead < len(self.cols) and self.cols[lead] == lead:
@@ -136,14 +133,17 @@ class _Echelon:
             lead += 1
         self.lead = lead
 
-    def state(self):
-        """The basis as it stands, for `restore`: copies of its lists, whose
-        packed rows are shared."""
-        return self.cols[:], self.pivots[:], self.lead
-
-    def restore(self, state) -> None:
-        cols, pivots, self.lead = state
-        self.cols, self.pivots = cols[:], pivots[:]
+    def truncate(self, rank: int) -> None:
+        """Back to the basis of the first `rank` pivots found, whose rows
+        never change; only the cuts follow the leading run of pivot columns."""
+        if rank == len(self.found):
+            return
+        for c in self.found[rank:]:
+            at = bisect.bisect_left(self.cols, c)
+            del self.cols[at], self.pivots[at]
+            self.lead = min(self.lead, c)
+        del self.found[rank:]
+        self.pivots[self.lead:] = [(shift, prow, 0) for shift, prow, _ in self.pivots[self.lead:]]
 
 
 def _kr_ranks(tops, n: int, bottom, n_cols: int, p: int, echelon=None) -> list[int]:
@@ -190,8 +190,8 @@ def kr_rank_mod(top, bottom, p: int) -> int:
 
 
 def _points(rows, points, p: int) -> list[list[int]]:
-    """The points of eta_mod, secant_ranks_mod and hadamard_ranks_mod mod p,
-    after their ValueErrors, in this order: exponent rows, then points, of
+    """The points of eta_mod and hadamard_ranks_mod mod p, after their
+    ValueErrors, in this order: exponent rows, then points, of
     different lengths; a point length other than the number of rows, or a
     coordinate divisible by p, where there are rows.  read_points in C is
     the same."""
@@ -314,37 +314,10 @@ def eta_mod(rows, r_prime, points, p: int) -> list[list[int]]:
     return eta_of_columns([monomials_mod(rows, pt, p) for pt in pts], r_prime, p)
 
 
-def secant_ranks_mod(rows, points, p: int) -> list[int]:
-    """The rank after each block of a secant probe's Terracini blocks.
-
-    For the points y_0, ..., y_{R-1}, block b is phi(z_b) (x) rows: the rows
-    of the exponent matrix, each scaled entrywise by the column monomials
-    phi at z_0 = y_0 and z_b = y_0 y_b.  Row b >= 1 of the one-factor
-    `eta_of_columns` at the first B points is phi(z_b), and row 0 is the sum
-    of all of them, so the rank after block B - 1 is exactly the rank of
-    eta (x) rows at those points (Terracini's lemma).
-
-    One loop, `_kr_ranks`, adds the blocks' rows in order to one `_Echelon`:
-    the points are checked first (`_points`), and phi(z_b) is evaluated only
-    once the elimination reaches block b, so that no point is evaluated once
-    the rank is the column count.
-    """
-    _check_modulus(p)
-    pts = _points(rows, points, p)
-    zs = pts[:1] + [[x * y % p for x, y in zip(pts[0], pt)] for pt in pts[1:]]
-    n_cols = len(rows[0]) if rows else 0
-    tops = (monomials_mod(rows, z, p) for z in zs)
-    return _kr_ranks(tops, len(zs), _residues(rows, p), n_cols, p)
-
-
-def _scale(v, ws, p: int):
-    """v / S mod p entrywise, S = 1 + the sum of the rows ws, from one
-    inverse, that of the product of the S (Montgomery's batch inversion);
-    None when some S has no inverse mod p."""
-    s = [1] * len(v)
-    for w in ws:
-        s = [a + b for a, b in zip(s, w)]
-    before, acc = [], 1  # before[h]: the product of the S left of h
+def _scale(v, s, p: int):
+    """v / s mod p entrywise from one inverse, that of the product of the s
+    (Montgomery's batch inversion); None when some s has no inverse mod p."""
+    before, acc = [], 1  # before[h]: the product of the s left of h
     for x in s:
         before.append(acc)
         acc = acc * x % p
@@ -359,57 +332,77 @@ def _scale(v, ws, p: int):
     return out
 
 
+def _shared(a, b) -> int:
+    """How many leading blocks the walks of the factor lists a and b share:
+    block 0 and factor 1's blocks up to the shorter factor 1, then, when
+    factor 1 is the same, each factor while it is the same."""
+    a1, b1 = (a or (0,))[0], (b or (0,))[0]
+    if a1 != b1:
+        return 1 + min(a1, b1)
+    same = takewhile(lambda pair: pair[0] == pair[1], zip(a[1:], b[1:]))
+    return 1 + a1 + sum(x for x, _ in same)
+
+
+def _blocks(phis, r_prime, keep: int, p: int):
+    """(scale, point) of each block of r' from block `keep` on, whose top row
+    is phis[point] (phis[0] is all ones), times the scale if any; None when
+    some S_k, k >= 2, of those blocks has no inverse."""
+    first, s1 = (r_prime or (0,))[0], None
+    blocks, start = [(None, i) for i in range(keep, first + 1)], first + 1
+    for rp in r_prime[1:]:
+        if start + rp > keep:
+            s1 = s1 or [sum(c) for c in zip(*phis[:first + 1])]  # S_1
+            u = _scale(s1, [sum(c) for c in zip(phis[0], *phis[start:start + rp])], p)
+            if u is None:
+                return None
+            blocks += [(u, i) for i in range(max(start, keep), start + rp)]
+        start += rp
+    return blocks
+
+
 def hadamard_ranks_mod(rows, r_primes, points, p: int) -> list:
     """The rank of eta (x) rows for each factor list r' of `r_primes`, at
     its first sum(r') + 1 points, from one walk; None for a list whose
     normalised blocks do not exist mod p, which `eta_mod` and `kr_rank_mod`
-    then answer.
+    then answer.  A secant probe is the one-factor list (R - 1,).
 
-    Column c of eta divided by prod_h S_h(c) keeps every pivot, and every
-    missing inverse, row for row, when each S_h(c) is a unit.  Row 0 becomes
-    v = phi(y_0) and row (k, j) v w_kj / S_k (`eta_of_columns` notation),
-    which depend on y_0 and factor k's points alone.  So each list resumes
-    from the basis after the factors it shares with the list before it
-    (`_Echelon.state`); in lexicographic order they share the most.  The
-    ValueErrors, in order: those of `_points`, those of each r' in turn (a
-    negative size, more points than given), then a missing inverse, at phi
-    (evaluated once at each point a list needs) or at a pivot.  Each rank
-    stops only at the column count, as `kr_rank_mod`'s does.
+    In `eta_of_columns` notation, dividing column c of eta by
+    prod_{k >= 2} S_k(c), then taking factor 1's rows from row 0, keeps
+    every pivot, and every missing inverse, row for row, when each such
+    S_k(c) is a unit.  Block b is then t_b (x) (v * rows), v = phi(y_0),
+    with t_0 = 1, t_1j = w_1j (v t_1j = phi(y_0 y_1j) is a Terracini block)
+    and t_kj = w_kj S_1 / S_k.  A list resumes from the basis after the
+    blocks it shares with the one before it (`_shared`), the most in
+    lexicographic order.  ValueErrors, in order: those of `_points`, of
+    each r' in turn, then a missing inverse, at phi (evaluated once at each
+    point a list needs) or at a pivot.  Ranks stop only at the column
+    count, as `kr_rank_mod`'s do.
     """
     _check_modulus(p)
     pts = _points(rows, points, p)
     for r_prime in r_primes:
         _check_factors(r_prime, len(pts), exact=False)
-    need = max((sum(r_prime) + 1 for r_prime in r_primes), default=0)
+    if not r_primes:
+        return []
+    need = max(sum(r_prime) + 1 for r_prime in r_primes)
     phis = [monomials_mod(rows, pt, p) for pt in pts[:need]]
-    bottom = _residues(rows, p)
     n_cols = len(rows[0]) if rows else 0
+    bottom = [[x * a % p for x, a in zip(phis[0], row)] for row in _residues(rows, p)]
+    phis[0] = [1] * n_cols
     echelon = _Echelon(n_cols, p, min(need * len(bottom), n_cols))
-    # The basis after block 0 and after each factor of `prev`, then the
-    # scaled v / S_k of its factors.
-    states, scales, prev, ranks = [], [], (), []
+    at, prev, ranks = [], (), []  # at[b]: the rank after block b of the walk
     for r_prime in r_primes:
-        j = 0
-        while j + 1 < len(states) and j < len(r_prime) and r_prime[j] == prev[j]:
-            j += 1
-        del states[j + 1:], scales[j:]
-        prev, starts = r_prime, [1 + sum(r_prime[:k]) for k in range(len(r_prime))]
-        for k in range(j, len(r_prime)):
-            scales.append(_scale(phis[0], phis[starts[k]:starts[k] + r_prime[k]], p))
-            if scales[-1] is None:
-                ranks.append(None)
-                break
-        else:
-            if not states:
-                _kr_ranks(phis[:1], 1, bottom, n_cols, p, echelon)
-                states.append(echelon.state())
-            echelon.restore(states[j])
-            for k in range(j, len(r_prime)):
-                ws = phis[starts[k]:starts[k] + r_prime[k]]
-                tops = ([x * y % p for x, y in zip(scales[k], w)] for w in ws)
-                _kr_ranks(tops, r_prime[k], bottom, n_cols, p, echelon)
-                states.append(echelon.state())
-            ranks.append(len(echelon.cols))
+        keep = min(_shared(prev, r_prime), len(at))
+        del at[keep:]
+        prev, blocks = r_prime, _blocks(phis, r_prime, keep, p)
+        if blocks is None:
+            ranks.append(None)
+            continue
+        echelon.truncate(at[-1] if at else 0)
+        tops = (phis[i] if u is None else [x * y % p for x, y in zip(u, phis[i])]
+                for u, i in blocks)
+        at += _kr_ranks(tops, len(blocks), bottom, n_cols, p, echelon)
+        ranks.append(len(echelon.cols))
     return ranks
 
 

@@ -7,8 +7,8 @@ factors as eta (x) A (Khatri-Rao).  The one eta formula is
 `_kernels_py.eta_of_columns`; `eta_hadamard` takes it over F_p with the
 factors of the spec, and a secant variety is its one-factor case, so the
 probe is the same certified rank computation as for secants.  The probe
-itself builds eta only for a draw where some S_k has a coordinate that is
-0 mod p: otherwise it eliminates the normalised blocks of
+itself builds eta only for a draw where some S_k, k >= 2, has a coordinate
+that is 0 mod p: otherwise it eliminates the normalised blocks of
 `probing.probe_hadamard_ranks`, which have the same rank.
 
 Dimension chain used throughout:
@@ -113,6 +113,7 @@ def hadamard_dimensions(
 ) -> tuple[HadamardDimensionReport, ...]:
     """`hadamard_dimension` of each factor vector of `rs`, in order, with the
     bound contained[k] (or None) for rs[k]; every report equals the lone one.
+    ValueError when `contained` is given and its length is not that of `rs`.
 
     Not memoised: no caller asks for the same report twice.  The factor
     dimensions and the sigma_R lower bound come from the memoised
@@ -122,7 +123,8 @@ def hadamard_dimensions(
     """
     specs = [r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r)) for r in rs]
     parts, probes = [], []
-    for spec, inner in zip(specs, contained or (None,) * len(specs)):
+    bounds = (None,) * len(specs) if contained is None else contained
+    for spec, inner in zip(specs, bounds, strict=True):
         *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, spec.total_points), config)
         ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
         factor_dims = tuple(rep.computed_dim for rep in factors)

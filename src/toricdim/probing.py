@@ -3,40 +3,26 @@
 A probe asks for the generic rank of eta (x) A (Khatri-Rao), the Jacobian
 factorization of a Hadamard product of secant varieties, whose eta formula
 is `_kernels_py.eta_of_columns`; a secant variety sigma_R(X) is its
-one-factor case.  `_probe` walks a probe's draw schedule in order and stops
-at the first draw that reaches the target rank.  The target is a ceiling
+one-factor case.  Each probe walks its draw schedule in order and stops at
+the first draw that reaches the target rank.  The target is a ceiling
 (parameter count or ambient bound), so the reported maximum is identical
 to running every draw.  For a secant probe the ceiling is mathematical.
 For a Hadamard probe it rests on the probed factor dimensions, which are
 exact only when the factor probes reached their own targets (ROADMAP
 item 8).
 
-`probe_hadamard_ranks` runs the Hadamard probes of one variety together,
-and `probe_max_rank` is its batch of one.  A draw is two kernel calls: the
-points (`modlinalg.random_torus_points`, which is `kernels.torus_points_mod`,
-a counter-based SplitMix64 stream exactly uniform on (F_p^*)^n), then
-`kernels.hadamard_ranks_mod`.  It divides column c of eta by
-prod_h S_h(c), S_k = 1 + sum_j phi(y_kj) as in `eta_of_columns`: a column
-scaling by units, when every S_h(c) is one, that keeps the rank.  The blocks
-of factor k become v phi(y_kj) / S_k, v = phi(y_0), which depend on y_0 and
-factor k's points alone; the points are a prefix-stable stream (y_0 |
-factor 1 | ...), so vectors in lexicographic order of r' share their
-leading factors' blocks and the elimination after them.  Where an S_k(c) is
-not a unit mod p, the draw's rank is `kernels.kr_rank_mod` of the caller's
-eta (`hadamdim.eta_hadamard`).  Either way it is the rank of eta (x) A at
+`probe_hadamard_ranks` runs the probes of one variety together, secant and
+product probes alike, and `probe_max_rank` is its batch of one.  A draw is
+two kernel calls: the points (`modlinalg.random_torus_points`, a
+counter-based SplitMix64 stream exactly uniform on (F_p^*)^n and
+prefix-stable in the number of points), then `kernels.hadamard_ranks_mod`:
+one walk over the normalised Terracini blocks of the probes in
+lexicographic order of r', each resuming from the blocks it shares with
+the one before it (Friedenberg, Oneto and Williams, 2017).
+Where a product's blocks do not exist mod p, the draw's rank is
+`kernels.kr_rank_mod` of the caller's eta (`hadamdim.eta_hadamard`); a
+secant probe never gets there.  Either way it is the rank of eta (x) A at
 the draw's points, so the error budget below stands.
-
-`probe_secant_ranks` runs the secant probes of one variety together.  With
-z_1 = y_1 and z_j = y_1 y_j, row j >= 2 of the secant eta is phi(z_j) and
-row 1 is the sum of them all, so eta (x) A at R points has, by a
-unitriangular row operation, exactly the rank of the stacked blocks
-phi(z_j) (x) A, j <= R (Terracini's lemma; Friedenberg, Oneto and Williams,
-"Minkowski sums and Hadamard products of algebraic varieties", 2017).  The
-draw for R points is a prefix of the draw for more at the same seed, so a
-secant attempt is two kernel calls, the draw and
-`kernels.secant_ranks_mod`, whose one streamed elimination gives the rank
-after every block: one stream answers every R drawn at that seed and
-prime, and no eta is built.
 
 Every probe runs one draw schedule, cut short once the target is reached:
 t draws at the configured prime, then one draw at each of the two alternate
@@ -104,18 +90,6 @@ def _schedule(mat: ExponentMatrix, factors: int, n_points: int, config: RunConfi
     degree = minor_degree(mat, factors, n_points)
     trials = budget_trials(degree, config.prime)
     return degree, trials, (config.prime,) * trials + ALTERNATE_PRIMES
-
-
-def _probe(schedule, target_rank: int, config: RunConfig, rank_at) -> ProbeResult:
-    """Walk a `_schedule` in order, where rank_at(i, prime) is the rank of
-    draw i at `prime`; stop at the first draw that reaches the target, and
-    return the ProbeResult of the draws made."""
-    draws = []
-    for i, prime in enumerate(schedule[2]):
-        draws.append((rank_at(i, prime), prime))
-        if draws[-1][0] >= target_rank:
-            break
-    return _result(schedule, draws, target_rank, config)
 
 
 def _result(schedule, draws, target_rank: int, config: RunConfig) -> ProbeResult:
@@ -193,34 +167,3 @@ def probe_hadamard_ranks(
         _result(schedule, walked, target, config)
         for schedule, walked, (_, target) in zip(schedules, draws, probes)
     ]
-
-
-def probe_secant_ranks(
-    mat: ExponentMatrix, targets: dict[int, int], config: RunConfig
-) -> dict[int, ProbeResult]:
-    """The one-factor `probe_max_rank` of n points for every n -> target of
-    `targets`, from shared Terracini streams.
-
-    The probes walk their own schedules, the largest n first.  Draw i at
-    prime q reads the `kernels.secant_ranks_mod` stream at seed + i and q,
-    drawn by the first probe to reach it with its own n points, the most of
-    any probe that reaches it; its rank after block n is the rank of
-    eta_secant (x) A at the first n.  ValueError, before any draw, for the
-    first n in order without an error budget.
-    """
-    schedules = {n: _schedule(mat, 1, n, config) for n in targets}
-    rows = mat.entries
-    streams = {}
-
-    def rank_at(n, i, prime):
-        ranks = streams.get((i, prime))
-        if ranks is None:
-            pts = random_torus_points(n, len(rows), config.seed + i, prime)
-            ranks = streams[i, prime] = kernels.secant_ranks_mod(rows, pts, prime)
-        return ranks[n - 1]
-
-    probes = {
-        n: _probe(schedules[n], targets[n], config, lambda i, prime, n=n: rank_at(n, i, prime))
-        for n in sorted(targets, reverse=True)
-    }
-    return {n: probes[n] for n in targets}

@@ -16,11 +16,10 @@ Equality of the two certifies non-defectivity; a shortfall that persists
 through the draw schedule of `probing` is reported as "defective
 (probabilistic)", with the error bound behind it.
 
-The probe itself builds no eta: `secant_dimensions` answers a list of R
-from shared Terracini streams (`probing.probe_secant_ranks`), one streamed
-elimination per draw whose rank after block R is the rank of
-eta_secant (x) A at R points, and memoises each report.  `eta_secant`
-stays for the degeneration verifier's generic-rank check.
+The probe builds no eta: `secant_dimensions` answers a list of R as
+one-factor Hadamard probes (`probing.probe_hadamard_ranks`), one walk over
+the Terracini blocks phi(y_1 y_j) (x) A per seed and prime, and memoises
+each report.  `eta_secant` serves the degeneration verifier.
 """
 
 from functools import lru_cache
@@ -28,8 +27,8 @@ from typing import NamedTuple
 
 from . import kernels
 from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
-from .exponent import VarietyDescriptor
-from .probing import ProbeResult, probe_secant_ranks
+from .exponent import HadamardSpec, VarietyDescriptor
+from .probing import ProbeResult, probe_hadamard_ranks
 
 STATUS_NONDEFECTIVE = "nondefective"
 STATUS_DEFECTIVE = "defective (probabilistic)"
@@ -83,10 +82,12 @@ def secant_dimensions(
     """`secant_dimension` for each R of `Rs`, in order, probed together.
 
     The reports are memoised per (descriptor, R, config).  Those not yet
-    known come from one `probing.probe_secant_ranks`: each draw of it is one
-    Terracini stream per prime, whose rank after block R answers sigma_R,
-    so a caller that will ask for several R gains by asking for them at
-    once.  Every report equals the one a lone probe of its R gives.
+    known come from one `probing.probe_hadamard_ranks` of one-factor specs:
+    each draw of it is one walk per prime, in which each R resumes from the
+    Terracini blocks of the next smaller one, so a caller that will ask for
+    several R gains by asking for them at once.  Every report equals the
+    one a lone probe of its R gives.  Its fallback eta, `eta_secant`, is
+    never asked for: a one-factor spec always has its normalised blocks.
     """
     Rs = tuple(Rs)
     if any(R < 1 for R in Rs):
@@ -101,7 +102,12 @@ def secant_dimensions(
         # that, with the target of N + 1 points, which is also sigma_R's.
         points = {R: min(R, ambient + 1) for R in missing}
         targets = {n: expected_secant_dim(ambient, dim_x, n) + 1 for n in points.values()}
-        probes = probe_secant_ranks(mat, targets, config)
+        specs = [(HadamardSpec((n,)), target) for n, target in targets.items()]
+
+        def eta_at(rows, spec, pts, p):
+            return eta_secant(rows, pts, p)
+
+        probes = dict(zip(targets, probe_hadamard_ranks(eta_at, mat, specs, config)))
         for R, n in points.items():
             slots[R].append(
                 _report(descriptor, R, ambient, dim_x, targets[n] - 1, probes[n], config)

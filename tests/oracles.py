@@ -3,9 +3,9 @@ compare the probes against: the defective Veronese secants
 (Alexander-Hirschowitz), the defective binary Segre-Veronese secants, and
 the generic Hadamard rank formulas with their hypotheses.  Also two
 references: `grouped_secant_ranks`, the secant probes walked draw by draw
-with the due probes grouped per prime, and, for the exact degeneration
-verifier, `fraction_limit_check`, the same checks on `fractions.Fraction`
-matrices."""
+with the due probes grouped per prime, each rank that of eta, and, for the
+exact degeneration verifier, `fraction_limit_check`, the same checks on
+`fractions.Fraction` matrices."""
 
 import itertools
 import math
@@ -23,6 +23,7 @@ from toricdim.degeneration import (
 )
 from toricdim.modlinalg import random_torus_points
 from toricdim.probing import ProbeResult, _schedule
+from toricdim.secantdim import eta_secant
 
 
 class FormulaNotGuaranteedError(ValueError):
@@ -129,10 +130,12 @@ def generic_hrank_formula(family: str, params, r: int) -> int:
 
 
 def grouped_secant_ranks(mat, targets: dict, config) -> dict:
-    """`probing.probe_secant_ranks` as a loop over draw indices: at draw i,
-    the probes still short of their targets whose schedules put draw i at
-    the same prime share one `kernels.secant_ranks_mod` stream at seed + i,
-    as long as the longest of them."""
+    """The one-factor `probing.probe_hadamard_ranks` of n points for every
+    n -> target of `targets`, as a loop over draw indices: at draw i, the
+    probes still short of their targets whose schedules put draw i at the
+    same prime share one draw of points at seed + i, as many as the most any
+    of them takes, and each takes the rank of `kr_rank_mod` of `eta_secant`
+    at its first n."""
     schedules = {n: _schedule(mat, 1, n, config) for n in targets}
     draws = {n: [] for n in targets}
     rows = mat.entries
@@ -147,10 +150,10 @@ def grouped_secant_ranks(mat, targets: dict, config) -> dict:
         for prime in dict.fromkeys(due.values()):
             count = max(n for n, q in due.items() if q == prime)
             pts = random_torus_points(count, len(rows), config.seed + i, prime)
-            ranks = kernels.secant_ranks_mod(rows, pts, prime)
             for n, q in due.items():
                 if q == prime:
-                    draws[n].append((prime, ranks[n - 1]))
+                    rank = kernels.kr_rank_mod(eta_secant(rows, pts[:n], prime), rows, prime)
+                    draws[n].append((prime, rank))
     results = {}
     for n, (degree, trials, _) in schedules.items():
         best, best_prime = -1, config.prime

@@ -374,8 +374,8 @@ def test_out_of_memory_exits_2_with_a_message(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "dim-secant", "veronese:d=2,n=4000", "--r", "2")
     assert code == 2 and out == ""
     assert "exceeds cap" in err
-    # an engine whose allocation fails, as secant_ranks_mod's basis does for
-    # rnc:100000 --r 50000 under a 3 GB address-space limit, exits 2 too
+    # an engine whose allocation fails, as hadamard_ranks_mod's buffers do
+    # for rnc:100000 --r 50000 under a 3 GB address-space limit, exits 2 too
     def exhausted(*args, **kwargs):
         raise MemoryError()
 

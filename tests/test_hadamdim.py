@@ -21,6 +21,7 @@ from toricdim import (
     kernels,
     normalize,
     secant_dimension,
+    secant_dimensions,
     segre_veronese,
     tables,
 )
@@ -277,6 +278,20 @@ def test_contained_product_makes_no_probe(monkeypatch):
         hadamard_dimension(desc, (2, 5), CFG, contained=(26, inner.prime))
 
 
+def test_contained_bounds_must_match_the_vectors():
+    # One bound (or None) per vector: a list of another length raises
+    # rather than dropping the reports it has no bound for, and only None
+    # stands for no bounds at all.
+    desc = parse_descriptor("rnc:6")
+    rs = [(2, 2), (3, 2)]
+    for contained in ([None], [], [None] * 3):
+        with pytest.raises(ValueError):
+            hadamard_dimensions(desc, rs, CFG, contained=contained)
+    assert hadamard_dimensions(desc, rs, CFG, contained=[None, None]) == (
+        hadamard_dimensions(desc, rs, CFG)
+    )
+
+
 def _direct_product_dim(desc, r, config, expected_h) -> int:
     """dim of sigma_{r_1} * ... * sigma_{r_m} from its own rank probe."""
     spec = HadamardSpec(tuple(min(rk, desc.matrix().ambient_dim + 1) for rk in r))
@@ -342,8 +357,11 @@ def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
         return [rank if rank is None else rank - (p in short.get(tuple(rp), ()))
                 for rp, rank in zip(r_primes, ranks)]
 
-    monkeypatch.setattr(kernels, "hadamard_ranks_mod", withheld)
     desc = VarietyDescriptor.veronese(2, 4)
+    # The secant reports the products rest on are one-factor walks of the
+    # same kernel: memoise them first, so that `walks` holds the products'.
+    secant_dimensions(desc, (2, 3, 4), config)
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", withheld)
     rs = [(2, 2), (2, 2, 2), (2, 3), (3, 2)]
     batched = hadamard_dimensions(desc, rs, config)
     assert all(sorted(batch) == batch for batch in walks)

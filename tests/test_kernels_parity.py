@@ -384,7 +384,6 @@ def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
         ("kr_rank_mod", ([[1, 2]], [[3, 4]], p)),
         ("eta_mod", ([[1, 0], [0, 1]], (0,), [[2, 3]], p)),
         ("torus_points_mod", (2, 3, 0, p)),
-        ("secant_ranks_mod", ([[1, 0], [0, 1]], [[2, 3]], p)),
         ("hadamard_ranks_mod", ([[1, 0], [0, 1]], [(0,)], [[2, 3]], p)),
     ):
         message = _outcome(getattr(py, kernel), *args)
@@ -431,15 +430,22 @@ def test_sanitized_torus_points(fast_ubsan):
     _check((fast_ubsan,), _torus_cases())
 
 
+def _secant_batch(points):
+    """The one-factor lists (R - 1,) of the secant probes at 1, ..., R points."""
+    return [(k,) for k in range(len(points))]
+
+
 @functools.cache
 def _stream_cases():
-    """The pure ranks after each block of the secant stream, or its
-    ValueError, at every modulus of the point draws: the chart of the
-    rational normal curve of degree 8, a quadratic Veronese of P^5 (21
-    columns, so the stream crosses panels at every width), and random
-    exponent matrices with negative entries, at 0, 1 and 7 points; then
-    a point list that reaches the column count at the first block, so that
-    a later point whose coordinate has no inverse is never evaluated."""
+    """The pure ranks of the secant probes at each prefix of the points, one
+    walk of one-factor lists, or its ValueError, at every modulus of the
+    point draws: the chart of the rational normal curve of degree 8, a
+    quadratic Veronese of P^5 (21 columns, so the walk crosses panels at
+    every width), and random exponent matrices with negative entries, at 0,
+    1 and 7 points; then two point lists whose rank reaches the column
+    count at the first block, the second with a later point whose
+    coordinate has no inverse, which raises: the walk evaluates every point
+    a list needs before it eliminates."""
     rng = random.Random(9)
     mats = [
         normalize(rational_normal_curve(8)).entries,
@@ -453,11 +459,15 @@ def _stream_cases():
     for p in TORUS_MODULI:
         for i, rows in enumerate(mats):
             for count in (0, 1, 7):
-                args = (rows, py.torus_points_mod(count, len(rows), i + count, p), p)
-                cases.append(("secant_ranks_mod", args, _outcome(py.secant_ranks_mod, *args)))
-    args = ([[1, -1], [0, 1]], [[1, 1], [3, 3], [2, 2]], 4)
-    cases.append(("secant_ranks_mod", args, [2, 2, 2]))
-    return cases
+                pts = py.torus_points_mod(count, len(rows), i + count, p)
+                args = (rows, _secant_batch(pts), pts, p)
+                cases.append(("hadamard_ranks_mod", args, _outcome(py.hadamard_ranks_mod, *args)))
+    rows, pts = [[1, -1], [0, 1]], [[1, 1], [3, 3], [2, 2]]
+    return cases + [
+        ("hadamard_ranks_mod", (rows, _secant_batch(pts[:2]), pts[:2], 4), [2, 2]),
+        ("hadamard_ranks_mod", (rows, _secant_batch(pts), pts, 4),
+         "base is not invertible for the given modulus"),
+    ]
 
 
 def test_secant_ranks_parity(fast):
@@ -581,10 +591,10 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
         ("eta_mod", ([[1, 2], [3, 4]], (2,), [[1, 2], [3, 4]], 101)),  # too few points
         ("eta_mod", ([[1, 2], [3, 4]], (0,), [[1, 2], [3, 4]], 101)),  # too many
         ("eta_mod", ([[1, 2], [3, 4]], (2, -1), [[1, 2], [3, 4]], 101)),
-        ("secant_ranks_mod", ([[1, 2], [3]], [[1, 2]], 101)),
-        ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2], [3]], 101)),
-        ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2, 3]], 101)),  # point width
-        ("secant_ranks_mod", ([[1, 2], [3, 4]], [[1, 2], [3, 202]], 101)),  # 0 mod p
+        ("hadamard_ranks_mod", ([[1, 2], [3]], [(0,)], [[1, 2]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,), (1,)], [[1, 2], [3]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,)], [[1, 2, 3]], 101)),  # point width
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,), (1,)], [[1, 2], [3, 202]], 101)),
         ("hadamard_ranks_mod", ([[1, 2], [3]], [(1,)], [[1, 2], [3, 4]], 101)),
         ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(1,)], [[1, 2], [3, 202]], 101)),
         ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,), (1, 1)], [[1, 2], [3, 4]], 101)),
@@ -595,7 +605,7 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
 def test_malformed_shapes_raise_value_error(fast, kernel, args):
     message = _outcome(_kernel(py, kernel), *args)
     assert isinstance(message, str)
-    if kernel in ("secant_ranks_mod", "hadamard_ranks_mod"):
+    if kernel == "hadamard_ranks_mod":
         assert _outcome(getattr(fast, kernel), *args) == message
     for impl in (fast, py):
         with pytest.raises(ValueError):
@@ -620,8 +630,8 @@ def test_factor_count_error_names_the_points_needed(fast):
         ("eval_columns_mod", ([[-1]], [2], 4)),
         ("eta_mod", ([[1, 1], [0, -1]], (0,), [[1, 2]], 4)),
         ("eta_mod", ([[-1, 1]], (1,), [[3], [2]], 4)),
-        ("secant_ranks_mod", ([[1, 1], [0, -1]], [[1, 2]], 4)),  # a coordinate
-        ("secant_ranks_mod", ([[1, 2, 3]], [[1], [2]], 6)),  # the pivot of block 2
+        ("hadamard_ranks_mod", ([[1, 1], [0, -1]], [(0,)], [[1, 2]], 4)),  # a coordinate
+        ("hadamard_ranks_mod", ([[1, 2, 3]], [(0,), (1,)], [[1], [2]], 6)),  # pivot of block 1
     ],
 )
 def test_composite_modulus_without_inverse_raises_on_both_backends(fast, kernel, args):
@@ -651,7 +661,7 @@ def test_composite_moduli_agree_with_the_pure_kernels(fast):
             ("kr_rank_mod", (top, bottom, n)),
             ("eval_columns_mod", (exps, point, n)),
             ("eta_mod", (exps, (1,), [point, point[::-1]], n)),
-            ("secant_ranks_mod", (exps, [point, point[::-1]], n)),
+            ("hadamard_ranks_mod", (exps, [(0,), (1,)], [point, point[::-1]], n)),
         ):
             assert _outcome(_kernel(fast, kernel), *args) == _outcome(
                 _kernel(py, kernel), *args
@@ -665,9 +675,8 @@ def test_empty_and_degenerate_shapes(fast):
         assert impl.kr_rank_mod([[1, 2]], [], 101) == 0
         assert _columns(impl)([], [1], 101) == []
         assert impl.eta_mod([], (1,), [[1], [2]], 101) == [[], []]
-        assert impl.secant_ranks_mod([[1, 2]], [], 101) == []
-        assert impl.secant_ranks_mod([], [[1], [2]], 101) == [0, 0]
         assert impl.hadamard_ranks_mod([[1, 2]], [], [], 101) == []
+        assert impl.hadamard_ranks_mod([], [(0,), (1,)], [[1], [2]], 101) == [0, 0]
         assert impl.hadamard_ranks_mod([], [(1,), ()], [[1], [2]], 101) == [0, 0]
 
 
@@ -690,7 +699,8 @@ def _fuzz_cases(n=20000):
     the pure outcome: 0-3 exponent rows of 0-3 entries in -1..8, 0-3 points
     of one width from n_vars - 1 to n_vars + 1 with coordinates 0..8 (each
     matrix ragged 15% of the time), a prime or a composite modulus, and r'
-    of 0-2 entries in -1..2; for `hadamard_ranks_mod`, 0-3 such r' of
+    of 0-2 entries in -1..2; for `hadamard_ranks_mod`, the secant probes at
+    each prefix of the points (`_secant_batch`), then 0-3 such r' of
     different lengths, from a generator of their own."""
     rng, lists = random.Random(1), random.Random(2)
     cases = []
@@ -704,7 +714,7 @@ def _fuzz_cases(n=20000):
             ("rank_mod", (rows, p)),
             ("kr_rank_mod", (points, rows, p)),
             ("eta_mod", (rows, r_prime, points, p)),
-            ("secant_ranks_mod", (rows, points, p)),
+            ("hadamard_ranks_mod", (rows, _secant_batch(points), points, p)),
             ("hadamard_ranks_mod", (rows, [
                 tuple(lists.randint(-1, 2) for _ in range(lists.randint(0, 2)))
                 for _ in range(lists.randint(0, 3))
@@ -730,9 +740,9 @@ def test_sanitized_malformed_input(fast_ubsan):
          "point length differs from the number of rows"),
         # Points of different lengths, even where there are no rows.
         ("eta_mod", ([], (2, 0), [[], [5], []], 7), "rows have different lengths"),
-        # A point without an inverse at modulus 4, reached while the rank
-        # (at most 2 after the first block) is below the 3 columns.
-        ("secant_ranks_mod", ([[1, -1, 2], [0, 1, 1]], [[1, 1], [2, 2], [3, 3]], 4),
+        # A point without an inverse at modulus 4, in a secant batch.
+        ("hadamard_ranks_mod",
+         ([[1, -1, 2], [0, 1, 1]], [(0,), (1,), (2,)], [[1, 1], [2, 2], [3, 3]], 4),
          "base is not invertible for the given modulus"),
     ],
 )
@@ -778,21 +788,53 @@ def _hadamard_cases():
     return cases
 
 
+def _normalised_form(rows, r_prime, points, p):
+    """The rank of the walk's blocks at the first sum(r') + 1 points, stacked
+    here one by one and given to the pure `kr_rank_mod`: phi(y_0), then
+    phi(y_0) phi(y_1j), then phi(y_0) S_1 phi(y_kj) / S_k for k >= 2; None
+    when an S_k, k >= 2, has no inverse; or its ValueError."""
+    try:
+        phis = [py.eval_columns_mod(rows, pt, p) for pt in points[:sum(r_prime) + 1]]
+    except ValueError as exc:
+        return str(exc)
+    v, first = phis[0], (r_prime or (0,))[0]
+
+    def one_plus_sum(ws):
+        return [(1 + sum(col[1:])) % p for col in zip(v, *ws)]
+
+    s1 = one_plus_sum(phis[1:first + 1])
+    tops = [v] + [[a * b % p for a, b in zip(v, w)] for w in phis[1:first + 1]]
+    start = first + 1
+    for rp in r_prime[1:]:
+        ws = phis[start:start + rp]
+        try:
+            inv = [pow(s, -1, p) for s in one_plus_sum(ws)]
+        except ValueError:
+            return None
+        tops += [[a * b * c * d % p for a, b, c, d in zip(v, s1, w, inv)] for w in ws]
+        start += rp
+    return _outcome(py.kr_rank_mod, tops, rows, p)
+
+
 def _check_hadamard(impls, cases):
-    """Each list's rank is None or the current form's, on each backend.  A
-    batch of one with a ValueError has the current form's, and a batch with
-    one has that of one of its lists.  Returns the count of None."""
+    """Each list's rank on each backend is that of `_normalised_form`, None
+    included, and at a prime, where None is left to the fallback, that of
+    the current form; a one-factor list is never None.  A batch of one with
+    a ValueError has its form's, and a batch with one has that of one of
+    its lists.  Returns the count of None."""
     fallbacks = 0
     for rows, batch, points, p in cases:
-        want = [_current_form(py, rows, r_prime, points, p) for r_prime in batch]
+        want = [_normalised_form(rows, r_prime, points, p) for r_prime in batch]
         for impl in impls:
             got = _outcome(impl.hadamard_ranks_mod, rows, batch, points, p)
             if isinstance(got, str):
                 assert got in want and (len(batch) > 1 or [got] == want), (p, rows, batch)
                 continue
-            assert len(got) == len(batch)
-            for rank, current in zip(got, want):
-                assert rank is None or rank == current, (p, rows, batch)
+            assert got == want, (p, rows, batch)
+            for r_prime, rank in zip(batch, got):
+                assert rank is not None or len(r_prime) > 1
+                if is_probable_prime(p) and rank is not None:
+                    assert rank == _current_form(py, rows, r_prime, points, p), (p, rows, r_prime)
             fallbacks += got.count(None)
     return fallbacks
 
@@ -815,11 +857,12 @@ def test_sanitized_hadamard_ranks(fast_ubsan):
 
 def _planted_zero(p):
     """The chart of the rational normal quartic, whose column h is
-    y_0 y_1^h, at points whose second is (-1, 2): S_1(0) = 1 + (p - 1) is
-    0 for the factor lists (1,) and (1, 1), which need the fallback.  The
-    third point (1, 2) makes S_1 = 1 + (p - 1) 2^h + 2^h = 1 for (2,)."""
+    y_0 y_1^h, at points whose second and third are (-1, 2) and (-1, 3):
+    S_1(0) = 1 + (p - 1) = 0 for the one-factor list (1,), which the walk
+    does not divide by, and S_2(0) = 0 for (1, 1), which needs the
+    fallback."""
     rows = [[1] * 5, [0, 1, 2, 3, 4]]
-    return rows, [(1,), (1, 1), (2,)], [[3, 5], [p - 1, 2], [1, 2]], p
+    return rows, [(1,), (1, 1), (2,)], [[3, 5], [p - 1, 2], [p - 1, 3]], p
 
 
 @pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
@@ -827,5 +870,6 @@ def test_planted_non_unit_takes_the_fallback(fast, p):
     rows, batch, points, p = _planted_zero(p)
     for impl in (py, fast):
         ranks = impl.hadamard_ranks_mod(rows, batch, points, p)
-        assert ranks[:2] == [None, None]
-        assert ranks[2] == _current_form(impl, rows, batch[2], points, p)
+        assert ranks[1] is None
+        for k in (0, 2):
+            assert ranks[k] == _current_form(impl, rows, batch[k], points, p)

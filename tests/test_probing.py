@@ -159,9 +159,10 @@ def test_the_hadamard_probe_bounds_its_degree_with_its_factors(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_a_draw_without_normalised_blocks_takes_the_current_form(backend, fast, monkeypatch):
-    # Column 0 of the rational normal quartic's chart is y_0, and the factor
-    # point (-1, 2) puts S_1(0) = 1 + (p - 1) = 0: no normalised blocks, so
-    # the draw's rank is kr_rank_mod of eta_at's eta, on either backend.
+    # Column 0 of the rational normal quartic's chart is y_0, and the point
+    # (-1, 2) of factor 2 puts S_2(0) = 1 + (p - 1) = 0: no normalised
+    # blocks, so the draw's rank is kr_rank_mod of eta_at's eta, on either
+    # backend.
     use_kernels(py if backend == "python" else fast, monkeypatch)
     config = RunConfig(seed=0)
     points = ((3, 5), (config.prime - 1, 2))
@@ -173,7 +174,7 @@ def test_a_draw_without_normalised_blocks_takes_the_current_form(backend, fast, 
         etas.append(eta_hadamard(rows, spec, pts, p))
         return etas[-1]
 
-    spec = HadamardSpec((2,))
+    spec = HadamardSpec((1, 2))
     assert kernels.hadamard_ranks_mod(mat.entries, [spec.r_prime], points, config.prime) == [None]
     result = probing.probe_max_rank(eta_at, mat, spec, config, 4)
     assert len(etas) == result.attempts == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import rational_normal_curve
 from oracles import grouped_secant_ranks
 
@@ -31,7 +32,7 @@ from toricdim.secantdim import (
 )
 
 CFG = RunConfig(seed=0)
-# Varieties of the Terracini stream tests, one of them a chart with
+# Varieties of the Terracini walk tests, one of them a chart with
 # negative exponents.
 STREAM_VARIETIES = [
     parse_descriptor(text)
@@ -190,14 +191,15 @@ def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 13, 7])
 def test_rank_after_block_R_is_the_eta_rank_at_R_points(p):
     # Row j >= 2 of eta_secant is phi(y_1 y_j), row 1 the sum of them all,
-    # so the stream's rank after block R is exactly the rank of eta (x) A at
-    # the first R points, at every prime: at 7 and 13 many draws fall short
-    # of the generic rank, and they must fall short alike.
+    # so the walk's rank of the one-factor list (R - 1,), after its block R,
+    # is exactly the rank of eta (x) A at the first R points, at every
+    # prime: at 7 and 13 many draws fall short of the generic rank, and
+    # they must fall short alike.
     for desc in STREAM_VARIETIES:
         rows = desc.matrix().entries
         for seed in range(12):
             pts = random_torus_points(8, len(rows), seed, p)
-            assert kernels.secant_ranks_mod(rows, pts, p) == [
+            assert kernels.hadamard_ranks_mod(rows, [(R - 1,) for R in range(1, 9)], pts, p) == [
                 kernels.kr_rank_mod(eta_secant(rows, pts[:R], p), rows, p)
                 for R in range(1, 9)
             ], (str(desc), seed)
@@ -231,19 +233,27 @@ def test_batched_reports_equal_the_lone_reports(prime):
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
 def test_walked_secant_probes_equal_the_grouped_reference(prime, monkeypatch):
-    # Largest n first, each probe walking its own schedule, against the
-    # draw-by-draw grouping: equal results and the same multiset of streams
-    # (length, prime, first point), on nondefective varieties (rnc:8, the
-    # binary Segre-Veronese) and defective ones (v_2(P^4), v_4(P^2) at 5,
-    # v_2(P^6) whose budgets at 65537 split its draws across primes).
+    # The one-factor probes of `probe_hadamard_ranks`, each walking its own
+    # schedule, against the draw-by-draw grouping, whose ranks come from
+    # eta: equal results, and the walks (length, prime, first point) are
+    # the multiset of the grouping's draws, on nondefective varieties
+    # (rnc:8, the binary Segre-Veronese) and defective ones (v_2(P^4),
+    # v_4(P^2) at 5, v_2(P^6) whose budgets at 65537 split its draws across
+    # primes).
     calls = []
-    stream = kernels.secant_ranks_mod
+    walk, draw = kernels.hadamard_ranks_mod, random_torus_points
 
-    def spy(rows, points, p):
+    def spy(rows, r_primes, points, p):
         calls.append((len(points), p, tuple(points[0])))
-        return stream(rows, points, p)
+        return walk(rows, r_primes, points, p)
 
-    monkeypatch.setattr(kernels, "secant_ranks_mod", spy)
+    def drawn(count, width, seed, p):
+        points = draw(count, width, seed, p)
+        calls.append((len(points), p, tuple(points[0])))
+        return points
+
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", spy)
+    monkeypatch.setattr(oracles, "random_torus_points", drawn)
     for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6)]:
         mat = desc.matrix()
         dim_x = mat.rank() - 1
@@ -253,32 +263,33 @@ def test_walked_secant_probes_equal_the_grouped_reference(prime, monkeypatch):
                 n: expected_secant_dim(mat.ambient_dim, dim_x, n) + 1
                 for n in (3, 1, 5, 2, 4, 6)
             }
+            specs = [(HadamardSpec((n,)), target) for n, target in targets.items()]
             calls.clear()
-            walked = probing.probe_secant_ranks(mat, targets, config)
+            walked = probing.probe_hadamard_ranks(eta_hadamard, mat, specs, config)
+            walked = dict(zip(targets, walked))
             walked_calls = sorted(calls)
             calls.clear()
             assert walked == grouped_secant_ranks(mat, targets, config), (str(desc), seed)
-            assert list(walked) == list(targets)
             assert walked_calls == sorted(calls), (str(desc), seed)
 
 
 def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
     calls = []
-    stream = kernels.secant_ranks_mod
+    walk = kernels.hadamard_ranks_mod
 
-    def spy(rows, points, p):
+    def spy(rows, r_primes, points, p):
         calls.append((len(points), p))
-        return stream(rows, points, p)
+        return walk(rows, r_primes, points, p)
 
-    monkeypatch.setattr(kernels, "secant_ranks_mod", spy)
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", spy)
     secantdim._secant_dimension_cached.cache_clear()
     # The rational normal curve is never defective: sigma_2, sigma_3 and
-    # sigma_7 of rnc:8 reach their targets at draw 0, from one stream.
+    # sigma_7 of rnc:8 reach their targets at draw 0, from one walk.
     reports = secant_dimensions(VarietyDescriptor.rnc(8), (2, 3, 7), CFG)
     assert [rep.computed_dim for rep in reports] == [3, 5, 8]
     assert calls == [(7, CFG.prime)]
     # sigma_2 and sigma_3 of v_2(P^4) are defective and draw on, two draws at
-    # p and one at each alternate, from streams of 3 points; sigma_5 fills
+    # p and one at each alternate, from walks of 3 points; sigma_5 fills
     # P^14 at draw 0, and is memoised for the next call.
     calls.clear()
     reports = secant_dimensions(VarietyDescriptor.veronese(2, 4), (5, 2, 3), CFG)
@@ -290,12 +301,15 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
     assert calls == []
     # At 65537 the budget of sigma_2 of v_2(P^6) is 10 draws and that of
     # sigma_3 is 11: from draw 10 on they draw at different primes, each
-    # from a stream of its own.  sigma_3 walks first and draws all 13 of its
-    # streams; sigma_2 reads its first 10 and draws its two alternates.
+    # from a walk of its own.  Draw by draw, sigma_2 first at each draw:
+    # draws 0-9 are one walk of 3 points each, draw 10 is sigma_2 at the
+    # first alternate and sigma_3 at 65537, draw 11 each at the next prime,
+    # and draw 12 sigma_3 alone.
     small = RunConfig(prime=65537)
     reports = secant_dimensions(VarietyDescriptor.veronese(2, 6), (2, 3), small)
     assert [rep.trials for rep in reports] == [10, 11]
-    assert calls == [(3, 65537)] * 11 + [
-        (3, ALTERNATE_PRIMES[0]), (3, ALTERNATE_PRIMES[1]),
-        (2, ALTERNATE_PRIMES[0]), (2, ALTERNATE_PRIMES[1]),
+    assert calls == [(3, 65537)] * 10 + [
+        (2, ALTERNATE_PRIMES[0]), (3, 65537),
+        (2, ALTERNATE_PRIMES[1]), (3, ALTERNATE_PRIMES[0]),
+        (3, ALTERNATE_PRIMES[1]),
     ]
