@@ -13,8 +13,9 @@
 #            builds, and a builder over its entry cap and a probe whose walk
 #            does not fit exit 2 with a message, never a traceback
 #   install  install the package and check, from outside the checkout, that
-#            its console script's report equals the benchmark's oracle; skipped
-#            without `wheel`, which setuptools < 70.1 needs to build it
+#            its console script's reports equal the benchmark's oracles: the
+#            extended sweep, and the three stored tables on the pure kernels;
+#            skipped without `wheel`, which setuptools < 70.1 needs to build it
 set -eo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -68,6 +69,10 @@ install() (
     unset PYTHONPATH
     toricdim verify-table experiments --extended --format csv > extended.csv
     cmp extended.csv "$root/perfbench/golden/experiments-extended.csv"
+    for table in veronese binary experiments; do
+        TORICDIM_PURE=1 toricdim verify-table "$table" --format csv > "$table.csv"
+        cmp "$table.csv" "$root/perfbench/golden/$table.csv"
+    done
 )
 
 tmp=$(mktemp -d)

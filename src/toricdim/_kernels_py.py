@@ -24,6 +24,7 @@ degeneration verifier, over the integers.
 """
 
 import bisect
+import struct
 from itertools import takewhile
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -59,12 +60,6 @@ def rank_mod(rows, p: int) -> int:
     return max(_kr_ranks(mat, len(mat), [[1] * n_cols], n_cols, p), default=0)
 
 
-def _pack(row, nbytes: int) -> int:
-    """The entries of `row` as one int, `nbytes` bytes each, the first in the
-    most significant bytes and the last in the lowest."""
-    return int.from_bytes(b"".join([x.to_bytes(nbytes, "big") for x in row]), "big")
-
-
 class _Echelon:
     """A row echelon basis over Z/p that grows one row at a time (`add`).
 
@@ -79,22 +74,26 @@ class _Echelon:
     same.
 
     Rows are packed (`_pack`), column j in slot n_cols-1-j, so the columns
-    right of a column c are the low slots; a pivot row is packed from its
-    own column on.  A reduction is one multiply-add, `row + (p - f) P`: slot
+    right of a column c are the low slots; a pivot row is 0 left of its own
+    column.  A reduction is one multiply-add, `row + (p - f) P`: slot
     c becomes a multiple of p and every other slot grows by (p - f) P_j,
     unreduced until it is read.  Once the columns 0..c are all pivot
     columns, a row is 0 mod p there after the pivot of column c, and it is
     cut to the slots right of c, which keeps the ints short.  An entry is
     < p when packed, and grows by at most (p - 1)^2 per pivot, k <=
     max_rank times: a slot of 2 bitlen(p) + bitlen(k + 1) bits, rounded up
-    to whole bytes, holds it.  A pivot without an inverse modulo a composite
+    to whole bytes and to at least 8, holds it.  One `struct.Struct` of the
+    echelon packs a row's residues, each a 64-bit word after the slot's
+    zero bytes.  A pivot without an inverse modulo a composite
     number raises the ValueError of `pow(f, -1, p)`.
     """
 
     def __init__(self, n_cols: int, p: int, max_rank: int):
         self.n_cols = n_cols
         self.p = p
-        self.nbytes = (2 * p.bit_length() + (max_rank + 1).bit_length() + 7) // 8
+        self.nbytes = max(8, (2 * p.bit_length() + (max_rank + 1).bit_length() + 7) // 8)
+        pad = f"{self.nbytes - 8}x" if self.nbytes > 8 else ""
+        self.packer = struct.Struct(">" + (pad + "Q") * n_cols)
         self.cols: list[int] = []  # the pivot columns, increasing
         self.found: list[int] = []  # the same, in the order they were found
         # Per pivot column, in the same order: the shift of its slot, its
@@ -102,12 +101,17 @@ class _Echelon:
         self.pivots: list[tuple[int, int, int]] = []
         self.lead = 0  # columns 0..lead-1 are all pivot columns
 
+    def _pack(self, row) -> int:
+        """The n_cols residues of `row` as one int, the first in the most
+        significant slot and the last in the lowest."""
+        return int.from_bytes(self.packer.pack(*row), "big")
+
     def add(self, entries) -> None:
         """Reduce the residues `entries` by the pivots, and keep the first
         nonzero entry left, if any, as a new pivot."""
         p, nbytes, lead = self.p, self.nbytes, self.lead
         slot = (1 << 8 * nbytes) - 1
-        row = _pack(entries, nbytes)
+        row = self._pack(entries)
         for shift, prow, cut in self.pivots:
             f = (row >> shift & slot) % p
             if f:
@@ -126,7 +130,8 @@ class _Echelon:
         self.cols.insert(at, c)
         self.found.append(c)
         shift = 8 * nbytes * (self.n_cols - 1 - c)
-        self.pivots.insert(at, (shift, _pack([x * inv % p for x in left[i:]], nbytes), 0))
+        prow = self._pack([0] * c + [x * inv % p for x in left[i:]])
+        self.pivots.insert(at, (shift, prow, 0))
         while lead < len(self.cols) and self.cols[lead] == lead:
             shift, prow, _ = self.pivots[lead]
             self.pivots[lead] = (shift, prow, (1 << shift) - 1)

@@ -23,10 +23,11 @@ class RunConfig(_RunConfig):
     """The modulus of the rank probes and the seed of their point draws.
 
     A probe's draw i takes its torus points from stream seed + i, taken
-    mod 2^64 (`modlinalg.random_torus_points`).  Its first draws are at
-    `prime`, as many as the error budget of `probing` sets from the probe's
-    degree bound; a probe that falls short of its target then draws once at
-    each alternate prime.
+    mod 2^64 (`modlinalg.random_torus_points`).  A Hadamard product probe
+    draws first at `modlinalg.WORD_PRIME` when `prime` is larger.  Then a
+    probe short of its target draws at `prime`, as many times as the error
+    budget of `probing` sets from its degree bound, and then once at each
+    alternate prime.  The error bound counts the draws at `prime` only.
     """
 
     __slots__ = ()

@@ -9,7 +9,12 @@ factors of the spec, and a secant variety is its one-factor case, so the
 probe is the same certified rank computation as for secants.  The probe
 itself builds eta only for a draw where some S_k, k >= 2, has a coordinate
 that is 0 mod p: otherwise it eliminates the normalised blocks of
-`probing.probe_hadamard_ranks`, which have the same rank.
+`probing.probe_hadamard_ranks`, which have the same rank.  A product
+probe first draws at the word-size prime `modlinalg.WORD_PRIME` when the
+configured prime is larger, since the pure elimination runs faster there.
+A rank at any prime is a certified lower bound, so a report may carry that
+prime; the probe goes on to the configured prime only when that draw falls
+short.
 
 Dimension chain used throughout:
 

@@ -26,14 +26,22 @@ the draw's points, so the error budget below stands.
 
 Every probe runs one draw schedule, cut short once the target is reached:
 t draws at the configured prime, then one draw at each of the two alternate
-primes, where the error budget sets t.  A g x g minor of eta (x) A, times
-the monomial that clears negative exponents, is a polynomial of degree at
-most `minor_degree` in the point coordinates, so by Schwartz-Zippel
-(Schwartz, JACM 1980; Zippel 1979) one uniform draw from (F_p^*)^n misses a
-rank that is there with probability at most deg / (p - 1), and t is the
-least with (deg / (p - 1))^t <= 2^-100.  The bound assumes that p divides
-no coefficient of the minor; the draws at the alternate primes cover that
-case.
+primes, where the error budget sets t.  A product probe (m >= 2) first
+draws once at the word-size prime `modlinalg.WORD_PRIME`, when the
+configured prime is larger: its rank is a certified lower bound like any
+other, and the pure elimination takes 40-60% less time there, so a
+product that reaches its target at that draw is done.  A secant probe
+never takes that draw: a defective sigma_R, which no draw lifts to its
+target, would pay one more walk.
+
+A g x g minor of eta (x) A, times the monomial that clears negative
+exponents, is a polynomial of degree at most `minor_degree` in the point
+coordinates, so by Schwartz-Zippel (Schwartz, JACM 1980; Zippel 1979) one
+uniform draw from (F_p^*)^n misses a rank that is there with probability
+at most deg / (p - 1), and t is the least with (deg / (p - 1))^t <=
+2^-100.  The bound counts the draws at the configured prime only.  It
+assumes that p divides no coefficient of the minor; the draws at the
+alternate primes cover that case.
 """
 
 from fractions import Fraction
@@ -43,7 +51,7 @@ from typing import Callable, NamedTuple
 from . import kernels
 from .config import RunConfig
 from .exponent import ExponentMatrix, HadamardSpec
-from .modlinalg import ALTERNATE_PRIMES, random_torus_points
+from .modlinalg import ALTERNATE_PRIMES, WORD_PRIME, random_torus_points
 
 # The error budget of the draw schedule: 2^-ERROR_BUDGET_BITS.
 ERROR_BUDGET_BITS = 100
@@ -53,7 +61,7 @@ class ProbeResult(NamedTuple):
     rank: int
     prime: int  # modulus that achieved the reported rank
     attempts: int
-    retried: bool  # drew past the first `trials` draws
+    retried: bool  # drew at an alternate prime: past the WORD_PRIME and `trials` draws
     trials: int  # draws scheduled at the configured prime before the alternates
     primes_tried: tuple[int, ...]  # distinct moduli, in the order first drawn
     error_bound: float  # (deg / (p - 1))^(draws at p); 0.0 at the target
@@ -86,24 +94,25 @@ def budget_trials(degree: int, prime: int) -> int:
 def _schedule(mat: ExponentMatrix, factors: int, n_points: int, config: RunConfig):
     """(degree, trials, moduli) of a probe's draw schedule: draw i is at
     moduli[i], `budget_trials` draws at `config.prime`, then one at each
-    alternate prime."""
+    alternate prime; a product (factors >= 2) draws at WORD_PRIME first,
+    when `config.prime` is larger."""
     degree = minor_degree(mat, factors, n_points)
     trials = budget_trials(degree, config.prime)
-    return degree, trials, (config.prime,) * trials + ALTERNATE_PRIMES
+    first = (WORD_PRIME,) if factors >= 2 and config.prime > WORD_PRIME else ()
+    return degree, trials, first + (config.prime,) * trials + ALTERNATE_PRIMES
 
 
 def _result(schedule, draws, target_rank: int, config: RunConfig) -> ProbeResult:
     """The ProbeResult of the (rank, prime) draws of a walked `_schedule`."""
-    degree, trials, _ = schedule
+    degree, trials, moduli = schedule
     best, best_prime = max(draws, key=lambda draw: draw[0])
     error_bound = 0.0
     if best < target_rank:
         at_prime = sum(prime == config.prime for _, prime in draws)
         error_bound = float(Fraction(degree, config.prime - 1) ** at_prime)
     primes_tried = tuple(dict.fromkeys(prime for _, prime in draws))
-    return ProbeResult(
-        best, best_prime, len(draws), len(draws) > trials, trials, primes_tried, error_bound
-    )
+    retried = len(draws) > len(moduli) - len(ALTERNATE_PRIMES)
+    return ProbeResult(best, best_prime, len(draws), retried, trials, primes_tried, error_bound)
 
 
 def probe_max_rank(
@@ -129,12 +138,12 @@ def probe_hadamard_ranks(
     """The ProbeResult of each (spec, target) of `probes`, in order, from
     shared `kernels.hadamard_ranks_mod` walks.
 
-    Each probe walks its own schedule.  Draw i at prime q is one walk over
+    Each probe walks its own schedule.  Draw i at prime p is one walk over
     the probes that draw it, those still short of their targets, in
-    lexicographic order of r', at the points of stream seed + i and q for
+    lexicographic order of r', at the points of stream seed + i and p for
     the most points any of them takes; each takes its first ones.  A probe
     whose normalised blocks do not exist at a draw takes
-    `kernels.kr_rank_mod(eta_at(rows, spec, points, q), rows, q)` instead.
+    `kernels.kr_rank_mod(eta_at(rows, spec, points, p), rows, p)` instead.
     ValueError, before any draw, for the first probe in order without an
     error budget.
     """

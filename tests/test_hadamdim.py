@@ -33,6 +33,7 @@ from toricdim.hadamdim import (
     STATUS_INFINITE,
     eta_hadamard,
 )
+from toricdim.modlinalg import WORD_PRIME
 from toricdim.probing import probe_max_rank
 from toricdim.secantdim import eta_secant
 from toricdim.tables import run_table
@@ -343,12 +344,14 @@ def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
     # v_2(P^4) at indices 3 and 4, where sigma_R falls short and every
     # product is probed.  A kernel that withholds one rank makes (2, 3) short
     # at every draw, so it walks its whole schedule, and (2, 2, 2) short at
-    # the configured prime, so it reaches its target at the first alternate;
-    # the others stop at draw 0.  The batch draws once per (draw, prime),
+    # WORD_PRIME and the configured prime, so it reaches its target at the
+    # first alternate; the others stop at draw 0, at WORD_PRIME when the
+    # configured prime is larger.  The batch draws once per (draw, prime),
     # with its factor lists in lexicographic order.
     config = RunConfig(prime=prime, seed=4)
+    first = (WORD_PRIME,) if prime > WORD_PRIME else ()
     walk = kernels.hadamard_ranks_mod
-    short = {(1, 2): (prime, *ALTERNATE_PRIMES), (1, 1, 1): (prime,)}
+    short = {(1, 2): (*first, prime, *ALTERNATE_PRIMES), (1, 1, 1): (*first, prime)}
     walks = []
 
     def withheld(rows, r_primes, points, p):
@@ -368,12 +371,14 @@ def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
     assert len(walks) == batched[2].attempts
     for r, rep in zip(rs, batched):
         assert report_dict(rep) == report_dict(hadamard_dimension(desc, r, config))
-    assert [rep.attempts for rep in batched[::3]] == [1, 1]
+    assert [(rep.attempts, rep.prime) for rep in batched[::3]] == [(1, (*first, prime)[0])] * 2
     trials = batched[2].trials
     assert trials > 1 and batched[2].hadamard_defect_flag and batched[2].error_bound > 0
-    assert batched[2].attempts == trials + 2
-    assert batched[2].primes_tried == (prime, *ALTERNATE_PRIMES)
-    assert (batched[1].attempts, batched[1].prime) == (batched[1].trials + 1, ALTERNATE_PRIMES[0])
+    assert batched[2].attempts == len(first) + trials + 2
+    assert batched[2].primes_tried == (*first, prime, *ALTERNATE_PRIMES)
+    assert (batched[1].attempts, batched[1].prime) == (
+        len(first) + batched[1].trials + 1, ALTERNATE_PRIMES[0]
+    )
     assert batched[1].error_bound == 0.0 and not batched[1].hadamard_defect_flag
 
 

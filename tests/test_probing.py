@@ -7,11 +7,12 @@ from conftest import rational_normal_curve, use_kernels
 
 from toricdim import (
     ALTERNATE_PRIMES, ExponentMatrix, HadamardSpec, RunConfig, hadamard_dimension, kernels,
-    probing,
+    probing, secant_dimension,
 )
 from toricdim import _kernels_py as py
 from toricdim.cli import main, parse_descriptor
 from toricdim.hadamdim import eta_hadamard
+from toricdim.modlinalg import WORD_PRIME
 
 MAT = rational_normal_curve(8)
 # The smallest prime RunConfig accepts: p - 1 = 2^16.
@@ -160,13 +161,19 @@ def test_the_hadamard_probe_bounds_its_degree_with_its_factors(monkeypatch):
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_a_draw_without_normalised_blocks_takes_the_current_form(backend, fast, monkeypatch):
     # Column 0 of the rational normal quartic's chart is y_0, and the point
-    # (-1, 2) of factor 2 puts S_2(0) = 1 + (p - 1) = 0: no normalised
+    # (-1, 2) of factor 2 puts S_2(0) = 1 + (p - 1) = 0 at the modulus p of
+    # the draw (the product's first draw is at WORD_PRIME): no normalised
     # blocks, so the draw's rank is kr_rank_mod of eta_at's eta, on either
     # backend.
     use_kernels(py if backend == "python" else fast, monkeypatch)
     config = RunConfig(seed=0)
-    points = ((3, 5), (config.prime - 1, 2))
-    monkeypatch.setattr(probing, "random_torus_points", lambda *args: points)
+    moduli = []
+
+    def planted(count, width, seed, prime):
+        moduli.append(prime)
+        return ((3, 5), (prime - 1, 2))
+
+    monkeypatch.setattr(probing, "random_torus_points", planted)
     mat = ExponentMatrix(((1,) * 5, (0, 1, 2, 3, 4)))
     etas = []
 
@@ -175,7 +182,126 @@ def test_a_draw_without_normalised_blocks_takes_the_current_form(backend, fast, 
         return etas[-1]
 
     spec = HadamardSpec((1, 2))
-    assert kernels.hadamard_ranks_mod(mat.entries, [spec.r_prime], points, config.prime) == [None]
+    points = planted(2, 2, 0, WORD_PRIME)
+    assert kernels.hadamard_ranks_mod(mat.entries, [spec.r_prime], points, WORD_PRIME) == [None]
+    del moduli[:]
     result = probing.probe_max_rank(eta_at, mat, spec, config, 4)
-    assert len(etas) == result.attempts == 1
-    assert result.rank == kernels.kr_rank_mod(etas[0], mat.entries, config.prime) == 4
+    assert moduli == [WORD_PRIME] and len(etas) == result.attempts == 1
+    assert result.rank == kernels.kr_rank_mod(etas[0], mat.entries, WORD_PRIME) == 4
+    assert result.prime == WORD_PRIME
+
+
+V2_4 = parse_descriptor("veronese:d=2,n=4").matrix()
+
+
+def product_draws(monkeypatch, config, target_rank, short=()):
+    """The ProbeResult and the (seed, prime) draws of the (2, 2, 2) probe of
+    v_2(P^4), whose rank is 15 (= its column count), with one rank withheld
+    at each draw whose index is in `short`."""
+    draws = []
+    points, walk = probing.random_torus_points, kernels.hadamard_ranks_mod
+
+    def recorded(count, width, seed, prime):
+        draws.append((seed, prime))
+        return points(count, width, seed, prime)
+
+    def withheld(rows, r_primes, pts, p):
+        return [rank - (len(draws) - 1 in short) for rank in walk(rows, r_primes, pts, p)]
+
+    monkeypatch.setattr(probing, "random_torus_points", recorded)
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", withheld)
+    spec = HadamardSpec((2, 2, 2))
+    return probing.probe_max_rank(eta_hadamard, V2_4, spec, config, target_rank), draws
+
+
+@pytest.fixture(params=["python", "c"])
+def both_backends(request, fast, monkeypatch):
+    """Run the test on the pure kernels, then on the compiled ones."""
+    use_kernels(py if request.param == "python" else fast, monkeypatch)
+
+
+def test_a_product_that_reaches_its_target_at_the_word_prime_is_done(
+    both_backends, monkeypatch
+):
+    # deg = min(4 * 5, 15) * 4 * 2 = 120: 2 draws at 2^61 - 1, as before.
+    config = RunConfig(seed=3)
+    result, draws = product_draws(monkeypatch, config, 15)
+    assert draws == [(3, WORD_PRIME)]
+    assert result.rank == 15 and result.prime == result.primes_tried[0] == WORD_PRIME
+    assert result.primes_tried == (WORD_PRIME,)
+    assert (result.attempts, result.error_bound, result.retried) == (1, 0.0, False)
+    assert result.trials == least_trials(120, config.prime) == 2
+
+
+@pytest.mark.parametrize("short, prime", [
+    ({0}, RunConfig().prime), ({0, 1}, RunConfig().prime), ({0, 1, 2}, ALTERNATE_PRIMES[0]),
+])
+def test_a_product_short_at_the_word_prime_goes_on_to_the_schedule(
+    both_backends, monkeypatch, short, prime
+):
+    # Short at WORD_PRIME and at the draws in `short` after it, the product
+    # reaches its target at the first draw after them.  It counts as
+    # retried only from an alternate prime on, past both of the draws at
+    # the configured prime.
+    config = RunConfig(seed=3)
+    result, draws = product_draws(monkeypatch, config, 15, short)
+    schedule = [WORD_PRIME, config.prime, config.prime, *ALTERNATE_PRIMES]
+    assert draws == [(3 + i, q) for i, q in enumerate(schedule[:len(short) + 1])]
+    assert (result.rank, result.prime, result.attempts) == (15, prime, len(short) + 1)
+    assert result.primes_tried == tuple(dict.fromkeys(schedule[:len(short) + 1]))
+    assert result.error_bound == 0.0 and result.trials == 2
+    assert result.retried == (prime in ALTERNATE_PRIMES)
+
+
+def test_the_error_bound_of_a_short_product_counts_only_the_configured_prime(
+    both_backends, monkeypatch
+):
+    config = RunConfig(seed=3)
+    result, draws = product_draws(monkeypatch, config, 16)
+    assert draws == [(3, WORD_PRIME), (4, config.prime), (5, config.prime),
+                     (6, ALTERNATE_PRIMES[0]), (7, ALTERNATE_PRIMES[1])]
+    assert (result.rank, result.attempts, result.trials, result.retried) == (15, 5, 2, True)
+    assert result.prime == WORD_PRIME  # the first draw to reach rank 15
+    assert result.primes_tried == (WORD_PRIME, config.prime, *ALTERNATE_PRIMES)
+    assert result.error_bound == float(Fraction(120, config.prime - 1) ** 2)
+
+
+@pytest.mark.parametrize("prime", [SMALL_PRIME, WORD_PRIME])
+def test_a_product_takes_no_extra_draw_at_a_prime_up_to_the_word_prime(
+    both_backends, monkeypatch, prime
+):
+    # At --prime 65537, or at WORD_PRIME itself, the schedule is the
+    # budget's draws at that prime, then the alternates, as for a secant.
+    config = RunConfig(prime=prime, seed=3)
+    t = least_trials(120, prime)
+    result, draws = product_draws(monkeypatch, config, 16)
+    assert draws == [(3 + i, prime) for i in range(t)] + [
+        (3 + t, ALTERNATE_PRIMES[0]), (4 + t, ALTERNATE_PRIMES[1])
+    ]
+    assert (result.prime, result.attempts, result.trials, result.retried) == (
+        prime, t + 2, t, True
+    )
+    assert result.error_bound == float(Fraction(120, prime - 1) ** t)
+    result, draws = product_draws(monkeypatch, config, 15)
+    assert draws == [(3, prime)] and (result.prime, result.attempts) == (prime, 1)
+
+
+def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch):
+    # sigma_5 of v_4(P^2) is defective, so its probe walks its whole
+    # schedule; so do the secant reports under a product.
+    moduli = []
+    points = probing.random_torus_points
+
+    def recorded(count, width, seed, prime):
+        moduli.append(prime)
+        return points(count, width, seed, prime)
+
+    monkeypatch.setattr(probing, "random_torus_points", recorded)
+    config = RunConfig(seed=1)
+    rep = secant_dimension(parse_descriptor("veronese:d=4,n=2"), 5, config)
+    assert rep.defect_flag and rep.primes_tried == (config.prime, *ALTERNATE_PRIMES)
+    assert moduli == [config.prime] * rep.trials + list(ALTERNATE_PRIMES)
+    del moduli[:]
+    rep = hadamard_dimension(parse_descriptor("veronese:d=4,n=2"), (2, 2, 2, 2), config)
+    assert moduli[-1] == WORD_PRIME and WORD_PRIME not in moduli[:-1]
+    assert rep.primes_tried == (WORD_PRIME,)
