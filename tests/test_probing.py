@@ -288,7 +288,8 @@ def test_a_product_takes_no_extra_draw_at_a_prime_up_to_the_word_prime(
 
 def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch):
     # sigma_5 of v_4(P^2) is defective, so its probe walks its whole
-    # schedule; so do the secant reports under a product.
+    # schedule.  A product's own secant reports draw the same way; only its
+    # product probe, the last, draws at WORD_PRIME.
     moduli = []
     points = probing.random_torus_points
 
