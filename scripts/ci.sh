@@ -10,8 +10,11 @@
 #            preloads every step
 #   tier1    the tier-1 suite; TORICDIM_PURE=1 runs it on the pure kernels
 #   large    under a 3 GB address-space limit, a factor of 1000 variables
-#            builds, and a builder over its entry cap and a probe whose walk
-#            does not fit exit 2 with a message, never a traceback
+#            builds, and a builder over its entry cap (through dim-secant,
+#            generic-hrank and dim-hadamard), an r checked before that
+#            builder, and a probe whose walk does not fit exit 2 with a
+#            message, never a traceback; skipped with TORICDIM_ASAN=1, since
+#            AddressSanitizer reserves more address space than that limit
 #   install  install the package and check, from outside the checkout, that
 #            its console script's reports equal the benchmark's oracles: the
 #            extended sweep, and the three stored tables on the pure kernels;
@@ -44,19 +47,26 @@ tier1() {
 check() {
     local expected=$1 code=0
     shift
-    python -m toricdim.cli dim-secant "$@" > /dev/null 2> "$tmp/err.txt" || code=$?
+    python -m toricdim.cli "$@" > /dev/null 2> "$tmp/err.txt" || code=$?
     cat "$tmp/err.txt"
     if [ "$code" != "$expected" ] || grep -q Traceback "$tmp/err.txt"; then
-        echo "dim-secant $* exited $code, expected $expected"
+        echo "$* exited $code, expected $expected"
         return 1
     fi
 }
 
 large() (
+    if [ -n "$TORICDIM_ASAN" ]; then
+        echo "large: skipped, AddressSanitizer does not run under ulimit -v"
+        return 0
+    fi
     ulimit -v 3000000
-    check 0 segre:n=1,999 --r 2
-    check 2 veronese:d=2,n=4000 --r 2
-    check 2 rnc:100000 --r 50000
+    check 0 dim-secant segre:n=1,999 --r 2
+    check 2 dim-secant veronese:d=2,n=4000 --r 2
+    check 2 generic-hrank veronese:d=2,n=4000 --r 2
+    check 2 dim-hadamard veronese:d=2,n=4000 --r 2,2
+    check 2 generic-hrank veronese:d=2,n=4000 --r 0
+    check 2 dim-secant rnc:100000 --r 50000
 )
 
 install() (

@@ -1,6 +1,4 @@
-/* Compiled modular kernels, five entry points: rank_mod, kr_rank_mod (the
- * rank of a Khatri-Rao product), eta_mod (the eta matrix of a probe
- * attempt, with the column monomials evaluated in place), hadamard_ranks_mod
+/* Compiled modular kernels, three entry points: rank_mod, hadamard_ranks_mod
  * (the ranks of a batch of Hadamard probes, secant probes among them, from
  * their normalised blocks, one walk that rewinds the basis to the blocks
  * each list shares with the one before it) and torus_points_mod (the
@@ -9,8 +7,8 @@
  *
  * Mirrors _kernels_py, which is the reference: same values, and ValueError on
  * the same moduli, malformed shapes, counts and non-invertible pivots, in
- * the same order; eta_mod and hadamard_ranks_mod read their exponent rows
- * and points through one reader (read_points).  No entry point releases
+ * the same order; read_points checks the exponent rows and points of
+ * hadamard_ranks_mod as _kernels_py._points does.  No entry point releases
  * the GIL.  Residues live in 64-bit words, so every modulus 2 <= p < 2^64
  * works.  One-off products go through unsigned __int128 and a 128-by-64-bit
  * `%` (mulmod); a row of products by one factor f takes Shoup's method,
@@ -42,7 +40,6 @@
 #include <Python.h>
 #include <limits.h>
 #include <stdint.h>
-#include <string.h>
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
@@ -267,44 +264,6 @@ static int eval_columns(const u64 *exps, Py_ssize_t n_vars, Py_ssize_t n_cols,
     return 0;
 }
 
-/* Replaces the rows v = phi(y_0), w_{1,1}, ..., w_{m,r'_m} of `vals` (length n
- * each) by the rows of eta, the formula of _kernels_py.eta_of_columns:
- * row 0 = v * S_1 ... S_m and row (k, j) = v * w_kj * prod_{h != k} S_h,
- * with S_k = 1 + sum_j w_kj.  Scratch: s and suf hold m rows each, pre one
- * row. */
-static void assemble_eta(u64 *vals, const Py_ssize_t *rp, Py_ssize_t m, Py_ssize_t n,
-                         u64 p, u64 *s, u64 *suf, u64 *pre)
-{
-    const u64 *w = vals + n;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        u64 *sk = s + k * n;
-        for (Py_ssize_t h = 0; h < n; h++)
-            sk[h] = 1;
-        for (Py_ssize_t j = 0; j < rp[k]; j++, w += n)
-            for (Py_ssize_t h = 0; h < n; h++)
-                sk[h] = addmod(sk[h], w[h], p);
-    }
-    /* suf[k]: the product of S over the factors after factor k (k from 0) */
-    for (Py_ssize_t k = m - 1; k >= 0; k--)
-        for (Py_ssize_t h = 0; h < n; h++)
-            suf[k * n + h] = k == m - 1 ? 1
-                : mulmod(s[(k + 1) * n + h], suf[(k + 1) * n + h], p);
-    /* pre: v times the S of the factors before factor k; of all, after the loop */
-    memcpy(pre, vals, n * sizeof(u64));
-    u64 *row = vals + n;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        u64 *base = suf + k * n;
-        for (Py_ssize_t h = 0; h < n; h++)
-            base[h] = mulmod(pre[h], base[h], p);
-        for (Py_ssize_t j = 0; j < rp[k]; j++, row += n)
-            for (Py_ssize_t h = 0; h < n; h++)
-                row[h] = mulmod(row[h], base[h], p);
-        for (Py_ssize_t h = 0; h < n; h++)
-            pre[h] = mulmod(pre[h], s[k * n + h], p);
-    }
-    memcpy(vals, pre, n * sizeof(u64));
-}
-
 /* u = v / S mod p entrywise, with S = 1 + the sum of the rp rows of w
  * (length n each), from one inverse, that of the product of the S
  * (Montgomery's batch inversion), as _kernels_py._scale(v, S).  Returns -1
@@ -474,19 +433,6 @@ static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssiz
     return rank;
 }
 
-/* kr_rank from rank 0 in a basis of its own, sized for its rows: -2 with
- * MemoryError set when that basis does not fit. */
-static Py_ssize_t kr_rank_new(const struct tops *src, Py_ssize_t nt, const u64 *bottom,
-                              Py_ssize_t nb, Py_ssize_t n_cols, u64 p)
-{
-    struct basis b;
-    if (basis_new(&b, nt, bottom, nb, n_cols, p) < 0)
-        return -2;
-    Py_ssize_t rank = kr_rank(&b, src, nt, bottom, nb, n_cols, p, 0, NULL);
-    basis_free(&b);
-    return rank;
-}
-
 /* x mod p in [0, p) with Python's sign convention; -1 with an exception set
  * on failure.  Integers beyond 64 bits go through Python's own `%`. */
 static int residue(PyObject *x, PyObject *p_obj, u64 p, u64 *out)
@@ -585,7 +531,7 @@ static int read_prime(PyObject *p_obj, u64 *p)
 }
 
 /* Reads the exponent rows (int64 stored as u64) and the points (residues
- * mod p) of eta_mod and hadamard_ranks_mod into new buffers (free both with
+ * mod p) of hadamard_ranks_mod into new buffers (free both with
  * PyMem_Free), with the ValueErrors of _kernels_py._points in its order.
  * Returns -1 with an exception set, and both buffers NULL, on failure. */
 static int read_points(PyObject *rows, PyObject *points, PyObject *p_obj, u64 p,
@@ -612,12 +558,10 @@ static int read_points(PyObject *rows, PyObject *points, PyObject *p_obj, u64 p,
     return -1;
 }
 
-/* Reads r_prime: m non-negative factor sizes that need sum + 1 points,
- * exactly n_pts or, when not `exact`, at most n_pts, into a new buffer (free
- * it with PyMem_Free, also on failure), with the ValueErrors of
- * _kernels_py._check_factors. */
-static int read_factors(PyObject *obj, Py_ssize_t n_pts, int exact, Py_ssize_t **rp,
-                        Py_ssize_t *m)
+/* Reads r_prime: m non-negative factor sizes that need sum + 1 <= n_pts
+ * points, into a new buffer (free it with PyMem_Free, also on failure), with
+ * the ValueErrors of _kernels_py._check_factors. */
+static int read_factors(PyObject *obj, Py_ssize_t n_pts, Py_ssize_t **rp, Py_ssize_t *m)
 {
     unsigned long long total = 0;  /* saturates at ULLONG_MAX - 1 */
     PyObject *seq = PySequence_Fast(obj, "expected a sequence of factor sizes");
@@ -639,24 +583,10 @@ static int read_factors(PyObject *obj, Py_ssize_t n_pts, int exact, Py_ssize_t *
             ? total + (unsigned long long)v : ULLONG_MAX - 1;
     }
     Py_DECREF(seq);
-    if (!PyErr_Occurred() && (exact ? total + 1 != (unsigned long long)n_pts
-                              : total + 1 > (unsigned long long)n_pts))
+    if (!PyErr_Occurred() && total + 1 > (unsigned long long)n_pts)
         PyErr_Format(PyExc_ValueError, "factors r' need %llu points, got %zd",
                      total + 1, n_pts);
     return PyErr_Occurred() ? -1 : 0;
-}
-
-/* A new list of the n residues v as Python ints, or NULL with an exception. */
-static PyObject *int_list(const u64 *v, Py_ssize_t n)
-{
-    PyObject *out = PyList_New(n);
-    for (Py_ssize_t h = 0; out != NULL && h < n; h++) {
-        PyObject *x = PyLong_FromUnsignedLongLong(v[h]);
-        PyList_SET_ITEM(out, h, x);  /* a list with a NULL slot is safe to free */
-        if (x == NULL)
-            Py_CLEAR(out);
-    }
-    return out;
 }
 
 /* Python's own message for pow(x, -1, p) without an inverse. */
@@ -670,7 +600,8 @@ static int rank_failed(Py_ssize_t rank)
     return rank < 0;
 }
 
-/* The Khatri-Rao rank of the rows with one all-ones row. */
+/* The Khatri-Rao rank of the rows with one all-ones row, in a basis of its
+ * own. */
 static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "p", NULL};
@@ -687,79 +618,16 @@ static PyObject *rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         for (Py_ssize_t h = 0; h < n_cols; h++)
             ones[h] = 1;
         struct tops src = {.rows = m};
-        if (!rank_failed(rank = kr_rank_new(&src, n_rows, ones, 1, n_cols, p)))
-            out = PyLong_FromSsize_t(rank);
+        struct basis b;
+        if (basis_new(&b, n_rows, ones, 1, n_cols, p) == 0) {
+            rank = kr_rank(&b, &src, n_rows, ones, 1, n_cols, p, 0, NULL);
+            basis_free(&b);
+            if (!rank_failed(rank))
+                out = PyLong_FromSsize_t(rank);
+        }
     }
     PyMem_Free(m);
     PyMem_Free(ones);
-    return out;
-}
-
-static PyObject *kr_rank_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"top", "bottom", "p", NULL};
-    PyObject *top, *bottom, *p_obj, *out = NULL;
-    u64 p, *t, *b = NULL;
-    Py_ssize_t nt, nb, n_cols, nb_cols, rank;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:kr_rank_mod", kwlist,
-                                     &top, &bottom, &p_obj)
-        || read_prime(p_obj, &p) < 0
-        || read_rows(top, p_obj, p, &t, &nt, &n_cols) < 0)
-        return NULL;
-    struct tops src = {.rows = t};
-    if (read_rows(bottom, p_obj, p, &b, &nb, &nb_cols) == 0) {
-        if (nt > 0 && nb > 0 && nb_cols != n_cols)
-            PyErr_SetString(PyExc_ValueError, "factors have different column counts");
-        else if (!rank_failed(rank = kr_rank_new(&src, nt, b, nb, n_cols, p)))
-            out = PyLong_FromSsize_t(rank);
-    }
-    PyMem_Free(t);
-    PyMem_Free(b);
-    return out;
-}
-
-static PyObject *eta_mod(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"rows", "r_prime", "points", "p", NULL};
-    PyObject *rows, *r_prime, *points, *p_obj, *out = NULL;
-    u64 p, *exps, *ys, *vals, *scratch = NULL;
-    Py_ssize_t *rp = NULL, n_vars, n_cols, n_pts, m;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:eta_mod", kwlist,
-                                     &rows, &r_prime, &points, &p_obj)
-        || read_prime(p_obj, &p) < 0
-        || read_points(rows, points, p_obj, p, &exps, &n_vars, &n_cols, &ys, &n_pts) < 0)
-        return NULL;
-    /* phi at each point, then r', then eta in place, with the 2m + 1 scratch
-     * rows of assemble_eta */
-    if ((vals = PyMem_New(u64, n_pts * n_cols)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < n_pts; k++)
-        if (eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, vals + k * n_cols) < 0) {
-            PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
-            goto done;
-        }
-    if (read_factors(r_prime, n_pts, 1, &rp, &m) < 0)
-        goto done;
-    if ((scratch = PyMem_New(u64, (2 * m + 1) * n_cols)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    assemble_eta(vals, rp, m, n_cols, p, scratch, scratch + m * n_cols, scratch + 2 * m * n_cols);
-    out = PyList_New(n_pts);
-    for (Py_ssize_t k = 0; out != NULL && k < n_pts; k++) {
-        PyObject *row = int_list(vals + k * n_cols, n_cols);
-        PyList_SET_ITEM(out, k, row);
-        if (row == NULL)
-            Py_CLEAR(out);
-    }
-done:
-    PyMem_Free(exps);
-    PyMem_Free(ys);
-    PyMem_Free(rp);
-    PyMem_Free(vals);
-    PyMem_Free(scratch);
     return out;
 }
 
@@ -805,7 +673,7 @@ static PyObject *hadamard_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, P
         goto done;
     }
     for (Py_ssize_t v = 0; v < n_lists; v++) {
-        if (read_factors(PySequence_Fast_GET_ITEM(seq, v), n_pts, 0, rps + v, ms + v) < 0)
+        if (read_factors(PySequence_Fast_GET_ITEM(seq, v), n_pts, rps + v, ms + v) < 0)
             goto done;
         Py_ssize_t total = 1;
         for (Py_ssize_t k = 0; k < ms[v]; k++)
@@ -944,12 +812,6 @@ static PyObject *torus_points_mod(PyObject *Py_UNUSED(self), PyObject *args, PyO
 static PyMethodDef methods[] = {
     {"rank_mod", (PyCFunction)(void (*)(void))rank_mod, METH_VARARGS | METH_KEYWORDS,
      "Rank of an integer matrix over Z/p (entries reduced internally)."},
-    {"kr_rank_mod", (PyCFunction)(void (*)(void))kr_rank_mod, METH_VARARGS | METH_KEYWORDS,
-     "rank_mod of the Khatri-Rao product without materializing Python rows."},
-    {"eta_mod", (PyCFunction)(void (*)(void))eta_mod, METH_VARARGS | METH_KEYWORDS,
-     "eta over Z/p for the factors r_prime at the points\n"
-     "(_kernels_py.eta_of_columns): the monomials of `rows` evaluated and\n"
-     "combined without Python arithmetic."},
     {"hadamard_ranks_mod", (PyCFunction)(void (*)(void))hadamard_ranks_mod,
      METH_VARARGS | METH_KEYWORDS,
      "The rank of eta (x) rows for each factor list r' of r_primes, from the\n"

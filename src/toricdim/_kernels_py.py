@@ -4,13 +4,13 @@ the eta matrix of a probe attempt, the ranks of a batch of Hadamard probes
 points a probe is taken at.
 
 Fallback backend and the reference for the compiled one: _fastkernels.c
-mirrors rank_mod, kr_rank_mod, eta_mod, hadamard_ranks_mod and
-torus_points_mod exactly, with the same pivots, residues and SplitMix64
-words, so it returns identical values and raises ValueError on the same
-moduli (both take 2 <= p < 2^64), malformed shapes, counts and
-non-invertible pivots, in the same order.  It has no entry point of its own
-for eval_columns_mod.  On both sides one reader checks the points of eta_mod
-and hadamard_ranks_mod (`_points` here, read_points in C), and one loop
+mirrors rank_mod, hadamard_ranks_mod and torus_points_mod exactly, with the
+same pivots, residues and SplitMix64 words, so it returns identical values
+and raises ValueError on the same moduli (both take 2 <= p < 2^64),
+malformed shapes, counts and non-invertible pivots, in the same order.
+kr_rank_mod, eta_mod and monomials_mod serve both backends (see
+`kernels`).  On both sides one reader checks the points of
+hadamard_ranks_mod (`_points` here, read_points in C), and one loop
 computes every rank (`_kr_ranks`, kr_rank): it forms Khatri-Rao rows and
 adds them, in order, to one row echelon basis (`_Echelon`, add_row), which
 hadamard_ranks_mod rewinds to an earlier rank (`_Echelon.truncate`; in C,
@@ -170,26 +170,13 @@ def _kr_ranks(tops, n: int, bottom, n_cols: int, p: int, echelon=None) -> list[i
     return ranks + [len(cols)] * (n - len(ranks))
 
 
-def _factors(top, bottom, p: int):
-    """The residues of the two factors of a Khatri-Rao product, after its
-    ValueErrors."""
-    top, bottom = _residues(top, p), _residues(bottom, p)
-    if top and bottom and len(top[0]) != len(bottom[0]):
-        raise ValueError("factors have different column counts")
-    return top, bottom
-
-
-def khatri_rao_mod(top, bottom, p: int):
-    """Column-wise Kronecker product over F_p, top-index-major row blocks."""
-    top, bottom = _factors(top, bottom, p)
-    return [[x * y % p for x, y in zip(t, b)] for t in top for b in bottom]
-
-
 def kr_rank_mod(top, bottom, p: int) -> int:
     """rank_mod of the Khatri-Rao product, its rows formed only until the
     rank is the column count."""
     _check_modulus(p)
-    top, bottom = _factors(top, bottom, p)
+    top, bottom = _residues(top, p), _residues(bottom, p)
+    if top and bottom and len(top[0]) != len(bottom[0]):
+        raise ValueError("factors have different column counts")
     n_cols = len(top[0]) if top else 0
     return max(_kr_ranks(top, len(top), bottom, n_cols, p), default=0)
 
@@ -225,12 +212,6 @@ def monomials_mod(mat, point, p: int):
                 cache[e] = v
             acc[h] = (acc[h] * v) % p
     return acc
-
-
-def eval_columns_mod(mat, point, p: int):
-    """`monomials_mod` of `mat` at `point`, after the ValueErrors of
-    `_points` (point coordinates must be nonzero mod p)."""
-    return monomials_mod(mat, _points(mat, [point], p)[0], p)
 
 
 def _check_factors(r_prime, n_points: int, exact: bool = True) -> None:

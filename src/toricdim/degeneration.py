@@ -44,7 +44,6 @@ from ._kernels_py import eta_of_columns
 from ._rational import rational_rank
 from .exponent import ExponentMatrix, HadamardSpec
 from .modlinalg import DEFAULT_PRIME, random_torus_points
-from .secantdim import eta_secant
 
 # Exact rational arithmetic stays fast only at small scale.
 MAX_TOTAL_ROWS = 64  # R * (rows of the chart matrix)
@@ -287,7 +286,11 @@ def demo_points(
     generic.  Reduced mod DEFAULT_PRIME, the draw's secant coefficient
     matrix must have full row rank R (so it has over Q too), and its
     Khatri-Rao product with the matrix must reach the rank that product has
-    at random F_p torus points.
+    at random F_p torus points.  Neither rank builds that matrix: its rows
+    v (1 + sum_j w_j) and v w_j, v = phi(y_1), w_j = phi(y_j), span the rows
+    v and v w_j, so its product has the rank of the one-factor walk
+    `kernels.hadamard_ranks_mod`, and, as the candidate's y_1 is all ones,
+    it has the rank of the monomial rows phi(y_1), ..., phi(y_R).
     Once check (c) of `limit_check` holds, the limit product has the rank of
     that product over Q, which is at least its rank over F_p, so the
     certified bound is the generic one.  No column scaling entry can vanish
@@ -306,9 +309,10 @@ def demo_points(
     rows = abar.entries
     denom = 128 * max(sum(abs(e) for e in col) for col in zip(*rows))
     p = DEFAULT_PRIME
-    generic_rank = kernels.kr_rank_mod(
-        eta_secant(rows, random_torus_points(R, abar.n_rows, seed, p), p), rows, p
-    )
+    secant = [(R - 1,)]  # sigma_R, the one-factor walk
+    generic_rank = kernels.hadamard_ranks_mod(
+        rows, secant, random_torus_points(R, abar.n_rows, seed, p), p
+    )[0]
     values = range(LOW, max(HIGH, LOW + R - 2) + 1)
     for attempt in range(MAX_RESAMPLE):
         rng = random.Random((seed + attempt) % 2**64)
@@ -316,14 +320,10 @@ def demo_points(
         candidate = ((Fraction(1),) * abar.n_rows,) + tuple(
             tuple(Fraction(denom + a, denom) for a in pt) for pt in zip(*columns)
         )
-        secant_mod_p = eta_secant(
-            rows,
-            [[x.numerator * pow(x.denominator, -1, p) for x in pt] for pt in candidate],
-            p,
-        )
+        pts = [[x.numerator * pow(x.denominator, -1, p) % p for x in pt] for pt in candidate]
         if (
-            kernels.rank_mod(secant_mod_p, p) >= R
-            and kernels.kr_rank_mod(secant_mod_p, rows, p) >= generic_rank
+            kernels.rank_mod([kernels.eval_columns_mod(rows, pt, p) for pt in pts], p) >= R
+            and kernels.hadamard_ranks_mod(rows, secant, pts, p)[0] >= generic_rank
         ):
             return candidate
     raise ValueError("could not sample nondegenerate demo points")

@@ -232,11 +232,11 @@ def generic_hrank(
     past the expected m.  The secant reports of every m it may try are
     probed together before it starts (`prefetch_secant_dimensions`).
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     mat = descriptor.matrix()
     ambient = mat.ambient_dim
     dim_x = mat.rank() - 1
-    if r < 1:
-        raise ValueError("r must be >= 1")
     if r == 1:
         if dim_x == ambient:
             return GenericHrankReport(

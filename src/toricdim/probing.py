@@ -20,9 +20,10 @@ one walk over the normalised Terracini blocks of the probes in
 lexicographic order of r', each resuming from the blocks it shares with
 the one before it (Friedenberg, Oneto and Williams, 2017).
 Where a product's blocks do not exist mod p, the draw's rank is
-`kernels.kr_rank_mod` of the caller's eta (`hadamdim.eta_hadamard`); a
-secant probe never gets there.  Either way it is the rank of eta (x) A at
-the draw's points, so the error budget below stands.
+`kernels.kr_rank_mod` of the caller's eta (`hadamdim.eta_hadamard`), both
+pure on either backend; a secant probe never gets there.  Either way it is
+the rank of eta (x) A at the draw's points, so the error budget below
+stands.
 
 Every probe runs one draw schedule, cut short once the target is reached:
 t draws at the configured prime, then one draw at each of the two alternate

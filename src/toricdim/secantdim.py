@@ -19,7 +19,8 @@ through the draw schedule of `probing` is reported as "defective
 The probe builds no eta: `secant_dimensions` answers a list of R as
 one-factor Hadamard probes (`probing.probe_hadamard_ranks`), one walk over
 the Terracini blocks phi(y_1 y_j) (x) A per seed and prime, and memoises
-each report.  `eta_secant` serves the degeneration verifier.
+each report.  `eta_secant` is the `eta_at` of that probe, which it never
+calls.
 """
 
 from functools import lru_cache

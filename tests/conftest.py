@@ -13,7 +13,7 @@ from toricdim.tables import run_table
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fastkernels.c"
 # The entry points of the compiled kernel, all of which `use_kernels` swaps;
 # test_kernels_parity fails when the compiled module has another one.
-KERNEL_NAMES = ("rank_mod", "kr_rank_mod", "eta_mod", "torus_points_mod", "hadamard_ranks_mod")
+KERNEL_NAMES = ("rank_mod", "torus_points_mod", "hadamard_ranks_mod")
 
 _acceptance_lines: list[str] = []
 

@@ -306,6 +306,11 @@ def test_usage_errors_return_2(capsys):
     code, _, err = run_cli(capsys, "dim-secant", "rnc:8", "--r", "0")
     assert code == 2
 
+    # r is checked before the matrix is built, which here is over its cap
+    code, out, err = run_cli(capsys, "generic-hrank", "veronese:d=2,n=4000", "--r", "0")
+    assert code == 2 and out == ""
+    assert err == "error: r must be >= 1\n"
+
     # 2^64 + 13 is prime but too wide for the compiled kernels
     code, out, err = run_cli(capsys, "dim-secant", "rnc:8", "--r", "2",
                              "--prime", "18446744073709551629")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rational_normal_curve
+from conftest import rational_normal_curve, use_kernels
 from oracles import fraction_eta, fraction_limit_check
 
 from toricdim import (
@@ -18,7 +18,7 @@ from toricdim import (
     secant_dimension,
     segre_veronese,
 )
-from toricdim import degeneration
+from toricdim import _kernels_py, degeneration, kernels
 from toricdim.cli import parse_descriptor, report_dict
 from toricdim.degeneration import (
     DEFAULT_NUS,
@@ -30,8 +30,9 @@ from toricdim.degeneration import (
     scaled_family,
 )
 from toricdim.hadamdim import eta_hadamard
-from toricdim._kernels_py import khatri_rao_mod
 from toricdim._rational import rational_rank
+from toricdim.modlinalg import random_torus_points
+from toricdim.secantdim import eta_secant
 
 ABAR = normalize(rational_normal_curve(8))
 SPEC = (2, 3)
@@ -147,9 +148,9 @@ def test_khatri_rao_exact_matches_modular_kernel():
     assert exact == [[2, 21], [-4, 35]]
     p = DEFAULT_PRIME
     ints = [[3, 4], [5, 6]]
-    as_mod = khatri_rao_mod(ints, [[7, 8]], p)
     as_exact = khatri_rao_exact(ints, [[7, 8]])
-    assert [[x % p for x in row] for row in as_exact] == as_mod
+    assert as_exact == [[21, 32], [35, 48]]
+    assert kernels.rank_mod(as_exact, p) == kernels.kr_rank_mod(ints, [[7, 8]], p) == 2
 
 
 def test_limit_check_input_validation():
@@ -279,6 +280,62 @@ def test_demo_points_widen_the_value_range_for_many_points():
     pts = demo_points(abar, (18,), seed=0)
     for coords in zip(*pts[1:]):
         assert sorted(coords) == [1 + Fraction(a, 128 * 31) for a in range(2, 19)]
+
+
+
+# `demo_points` takes both of its F_p ranks without building the secant eta.
+# Small primes make rank deficient draws common, so that the identities are
+# tested where the ranks move.
+IDENTITY_CHARTS = (
+    ABAR,
+    NEGATIVE_CHART,
+    normalize(segre_veronese((4,), (2,))),
+    normalize(segre_veronese((1, 1), (1, 1))),
+)
+
+
+def _identity_draws():
+    """(rows, R, seed, p) at small primes and DEFAULT_PRIME, for R up to the
+    column count."""
+    for rows in (chart.entries for chart in IDENTITY_CHARTS):
+        for p in (5, 7, 11, DEFAULT_PRIME):
+            for R in range(1, min(len(rows[0]), 7) + 1):
+                for seed in range(4):
+                    yield rows, R, seed, p
+
+
+def _monomial_rank(rows, points, p):
+    return kernels.rank_mod([kernels.eval_columns_mod(rows, pt, p) for pt in points], p)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_the_one_factor_walk_has_the_rank_of_the_secant_eta(backend, request, monkeypatch):
+    # Both the walk's blocks and eta_secant (x) rows span the rows v * rows
+    # and v w_j * rows, v = phi(y_1), w_j = phi(y_j).
+    impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
+    use_kernels(impl, monkeypatch)
+    for rows, R, seed, p in _identity_draws():
+        pts = random_torus_points(R, len(rows), seed, p)
+        walk = kernels.hadamard_ranks_mod(rows, [(R - 1,)], pts, p)
+        assert walk == [kernels.kr_rank_mod(eta_secant(rows, pts, p), rows, p)], (rows, R, p)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_the_monomial_rows_have_the_rank_of_the_secant_eta_from_an_all_ones_point(
+    backend, request, monkeypatch
+):
+    # With y_1 all ones, eta_secant's rows 1 + sum_j w_j and w_j span the
+    # rows phi(y_1) = 1 and w_j.  From any other y_1 they need not: the
+    # ranks then differ at some draw here.
+    impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
+    use_kernels(impl, monkeypatch)
+    moved = 0
+    for rows, R, seed, p in _identity_draws():
+        pts = ((1,) * len(rows),) + random_torus_points(R - 1, len(rows), seed, p)
+        assert _monomial_rank(rows, pts, p) == kernels.rank_mod(eta_secant(rows, pts, p), p)
+        pts = random_torus_points(R, len(rows), seed, p)
+        moved += _monomial_rank(rows, pts, p) != kernels.rank_mod(eta_secant(rows, pts, p), p)
+    assert moved > 0
 
 
 # --- the integer verifier against the Fraction reference ---------------------

@@ -436,6 +436,17 @@ def test_generic_hrank_r1_idempotent():
     assert rep2.status == STATUS_FOUND
 
 
+
+@pytest.mark.parametrize("r", [0, -3])
+def test_generic_hrank_rejects_r_before_it_builds_the_matrix(monkeypatch, r):
+    def no_build(self):
+        raise AssertionError("generic_hrank built the matrix before checking r")
+
+    monkeypatch.setattr(VarietyDescriptor, "matrix", no_build)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        generic_hrank(VarietyDescriptor.rnc(8), r, CFG)
+
+
 def test_expected_generic_hrank_values():
     assert expected_generic_hrank(9, 2, 2) == 3
     assert expected_generic_hrank(15, 4, 2) == 3

@@ -56,17 +56,47 @@ def _instances(seed, n=12):
         yield top, bottom
 
 
-def _columns(impl):
-    """`eval_columns_mod` of `impl`: the column monomials phi(point) of `mat`
-    over Z/p.  The compiled module evaluates them only inside eta_mod, and
-    eta at one point with r' = (0,) is the single row phi(point)."""
-    if impl is py:
-        return py.eval_columns_mod
-    return lambda mat, point, p: impl.eta_mod(mat, (0,), [point], p)[0]
+def _khatri_rao(top, bottom):
+    """The Khatri-Rao rows t * b (entrywise), top-index-major: their
+    rank_mod is the pure kr_rank_mod of (top, bottom), pivot for pivot."""
+    return [[x * y for x, y in zip(t, b)] for t in top for b in bottom]
 
 
-def _kernel(impl, name):
-    return _columns(impl) if name == "eval_columns_mod" else getattr(impl, name)
+def _signed(mat, p):
+    """Exponent rows with the residues of `mat` mod p, each entry the one of
+    least absolute value, which fits an int64 for every p < 2^64."""
+    return [[x % p - p if x % p > p // 2 else x % p for x in row] for row in mat]
+
+
+def _walk_rank(mat, p):
+    """hadamard_ranks_mod arguments whose one rank is rank_mod(mat, p): the
+    list (0,) at the all-ones point, whose one block is the exponent rows
+    themselves, added in order as the bottom rows of one all-ones top row."""
+    return _signed(mat, p), [(0,)], [[1] * len(mat)], p
+
+
+def _evaluates_to(impl, mat, point, p, want):
+    """Whether `impl` evaluates the column monomials of `mat` at `point`
+    modulo the prime p to `want`, read off exactly from hadamard_ranks_mod.
+
+    The list (0, 1) at the points (1, ..., 1) and y has no rank (None) just
+    when 1 + phi(y) has an entry 0 mod p.  Two more variables at y, of
+    coordinates g and t with the exponent rows 1 ... 1 and e_h, make that
+    entry 1 + g t phi(y)_h at column h and 1 + g phi(y)_c elsewhere.  With
+    g such that no g want_c is -1, the walk at t = 1 must have a rank, and
+    then the one at t = -1 / (g want_h) has None just when phi(y)_h =
+    want_h."""
+    n_cols = len(want)
+    g = next(g for g in range(1, p) if all(g * x % p != p - 1 for x in want))
+
+    def walk(h, t):
+        rows = [*mat, [1] * n_cols, [int(c == h) for c in range(n_cols)]]
+        points = [[1] * len(rows), [*point, g, t]]
+        return impl.hadamard_ranks_mod(rows, [(0, 1)], points, p)[0]
+
+    return walk(0, 1) is not None and all(
+        walk(h, -pow(g * want[h], -1, p) % p) is None for h in range(n_cols)
+    )
 
 
 def test_backend_name_valid():
@@ -88,13 +118,6 @@ def test_rank_mod_parity(fast):
         assert fast.rank_mod(bottom, 101) == py.rank_mod(bottom, 101)
 
 
-def test_kr_rank_mod_parity(fast):
-    for top, bottom in _instances(3):
-        assert fast.kr_rank_mod(top, bottom, DEFAULT_PRIME) == py.kr_rank_mod(
-            top, bottom, DEFAULT_PRIME
-        )
-
-
 def test_rank_parity_at_a_64_bit_prime_with_negative_and_large_entries(fast):
     # Residues near p > 2^63 make `a + p - x` overflow 64 bits.  A wrong row
     # update still leaves random rows independent, so the last row of `top`
@@ -108,7 +131,7 @@ def test_rank_parity_at_a_64_bit_prime_with_negative_and_large_entries(fast):
         top.append([a - 3 * b for a, b in zip(top[0], top[-1])])
         bottom = [[rng.randrange(-(2**65), 2**65) for _ in range(n_cols)]]
         assert fast.rank_mod(top, P64) == py.rank_mod(top, P64) == n_rows
-        assert fast.kr_rank_mod(top, bottom, P64) == py.kr_rank_mod(top, bottom, P64)
+        assert fast.rank_mod(_khatri_rao(top, bottom), P64) == py.kr_rank_mod(top, bottom, P64)
 
 
 def _planted(rng, n_rows, n_cols, rank, p, zero_cols=0):
@@ -154,7 +177,7 @@ def _check(impls, cases):
     on each backend."""
     for kernel, args, want in cases:
         for impl in impls:
-            assert _outcome(_kernel(impl, kernel), *args) == want, (impl.__name__, kernel, args[-1])
+            assert _outcome(getattr(impl, kernel), *args) == want, (impl.__name__, kernel, args[-1])
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -179,8 +202,8 @@ def test_kr_rank_parity_on_large_instances(fast, p):
         top = _planted(rng, n_top, n_cols, top_rank, p, zero_cols)
         bot = [[rng.randrange(-p, p) for _ in range(n_cols)] for _ in range(n_bot)]
         rank = py.kr_rank_mod(top, bot, p)
-        assert rank == fast.kr_rank_mod(top, bot, p)
-        assert rank == py.rank_mod(py.khatri_rao_mod(top, bot, p), p)
+        assert rank == fast.rank_mod(_khatri_rao(top, bot), p)
+        assert rank == py.rank_mod(_khatri_rao(top, bot), p)
         assert rank == min(top_rank * n_bot, n_cols - zero_cols)
 
 
@@ -192,17 +215,24 @@ def _growth_cases(p):
     # and it must end as a multiple of p in every slot.  At p = 2^61 - 1 and
     # n = 100 its last slot reaches 99 (p - 1)^2 > 2^128, past 16 bytes.
     # Every pivot is 1 or p - 1, a unit modulo any p, so the ranks hold for
-    # composite moduli too.
+    # composite moduli too.  The walk takes the same rows as its n bottom
+    # rows, under an all-ones top row (as in `_walk_rank`) and then under
+    # phi(p - 1, 1, ..., 1), which is p - 1 in every column, since row 0 is
+    # odd there: that block is the rows times p - 1, each entry a product of
+    # two residues up to p - 1 with its own bottom row's Shoup quotient, and
+    # the rank stays.  An exponent row of 1s at n coordinates p - 1 makes
+    # every block after the first all (p - 1)^2.
     cases = []
     for n in (60, 100, 150):
         upper = [[p - 1 if j > k else int(j == k) for j in range(n)] for k in range(n - 1)]
         mat = upper + [[sum(col) % p for col in zip(*upper)]]
         full = [[p - 1] * n for _ in range(n)]
+        points = [[1] * n, [p - 1] + [1] * (n - 1)]
         cases += [
             ("rank_mod", (mat, p), n - 1),
-            ("kr_rank_mod", (mat, [[1] * n], p), n - 1),
+            ("hadamard_ranks_mod", (_signed(mat, p), [(0,), (1,)], points, p), [n - 1] * 2),
             ("rank_mod", (full, p), 1),
-            ("kr_rank_mod", (full, full[:1], p), 1),
+            ("hadamard_ranks_mod", ([[1] * n], [(n - 1,)], [[p - 1]] * n, p), [1]),
         ]
     # Rows that find their pivots out of column order, at columns 2, 0, 3,
     # 1, 6 and 4, then two dependent rows.  After the first two pivots the
@@ -211,7 +241,7 @@ def _growth_cases(p):
     # column 2's, which was found first, and may cut it only after a pivot
     # inside that run.
     mat = _echelon(8, [2, 0, 3, 1, 6, 4], p, p - 1, random.Random(p % 1000))
-    cases += [("rank_mod", (mat, p), 6), ("kr_rank_mod", (mat, [[1] * 8], p), 6)]
+    cases += [("rank_mod", (mat, p), 6), ("hadamard_ranks_mod", _walk_rank(mat, p), [6])]
     return cases
 
 
@@ -240,7 +270,8 @@ def _p_minus_1_cases(p):
         b = [p - 1] + [2 * (j % 2) for j in range(n - 1)]
         c = [0] + [1 if j % 2 == 0 else p - 1 for j in range(n - 1)]
         for mat in itertools.permutations([a, b, c]):
-            cases += [("rank_mod", (list(mat), p), 2), ("kr_rank_mod", (list(mat), [[1] * n], p), 2)]
+            cases += [("rank_mod", (list(mat), p), 2),
+                      ("hadamard_ranks_mod", _walk_rank(list(mat), p), [2])]
     return cases
 
 
@@ -258,7 +289,7 @@ def test_sanitized_rank_on_rows_of_p_minus_1(fast_ubsan, p):
 def _log_uniform_cases():
     # Every width of modulus from 2 bits to 64, most of them composite:
     # ranks, Khatri-Rao ranks and the errors of missing inverses, as the
-    # pure kernels give them.
+    # pure kernels give them; a Khatri-Rao rank as rank_mod of its rows.
     rng = random.Random(9)
     cases = []
     for _ in range(400):
@@ -270,7 +301,8 @@ def _log_uniform_cases():
             rows[-1] = [a - 5 * b for a, b in zip(rows[0], rows[1])]
         top, bottom = rows[:rng.randint(1, 4)], rows[-rng.randint(1, 3):]
         cases.append(("rank_mod", (rows, p), _outcome(py.rank_mod, rows, p)))
-        cases.append(("kr_rank_mod", (top, bottom, p), _outcome(py.kr_rank_mod, top, bottom, p)))
+        cases.append(("rank_mod", (_khatri_rao(top, bottom), p),
+                      _outcome(py.kr_rank_mod, top, bottom, p)))
     return cases
 
 
@@ -357,7 +389,7 @@ def test_non_invertible_pivot_inside_a_panel_raises_on_both_backends(fast, p):
         for fill in (p - 1, None):
             mat = _echelon(n_cols, list(range(n_cols)), p, fill, rng, unit=(t, 3))
             _check((py, fast), [("rank_mod", (mat, p), message),
-                                ("kr_rank_mod", (mat, [[1] * n_cols], p), message)])
+                                ("hadamard_ranks_mod", _walk_rank(mat, p), message)])
 
 
 @pytest.mark.parametrize("p", [p for p in PANEL_MODULI if is_probable_prime(p)] + [DEFAULT_PRIME])
@@ -373,16 +405,14 @@ def test_kr_rank_parity_with_sparse_exponent_rows(fast, p):
         top.append([(a - 3 * b) % p for a, b in zip(top[0], top[1])])
         bottom = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(n_cols)] for _ in range(n_bot)]
         rank = py.kr_rank_mod(top, bottom, p)
-        assert fast.kr_rank_mod(top, bottom, p) == rank
-        assert rank == py.rank_mod(py.khatri_rao_mod(top[:-1], bottom, p), p)
+        assert fast.rank_mod(_khatri_rao(top, bottom), p) == rank
+        assert rank == py.rank_mod(_khatri_rao(top[:-1], bottom), p)
 
 
 @pytest.mark.parametrize("p", [-5, 0, 1, 2**64, 2**64 + 1])
 def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
     for kernel, args in (
         ("rank_mod", ([[1, 2]], p)),
-        ("kr_rank_mod", ([[1, 2]], [[3, 4]], p)),
-        ("eta_mod", ([[1, 0], [0, 1]], (0,), [[2, 3]], p)),
         ("torus_points_mod", (2, 3, 0, p)),
         ("hadamard_ranks_mod", ([[1, 0], [0, 1]], [(0,)], [[2, 3]], p)),
     ):
@@ -478,7 +508,14 @@ def test_sanitized_secant_ranks(fast_ubsan):
     _check((fast_ubsan,), _stream_cases())
 
 
+def _pure_columns(mat, point, p):
+    """The pure column monomials of `mat` at `point`, after `_points`."""
+    return py.monomials_mod(mat, py._points(mat, [point], p)[0], p)
+
+
 def test_eval_columns_mod_parity_with_negative_exponents(fast):
+    # The compiled evaluation, read off the walk (`_evaluates_to`), is the
+    # pure one, and not that value with one entry changed.
     rng = random.Random(4)
     for _ in range(12):
         n_vars = rng.randint(1, 4)
@@ -488,7 +525,9 @@ def test_eval_columns_mod_parity_with_negative_exponents(fast):
         ]
         for p in (DEFAULT_PRIME, P64):
             point = [rng.randrange(1, p) for _ in range(n_vars)]
-            assert _columns(fast)(mat, point, p) == py.eval_columns_mod(mat, point, p)
+            want = _pure_columns(mat, point, p)
+            assert _evaluates_to(fast, mat, point, p, want)
+            assert not _evaluates_to(fast, mat, point, p, [want[0] * 2 % p, *want[1:]])
     # Negative coordinates and coordinates wider than 64 bits, reduced first.
     for _ in range(12):
         n_vars = rng.randint(1, 4)
@@ -497,16 +536,19 @@ def test_eval_columns_mod_parity_with_negative_exponents(fast):
         for p in (DEFAULT_PRIME, P64):
             point = [rng.choice((1, -1)) * rng.randrange(1, 2**70) for _ in range(n_vars)]
             point = [x + 1 if x % p == 0 else x for x in point]
-            assert _columns(fast)(mat, point, p) == py.eval_columns_mod(mat, point, p)
+            assert _evaluates_to(fast, mat, point, p, _pure_columns(mat, point, p))
 
 
 def test_eval_columns_mod_rnc_powers(fast):
     rows = normalize(rational_normal_curve(8)).entries
     # chart monomials are y0 * y1^h
-    for kernel in (py.eval_columns_mod, _columns(fast)):
-        assert kernel(rows, [1, 1], 101) == [1] * 9
-        assert kernel(rows, [1, 2], 101) == [pow(2, h, 101) for h in range(9)]
-        assert kernel(rows, [3, 2], 101) == [3 * pow(2, h, 101) % 101 for h in range(9)]
+    for point, want in (
+        ([1, 1], [1] * 9),
+        ([1, 2], [pow(2, h, 101) for h in range(9)]),
+        ([3, 2], [3 * pow(2, h, 101) % 101 for h in range(9)]),
+    ):
+        assert _pure_columns(rows, point, 101) == want
+        assert _evaluates_to(fast, rows, point, 101, want)
 
 
 @given(
@@ -523,10 +565,11 @@ def test_eval_columns_mod_multiplicative(fast, columns, coords):
     x = coords[:2]
     y = coords[2:]
     xy = [(a * b) % 101 for a, b in zip(x, y)]
-    for kernel in (py.eval_columns_mod, _columns(fast)):
-        ex = kernel(rows, x, 101)
-        ey = kernel(rows, y, 101)
-        assert kernel(rows, xy, 101) == [(a * b) % 101 for a, b in zip(ex, ey)]
+    ex = _pure_columns(rows, x, 101)
+    ey = _pure_columns(rows, y, 101)
+    exy = [(a * b) % 101 for a, b in zip(ex, ey)]
+    assert _pure_columns(rows, xy, 101) == exy
+    assert _evaluates_to(fast, rows, xy, 101, exy)
 
 
 def _outcome(fn, *args):
@@ -537,41 +580,11 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def test_eta_mod_parity(fast):
-    # Negative exponents, factors with r_k = 1 (r' = 0), no factor at all,
-    # small, full-range, negative and wider-than-64-bit coordinates; then the
-    # probe's rank of eta (x) rows.
-    rng = random.Random(6)
-    factor_lists = [(0,), (2,), (0, 2), (1, 0, 1), (1, 1), (3, 1), ()]
-    for p in (DEFAULT_PRIME, P64):
-        for _ in range(10):
-            n_vars = rng.randint(1, 4)
-            n_cols = rng.randint(1, 9)
-            rows = [[rng.randint(-3, 5) for _ in range(n_cols)] for _ in range(n_vars)]
-            for r_prime in factor_lists:
-                top = rng.choice((7, p, 2**70))
-                points = [[rng.choice((1, -1)) * rng.randrange(1, top) for _ in range(n_vars)]
-                          for _ in range(sum(r_prime) + 1)]
-                points = [[x + 1 if x % p == 0 else x for x in pt] for pt in points]
-                eta = py.eta_mod(rows, r_prime, points, p)
-                assert fast.eta_mod(rows, r_prime, points, p) == eta
-                assert fast.kr_rank_mod(eta, rows, p) == py.kr_rank_mod(eta, rows, p)
-            # The same ValueError on both backends for a point count that does
-            # not fit r', a point of the wrong width and a coordinate = 0 mod p.
-            points = [[rng.randrange(1, p) for _ in range(n_vars)] for _ in range(3)]
-            wide = [pt + [1] for pt in points]
-            zero = [points[0], points[1][:-1] + [p], points[2]]
-            for args in ((rows, (1,), points, p), (rows, (3,), points, p),
-                         (rows, (2,), wide, p), (rows, (1, 1), zero, p)):
-                message = _outcome(py.eta_mod, *args)
-                assert isinstance(message, str) and _outcome(fast.eta_mod, *args) == message
-
-
 def test_eval_columns_mod_rejects_zero_coordinate(fast):
     mat = [[1, 2], [0, 1]]
     for impl in (fast, py):
         with pytest.raises(ValueError, match="divisible by the prime"):
-            _columns(impl)(mat, [3, 101], 101)
+            impl.hadamard_ranks_mod(mat, [(0,)], [[3, 101]], 101)
 
 
 @pytest.mark.parametrize(
@@ -579,18 +592,9 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
     [
         ("rank_mod", ([[1, 2, 3], [1]], 101)),  # ragged rows
         ("rank_mod", ([[1], [1, 2, 3]], 101)),  # a row longer than the first
-        ("kr_rank_mod", ([[1, 2], [3]], [[1, 2]], 101)),
-        ("kr_rank_mod", ([[1, 2]], [[1, 2], [3, 4, 5]], 101)),
-        ("kr_rank_mod", ([[1, 2]], [[1]], 101)),  # different column counts
-        ("eval_columns_mod", ([[1, 2], [3]], [5, 6], 101)),
-        ("eval_columns_mod", ([[1, 2], [3, 4]], [5], 101)),  # point too short
-        ("eval_columns_mod", ([[1, 2], [3, 4]], [5, 6, 7], 101)),  # too long
-        ("eta_mod", ([[1, 2], [3]], (1,), [[1, 2], [3, 4]], 101)),
-        ("eta_mod", ([[1, 2], [3, 4]], (1,), [[1, 2], [3]], 101)),  # point width
-        ("eta_mod", ([[1, 2], [3, 4]], (1,), [[1, 2], [3, 202]], 101)),  # 0 mod p
-        ("eta_mod", ([[1, 2], [3, 4]], (2,), [[1, 2], [3, 4]], 101)),  # too few points
-        ("eta_mod", ([[1, 2], [3, 4]], (0,), [[1, 2], [3, 4]], 101)),  # too many
-        ("eta_mod", ([[1, 2], [3, 4]], (2, -1), [[1, 2], [3, 4]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3]], [(0,)], [[5, 6]], 101)),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,)], [[5]], 101)),  # point too short
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,)], [[5, 6, 7]], 101)),  # too long
         ("hadamard_ranks_mod", ([[1, 2], [3]], [(0,)], [[1, 2]], 101)),
         ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,), (1,)], [[1, 2], [3]], 101)),
         ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(0,)], [[1, 2, 3]], 101)),  # point width
@@ -603,13 +607,34 @@ def test_eval_columns_mod_rejects_zero_coordinate(fast):
     ],
 )
 def test_malformed_shapes_raise_value_error(fast, kernel, args):
-    message = _outcome(_kernel(py, kernel), *args)
+    message = _outcome(getattr(py, kernel), *args)
     assert isinstance(message, str)
     if kernel == "hadamard_ranks_mod":
         assert _outcome(getattr(fast, kernel), *args) == message
     for impl in (fast, py):
         with pytest.raises(ValueError):
-            _kernel(impl, kernel)(*args)
+            getattr(impl, kernel)(*args)
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        ("kr_rank_mod", ([[1, 2], [3]], [[1, 2]], 101)),
+        ("kr_rank_mod", ([[1, 2]], [[1, 2], [3, 4, 5]], 101)),
+        ("kr_rank_mod", ([[1, 2]], [[1]], 101)),  # different column counts
+        ("eta_mod", ([[1, 2], [3]], (1,), [[1, 2], [3, 4]], 101)),
+        ("eta_mod", ([[1, 2], [3, 4]], (1,), [[1, 2], [3]], 101)),  # point width
+        ("eta_mod", ([[1, 2], [3, 4]], (1,), [[1, 2], [3, 202]], 101)),  # 0 mod p
+        ("eta_mod", ([[1, 2], [3, 4]], (2,), [[1, 2], [3, 4]], 101)),  # too few points
+        ("eta_mod", ([[1, 2], [3, 4]], (0,), [[1, 2], [3, 4]], 101)),  # too many
+        ("eta_mod", ([[1, 2], [3, 4]], (2, -1), [[1, 2], [3, 4]], 101)),
+    ],
+)
+def test_the_product_fallback_rejects_malformed_shapes(kernel, args):
+    # kr_rank_mod and eta_mod are the pure kernels on both backends.
+    assert getattr(kernels, kernel) is getattr(py, kernel)
+    with pytest.raises(ValueError):
+        getattr(kernels, kernel)(*args)
 
 
 def test_factor_count_error_names_the_points_needed(fast):
@@ -617,7 +642,7 @@ def test_factor_count_error_names_the_points_needed(fast):
         need = sum(r_prime) + 1
         for impl in (fast, py):
             with pytest.raises(ValueError, match=f"need {need} points, got 2"):
-                impl.eta_mod([[1, 2], [3, 4]], r_prime, [[1, 2], [3, 4]], 101)
+                impl.hadamard_ranks_mod([[1, 2], [3, 4]], [r_prime], [[1, 2], [3, 4]], 101)
 
 
 @pytest.mark.parametrize(
@@ -625,11 +650,10 @@ def test_factor_count_error_names_the_points_needed(fast):
     [
         ("rank_mod", ([[2]], 4)),
         ("rank_mod", ([[2, 1], [1, 1]], 6)),
-        ("kr_rank_mod", ([[2, 1]], [[1, 3]], 6)),
-        ("eval_columns_mod", ([[-1, 2]], [3], 6)),
-        ("eval_columns_mod", ([[-1]], [2], 4)),
-        ("eta_mod", ([[1, 1], [0, -1]], (0,), [[1, 2]], 4)),
-        ("eta_mod", ([[-1, 1]], (1,), [[3], [2]], 4)),
+        ("rank_mod", ([[2, 3]], 6)),  # the Khatri-Rao row of [2, 1] and [1, 3]
+        ("hadamard_ranks_mod", ([[-1, 2]], [(0,)], [[3]], 6)),
+        ("hadamard_ranks_mod", ([[-1]], [(0,)], [[2]], 4)),
+        ("hadamard_ranks_mod", ([[-1, 1]], [(1,)], [[3], [2]], 4)),  # a later point
         ("hadamard_ranks_mod", ([[1, 1], [0, -1]], [(0,)], [[1, 2]], 4)),  # a coordinate
         ("hadamard_ranks_mod", ([[1, 2, 3]], [(0,), (1,)], [[1], [2]], 6)),  # pivot of block 1
     ],
@@ -637,8 +661,8 @@ def test_factor_count_error_names_the_points_needed(fast):
 def test_composite_modulus_without_inverse_raises_on_both_backends(fast, kernel, args):
     for impl in (fast, py):
         with pytest.raises(ValueError, match="not invertible"):
-            _kernel(impl, kernel)(*args)
-    assert _outcome(_kernel(fast, kernel), *args) == _outcome(_kernel(py, kernel), *args)
+            getattr(impl, kernel)(*args)
+    assert _outcome(getattr(fast, kernel), *args) == _outcome(getattr(py, kernel), *args)
 
 
 def test_composite_moduli_agree_with_the_pure_kernels(fast):
@@ -658,13 +682,12 @@ def test_composite_moduli_agree_with_the_pure_kernels(fast):
         point = [rng.randrange(1, n) for _ in rows]
         for kernel, args in (
             ("rank_mod", (rows, n)),
-            ("kr_rank_mod", (top, bottom, n)),
-            ("eval_columns_mod", (exps, point, n)),
-            ("eta_mod", (exps, (1,), [point, point[::-1]], n)),
+            ("rank_mod", (_khatri_rao(top, bottom), n)),
+            ("hadamard_ranks_mod", (exps, [(0,)], [point], n)),
             ("hadamard_ranks_mod", (exps, [(0,), (1,)], [point, point[::-1]], n)),
         ):
-            assert _outcome(_kernel(fast, kernel), *args) == _outcome(
-                _kernel(py, kernel), *args
+            assert _outcome(getattr(fast, kernel), *args) == _outcome(
+                getattr(py, kernel), *args
             ), (kernel, args)
 
 
@@ -672,9 +695,7 @@ def test_empty_and_degenerate_shapes(fast):
     for impl in (fast, py):
         assert impl.rank_mod([], 101) == 0
         assert impl.rank_mod([[], []], 101) == 0
-        assert impl.kr_rank_mod([[1, 2]], [], 101) == 0
-        assert _columns(impl)([], [1], 101) == []
-        assert impl.eta_mod([], (1,), [[1], [2]], 101) == [[], []]
+        assert impl.hadamard_ranks_mod([], [(0,)], [[1]], 101) == [0]
         assert impl.hadamard_ranks_mod([[1, 2]], [], [], 101) == []
         assert impl.hadamard_ranks_mod([], [(0,), (1,)], [[1], [2]], 101) == [0, 0]
         assert impl.hadamard_ranks_mod([], [(1,), ()], [[1], [2]], 101) == [0, 0]
@@ -695,13 +716,13 @@ def _ragged(rng, n_rows, n_cols, low):
 
 @functools.cache
 def _fuzz_cases(n=20000):
-    """Seeded malformed inputs for the four kernels that read matrices, with
+    """Seeded malformed inputs for the two kernels that read matrices, with
     the pure outcome: 0-3 exponent rows of 0-3 entries in -1..8, 0-3 points
     of one width from n_vars - 1 to n_vars + 1 with coordinates 0..8 (each
     matrix ragged 15% of the time), a prime or a composite modulus, and r'
-    of 0-2 entries in -1..2; for `hadamard_ranks_mod`, the secant probes at
-    each prefix of the points (`_secant_batch`), then 0-3 such r' of
-    different lengths, from a generator of their own."""
+    of 0-2 entries in -1..2; for `hadamard_ranks_mod`, the list of that r',
+    the secant probes at each prefix of the points (`_secant_batch`), then
+    0-3 such r' of different lengths, from a generator of their own."""
     rng, lists = random.Random(1), random.Random(2)
     cases = []
     for _ in range(n):
@@ -712,8 +733,7 @@ def _fuzz_cases(n=20000):
         r_prime = tuple(rng.randint(-1, 2) for _ in range(rng.randint(0, 2)))
         for kernel, args in (
             ("rank_mod", (rows, p)),
-            ("kr_rank_mod", (points, rows, p)),
-            ("eta_mod", (rows, r_prime, points, p)),
+            ("hadamard_ranks_mod", (rows, [r_prime], points, p)),
             ("hadamard_ranks_mod", (rows, _secant_batch(points), points, p)),
             ("hadamard_ranks_mod", (rows, [
                 tuple(lists.randint(-1, 2) for _ in range(lists.randint(0, 2)))
@@ -736,10 +756,10 @@ def test_sanitized_malformed_input(fast_ubsan):
     "kernel, args, want",
     [
         # The width of the points is checked before their count against r'.
-        ("eta_mod", ([[1, 2], [3, 4]], (5,), [[1, 2, 3], [4, 5, 6]], 101),
+        ("hadamard_ranks_mod", ([[1, 2], [3, 4]], [(5,)], [[1, 2, 3], [4, 5, 6]], 101),
          "point length differs from the number of rows"),
         # Points of different lengths, even where there are no rows.
-        ("eta_mod", ([], (2, 0), [[], [5], []], 7), "rows have different lengths"),
+        ("hadamard_ranks_mod", ([], [(2, 0)], [[], [5], []], 7), "rows have different lengths"),
         # A point without an inverse at modulus 4, in a secant batch.
         ("hadamard_ranks_mod",
          ([[1, -1, 2], [0, 1, 1]], [(0,), (1,), (2,)], [[1, 1], [2, 2], [3, 3]], 4),
@@ -750,11 +770,11 @@ def test_malformed_input_raises_the_same_error(fast, fast_ubsan, kernel, args, w
     _check((py, fast, fast_ubsan), [(kernel, args, want)])
 
 
-def _current_form(impl, rows, r_prime, points, p):
+def _current_form(rows, r_prime, points, p):
     """The rank of eta (x) rows at the first sum(r') + 1 points, as the
-    probes took it before the normalised blocks, or its ValueError."""
+    product fallback takes it (pure on both backends), or its ValueError."""
     n = sum(r_prime) + 1
-    return _outcome(lambda: impl.kr_rank_mod(impl.eta_mod(rows, r_prime, points[:n], p), rows, p))
+    return _outcome(lambda: py.kr_rank_mod(py.eta_mod(rows, r_prime, points[:n], p), rows, p))
 
 
 # Where S_k(c) = 0 is common (5 to 13), the probes' prime, a prime above
@@ -794,7 +814,8 @@ def _normalised_form(rows, r_prime, points, p):
     phi(y_0) phi(y_1j), then phi(y_0) S_1 phi(y_kj) / S_k for k >= 2; None
     when an S_k, k >= 2, has no inverse; or its ValueError."""
     try:
-        phis = [py.eval_columns_mod(rows, pt, p) for pt in points[:sum(r_prime) + 1]]
+        pts = py._points(rows, points[:sum(r_prime) + 1], p)
+        phis = [py.monomials_mod(rows, pt, p) for pt in pts]
     except ValueError as exc:
         return str(exc)
     v, first = phis[0], (r_prime or (0,))[0]
@@ -834,7 +855,7 @@ def _check_hadamard(impls, cases):
             for r_prime, rank in zip(batch, got):
                 assert rank is not None or len(r_prime) > 1
                 if is_probable_prime(p) and rank is not None:
-                    assert rank == _current_form(py, rows, r_prime, points, p), (p, rows, r_prime)
+                    assert rank == _current_form(rows, r_prime, points, p), (p, rows, r_prime)
             fallbacks += got.count(None)
     return fallbacks
 
@@ -872,4 +893,4 @@ def test_planted_non_unit_takes_the_fallback(fast, p):
         ranks = impl.hadamard_ranks_mod(rows, batch, points, p)
         assert ranks[1] is None
         for k in (0, 2):
-            assert ranks[k] == _current_form(impl, rows, batch[k], points, p)
+            assert ranks[k] == _current_form(rows, batch[k], points, p)

@@ -14,7 +14,7 @@ from toricdim import (
     normalize,
     random_torus_points,
 )
-from toricdim._kernels_py import _GAMMA, _mix64, khatri_rao_mod
+from toricdim._kernels_py import _GAMMA, _mix64
 from toricdim._rational import rational_rank
 
 P = 101
@@ -117,14 +117,12 @@ def test_eval_monomial_rnc_powers():
 def test_khatri_rao_hand_case():
     top = [[1, 2], [3, 4]]
     bottom = [[5, 6], [7, 8]]
-    assert khatri_rao_mod(top, bottom, P) == [
-        [5, 12],
-        [7, 16],
-        [15, 24],
-        [21, 32],
-    ]
-    with pytest.raises(ValueError):
-        khatri_rao_mod([[1, 2]], [[1]], P)
+    # the rows t * b, top-index-major: [5, 12], [7, 16], [15, 24], [21, 32]
+    assert kernels.kr_rank_mod(top, bottom, P) == kernels.rank_mod(
+        [[5, 12], [7, 16], [15, 24], [21, 32]], P
+    ) == 2
+    with pytest.raises(ValueError, match="different column counts"):
+        kernels.kr_rank_mod([[1, 2]], [[1]], P)
 
 
 def test_matrix_rank_goldens():
