@@ -249,7 +249,7 @@ def eta_of_columns(cols, r_prime, prime: int | None = None, one=None) -> list:
     diag(one^(k+1)), where k counts the factors with r'_k > 0.
 
     ValueError unless the entries of `r_prime` are >= 0 and sum to
-    len(cols) - 1.  `_fastkernels.c` assembles eta in the same order.
+    len(cols) - 1.  Eta is assembled only here, on both backends.
     """
     _check_factors(r_prime, len(cols))
     if prime is None:

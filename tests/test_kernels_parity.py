@@ -419,6 +419,11 @@ def test_moduli_outside_a_64_bit_word_raise_the_same_error(fast, p):
         message = _outcome(getattr(py, kernel), *args)
         assert message.startswith("modulus must be")
         assert _outcome(getattr(fast, kernel), *args) == message
+    # The product fallback's kernels, pure on both backends, give the same
+    # error as rank_mod.
+    message = _outcome(py.rank_mod, [[1, 2]], p)
+    assert _outcome(kernels.kr_rank_mod, [[1, 2]], [[3, 4]], p) == message
+    assert _outcome(kernels.eta_mod, [[1, 0], [0, 1]], (0,), [[2, 3]], p) == message
 
 
 # The smallest moduli (p = 2 accepts half of all words, p = 3 and 5 as
@@ -699,6 +704,9 @@ def test_empty_and_degenerate_shapes(fast):
         assert impl.hadamard_ranks_mod([[1, 2]], [], [], 101) == []
         assert impl.hadamard_ranks_mod([], [(0,), (1,)], [[1], [2]], 101) == [0, 0]
         assert impl.hadamard_ranks_mod([], [(1,), ()], [[1], [2]], 101) == [0, 0]
+    # The product fallback's kernels, pure on both backends.
+    assert kernels.kr_rank_mod([[1, 2]], [], 101) == 0
+    assert kernels.eta_mod([], (1,), [[1], [2]], 101) == [[], []]
 
 
 def _ragged(rng, n_rows, n_cols, low):
