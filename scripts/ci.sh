@@ -12,9 +12,11 @@
 #   large    under a 3 GB address-space limit, a factor of 1000 variables
 #            builds, and a builder over its entry cap (through dim-secant,
 #            generic-hrank and dim-hadamard), an r checked before that
-#            builder, and a probe whose walk does not fit exit 2 with a
-#            message, never a traceback; AddressSanitizer reserves more
-#            address space than that limit, so run it without TORICDIM_ASAN
+#            builder, and a probe whose walk does not fit exit 2; each
+#            query's stderr must equal the text it states, so a traceback
+#            or another check's message fails; AddressSanitizer reserves
+#            more address space than that limit, so run it without
+#            TORICDIM_ASAN
 #   install  install the package and check, from outside the checkout, that
 #            its console script's reports equal the benchmark's oracles: the
 #            extended sweep, and the three stored tables on the pure kernels;
@@ -44,25 +46,28 @@ tier1() {
     LD_PRELOAD=$preload python -m pytest -q --continue-on-collection-errors
 }
 
+# check CODE TEXT ARGS...: the CLI on ARGS exits CODE with stderr TEXT.
 check() {
-    local expected=$1 code=0
-    shift
+    local expected=$1 text=$2 code=0
+    shift 2
     python -m toricdim.cli "$@" > /dev/null 2> "$tmp/err.txt" || code=$?
     cat "$tmp/err.txt"
-    if [ "$code" != "$expected" ] || grep -q Traceback "$tmp/err.txt"; then
-        echo "$* exited $code, expected $expected"
+    if [ "$code" != "$expected" ] || [ "$(< "$tmp/err.txt")" != "$text" ]; then
+        echo "$* exited $code, expected $expected with: $text"
         return 1
     fi
 }
 
 large() (
     ulimit -v 3000000
-    check 0 dim-secant segre:n=1,999 --r 2
-    check 2 dim-secant veronese:d=2,n=4000 --r 2
-    check 2 generic-hrank veronese:d=2,n=4000 --r 2
-    check 2 dim-hadamard veronese:d=2,n=4000 --r 2,2
-    check 2 generic-hrank veronese:d=2,n=4000 --r 0
-    check 2 dim-secant rnc:100000 --r 50000
+    local cap="error: 32032010001 matrix entries exceeds cap 20000000"
+    check 0 "" dim-secant segre:n=1,999 --r 2
+    check 2 "$cap" dim-secant veronese:d=2,n=4000 --r 2
+    check 2 "$cap" generic-hrank veronese:d=2,n=4000 --r 2
+    check 2 "$cap" dim-hadamard veronese:d=2,n=4000 --r 2,2
+    check 2 "error: r must be >= 1" generic-hrank veronese:d=2,n=4000 --r 0
+    check 2 "error: out of memory: the query's matrices do not fit" \
+        dim-secant rnc:100000 --r 50000
 )
 
 install() (

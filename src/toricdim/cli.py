@@ -11,8 +11,8 @@ Subcommands map one-to-one onto the engine entry points:
 
 Exit codes: 0 when every reported check passes (for dimension queries: the
 result is certified, not merely probabilistic), 1 when any check fails, 2 on
-usage errors and out of memory.  Identical inputs produce byte-identical
-reports; JSON carries a top-level `schema` field, CSV column order is frozen.
+usage errors, out of memory and a rank above a theorem's bound.  Identical
+inputs give byte-identical reports, JSON with a `schema` field, frozen CSV.
 """
 
 import argparse
@@ -33,7 +33,8 @@ from .hadamdim import (
     generic_hrank,
     hadamard_dimension,
 )
-from .secantdim import STATUS_NONDEFECTIVE, secant_dimension
+from .secantdim import STATUS_CERTIFIED_DEFECTIVE, STATUS_NONDEFECTIVE, TheoremBoundError
+from .secantdim import secant_dimension
 from .tables import TableRow, run_table
 
 SCHEMA_VERSION = 1
@@ -223,7 +224,7 @@ def _config_from(args) -> RunConfig:
 # named and looked up when the command runs, so that a wrapper bound over
 # this module's name in the meantime (perfbench's trace) sees the call.
 _PROBES = {
-    "dim-secant": ("secant_dimension", (STATUS_NONDEFECTIVE,)),
+    "dim-secant": ("secant_dimension", (STATUS_NONDEFECTIVE, STATUS_CERTIFIED_DEFECTIVE)),
     "dim-hadamard": ("hadamard_dimension", (STATUS_EXPECTED,)),
     "generic-hrank": ("generic_hrank", (STATUS_FOUND, STATUS_INFINITE)),
 }
@@ -438,7 +439,7 @@ def main(argv=None) -> int:
     try:
         args.format = _output_format(args)
         return args.handler(args)
-    except (DescriptorError, ValueError, OSError) as exc:
+    except (DescriptorError, ValueError, OSError, TheoremBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # which carries no text of its own

@@ -5,11 +5,11 @@ factorization of a Hadamard product of secant varieties, whose eta formula
 is `_kernels_py.eta_of_columns`; a secant variety sigma_R(X) is its
 one-factor case.  Each probe walks its draw schedule in order and stops at
 the first draw that reaches the target rank.  The target is a ceiling
-(parameter count or ambient bound), so the reported maximum is identical
-to running every draw.  For a secant probe the ceiling is mathematical.
-For a Hadamard probe it rests on the probed factor dimensions, which are
-exact only when the factor probes reached their own targets (ROADMAP
-item 8).
+(parameter count, ambient bound or theorem bound), so the reported maximum
+is identical to running every draw.  For a secant probe the ceiling is
+mathematical.  For a Hadamard probe it rests on the probed factor
+dimensions, which are exact only when the factor probes reached their own
+targets (ROADMAP item 8).
 
 `probe_hadamard_ranks` runs the probes of one variety together, secant and
 product probes alike, and `probe_max_rank` is its batch of one.  A draw is
@@ -32,8 +32,8 @@ draws once at the word-size prime `modlinalg.WORD_PRIME`, when the
 configured prime is larger: its rank is a certified lower bound like any
 other, and the pure elimination takes 40-60% less time there, so a
 product that reaches its target at that draw is done.  A secant probe
-never takes that draw: a defective sigma_R, which no draw lifts to its
-target, would pay one more walk.
+never takes that draw: a defective sigma_R that no classification theorem
+bounds, which no draw lifts to its target, would pay one more walk.
 
 A g x g minor of eta (x) A, times the monomial that clears negative
 exponents, is a polynomial of degree at most `minor_degree` in the point

@@ -12,8 +12,9 @@ upper bound
 
     expected_dim = min(N, R * (dim X + 1) - 1).
 
-Equality of the two certifies non-defectivity; a shortfall that persists
-through the draw schedule of `probing` is reported as "defective
+Equality of the two, or of the rank and a lower theorem bound (status
+"defective", `secant_dim_bound`), certifies the dimension; a shortfall that
+persists through the draw schedule of `probing` is reported as "defective
 (probabilistic)", with the error bound behind it.
 
 The probe builds no eta: `secant_dimensions` answers a list of R as
@@ -33,6 +34,11 @@ from .probing import ProbeResult, probe_hadamard_ranks
 
 STATUS_NONDEFECTIVE = "nondefective"
 STATUS_DEFECTIVE = "defective (probabilistic)"
+STATUS_CERTIFIED_DEFECTIVE = "defective"
+
+
+class TheoremBoundError(RuntimeError):
+    """A probed rank above `secant_dim_bound`: a misapplied theorem or a wrong kernel."""
 
 
 def expected_secant_dim(ambient_dim: int, variety_dim: int, R: int) -> int:
@@ -40,6 +46,34 @@ def expected_secant_dim(ambient_dim: int, variety_dim: int, R: int) -> int:
     if R < 1:
         raise ValueError("R must be >= 1")
     return min(ambient_dim, R * (variety_dim + 1) - 1)
+
+
+def secant_dim_bound(descriptor: VarietyDescriptor, R: int) -> int:
+    """Upper bound on dim sigma_R(X): the parameter count, less the defect a
+    theorem states for the `degrees` and `dims` of a non-`custom` descriptor.
+    * sigma_R(v_2(P^n)) is the variety of symmetric (n+1) x (n+1) matrices
+      of rank <= R, of dimension R(n+1) - R(R-1)/2 - 1 for R <= n+1.
+    * Alexander-Hirschowitz (J. Algebraic Geom. 1995): "sigma_R(v_d(P^n)) has
+      the expected dimension except for d = 2, 2 <= R <= n, and (d, n, R) in
+      `tables.AH_SPORADIC`", each sporadic case a hypersurface: defect 1.
+    * Laface-Postinghel (Math. Ann. 2013): "the Segre-Veronese (P^1)^k of
+      degrees (d_1, ..., d_k) is non-defective except for (2, 2a) and
+      (1, 1, 2a) with R = 2a + 1, (2, 2, 2) with R = 7 and (1, 1, 1, 1) with
+      R = 3", in any order of the degrees, each a hypersurface: defect 1."""
+    from .tables import AH_SPORADIC  # tables imports this module
+    mat = descriptor.matrix()
+    count = expected_secant_dim(mat.ambient_dim, mat.rank() - 1, R)
+    if descriptor.kind == "custom":
+        return count
+    if len(descriptor.dims) == 1:
+        (d,), (n,) = descriptor.degrees, descriptor.dims
+        if d == 2 and R <= n + 1:
+            return R * (n + 1) - R * (R - 1) // 2 - 1
+        return count - ((d, n, R) in AH_SPORADIC)
+    *low, top = sorted(descriptor.degrees)
+    family = low in ([2], [1, 1]) and top % 2 == 0 and R == top + 1
+    binary = family or (*low, top, R) in ((2, 2, 2, 7), (1, 1, 1, 1, 3))
+    return count - (set(descriptor.dims) == {1} and binary)
 
 
 def eta_secant(rows, points, prime: int) -> list[list[int]]:
@@ -102,16 +136,17 @@ def secant_dimensions(
         # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most
         # that, with the target of N + 1 points, which is also sigma_R's.
         points = {R: min(R, ambient + 1) for R in missing}
-        targets = {n: expected_secant_dim(ambient, dim_x, n) + 1 for n in points.values()}
-        specs = [(HadamardSpec((n,)), target) for n, target in targets.items()]
+        counts = {n: expected_secant_dim(ambient, dim_x, n) for n in points.values()}
+        bounds = {n: min(count, secant_dim_bound(descriptor, n)) for n, count in counts.items()}
+        specs = [(HadamardSpec((n,)), bound + 1) for n, bound in bounds.items()]
 
         def eta_at(rows, spec, pts, p):
             return eta_secant(rows, pts, p)
 
-        probes = dict(zip(targets, probe_hadamard_ranks(eta_at, mat, specs, config)))
+        probes = dict(zip(bounds, probe_hadamard_ranks(eta_at, mat, specs, config)))
         for R, n in points.items():
             slots[R].append(
-                _report(descriptor, R, ambient, dim_x, targets[n] - 1, probes[n], config)
+                _report(descriptor, R, ambient, dim_x, counts[n], bounds[n], probes[n], config)
             )
     return tuple(slots[R][0] for R in Rs)
 
@@ -120,7 +155,7 @@ def prefetch_secant_dimensions(descriptor: VarietyDescriptor, Rs, config: RunCon
     """Memoise the reports of every R a search may ask for, from shared
     streams.  Only a speed-up: when one of them has no error budget at the
     configured prime, each R is probed when it is asked for, so an R the
-    search never reaches raises nothing."""
+    search never reaches raises nothing.  A `TheoremBoundError` propagates."""
     try:
         secant_dimensions(descriptor, Rs, config)
     except ValueError:
@@ -138,17 +173,21 @@ def _secant_dimension_cached(
 
 def _report(
     descriptor: VarietyDescriptor, R: int, ambient: int, dim_x: int, expected: int,
-    probe: ProbeResult, config: RunConfig,
+    bound: int, probe: ProbeResult, config: RunConfig,
 ) -> SecantDimensionReport:
     computed = probe.rank - 1
+    if computed > bound:
+        raise TheoremBoundError(f"sigma_{R} of {descriptor}: dimension {computed} (mod "
+                                f"{probe.prime}) is above the theorem bound {bound}")
     defect = computed < expected
+    certified = STATUS_CERTIFIED_DEFECTIVE if computed == bound else STATUS_DEFECTIVE
     return SecantDimensionReport(
         descriptor=str(descriptor),
         R=R,
         computed_dim=computed,
         expected_dim=expected,
         defect_flag=defect,
-        status=STATUS_DEFECTIVE if defect else STATUS_NONDEFECTIVE,
+        status=certified if defect else STATUS_NONDEFECTIVE,
         ambient_dim=ambient,
         variety_dim=dim_x,
         trials=probe.trials,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from toricdim import RunConfig, kernels, secantdim, segre_veronese
+from toricdim.cli import parse_descriptor
 from toricdim.tables import run_table
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "toricdim" / "_fastkernels.c"
@@ -25,6 +26,17 @@ def record_acceptance(line: str) -> None:
 def rational_normal_curve(degree: int):
     """Degree-d rational normal curve in P^d (the n=1 Veronese)."""
     return segre_veronese((degree,), (1,))
+
+
+def matrix_copy(text: str, tmp_path) -> str:
+    """The `matrix:` descriptor of the exponent matrix of descriptor `text`,
+    written under `tmp_path`: the same variety, with the same draws and
+    ranks, but one that no classification theorem names, so its secant
+    probes keep the parameter count as their target."""
+    path = tmp_path / (text.replace(":", "-").replace(";", "-") + ".csv")
+    rows = parse_descriptor(text).matrix().entries
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    return f"matrix:{path}"
 
 
 def use_kernels(impl, monkeypatch) -> None:

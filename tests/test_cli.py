@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import use_kernels
+from conftest import matrix_copy, use_kernels
 
 from toricdim import VarietyDescriptor, _kernels_py, cli
 from toricdim.cli import (
@@ -112,7 +112,7 @@ def test_descriptor_round_trips_through_its_label(desc):
 # --- exit codes -------------------------------------------------------------
 
 
-def test_dim_secant_exit_codes(capsys):
+def test_dim_secant_exit_codes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "dim-secant", "rnc:8", "--r", "4")
     assert code == 0
     doc = json.loads(out)
@@ -120,20 +120,38 @@ def test_dim_secant_exit_codes(capsys):
     assert doc["computed_dim"] == 7
     assert doc["status"] == "nondefective"
 
-    code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5")
+    copy = matrix_copy("veronese:d=4,n=2", tmp_path)
+    code, out, _ = run_cli(capsys, "dim-secant", copy, "--r", "5")
     assert code == 1  # defective case is reported but not certified
     assert json.loads(out)["computed_dim"] == 13
+    # Alexander-Hirschowitz certifies the same defect on v_4(P^2).
+    code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5")
+    assert code == 0
+    assert (json.loads(out)["computed_dim"], json.loads(out)["status"]) == (13, "defective")
+
+
+def test_a_quadratic_veronese_defect_is_certified(capsys):
+    # sigma_2 of v_2(P^4), the symmetric 5 x 5 matrices of rank <= 2, has
+    # dimension 8, one below its parameter count: the first draw meets it.
+    code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=2,n=4", "--r", "2")
+    doc = json.loads(out)
+    assert (code, doc["computed_dim"], doc["expected_dim"]) == (0, 8, 9)
+    assert (doc["status"], doc["error_bound"], doc["attempts"]) == ("defective", 0.0, 1)
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
-def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys):
+def test_dim_secant_at_a_64_bit_prime(backend, request, monkeypatch, capsys, tmp_path):
     # A prime above 2^63, where `a + p - x` no longer fits in 64 bits.
     impl = _kernels_py if backend == "python" else request.getfixturevalue("fast")
     use_kernels(impl, monkeypatch)
-    code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5",
-                           "--prime", "17293822569102704683")
+    code, out, _ = run_cli(capsys, "dim-secant", matrix_copy("veronese:d=4,n=2", tmp_path),
+                           "--r", "5", "--prime", "17293822569102704683")
     assert code == 1  # Alexander-Hirschowitz defective: 13, not 14
     assert json.loads(out)["computed_dim"] == 13
+    # v_4(P^2) itself: the first draw meets the theorem bound, certified.
+    code, out, _ = run_cli(capsys, "dim-secant", "veronese:d=4,n=2", "--r", "5",
+                           "--prime", "17293822569102704683")
+    assert (code, json.loads(out)["computed_dim"], json.loads(out)["attempts"]) == (0, 13, 1)
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])

@@ -22,14 +22,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (arguments, exit code, file holding the expected stdout)
 CASES = [
-    ("dim-secant veronese:d=4,n=2 --r 5", 1, "dim-secant-v4-2-r5.json"),
-    ("dim-secant veronese:d=4,n=2 --r 5 --format csv", 1, "dim-secant-v4-2-r5.csv"),
-    ("dim-secant veronese:d=4,n=2 --r 5 --format text", 1, "dim-secant-v4-2-r5.txt"),
+    ("dim-secant veronese:d=4,n=2 --r 5", 0, "dim-secant-v4-2-r5.json"),
+    ("dim-secant veronese:d=4,n=2 --r 5 --format csv", 0, "dim-secant-v4-2-r5.csv"),
+    ("dim-secant veronese:d=4,n=2 --r 5 --format text", 0, "dim-secant-v4-2-r5.txt"),
     ("dim-secant matrix:rnc3.csv --r 2", 0, "dim-secant-matrix-r2.json"),
     ("dim-secant rnc:8 --r 0", 2, "dim-secant-r0.txt"),
     ("dim-hadamard veronese:d=4,n=2 --r 2,2,2,2", 0, "dim-hadamard-v4-2-r2222.json"),
     ("dim-hadamard veronese:d=4,n=2 --r 2,2,2,2 --format csv", 0, "dim-hadamard-v4-2-r2222.csv"),
     ("dim-hadamard veronese:d=4,n=2 --r 2,2,2,2 --format text", 0, "dim-hadamard-v4-2-r2222.txt"),
+    # Verdicts whose factor dimensions are defective quadratic Veronese
+    # secants, which the theorem bound certifies.
+    ("dim-hadamard veronese:d=2,n=4 --r 2,2", 0, "dim-hadamard-v2-4-r22.json"),
+    ("generic-hrank veronese:d=2,n=6 --r 2", 0, "generic-hrank-v2-6-r2.json"),
     ("generic-hrank segre:n=1,1,1,1 --r 2", 0, "generic-hrank-s1111-r2.json"),
     ("generic-hrank segre:n=1,1,1,1 --r 2 --format csv", 0, "generic-hrank-s1111-r2.csv"),
     ("generic-hrank segre:n=1,1,1,1 --r 2 --format text", 0, "generic-hrank-s1111-r2.txt"),

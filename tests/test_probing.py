@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import rational_normal_curve, use_kernels
+from conftest import matrix_copy, rational_normal_curve, use_kernels
 
 from toricdim import (
     ALTERNATE_PRIMES, ExponentMatrix, HadamardSpec, RunConfig, hadamard_dimension, kernels,
@@ -64,16 +64,25 @@ def test_probe_short_of_its_target_runs_the_whole_ladder(monkeypatch):
     ]
 
 
-def test_every_short_probe_ends_at_both_alternate_primes(capsys):
+def test_every_short_probe_ends_at_both_alternate_primes(capsys, tmp_path):
     # Even with --prime at an alternate prime, a short probe ends with one
     # draw at each: the draw there counts towards the bound too, and the
-    # prime is listed once: (120 / (p - 1))^3 of 4 draws.
-    code = main(["dim-secant", "veronese:d=4,n=2", "--r", "5",
+    # prime is listed once: (120 / (p - 1))^3 of 4 draws.  sigma_5 of a
+    # `matrix:` copy of v_4(P^2) is short at every draw.
+    code = main(["dim-secant", matrix_copy("veronese:d=4,n=2", tmp_path), "--r", "5",
                  "--prime", str(ALTERNATE_PRIMES[0])])
     doc = json.loads(capsys.readouterr().out)
     assert (code, doc["attempts"], doc["trials"]) == (1, 4, 2)
     assert doc["primes_tried"] == list(ALTERNATE_PRIMES)
     assert doc["error_bound"] == 1.4094657650876813e-49
+    # On v_4(P^2) itself Alexander-Hirschowitz bounds it by 13, which the
+    # first draw meets.
+    code = main(["dim-secant", "veronese:d=4,n=2", "--r", "5",
+                 "--prime", str(ALTERNATE_PRIMES[0])])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["attempts"], doc["trials"], doc["status"]) == (0, 1, 2, "defective")
+    assert doc["primes_tried"] == [ALTERNATE_PRIMES[0]]
+    assert doc["error_bound"] == 0.0
 
 
 def test_default_schedule_draws_the_budget_then_the_alternate_primes(monkeypatch):
@@ -286,10 +295,12 @@ def test_a_product_takes_no_extra_draw_at_a_prime_up_to_the_word_prime(
     assert draws == [(3, prime)] and (result.prime, result.attempts) == (prime, 1)
 
 
-def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch):
-    # sigma_5 of v_4(P^2) is defective, so its probe walks its whole
-    # schedule.  A product's own secant reports draw the same way; only its
-    # product probe, the last, draws at WORD_PRIME.
+def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch, tmp_path):
+    # sigma_5 of a `matrix:` copy of v_4(P^2) is defective and unclassified,
+    # so its probe walks its whole schedule.  On v_4(P^2) itself it stops at
+    # its first draw, at the configured prime.  A product's own secant
+    # reports draw the same way; only its product probe, the last, draws at
+    # WORD_PRIME.
     moduli = []
     points = probing.random_torus_points
 
@@ -299,9 +310,14 @@ def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch
 
     monkeypatch.setattr(probing, "random_torus_points", recorded)
     config = RunConfig(seed=1)
-    rep = secant_dimension(parse_descriptor("veronese:d=4,n=2"), 5, config)
+    copy = parse_descriptor(matrix_copy("veronese:d=4,n=2", tmp_path))
+    rep = secant_dimension(copy, 5, config)
     assert rep.defect_flag and rep.primes_tried == (config.prime, *ALTERNATE_PRIMES)
     assert moduli == [config.prime] * rep.trials + list(ALTERNATE_PRIMES)
+    del moduli[:]
+    rep = secant_dimension(parse_descriptor("veronese:d=4,n=2"), 5, config)
+    assert rep.defect_flag and rep.primes_tried == (config.prime,)
+    assert moduli == [config.prime]
     del moduli[:]
     rep = hadamard_dimension(parse_descriptor("veronese:d=4,n=2"), (2, 2, 2, 2), config)
     assert moduli[-1] == WORD_PRIME and WORD_PRIME not in moduli[:-1]

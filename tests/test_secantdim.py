@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from conftest import rational_normal_curve
+from conftest import matrix_copy, rational_normal_curve
 from oracles import grouped_secant_ranks
 
 from toricdim import (
@@ -23,12 +24,14 @@ from toricdim import (
     secant_dimensions,
     secantdim,
 )
-from toricdim.cli import parse_descriptor, report_dict
+from toricdim.cli import main, parse_descriptor, report_dict
 from toricdim.hadamdim import eta_hadamard
 from toricdim.secantdim import (
+    STATUS_CERTIFIED_DEFECTIVE,
     STATUS_DEFECTIVE,
     STATUS_NONDEFECTIVE,
     eta_secant,
+    secant_dim_bound,
 )
 
 CFG = RunConfig(seed=0)
@@ -82,12 +85,17 @@ def test_quadric_veronese_matches_rank_variety_oracle():
             )
 
 
-def test_known_defective_quintic_point():
-    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5, CFG)
+def test_known_defective_quintic_point(tmp_path):
+    # A `matrix:` copy of v_4(P^2) falls short of its parameter count; v_4(P^2)
+    # meets the Alexander-Hirschowitz bound, which certifies the defect.
+    rep = secant_dimension(parse_descriptor(matrix_copy("veronese:d=4,n=2", tmp_path)), 5, CFG)
     assert rep.computed_dim == 13
     assert rep.expected_dim == 14
     assert rep.defect_flag
     assert rep.status == STATUS_DEFECTIVE
+    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5, CFG)
+    assert (rep.computed_dim, rep.expected_dim, rep.defect_flag) == (13, 14, True)
+    assert rep.status == STATUS_CERTIFIED_DEFECTIVE
 
 
 def test_rational_normal_curve_never_defective():
@@ -150,28 +158,31 @@ def test_report_metadata_round_trip():
     assert d["trials"] == 2 and d["seed"] == 0
 
 
-def test_reports_state_how_they_were_reached():
+def test_reports_state_how_they_were_reached(tmp_path):
     p = RunConfig().prime
     certified = secant_dimension(VarietyDescriptor.rnc(4), 2)
     assert certified.status == STATUS_NONDEFECTIVE
     assert (certified.error_bound, certified.attempts, certified.primes_tried) == (
         0.0, 1, (p,)
     )
-    # sigma_5 of v_4(P^2): g = min(5 * 3, 15) = 15, deg = 15 * 2 * 4 = 120,
-    # and 120 / (p - 1) > 2^-100 >= its square: two draws at p, then the
-    # alternate primes.
-    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
+    # sigma_5 of a `matrix:` copy of v_4(P^2): g = min(5 * 3, 15) = 15,
+    # deg = 15 * 2 * 4 = 120, and 120 / (p - 1) > 2^-100 >= its square: two
+    # draws at p, then the alternate primes.
+    rep = secant_dimension(parse_descriptor(matrix_copy("veronese:d=4,n=2", tmp_path)), 5)
     assert rep.status == STATUS_DEFECTIVE
     assert (rep.trials, rep.attempts, rep.primes_tried) == (2, 4, (p, *ALTERNATE_PRIMES))
     assert rep.error_bound == float(Fraction(120, p - 1) ** 2)
     assert 0 < rep.error_bound <= 2.0**-100
+    # On v_4(P^2) itself the first draw meets the theorem bound.
+    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
+    assert rep.status == STATUS_CERTIFIED_DEFECTIVE
+    assert (rep.trials, rep.attempts, rep.primes_tried, rep.error_bound) == (2, 1, (p,), 0.0)
 
 
-def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch):
+def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch, tmp_path):
     # sigma_r(X) is the linear span of X from r = N + 1 on, so a larger
     # index must not draw (and hold) more points.  The reports keep the
-    # indices as given.
-    desc = VarietyDescriptor.rnc(4)  # N = 4
+    # indices as given.  The same on a `matrix:` copy of the curve.
     draw = probing.random_torus_points
     limit = 5
 
@@ -180,12 +191,15 @@ def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch):
         return draw(count, width, seed, prime)
 
     monkeypatch.setattr(probing, "random_torus_points", spy)
-    rep = secant_dimension(desc, 10**12, CFG)
-    assert (rep.R, rep.computed_dim, rep.expected_dim) == (10**12, 4, 4)
-    limit = 9  # two factors of N + 1 points sharing one
-    rep = hadamard_dimension(desc, (10**12, 10**12), CFG)
-    assert (rep.r, rep.R, rep.parameter_count) == ((10**12, 10**12), 2 * 10**12 - 1, 7)
-    assert (rep.computed_dim, rep.factor_dims, rep.lower_bound_dim_R) == (4, (4, 4), 4)
+    for text in (matrix_copy("rnc:4", tmp_path), "rnc:4"):
+        desc = parse_descriptor(text)  # N = 4
+        limit = 5
+        rep = secant_dimension(desc, 10**12, CFG)
+        assert (rep.R, rep.computed_dim, rep.expected_dim) == (10**12, 4, 4)
+        limit = 9  # two factors of N + 1 points sharing one
+        rep = hadamard_dimension(desc, (10**12, 10**12), CFG)
+        assert (rep.r, rep.R, rep.parameter_count) == ((10**12, 10**12), 2 * 10**12 - 1, 7)
+        assert (rep.computed_dim, rep.factor_dims, rep.lower_bound_dim_R) == (4, (4, 4), 4)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 13, 7])
@@ -206,13 +220,16 @@ def test_rank_after_block_R_is_the_eta_rank_at_R_points(p):
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
-def test_batched_reports_equal_the_lone_reports(prime):
+def test_batched_reports_equal_the_lone_reports(prime, tmp_path):
     # Every field, with the memo cleared before each side, and the probe
     # fields equal to those of the one-factor Hadamard probe,
-    # `probe_max_rank(eta_hadamard, ...)`.  At 65537 the error budget draws
-    # 9 to 12 times, and for v_2(P^6) the defective sigma_2 (t = 10) and
+    # `probe_max_rank(eta_hadamard, ...)` to the lower of the parameter count
+    # and `secant_dim_bound`.  At 65537 the error budget draws 9 to 12 times,
+    # and for a `matrix:` copy of v_2(P^6) the defective sigma_2 (t = 10) and
     # sigma_3 (t = 11) put draw 10 at different primes.
-    for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6)]:
+    copies = [parse_descriptor(matrix_copy(text, tmp_path))
+              for text in ("veronese:d=2,n=4", "veronese:d=2,n=6")]
+    for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6), *copies]:
         config = RunConfig(prime=prime, seed=3)
         mat = desc.matrix()
         Rs = (4, 1, 2, 7, 3, 4, mat.ambient_dim + 2, 5)
@@ -222,7 +239,8 @@ def test_batched_reports_equal_the_lone_reports(prime):
             secantdim._secant_dimension_cached.cache_clear()
             assert report_dict(rep) == report_dict(secant_dimension(desc, R, config))
             spec = HadamardSpec((min(R, mat.ambient_dim + 1),))
-            probe = probing.probe_max_rank(eta_hadamard, mat, spec, config, rep.expected_dim + 1)
+            target = min(rep.expected_dim, secant_dim_bound(desc, spec.r[0])) + 1
+            probe = probing.probe_max_rank(eta_hadamard, mat, spec, config, target)
             assert (probe.rank - 1, probe.prime, probe.attempts, probe.trials) == (
                 rep.computed_dim, rep.prime, rep.attempts, rep.trials
             )
@@ -273,7 +291,7 @@ def test_walked_secant_probes_equal_the_grouped_reference(prime, monkeypatch):
             assert walked_calls == sorted(calls), (str(desc), seed)
 
 
-def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
+def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path):
     calls = []
     walk = kernels.hadamard_ranks_mod
 
@@ -288,28 +306,156 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch):
     reports = secant_dimensions(VarietyDescriptor.rnc(8), (2, 3, 7), CFG)
     assert [rep.computed_dim for rep in reports] == [3, 5, 8]
     assert calls == [(7, CFG.prime)]
-    # sigma_2 and sigma_3 of v_2(P^4) are defective and draw on, two draws at
-    # p and one at each alternate, from walks of 3 points; sigma_5 fills
-    # P^14 at draw 0, and is memoised for the next call.
+    # sigma_2 and sigma_3 of a `matrix:` copy of v_2(P^4) are defective and
+    # draw on, two draws at p and one at each alternate, from walks of 3
+    # points; sigma_5 fills P^14 at draw 0, and is memoised for the next call.
     calls.clear()
-    reports = secant_dimensions(VarietyDescriptor.veronese(2, 4), (5, 2, 3), CFG)
+    v2p4 = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
+    reports = secant_dimensions(v2p4, (5, 2, 3), CFG)
     assert [rep.attempts for rep in reports] == [1, 4, 4]
     assert calls == [(5, CFG.prime), (3, CFG.prime), (3, ALTERNATE_PRIMES[0]),
                      (3, ALTERNATE_PRIMES[1])]
     calls.clear()
-    assert secant_dimension(VarietyDescriptor.veronese(2, 4), 5, CFG) == reports[0]
+    assert secant_dimension(v2p4, 5, CFG) == reports[0]
     assert calls == []
-    # At 65537 the budget of sigma_2 of v_2(P^6) is 10 draws and that of
-    # sigma_3 is 11: from draw 10 on they draw at different primes, each
-    # from a walk of its own.  Draw by draw, sigma_2 first at each draw:
+    # At 65537 the budget of sigma_2 of a copy of v_2(P^6) is 10 draws and
+    # that of sigma_3 is 11: from draw 10 on they draw at different primes,
+    # each from a walk of its own.  Draw by draw, sigma_2 first at each draw:
     # draws 0-9 are one walk of 3 points each, draw 10 is sigma_2 at the
     # first alternate and sigma_3 at 65537, draw 11 each at the next prime,
     # and draw 12 sigma_3 alone.
     small = RunConfig(prime=65537)
-    reports = secant_dimensions(VarietyDescriptor.veronese(2, 6), (2, 3), small)
+    v2p6 = parse_descriptor(matrix_copy("veronese:d=2,n=6", tmp_path))
+    reports = secant_dimensions(v2p6, (2, 3), small)
     assert [rep.trials for rep in reports] == [10, 11]
     assert calls == [(3, 65537)] * 10 + [
         (2, ALTERNATE_PRIMES[0]), (3, 65537),
         (2, ALTERNATE_PRIMES[1]), (3, ALTERNATE_PRIMES[0]),
         (3, ALTERNATE_PRIMES[1]),
     ]
+    # On v_2(P^4) and v_2(P^6) themselves the quadratic Veronese bound stops
+    # every probe at draw 0: one walk each.
+    calls.clear()
+    reports = secant_dimensions(VarietyDescriptor.veronese(2, 4), (5, 2, 3), CFG)
+    assert [rep.attempts for rep in reports] == [1, 1, 1]
+    reports = secant_dimensions(VarietyDescriptor.veronese(2, 6), (2, 3), small)
+    assert [(rep.trials, rep.attempts) for rep in reports] == [(10, 1), (11, 1)]
+    assert calls == [(5, CFG.prime), (3, 65537)]
+
+
+# --- the theorem bound ----------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty secant memo before and after the test, so that a report
+    probed under a patched bound reaches no other test."""
+    secantdim._secant_dimension_cached.cache_clear()
+    yield
+    secantdim._secant_dimension_cached.cache_clear()
+
+
+def _parameter_count(desc, R):
+    mat = desc.matrix()
+    return expected_secant_dim(mat.ambient_dim, mat.rank() - 1, R)
+
+
+def test_theorem_bound_matches_the_classification_oracles(tmp_path):
+    # Below the parameter count exactly where the oracles name a defective
+    # secant, by the quadratic Veronese formula for d = 2 and by 1 elsewhere;
+    # the bound reads only the degrees and dimensions, so a `matrix:` copy
+    # and a Segre-Veronese spelling of a Veronese get the same treatment as
+    # the variety they name, or none.
+    for d in range(1, 6):
+        for n in range(1, 6):
+            desc = VarietyDescriptor.veronese(d, n)
+            for R in range(1, desc.matrix().ambient_dim + 3):
+                bound, count = secant_dim_bound(desc, R), _parameter_count(desc, R)
+                assert (bound < count) == oracles.ah_defective(d, n, R), (d, n, R)
+                if d == 2:
+                    assert bound == classical_veronese_secant_dim(n, 2, R), (n, R)
+                else:
+                    assert bound >= count - 1, (d, n, R)
+                assert bound == secant_dim_bound(VarietyDescriptor.segre_veronese((d,), (n,)), R)
+    for k, top in ((2, 6), (3, 6), (4, 3)):
+        for degrees in itertools.product(range(1, top + 1), repeat=k):
+            desc = VarietyDescriptor.segre_veronese(degrees, (1,) * k)
+            for R in range(1, desc.matrix().n_cols // (k + 1) + 3):
+                bound, count = secant_dim_bound(desc, R), _parameter_count(desc, R)
+                assert (bound < count) == oracles.binary_sv_defective(degrees, R), (degrees, R)
+                assert bound >= count - 1, (degrees, R)
+    assert secant_dim_bound(VarietyDescriptor.segre((1, 1, 1, 1)), 3) == 13
+    assert secant_dim_bound(VarietyDescriptor.segre((1, 2)), 2) == 5  # P^1 x P^2: none
+    copy = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
+    assert [secant_dim_bound(copy, R) for R in range(1, 7)] == [4, 9, 14, 14, 14, 14]
+
+
+def test_theorem_bound_meets_the_probe_on_the_c4_grid(tmp_path):
+    # The grid of the Alexander-Hirschowitz acceptance check: each probe
+    # meets the bound, and so does the probe of a `matrix:` copy, whose
+    # target is the parameter count.
+    for d in range(1, 5):
+        for n in range(1, 5):
+            text = f"veronese:d={d},n={n}"
+            desc = parse_descriptor(text)
+            Rs = range(1, min(15, desc.matrix().ambient_dim // (n + 1) + 3))
+            reports = secant_dimensions(desc, Rs, CFG)
+            copies = secant_dimensions(parse_descriptor(matrix_copy(text, tmp_path)), Rs, CFG)
+            bounds = [secant_dim_bound(desc, R) for R in Rs]
+            assert [rep.computed_dim for rep in reports] == bounds, text
+            assert [rep.computed_dim for rep in copies] == bounds, text
+            for R, rep in zip(Rs, reports):
+                certified = STATUS_CERTIFIED_DEFECTIVE if rep.defect_flag else STATUS_NONDEFECTIVE
+                assert (rep.status, rep.attempts, rep.error_bound) == (certified, 1, 0.0), (text, R)
+                assert rep.defect_flag == oracles.ah_defective(d, n, R), (text, R)
+
+
+def test_theorem_bound_meets_the_probe_on_quadratic_veroneses():
+    for n in range(1, 16):
+        desc = VarietyDescriptor.veronese(2, n)
+        Rs = range(1, n + 2)
+        for R, rep in zip(Rs, secant_dimensions(desc, Rs, CFG)):
+            assert rep.computed_dim == secant_dim_bound(desc, R) == (
+                R * (n + 1) - R * (R - 1) // 2 - 1
+            ), (n, R)
+            status = STATUS_CERTIFIED_DEFECTIVE if 2 <= R <= n else STATUS_NONDEFECTIVE
+            assert (rep.status, rep.attempts, rep.error_bound) == (status, 1, 0.0), (n, R)
+
+
+def test_a_bound_one_too_low_exits_2_and_is_not_memoised(monkeypatch, capsys, fresh_memo):
+    bound = secantdim.secant_dim_bound
+    monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) - 1)
+    assert main(["dim-secant", "veronese:d=4,n=2", "--r", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: sigma_5 of veronese:d=4,n=2: dimension 13 (mod ")
+    assert err.endswith(") is above the theorem bound 12\n")
+    desc = VarietyDescriptor.veronese(4, 2)
+    assert secantdim._secant_dimension_cached(desc, 5, RunConfig()) == []
+    # The prefetch of a search passes it on, and so does the search.
+    with pytest.raises(secantdim.TheoremBoundError):
+        secantdim.prefetch_secant_dimensions(desc, (2, 5), CFG)
+    assert main(["generic-hrank", "veronese:d=2,n=6", "--r", "2"]) == 2
+    assert "above the theorem bound" in capsys.readouterr().err
+    monkeypatch.undo()
+    rep = secant_dimension(desc, 5)
+    assert (rep.computed_dim, rep.status, rep.attempts) == (13, STATUS_CERTIFIED_DEFECTIVE, 1)
+
+
+def test_a_bound_one_too_high_stays_probabilistic(monkeypatch, fresh_memo):
+    bound = secantdim.secant_dim_bound
+    monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) + 1)
+    p = RunConfig().prime
+    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
+    assert (rep.computed_dim, rep.status) == (13, STATUS_DEFECTIVE)
+    assert (rep.attempts, rep.primes_tried) == (4, (p, *ALTERNATE_PRIMES))
+    assert rep.error_bound == float(Fraction(120, p - 1) ** 2)
+
+
+def test_a_matrix_copy_of_a_quadratic_veronese_stays_probabilistic(tmp_path):
+    copy = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
+    rep = secant_dimension(copy, 2, CFG)
+    assert (rep.computed_dim, rep.expected_dim, rep.status) == (8, 9, STATUS_DEFECTIVE)
+    assert rep.attempts == 4 and 0 < rep.error_bound <= 2.0**-100
+    rep = secant_dimension(VarietyDescriptor.veronese(2, 4), 2, CFG)
+    assert (rep.computed_dim, rep.status, rep.attempts) == (8, STATUS_CERTIFIED_DEFECTIVE, 1)
