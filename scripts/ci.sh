@@ -19,7 +19,8 @@
 #            TORICDIM_ASAN
 #   install  install the package and check, from outside the checkout, that
 #            its console script's reports equal the benchmark's oracles: the
-#            extended sweep, and the three stored tables on the pure kernels;
+#            extended sweep on both backends, and the three stored tables on
+#            the pure kernels;
 #            skipped without `wheel`, which setuptools < 70.1 needs to build it
 set -eo pipefail
 cd "$(dirname "$0")/.."
@@ -78,8 +79,11 @@ install() (
     python -m pip install --no-build-isolation .
     cd "$tmp"
     unset PYTHONPATH
-    toricdim verify-table experiments --extended --format csv > extended.csv
-    cmp extended.csv "$root/perfbench/golden/experiments-extended.csv"
+    for pure in "" 1; do
+        TORICDIM_PURE=$pure toricdim verify-table experiments --extended --format csv \
+            > extended.csv
+        cmp extended.csv "$root/perfbench/golden/experiments-extended.csv"
+    done
     for table in veronese binary experiments; do
         TORICDIM_PURE=1 toricdim verify-table "$table" --format csv > "$table.csv"
         cmp "$table.csv" "$root/perfbench/golden/$table.csv"

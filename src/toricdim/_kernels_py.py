@@ -321,7 +321,9 @@ def _scale(v, s, p: int):
 def _shared(a, b) -> int:
     """How many leading blocks the walks of the factor lists a and b share:
     block 0 and factor 1's blocks up to the shorter factor 1, then, when
-    factor 1 is the same, each factor while it is the same."""
+    factor 1 is the same, each factor while it is the same.  So lists
+    with their largest factor first, as `hadamdim` probes them, share
+    the most."""
     a1, b1 = (a or (0,))[0], (b or (0,))[0]
     if a1 != b1:
         return 1 + min(a1, b1)

@@ -7,10 +7,11 @@ from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 # Entries kept by each memoised function (the matrix of a descriptor and the
 # slot of a secant report), so memory stays bounded in long sweeps.  The
 # extended experiments sweep at seed 7 asks for 322 distinct secant reports
-# 2151 times: its sweeps prefetch the indices they may read, then take the
+# 3273 times: its sweeps prefetch the indices they may read, read the
+# factor dimensions of each index to fix where they stop, then take the
 # factor dimensions and the sigma_R lower bound of its 536 Hadamard
-# reports.  It looks up its 26 matrices 300 times, since only a product
-# that is probed builds its matrix.  Both caches keep all of their keys.
+# reports.  It looks up its 26 matrices 410 times.  Both caches keep all of
+# their keys.
 CACHE_SIZE = 1024
 
 

@@ -28,24 +28,35 @@ One settle rule decides a product before any probe of its own.  Its bound
 is a certified lower bound on the product's dimension, with the prime it
 rests on: dim sigma_R(X) (the degeneration of the paper), or, when larger,
 the dimension of a product it contains.  Products nest: sigma_{r-1}(X) lies
-in sigma_r(X), so a product contains the product with one r_k lowered by 1,
-and the rank probe of any product is a certified lower bound on the
+in sigma_r(X), so a product contains the product with one r_k >= 3 lowered
+by 1, and the rank probe of any product is a certified lower bound on the
 dimension of every product that contains it (the Hadamard form of the
-Terracini argument of Friedenberg, Oneto and Williams, 2017).  A caller
-that has answered such a product passes its (computed_dim, prime) as
-`contained`; the table runners of `tables` do, and sigma_R wins a tie.
-The product probe's target is expected_dim_hadamard + 1, so when the bound
-reaches expected_dim_hadamard, `hadamard_dimension` reports it as
-computed_dim and draws nothing: attempts and trials 0, no primes tried,
-error bound 0.0, and the prime of the bound.  lower_bound_dim_R stays the
-sigma_R dimension.  The verdict rests on the probed factor dimensions as
-upper bounds, as the product probe's target does.  Power m = 1 is sigma_r
+Terracini argument of Friedenberg, Oneto and Williams, 2017).
+`hadamard_dimensions` bounds each vector of a batch by the vectors before
+it in the batch that it contains, compared re-sorted, and sigma_R wins a
+tie.  The product probe's target is expected_dim_hadamard + 1, so when the
+bound reaches expected_dim_hadamard, the report takes it as computed_dim
+and draws nothing: attempts and trials 0, no primes tried, error bound
+0.0, and the prime of the bound.  lower_bound_dim_R stays the sigma_R
+dimension.  The verdict rests on the probed factor dimensions as upper
+bounds, as the product probe's target does.  Power m = 1 is sigma_r
 itself and is always settled.
 
-`hadamard_dimensions` applies the rule to each vector of a batch on one
-descriptor and probes the unsettled ones together, so that their draws
-share the normalised blocks of their common leading factors and the
-elimination after them; `hadamard_dimension` is its batch of one.
+A batch is decided in rounds.  The first predicts that every probed
+product reaches its target, settles on that prediction, and probes the
+products it leaves open together, by one `probe_hadamard_ranks`.  Each
+round then replays the rule in batch order with the ranks found: a
+product the replay must probe and that no round has probed goes into the
+next round's probe, and a probed product that the replay settles takes
+its settled report.  A probe's rank does not depend on which probes share
+its walks, so every report equals the one the rule gives vector by
+vector; a batch whose prediction holds takes one walk per draw and prime.
+A product is probed with its factors in non-increasing order, so that
+(2, 3) and (3, 2) share one probe and the walk, which shares blocks with
+the list before it through their common first factor, shares the most.
+Every draw is uniform on the torus whichever factor takes which points, so
+the error bound and the certified lower bound stand; the report keeps the
+caller's r.  `hadamard_dimension` is the batch of one.
 """
 
 from typing import NamedTuple
@@ -99,65 +110,81 @@ class HadamardDimensionReport(NamedTuple):
 
 
 def hadamard_dimension(
-    descriptor: VarietyDescriptor, r, config: RunConfig = DEFAULT_CONFIG, *,
-    contained: tuple[int, int] | None = None,
+    descriptor: VarietyDescriptor, r, config: RunConfig = DEFAULT_CONFIG
 ) -> HadamardDimensionReport:
     """Probe the projective dimension of sigma_{r_1}(X) * ... * sigma_{r_m}(X):
-    `hadamard_dimensions` of one factor vector.
-
-    `contained` is the (computed_dim, prime) of a product that this one
-    contains, a certified lower bound that the settle rule weighs against
-    sigma_R's.
-    """
-    return hadamard_dimensions(descriptor, (r,), config, contained=(contained,))[0]
+    `hadamard_dimensions` of one factor vector."""
+    return hadamard_dimensions(descriptor, (r,), config)[0]
 
 
 def hadamard_dimensions(
-    descriptor: VarietyDescriptor, rs, config: RunConfig = DEFAULT_CONFIG, *,
-    contained=None,
+    descriptor: VarietyDescriptor, rs, config: RunConfig = DEFAULT_CONFIG
 ) -> tuple[HadamardDimensionReport, ...]:
-    """`hadamard_dimension` of each factor vector of `rs`, in order, with the
-    bound contained[k] (or None) for rs[k]; every report equals the lone one.
-    ValueError when `contained` is given and its length is not that of `rs`.
+    """`hadamard_dimension` of each factor vector of `rs`, in order, each
+    also bounded below by the vectors before it in `rs` that it contains.
 
     Not memoised: no caller asks for the same report twice.  The factor
     dimensions and the sigma_R lower bound come from the memoised
     `secant_dimensions`, whose reports a sweep does reuse.  The settle rule
-    decides each vector; the unsettled ones are probed together, by one
-    `probe_hadamard_ranks`.
+    decides each vector (`_settle`); the probes it needs are probed
+    together, in rounds, as the module docstring says.
     """
-    specs = [r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r)) for r in rs]
-    parts, probes = [], []
-    bounds = (None,) * len(specs) if contained is None else contained
-    for spec, inner in zip(specs, bounds, strict=True):
+    parts = []
+    for r in rs:
+        spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
         *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, spec.total_points), config)
         ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
         factor_dims = tuple(rep.computed_dim for rep in factors)
         parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
-        expected_h = min(parameter_count, ambient)
+        # sigma_r(X) is the linear span of X from r = N + 1 on, so each
+        # factor is probed with at most N + 1 points; the product is the
+        # same variety.
+        probed = HadamardSpec(sorted((min(rk, ambient + 1) for rk in spec.r), reverse=True))
+        parts.append((spec, lower_rep, factor_dims, parameter_count, min(parameter_count, ambient),
+                      probed))
+    results = {}
+    while True:
+        probes, missing = _settle(parts, results)
+        if not missing:
+            break
+        results.update(zip(missing, probe_hadamard_ranks(
+            eta_hadamard, descriptor.matrix(), list(missing.items()), config)))
+    return tuple(
+        _report(descriptor, *part[:-1], probe, config) for part, probe in zip(parts, probes)
+    )
+
+
+def _settle(parts, results: dict) -> tuple[list[ProbeResult], dict]:
+    """The settle rule over the batch, in order, with the ProbeResult of each
+    probed spec in `results`: the ProbeResult of each vector, and the probes
+    (spec -> target rank) it needs that `results` lacks, each predicted to
+    reach its target."""
+    answered, probes, missing = {}, [], {}
+    for spec, lower_rep, _, _, expected_h, probed in parts:
         # The certified lower bound and the prime it rests on: sigma_R's, or
-        # the larger contained product's; sigma_R wins a tie.
+        # the larger one of a contained product answered before; sigma_R
+        # wins a tie.
         bound = (lower_rep.computed_dim, lower_rep.prime)
+        lower = (
+            tuple(sorted((*spec.r[:k], rk - 1, *spec.r[k + 1:])))
+            for k, rk in enumerate(spec.r) if rk >= 3
+        )
+        inner = max((answered[v] for v in lower if v in answered), default=None)
         if inner is not None and inner[0] > bound[0]:
             bound = inner
         if bound[0] >= expected_h:
             # Settled: the bound already meets the ceiling the product probe
             # would stop at.
             probe = ProbeResult(bound[0] + 1, bound[1], 0, False, 0, (), 0.0)
+        elif probed in results:
+            probe = results[probed]
         else:
-            # sigma_r(X) is the linear span of X from r = N + 1 on, so each
-            # factor is probed with at most N + 1 points; the product is the
-            # same variety.
-            probe = None
-            probed = HadamardSpec(tuple(min(rk, ambient + 1) for rk in spec.r))
-            probes.append((probed, expected_h + 1))
-        parts.append((spec, lower_rep, factor_dims, parameter_count, expected_h, probe))
-    results = iter(
-        probe_hadamard_ranks(eta_hadamard, descriptor.matrix(), probes, config) if probes else ()
-    )
-    return tuple(
-        _report(descriptor, *part[:-1], part[-1] or next(results), config) for part in parts
-    )
+            # Predicted to reach its target; no report is built from this.
+            missing[probed] = expected_h + 1
+            probe = ProbeResult(expected_h + 1, 0, 0, False, 0, (), 0.0)
+        probes.append(probe)
+        answered[tuple(sorted(spec.r))] = (probe.rank - 1, probe.prime)
+    return probes, missing
 
 
 def _report(

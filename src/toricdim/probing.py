@@ -18,7 +18,10 @@ counter-based SplitMix64 stream exactly uniform on (F_p^*)^n and
 prefix-stable in the number of points), then `kernels.hadamard_ranks_mod`:
 one walk over the normalised Terracini blocks of the probes in
 lexicographic order of r', each resuming from the blocks it shares with
-the one before it (Friedenberg, Oneto and Williams, 2017).
+the one before it (Friedenberg, Oneto and Williams, 2017).  Those blocks
+run through the first factor, which the walk leaves unscaled, so
+`hadamdim` probes a product largest factor first, and probes a whole
+batch of products together, deciding containment in the batch.
 Where a product's blocks do not exist mod p, the draw's rank is
 `kernels.kr_rank_mod` of the caller's eta (`hadamdim.eta_hadamard`), both
 pure on either backend; a secant probe never gets there.  Either way it is

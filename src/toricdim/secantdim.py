@@ -59,12 +59,17 @@ def secant_dim_bound(descriptor: VarietyDescriptor, R: int) -> int:
     * Laface-Postinghel (Math. Ann. 2013): "the Segre-Veronese (P^1)^k of
       degrees (d_1, ..., d_k) is non-defective except for (2, 2a) and
       (1, 1, 2a) with R = 2a + 1, (2, 2, 2) with R = 7 and (1, 1, 1, 1) with
-      R = 3", in any order of the degrees, each a hypersurface: defect 1."""
+      R = 3", in any order of the degrees, each a hypersurface: defect 1.
+    * sigma_R(P^a x P^b), degrees (1, 1), is the variety of (a+1) x (b+1)
+      matrices of rank <= R, of dimension R(a + b + 2 - R) - 1 for
+      R <= min(a, b) + 1."""
     from .tables import AH_SPORADIC  # tables imports this module
     mat = descriptor.matrix()
     count = expected_secant_dim(mat.ambient_dim, mat.rank() - 1, R)
     if descriptor.kind == "custom":
         return count
+    if descriptor.degrees == (1, 1) and R <= min(descriptor.dims) + 1:
+        return R * (sum(descriptor.dims) + 2 - R) - 1
     if len(descriptor.dims) == 1:
         (d,), (n,) = descriptor.degrees, descriptor.dims
         if d == 2 and R <= n + 1:

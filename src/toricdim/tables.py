@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .hadamdim import HadamardDimensionReport, hadamard_dimensions
-from .secantdim import prefetch_secant_dimensions
+from .secantdim import prefetch_secant_dimensions, secant_dimensions
 
 # Sporadic defective Veronese cases (d, n, r) with d >= 3; for d = 2 the
 # defective range is exactly 2 <= r <= n.
@@ -143,54 +143,28 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
     )
 
 
-def _answer(
-    descriptor: VarietyDescriptor, rvecs: list, answered: dict, config: RunConfig
-) -> tuple[HadamardDimensionReport, ...]:
-    """`hadamard_dimensions` of a run of r-vectors of one index, each
-    bounded below by the products it contains that this run has answered,
-    and recorded in `answered` (sorted r-vector -> (computed_dim, prime))
-    for the vectors after them.
-
-    sigma_{r-1}(X) lies in sigma_r(X), and so the product with one r_k >= 3
-    lowered by 1 lies in this one (the factors commute, so it is looked up
-    re-sorted); the largest dimension among those answered is a certified
-    lower bound on this product's.  Those products have a lower index, so
-    none of them is in the run itself."""
-    contained = []
-    for rvec in rvecs:
-        lower = (
-            tuple(sorted((*rvec[:k], rk - 1, *rvec[k + 1:])))
-            for k, rk in enumerate(rvec) if rk >= 3
-        )
-        contained.append(max((answered[v] for v in lower if v in answered), default=None))
-    reps = hadamard_dimensions(descriptor, rvecs, config, contained=contained)
-    for rvec, rep in zip(rvecs, reps):
-        answered[tuple(sorted(rvec))] = (rep.computed_dim, rep.prime)
-    return reps
-
-
 def _run_cases(table: str, cases, target: str, config: RunConfig) -> list[TableRow]:
     """One row per (descriptor, r-vector) case, in order.  The factors and
     the index of a vector lie in 2..R, R its index, so each run of cases on
-    one descriptor first fetches the secants 2..(largest R) in one batch;
-    each run of vectors of one index in it is answered together."""
+    one descriptor first fetches the secants 2..(largest R) in one batch,
+    then is answered in one `hadamard_dimensions` batch, in which each
+    product is bounded by the products before it that it contains."""
     rows = []
     for desc, run in groupby(cases, key=lambda case: case[0]):
         rvecs = [rvec for _, rvec in run]
         top = max(HadamardSpec(rvec).total_points for rvec in rvecs)
         prefetch_secant_dimensions(desc, range(2, top + 1), config)
-        answered = {}
-        for _, same in groupby(rvecs, key=lambda rvec: HadamardSpec(rvec).total_points):
-            for rep in _answer(desc, list(same), answered, config):
-                rows.append(_row(table, rep, getattr(rep, target)))
+        rows += [_row(table, rep, getattr(rep, target))
+                 for rep in hadamard_dimensions(desc, rvecs, config)]
     return rows
 
 
 def _sweep_until_saturated(
-    table: str, descriptor: VarietyDescriptor, m: int, config: RunConfig
-) -> list[TableRow]:
-    """All m-factor rows for one descriptor, stopping one index step after
-    every tuple at the current index is expected to fill the ambient space.
+    descriptor: VarietyDescriptor, m: int, config: RunConfig
+) -> list[tuple[int, ...]]:
+    """All m-factor vectors for one descriptor, in index order, stopping one
+    index step after every tuple at the current index is expected to fill
+    the ambient space.
 
     Every product of index R contains sigma_R, so the sweep is saturated
     by the index where sigma_R fills P^N, and reads one index past that and
@@ -198,28 +172,28 @@ def _sweep_until_saturated(
     is nondefective; one batch fetches the secants up to dim X indices
     later, room for a defective X (the quadric Veronese of dimension n
     fills at n + 1).  An index past the batch is probed when asked for,
-    with the same report."""
+    with the same report.  The stopping rule reads only the parameter
+    counts of the factor secants, and no product probe, so the sweep is
+    fixed before any product is answered."""
     mat = descriptor.matrix()
     dim_x = mat.rank() - 1
     fill = -(-(mat.ambient_dim + 1) // (dim_x + 1))
     top = min(max(m + 1, fill + dim_x) + 1, EXTENDED_HARD_CAP)
     prefetch_secant_dimensions(descriptor, range(2, top + 1), config)
-    rows = []
-    answered = {}
+    rvecs = []
     seen_saturated = False
-    big_r = m + 1
-    while big_r <= EXTENDED_HARD_CAP:
-        saturated = True
-        for rep in _answer(descriptor, list(_tuples_with_index(m, big_r)), answered, config):
-            rows.append(_row(table, rep, rep.expected_dim_hadamard))
-            if rep.parameter_count < rep.ambient_dim:
-                saturated = False
-        if saturated:
+    for big_r in range(m + 1, EXTENDED_HARD_CAP + 1):
+        same = list(_tuples_with_index(m, big_r))
+        rvecs += same
+        # The factors of an index-big_r tuple lie in 2..big_r - m + 1.
+        dims = [rep.computed_dim for rep in
+                secant_dimensions(descriptor, range(2, big_r - m + 2), config)]
+        counts = (sum(dims[rk - 2] for rk in rvec) - (m - 1) * dim_x for rvec in same)
+        if all(count >= mat.ambient_dim for count in counts):
             if seen_saturated:
                 break
             seen_saturated = True
-        big_r += 1
-    return rows
+    return rvecs
 
 
 def run_table(
@@ -235,4 +209,13 @@ def run_table(
     sweeps = [(VarietyDescriptor.veronese(2, n), 2) for n in range(2, 16)]
     sweeps += [(VarietyDescriptor.veronese(2, n), 3) for n in range(2, 13)]
     sweeps += [(_binary(degs), 2) for t in range(1, 7) for degs in ((2, 2 * t), (1, 1, 2 * t))]
-    return [row for desc, m in sweeps for row in _sweep_until_saturated(name, desc, m, config)]
+    # One batch per descriptor, its sweeps fixed and answered before the
+    # next descriptor's, so that no batch walks while the memo already
+    # holds the secants of the descriptors after it.
+    rows = {}
+    for desc in dict.fromkeys(desc for desc, _ in sweeps):
+        ms = [m for other, m in sweeps if other == desc]
+        cases = [(desc, rvec) for m in ms for rvec in _sweep_until_saturated(desc, m, config)]
+        for row in _run_cases(name, cases, "expected_dim_hadamard", config):
+            rows.setdefault((desc, len(row.r)), []).append(row)
+    return [row for sweep in sweeps for row in rows[sweep]]

@@ -1,17 +1,20 @@
 """Closed-form oracles of the paper's classifications, which the tests
 compare the probes against: the defective Veronese secants
-(Alexander-Hirschowitz), the defective binary Segre-Veronese secants, and
-the generic Hadamard rank formulas with their hypotheses.  Also two
-references: `grouped_secant_ranks`, the secant probes walked draw by draw
-with the due probes grouped per prime, each rank that of eta, and, for the
-exact degeneration verifier, `fraction_limit_check`, the same checks on
+(Alexander-Hirschowitz), the defective binary Segre-Veronese secants, the
+secants of P^a x P^b (determinantal varieties), and the generic Hadamard
+rank formulas with their hypotheses.  Also three references:
+`grouped_secant_ranks`, the secant probes walked draw by draw with the due
+probes grouped per prime, each rank that of eta; `sequential_sweep` and
+`sequential_cases`, the table runners one index at a time, each product
+bounded by the products of lower index it contains; and, for the exact
+degeneration verifier, `fraction_limit_check`, the same checks on
 `fractions.Fraction` matrices."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from toricdim import AH_SPORADIC, HadamardSpec, kernels
+from toricdim import AH_SPORADIC, HadamardSpec, kernels, secant_dimensions
 from toricdim._rational import rational_rank
 from toricdim.degeneration import (
     RATIO_BAND,
@@ -21,9 +24,11 @@ from toricdim.degeneration import (
     _check_nus,
     _check_points,
 )
+from toricdim.hadamdim import _report, eta_hadamard
 from toricdim.modlinalg import random_torus_points
-from toricdim.probing import ProbeResult, _schedule
+from toricdim.probing import ProbeResult, _schedule, probe_hadamard_ranks
 from toricdim.secantdim import eta_secant
+from toricdim.tables import _tuples_with_index
 
 
 class FormulaNotGuaranteedError(ValueError):
@@ -69,6 +74,13 @@ def binary_sv_defective(degrees, s: int) -> bool:
     if ds == (1, 1, 1, 1) and s == 3:
         return True
     return False
+
+
+def segre_matrix_secant_dim(a: int, b: int, R: int) -> int:
+    """dim sigma_R(P^a x P^b): the (a+1) x (b+1) matrices of rank <= R, of
+    codimension (a+1-R)(b+1-R) in the space of all of them while R is below
+    both sides, projectivised."""
+    return (a + 1) * (b + 1) - max(a + 1 - R, 0) * max(b + 1 - R, 0) - 1
 
 
 def generic_hrank_formula(family: str, params, r: int) -> int:
@@ -170,6 +182,91 @@ def grouped_secant_ranks(mat, targets: dict, config) -> dict:
             best, best_prime, attempts, attempts > trials, trials, primes_tried, error_bound
         )
     return results
+
+
+# --- the table runners, one index at a time -------------------------------------
+
+
+def contained_hadamard_dimensions(descriptor, rs, config, contained) -> list:
+    """The Hadamard reports of the vectors of `rs`, each bounded below by
+    sigma_R and by its own entry of `contained`, a (computed_dim, prime) of
+    a product it contains or None, and by nothing else; the unsettled ones
+    probed together, each largest factor first."""
+    parts, probes = [], []
+    for r, inner in zip(rs, contained, strict=True):
+        spec = HadamardSpec(r)
+        *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, spec.total_points), config)
+        ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
+        factor_dims = tuple(rep.computed_dim for rep in factors)
+        parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
+        expected_h = min(parameter_count, ambient)
+        bound = (lower_rep.computed_dim, lower_rep.prime)
+        if inner is not None and inner[0] > bound[0]:
+            bound = inner
+        probe = None
+        if bound[0] >= expected_h:
+            probe = ProbeResult(bound[0] + 1, bound[1], 0, False, 0, (), 0.0)
+        else:
+            probed = sorted((min(rk, ambient + 1) for rk in spec.r), reverse=True)
+            probes.append((HadamardSpec(probed), expected_h + 1))
+        parts.append((spec, lower_rep, factor_dims, parameter_count, expected_h, probe))
+    results = iter(
+        probe_hadamard_ranks(eta_hadamard, descriptor.matrix(), probes, config) if probes else ()
+    )
+    return [_report(descriptor, *part[:-1], part[-1] or next(results), config) for part in parts]
+
+
+def _answer(descriptor, rvecs: list, answered: dict, config) -> list:
+    """`contained_hadamard_dimensions` of a run of r-vectors of one index,
+    each bounded below by the products it contains that this run has
+    answered, and recorded in `answered` (sorted r-vector -> (computed_dim,
+    prime)) for the vectors after them.
+
+    sigma_{r-1}(X) lies in sigma_r(X), and so the product with one r_k >= 3
+    lowered by 1 lies in this one (the factors commute, so it is looked up
+    re-sorted); the largest dimension among those answered is a certified
+    lower bound on this product's.  Those products have a lower index, so
+    none of them is in the run itself."""
+    contained = []
+    for rvec in rvecs:
+        lower = (
+            tuple(sorted((*rvec[:k], rk - 1, *rvec[k + 1:])))
+            for k, rk in enumerate(rvec) if rk >= 3
+        )
+        contained.append(max((answered[v] for v in lower if v in answered), default=None))
+    reps = contained_hadamard_dimensions(descriptor, rvecs, config, contained)
+    for rvec, rep in zip(rvecs, reps):
+        answered[tuple(sorted(rvec))] = (rep.computed_dim, rep.prime)
+    return reps
+
+
+def sequential_cases(cases, config) -> list:
+    """The Hadamard report of each (descriptor, r-vector) case, in order: each
+    run of cases on one descriptor, and in it each run of one index, asked
+    for together."""
+    reports = []
+    for desc, run in itertools.groupby(cases, key=lambda case: case[0]):
+        answered = {}
+        rvecs = [rvec for _, rvec in run]
+        for _, same in itertools.groupby(rvecs, key=lambda rvec: sum(rvec) - len(rvec) + 1):
+            reports += _answer(desc, list(same), answered, config)
+    return reports
+
+
+def sequential_sweep(descriptor, m: int, config) -> list:
+    """The Hadamard reports of the m-factor extended sweep of `descriptor`,
+    one index at a time, stopping one index step after every report at an
+    index has a parameter count that reaches the ambient dimension."""
+    reports, answered = [], {}
+    seen_saturated = False
+    for big_r in range(m + 1, 31):
+        same = _answer(descriptor, list(_tuples_with_index(m, big_r)), answered, config)
+        reports += same
+        if all(rep.parameter_count >= rep.ambient_dim for rep in same):
+            if seen_saturated:
+                break
+            seen_saturated = True
+    return reports
 
 
 # --- the degeneration verifier over Fraction ------------------------------------

@@ -225,21 +225,23 @@ def test_settled_product_makes_no_probe(desc, r, monkeypatch):
     assert rep.status == STATUS_EXPECTED and not rep.hadamard_defect_flag
 
 
-@pytest.mark.parametrize("desc, r", [
-    (VarietyDescriptor.rnc(8), (2, 3)),
-    (VarietyDescriptor.segre((1, 1, 1)), (2, 2)),
-])
-def test_sigma_R_wins_a_tie_with_a_contained_product(desc, r, monkeypatch):
+def test_sigma_R_wins_a_tie_with_a_contained_product():
     # A contained product's bound equal to sigma_R's, or below it, changes
     # nothing: the report keeps sigma_R's prime, and equals the report
-    # without the bound, field for field.
-    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", _no_probe)
-    rep = hadamard_dimension(desc, r, CFG)
-    assert rep.computed_dim == rep.expected_dim_hadamard == rep.lower_bound_dim_R
-    assert rep.prime not in ALTERNATE_PRIMES
-    for dim in (rep.expected_dim_hadamard, rep.expected_dim_hadamard - 1):
-        tied = hadamard_dimension(desc, r, CFG, contained=(dim, ALTERNATE_PRIMES[0]))
-        assert report_dict(tied) == report_dict(rep)
+    # without the bound, field for field.  On v2(P^6), (2, 5) is settled by
+    # (2, 4), which fills P^27 at WORD_PRIME; (3, 5) contains (2, 5), and
+    # sigma_7 fills P^27 too, at the configured prime.
+    desc = VarietyDescriptor.veronese(2, 6)
+    tied = hadamard_dimensions(desc, [(2, 4), (2, 5), (3, 5)], CFG)
+    assert [rep.computed_dim for rep in tied] == [27] * 3
+    assert tied[1].prime == WORD_PRIME != tied[2].prime
+    assert tied[2].prime == secant_dimension(desc, 7, CFG).prime
+    assert report_dict(tied[2]) == report_dict(hadamard_dimension(desc, (3, 5), CFG))
+    # rnc(8): (2, 2) settles at dim 5, below sigma_4's 7, which settles (2, 3).
+    desc = VarietyDescriptor.rnc(8)
+    below = hadamard_dimensions(desc, [(2, 2), (2, 3)], CFG)
+    assert below[0].computed_dim < below[1].lower_bound_dim_R
+    assert report_dict(below[1]) == report_dict(hadamard_dimension(desc, (2, 3), CFG))
 
 
 def test_settled_product_needs_no_error_budget_of_its_own(tmp_path, capsys):
@@ -259,38 +261,54 @@ def test_settled_product_needs_no_error_budget_of_its_own(tmp_path, capsys):
     assert '"computed_dim": 4' in capsys.readouterr().out
 
 
+def _probes_of(monkeypatch) -> list:
+    """The r of every spec that `hadamdim` probes, one list per call."""
+    calls = []
+    original = hadamdim.probe_hadamard_ranks
+
+    def counted(eta_at, mat, batch, config):
+        calls.append([spec.r for spec, _ in batch])
+        return original(eta_at, mat, batch, config)
+
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", counted)
+    return calls
+
+
 def test_contained_product_makes_no_probe(monkeypatch):
     # v2(P^6): sigma_2 * sigma_4 fills P^27, and sigma_6 (dim 26) falls
-    # short of it, so the product sigma_2 * sigma_5 that contains it is
-    # settled by containment and not by sigma_R.
+    # short of it, so the product sigma_2 * sigma_5 that contains it, after
+    # it in the batch, is settled by containment and not by sigma_R.
     desc = VarietyDescriptor.veronese(2, 6)
-    inner = hadamard_dimension(desc, (2, 4), CFG)
+    calls = _probes_of(monkeypatch)
+    inner, rep = hadamard_dimensions(desc, [(2, 4), (2, 5)], CFG)
     assert inner.computed_dim == inner.ambient_dim == 27 and inner.attempts > 0
-    bound = (inner.computed_dim, 65537)  # the report carries the bound's prime
-    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", _no_probe)
-    rep = hadamard_dimension(desc, (2, 5), CFG, contained=bound)
+    assert calls == [[(4, 2)]]  # largest factor first
     assert rep.lower_bound_dim_R == secant_dimension(desc, 6, CFG).computed_dim == 26
     assert rep.computed_dim == rep.expected_dim_hadamard == 27
     assert (rep.attempts, rep.trials, rep.primes_tried, rep.error_bound) == (0, 0, (), 0.0)
-    assert rep.prime == 65537
+    assert rep.prime == inner.prime  # the report carries the bound's prime
     assert rep.status == STATUS_EXPECTED and rep.fills_ambient
-    # a bound below the product's ceiling settles nothing
-    with pytest.raises(AssertionError, match="made a probe"):
-        hadamard_dimension(desc, (2, 5), CFG, contained=(26, inner.prime))
+    # a bound below the product's ceiling settles nothing: sigma_2 * sigma_3
+    # has dim 23
+    calls.clear()
+    low, rep = hadamard_dimensions(desc, [(2, 3), (2, 4)], CFG)
+    assert low.computed_dim == 23 and rep.attempts > 0
+    assert calls == [[(3, 2), (4, 2)]]
+    # nor does a product after it in the batch
+    calls.clear()
+    rep, inner = hadamard_dimensions(desc, [(2, 5), (2, 4)], CFG)
+    assert rep.attempts > 0 and calls == [[(5, 2), (4, 2)]]
 
 
-def test_contained_bounds_must_match_the_vectors():
-    # One bound (or None) per vector: a list of another length raises
-    # rather than dropping the reports it has no bound for, and only None
-    # stands for no bounds at all.
+def test_a_batch_reports_every_vector_in_order():
+    # One report per vector, in order, with the caller's r: none is dropped
+    # or merged, even when two vectors share one probe.
     desc = parse_descriptor("rnc:6")
-    rs = [(2, 2), (3, 2)]
-    for contained in ([None], [], [None] * 3):
-        with pytest.raises(ValueError):
-            hadamard_dimensions(desc, rs, CFG, contained=contained)
-    assert hadamard_dimensions(desc, rs, CFG, contained=[None, None]) == (
-        hadamard_dimensions(desc, rs, CFG)
-    )
+    for rs in ([], [(2, 2)], [(2, 2), (3, 2)], [(2, 3), (3, 2), (2, 3)]):
+        reps = hadamard_dimensions(desc, rs, CFG)
+        assert [rep.r for rep in reps] == rs
+    assert reps[0] == reps[2]
+    assert reps[0]._replace(r=(3, 2), factor_dims=reps[0].factor_dims[::-1]) == reps[1]
 
 
 def _direct_product_dim(desc, r, config, expected_h) -> int:
@@ -305,14 +323,16 @@ def test_contained_sweep_rows_match_a_direct_product_probe(seed, monkeypatch):
     config = RunConfig(seed=seed)
     reports = []
 
-    def kept(descriptor, rs, config, **bounds):
-        batch = hadamard_dimensions(descriptor, rs, config, **bounds)
+    def kept(descriptor, rs, config):
+        batch = hadamard_dimensions(descriptor, rs, config)
         reports.extend((descriptor, rep) for rep in batch)
         return batch
 
     monkeypatch.setattr(tables, "hadamard_dimensions", kept)
     rows = run_table("experiments", config, extended=True)
-    assert [rep.r for _, rep in reports] == [row.r for row in rows]
+    assert sorted((rep.descriptor, rep.r) for _, rep in reports) == sorted(
+        (row.descriptor, row.r) for row in rows
+    )
     # settled, and not by sigma_R
     settled = [
         (desc, rep) for desc, rep in reports
@@ -342,16 +362,18 @@ def test_settled_experiments_rows_match_a_direct_product_probe(seed):
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
 def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
     # v_2(P^4) at indices 3 and 4, where sigma_R falls short and every
-    # product is probed.  A kernel that withholds one rank makes (2, 3) short
-    # at every draw, so it walks its whole schedule, and (2, 2, 2) short at
-    # WORD_PRIME and the configured prime, so it reaches its target at the
-    # first alternate; the others stop at draw 0, at WORD_PRIME when the
-    # configured prime is larger.  The batch draws once per (draw, prime),
-    # with its factor lists in lexicographic order.
+    # product is probed.  Each product is probed largest factor first, so
+    # (2, 3) and (3, 2) share the probe of r' (2, 1).  A kernel that
+    # withholds one rank makes that probe short at every draw, so it walks
+    # its whole schedule, and (2, 2, 2) short at WORD_PRIME and the
+    # configured prime, so it reaches its target at the first alternate;
+    # (2, 2) stops at draw 0, at WORD_PRIME when the configured prime is
+    # larger.  The batch draws once per (draw, prime), with its factor
+    # lists in lexicographic order.
     config = RunConfig(prime=prime, seed=4)
     first = (WORD_PRIME,) if prime > WORD_PRIME else ()
     walk = kernels.hadamard_ranks_mod
-    short = {(1, 2): (*first, prime, *ALTERNATE_PRIMES), (1, 1, 1): (*first, prime)}
+    short = {(2, 1): (*first, prime, *ALTERNATE_PRIMES), (1, 1, 1): (*first, prime)}
     walks = []
 
     def withheld(rows, r_primes, points, p):
@@ -369,9 +391,11 @@ def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
     batched = hadamard_dimensions(desc, rs, config)
     assert all(sorted(batch) == batch for batch in walks)
     assert len(walks) == batched[2].attempts
+    assert all((2, 1) in batch for batch in walks) and (1, 2) not in walks[0]
     for r, rep in zip(rs, batched):
         assert report_dict(rep) == report_dict(hadamard_dimension(desc, r, config))
-    assert [(rep.attempts, rep.prime) for rep in batched[::3]] == [(1, (*first, prime)[0])] * 2
+    assert (batched[0].attempts, batched[0].prime) == (1, (*first, prime)[0])
+    assert batched[3] == batched[2]._replace(r=(3, 2), factor_dims=batched[2].factor_dims[::-1])
     trials = batched[2].trials
     assert trials > 1 and batched[2].hadamard_defect_flag and batched[2].error_bound > 0
     assert batched[2].attempts == len(first) + trials + 2

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -440,6 +441,51 @@ def test_a_bound_one_too_low_exits_2_and_is_not_memoised(monkeypatch, capsys, fr
     monkeypatch.undo()
     rep = secant_dimension(desc, 5)
     assert (rep.computed_dim, rep.status, rep.attempts) == (13, STATUS_CERTIFIED_DEFECTIVE, 1)
+
+
+def test_two_factor_segre_bound_is_the_determinantal_dimension():
+    # sigma_R(P^a x P^b) is the variety of (a+1) x (b+1) matrices of rank
+    # <= R: defective exactly for 2 <= R <= min(a, b), under either
+    # spelling of the descriptor.
+    for a in range(1, 6):
+        for b in range(1, 6):
+            desc = VarietyDescriptor.segre((a, b))
+            for R in range(1, desc.matrix().ambient_dim + 3):
+                bound = secant_dim_bound(desc, R)
+                assert bound == oracles.segre_matrix_secant_dim(a, b, R), (a, b, R)
+                assert (bound < _parameter_count(desc, R)) == (2 <= R <= min(a, b)), (a, b, R)
+                assert bound == secant_dim_bound(
+                    VarietyDescriptor.segre_veronese((1, 1), (a, b)), R
+                )
+
+
+def test_two_factor_segre_bound_meets_the_probe():
+    for a in range(1, 6):
+        for b in range(a, 6):
+            desc = VarietyDescriptor.segre((a, b))
+            Rs = range(1, min(a, b) + 3)
+            for R, rep in zip(Rs, secant_dimensions(desc, Rs, CFG)):
+                assert rep.computed_dim == oracles.segre_matrix_secant_dim(a, b, R), (a, b, R)
+                status = STATUS_CERTIFIED_DEFECTIVE if 2 <= R <= min(a, b) else STATUS_NONDEFECTIVE
+                assert (rep.status, rep.attempts, rep.error_bound) == (status, 1, 0.0), (a, b, R)
+
+
+def test_a_two_factor_segre_secant_is_certified(monkeypatch, capsys, fresh_memo):
+    assert main(["dim-secant", "segre:n=2,3", "--r", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["computed_dim"], rep["expected_dim"], rep["status"]) == (
+        9, 11, STATUS_CERTIFIED_DEFECTIVE
+    )
+    assert (rep["attempts"], rep["error_bound"]) == (1, 0.0)
+    secantdim._secant_dimension_cached.cache_clear()
+    # The determinantal term one too low: the probe's 9 is above it.
+    bound = secantdim.secant_dim_bound
+    monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) - 1)
+    assert main(["dim-secant", "segre:n=2,3", "--r", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: sigma_2 of segre:n=2,3: dimension 9 (mod ")
+    assert err.endswith(") is above the theorem bound 8\n")
 
 
 def test_a_bound_one_too_high_stays_probabilistic(monkeypatch, fresh_memo):

@@ -4,9 +4,18 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import oracles
 import toricdim
-from toricdim import VarietyDescriptor, enumerate_check_rvectors, hadamdim, tables
-from toricdim.cli import report_dict
+from conftest import use_kernels
+from toricdim import (
+    VarietyDescriptor,
+    _kernels_py,
+    enumerate_check_rvectors,
+    hadamdim,
+    kernels,
+    tables,
+)
+from toricdim.cli import main, parse_descriptor, report_dict
 from toricdim.config import CACHE_SIZE, RunConfig
 from toricdim.tables import _run_cases, _sweep_until_saturated, _tuples_with_index, run_table
 
@@ -99,20 +108,30 @@ def test_table_rows_serialize_with_frozen_columns(table_rows):
 
 
 def test_sweep_probes_each_row_once(monkeypatch):
-    # One batch per index, in order, and each row asked for once.
+    # One batch per descriptor, holding its m = 2 and m = 3 sweeps, each in
+    # index order, and each row asked for once.
     batches = []
     original = tables.hadamard_dimensions
 
-    def counted(descriptor, rs, config, **bounds):
-        batches.append([tuple(r) for r in rs])
-        return original(descriptor, rs, config, **bounds)
+    def counted(descriptor, rs, config):
+        batches.append((str(descriptor), [tuple(r) for r in rs]))
+        return original(descriptor, rs, config)
 
     monkeypatch.setattr(tables, "hadamard_dimensions", counted)
-    rows = _sweep_until_saturated("experiments", VarietyDescriptor.veronese(2, 3), 2, CFG)
-    assert len(rows) > 1
-    assert [r for batch in batches for r in batch] == [row.r for row in rows]
-    indices = [{sum(r) - len(r) + 1 for r in batch} for batch in batches]
-    assert indices == [{big_r} for big_r in range(3, 3 + len(batches))]
+    rows = run_table("experiments", CFG, extended=True)
+    descriptors = [desc for desc, _ in batches]
+    assert len(descriptors) == len(set(descriptors)) == 26
+    asked = {desc: iter(rs) for desc, rs in batches}
+    assert all(next(asked[row.descriptor]) == row.r for row in rows)
+    assert sum(len(rs) for _, rs in batches) == len(rows)
+    for desc, rs in batches:
+        for m in (2, 3):
+            indices = [sum(r) - m + 1 for r in rs if len(r) == m]
+            assert indices == sorted(indices), desc
+            assert sorted(set(indices)) == list(range(m + 1, m + 1 + len(set(indices)))), desc
+    assert _sweep_until_saturated(VarietyDescriptor.veronese(2, 3), 2, CFG) == [
+        r for desc, rs in batches if desc == "veronese:d=2,n=3" for r in rs if len(r) == 2
+    ]
 
 
 def test_cases_bound_each_product_by_the_products_it_contains(monkeypatch):
@@ -167,3 +186,132 @@ def test_memoised_functions_are_bounded():
         "toricdim.secantdim._secant_dimension_cached",
     }
     assert all(size == CACHE_SIZE for size in cached.values()), cached
+
+
+# --- one batch per descriptor against the table runners index by index -------
+
+
+def _reports_of(run, monkeypatch) -> dict:
+    """The Hadamard reports that `run()` asks `tables` for, per descriptor,
+    in the order of each batch."""
+    reports = {}
+    original = tables.hadamard_dimensions
+
+    def kept(descriptor, rs, config):
+        batch = original(descriptor, rs, config)
+        reports.setdefault(str(descriptor), []).extend(batch)
+        return batch
+
+    monkeypatch.setattr(tables, "hadamard_dimensions", kept)
+    run()
+    monkeypatch.setattr(tables, "hadamard_dimensions", original)
+    return reports
+
+
+def _sweeps(text: str, ms=(2,)) -> list:
+    desc = parse_descriptor(text)
+    return [(desc, rvec) for m in ms for rvec in _sweep_until_saturated(desc, m, CFG)]
+
+
+def _plant(monkeypatch, r_prime: tuple, delta: int) -> list:
+    """Add `delta` to every rank the walk gives the factor list `r_prime`,
+    and return the list of the r of the specs of each product probe."""
+    walk = kernels.hadamard_ranks_mod
+
+    def planted(rows, r_primes, points, p):
+        ranks = walk(rows, r_primes, points, p)
+        return [rank + delta * (tuple(rp) == r_prime) if rank is not None else None
+                for rp, rank in zip(r_primes, ranks)]
+
+    calls = []
+    original = hadamdim.probe_hadamard_ranks
+
+    def counted(eta_at, mat, batch, config):
+        calls.append([spec.r for spec, _ in batch])
+        return original(eta_at, mat, batch, config)
+
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", planted)
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", counted)
+    return calls
+
+
+# The sweeps of `verify-table experiments --extended`: (descriptor, m).
+_EXTENDED_SWEEPS = (
+    [(VarietyDescriptor.veronese(2, n), 2) for n in range(2, 16)]
+    + [(VarietyDescriptor.veronese(2, n), 3) for n in range(2, 13)]
+    + [(VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees)), 2)
+       for t in range(1, 7) for degrees in ((2, 2 * t), (1, 1, 2 * t))]
+)
+
+
+def test_every_table_report_equals_the_runner_index_by_index(monkeypatch):
+    # Every field of every report, in the order of each descriptor's batch:
+    # the extended sweep, v2(P^3), v2(P^6) and sv:d=2,4;n=1,1 among it, and
+    # the three stored tables.
+    extended = _reports_of(lambda: run_table("experiments", CFG, extended=True), monkeypatch)
+    reference = {}
+    for desc, m in _EXTENDED_SWEEPS:
+        reference.setdefault(str(desc), []).extend(oracles.sequential_sweep(desc, m, CFG))
+    assert {"veronese:d=2,n=3", "veronese:d=2,n=6", "sv:d=2,4;n=1,1"} < set(reference)
+    assert extended == reference
+    for name, (cases, _) in tables._TABLES.items():
+        stored = _reports_of(lambda: run_table(name, CFG), monkeypatch)
+        assert [rep for reps in stored.values() for rep in reps] == (
+            oracles.sequential_cases(cases(), CFG)
+        ), name
+
+
+def test_a_failed_prediction_probes_again_and_equals_the_sweep(monkeypatch):
+    # v2(P^6): sigma_2 * sigma_4, probed as r' (3, 1), fills P^27, and the
+    # batch predicts so: it settles sigma_2 * sigma_5, whose sigma_6 has
+    # dim 26, on that prediction.  With one rank withheld at every draw it
+    # reports 26, so sigma_2 * sigma_5 is probed in a second round.
+    cases = _sweeps("veronese:d=2,n=6")
+    calls = _plant(monkeypatch, (3, 1), -1)
+    reports = hadamdim.hadamard_dimensions(cases[0][0], [r for _, r in cases], CFG)
+    assert list(reports) == oracles.sequential_cases(cases, CFG)
+    inner, rep = (next(rep for rep in reports if rep.r == r) for r in ((2, 4), (2, 5)))
+    assert inner.computed_dim == 26 and inner.hadamard_defect_flag
+    assert len(calls) == 2 and (4, 2) in calls[0] and calls[1] == [(5, 2)]
+    assert rep.attempts > 0 and rep.computed_dim == 27
+
+
+def test_a_rank_above_its_target_settles_a_walked_product(monkeypatch):
+    # v2(P^6): sigma_2 * sigma_3 (r' (2, 1)) has dim 23, short of the 27 of
+    # sigma_2 * sigma_4, so the batch probes both.  A rank 4 above its
+    # target, as a probe gives whose factor probe fell short, lifts
+    # sigma_2 * sigma_3 to 27, and the replay settles sigma_2 * sigma_4 on
+    # it, although it was walked.
+    cases = _sweeps("veronese:d=2,n=6")
+    calls = _plant(monkeypatch, (2, 1), 4)
+    reports = hadamdim.hadamard_dimensions(cases[0][0], [r for _, r in cases], CFG)
+    assert list(reports) == oracles.sequential_cases(cases, CFG)
+    inner, rep = (next(rep for rep in reports if rep.r == r) for r in ((2, 3), (2, 4)))
+    assert inner.computed_dim == 27 > inner.expected_dim_hadamard
+    assert len(calls) == 1 and (4, 2) in calls[0]
+    assert (rep.computed_dim, rep.attempts, rep.prime) == (27, 0, inner.prime)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_the_extended_sweep_walks_once_per_descriptor_draw_and_prime(
+    backend, monkeypatch, capsys, request
+):
+    # At seed 8 every product reaches its target at its first draw, at
+    # WORD_PRIME, so the 237 probed products of the 26 descriptors take one
+    # walk per descriptor that probes any (25), and every secant reaches its
+    # theorem bound at its first draw (26 walks).
+    use_kernels(_kernels_py if backend == "python" else request.getfixturevalue("fast"),
+                monkeypatch)
+    walk = kernels.hadamard_ranks_mod
+    walks = {"secant": 0, "product": 0, "product lists": 0}
+
+    def counted(rows, r_primes, points, p):
+        kind = "secant" if all(len(rp) == 1 for rp in r_primes) else "product"
+        walks[kind] += 1
+        walks["product lists"] += len(r_primes) * (kind == "product")
+        return walk(rows, r_primes, points, p)
+
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", counted)
+    assert main(["verify-table", "experiments", "--extended", "--seed", "8"]) == 0
+    capsys.readouterr()
+    assert walks == {"secant": 26, "product": 25, "product lists": 237}
