@@ -12,11 +12,13 @@
 #   large    under a 3 GB address-space limit, a factor of 1000 variables
 #            builds, and a builder over its entry cap (through dim-secant,
 #            generic-hrank and dim-hadamard), an r checked before that
-#            builder, and a probe whose walk does not fit exit 2; each
-#            query's stderr must equal the text it states, so a traceback
-#            or another check's message fails; AddressSanitizer reserves
-#            more address space than that limit, so run it without
-#            TORICDIM_ASAN
+#            builder, and two probes whose walks do not fit exit 2: one
+#            whose monomial values at its points do not, and one, at
+#            WORD_PRIME, whose 32-bit basis of 4092 x 184756 words does
+#            not; each query's stderr must equal the text it states, so a
+#            traceback or another check's message fails; AddressSanitizer
+#            reserves more address space than that limit, so run it
+#            without TORICDIM_ASAN
 #   install  install the package and check, from outside the checkout, that
 #            its console script's reports equal the benchmark's oracles: the
 #            extended sweep on both backends, and the three stored tables on
@@ -67,8 +69,9 @@ large() (
     check 2 "$cap" generic-hrank veronese:d=2,n=4000 --r 2
     check 2 "$cap" dim-hadamard veronese:d=2,n=4000 --r 2,2
     check 2 "error: r must be >= 1" generic-hrank veronese:d=2,n=4000 --r 0
-    check 2 "error: out of memory: the query's matrices do not fit" \
-        dim-secant rnc:100000 --r 50000
+    local oom="error: out of memory: the query's matrices do not fit"
+    check 2 "$oom" dim-secant rnc:100000 --r 50000
+    check 2 "$oom" dim-secant veronese:d=10,n=10 --r 372
 )
 
 install() (

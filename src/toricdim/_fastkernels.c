@@ -23,16 +23,23 @@
  * pivot.  The reductions are deferred, as the dense linear algebra
  * libraries over word-size primes do (Dumas, Giorgi and Pernet, "Dense
  * linear algebra over word-size prime fields: the FFLAS and FFPACK
- * packages", ACM TOMS 2008).  The pivots are kept in panels of
- * up to K, and a row pays a panel's k <= K products f_t P_t[j] at each
+ * packages", ACM TOMS 2008), one of two ways, set per basis by p and the
+ * most pivots it holds, max_rank.  When p < 2^32 and max_rank (p - 1)^2 +
+ * p < 2^64 (word_path: at 67108859, the first draw of every probe, up to
+ * 4096 pivots), each pivot is a row of 32-bit words, and a row adds the
+ * products f P_t[j] to its 64-bit entries unreduced, reading an entry mod p
+ * only as a factor (reduce_words).  Otherwise the pivots are kept in panels
+ * of up to K, and a row pays a panel's k <= K products f_t P_t[j] at each
  * entry with one unsigned __int128 sum and one `%`.  Residues are at most
  * p - 1, so the sum is exact while K (p - 1)^2 < 2^128, and K(p) =
  * min(16, floor((2^128 - 1) / (p - 1)^2)) (panel_width).  K is 16 for
- * every p <= 2^62, which holds every prime the program picks itself
+ * every p <= 2^62, which holds every other prime the program picks itself
  * (2^61 - 1, its alternates and the primes of exact ranks), and 1 once
  * p - 1 exceeds 2^63.5.  On a 495 x 495 Khatri-Rao rank at 2^61 - 1, the
  * fastest of 15 runs took 32 and 40 ms with panels of 8 and 32, and 28 ms
- * with 16 (a 2-vCPU Xeon virtual machine).
+ * with 16 (a 2-vCPU Xeon virtual machine).  On the same machine the walk of
+ * sigma_55 of v_4(P^8), 495 x 495, took 23 ms in panels at 2^61 - 1 and
+ * 11 ms on the word path at 67108859, best of 7.
  * Built by `python3 setup.py build_ext --inplace`.
  */
 
@@ -328,26 +335,79 @@ static void reduce_row(u64 *row, const u64 *basis, const Py_ssize_t *piv, int w,
     }
 }
 
-/* Adds row (residues, clobbered) to the echelon basis of reduce_row, which
- * holds `rank` pivots: the row is reduced by them, and its first nonzero
- * entry left, if any, is a new pivot, whose row is scaled to 1 there.
- * Returns the new rank, or -1 when that pivot has no inverse mod p. */
-static Py_ssize_t add_row(u64 *row, u64 *basis, Py_ssize_t *piv, int w,
-                          Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+/* The word path's condition, p < 2^32 and max_rank (p - 1)^2 + p < 2^64:
+ * then no entry of a row that reduce_words reduces wraps. */
+static int word_path(u64 p, Py_ssize_t max_rank)
 {
-    reduce_row(row, basis, piv, w, n_cols, rank, p);
+    return p >> 32 == 0 && (u128)max_rank * ((p - 1) * (p - 1)) + p <= UINT64_MAX;
+}
+
+/* row reduced by the first `rank` pivot rows of the word path, in the order
+ * they were found.  Pivot t is the n_cols words at basis + t n_cols, 0 left
+ * of its column c = piv[t], at c (its 1 there is implied) and at every
+ * earlier pivot column.  The row's factor f = row[c] % p, when not 0, adds
+ * (p - f) P_t[j] to each entry right of c, unreduced; then row[c] is 0.
+ * An entry starts below p and gains at most (p - 1)^2 a pivot, so
+ * word_path bounds it; the 32-by-32-bit products vectorise (pmuludq on
+ * x86-64).  Pivot rows are unitriangular on their columns, so the reduced
+ * row, and each pivot, is the one of the panels. */
+static void reduce_words(u64 *row, const uint32_t *basis, const Py_ssize_t *piv,
+                         Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+{
+    for (Py_ssize_t t = 0; t < rank; t++) {
+        Py_ssize_t c = piv[t];
+        u64 f = row[c] % p;
+        const uint32_t *pt = basis + t * n_cols;
+        uint32_t g = (uint32_t)(p - f);
+        for (Py_ssize_t j = c + 1; f && j < n_cols; j++)
+            row[j] += (u64)g * pt[j];
+        row[c] = 0;
+    }
+}
+
+/* The echelon basis of kr_rank, with room for the rank of nt top rows by
+ * the nb bottom rows: 32-bit rows when word_path holds for that rank
+ * (`words`, else NULL), else panels of panel_width(p); then one scratch
+ * row and the Shoup quotients of the bottom rows, which kr_rank multiplies
+ * every top row by.  The basis is append-only: pivot t never changes once
+ * found, so the basis after its first r pivots is the basis, with its rank
+ * set back to r. */
+struct basis {
+    u64 *buf, *row, *bq;
+    uint32_t *words;
+    Py_ssize_t *piv;
+};
+
+/* Adds b's scratch row (residues, clobbered) to the basis b, which holds
+ * `rank` pivots, in panels of w when it has no words: the row is reduced
+ * by them, and its first entry left that is not 0 mod p, if any, is a new
+ * pivot, whose row is scaled to 1 there.  Returns the new rank, or -1 when
+ * that pivot has no inverse mod p. */
+static Py_ssize_t add_row(const struct basis *b, int w, Py_ssize_t n_cols, Py_ssize_t rank,
+                          u64 p)
+{
+    u64 *row = b->row;
+    if (b->words != NULL)
+        reduce_words(row, b->words, b->piv, n_cols, rank, p);
+    else
+        reduce_row(row, b->buf, b->piv, w, n_cols, rank, p);
     Py_ssize_t c = 0;
-    while (c < n_cols && row[c] == 0)
+    while (c < n_cols && (row[c] < p ? row[c] : row[c] % p) == 0)
         c++;
     if (c == n_cols)
         return rank;
     u64 inv = invmod(row[c], p);
     if (inv == 0)
         return -1;
-    u64 inv_q = shoup_quotient(inv, p), *pt = basis + rank / w * n_cols * w + rank % w;
-    for (Py_ssize_t j = 0; j < n_cols; j++)
-        pt[j * w] = j > c ? mulmod_shoup(row[j], inv, inv_q, p) : 0;
-    piv[rank] = c;
+    u64 inv_q = shoup_quotient(inv, p);
+    for (Py_ssize_t j = 0; j < n_cols; j++) {
+        u64 x = j > c ? mulmod_shoup(row[j], inv, inv_q, p) : 0;
+        if (b->words != NULL)
+            b->words[rank * n_cols + j] = (uint32_t)x;
+        else
+            b->buf[rank / w * n_cols * w + rank % w + j * w] = x;
+    }
+    b->piv[rank] = c;
     return rank + 1;
 }
 
@@ -367,17 +427,6 @@ static const u64 *top_row(const struct tops *src, Py_ssize_t i, Py_ssize_t n_col
     return src->scaled;
 }
 
-/* The echelon basis of kr_rank, with room for the rank of nt top rows by
- * the nb bottom rows, in panels of panel_width(p); then one scratch row and
- * the Shoup quotients of the bottom rows, which kr_rank multiplies every
- * top row by.  The basis is
- * append-only: pivot t never changes once found, so the basis after its
- * first r pivots is the basis, with its rank set back to r. */
-struct basis {
-    u64 *buf, *row, *bq;
-    Py_ssize_t *piv;
-};
-
 static void basis_free(struct basis *b)
 {
     PyMem_Free(b->buf);
@@ -389,8 +438,8 @@ static int basis_new(struct basis *b, Py_ssize_t nt, const u64 *bottom, Py_ssize
                      Py_ssize_t n_cols, u64 p)
 {
     Py_ssize_t max_rank = nb > 0 && nt > n_cols / nb ? n_cols : nt * nb;
-    int w = panel_width(p);
-    Py_ssize_t words = (max_rank + w - 1) / w * w * n_cols;
+    int w = panel_width(p), word = word_path(p, max_rank);
+    Py_ssize_t words = word ? (max_rank * n_cols + 1) / 2 : (max_rank + w - 1) / w * w * n_cols;
     b->buf = PyMem_New(u64, words + (nb + 1) * n_cols);
     b->piv = PyMem_New(Py_ssize_t, max_rank + 1);
     if (b->buf == NULL || b->piv == NULL) {
@@ -400,6 +449,7 @@ static int basis_new(struct basis *b, Py_ssize_t nt, const u64 *bottom, Py_ssize
         PyErr_NoMemory();
         return -1;
     }
+    b->words = word ? (uint32_t *)b->buf : NULL;
     b->row = b->buf + words;
     b->bq = b->row + n_cols;
     for (Py_ssize_t h = 0; h < nb * n_cols; h++)
@@ -425,7 +475,7 @@ static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssiz
              at += n_cols) {
             for (Py_ssize_t h = 0; h < n_cols; h++)
                 b->row[h] = mulmod_shoup(ti[h], bottom[at + h], b->bq[at + h], p);
-            rank = add_row(b->row, b->buf, b->piv, w, n_cols, rank, p);
+            rank = add_row(b, w, n_cols, rank, p);
         }
         if (ranks != NULL)
             ranks[i] = rank;
@@ -658,7 +708,7 @@ static PyObject *hadamard_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, P
     u64 p, *exps, *ys, *buf = NULL;
     Py_ssize_t n_vars, n_cols, n_pts, n_lists = 0, **rps = NULL, *ms = NULL, *at = NULL;
     Py_ssize_t need = 0, depth = 0, ready = 0;
-    struct basis b = {NULL, NULL, NULL, NULL};
+    struct basis b = {NULL, NULL, NULL, NULL, NULL};
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:hadamard_ranks_mod", kwlist,
                                      &rows, &r_primes, &points, &p_obj)
         || read_prime(p_obj, &p) < 0

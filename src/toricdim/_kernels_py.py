@@ -16,9 +16,11 @@ adds them, in order, to one row echelon basis (`_Echelon`, add_row), which
 hadamard_ranks_mod rewinds to an earlier rank (`_Echelon.truncate`; in C,
 the rank set back).  Only the arithmetic of a reduction differs: here a
 row is packed into one Python int, so reducing it by a pivot row is one
-big-int multiply-add with the reduction mod p delayed; in C a row pays a
-panel of up to 16 pivot rows at once, with one 128-bit sum of their
-products per entry and one reduction.
+big-int multiply-add with the reduction mod p delayed; in C a row adds the
+products of 32-bit pivot rows to its 64-bit entries unreduced below 2^32,
+when the most pivots the basis can hold keep the sums below 2^64, and
+otherwise pays a panel of up to 16 pivot rows at once, with one 128-bit
+sum of their products per entry and one reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for the exact
 degeneration verifier, over the integers.
 """
@@ -26,6 +28,7 @@ degeneration verifier, over the integers.
 import bisect
 import struct
 from itertools import takewhile
+from operator import mul
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 # generators", OOPSLA 2014) works on 64-bit words, and its counter steps by
@@ -80,12 +83,15 @@ class _Echelon:
     unreduced until it is read.  Once the columns 0..c are all pivot
     columns, a row is 0 mod p there after the pivot of column c, and it is
     cut to the slots right of c, which keeps the ints short.  An entry is
-    < p when packed, and grows by at most (p - 1)^2 per pivot, k <=
-    max_rank times: a slot of 2 bitlen(p) + bitlen(k + 1) bits, rounded up
-    to whole bytes and to at least 8, holds it.  One `struct.Struct` of the
-    echelon packs a row's residues, each a 64-bit word after the slot's
-    zero bytes.  A pivot without an inverse modulo a composite
-    number raises the ValueError of `pow(f, -1, p)`.
+    < p^2 when packed (a product of two residues, which `_kr_ranks` leaves
+    unreduced below 2^32), and grows by at most (p - 1)^2 per pivot, k <=
+    max_rank times: p^2 + k (p - 1)^2 < (k + 1) p^2, so a slot of
+    2 bitlen(p) + bitlen(k + 1) bits, rounded up to whole bytes and to at
+    least 8, holds it.  One `struct.Struct` of the echelon packs a row's
+    entries, each a 64-bit word after the slot's zero bytes, and unpacks a
+    reduced row when the slots are 8 bytes wide, as at WORD_PRIME below
+    rank 2^12.  A pivot without an inverse modulo a composite number raises
+    the ValueError of `pow(f, -1, p)`.
     """
 
     def __init__(self, n_cols: int, p: int, max_rank: int):
@@ -102,7 +108,7 @@ class _Echelon:
         self.lead = 0  # columns 0..lead-1 are all pivot columns
 
     def _pack(self, row) -> int:
-        """The n_cols residues of `row` as one int, the first in the most
+        """The n_cols entries of `row` as one int, the first in the most
         significant slot and the last in the lowest."""
         return int.from_bytes(self.packer.pack(*row), "big")
 
@@ -119,8 +125,11 @@ class _Echelon:
                 if cut:
                     row &= cut
         raw = row.to_bytes(nbytes * self.n_cols, "big")
-        left = [int.from_bytes(raw[k:k + nbytes], "big")
-                for k in range(lead * nbytes, len(raw), nbytes)]
+        if nbytes == 8:
+            left = self.packer.unpack(raw)[lead:]
+        else:
+            left = [int.from_bytes(raw[k:k + nbytes], "big")
+                    for k in range(lead * nbytes, len(raw), nbytes)]
         i = next((i for i, x in enumerate(left) if x % p), None)
         if i is None:
             return
@@ -155,15 +164,17 @@ def _kr_ranks(tops, n: int, bottom, n_cols: int, p: int, echelon=None) -> list[i
     """The rank over Z/p after each top row's block of the Khatri-Rao rows
     t * b (entrywise), for the `n` residue rows t of the iterable `tops`
     and, for each, the residue rows b of `bottom` in order, all added to one
-    `_Echelon`: `echelon`, or a new one.  A top row is read only while the
-    rank is below the column count, and no row is formed once it is not."""
+    `_Echelon`: `echelon`, or a new one.  Below 2^32 a product of two
+    residues fits the echelon's 64-bit words, and is added unreduced.  A
+    top row is read only while the rank is below the column count, and no
+    row is formed once it is not."""
     if echelon is None:
         echelon = _Echelon(n_cols, p, min(n * len(bottom), n_cols))
     cols, tops, ranks = echelon.cols, iter(tops), []
     while len(ranks) < n and len(cols) < n_cols:
         t = next(tops)
         for b in bottom:
-            echelon.add([x * y % p for x, y in zip(t, b)])
+            echelon.add(map(mul, t, b) if p >> 32 == 0 else [x * y % p for x, y in zip(t, b)])
             if len(cols) == n_cols:
                 break
         ranks.append(len(cols))

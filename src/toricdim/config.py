@@ -24,11 +24,13 @@ class RunConfig(_RunConfig):
     """The modulus of the rank probes and the seed of their point draws.
 
     A probe's draw i takes its torus points from stream seed + i, taken
-    mod 2^64 (`modlinalg.random_torus_points`).  A Hadamard product probe
-    draws first at `modlinalg.WORD_PRIME` when `prime` is larger.  Then a
-    probe short of its target draws at `prime`, as many times as the error
-    budget of `probing` sets from its degree bound, and then once at each
-    alternate prime.  The error bound counts the draws at `prime` only.
+    mod 2^64 (`modlinalg.random_torus_points`).  Every probe, secant or
+    Hadamard, draws first at `modlinalg.WORD_PRIME` when `prime` is larger.
+    Then a probe short of its target draws at `prime`, as many times as the
+    error budget of `probing` sets from its degree bound, and then once at
+    each alternate prime.  The error bound counts the draws at `prime`
+    only, and the report of a short probe names `prime` when a draw there
+    reached its rank.
     """
 
     __slots__ = ()

@@ -10,9 +10,10 @@ probe is the same certified rank computation as for secants.  The probe
 itself builds eta only for a draw where some S_k, k >= 2, has a coordinate
 that is 0 mod p: otherwise it eliminates the normalised blocks of
 `probing.probe_hadamard_ranks`, which have the same rank.  A product
-probe first draws at the word-size prime `modlinalg.WORD_PRIME` when the
-configured prime is larger, since the pure elimination runs faster there.
-A rank at any prime is a certified lower bound, so a report may carry that
+probe, like its factors' secant probes, first draws at the word-size prime
+`modlinalg.WORD_PRIME` when the configured prime is larger, since both
+backends eliminate faster there.  A rank at any prime is a certified lower
+bound, so a report, and a settled product's sigma_R bound, may carry that
 prime; the probe goes on to the configured prime only when that draw falls
 short.
 

@@ -5,7 +5,7 @@ computed there are certified lower bounds for the characteristic-zero
 generic rank, since every nonvanishing minor is an integer polynomial
 identity.  The points come from the kernels' counter-based SplitMix64
 stream (`kernels.torus_points_mod`), exactly uniform on (F_p^*)^n.  The
-default prime is the Mersenne prime 2^61 - 1; a product probe first draws
+default prime is the Mersenne prime 2^61 - 1; every probe first draws
 once at the word-size prime WORD_PRIME (`probing`).  Exact ranks over Q
 (`_rational.rational_rank`) come from the same F_p eliminations at a
 sequence of primes that starts with these ones, certified by Hadamard's
@@ -21,9 +21,10 @@ PRIME_LIMIT = 2**64
 # Fresh moduli for the last two draws of a probe's schedule (both verified
 # prime below).
 ALTERNATE_PRIMES = (2305843009213693967, 2305843009213693921)
-# The modulus of a product probe's first draw, the largest prime below
-# 2^26: below rank 2^12 the pure elimination's slots (`_kernels_py._Echelon`)
-# are then 8 bytes wide, less than half their width at DEFAULT_PRIME.
+# The modulus of every probe's first draw, the largest prime below 2^26:
+# below rank 2^12 the pure elimination's slots (`_kernels_py._Echelon`) are
+# then 8 bytes wide, less than half their width at DEFAULT_PRIME, and the
+# compiled one keeps its pivot rows in 32-bit words (`_fastkernels.c`).
 WORD_PRIME = 67108859
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -29,14 +29,16 @@ the rank of eta (x) A at the draw's points, so the error budget below
 stands.
 
 Every probe runs one draw schedule, cut short once the target is reached:
-t draws at the configured prime, then one draw at each of the two alternate
-primes, where the error budget sets t.  A product probe (m >= 2) first
-draws once at the word-size prime `modlinalg.WORD_PRIME`, when the
-configured prime is larger: its rank is a certified lower bound like any
-other, and the pure elimination takes 40-60% less time there, so a
-product that reaches its target at that draw is done.  A secant probe
-never takes that draw: a defective sigma_R that no classification theorem
-bounds, which no draw lifts to its target, would pay one more walk.
+one draw at the word-size prime `modlinalg.WORD_PRIME`, when the
+configured prime is larger, then t draws at the configured prime, then one
+draw at each of the two alternate primes, where the error budget sets t.
+A rank at WORD_PRIME is a certified lower bound like any other, and each
+backend's elimination takes about half the time there (8-byte slots in the
+pure echelon, 32-bit pivot rows in the compiled one), so a probe that
+reaches its target at that draw is done.  A probe short of its target,
+such as a defective sigma_R that no classification theorem bounds, pays
+that one more walk, and reports the configured prime when a draw there
+reached its best rank: that is the prime its error bound counts.
 
 A g x g minor of eta (x) A, times the monomial that clears negative
 exponents, is a polynomial of degree at most `minor_degree` in the point
@@ -97,19 +99,23 @@ def budget_trials(degree: int, prime: int) -> int:
 
 def _schedule(mat: ExponentMatrix, factors: int, n_points: int, config: RunConfig):
     """(degree, trials, moduli) of a probe's draw schedule: draw i is at
-    moduli[i], `budget_trials` draws at `config.prime`, then one at each
-    alternate prime; a product (factors >= 2) draws at WORD_PRIME first,
-    when `config.prime` is larger."""
+    moduli[i], one at WORD_PRIME when `config.prime` is larger, then
+    `budget_trials` draws at `config.prime`, then one at each alternate
+    prime."""
     degree = minor_degree(mat, factors, n_points)
     trials = budget_trials(degree, config.prime)
-    first = (WORD_PRIME,) if factors >= 2 and config.prime > WORD_PRIME else ()
+    first = (WORD_PRIME,) if config.prime > WORD_PRIME else ()
     return degree, trials, first + (config.prime,) * trials + ALTERNATE_PRIMES
 
 
 def _result(schedule, draws, target_rank: int, config: RunConfig) -> ProbeResult:
-    """The ProbeResult of the (rank, prime) draws of a walked `_schedule`."""
+    """The ProbeResult of the (rank, prime) draws of a walked `_schedule`.
+    Its prime is the first that reached the best rank, `config.prime` when
+    one of its draws did, the prime the error bound counts."""
     degree, trials, moduli = schedule
-    best, best_prime = max(draws, key=lambda draw: draw[0])
+    best = max(rank for rank, _ in draws)
+    reached = [prime for rank, prime in draws if rank == best]
+    best_prime = config.prime if config.prime in reached else reached[0]
     error_bound = 0.0
     if best < target_rank:
         at_prime = sum(prime == config.prime for _, prime in draws)

@@ -25,7 +25,7 @@ from toricdim.degeneration import (
     _check_points,
 )
 from toricdim.hadamdim import _report, eta_hadamard
-from toricdim.modlinalg import random_torus_points
+from toricdim.modlinalg import ALTERNATE_PRIMES, random_torus_points
 from toricdim.probing import ProbeResult, _schedule, probe_hadamard_ranks
 from toricdim.secantdim import eta_secant
 from toricdim.tables import _tuples_with_index
@@ -167,10 +167,12 @@ def grouped_secant_ranks(mat, targets: dict, config) -> dict:
                     rank = kernels.kr_rank_mod(eta_secant(rows, pts[:n], prime), rows, prime)
                     draws[n].append((prime, rank))
     results = {}
-    for n, (degree, trials, _) in schedules.items():
+    for n, (degree, trials, moduli) in schedules.items():
+        # the rank's prime: the first to reach it, the configured one if any
+        # draw there did, as the error bound counts those draws
         best, best_prime = -1, config.prime
         for prime, r in draws[n]:
-            if r > best:
+            if r > best or r == best and prime == config.prime:
                 best, best_prime = r, prime
         error_bound = 0.0
         if best < targets[n]:
@@ -179,7 +181,8 @@ def grouped_secant_ranks(mat, targets: dict, config) -> dict:
         primes_tried = tuple(dict.fromkeys(prime for prime, _ in draws[n]))
         attempts = len(draws[n])
         results[n] = ProbeResult(
-            best, best_prime, attempts, attempts > trials, trials, primes_tried, error_bound
+            best, best_prime, attempts, attempts > len(moduli) - len(ALTERNATE_PRIMES), trials,
+            primes_tried, error_bound,
         )
     return results
 

@@ -225,17 +225,25 @@ def test_settled_product_makes_no_probe(desc, r, monkeypatch):
     assert rep.status == STATUS_EXPECTED and not rep.hadamard_defect_flag
 
 
-def test_sigma_R_wins_a_tie_with_a_contained_product():
+def test_sigma_R_wins_a_tie_with_a_contained_product(monkeypatch):
     # A contained product's bound equal to sigma_R's, or below it, changes
     # nothing: the report keeps sigma_R's prime, and equals the report
     # without the bound, field for field.  On v2(P^6), (2, 5) is settled by
-    # (2, 4), which fills P^27 at WORD_PRIME; (3, 5) contains (2, 5), and
-    # sigma_7 fills P^27 too, at the configured prime.
+    # (2, 4), which fills P^27; (3, 5) contains (2, 5), and sigma_7 fills
+    # P^27 too.  Both reach it at WORD_PRIME, so the product probes name a
+    # prime of their own here, which tells the two bounds apart.
+    mark = ALTERNATE_PRIMES[1]
+    probe = hadamdim.probe_hadamard_ranks
+
+    def marked(*args):
+        return [result._replace(prime=mark) for result in probe(*args)]
+
+    monkeypatch.setattr(hadamdim, "probe_hadamard_ranks", marked)
     desc = VarietyDescriptor.veronese(2, 6)
     tied = hadamard_dimensions(desc, [(2, 4), (2, 5), (3, 5)], CFG)
     assert [rep.computed_dim for rep in tied] == [27] * 3
-    assert tied[1].prime == WORD_PRIME != tied[2].prime
-    assert tied[2].prime == secant_dimension(desc, 7, CFG).prime
+    assert tied[1].prime == mark != tied[2].prime
+    assert tied[2].prime == secant_dimension(desc, 7, CFG).prime == WORD_PRIME
     assert report_dict(tied[2]) == report_dict(hadamard_dimension(desc, (3, 5), CFG))
     # rnc(8): (2, 2) settles at dim 5, below sigma_4's 7, which settles (2, 3).
     desc = VarietyDescriptor.rnc(8)

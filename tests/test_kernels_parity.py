@@ -19,6 +19,7 @@ from toricdim import (
     normalize,
 )
 from toricdim import _kernels_py as py
+from toricdim.modlinalg import WORD_PRIME
 
 P64 = 17293822569102704683  # a prime above 2^63
 P64_MAX = 18446744073709551557  # the largest prime below 2^64
@@ -384,6 +385,69 @@ def test_non_invertible_pivot_inside_a_panel_raises_on_both_backends(fast, p):
     # deferred updates of the pivots before it, and both backends raise
     # pow(3, -1, p)'s error.
     rng = random.Random(5)
+    message = _outcome(pow, 3, -1, p)
+    for n_cols, t in ((24, 6), (40, 21)):
+        for fill in (p - 1, None):
+            mat = _echelon(n_cols, list(range(n_cols)), p, fill, rng, unit=(t, 3))
+            _check((py, fast), [("rank_mod", (mat, p), message),
+                                ("hadamard_ranks_mod", _walk_rank(mat, p), message)])
+
+
+# Below 2^32 the compiled elimination keeps 32-bit pivot rows and adds
+# their products to a row unreduced, when max_rank (p - 1)^2 + p < 2^64 for
+# the most pivots a basis can hold; otherwise it keeps panels.  65537 and
+# WORD_PRIME take that word path at every rank here, 2^31 - 1 up to rank 4,
+# 2^32 - 5 (the largest prime below 2^32) at rank 1 only, and 2^32 + 15
+# (the first prime above it) never.
+WORD_MODULI = [65537, WORD_PRIME, 2**31 - 1, 2**32 - 5, 2**32 + 15]
+
+
+def _word_path(p, max_rank):
+    return p < 2**32 and max_rank * (p - 1) ** 2 + p < 2**64
+
+
+def test_word_moduli_route_both_ways():
+    assert [[_word_path(p, n) for n in range(1, 7)] for p in WORD_MODULI] == [
+        [True] * 6, [True] * 6, [True] * 4 + [False] * 2, [True] + [False] * 5, [False] * 6,
+    ]
+    assert _word_path(WORD_PRIME, 4096) and not _word_path(WORD_PRIME, 4097)
+
+
+@functools.cache
+def _word_cases(p):
+    """2 to 6 columns, as many rows as columns, so max_rank = columns: the
+    growth rows of `_growth_cases`, whose last row, their sum, gains
+    (p - 1)^2 at each pivot, which at 2^31 - 1 and 2^32 - 5 is past 2^64
+    from 5 and 2 pivots on; and random rows with a planted dependency.  A
+    sum that wrapped would leave the dependent row nonzero mod p: a rank
+    one too high."""
+    rng = random.Random(p % 983)
+    cases = []
+    for n in range(2, 7):
+        upper = [[p - 1 if j > k else int(j == k) for j in range(n)] for k in range(n - 1)]
+        for mat in (upper + [[sum(col) % p for col in zip(*upper)]],
+                    _echelon(n, list(range(n - 1)), p, None, rng, dependent=1)):
+            cases += [("rank_mod", (mat, p), n - 1),
+                      ("hadamard_ranks_mod", _walk_rank(mat, p), [n - 1])]
+    return cases
+
+
+@pytest.mark.parametrize("p", WORD_MODULI)
+def test_rank_parity_on_either_side_of_the_word_path(fast, p):
+    _check((py, fast), _word_cases(p))
+
+
+@pytest.mark.parametrize("p", WORD_MODULI)
+def test_sanitized_rank_on_either_side_of_the_word_path(fast_ubsan, p):
+    _check((fast_ubsan,), _word_cases(p))
+
+
+@pytest.mark.parametrize("p", [65535, 3 * 2**24])
+def test_non_invertible_pivot_on_the_word_path_raises_on_both_backends(fast, p):
+    # Composite moduli below 2^32 that 3 divides, on the word path at every
+    # rank here: pivot 6 or 21 is 3, after the unreduced updates of the
+    # pivots before it, and both backends raise pow(3, -1, p)'s error.
+    rng = random.Random(7)
     message = _outcome(pow, 3, -1, p)
     for n_cols, t in ((24, 6), (40, 21)):
         for fill in (p - 1, None):

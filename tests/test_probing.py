@@ -43,37 +43,40 @@ def test_probe_stops_at_the_target(monkeypatch):
     cfg = RunConfig(seed=10)
     result, draws = draw_schedule(monkeypatch, cfg, 6)
     assert (result.rank, result.prime, result.attempts, result.retried) == (
-        6, cfg.prime, 1, False
+        6, WORD_PRIME, 1, False
     )
-    assert draws == [(10, cfg.prime)]
+    assert draws == [(10, WORD_PRIME)]
 
 
 def test_probe_short_of_its_target_runs_the_whole_ladder(monkeypatch):
-    # sigma_2 of the rational normal curve in P^8 has rank 4 < 5: every draw
-    # of the budget runs, then one draw at each alternate prime.  Two points:
-    # g = min(2 * 2, 9) = 4, so deg = 4 * 2 * 8 = 64.
+    # sigma_2 of the rational normal curve in P^8 has rank 4 < 5: the draw
+    # at WORD_PRIME and every draw of the budget run, then one draw at each
+    # alternate prime.  Two points: g = min(2 * 2, 9) = 4, so
+    # deg = 4 * 2 * 8 = 64.  The rank is named at the configured prime.
     cfg = RunConfig(seed=20)
     result, draws = draw_schedule(monkeypatch, cfg, 5, n_points=2)
     t = least_trials(64, cfg.prime)
     assert t == result.trials == 2
     assert (result.rank, result.prime, result.attempts, result.retried) == (
-        4, cfg.prime, t + 2, True
+        4, cfg.prime, t + 3, True
     )
-    assert draws == [(20 + i, cfg.prime) for i in range(t)] + [
-        (20 + t, ALTERNATE_PRIMES[0]), (21 + t, ALTERNATE_PRIMES[1])
+    assert draws == [(20, WORD_PRIME)] + [(21 + i, cfg.prime) for i in range(t)] + [
+        (21 + t, ALTERNATE_PRIMES[0]), (22 + t, ALTERNATE_PRIMES[1])
     ]
 
 
 def test_every_short_probe_ends_at_both_alternate_primes(capsys, tmp_path):
     # Even with --prime at an alternate prime, a short probe ends with one
     # draw at each: the draw there counts towards the bound too, and the
-    # prime is listed once: (120 / (p - 1))^3 of 4 draws.  sigma_5 of a
-    # `matrix:` copy of v_4(P^2) is short at every draw.
+    # prime is listed once: (120 / (p - 1))^3 of the 5 draws, after the one
+    # at WORD_PRIME.  sigma_5 of a `matrix:` copy of v_4(P^2) is short at
+    # every draw.
     code = main(["dim-secant", matrix_copy("veronese:d=4,n=2", tmp_path), "--r", "5",
                  "--prime", str(ALTERNATE_PRIMES[0])])
     doc = json.loads(capsys.readouterr().out)
-    assert (code, doc["attempts"], doc["trials"]) == (1, 4, 2)
-    assert doc["primes_tried"] == list(ALTERNATE_PRIMES)
+    assert (code, doc["attempts"], doc["trials"]) == (1, 5, 2)
+    assert doc["primes_tried"] == [WORD_PRIME, *ALTERNATE_PRIMES]
+    assert doc["prime"] == ALTERNATE_PRIMES[0]
     assert doc["error_bound"] == 1.4094657650876813e-49
     # On v_4(P^2) itself Alexander-Hirschowitz bounds it by 13, which the
     # first draw meets.
@@ -81,7 +84,7 @@ def test_every_short_probe_ends_at_both_alternate_primes(capsys, tmp_path):
                  "--prime", str(ALTERNATE_PRIMES[0])])
     doc = json.loads(capsys.readouterr().out)
     assert (code, doc["attempts"], doc["trials"], doc["status"]) == (0, 1, 2, "defective")
-    assert doc["primes_tried"] == [ALTERNATE_PRIMES[0]]
+    assert doc["primes_tried"] == [WORD_PRIME]
     assert doc["error_bound"] == 0.0
 
 
@@ -93,21 +96,22 @@ def test_default_schedule_draws_the_budget_then_the_alternate_primes(monkeypatch
     cfg = RunConfig(seed=10)
     result, draws = draw_schedule(monkeypatch, cfg, 7)
     assert draws == [
-        (10, cfg.prime), (11, cfg.prime), (12, ALTERNATE_PRIMES[0]), (13, ALTERNATE_PRIMES[1])
+        (10, WORD_PRIME), (11, cfg.prime), (12, cfg.prime), (13, ALTERNATE_PRIMES[0]),
+        (14, ALTERNATE_PRIMES[1]),
     ]
     assert (result.rank, result.prime, result.attempts, result.retried, result.trials) == (
-        6, cfg.prime, 4, True, 2
+        6, cfg.prime, 5, True, 2
     )
-    assert result.primes_tried == (cfg.prime, *ALTERNATE_PRIMES)
+    assert result.primes_tried == (WORD_PRIME, cfg.prime, *ALTERNATE_PRIMES)
     assert result.error_bound == float(Fraction(96, cfg.prime - 1) ** 2)
     assert 0 < result.error_bound <= 2.0**-100
 
 
 def test_a_certified_probe_has_no_error_bound(monkeypatch):
     result, draws = draw_schedule(monkeypatch, RunConfig(seed=10), 6)
-    assert draws == [(10, RunConfig().prime)]
+    assert draws == [(10, WORD_PRIME)]
     assert (result.attempts, result.trials, result.error_bound) == (1, 2, 0.0)
-    assert result.primes_tried == (RunConfig().prime,)
+    assert result.primes_tried == (WORD_PRIME,)
 
 
 @pytest.mark.parametrize("n_points, degree", [(2, 64), (3, 96)])
@@ -270,7 +274,8 @@ def test_the_error_bound_of_a_short_product_counts_only_the_configured_prime(
     assert draws == [(3, WORD_PRIME), (4, config.prime), (5, config.prime),
                      (6, ALTERNATE_PRIMES[0]), (7, ALTERNATE_PRIMES[1])]
     assert (result.rank, result.attempts, result.trials, result.retried) == (15, 5, 2, True)
-    assert result.prime == WORD_PRIME  # the first draw to reach rank 15
+    # rank 15 first at WORD_PRIME, named at the prime the bound counts
+    assert result.prime == config.prime
     assert result.primes_tried == (WORD_PRIME, config.prime, *ALTERNATE_PRIMES)
     assert result.error_bound == float(Fraction(120, config.prime - 1) ** 2)
 
@@ -295,12 +300,12 @@ def test_a_product_takes_no_extra_draw_at_a_prime_up_to_the_word_prime(
     assert draws == [(3, prime)] and (result.prime, result.attempts) == (prime, 1)
 
 
-def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch, tmp_path):
+def test_a_secant_probe_draws_first_at_the_word_prime(both_backends, monkeypatch, tmp_path):
     # sigma_5 of a `matrix:` copy of v_4(P^2) is defective and unclassified,
-    # so its probe walks its whole schedule.  On v_4(P^2) itself it stops at
-    # its first draw, at the configured prime.  A product's own secant
-    # reports draw the same way; only its product probe, the last, draws at
-    # WORD_PRIME.
+    # so its probe walks its whole schedule, from WORD_PRIME on.  On v_4(P^2)
+    # itself it stops at its first draw, at WORD_PRIME.  A product's own
+    # secant reports draw the same way, and so does its product probe, the
+    # last.
     moduli = []
     points = probing.random_torus_points
 
@@ -312,13 +317,14 @@ def test_a_secant_probe_never_draws_at_the_word_prime(both_backends, monkeypatch
     config = RunConfig(seed=1)
     copy = parse_descriptor(matrix_copy("veronese:d=4,n=2", tmp_path))
     rep = secant_dimension(copy, 5, config)
-    assert rep.defect_flag and rep.primes_tried == (config.prime, *ALTERNATE_PRIMES)
-    assert moduli == [config.prime] * rep.trials + list(ALTERNATE_PRIMES)
+    assert rep.defect_flag and rep.primes_tried == (WORD_PRIME, config.prime, *ALTERNATE_PRIMES)
+    assert moduli == [WORD_PRIME] + [config.prime] * rep.trials + list(ALTERNATE_PRIMES)
+    assert rep.prime == config.prime
     del moduli[:]
     rep = secant_dimension(parse_descriptor("veronese:d=4,n=2"), 5, config)
-    assert rep.defect_flag and rep.primes_tried == (config.prime,)
-    assert moduli == [config.prime]
+    assert rep.defect_flag and rep.primes_tried == (WORD_PRIME,)
+    assert moduli == [WORD_PRIME]
     del moduli[:]
     rep = hadamard_dimension(parse_descriptor("veronese:d=4,n=2"), (2, 2, 2, 2), config)
-    assert moduli[-1] == WORD_PRIME and WORD_PRIME not in moduli[:-1]
+    assert moduli and set(moduli) == {WORD_PRIME}
     assert rep.primes_tried == (WORD_PRIME,)

@@ -27,6 +27,7 @@ from toricdim import (
 )
 from toricdim.cli import main, parse_descriptor, report_dict
 from toricdim.hadamdim import eta_hadamard
+from toricdim.modlinalg import WORD_PRIME
 from toricdim.secantdim import (
     STATUS_CERTIFIED_DEFECTIVE,
     STATUS_DEFECTIVE,
@@ -164,20 +165,27 @@ def test_reports_state_how_they_were_reached(tmp_path):
     certified = secant_dimension(VarietyDescriptor.rnc(4), 2)
     assert certified.status == STATUS_NONDEFECTIVE
     assert (certified.error_bound, certified.attempts, certified.primes_tried) == (
-        0.0, 1, (p,)
+        0.0, 1, (WORD_PRIME,)
     )
     # sigma_5 of a `matrix:` copy of v_4(P^2): g = min(5 * 3, 15) = 15,
-    # deg = 15 * 2 * 4 = 120, and 120 / (p - 1) > 2^-100 >= its square: two
-    # draws at p, then the alternate primes.
+    # deg = 15 * 2 * 4 = 120, and 120 / (p - 1) > 2^-100 >= its square: a
+    # draw at WORD_PRIME, two draws at p, then the alternate primes.  Its
+    # rank is named at p, the prime its bound counts.
     rep = secant_dimension(parse_descriptor(matrix_copy("veronese:d=4,n=2", tmp_path)), 5)
     assert rep.status == STATUS_DEFECTIVE
-    assert (rep.trials, rep.attempts, rep.primes_tried) == (2, 4, (p, *ALTERNATE_PRIMES))
+    assert (rep.trials, rep.attempts, rep.primes_tried) == (
+        2, 5, (WORD_PRIME, p, *ALTERNATE_PRIMES)
+    )
+    assert rep.prime == p
     assert rep.error_bound == float(Fraction(120, p - 1) ** 2)
     assert 0 < rep.error_bound <= 2.0**-100
-    # On v_4(P^2) itself the first draw meets the theorem bound.
+    # On v_4(P^2) itself the first draw, at WORD_PRIME, meets the theorem
+    # bound.
     rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
     assert rep.status == STATUS_CERTIFIED_DEFECTIVE
-    assert (rep.trials, rep.attempts, rep.primes_tried, rep.error_bound) == (2, 1, (p,), 0.0)
+    assert (rep.trials, rep.attempts, rep.primes_tried, rep.error_bound) == (
+        2, 1, (WORD_PRIME,), 0.0
+    )
 
 
 def test_probes_draw_at_most_n_plus_1_points_per_factor(monkeypatch, tmp_path):
@@ -303,19 +311,21 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path
     monkeypatch.setattr(kernels, "hadamard_ranks_mod", spy)
     secantdim._secant_dimension_cached.cache_clear()
     # The rational normal curve is never defective: sigma_2, sigma_3 and
-    # sigma_7 of rnc:8 reach their targets at draw 0, from one walk.
+    # sigma_7 of rnc:8 reach their targets at draw 0, at WORD_PRIME, from
+    # one walk.
     reports = secant_dimensions(VarietyDescriptor.rnc(8), (2, 3, 7), CFG)
     assert [rep.computed_dim for rep in reports] == [3, 5, 8]
-    assert calls == [(7, CFG.prime)]
+    assert calls == [(7, WORD_PRIME)]
     # sigma_2 and sigma_3 of a `matrix:` copy of v_2(P^4) are defective and
     # draw on, two draws at p and one at each alternate, from walks of 3
-    # points; sigma_5 fills P^14 at draw 0, and is memoised for the next call.
+    # points; sigma_5 fills P^14 at draw 0, in its walk at WORD_PRIME, and
+    # is memoised for the next call.
     calls.clear()
     v2p4 = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
     reports = secant_dimensions(v2p4, (5, 2, 3), CFG)
-    assert [rep.attempts for rep in reports] == [1, 4, 4]
-    assert calls == [(5, CFG.prime), (3, CFG.prime), (3, ALTERNATE_PRIMES[0]),
-                     (3, ALTERNATE_PRIMES[1])]
+    assert [rep.attempts for rep in reports] == [1, 5, 5]
+    assert calls == [(5, WORD_PRIME), (3, CFG.prime), (3, CFG.prime),
+                     (3, ALTERNATE_PRIMES[0]), (3, ALTERNATE_PRIMES[1])]
     calls.clear()
     assert secant_dimension(v2p4, 5, CFG) == reports[0]
     assert calls == []
@@ -335,13 +345,14 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path
         (3, ALTERNATE_PRIMES[1]),
     ]
     # On v_2(P^4) and v_2(P^6) themselves the quadratic Veronese bound stops
-    # every probe at draw 0: one walk each.
+    # every probe at draw 0, at WORD_PRIME when the configured prime is
+    # larger: one walk each.
     calls.clear()
     reports = secant_dimensions(VarietyDescriptor.veronese(2, 4), (5, 2, 3), CFG)
     assert [rep.attempts for rep in reports] == [1, 1, 1]
     reports = secant_dimensions(VarietyDescriptor.veronese(2, 6), (2, 3), small)
     assert [(rep.trials, rep.attempts) for rep in reports] == [(10, 1), (11, 1)]
-    assert calls == [(5, CFG.prime), (3, 65537)]
+    assert calls == [(5, WORD_PRIME), (3, 65537)]
 
 
 # --- the theorem bound ----------------------------------------------------------
@@ -493,8 +504,8 @@ def test_a_bound_one_too_high_stays_probabilistic(monkeypatch, fresh_memo):
     monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) + 1)
     p = RunConfig().prime
     rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
-    assert (rep.computed_dim, rep.status) == (13, STATUS_DEFECTIVE)
-    assert (rep.attempts, rep.primes_tried) == (4, (p, *ALTERNATE_PRIMES))
+    assert (rep.computed_dim, rep.status, rep.prime) == (13, STATUS_DEFECTIVE, p)
+    assert (rep.attempts, rep.primes_tried) == (5, (WORD_PRIME, p, *ALTERNATE_PRIMES))
     assert rep.error_bound == float(Fraction(120, p - 1) ** 2)
 
 
@@ -502,6 +513,7 @@ def test_a_matrix_copy_of_a_quadratic_veronese_stays_probabilistic(tmp_path):
     copy = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
     rep = secant_dimension(copy, 2, CFG)
     assert (rep.computed_dim, rep.expected_dim, rep.status) == (8, 9, STATUS_DEFECTIVE)
-    assert rep.attempts == 4 and 0 < rep.error_bound <= 2.0**-100
+    assert rep.attempts == 5 and 0 < rep.error_bound <= 2.0**-100
+    assert rep.prime == CFG.prime
     rep = secant_dimension(VarietyDescriptor.veronese(2, 4), 2, CFG)
     assert (rep.computed_dim, rep.status, rep.attempts) == (8, STATUS_CERTIFIED_DEFECTIVE, 1)

@@ -13,10 +13,12 @@ from toricdim import (
     enumerate_check_rvectors,
     hadamdim,
     kernels,
+    secantdim,
     tables,
 )
 from toricdim.cli import main, parse_descriptor, report_dict
 from toricdim.config import CACHE_SIZE, RunConfig
+from toricdim.modlinalg import WORD_PRIME
 from toricdim.tables import _run_cases, _sweep_until_saturated, _tuples_with_index, run_table
 
 CFG = RunConfig(seed=0)
@@ -296,22 +298,35 @@ def test_a_rank_above_its_target_settles_a_walked_product(monkeypatch):
 def test_the_extended_sweep_walks_once_per_descriptor_draw_and_prime(
     backend, monkeypatch, capsys, request
 ):
-    # At seed 8 every product reaches its target at its first draw, at
+    # At seed 8 every probe reaches its target at its first draw, at
     # WORD_PRIME, so the 237 probed products of the 26 descriptors take one
     # walk per descriptor that probes any (25), and every secant reaches its
-    # theorem bound at its first draw (26 walks).
+    # target or its theorem bound there (26 walks).  The three stored
+    # tables, from a cleared memo, walk the same way: 11 secant walks and
+    # 10 product walks of 157 lists.
     use_kernels(_kernels_py if backend == "python" else request.getfixturevalue("fast"),
                 monkeypatch)
     walk = kernels.hadamard_ranks_mod
     walks = {"secant": 0, "product": 0, "product lists": 0}
+    primes = set()
 
     def counted(rows, r_primes, points, p):
         kind = "secant" if all(len(rp) == 1 for rp in r_primes) else "product"
         walks[kind] += 1
         walks["product lists"] += len(r_primes) * (kind == "product")
+        primes.add(p)
         return walk(rows, r_primes, points, p)
 
     monkeypatch.setattr(kernels, "hadamard_ranks_mod", counted)
     assert main(["verify-table", "experiments", "--extended", "--seed", "8"]) == 0
     capsys.readouterr()
     assert walks == {"secant": 26, "product": 25, "product lists": 237}
+    assert primes == {WORD_PRIME}
+    walks.update(dict.fromkeys(walks, 0))
+    primes.clear()
+    secantdim._secant_dimension_cached.cache_clear()
+    for table in ("veronese", "binary", "experiments"):
+        assert main(["verify-table", table, "--seed", "8"]) == 0
+    capsys.readouterr()
+    assert walks == {"secant": 11, "product": 10, "product lists": 157}
+    assert primes == {WORD_PRIME}
