@@ -19,6 +19,13 @@
 #            traceback or another check's message fails; AddressSanitizer
 #            reserves more address space than that limit, so run it
 #            without TORICDIM_ASAN
+#   oom      with TORICDIM_ASAN=1, the WORD_PRIME probe of `large` whose
+#            32-bit basis does not fit, under AddressSanitizer's cap on
+#            one allocation (max_allocation_size_mb) in place of a ulimit:
+#            it must exit 2 with the out-of-memory message, so the C
+#            allocation-failure path (basis_new, and the buffers of
+#            hadamard_ranks_mod allocated before it) runs instrumented;
+#            ASan's own warning on the refused allocation goes to a log
 #   install  install the package and check, from outside the checkout, that
 #            its console script's reports equal the benchmark's oracles: the
 #            extended sweep on both backends, and the three stored tables on
@@ -74,6 +81,19 @@ large() (
     check 2 "$oom" dim-secant veronese:d=10,n=10 --r 372
 )
 
+oom() {
+    if [ -z "$TORICDIM_ASAN" ]; then
+        echo "oom: needs TORICDIM_ASAN=1 and the kernel it builds"
+        return 1
+    fi
+    local code=0
+    ASAN_OPTIONS=${ASAN_OPTIONS:+$ASAN_OPTIONS:}allocator_may_return_null=1:max_allocation_size_mb=1024:log_path=$tmp/asan \
+        LD_PRELOAD=$preload check 2 "error: out of memory: the query's matrices do not fit" \
+        dim-secant veronese:d=10,n=10 --r 372 || code=$?
+    cat "$tmp"/asan.* 2> /dev/null || true
+    return $code
+}
+
 install() (
     if ! python -c "import wheel" 2> /dev/null; then
         echo "install: skipped, wheel is not installed"
@@ -97,7 +117,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 for step in "$@"; do
     case $step in
-        build | tier1 | large | install) echo "== $step"; "$step" ;;
+        build | tier1 | large | oom | install) echo "== $step"; "$step" ;;
         *) echo "unknown step: $step" >&2; exit 2 ;;
     esac
 done

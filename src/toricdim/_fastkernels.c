@@ -27,19 +27,21 @@
  * most pivots it holds, max_rank.  When p < 2^32 and max_rank (p - 1)^2 +
  * p < 2^64 (word_path: at 67108859, the first draw of every probe, up to
  * 4096 pivots), each pivot is a row of 32-bit words, and a row adds the
- * products f P_t[j] to its 64-bit entries unreduced, reading an entry mod p
- * only as a factor (reduce_words).  Otherwise the pivots are kept in panels
- * of up to K, and a row pays a panel's k <= K products f_t P_t[j] at each
- * entry with one unsigned __int128 sum and one `%`.  Residues are at most
- * p - 1, so the sum is exact while K (p - 1)^2 < 2^128, and K(p) =
- * min(16, floor((2^128 - 1) / (p - 1)^2)) (panel_width).  K is 16 for
- * every p <= 2^62, which holds every other prime the program picks itself
- * (2^61 - 1, its alternates and the primes of exact ranks), and 1 once
- * p - 1 exceeds 2^63.5.  On a 495 x 495 Khatri-Rao rank at 2^61 - 1, the
- * fastest of 15 runs took 32 and 40 ms with panels of 8 and 32, and 28 ms
- * with 16 (a 2-vCPU Xeon virtual machine).  On the same machine the walk of
- * sigma_55 of v_4(P^8), 495 x 495, took 23 ms in panels at 2^61 - 1 and
- * 11 ms on the word path at 67108859, best of 7.
+ * products f P_t[j] of four pivots a pass to its 64-bit entries unreduced,
+ * reading an entry mod p only as a factor (reduce_words, compiled also for
+ * AVX2, which the module's init picks where the CPU has it).  Otherwise the
+ * pivots are kept in panels of up to K, and a row pays a panel's k <= K
+ * products f_t P_t[j] at each entry with one unsigned __int128 sum and one
+ * `%`.  Residues are at most p - 1, so the sum is exact while
+ * K (p - 1)^2 < 2^128, and K(p) = min(16, floor((2^128 - 1) / (p - 1)^2))
+ * (panel_width).  K is 16 for every p <= 2^62, which holds every other
+ * prime the program picks itself (2^61 - 1, its alternates and the primes
+ * of exact ranks), and 1 once p - 1 exceeds 2^63.5.  On a 495 x 495
+ * Khatri-Rao rank at 2^61 - 1, the fastest of 15 runs took 32 and 40 ms
+ * with panels of 8 and 32, and 28 ms with 16, and the walk of sigma_55 of
+ * v_4(P^8), 495 x 495, 23 ms (a 2-vCPU Xeon virtual machine).  At 67108859
+ * that walk took, best of 45 on a 2-vCPU machine with AVX2, 8.7 ms a pivot
+ * a pass, 6.9 four a pass, 5.9 a pivot a pass with AVX2, 5.3 four with it.
  * Built by `python3 setup.py build_ext --inplace`.
  */
 
@@ -342,28 +344,77 @@ static int word_path(u64 p, Py_ssize_t max_rank)
     return p >> 32 == 0 && (u128)max_rank * ((p - 1) * (p - 1)) + p <= UINT64_MAX;
 }
 
-/* row reduced by the first `rank` pivot rows of the word path, in the order
- * they were found.  Pivot t is the n_cols words at basis + t n_cols, 0 left
- * of its column c = piv[t], at c (its 1 there is implied) and at every
- * earlier pivot column.  The row's factor f = row[c] % p, when not 0, adds
- * (p - f) P_t[j] to each entry right of c, unreduced; then row[c] is 0.
- * An entry starts below p and gains at most (p - 1)^2 a pivot, so
- * word_path bounds it; the 32-by-32-bit products vectorise (pmuludq on
- * x86-64).  Pivot rows are unitriangular on their columns, so the reduced
- * row, and each pivot, is the one of the panels. */
-static void reduce_words(u64 *row, const uint32_t *basis, const Py_ssize_t *piv,
-                         Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+#define WORDS 4  /* the most pivots of a pass of reduce_words over a row */
+
+/* row[j] += sum_s g[s] P_s[j] for j >= from, unreduced, inlined with n a
+ * constant: the sum unrolls and the loop over j vectorises (pmuludq). */
+static inline __attribute__((always_inline)) void
+add_words(u64 *row, const uint32_t *const *ps, const uint32_t *g, int n, Py_ssize_t from,
+          Py_ssize_t n_cols)
 {
-    for (Py_ssize_t t = 0; t < rank; t++) {
-        Py_ssize_t c = piv[t];
-        u64 f = row[c] % p;
-        const uint32_t *pt = basis + t * n_cols;
-        uint32_t g = (uint32_t)(p - f);
-        for (Py_ssize_t j = c + 1; f && j < n_cols; j++)
-            row[j] += (u64)g * pt[j];
-        row[c] = 0;
+    for (Py_ssize_t j = from; j < n_cols; j++) {
+        u64 acc = row[j];
+        for (int s = 0; s < n; s++)
+            acc += (u64)g[s] * ps[s][j];
+        row[j] = acc;
     }
 }
+
+/* row reduced by the first `rank` pivot rows of the word path, in the order
+ * found, WORDS a pass.  Pivot t is the n_cols words at basis + t n_cols, 0
+ * left of its column c_t = piv[t], at c_t (its 1 is implied) and at every
+ * earlier pivot column.  A pass takes its factors in order, f_t = (row[c_t]
+ * + sum_{s<t} g_s P_s[c_t]) mod p with g_s = p - f_s (column_update's fix),
+ * drops the zero ones, adds sum_s g_s P_s[j] right of the leftmost c_s and
+ * clears its pivot columns.  An entry starts below p and gains (p - 1)^2
+ * at most a pivot, so word_path bounds it; the pivots are unitriangular,
+ * so the reduced row, and each pivot, is the one of the panels. */
+static inline __attribute__((always_inline)) void
+reduce_words_portable(u64 *row, const uint32_t *basis, const Py_ssize_t *piv,
+                      Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+{
+    for (Py_ssize_t from = 0; from < rank; from += WORDS) {
+        const uint32_t *ps[WORDS];
+        uint32_t g[WORDS];
+        int k = rank - from < WORDS ? (int)(rank - from) : WORDS, n = 0;
+        Py_ssize_t lo = n_cols;
+        for (int t = 0; t < k; t++) {
+            Py_ssize_t c = piv[from + t];
+            u64 f = row[c];
+            for (int s = 0; s < n; s++)
+                f += (u64)g[s] * ps[s][c];
+            if ((f %= p) != 0) {
+                ps[n] = basis + (from + t) * n_cols;
+                g[n++] = (uint32_t)(p - f);
+                lo = c < lo ? c : lo;
+            }
+        }
+        switch (n) {
+        case 1: add_words(row, ps, g, 1, lo + 1, n_cols); break;
+        case 2: add_words(row, ps, g, 2, lo + 1, n_cols); break;
+        case 3: add_words(row, ps, g, 3, lo + 1, n_cols); break;
+        case 4: add_words(row, ps, g, 4, lo + 1, n_cols); break;
+        }
+        for (int t = 0; t < k; t++)
+            row[piv[from + t]] = 0;
+    }
+}
+
+/* reduce_words_portable for AVX2 (x86-64, gcc or clang), which the init
+ * picks where the CPU has it; the test builds that check the portable copy
+ * on an AVX2 machine leave it out with -DTORICDIM_PORTABLE_WORDS. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(TORICDIM_PORTABLE_WORDS)
+#define AVX2_WORDS
+__attribute__((target("avx2"))) static void
+reduce_words_avx2(u64 *row, const uint32_t *basis, const Py_ssize_t *piv, Py_ssize_t n_cols,
+                  Py_ssize_t rank, u64 p)
+{
+    reduce_words_portable(row, basis, piv, n_cols, rank, p);
+}
+#endif
+
+static void (*reduce_words)(u64 *, const uint32_t *, const Py_ssize_t *, Py_ssize_t,
+                            Py_ssize_t, u64) = reduce_words_portable;
 
 /* The echelon basis of kr_rank, with room for the rank of nt top rows by
  * the nb bottom rows: 32-bit rows when word_path holds for that rank
@@ -739,17 +790,23 @@ static PyObject *hadamard_ranks_mod(PyObject *Py_UNUSED(self), PyObject *args, P
     }
     u64 *phi = buf, *bottom = phi + need * n_cols, *u = bottom + n_vars * n_cols;
     u64 *s1 = u + depth * n_cols, *s = s1 + n_cols, *scaled = s + n_cols;
-    for (Py_ssize_t k = 0; k < need; k++)
+    /* The bottom rows need phi at point 0 only, and the basis comes next,
+     * so a walk whose basis does not fit fails before evaluating phi at its
+     * other points; only that MemoryError can precede a ValueError that the
+     * pure twin, never short of memory, raises first (a later point's). */
+    for (Py_ssize_t k = 0; k < need; k++) {
         if (eval_columns(exps, n_vars, n_cols, ys + k * n_vars, p, phi + k * n_cols) < 0) {
             PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
             goto done;
         }
-    for (Py_ssize_t j = 0; j < n_vars * n_cols; j++)
-        bottom[j] = mulmod(signed_residue((int64_t)exps[j], p), need ? phi[j % n_cols] : 1, p);
-    for (Py_ssize_t h = 0; need && h < n_cols; h++)
-        phi[h] = 1;
-    if (basis_new(&b, need, bottom, n_vars, n_cols, p) < 0
-        || (out = PyList_New(n_lists)) == NULL)
+        for (Py_ssize_t j = 0; k == 0 && j < n_vars * n_cols; j++)
+            bottom[j] = mulmod(signed_residue((int64_t)exps[j], p), phi[j % n_cols], p);
+        for (Py_ssize_t h = 0; k == 0 && h < n_cols; h++)
+            phi[h] = 1;
+        if (k == 0 && basis_new(&b, need, bottom, n_vars, n_cols, p) < 0)
+            goto done;
+    }
+    if ((out = PyList_New(n_lists)) == NULL)
         goto done;
     for (Py_ssize_t v = 0; v < n_lists; v++) {
         const Py_ssize_t *rp = rps[v];
@@ -880,5 +937,8 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__fastkernels(void)
 {
+#ifdef AVX2_WORDS
+    reduce_words = __builtin_cpu_supports("avx2") ? reduce_words_avx2 : reduce_words_portable;
+#endif
     return PyModule_Create(&module);
 }

@@ -18,9 +18,10 @@ the rank set back).  Only the arithmetic of a reduction differs: here a
 row is packed into one Python int, so reducing it by a pivot row is one
 big-int multiply-add with the reduction mod p delayed; in C a row adds the
 products of 32-bit pivot rows to its 64-bit entries unreduced below 2^32,
-when the most pivots the basis can hold keep the sums below 2^64, and
-otherwise pays a panel of up to 16 pivot rows at once, with one 128-bit
-sum of their products per entry and one reduction.
+four pivot rows a pass over the row, when the most pivots the basis can
+hold keep the sums below 2^64, and otherwise pays a panel of up to 16
+pivot rows at once, with one 128-bit sum of their products per entry and
+one reduction.
 `eta_of_columns` is the eta formula itself, over F_p or, for the exact
 degeneration verifier, over the integers.
 """

@@ -95,13 +95,24 @@ def _build_kernels(tmp_path_factory, flags):
     return module
 
 
+def _fast_flags():
+    return os.environ.get("TORICDIM_FAST_CFLAGS", "-O3 -Wall -Wextra -Werror").split()
+
+
 @pytest.fixture(scope="session")
 def fast(tmp_path_factory):
     """The compiled kernels, built whatever backend `toricdim.kernels` picked,
     where any compiler warning fails the build.  TORICDIM_FAST_CFLAGS
     replaces the flags: CI's AddressSanitizer job instruments them so."""
-    flags = os.environ.get("TORICDIM_FAST_CFLAGS", "-O3 -Wall -Wextra -Werror")
-    return _build_kernels(tmp_path_factory, flags.split())
+    return _build_kernels(tmp_path_factory, _fast_flags())
+
+
+@pytest.fixture(scope="session")
+def fast_portable(tmp_path_factory):
+    """`fast` with the word path's portable row update alone
+    (-DTORICDIM_PORTABLE_WORDS), the one every build off x86-64 runs:
+    where `fast` picks the AVX2 copy, this checks the other."""
+    return _build_kernels(tmp_path_factory, [*_fast_flags(), "-DTORICDIM_PORTABLE_WORDS"])
 
 
 @pytest.fixture(scope="session")
@@ -109,10 +120,15 @@ def fast_ubsan(tmp_path_factory):
     """The compiled kernels under the undefined-behaviour sanitizer: any
     signed overflow, out-of-range shift or misaligned access ends the whole
     test run with exit status 1 (`pytest -s` shows the sanitizer's report).
-    Skips when `cc` cannot build that; the warnings are `fast`'s to check."""
+    It builds the word path's portable row update alone, so the parity tests
+    check that copy even where `fast` picks the AVX2 one.  Skips when `cc`
+    cannot build that; the warnings are `fast`'s and `fast_portable`'s to
+    check."""
     try:
         return _build_kernels(
-            tmp_path_factory, ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+            tmp_path_factory,
+            ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all",
+             "-DTORICDIM_PORTABLE_WORDS"],
         )
     except RuntimeError as exc:
         pytest.skip(f"no undefined-behaviour sanitizer build: {exc}")

@@ -175,10 +175,11 @@ def _planted_cases(p):
 
 def _check(impls, cases):
     """Each case (kernel name, args, expected value or ValueError message)
-    on each backend."""
+    on each backend, named on failure by its file: every compiled build
+    has one module name."""
     for kernel, args, want in cases:
         for impl in impls:
-            assert _outcome(getattr(impl, kernel), *args) == want, (impl.__name__, kernel, args[-1])
+            assert _outcome(getattr(impl, kernel), *args) == want, (impl.__file__, kernel, args[-1])
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -454,6 +455,87 @@ def test_non_invertible_pivot_on_the_word_path_raises_on_both_backends(fast, p):
             mat = _echelon(n_cols, list(range(n_cols)), p, fill, rng, unit=(t, 3))
             _check((py, fast), [("rank_mod", (mat, p), message),
                                 ("hadamard_ranks_mod", _walk_rank(mat, p), message)])
+
+
+def _found_rows(n_cols, pivots, p, rng, fill=None, factor=None, zeros=False, dependent=2,
+                unit=None):
+    """Rows whose elimination finds the pivot rows U_t at the columns
+    pivots[t], in that order, whatever the order of the columns.
+
+    U_t is 0 left of pivots[t] and at every earlier pivot column, 1 at
+    pivots[t] (u when unit = (t, u)) and `fill` elsewhere.  Row t is
+    U_t + sum_{s<t} L_ts U_s, and `dependent` rows sum_s b_s U_s follow, so
+    a row's factor at pivot s is its L_ts or b_s: `factor`, and with `zeros`
+    0 half the time.  `fill` and `factor` None draw units mod p.  Rank
+    len(pivots) unless a pivot has no inverse mod p.
+    """
+    def draw(x):
+        return rng.randrange(1, p) if x is None else x
+
+    def coeff():
+        return 0 if zeros and rng.random() < 0.5 else draw(factor)
+
+    us = []
+    for t, c in enumerate(pivots):
+        u = [0 if j < c or j in pivots[:t] else draw(fill) for j in range(n_cols)]
+        u[c] = unit[1] if unit and unit[0] == t else 1
+        us.append(u)
+
+    def plus(base, coeffs):
+        return [(x + sum(a * u[j] for a, u in zip(coeffs, us))) % p for j, x in enumerate(base)]
+
+    mat = [plus(u, [coeff() for _ in us[:t]]) for t, u in enumerate(us)]
+    return mat + [plus([0] * n_cols, [coeff() for _ in us]) for _ in range(dependent)]
+
+
+# The word path applies its pivots 4 to a pass over a row: each factor in a
+# pass first takes the terms of the nonzero ones before it, and the pass
+# sweeps from the leftmost column of a nonzero one.
+WORD_PANEL_MODULI = [65537, WORD_PRIME, 2**31 - 1, 65535, 3 * 2**24]
+
+
+@functools.cache
+def _word_panel_cases(p):
+    """Ranks 4 to 9 (0 to 3 mod 4) on 12 columns, with pivots found in
+    column order and out of it, so that a later pivot of a pass lies right
+    of an earlier one (whose row is not 0 there) or left of it, and with
+    factors all nonzero or mixed with zeros.  At 2^31 - 1 also the rows of
+    maximal growth on 2 to 4 columns, the word path's limit there: every
+    factor 1 and every pivot entry p - 1, so each pass adds (p - 1)^2 per
+    pivot.  At the composites, which 3 divides, pivot 4 to 7 is 3, found in
+    the middle of a pass, and both backends raise pow(3, -1, p)'s error."""
+    rng = random.Random(p % 967)
+    found = []
+    for rank in range(4, 10):
+        in_order = sorted(rng.sample(range(12), rank))
+        for pivots in (in_order, rng.sample(range(12), rank)):
+            found += [(_found_rows(12, pivots, p, rng, zeros=zeros), rank) for zeros in (0, 1)]
+    if p == 2**31 - 1:
+        for n in (2, 3, 4):
+            for pivots in (list(range(n - 1)), list(range(n - 1))[::-1]):
+                mat = _found_rows(n, pivots, p, rng, fill=p - 1, factor=1, dependent=1)
+                found.append((mat, n - 1))
+    if p % 3 == 0:
+        message = _outcome(pow, 3, -1, p)
+        for t in range(4, 8):
+            for pivots in (list(range(10)), rng.sample(range(12), 10)):
+                found.append((_found_rows(12, pivots, p, rng, zeros=True, unit=(t, 3)), message))
+    cases = []
+    for mat, want in found:
+        cases += [("rank_mod", (mat, p), want),
+                  ("hadamard_ranks_mod", _walk_rank(mat, p),
+                   want if isinstance(want, str) else [want])]
+    return cases
+
+
+@pytest.mark.parametrize("p", WORD_PANEL_MODULI)
+def test_word_panel_parity_on_both_copies(fast, fast_portable, p):
+    _check((py, fast, fast_portable), _word_panel_cases(p))
+
+
+@pytest.mark.parametrize("p", WORD_PANEL_MODULI)
+def test_sanitized_word_panels(fast_ubsan, p):
+    _check((fast_ubsan,), _word_panel_cases(p))
 
 
 @pytest.mark.parametrize("p", [p for p in PANEL_MODULI if is_probable_prime(p)] + [DEFAULT_PRIME])
