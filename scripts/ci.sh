@@ -27,9 +27,9 @@
 #            hadamard_ranks_mod allocated before it) runs instrumented;
 #            ASan's own warning on the refused allocation goes to a log
 #   install  install the package and check, from outside the checkout, that
-#            its console script's reports equal the benchmark's oracles: the
-#            extended sweep on both backends, and the three stored tables on
-#            the pure kernels;
+#            its console script's reports equal the stored ones: the extended
+#            sweep and the exact-rational degeneration-demo JSON report on
+#            both backends, and the three stored tables on the pure kernels;
 #            skipped without `wheel`, which setuptools < 70.1 needs to build it
 set -eo pipefail
 cd "$(dirname "$0")/.."
@@ -106,6 +106,8 @@ install() (
         TORICDIM_PURE=$pure toricdim verify-table experiments --extended --format csv \
             > extended.csv
         cmp extended.csv "$root/perfbench/golden/experiments-extended.csv"
+        TORICDIM_PURE=$pure toricdim degeneration-demo --format json > degeneration.json
+        cmp degeneration.json "$root/tests/golden/degeneration-demo.json"
     done
     for table in veronese binary experiments; do
         TORICDIM_PURE=1 toricdim verify-table "$table" --format csv > "$table.csv"

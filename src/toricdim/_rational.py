@@ -2,9 +2,11 @@
 
 `rational_rank` is exact, by a multi-modular elimination certified by
 Hadamard's bound (Cabay 1971; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5): it clears each row's denominators and takes the maximum
-of the ranks modulo a fixed sequence of primes until a bound on the minors
-proves that no larger rank is left.  No floating point anywhere.
+Algebra*, ch. 5): it clears each row's denominators and takes the rank
+modulo a first prime, which certifies a full rank at once.  Only a short
+first rank goes on to the maximum of the ranks modulo a fixed sequence of
+primes, until a bound on the minors proves that no larger rank is left.
+No floating point anywhere.
 """
 
 from itertools import count
@@ -41,24 +43,18 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def _integer_row(row) -> list[int]:
-    """`row` (ints or Fractions) times the lcm of its denominators, divided
-    by the gcd of the result (its content)."""
+def _cleared(row) -> list[int]:
+    """`row` (ints or Fractions) times the lcm of its denominators."""
     if all(type(x) is int for x in row):
-        ints = list(row)
-    else:
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+        return list(row)
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _primitive(rows) -> list[list[int]]:
-    """`rows` scaled to integers with every row's and then every column's
+def _primitive(mat: list[list[int]]) -> list[list[int]]:
+    """The integer matrix `mat` with every row's and then every column's
     content divided out: the same rank, and smaller entries to bound."""
-    mat = [_integer_row(row) for row in rows]
-    if any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("rows have different lengths")
+    mat = [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in mat]
     contents = [gcd(*col) for col in zip(*mat)]
     if any(g > 1 for g in contents):
         mat = [[x // g if g else x for x, g in zip(row, contents)] for row in mat]
@@ -69,25 +65,36 @@ def rational_rank(rows) -> int:
     """Rank over Q of a matrix of ints or Fractions, exact.
 
     After clearing denominators the rank over Q is at least the rank b
-    modulo any prime.  It is more than b only if some (b+1)-minor is a
-    nonzero integer; by Hadamard's inequality its absolute value is at most
-    H, the product of the b+1 largest row norms, and every prime that gave
+    modulo any prime, so a full rank b = min(rows, columns) at the first
+    prime is the rank, and most calls stop there.  Otherwise the rank is
+    more than b only if some (b+1)-minor is a nonzero integer; by
+    Hadamard's inequality, for the matrix or its transpose, its absolute
+    value is at most H, the smaller of the products of the b+1 largest row
+    norms and of the b+1 largest column norms, and every prime that gave
     rank at most b divides it.  So once the product of the primes tried
     exceeds H (compared squared, in integers), b is the rank.  Dividing a
-    row or a column by its content changes no rank and shrinks H, so the
-    rows are made primitive first (`_primitive`).  ValueError when the rows
-    have different lengths.
+    row or a column by its content changes no rank and shrinks H, so a
+    short first rank makes the rows primitive (`_primitive`) and takes the
+    primes again from the first: a prime that divides a content may lower
+    the first rank without dividing any minor of the primitive rows.
+    ValueError when the rows have different lengths.
     """
-    mat = _primitive(rows)
+    mat = [_cleared(row) for row in rows]
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("rows have different lengths")
     full = min(len(mat), len(mat[0])) if mat else 0
-    norms2 = sorted((sum(x * x for x in row) for row in mat), reverse=True)
+    if kernels.rank_mod(mat, _prime(0)) == full:
+        return full
+    mat = _primitive(mat)
+    row_norms2 = sorted((sum(x * x for x in row) for row in mat), reverse=True)
+    col_norms2 = sorted((sum(x * x for x in col) for col in zip(*mat)), reverse=True)
     best, modulus = -1, 1
     for i in count():
         p = _prime(i)
         rank = kernels.rank_mod(mat, p)
         if rank > best:
             best = rank
-            bound2 = prod(norms2[:best + 1])
+            bound2 = min(prod(row_norms2[:best + 1]), prod(col_norms2[:best + 1]))
         modulus *= p
         if best == full or modulus * modulus > bound2:
             return best

@@ -17,6 +17,7 @@ inputs give byte-identical reports, JSON with a `schema` field, frozen CSV.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -357,7 +358,10 @@ def _cmd_binomial_check(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call, not at import, and shared by every
+    # later call: parsing leaves no state in the tree.
     # The options of the F_p rank probes, for the commands that run them.
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--prime", type=int, default=RunConfig().prime,
@@ -434,8 +438,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (`sys.argv[1:]` when `argv` is None) and return
+    its exit code.
+
+    The argument parser is built on the first call and reused by every later
+    one in the process, so callers that run several queries in one
+    interpreter (a test session, a benchmark pass) build it once; a one-shot
+    console run builds it once either way.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         args.format = _output_format(args)
         return args.handler(args)

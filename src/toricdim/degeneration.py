@@ -17,14 +17,15 @@ a time (`scaled_family`), and verifies, at finitely many nu,
 
 Every check is exact, on integer matrices: the matrices over Q at known
 positive row and column scales, which change no rank.  Their ranks are
-exact, by a multi-modular elimination certified by Hadamard's bound
-(`_rational.rational_rank`); only the reported errors and their ratios are
-fractions.Fraction.  There is no tolerance anywhere except the explicit
-ratio band of check (a).  `demo_points` also works over F_p directly, to
-reject draws that are degenerate or not generic before the exact checks
-run.  The coefficient matrices come from the eta formula over the integers
-(`_kernels_py.eta_of_columns`), the one the F_p engines probe; a secant
-variety is its one-factor case.
+exact (`_rational.rational_rank`): a full rank modulo the first prime is
+certified at once, and a short one by a multi-modular elimination that
+Hadamard's bound on the rows or the columns certifies; only the reported
+errors and their ratios are fractions.Fraction.  There is no tolerance
+anywhere except the explicit ratio band of check (a).  `demo_points` also
+works over F_p directly, to reject draws that are degenerate or not generic
+before the exact checks run.  The coefficient matrices come from the eta
+formula over the integers (`_kernels_py.eta_of_columns`), the one the F_p
+engines probe; a secant variety is its one-factor case.
 
 Conventions: the input is one flat point tuple Y = (y_1 | ... | y_R) with
 y_1 = all-ones; the scaled points feed the Hadamard construction with y_1

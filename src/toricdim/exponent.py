@@ -47,11 +47,17 @@ def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
     width = None
     for row in rows:
         t = tuple(row)
-        for x in t:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"matrix entries must be integers, got {x!r}")
-            if not -EXPONENT_LIMIT <= x < EXPONENT_LIMIT:
-                raise ValueError(f"matrix entry {x} is outside [-2^63, 2^63)")
+        # A row of plain ints within range, the builders' every row, passes
+        # on one scan of its types and its min and max; any other row goes
+        # entry by entry, which raises at its first bad entry and accepts
+        # int subclasses other than bool.
+        if not ({*map(type, t)} == {int}
+                and -EXPONENT_LIMIT <= min(t) and max(t) < EXPONENT_LIMIT):
+            for x in t:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"matrix entries must be integers, got {x!r}")
+                if not -EXPONENT_LIMIT <= x < EXPONENT_LIMIT:
+                    raise ValueError(f"matrix entry {x} is outside [-2^63, 2^63)")
         if width is None:
             width = len(t)
         elif len(t) != width:

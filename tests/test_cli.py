@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +391,39 @@ def test_usage_errors_return_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_main_builds_the_parser_once_and_keeps_no_state(capsys):
+    # One parser serves every call in the process: a usage error, a failed
+    # --format check and an explicit --format leave the next call's report,
+    # stderr and exit code those of a call on its own.
+    cli._build_parser.cache_clear()
+    calls = [
+        ("dim-secant veronese:d=4,n=2 --r 5 --format text", 0, "dim-secant-v4-2-r5.txt"),
+        ("dim-secant veronese:d=4,n=2", None, None),  # missing required --r
+        ("dim-secant veronese:d=4,n=2 --r 5", 0, "dim-secant-v4-2-r5.json"),
+        ("degeneration-demo --format csv", 2, "degeneration-demo-csv.txt"),
+        ("degeneration-demo", 0, "degeneration-demo.txt"),
+        ("verify-table binary --format json", 0, "verify-table-binary.json"),
+        ("verify-table binary", 0, "verify-table-binary.csv"),
+    ]
+    for argv, code, name in calls:
+        if name is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv.split())
+            assert exc.value.code == 2
+            assert "the following arguments are required: --r" in capsys.readouterr().err
+            continue
+        assert run_cli(capsys, *argv.split()) == (
+            code,
+            (GOLDEN / name).read_text(),
+            "error: degeneration-demo writes text or json, not csv\n" if code == 2 else "",
+        ), argv
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 def test_out_of_memory_exits_2_with_a_message(monkeypatch, capsys):

@@ -156,6 +156,30 @@ def test_entries_must_be_integers():
             ExponentMatrix(((1, 1), (0, big)))
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    (((1, 2), (2**63, True)), ValueError, "matrix entry 9223372036854775808 is outside"),
+    (((1, 2), (True, 2**63)), TypeError, "got True"),
+    (((1, 2.0, 2**70),), TypeError, "got 2.0"),
+    (((1, 2), (3, 2**70, 4)), ValueError, "matrix entry 1180591620717411303424 is outside"),
+    (((1, 2), (False,)), TypeError, "got False"),
+    (((1, 2), (3,), (1.5, 2)), ValueError, "ragged"),
+    (((_Int(1), 2), (3, _Int(-(2**63) - 1))), ValueError, "outside"),
+])
+def test_the_first_bad_entry_raises_in_row_order(rows, error, message):
+    with pytest.raises(error, match=message):
+        ExponentMatrix(rows)
+
+
+def test_int_subclass_entries_are_kept():
+    rows = ((_Int(1), 1), (0, _Int(2**63 - 1)))
+    assert ExponentMatrix(rows).entries == rows
+    assert type(ExponentMatrix(rows).entries[0][0]) is _Int
+
+
 def test_normalize_rnc():
     abar = normalize(rational_normal_curve(8))
     assert abar.entries == ((1,) * 9, tuple(range(9)))

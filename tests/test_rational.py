@@ -10,7 +10,7 @@ import pytest
 
 from conftest import rational_normal_curve
 
-from toricdim import _kernels_py, kernels
+from toricdim import _kernels_py, _rational, kernels
 from toricdim._rational import _STORED_OFFSETS, _prime, rational_rank
 from toricdim.modlinalg import ALTERNATE_PRIMES, DEFAULT_PRIME, is_probable_prime
 
@@ -209,3 +209,60 @@ def test_planted_factors_take_no_more_primes(monkeypatch):
         assert rational_rank(scaled) == reference_rank(rows)
         base = rank_mod_primes(monkeypatch, rows)
         assert len(rank_mod_primes(monkeypatch, scaled)) <= len(base)
+
+
+def test_full_rank_takes_one_prime_and_no_contents(monkeypatch):
+    # A full rank modulo the first prime is the rank over Q, so the call
+    # reduces once, divides out no content and bounds no minor.
+    def primitive(mat):
+        raise AssertionError("_primitive called on a full-rank input")
+
+    monkeypatch.setattr(_rational, "_primitive", primitive)
+    rng = random.Random(15)
+
+    def big():
+        return rng.randrange(-(2**400), 2**400)
+
+    entries = {
+        "ints": lambda: rng.randint(-9, 9),
+        "fractions": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "several hundred bits": lambda: Fraction(big(), rng.randrange(1, 2**300)),
+    }
+    for entry in entries.values():
+        for n_rows, n_cols in ((4, 4), (3, 7), (7, 3)):
+            rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+            assert reference_rank(rows) == min(n_rows, n_cols)
+            assert rank_mod_primes(monkeypatch, rows) == [_prime(0)]
+            assert rational_rank(rows) == min(n_rows, n_cols)
+    rows = [[big() for _ in range(5)] for _ in range(5)]
+    assert rank_mod_primes(monkeypatch, rows) == [_prime(0)]
+
+
+def test_wide_matrix_takes_the_column_bound(monkeypatch):
+    # Rank 2 of 4 x 12 with one column of 400-bit entries: every row norm
+    # carries that entry, the column norms only once, so the bound on a
+    # 3-minor from the columns is about 800 bits below the one from the
+    # rows.  After the first prime's short rank, the certificate takes the
+    # primes again from the first, just as many as the column bound needs.
+    rng = random.Random(16)
+    left = [[rng.randint(1, 9) for _ in range(2)] for _ in range(4)]
+    right = [[rng.randint(1, 9) for _ in range(12)] for _ in range(2)]
+    for row in right:
+        row[0] += 2**400 + rng.randrange(2**64)
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    assert rational_rank(rows) == reference_rank(rows) == 2
+    primitive = _rational._primitive(rows)
+
+    def primes_needed(norms2):
+        bound2 = prod(sorted(norms2, reverse=True)[:3])
+        k, modulus = 0, 1
+        while modulus * modulus <= bound2:
+            modulus *= _prime(k)
+            k += 1
+        return k
+
+    by_rows = primes_needed(sum(x * x for x in row) for row in primitive)
+    by_cols = primes_needed(sum(x * x for x in col) for col in zip(*primitive))
+    assert by_cols < by_rows
+    primes = rank_mod_primes(monkeypatch, rows)
+    assert primes == [_prime(0), *(_prime(i) for i in range(by_cols))]

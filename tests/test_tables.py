@@ -170,8 +170,9 @@ def test_unknown_table_rejected():
 
 def test_memoised_functions_are_bounded():
     # Long sweeps must not grow memory without bound: every lru_cache in the
-    # package keeps at most config.CACHE_SIZE entries.  The package memoises
-    # exactly these two functions, the ones a sweep reuses; a new cache
+    # package keeps at most config.CACHE_SIZE entries, and the CLI's parser,
+    # built with no arguments, one.  The package memoises exactly these
+    # three functions, the two a sweep reuses and the parser; a new cache
     # must be added here.
     modules = [
         importlib.import_module(f"toricdim.{m.name}")
@@ -183,11 +184,11 @@ def test_memoised_functions_are_bounded():
         for name, fn in vars(mod).items()
         if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
     }
-    assert set(cached) == {
-        "toricdim.exponent._descriptor_matrix",
-        "toricdim.secantdim._secant_dimension_cached",
+    assert cached == {
+        "toricdim.exponent._descriptor_matrix": CACHE_SIZE,
+        "toricdim.secantdim._secant_dimension_cached": CACHE_SIZE,
+        "toricdim.cli._build_parser": 1,
     }
-    assert all(size == CACHE_SIZE for size in cached.values()), cached
 
 
 # --- one batch per descriptor against the table runners index by index -------
