@@ -20,29 +20,21 @@
  * buffer scaled entrywise (hadamard_ranks_mod's normalised blocks);
  * rank_mod's one bottom row is all ones.  A row is reduced by the pivot
  * rows found so far, and its first nonzero entry left, if any, is a new
- * pivot.  The reductions are deferred, as the dense linear algebra
- * libraries over word-size primes do (Dumas, Giorgi and Pernet, "Dense
- * linear algebra over word-size prime fields: the FFLAS and FFPACK
- * packages", ACM TOMS 2008), one of two ways, set per basis by p and the
- * most pivots it holds, max_rank.  When p < 2^32 and max_rank (p - 1)^2 +
- * p < 2^64 (word_path: at 67108859, the first draw of every probe, up to
- * 4096 pivots), each pivot is a row of 32-bit words, and a row adds the
- * products f P_t[j] of four pivots a pass to its 64-bit entries unreduced,
- * reading an entry mod p only as a factor (reduce_words, compiled also for
- * AVX2, which the module's init picks where the CPU has it).  Otherwise the
- * pivots are kept in panels of up to K, and a row pays a panel's k <= K
- * products f_t P_t[j] at each entry with one unsigned __int128 sum and one
- * `%`.  Residues are at most p - 1, so the sum is exact while
- * K (p - 1)^2 < 2^128, and K(p) = min(16, floor((2^128 - 1) / (p - 1)^2))
- * (panel_width).  K is 16 for every p <= 2^62, which holds every other
- * prime the program picks itself (2^61 - 1, its alternates and the primes
- * of exact ranks), and 1 once p - 1 exceeds 2^63.5.  On a 495 x 495
- * Khatri-Rao rank at 2^61 - 1, the fastest of 15 runs took 32 and 40 ms
- * with panels of 8 and 32, and 28 ms with 16, and the walk of sigma_55 of
- * v_4(P^8), 495 x 495, 23 ms (a 2-vCPU Xeon virtual machine).  At 67108859
- * that walk took, best of 45 on a 2-vCPU machine with AVX2, 8.7 ms a pivot
- * a pass, 6.9 four a pass, 5.9 a pivot a pass with AVX2, 5.3 four with it.
- * Built by `python3 setup.py build_ext --inplace`.
+ * pivot.  When p < 2^32 and max_rank (p - 1)^2 + p < 2^64 for the most
+ * pivots a basis holds, max_rank (word_path: at 67108859, the first draw
+ * of every probe, up to 4096 pivots), the reductions are deferred, as the
+ * dense linear algebra libraries over word-size primes do (Dumas, Giorgi
+ * and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
+ * and FFPACK packages", ACM TOMS 2008): each pivot is a row of 32-bit
+ * words, and a row adds the products f P_t[j] of four pivots a pass to its
+ * 64-bit entries unreduced, reading an entry mod p only as a factor
+ * (reduce_words, compiled also for AVX2, which the module's init picks
+ * where the CPU has it).  Otherwise each pivot is a row of residues, and a
+ * row takes one pivot at a time by Shoup's update (reduce_row).  The walk
+ * of sigma_55 of v_4(P^8), 495 x 495, best of 9 on a 2-vCPU Xeon machine
+ * with AVX2, took 45 to 53 ms at 2^61 - 1, and at 67108859, best of 45,
+ * 8.7 ms a pivot a pass, 6.9 four a pass, 5.9 a pivot a pass with AVX2,
+ * 5.3 four with it.  Built by `python3 setup.py build_ext --inplace`.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -132,78 +124,6 @@ static u64 invmod(u64 a, u64 p)
 static inline u64 submod(u64 a, u64 x, u64 p)
 {
     return (a - x) + (a < x ? p : 0);
-}
-
-/* The most pivots of one panel, and K(p), the panel width at p: the most
- * products of two residues one unsigned __int128 holds, at most PANEL. */
-#define PANEL 16
-
-static int panel_width(u64 p)
-{
-    u128 k = ~(u128)0 / ((u128)(p - 1) * (p - 1));
-    return k < PANEL ? (int)k : PANEL;
-}
-
-/* sum_t f[t] x[t] for t < k, exact for k <= panel_width(p) residues. */
-static inline u128 dot(const u64 *f, const u64 *x, int k)
-{
-    u128 acc = 0;
-    for (int t = 0; t < k; t++)
-        acc += (u128)f[t] * x[t];
-    return acc;
-}
-
-/* row[j] -= sum_t f_t P_t[j] mod p for from <= j < to: the k pending
- * updates of a row by the pivot rows P_0..P_{k-1} of a panel.  The row's
- * factor f_t is its own entry in the column of pivot t, cols[t], and
- * P_t[j] is pt[j * w + t].  Zero factors are dropped first.  A Khatri-Rao
- * row of a probe is zero wherever its exponent row is, so in the first
- * panels many factors are zero, and a row pays only for its nonzero ones.
- * One factor left takes Shoup's update, the whole update when K(p) = 1;
- * more are summed in one unsigned __int128 and reduced once, exact as long
- * as k <= panel_width(p): by the contiguous loop when no factor is zero, by
- * the gathering one otherwise. */
-static void update_row(u64 *row, const Py_ssize_t *cols, const u64 *pt, int w, int k,
-                       Py_ssize_t from, Py_ssize_t to, u64 p)
-{
-    u64 fs[PANEL];
-    int ts[PANEL], n = 0;
-    for (int t = 0; t < k; t++)
-        if (row[cols[t]]) {
-            fs[n] = row[cols[t]];
-            ts[n++] = t;
-        }
-    if (n == 1) {
-        u64 fq = shoup_quotient(fs[0], p);
-        for (Py_ssize_t j = from; j < to; j++)
-            row[j] = submod(row[j], mulmod_shoup(pt[j * w + ts[0]], fs[0], fq, p), p);
-    } else if (n == PANEL) {
-        /* a full panel gets a constant trip count, which gcc unrolls */
-        for (Py_ssize_t j = from; j < to; j++)
-            row[j] = submod(row[j], (u64)(dot(fs, pt + j * w, PANEL) % p), p);
-    } else if (n == k) {
-        for (Py_ssize_t j = from; j < to; j++)
-            row[j] = submod(row[j], (u64)(dot(fs, pt + j * w, k) % p), p);
-    } else if (n > 1) {
-        for (Py_ssize_t j = from; j < to; j++) {
-            u128 acc = 0;
-            for (int s = 0; s < n; s++)
-                acc += (u128)fs[s] * pt[j * w + ts[s]];
-            row[j] = submod(row[j], (u64)(acc % p), p);
-        }
-    }
-}
-
-/* row[c] -= sum_t f_t P_t[c] mod p for t < k, the factors f_t = row[cols[t]]
- * and P_t[c] = pt[c * w + t] as in update_row: column c of a row brought up
- * to date by the first k pivots of a panel, before it is read. */
-static inline void column_update(u64 *row, const Py_ssize_t *cols, const u64 *pt, int w,
-                                 int k, Py_ssize_t c, u64 p)
-{
-    u128 acc = 0;
-    for (int t = 0; t < k; t++)
-        acc += (u128)row[cols[t]] * pt[c * w + t];
-    row[c] = submod(row[c], (u64)(acc % p), p);
 }
 
 /* SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -306,34 +226,23 @@ static inline u64 signed_residue(long long v, u64 p)
 }
 
 /* row reduced by the first `rank` pivot rows of an echelon basis, in the
- * order they were found: each is the factor f of the row at the pivot's
- * column, brought up to date by the pivots before it, times the pivot row.
- * Pivot t is scaled to 1 at its column piv[t], and is 0 left of it and at
- * every earlier pivot column.  The pivots fill panels of
- * w = panel_width(p), each transposed: entry j of pivot t at
- * basis[(t / w) n_cols w + j w + t % w], its own column left out, so that
- * the k entries one update reads are adjacent.  The row pays each panel by
- * column_update at each pivot column in turn, which brings a factor up to
- * date just before it is read, and by update_row on the columns right of
- * the panel's first one; when the panel's columns are contiguous, on those
- * right of its last.  Its entries at the pivot columns are then 0 by
- * construction, and are cleared. */
-static void reduce_row(u64 *row, const u64 *basis, const Py_ssize_t *piv, int w,
-                       Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
+ * order found.  Pivot t is the n_cols residues at basis + t n_cols, 0 left
+ * of its column piv[t], at it (its 1 is implied) and at every earlier pivot
+ * column, so the row's factor f there is up to date when t comes.  A zero f
+ * skips t; otherwise the row takes f P_t[j] off each column j right of
+ * piv[t] by Shoup's update, and is cleared at piv[t]. */
+static void reduce_row(u64 *row, const u64 *basis, const Py_ssize_t *piv, Py_ssize_t n_cols,
+                       Py_ssize_t rank, u64 p)
 {
-    for (Py_ssize_t from = 0; from < rank; from += w) {
-        int k = rank - from < w ? (int)(rank - from) : w;
-        const Py_ssize_t *cols = piv + from;
-        const u64 *pt = basis + from * n_cols;
-        Py_ssize_t lo = cols[0], hi = cols[0];
-        for (int t = 1; t < k; t++) {
-            column_update(row, cols, pt, w, t, cols[t], p);
-            lo = cols[t] < lo ? cols[t] : lo;
-            hi = cols[t] > hi ? cols[t] : hi;
-        }
-        update_row(row, cols, pt, w, k, hi - lo >= k ? lo + 1 : hi + 1, n_cols, p);
-        for (int t = 0; t < k; t++)
-            row[cols[t]] = 0;
+    for (Py_ssize_t t = 0; t < rank; t++) {
+        Py_ssize_t c = piv[t];
+        u64 f = row[c];
+        if (f == 0)
+            continue;
+        u64 fq = shoup_quotient(f, p);
+        for (Py_ssize_t j = c + 1; j < n_cols; j++)
+            row[j] = submod(row[j], mulmod_shoup(basis[t * n_cols + j], f, fq, p), p);
+        row[c] = 0;
     }
 }
 
@@ -364,11 +273,11 @@ add_words(u64 *row, const uint32_t *const *ps, const uint32_t *g, int n, Py_ssiz
  * found, WORDS a pass.  Pivot t is the n_cols words at basis + t n_cols, 0
  * left of its column c_t = piv[t], at c_t (its 1 is implied) and at every
  * earlier pivot column.  A pass takes its factors in order, f_t = (row[c_t]
- * + sum_{s<t} g_s P_s[c_t]) mod p with g_s = p - f_s (column_update's fix),
- * drops the zero ones, adds sum_s g_s P_s[j] right of the leftmost c_s and
- * clears its pivot columns.  An entry starts below p and gains (p - 1)^2
- * at most a pivot, so word_path bounds it; the pivots are unitriangular,
- * so the reduced row, and each pivot, is the one of the panels. */
+ * + sum_{s<t} g_s P_s[c_t]) mod p with g_s = p - f_s, the column brought up
+ * to date, drops the zero ones, adds sum_s g_s P_s[j] right of the leftmost
+ * c_s and clears its pivot columns.  An entry starts below p and gains
+ * (p - 1)^2 at most a pivot, so word_path bounds it; the pivots are
+ * unitriangular, so the reduced row, and each pivot, is reduce_row's. */
 static inline __attribute__((always_inline)) void
 reduce_words_portable(u64 *row, const uint32_t *basis, const Py_ssize_t *piv,
                       Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
@@ -418,7 +327,7 @@ static void (*reduce_words)(u64 *, const uint32_t *, const Py_ssize_t *, Py_ssiz
 
 /* The echelon basis of kr_rank, with room for the rank of nt top rows by
  * the nb bottom rows: 32-bit rows when word_path holds for that rank
- * (`words`, else NULL), else panels of panel_width(p); then one scratch
+ * (`words`, else NULL), else rows of residues, row-major; then one scratch
  * row and the Shoup quotients of the bottom rows, which kr_rank multiplies
  * every top row by.  The basis is append-only: pivot t never changes once
  * found, so the basis after its first r pivots is the basis, with its rank
@@ -430,18 +339,17 @@ struct basis {
 };
 
 /* Adds b's scratch row (residues, clobbered) to the basis b, which holds
- * `rank` pivots, in panels of w when it has no words: the row is reduced
- * by them, and its first entry left that is not 0 mod p, if any, is a new
- * pivot, whose row is scaled to 1 there.  Returns the new rank, or -1 when
+ * `rank` pivots: the row is reduced by them, and its first entry left that
+ * is not 0 mod p, if any, is a new pivot, whose row is scaled to 1 there
+ * and stored with 0 there and left of it.  Returns the new rank, or -1 when
  * that pivot has no inverse mod p. */
-static Py_ssize_t add_row(const struct basis *b, int w, Py_ssize_t n_cols, Py_ssize_t rank,
-                          u64 p)
+static Py_ssize_t add_row(const struct basis *b, Py_ssize_t n_cols, Py_ssize_t rank, u64 p)
 {
     u64 *row = b->row;
     if (b->words != NULL)
         reduce_words(row, b->words, b->piv, n_cols, rank, p);
     else
-        reduce_row(row, b->buf, b->piv, w, n_cols, rank, p);
+        reduce_row(row, b->buf, b->piv, n_cols, rank, p);
     Py_ssize_t c = 0;
     while (c < n_cols && (row[c] < p ? row[c] : row[c] % p) == 0)
         c++;
@@ -456,7 +364,7 @@ static Py_ssize_t add_row(const struct basis *b, int w, Py_ssize_t n_cols, Py_ss
         if (b->words != NULL)
             b->words[rank * n_cols + j] = (uint32_t)x;
         else
-            b->buf[rank / w * n_cols * w + rank % w + j * w] = x;
+            b->buf[rank * n_cols + j] = x;
     }
     b->piv[rank] = c;
     return rank + 1;
@@ -489,8 +397,8 @@ static int basis_new(struct basis *b, Py_ssize_t nt, const u64 *bottom, Py_ssize
                      Py_ssize_t n_cols, u64 p)
 {
     Py_ssize_t max_rank = nb > 0 && nt > n_cols / nb ? n_cols : nt * nb;
-    int w = panel_width(p), word = word_path(p, max_rank);
-    Py_ssize_t words = word ? (max_rank * n_cols + 1) / 2 : (max_rank + w - 1) / w * w * n_cols;
+    int word = word_path(p, max_rank);
+    Py_ssize_t words = word ? (max_rank * n_cols + 1) / 2 : max_rank * n_cols;
     b->buf = PyMem_New(u64, words + (nb + 1) * n_cols);
     b->piv = PyMem_New(Py_ssize_t, max_rank + 1);
     if (b->buf == NULL || b->piv == NULL) {
@@ -513,20 +421,18 @@ static int basis_new(struct basis *b, Py_ssize_t nt, const u64 *bottom, Py_ssize
  * row built in b's scratch row by Shoup's products and added by add_row.
  * No top row is formed, and no row built, once the rank is n_cols.
  * ranks[i], when ranks is not NULL, is the rank after the rows of t_i.
- * Returns the rank, or -1 for a pivot without an inverse.
- * The panel width is worked out here, where the compiler sees its bound. */
+ * Returns the rank, or -1 for a pivot without an inverse. */
 static Py_ssize_t kr_rank(const struct basis *b, const struct tops *src, Py_ssize_t nt,
                           const u64 *bottom, Py_ssize_t nb, Py_ssize_t n_cols, u64 p,
                           Py_ssize_t rank, Py_ssize_t *ranks)
 {
-    int w = panel_width(p);
     for (Py_ssize_t i = 0; i < nt && rank >= 0; i++) {
         const u64 *ti = rank < n_cols ? top_row(src, i, n_cols, p) : NULL;
         for (Py_ssize_t at = 0; ti != NULL && at < nb * n_cols && rank >= 0 && rank < n_cols;
              at += n_cols) {
             for (Py_ssize_t h = 0; h < n_cols; h++)
                 b->row[h] = mulmod_shoup(ti[h], bottom[at + h], b->bq[at + h], p);
-            rank = add_row(b, w, n_cols, rank, p);
+            rank = add_row(b, n_cols, rank, p);
         }
         if (ranks != NULL)
             ranks[i] = rank;

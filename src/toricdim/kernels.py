@@ -12,9 +12,9 @@ to one row echelon basis, and stops once the rank is the column count.
 The compiled basis holds 32-bit pivot rows, and adds their products to a
 row unreduced, when p < 2^32 and max_rank (p - 1)^2 + p < 2^64 for the most
 pivots it can hold (every walk at `modlinalg.WORD_PRIME` up to 4096
-pivots), and panels of 64-bit pivot rows otherwise.  Both backends return
-identical values on identical inputs, for every prime below 2^64, and
-raise the same ValueError on malformed ones.
+pivots), and otherwise 64-bit pivot rows that it takes one at a time.
+Both backends return identical values on identical inputs, for every
+prime below 2^64, and raise the same ValueError on malformed ones.
 
 `kr_rank_mod` and `eta_mod` are the `_kernels_py` functions on both
 backends: they answer only a product draw whose normalised blocks do not

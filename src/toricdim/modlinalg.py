@@ -23,8 +23,8 @@ PRIME_LIMIT = 2**64
 ALTERNATE_PRIMES = (2305843009213693967, 2305843009213693921)
 # The modulus of every probe's first draw, the largest prime below 2^26:
 # below rank 2^12 the pure elimination's slots (`_kernels_py._Echelon`) are
-# then 8 bytes wide, less than half their width at DEFAULT_PRIME, and the
-# compiled one keeps its pivot rows in 32-bit words (`_fastkernels.c`).
+# then 8 bytes wide, under half their width at DEFAULT_PRIME, and the
+# compiled one adds 32-bit pivot rows four a pass (`probing` times both).
 WORD_PRIME = 67108859
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

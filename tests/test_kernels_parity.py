@@ -30,12 +30,12 @@ P63_ABOVE = 9223372036854775837  # 2^63 + 29
 LARGE_PRIMES = [DEFAULT_PRIME, P64, P64_MAX, P63_BELOW, P63_ABOVE]
 # Moduli whose pivots may have no inverse, and the smallest ones.
 SMALL_AND_COMPOSITE = [2, 3, 2**64 - 1, 2**63 - 2]
-# The compiled elimination defers the updates of up to
-# K(p) = min(16, (2^128 - 1) // (p - 1)^2) pivots into one 128-bit sum: the
-# nearest primes on either side of the switch from 16 to 15 (2^62) and of
-# the one from 2 to 1 (1 + 2^63.5), the largest prime below 2^64 (K = 1)
-# and two composites (K = 4 and 1).
-PANEL_MODULI = [
+# Off the word path the compiled elimination takes each pivot by Shoup's
+# update, whose remainder fits a 64-bit word below 2^63 and takes 128 bits
+# from 2^63 on: the nearest primes on either side of 2^62, two primes near
+# 1 + 2^63.5, the largest prime below 2^64, and two composites that 3
+# divides, 2^63 - 2 below 2^63 and 2^64 - 1 above it.
+SHOUP_MODULI = [
     2**62 - 57, 2**62 + 135, 13043817825332782193, 13043817825332782231,
     P64_MAX, 2**63 - 2, 2**64 - 1,
 ]
@@ -316,14 +316,6 @@ def test_sanitized_rank_over_log_uniform_moduli(fast_ubsan):
     _check((fast_ubsan,), _log_uniform_cases())
 
 
-def _panel_width(p):
-    return min(16, (2**128 - 1) // (p - 1) ** 2)
-
-
-def test_panel_moduli_straddle_each_switch_of_the_panel_width():
-    assert [_panel_width(p) for p in PANEL_MODULI] == [16, 15, 2, 1, 1, 4, 1]
-
-
 def _echelon(n_cols, pivots, p, fill, rng, dependent=2, unit=None):
     """L U plus `dependent` rows that are random combinations of its rows.
 
@@ -354,24 +346,24 @@ def _echelon(n_cols, pivots, p, fill, rng, dependent=2, unit=None):
 
 
 # (columns, pivotless columns): the rows find their pivots in column
-# order, 16 to a panel, so a pivotless column comes before the columns of a
-# panel (0 in (17, (0,))), falls between them (15 in (17, (15,)), which a
-# row must update together with the panel's own columns), or comes after
-# them all (the last column).
-PANEL_SHAPES = [
+# order, so a pivotless column comes before every pivot column (0 in
+# (17, (0,))), falls between two of them (15 in (17, (15,)), which a row
+# must update with each pivot left of it), or comes after them all (the
+# last column), and a pivot's update starts right after its own column.
+PIVOTLESS_SHAPES = [
     (15, ()), (16, ()), (17, ()), (33, ()), (17, (0,)), (17, (15,)), (20, (16, 19)),
     (33, (5, 15, 16)), (40, (0, 15, 31, 32, 39)), (33, (32,)),
 ]
 
 
-@pytest.mark.parametrize("p", PANEL_MODULI + [DEFAULT_PRIME])
-def test_rank_parity_inside_and_across_panels(fast, p):
-    # Square and wide, with dependent rows below, pivotless columns at the
-    # edges of panels, and every deferred sum at its largest (fill = p - 1)
-    # or random.
+@pytest.mark.parametrize("p", SHOUP_MODULI + [DEFAULT_PRIME])
+def test_rank_parity_with_pivotless_columns(fast, p):
+    # Square and wide, with dependent rows below, pivotless columns first,
+    # between pivots and last, and every factor and pivot entry at its
+    # largest (fill = p - 1) or random.
     rng = random.Random(p % 997)
     cases = []
-    for n_cols, pivotless in PANEL_SHAPES:
+    for n_cols, pivotless in PIVOTLESS_SHAPES:
         pivots = [c for c in range(n_cols) if c not in pivotless]
         for fill in (p - 1, None):
             for rows in (pivots, pivots[:len(pivots) // 2 + 1]):
@@ -380,11 +372,10 @@ def test_rank_parity_inside_and_across_panels(fast, p):
 
 
 @pytest.mark.parametrize("p", [2**62 - 1, 2**63 - 2, 2**64 - 1])
-def test_non_invertible_pivot_inside_a_panel_raises_on_both_backends(fast, p):
-    # 3 divides all three moduli, whose panels are 16, 4 and 1 pivots wide.
-    # As pivot 6 or 21 it falls inside a panel of 16 or of 4, after the
-    # deferred updates of the pivots before it, and both backends raise
-    # pow(3, -1, p)'s error.
+def test_non_invertible_pivot_after_many_others_raises_on_both_backends(fast, p):
+    # 3 divides all three moduli, below 2^63 and above it.  As pivot 6 or 21
+    # it comes after the updates of the pivots before it, and both backends
+    # raise pow(3, -1, p)'s error.
     rng = random.Random(5)
     message = _outcome(pow, 3, -1, p)
     for n_cols, t in ((24, 6), (40, 21)):
@@ -396,7 +387,7 @@ def test_non_invertible_pivot_inside_a_panel_raises_on_both_backends(fast, p):
 
 # Below 2^32 the compiled elimination keeps 32-bit pivot rows and adds
 # their products to a row unreduced, when max_rank (p - 1)^2 + p < 2^64 for
-# the most pivots a basis can hold; otherwise it keeps panels.  65537 and
+# the most pivots a basis can hold; otherwise 64-bit ones.  65537 and
 # WORD_PRIME take that word path at every rank here, 2^31 - 1 up to rank 4,
 # 2^32 - 5 (the largest prime below 2^32) at rank 1 only, and 2^32 + 15
 # (the first prime above it) never.
@@ -538,13 +529,13 @@ def test_sanitized_word_panels(fast_ubsan, p):
     _check((fast_ubsan,), _word_panel_cases(p))
 
 
-@pytest.mark.parametrize("p", [p for p in PANEL_MODULI if is_probable_prime(p)] + [DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [p for p in SHOUP_MODULI if is_probable_prime(p)] + [DEFAULT_PRIME])
 def test_kr_rank_parity_with_sparse_exponent_rows(fast, p):
     # Khatri-Rao rows eta_i * a_k with exponent rows a_k of 0, 1 and 2, as
-    # in a probe: in the first panels most rows below the pivots have some
-    # zero factors, and later ones have all of them nonzero.  A dependent
-    # top row makes the product rank deficient, so every deferred sum must
-    # be exact.
+    # in a probe: below the first pivots most rows have some zero factors,
+    # which skip those pivots, and later ones have all of them nonzero.  A
+    # dependent top row makes the product rank deficient, so every update
+    # must be exact.
     rng = random.Random(p % 991)
     for n_top, n_bot, n_cols in ((8, 5, 60), (12, 4, 70)):
         top = [[rng.randrange(1, p) for _ in range(n_cols)] for _ in range(n_top)]
@@ -621,12 +612,11 @@ def _stream_cases():
     """The pure ranks of the secant probes at each prefix of the points, one
     walk of one-factor lists, or its ValueError, at every modulus of the
     point draws: the chart of the rational normal curve of degree 8, a
-    quadratic Veronese of P^5 (21 columns, so the walk crosses panels at
-    every width), and random exponent matrices with negative entries, at 0,
-    1 and 7 points; then two point lists whose rank reaches the column
-    count at the first block, the second with a later point whose
-    coordinate has no inverse, which raises: the walk evaluates every point
-    a list needs before it eliminates."""
+    quadratic Veronese of P^5 (21 columns), and random exponent matrices
+    with negative entries, at 0, 1 and 7 points; then two point lists whose
+    rank reaches the column count at the first block, the second with a
+    later point whose coordinate has no inverse, which raises: the walk
+    evaluates every point a list needs before it eliminates."""
     rng = random.Random(9)
     mats = [
         normalize(rational_normal_curve(8)).entries,
