@@ -356,11 +356,11 @@ PIVOTLESS_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("p", SHOUP_MODULI + [DEFAULT_PRIME])
-def test_rank_parity_with_pivotless_columns(fast, p):
-    # Square and wide, with dependent rows below, pivotless columns first,
-    # between pivots and last, and every factor and pivot entry at its
-    # largest (fill = p - 1) or random.
+@functools.cache
+def _pivotless_cases(p):
+    """Square and wide, with dependent rows below, pivotless columns first,
+    between pivots and last, and every factor and pivot entry at its
+    largest (fill = p - 1) or random."""
     rng = random.Random(p % 997)
     cases = []
     for n_cols, pivotless in PIVOTLESS_SHAPES:
@@ -368,7 +368,19 @@ def test_rank_parity_with_pivotless_columns(fast, p):
         for fill in (p - 1, None):
             for rows in (pivots, pivots[:len(pivots) // 2 + 1]):
                 cases.append(("rank_mod", (_echelon(n_cols, rows, p, fill, rng), p), len(rows)))
-    _check((py, fast), cases)
+    return cases
+
+
+@pytest.mark.parametrize("p", SHOUP_MODULI + [DEFAULT_PRIME])
+def test_rank_parity_with_pivotless_columns(fast, p):
+    _check((py, fast), _pivotless_cases(p))
+
+
+def test_sanitized_rank_with_pivotless_columns(fast_ubsan):
+    # Shoup's update under UBSan at every modulus of SHOUP_MODULI, where the
+    # remainder takes 64 bits below 2^63 and 128 bits from 2^63 on.
+    for p in SHOUP_MODULI + [DEFAULT_PRIME]:
+        _check((fast_ubsan,), _pivotless_cases(p))
 
 
 @pytest.mark.parametrize("p", [2**62 - 1, 2**63 - 2, 2**64 - 1])
