@@ -125,17 +125,21 @@ def hadamard_dimensions(
     also bounded below by the vectors before it in `rs` that it contains.
 
     Not memoised: no caller asks for the same report twice.  The factor
-    dimensions and the sigma_R lower bound come from the memoised
-    `secant_dimensions`, whose reports a sweep does reuse.  The settle rule
-    decides each vector (`_settle`); the probes it needs are probed
-    together, in rounds, as the module docstring says.
+    dimensions and the sigma_R lower bound of every vector come from one
+    `secant_dimensions` call, asked in first-use order (each vector's
+    factors, then its R), so an R without an error budget is named as when
+    each vector asks for its own.  The settle rule decides each vector
+    (`_settle`); the probes it needs are probed together, in rounds, as the
+    module docstring says.
     """
+    specs = [r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r)) for r in rs]
+    Rs = dict.fromkeys(R for spec in specs for R in (*spec.r, spec.total_points))
+    secants = dict(zip(Rs, secant_dimensions(descriptor, Rs, config)))
     parts = []
-    for r in rs:
-        spec = r if isinstance(r, HadamardSpec) else HadamardSpec(tuple(r))
-        *factors, lower_rep = secant_dimensions(descriptor, (*spec.r, spec.total_points), config)
+    for spec in specs:
+        lower_rep = secants[spec.total_points]
         ambient, dim_x = lower_rep.ambient_dim, lower_rep.variety_dim
-        factor_dims = tuple(rep.computed_dim for rep in factors)
+        factor_dims = tuple(secants[rk].computed_dim for rk in spec.r)
         parameter_count = sum(factor_dims) - (spec.m - 1) * dim_x
         # sigma_r(X) is the linear span of X from r = N + 1 on, so each
         # factor is probed with at most N + 1 points; the product is the

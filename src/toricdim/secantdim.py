@@ -62,7 +62,12 @@ def secant_dim_bound(descriptor: VarietyDescriptor, R: int) -> int:
       R = 3", in any order of the degrees, each a hypersurface: defect 1.
     * sigma_R(P^a x P^b), degrees (1, 1), is the variety of (a+1) x (b+1)
       matrices of rank <= R, of dimension R(a + b + 2 - R) - 1 for
-      R <= min(a, b) + 1."""
+      R <= min(a, b) + 1.
+    No term exceeds the parameter count.  The quadratic Veronese term is
+    at most R(n + 1) - 1 and increases up to R = n + 1, where it equals N;
+    the determinantal term is at most R(a + b + 1) - 1, and at most N, as
+    (a + 1 - R)(b + 1 - R) >= 0; every other case is the count or the count
+    less 1."""
     from .tables import AH_SPORADIC  # tables imports this module
     mat = descriptor.matrix()
     count = expected_secant_dim(mat.ambient_dim, mat.rank() - 1, R)
@@ -125,8 +130,10 @@ def secant_dimensions(
     known come from one `probing.probe_hadamard_ranks` of one-factor specs:
     each draw of it is one walk per prime, in which each R resumes from the
     Terracini blocks of the next smaller one, so a caller that will ask for
-    several R gains by asking for them at once.  Every report equals the
-    one a lone probe of its R gives.  Its fallback eta, `eta_secant`, is
+    several R gains by asking for them at once, as `hadamard_dimensions`
+    does for a whole batch.  Every report equals the one a lone probe of
+    its R gives.  A probe's target is `secant_dim_bound` + 1, which is
+    never above the parameter count's.  Its fallback eta, `eta_secant`, is
     never asked for: a one-factor spec always has its normalised blocks.
     """
     Rs = tuple(Rs)
@@ -142,7 +149,7 @@ def secant_dimensions(
         # that, with the target of N + 1 points, which is also sigma_R's.
         points = {R: min(R, ambient + 1) for R in missing}
         counts = {n: expected_secant_dim(ambient, dim_x, n) for n in points.values()}
-        bounds = {n: min(count, secant_dim_bound(descriptor, n)) for n, count in counts.items()}
+        bounds = {n: secant_dim_bound(descriptor, n) for n in counts}
         specs = [(HadamardSpec((n,)), bound + 1) for n, bound in bounds.items()]
 
         def eta_at(rows, spec, pts, p):
@@ -158,9 +165,11 @@ def secant_dimensions(
 
 def prefetch_secant_dimensions(descriptor: VarietyDescriptor, Rs, config: RunConfig) -> None:
     """Memoise the reports of every R a search may ask for, from shared
-    streams.  Only a speed-up: when one of them has no error budget at the
-    configured prime, each R is probed when it is asked for, so an R the
-    search never reaches raises nothing.  A `TheoremBoundError` propagates."""
+    streams: `generic_hrank`, whose powers each ask for their own, so that
+    the search takes one walk and not one per power.  Only a speed-up: when
+    one of them has no error budget at the configured prime, each R is
+    probed when it is asked for, so an R the search never reaches raises
+    nothing.  A `TheoremBoundError` propagates."""
     try:
         secant_dimensions(descriptor, Rs, config)
     except ValueError:

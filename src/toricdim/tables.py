@@ -26,13 +26,13 @@ A row passes when the probed dimension equals its stated target, so a table
 is a machine-checked restatement of the claims it encodes.
 """
 
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .exponent import HadamardSpec, VarietyDescriptor
+from .exponent import VarietyDescriptor
 from .hadamdim import HadamardDimensionReport, hadamard_dimensions
-from .secantdim import prefetch_secant_dimensions, secant_dimensions
+from .secantdim import secant_dim_bound
 
 # Sporadic defective Veronese cases (d, n, r) with d >= 3; for d = 2 the
 # defective range is exactly 2 <= r <= n.
@@ -144,56 +144,54 @@ def _row(table: str, rep: HadamardDimensionReport, target: int) -> TableRow:
 
 
 def _run_cases(table: str, cases, target: str, config: RunConfig) -> list[TableRow]:
-    """One row per (descriptor, r-vector) case, in order.  The factors and
-    the index of a vector lie in 2..R, R its index, so each run of cases on
-    one descriptor first fetches the secants 2..(largest R) in one batch,
-    then is answered in one `hadamard_dimensions` batch, in which each
-    product is bounded by the products before it that it contains."""
-    rows = []
-    for desc, run in groupby(cases, key=lambda case: case[0]):
-        rvecs = [rvec for _, rvec in run]
-        top = max(HadamardSpec(rvec).total_points for rvec in rvecs)
-        prefetch_secant_dimensions(desc, range(2, top + 1), config)
-        rows += [_row(table, rep, getattr(rep, target))
-                 for rep in hadamard_dimensions(desc, rvecs, config)]
-    return rows
+    """One row per (descriptor, r-vector) case, in case order.  The cases of
+    each descriptor, wherever they lie in the list, are answered in one
+    `hadamard_dimensions` batch, in case order, which fetches the secants
+    they read together and bounds each product by the products before it
+    that it contains."""
+    batches = {}
+    for desc, rvec in cases:
+        batches.setdefault(desc, []).append(rvec)
+    reports = {desc: iter(hadamard_dimensions(desc, rvecs, config))
+               for desc, rvecs in batches.items()}
+    return [_row(table, rep, getattr(rep, target))
+            for rep in (next(reports[desc]) for desc, _ in cases)]
 
 
-def _sweep_until_saturated(
-    descriptor: VarietyDescriptor, m: int, config: RunConfig
-) -> list[tuple[int, ...]]:
+def _sweep_until_saturated(descriptor: VarietyDescriptor, m: int) -> list[tuple[int, ...]]:
     """All m-factor vectors for one descriptor, in index order, stopping one
     index step after every tuple at the current index is expected to fill
     the ambient space.
 
     Every product of index R contains sigma_R, so the sweep is saturated
     by the index where sigma_R fills P^N, and reads one index past that and
-    past m + 1.  sigma_R fills at R_0 = ceil((N + 1) / (dim X + 1)) when X
-    is nondefective; one batch fetches the secants up to dim X indices
-    later, room for a defective X (the quadric Veronese of dimension n
-    fills at n + 1).  An index past the batch is probed when asked for,
-    with the same report.  The stopping rule reads only the parameter
-    counts of the factor secants, and no product probe, so the sweep is
-    fixed before any product is answered."""
+    past m + 1.  A tuple's parameter count adds the theorem dimensions
+    (`secant_dim_bound`) of its factor secants, which every factor of the
+    sweep's varieties meets, so the sweep is fixed by the descriptor
+    alone, before any probe."""
     mat = descriptor.matrix()
     dim_x = mat.rank() - 1
-    fill = -(-(mat.ambient_dim + 1) // (dim_x + 1))
-    top = min(max(m + 1, fill + dim_x) + 1, EXTENDED_HARD_CAP)
-    prefetch_secant_dimensions(descriptor, range(2, top + 1), config)
-    rvecs = []
+    rvecs, bounds = [], []
     seen_saturated = False
     for big_r in range(m + 1, EXTENDED_HARD_CAP + 1):
         same = list(_tuples_with_index(m, big_r))
         rvecs += same
         # The factors of an index-big_r tuple lie in 2..big_r - m + 1.
-        dims = [rep.computed_dim for rep in
-                secant_dimensions(descriptor, range(2, big_r - m + 2), config)]
-        counts = (sum(dims[rk - 2] for rk in rvec) - (m - 1) * dim_x for rvec in same)
+        bounds.append(secant_dim_bound(descriptor, big_r - m + 1))
+        counts = (sum(bounds[rk - 2] for rk in rvec) - (m - 1) * dim_x for rvec in same)
         if all(count >= mat.ambient_dim for count in counts):
             if seen_saturated:
                 break
             seen_saturated = True
     return rvecs
+
+
+def _extended_cases() -> list[tuple[VarietyDescriptor, tuple[int, ...]]]:
+    """The cases of `extended=True`: each (descriptor, m) sweep in turn."""
+    sweeps = [(VarietyDescriptor.veronese(2, n), 2) for n in range(2, 16)]
+    sweeps += [(VarietyDescriptor.veronese(2, n), 3) for n in range(2, 13)]
+    sweeps += [(_binary(degs), 2) for t in range(1, 7) for degs in ((2, 2 * t), (1, 1, 2 * t))]
+    return [(desc, rvec) for desc, m in sweeps for rvec in _sweep_until_saturated(desc, m)]
 
 
 def run_table(
@@ -203,19 +201,5 @@ def run_table(
         raise ValueError(f"unknown table {name!r}")
     if extended and name != "experiments":
         raise ValueError("--extended applies only to the experiments table")
-    if not extended:
-        cases, target = _TABLES[name]
-        return _run_cases(name, cases(), target, config)
-    sweeps = [(VarietyDescriptor.veronese(2, n), 2) for n in range(2, 16)]
-    sweeps += [(VarietyDescriptor.veronese(2, n), 3) for n in range(2, 13)]
-    sweeps += [(_binary(degs), 2) for t in range(1, 7) for degs in ((2, 2 * t), (1, 1, 2 * t))]
-    # One batch per descriptor, its sweeps fixed and answered before the
-    # next descriptor's, so that no batch walks while the memo already
-    # holds the secants of the descriptors after it.
-    rows = {}
-    for desc in dict.fromkeys(desc for desc, _ in sweeps):
-        ms = [m for other, m in sweeps if other == desc]
-        cases = [(desc, rvec) for m in ms for rvec in _sweep_until_saturated(desc, m, config)]
-        for row in _run_cases(name, cases, "expected_dim_hadamard", config):
-            rows.setdefault((desc, len(row.r)), []).append(row)
-    return [row for sweep in sweeps for row in rows[sweep]]
+    cases, target = _TABLES[name]
+    return _run_cases(name, _extended_cases() if extended else cases(), target, config)

@@ -400,6 +400,17 @@ def test_theorem_bound_matches_the_classification_oracles(tmp_path):
     assert secant_dim_bound(VarietyDescriptor.segre((1, 2)), 2) == 5  # P^1 x P^2: none
     copy = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
     assert [secant_dim_bound(copy, R) for R in range(1, 7)] == [4, 9, 14, 14, 14, 14]
+    # Never above the parameter count, so a secant probe's target and the
+    # extended sweep's stopping rule read the bound alone.
+    grid = [VarietyDescriptor.veronese(d, n) for d in range(1, 7) for n in range(1, 7)]
+    grid += [VarietyDescriptor.segre((a, b)) for a in range(1, 6) for b in range(1, 6)]
+    grid += [VarietyDescriptor.segre_veronese(degrees, (1,) * len(degrees))
+             for t in range(1, 7) for degrees in ((2, 2 * t), (1, 1, 2 * t))]
+    grid += [VarietyDescriptor.segre_veronese((2, 2, 2), (1, 1, 1)),
+             VarietyDescriptor.segre((1, 1, 1, 1)), parse_descriptor("sv:d=2,2;n=2,2")]
+    for desc in grid:
+        for R in range(1, desc.matrix().ambient_dim + 3):
+            assert secant_dim_bound(desc, R) <= _parameter_count(desc, R), (str(desc), R)
 
 
 def test_theorem_bound_meets_the_probe_on_the_c4_grid(tmp_path):

@@ -1,6 +1,8 @@
+import csv
 import importlib
 import pkgutil
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from toricdim import (
     enumerate_check_rvectors,
     hadamdim,
     kernels,
+    probing,
     secantdim,
     tables,
 )
@@ -131,9 +134,38 @@ def test_sweep_probes_each_row_once(monkeypatch):
             indices = [sum(r) - m + 1 for r in rs if len(r) == m]
             assert indices == sorted(indices), desc
             assert sorted(set(indices)) == list(range(m + 1, m + 1 + len(set(indices)))), desc
-    assert _sweep_until_saturated(VarietyDescriptor.veronese(2, 3), 2, CFG) == [
+    assert _sweep_until_saturated(VarietyDescriptor.veronese(2, 3), 2) == [
         r for desc, rs in batches if desc == "veronese:d=2,n=3" for r in rs if len(r) == 2
     ]
+
+
+def _golden_extended() -> list[str]:
+    return (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+            / "experiments-extended.csv").read_text().splitlines(keepends=True)
+
+
+def test_the_extended_cases_are_fixed_before_any_probe(monkeypatch):
+    # The sweep's extent comes from the factors' theorem dimensions alone:
+    # with every walk and probe refused it lists the 536 cases of the
+    # stored extended table, in order.
+    def refused(*args):
+        raise AssertionError("the extended sweep probed before it was fixed")
+
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", refused)
+    for module in (probing, secantdim, hadamdim):
+        monkeypatch.setattr(module, "probe_hadamard_ranks", refused)
+    rows = list(csv.DictReader(_golden_extended()))
+    assert len(rows) == 536
+    assert [(str(desc), ",".join(map(str, r))) for desc, r in tables._extended_cases()] == [
+        (row["descriptor"], row["r"]) for row in rows
+    ]
+
+
+@pytest.mark.parametrize("prime", ["65537", "4294967311"])
+def test_the_extended_table_does_not_depend_on_the_prime(prime, capsys):
+    assert main(["verify-table", "experiments", "--extended", "--format", "csv",
+                 "--prime", prime]) == 0
+    assert capsys.readouterr().out == "".join(_golden_extended())
 
 
 def test_cases_bound_each_product_by_the_products_it_contains(monkeypatch):
@@ -172,8 +204,9 @@ def test_memoised_functions_are_bounded():
     # Long sweeps must not grow memory without bound: every lru_cache in the
     # package keeps at most config.CACHE_SIZE entries, and the CLI's parser,
     # built with no arguments, one.  The package memoises exactly these
-    # three functions, the two a sweep reuses and the parser; a new cache
-    # must be added here.
+    # three functions: the matrices a sweep reuses, the secant reports a
+    # generic-rank search reuses, and the parser; a new cache must be added
+    # here.
     modules = [
         importlib.import_module(f"toricdim.{m.name}")
         for m in pkgutil.iter_modules(toricdim.__path__)
@@ -213,7 +246,7 @@ def _reports_of(run, monkeypatch) -> dict:
 
 def _sweeps(text: str, ms=(2,)) -> list:
     desc = parse_descriptor(text)
-    return [(desc, rvec) for m in ms for rvec in _sweep_until_saturated(desc, m, CFG)]
+    return [(desc, rvec) for m in ms for rvec in _sweep_until_saturated(desc, m)]
 
 
 def _plant(monkeypatch, r_prime: tuple, delta: int) -> list:
