@@ -28,9 +28,10 @@
 #            ASan's own warning on the refused allocation goes to a log
 #   install  install the package and check, from outside the checkout, that
 #            its console script's reports equal the stored ones: the extended
-#            sweep and the exact-rational degeneration-demo JSON report on
-#            both backends, and the three stored tables on the pure kernels;
-#            skipped without `wheel`, which setuptools < 70.1 needs to build it
+#            sweep, the exact-rational degeneration-demo JSON report and the
+#            generic-hrank JSON report of v_2(P^6), r = 2, on both backends,
+#            and the three stored tables on the pure kernels; skipped without
+#            `wheel`, which setuptools < 70.1 needs to build it
 set -eo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -108,6 +109,8 @@ install() (
         cmp extended.csv "$root/perfbench/golden/experiments-extended.csv"
         TORICDIM_PURE=$pure toricdim degeneration-demo --format json > degeneration.json
         cmp degeneration.json "$root/tests/golden/degeneration-demo.json"
+        TORICDIM_PURE=$pure toricdim generic-hrank veronese:d=2,n=6 --r 2 > hrank.json
+        cmp hrank.json "$root/tests/golden/generic-hrank-v2-6-r2.json"
     done
     for table in veronese binary experiments; do
         TORICDIM_PURE=1 toricdim verify-table "$table" --format csv > "$table.csv"

@@ -22,7 +22,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git archive "$1" | tar -x -C "$tmp/ref"
-# The quartic chart of test_generic_hrank_prefetch_raises_nothing_for_powers_it_never_reaches.
+# The quartic chart of test_generic_hrank_raises_nothing_for_powers_it_never_reaches.
 printf '1,1,1,1,1\n-1000,-500,0,500,1000\n' > "$tmp/wide-quartic.csv"
 
 tables=(veronese binary experiments "experiments --extended")

@@ -4,14 +4,6 @@ from typing import NamedTuple
 
 from .modlinalg import DEFAULT_PRIME, PRIME_LIMIT, is_probable_prime
 
-# Entries kept by each memoised function (the matrix of a descriptor and the
-# slot of a secant report), so memory stays bounded in long sweeps.  The
-# extended experiments sweep at seed 7 looks up 201 secant reports once
-# each: one batch per variety asks for the factor dimensions and the
-# sigma_R lower bound of its Hadamard reports, 536 in all, together.  It
-# looks up its 26 matrices 505 times.  Both caches keep all of their keys.
-CACHE_SIZE = 1024
-
 
 class _RunConfig(NamedTuple):
     prime: int = DEFAULT_PRIME

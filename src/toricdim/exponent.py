@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from ._rational import rational_rank
-from .config import CACHE_SIZE
 
 # Builders refuse to materialize more entries (rows x columns) than this: a
 # build peaks at about 48 bytes per entry, so near 1 GiB.
@@ -293,6 +292,12 @@ class VarietyDescriptor(NamedTuple):
 
     def __str__(self) -> str:
         return self.label
+
+
+# Matrices `_descriptor_matrix` keeps, so memory stays bounded in long
+# sweeps.  The extended experiments sweep at seed 7 looks up its 26
+# matrices 505 times; the cache keeps all of them.
+CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -66,7 +66,7 @@ from . import kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .probing import ProbeResult, probe_hadamard_ranks
-from .secantdim import prefetch_secant_dimensions, secant_dimensions
+from .secantdim import secant_dimensions
 
 STATUS_EXPECTED = "expected dimension"
 STATUS_HDEFECTIVE = "Hadamard-defective (probabilistic)"
@@ -124,9 +124,8 @@ def hadamard_dimensions(
     """`hadamard_dimension` of each factor vector of `rs`, in order, each
     also bounded below by the vectors before it in `rs` that it contains.
 
-    Not memoised: no caller asks for the same report twice.  The factor
-    dimensions and the sigma_R lower bound of every vector come from one
-    `secant_dimensions` call, asked in first-use order (each vector's
+    The factor dimensions and the sigma_R lower bound of every vector come
+    from one `secant_dimensions` call, asked in first-use order (each vector's
     factors, then its R), so an R without an error budget is named as when
     each vector asks for its own.  The settle rule decides each vector
     (`_settle`); the probes it needs are probed together, in rounds, as the
@@ -260,9 +259,14 @@ def generic_hrank(
     below its column count has a nonzero integer kernel vector, a two-term
     multiplicative relation among the coordinates that every Hadamard
     product of points of X satisfies and a generic point of P^N does not.
-    The search reuses one seed family across m and stops HRANK_MARGIN steps
-    past the expected m.  The secant reports of every m it may try are
-    probed together before it starts (`prefetch_secant_dimensions`).
+    The search asks for every power it may try, up to HRANK_MARGIN steps
+    past the expected m, as one `hadamard_dimensions` batch, and traces
+    them up to the first that fills.  No power bounds another in the batch
+    (the settle rule relates vectors of equal length only), so each report
+    equals the one a lone probe of its power gives.  When the batch has no
+    error budget at the configured prime, for a secant or a product of
+    some power, the powers are answered one at a time, so that a power the
+    search never reaches raises nothing.  A `TheoremBoundError` propagates.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -279,11 +283,13 @@ def generic_hrank(
             str(descriptor), r, None, STATUS_INFINITE, None, (), ambient, dim_x
         )
     expected_m = expected_generic_hrank(ambient, dim_x, r)
-    powers = range(1, max(expected_m, 1) + HRANK_MARGIN + 1)
-    prefetch_secant_dimensions(descriptor, (r, *(m * (r - 1) + 1 for m in powers)), config)
+    powers = [(r,) * m for m in range(1, max(expected_m, 1) + HRANK_MARGIN + 1)]
+    try:
+        reports = hadamard_dimensions(descriptor, powers, config)
+    except ValueError:
+        reports = (hadamard_dimension(descriptor, power, config) for power in powers)
     trace = []
-    for m in powers:
-        rep = hadamard_dimension(descriptor, (r,) * m, config)
+    for m, rep in enumerate(reports, 1):
         trace.append((m, rep.computed_dim))
         if rep.fills_ambient:
             return GenericHrankReport(

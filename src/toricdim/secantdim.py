@@ -19,16 +19,14 @@ persists through the draw schedule of `probing` is reported as "defective
 
 The probe builds no eta: `secant_dimensions` answers a list of R as
 one-factor Hadamard probes (`probing.probe_hadamard_ranks`), one walk over
-the Terracini blocks phi(y_1 y_j) (x) A per seed and prime, and memoises
-each report.  `eta_secant` is the `eta_at` of that probe, which it never
-calls.
+the Terracini blocks phi(y_1 y_j) (x) A per seed and prime.  `eta_secant`
+is the `eta_at` of that probe, which it never calls.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
-from .config import CACHE_SIZE, DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .exponent import HadamardSpec, VarietyDescriptor
 from .probing import ProbeResult, probe_hadamard_ranks
 
@@ -126,63 +124,38 @@ def secant_dimensions(
 ) -> tuple[SecantDimensionReport, ...]:
     """`secant_dimension` for each R of `Rs`, in order, probed together.
 
-    The reports are memoised per (descriptor, R, config).  Those not yet
-    known come from one `probing.probe_hadamard_ranks` of one-factor specs:
-    each draw of it is one walk per prime, in which each R resumes from the
-    Terracini blocks of the next smaller one, so a caller that will ask for
-    several R gains by asking for them at once, as `hadamard_dimensions`
-    does for a whole batch.  Every report equals the one a lone probe of
-    its R gives.  A probe's target is `secant_dim_bound` + 1, which is
-    never above the parameter count's.  Its fallback eta, `eta_secant`, is
-    never asked for: a one-factor spec always has its normalised blocks.
+    One `probing.probe_hadamard_ranks` of one-factor specs answers them
+    all: each draw of it is one walk per prime, in which each R resumes
+    from the Terracini blocks of the next smaller one, so a caller that
+    will ask for several R gains by asking for them at once, as
+    `hadamard_dimensions` does for a whole batch.  Every report equals the
+    one a lone probe of its R gives.  A probe's target is
+    `secant_dim_bound` + 1, which is never above the parameter count's.
+    Its fallback eta, `eta_secant`, is never asked for: a one-factor spec
+    always has its normalised blocks.
     """
     Rs = tuple(Rs)
     if any(R < 1 for R in Rs):
         raise ValueError("R must be >= 1")
-    slots = {R: _secant_dimension_cached(descriptor, R, config) for R in Rs}
-    missing = [R for R, slot in slots.items() if not slot]
-    if missing:
-        mat = descriptor.matrix()
-        ambient = mat.ambient_dim
-        dim_x = mat.rank() - 1
-        # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most
-        # that, with the target of N + 1 points, which is also sigma_R's.
-        points = {R: min(R, ambient + 1) for R in missing}
-        counts = {n: expected_secant_dim(ambient, dim_x, n) for n in points.values()}
-        bounds = {n: secant_dim_bound(descriptor, n) for n in counts}
-        specs = [(HadamardSpec((n,)), bound + 1) for n, bound in bounds.items()]
+    mat = descriptor.matrix()
+    ambient = mat.ambient_dim
+    dim_x = mat.rank() - 1
+    # sigma_R(X) is the linear span of X from R = N + 1 on: probe at most
+    # that, with the target of N + 1 points, which is also sigma_R's.
+    points = {R: min(R, ambient + 1) for R in Rs}
+    counts = {n: expected_secant_dim(ambient, dim_x, n) for n in points.values()}
+    bounds = {n: secant_dim_bound(descriptor, n) for n in counts}
+    specs = [(HadamardSpec((n,)), bound + 1) for n, bound in bounds.items()]
 
-        def eta_at(rows, spec, pts, p):
-            return eta_secant(rows, pts, p)
+    def eta_at(rows, spec, pts, p):
+        return eta_secant(rows, pts, p)
 
-        probes = dict(zip(bounds, probe_hadamard_ranks(eta_at, mat, specs, config)))
-        for R, n in points.items():
-            slots[R].append(
-                _report(descriptor, R, ambient, dim_x, counts[n], bounds[n], probes[n], config)
-            )
-    return tuple(slots[R][0] for R in Rs)
-
-
-def prefetch_secant_dimensions(descriptor: VarietyDescriptor, Rs, config: RunConfig) -> None:
-    """Memoise the reports of every R a search may ask for, from shared
-    streams: `generic_hrank`, whose powers each ask for their own, so that
-    the search takes one walk and not one per power.  Only a speed-up: when
-    one of them has no error budget at the configured prime, each R is
-    probed when it is asked for, so an R the search never reaches raises
-    nothing.  A `TheoremBoundError` propagates."""
-    try:
-        secant_dimensions(descriptor, Rs, config)
-    except ValueError:
-        pass
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _secant_dimension_cached(
-    descriptor: VarietyDescriptor, R: int, config: RunConfig
-) -> list[SecantDimensionReport]:
-    """The memo slot of one secant report: empty until `secant_dimensions`
-    probes it, then the report.  The lru_cache bounds how many are kept."""
-    return []
+    probes = dict(zip(bounds, probe_hadamard_ranks(eta_at, mat, specs, config)))
+    reports = {
+        R: _report(descriptor, R, ambient, dim_x, counts[n], bounds[n], probes[n], config)
+        for R, n in points.items()
+    }
+    return tuple(reports[R] for R in Rs)
 
 
 def _report(

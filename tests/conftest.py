@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricdim import RunConfig, kernels, secantdim, segre_veronese
+from toricdim import RunConfig, kernels, segre_veronese
 from toricdim.cli import parse_descriptor
 from toricdim.tables import run_table
 
@@ -41,12 +41,9 @@ def matrix_copy(text: str, tmp_path) -> str:
 
 def use_kernels(impl, monkeypatch) -> None:
     """Route every kernel entry point (`KERNEL_NAMES`) through `impl`, the
-    pure `_kernels_py` or a compiled module, for the rest of the test, and
-    forget the secant reports, which are memoised per config and not per
-    backend."""
+    pure `_kernels_py` or a compiled module, for the rest of the test."""
     for name in KERNEL_NAMES:
         monkeypatch.setattr(kernels, name, getattr(impl, name))
-    secantdim._secant_dimension_cached.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

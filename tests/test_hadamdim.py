@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rational_normal_curve
+from conftest import matrix_copy, rational_normal_curve
 
 from toricdim import (
     ALTERNATE_PRIMES,
@@ -21,7 +21,6 @@ from toricdim import (
     kernels,
     normalize,
     secant_dimension,
-    secant_dimensions,
     segre_veronese,
     tables,
 )
@@ -40,6 +39,10 @@ from toricdim.tables import run_table
 
 CFG = RunConfig(seed=0)
 P = 101
+# A chart of the rational normal quartic with exponents up to 1000.
+WIDE_QUARTIC = VarietyDescriptor.custom(
+    ExponentMatrix(((1,) * 5, (-1000, -500, 0, 500, 1000))), "wide-quartic"
+)
 
 
 # --- independent oracle -------------------------------------------------------
@@ -391,15 +394,15 @@ def test_batched_reports_equal_the_lone_reports(prime, monkeypatch):
                 for rp, rank in zip(r_primes, ranks)]
 
     desc = VarietyDescriptor.veronese(2, 4)
-    # The secant reports the products rest on are one-factor walks of the
-    # same kernel: memoise them first, so that `walks` holds the products'.
-    secant_dimensions(desc, (2, 3, 4), config)
     monkeypatch.setattr(kernels, "hadamard_ranks_mod", withheld)
     rs = [(2, 2), (2, 2, 2), (2, 3), (3, 2)]
     batched = hadamard_dimensions(desc, rs, config)
-    assert all(sorted(batch) == batch for batch in walks)
-    assert len(walks) == batched[2].attempts
-    assert all((2, 1) in batch for batch in walks) and (1, 2) not in walks[0]
+    # The secant reports the products rest on are walks of one-factor lists
+    # on the same kernel: leave them out.
+    products = [batch for batch in walks if len(batch[0]) > 1]
+    assert all(sorted(batch) == batch for batch in products)
+    assert len(products) == batched[2].attempts
+    assert all((2, 1) in batch for batch in products) and (1, 2) not in products[0]
     for r, rep in zip(rs, batched):
         assert report_dict(rep) == report_dict(hadamard_dimension(desc, r, config))
     assert (batched[0].attempts, batched[0].prime) == (1, (*first, prime)[0])
@@ -440,19 +443,75 @@ def test_generic_hrank_segre_four_factors():
     assert rep.trace[-1] == (3, 15)
 
 
-def test_generic_hrank_prefetch_raises_nothing_for_powers_it_never_reaches():
+def test_generic_hrank_raises_nothing_for_powers_it_never_reaches():
     # A chart of the rational normal quartic with exponents up to 1000: at
     # p = 65537, sigma_5 has minors of degree 5 * (2 * 1001 + 5 * 1000) =
-    # 35010 > (p - 1)/2, so it has no error budget; sigma_2 * sigma_2
-    # already fills P^4, and the search stops before it asks for sigma_5.
-    wide = VarietyDescriptor.custom(
-        ExponentMatrix(((1,) * 5, (-1000, -500, 0, 500, 1000))), "wide-quartic"
-    )
+    # 35010 > (p - 1)/2, so it has no error budget, and the batch of every
+    # power, which needs it from sigma_2^(*4) on, raises.  sigma_2 * sigma_2
+    # already fills P^4: one power at a time, the search stops before it
+    # asks for sigma_5.
     config = RunConfig(prime=65537)
-    rep = generic_hrank(wide, 2, config)
+    rep = generic_hrank(WIDE_QUARTIC, 2, config)
     assert (rep.found_m, rep.trace) == (2, ((1, 3), (2, 4)))
     with pytest.raises(ValueError, match="degree up to 35010"):
-        secant_dimension(wide, 5, config)
+        secant_dimension(WIDE_QUARTIC, 5, config)
+
+
+def _per_power_hrank(desc, r, config):
+    """`generic_hrank` by its definition: `hadamard_dimension` of each power
+    (r,)^m, m = 1 up to HRANK_MARGIN past the expected m, one at a time,
+    up to the first that fills; (found m, trace)."""
+    mat = desc.matrix()
+    expected_m = expected_generic_hrank(mat.ambient_dim, mat.rank() - 1, r)
+    trace = []
+    for m in range(1, max(expected_m, 1) + hadamdim.HRANK_MARGIN + 1):
+        rep = hadamard_dimension(desc, (r,) * m, config)
+        trace.append((m, rep.computed_dim))
+        if rep.fills_ambient:
+            return m, tuple(trace)
+    return None, tuple(trace)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
+def test_generic_hrank_equals_its_per_power_definition(prime, tmp_path):
+    # The one batch of every power against the per-power loop, on varieties
+    # that fill at the expected m, one whose secants are certified defective
+    # (v_2(P^6)), and a `matrix:` copy of v_2(P^4), whose defective factors
+    # fall short of their parameter count.
+    config = RunConfig(prime=prime, seed=2)
+    descs = [*map(parse_descriptor, ("veronese:d=2,n=6", "veronese:d=3,n=2",
+                                     "segre:n=1,1,1,1")),
+             parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))]
+    for desc in descs:
+        for r in (2, 3):
+            rep = generic_hrank(desc, r, config)
+            assert (rep.found_m, rep.trace) == _per_power_hrank(desc, r, config), (str(desc), r)
+    # The wide quartic's batch raises, so the search falls back to one
+    # power at a time, which is the definition itself.
+    if prime == 65537:
+        with pytest.raises(ValueError, match="degree up to 35010"):
+            hadamard_dimensions(WIDE_QUARTIC, [(2,) * m for m in range(1, 6)], config)
+        rep = generic_hrank(WIDE_QUARTIC, 2, config)
+        assert (rep.found_m, rep.trace) == _per_power_hrank(WIDE_QUARTIC, 2, config)
+
+
+def test_generic_hrank_walks_once_per_kind(monkeypatch, capsys):
+    # v_2(P^6), r = 2, powers 1 to 6: one secant walk for sigma_2 to
+    # sigma_7, then one product walk for powers 2 to 5, whose sigma_R falls
+    # short; power 6 is settled, as sigma_7 fills P^27.  Each probe reaches
+    # its target at draw 0, at WORD_PRIME.
+    walk = kernels.hadamard_ranks_mod
+    walks = []
+
+    def counted(rows, r_primes, points, p):
+        walks.append((tuple(map(tuple, r_primes)), p))
+        return walk(rows, r_primes, points, p)
+
+    monkeypatch.setattr(kernels, "hadamard_ranks_mod", counted)
+    assert main(["generic-hrank", "veronese:d=2,n=6", "--r", "2", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert walks == [(tuple((n,) for n in range(1, 7)), WORD_PRIME),
+                     (tuple((1,) * m for m in range(2, 6)), WORD_PRIME)]
 
 
 def test_generic_hrank_r1_idempotent():

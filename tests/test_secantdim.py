@@ -230,22 +230,20 @@ def test_rank_after_block_R_is_the_eta_rank_at_R_points(p):
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 65537])
 def test_batched_reports_equal_the_lone_reports(prime, tmp_path):
-    # Every field, with the memo cleared before each side, and the probe
-    # fields equal to those of the one-factor Hadamard probe,
-    # `probe_max_rank(eta_hadamard, ...)` to the lower of the parameter count
-    # and `secant_dim_bound`.  At 65537 the error budget draws 9 to 12 times,
-    # and for a `matrix:` copy of v_2(P^6) the defective sigma_2 (t = 10) and
-    # sigma_3 (t = 11) put draw 10 at different primes.
+    # Every field, and the probe fields equal to those of the one-factor
+    # Hadamard probe, `probe_max_rank(eta_hadamard, ...)` to the lower of
+    # the parameter count and `secant_dim_bound`.  At 65537 the error
+    # budget draws 9 to 12 times, and for a `matrix:` copy of v_2(P^6) the
+    # defective sigma_2 (t = 10) and sigma_3 (t = 11) put draw 10 at
+    # different primes.
     copies = [parse_descriptor(matrix_copy(text, tmp_path))
               for text in ("veronese:d=2,n=4", "veronese:d=2,n=6")]
     for desc in [*STREAM_VARIETIES, VarietyDescriptor.veronese(2, 6), *copies]:
         config = RunConfig(prime=prime, seed=3)
         mat = desc.matrix()
         Rs = (4, 1, 2, 7, 3, 4, mat.ambient_dim + 2, 5)
-        secantdim._secant_dimension_cached.cache_clear()
         batched = secant_dimensions(desc, Rs, config)
         for R, rep in zip(Rs, batched):
-            secantdim._secant_dimension_cached.cache_clear()
             assert report_dict(rep) == report_dict(secant_dimension(desc, R, config))
             spec = HadamardSpec((min(R, mat.ambient_dim + 1),))
             target = min(rep.expected_dim, secant_dim_bound(desc, spec.r[0])) + 1
@@ -309,7 +307,6 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path
         return walk(rows, r_primes, points, p)
 
     monkeypatch.setattr(kernels, "hadamard_ranks_mod", spy)
-    secantdim._secant_dimension_cached.cache_clear()
     # The rational normal curve is never defective: sigma_2, sigma_3 and
     # sigma_7 of rnc:8 reach their targets at draw 0, at WORD_PRIME, from
     # one walk.
@@ -318,8 +315,8 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path
     assert calls == [(7, WORD_PRIME)]
     # sigma_2 and sigma_3 of a `matrix:` copy of v_2(P^4) are defective and
     # draw on, two draws at p and one at each alternate, from walks of 3
-    # points; sigma_5 fills P^14 at draw 0, in its walk at WORD_PRIME, and
-    # is memoised for the next call.
+    # points; sigma_5 fills P^14 at draw 0, in its walk at WORD_PRIME.  A
+    # repeat call keeps nothing: it walks again, once, to an equal report.
     calls.clear()
     v2p4 = parse_descriptor(matrix_copy("veronese:d=2,n=4", tmp_path))
     reports = secant_dimensions(v2p4, (5, 2, 3), CFG)
@@ -328,7 +325,8 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path
                      (3, ALTERNATE_PRIMES[0]), (3, ALTERNATE_PRIMES[1])]
     calls.clear()
     assert secant_dimension(v2p4, 5, CFG) == reports[0]
-    assert calls == []
+    assert calls == [(5, WORD_PRIME)]
+    calls.clear()
     # At 65537 the budget of sigma_2 of a copy of v_2(P^6) is 10 draws and
     # that of sigma_3 is 11: from draw 10 on they draw at different primes,
     # each from a walk of its own.  Draw by draw, sigma_2 first at each draw:
@@ -356,15 +354,6 @@ def test_batched_draws_share_one_stream_per_seed_and_prime(monkeypatch, tmp_path
 
 
 # --- the theorem bound ----------------------------------------------------------
-
-
-@pytest.fixture
-def fresh_memo():
-    """An empty secant memo before and after the test, so that a report
-    probed under a patched bound reaches no other test."""
-    secantdim._secant_dimension_cached.cache_clear()
-    yield
-    secantdim._secant_dimension_cached.cache_clear()
 
 
 def _parameter_count(desc, R):
@@ -445,7 +434,7 @@ def test_theorem_bound_meets_the_probe_on_quadratic_veroneses():
             assert (rep.status, rep.attempts, rep.error_bound) == (status, 1, 0.0), (n, R)
 
 
-def test_a_bound_one_too_low_exits_2_and_is_not_memoised(monkeypatch, capsys, fresh_memo):
+def test_a_bound_one_too_low_exits_2_and_is_not_memoised(monkeypatch, capsys):
     bound = secantdim.secant_dim_bound
     monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) - 1)
     assert main(["dim-secant", "veronese:d=4,n=2", "--r", "5"]) == 2
@@ -453,15 +442,11 @@ def test_a_bound_one_too_low_exits_2_and_is_not_memoised(monkeypatch, capsys, fr
     assert out == "" and "Traceback" not in err
     assert err.startswith("error: sigma_5 of veronese:d=4,n=2: dimension 13 (mod ")
     assert err.endswith(") is above the theorem bound 12\n")
-    desc = VarietyDescriptor.veronese(4, 2)
-    assert secantdim._secant_dimension_cached(desc, 5, RunConfig()) == []
-    # The prefetch of a search passes it on, and so does the search.
-    with pytest.raises(secantdim.TheoremBoundError):
-        secantdim.prefetch_secant_dimensions(desc, (2, 5), CFG)
+    # A search passes it on.
     assert main(["generic-hrank", "veronese:d=2,n=6", "--r", "2"]) == 2
     assert "above the theorem bound" in capsys.readouterr().err
     monkeypatch.undo()
-    rep = secant_dimension(desc, 5)
+    rep = secant_dimension(VarietyDescriptor.veronese(4, 2), 5)
     assert (rep.computed_dim, rep.status, rep.attempts) == (13, STATUS_CERTIFIED_DEFECTIVE, 1)
 
 
@@ -492,14 +477,13 @@ def test_two_factor_segre_bound_meets_the_probe():
                 assert (rep.status, rep.attempts, rep.error_bound) == (status, 1, 0.0), (a, b, R)
 
 
-def test_a_two_factor_segre_secant_is_certified(monkeypatch, capsys, fresh_memo):
+def test_a_two_factor_segre_secant_is_certified(monkeypatch, capsys):
     assert main(["dim-secant", "segre:n=2,3", "--r", "2"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["computed_dim"], rep["expected_dim"], rep["status"]) == (
         9, 11, STATUS_CERTIFIED_DEFECTIVE
     )
     assert (rep["attempts"], rep["error_bound"]) == (1, 0.0)
-    secantdim._secant_dimension_cached.cache_clear()
     # The determinantal term one too low: the probe's 9 is above it.
     bound = secantdim.secant_dim_bound
     monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) - 1)
@@ -510,7 +494,7 @@ def test_a_two_factor_segre_secant_is_certified(monkeypatch, capsys, fresh_memo)
     assert err.endswith(") is above the theorem bound 8\n")
 
 
-def test_a_bound_one_too_high_stays_probabilistic(monkeypatch, fresh_memo):
+def test_a_bound_one_too_high_stays_probabilistic(monkeypatch):
     bound = secantdim.secant_dim_bound
     monkeypatch.setattr(secantdim, "secant_dim_bound", lambda desc, R: bound(desc, R) + 1)
     p = RunConfig().prime

@@ -20,7 +20,8 @@ from toricdim import (
     tables,
 )
 from toricdim.cli import main, parse_descriptor, report_dict
-from toricdim.config import CACHE_SIZE, RunConfig
+from toricdim.config import RunConfig
+from toricdim.exponent import CACHE_SIZE
 from toricdim.modlinalg import WORD_PRIME
 from toricdim.tables import _run_cases, _sweep_until_saturated, _tuples_with_index, run_table
 
@@ -201,12 +202,11 @@ def test_unknown_table_rejected():
 
 
 def test_memoised_functions_are_bounded():
-    # Long sweeps must not grow memory without bound: every lru_cache in the
-    # package keeps at most config.CACHE_SIZE entries, and the CLI's parser,
-    # built with no arguments, one.  The package memoises exactly these
-    # three functions: the matrices a sweep reuses, the secant reports a
-    # generic-rank search reuses, and the parser; a new cache must be added
-    # here.
+    # Long sweeps must not grow memory without bound: the matrix cache keeps
+    # at most exponent.CACHE_SIZE entries, and the CLI's parser, built with
+    # no arguments, one.  The package memoises exactly these two functions:
+    # the matrices a sweep reuses, and the parser; a new cache must be
+    # added here.
     modules = [
         importlib.import_module(f"toricdim.{m.name}")
         for m in pkgutil.iter_modules(toricdim.__path__)
@@ -219,7 +219,6 @@ def test_memoised_functions_are_bounded():
     }
     assert cached == {
         "toricdim.exponent._descriptor_matrix": CACHE_SIZE,
-        "toricdim.secantdim._secant_dimension_cached": CACHE_SIZE,
         "toricdim.cli._build_parser": 1,
     }
 
@@ -336,8 +335,8 @@ def test_the_extended_sweep_walks_once_per_descriptor_draw_and_prime(
     # WORD_PRIME, so the 237 probed products of the 26 descriptors take one
     # walk per descriptor that probes any (25), and every secant reaches its
     # target or its theorem bound there (26 walks).  The three stored
-    # tables, from a cleared memo, walk the same way: 11 secant walks and
-    # 10 product walks of 157 lists.
+    # tables walk the same way: 11 secant walks and 10 product walks of 157
+    # lists.
     use_kernels(_kernels_py if backend == "python" else request.getfixturevalue("fast"),
                 monkeypatch)
     walk = kernels.hadamard_ranks_mod
@@ -358,7 +357,6 @@ def test_the_extended_sweep_walks_once_per_descriptor_draw_and_prime(
     assert primes == {WORD_PRIME}
     walks.update(dict.fromkeys(walks, 0))
     primes.clear()
-    secantdim._secant_dimension_cached.cache_clear()
     for table in ("veronese", "binary", "experiments"):
         assert main(["verify-table", table, "--seed", "8"]) == 0
     capsys.readouterr()
