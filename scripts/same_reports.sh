@@ -24,6 +24,11 @@ mkdir "$tmp/ref"
 git archive "$1" | tar -x -C "$tmp/ref"
 # The quartic chart of test_generic_hrank_raises_nothing_for_powers_it_never_reaches.
 printf '1,1,1,1,1\n-1000,-500,0,500,1000\n' > "$tmp/wide-quartic.csv"
+# v_2(P^2) with a doubled row and no all-ones row: normalize's span tests
+# meet short exact ranks, some certified by the first prime's left kernel
+# and some (the homogeneity test) by the Hadamard bound.
+printf '0,2,0,4,2,0\n0,1,0,2,1,0\n2,1,1,0,0,0\n0,0,1,0,1,2\n' > "$tmp/unnormalised-v2.csv"
+cp tests/golden/support-conic.txt tests/golden/support-binomial.txt "$tmp"
 
 tables=(veronese binary experiments "experiments --extended")
 commands=()
@@ -56,6 +61,24 @@ commands+=(
 for r in 2,4 4,2 3,3 2,2,2,2; do
     commands+=("dim-hadamard matrix:$tmp/wide-quartic.csv --r $r --prime 65537")
 done
+# The degeneration benchmark's queries, whose short exact ranks the left
+# kernel certifies, the binomial-check golden queries, and a matrix that
+# normalize must put in chart form.
+for seed in 0 3 7 11; do
+    for format in text json; do
+        for query in "rnc:8 --r 2,3" "rnc:20 --r 3,4" "rnc:30 --r 4,5" \
+                "veronese:d=4,n=2 --r 2,3"; do
+            commands+=("degeneration-demo --descriptor $query --format $format --seed $seed")
+        done
+    done
+done
+commands+=(
+    "binomial-check support-conic.txt"
+    "binomial-check support-conic.txt --format json"
+    "binomial-check support-binomial.txt"
+    "dim-secant matrix:unnormalised-v2.csv --r 2"
+    "dim-secant matrix:unnormalised-v2.csv --r 3"
+)
 
 # run TREE OUT PURE: every command in TREE, its stdout, stderr and exit
 # code under OUT, on the pure kernels when PURE is non-empty.

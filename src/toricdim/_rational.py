@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-`rational_rank` is exact, by a multi-modular elimination certified by
-Hadamard's bound (Cabay 1971; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5): it clears each row's denominators and takes the rank
-modulo a first prime, which certifies a full rank at once.  Only a short
-first rank goes on to the maximum of the ranks modulo a fixed sequence of
-primes, until a bound on the minors proves that no larger rank is left.
-No floating point anywhere.
+`rational_rank` is exact: it clears each row's denominators and takes the
+rank modulo a first prime, which certifies a full rank at once, and a short
+one with the left kernel modulo that prime, lifted to integers and checked
+exactly (a rank certificate: Kaltofen, Nehring & Saunders, ISSAC 2011).
+Only when that check fails does it take the maximum of the ranks modulo a
+fixed sequence of primes, until Hadamard's bound on the minors proves that
+no larger rank is left (Cabay 1971; von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 5).  No floating point anywhere.
 """
 
 from itertools import count
@@ -17,7 +18,7 @@ from .modlinalg import ALTERNATE_PRIMES, DEFAULT_PRIME, is_probable_prime
 
 # The first 61 primes below ALTERNATE_PRIMES, downwards, as offsets below
 # DEFAULT_PRIME: the consecutive primes `_prime` would search for, stored so
-# that a run does not search (a degeneration pass uses up to 54 primes).
+# that a run does not search (a short rank the kernel misses may use 100+).
 _STORED_OFFSETS = (
     44, 228, 258, 282, 338, 390, 402, 464, 530, 578, 674, 758, 798, 818,
     828, 842, 858, 938, 984, 1014, 1152, 1194, 1214, 1280, 1298, 1350, 1370,
@@ -61,31 +62,73 @@ def _primitive(mat: list[list[int]]) -> list[list[int]]:
     return mat
 
 
+def _left_kernel_certifies(mat: list[list[int]], rank: int, p: int) -> bool:
+    """Whether at least len(mat) - rank independent integer vectors y have
+    y.mat = 0, which proves that `mat` has rank at most `rank` over Q.  The
+    vectors are the left kernel basis modulo p that the reduced echelon
+    form of mat^T gives, up to `rank` pivots: an identity block on the free
+    coordinates, which keeps them independent, and every other entry lifted
+    to its symmetric residue.  y.mat = 0 is checked in integers."""
+    pivots: dict[int, list[int]] = {}  # pivot coordinate -> its row, reduced
+    for col in zip(*mat):
+        # No more than `rank` pivots, so no fewer than len(mat) - rank vectors.
+        if len(pivots) == rank:
+            break
+        v = [x % p for x in col]
+        for c, row in pivots.items():
+            if f := v[c]:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        v = [x * inv % p for x in v]
+        for d, row in pivots.items():
+            if f := row[c]:
+                pivots[d] = [(a - f * b) % p for a, b in zip(row, v)]
+        pivots[c] = v
+    lifted = [(c, [-x if 2 * x < p else p - x for x in row]) for c, row in pivots.items()]
+    for free in set(range(len(mat))) - pivots.keys():
+        combination = mat[free]  # y.mat, as a sum of rows of mat
+        for c, row in lifted:
+            if a := row[free]:
+                combination = [x + a * z for x, z in zip(combination, mat[c])]
+        if any(combination):
+            return False
+    return True
+
+
 def rational_rank(rows) -> int:
     """Rank over Q of a matrix of ints or Fractions, exact.
 
     After clearing denominators the rank over Q is at least the rank b
     modulo any prime, so a full rank b = min(rows, columns) at the first
-    prime is the rank, and most calls stop there.  Otherwise the rank is
-    more than b only if some (b+1)-minor is a nonzero integer; by
-    Hadamard's inequality, for the matrix or its transpose, its absolute
-    value is at most H, the smaller of the products of the b+1 largest row
-    norms and of the b+1 largest column norms, and every prime that gave
-    rank at most b divides it.  So once the product of the primes tried
-    exceeds H (compared squared, in integers), b is the rank.  Dividing a
-    row or a column by its content changes no rank and shrinks H, so a
-    short first rank makes the rows primitive (`_primitive`) and takes the
-    primes again from the first: a prime that divides a content may lower
-    the first rank without dividing any minor of the primitive rows.
+    prime is the rank, and most calls stop there.  A short b is the rank
+    when that prime's left kernel, lifted to integers, vanishes on the
+    cleared rows or else on the primitive ones (`_left_kernel_certifies`;
+    see below).  Otherwise the rank is more than b only if some (b+1)-minor
+    is a nonzero integer; by Hadamard's inequality, for the matrix or its
+    transpose, its absolute value is at most H, the smaller of the products
+    of the b+1 largest row norms and of the b+1 largest column norms, and
+    every prime that gave rank at most b divides it.  So once the product of
+    the primes tried exceeds H (compared squared, in integers), b is the
+    rank.  Dividing a row or a column by its content changes no rank and
+    shrinks H, so the loop runs on the primitive rows (`_primitive`) and
+    takes the primes again from the first: a prime that divides a content
+    may lower the first rank without dividing any minor of the primitive
+    rows.
     ValueError when the rows have different lengths.
     """
     mat = [_cleared(row) for row in rows]
     if any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("rows have different lengths")
     full = min(len(mat), len(mat[0])) if mat else 0
-    if kernels.rank_mod(mat, _prime(0)) == full:
-        return full
+    first = kernels.rank_mod(mat, _prime(0))
+    if first == full or _left_kernel_certifies(mat, first, _prime(0)):
+        return first
     mat = _primitive(mat)
+    if _left_kernel_certifies(mat, first, _prime(0)):
+        return first
     row_norms2 = sorted((sum(x * x for x in row) for row in mat), reverse=True)
     col_norms2 = sorted((sum(x * x for x in col) for col in zip(*mat)), reverse=True)
     best, modulus = -1, 1

@@ -18,12 +18,13 @@ a time (`scaled_family`), and verifies, at finitely many nu,
 Every check is exact, on integer matrices: the matrices over Q at known
 positive row and column scales, which change no rank.  Their ranks are
 exact (`_rational.rational_rank`): a full rank modulo the first prime is
-certified at once, and a short one by a multi-modular elimination that
-Hadamard's bound on the rows or the columns certifies; only the reported
-errors and their ratios are fractions.Fraction.  There is no tolerance
-anywhere except the explicit ratio band of check (a).  `demo_points` also
-works over F_p directly, to reject draws that are degenerate or not generic
-before the exact checks run.  The coefficient matrices come from the eta
+certified at once, and a short one by that prime's left kernel, checked
+over Z, or else by a multi-modular elimination that Hadamard's bound
+certifies; only the reported errors and their ratios are
+fractions.Fraction.  There is no tolerance anywhere except the explicit
+ratio band of check (a).  `demo_points` also works over F_p directly, to
+reject draws that are degenerate or not generic before the exact checks
+run.  The coefficient matrices come from the eta
 formula over the integers (`_kernels_py.eta_of_columns`), the one the F_p
 engines probe; a secant variety is its one-factor case.
 

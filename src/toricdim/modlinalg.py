@@ -7,9 +7,9 @@ identity.  The points come from the kernels' counter-based SplitMix64
 stream (`kernels.torus_points_mod`), exactly uniform on (F_p^*)^n.  The
 default prime is the Mersenne prime 2^61 - 1; every probe first draws
 once at the word-size prime WORD_PRIME (`probing`).  Exact ranks over Q
-(`_rational.rational_rank`) come from the same F_p eliminations at a
-sequence of primes that starts with these ones, certified by Hadamard's
-bound.
+(`_rational.rational_rank`) come from the same F_p elimination at
+DEFAULT_PRIME; a short one is certified by its left kernel, or else by
+Hadamard's bound over a sequence of primes that starts with these ones.
 """
 
 from . import kernels

@@ -55,6 +55,11 @@ CASES = [
     ("degeneration-demo --r 2,2 --format json", 0, "degeneration-demo-r22.json"),
     ("degeneration-demo --descriptor veronese:d=4,n=2 --format json", 0,
      "degeneration-demo-v4-2.json"),
+    # Short exact ranks, certified by the first prime's left kernel.
+    ("degeneration-demo --descriptor rnc:30 --r 4,5 --format json", 0,
+     "degeneration-demo-rnc30-r45.json"),
+    ("degeneration-demo --descriptor rnc:20 --r 3,4 --format json", 0,
+     "degeneration-demo-rnc20-r34.json"),
     ("binomial-check support-conic.txt", 1, "binomial-check-three.txt"),
     ("binomial-check support-conic.txt --format json", 1, "binomial-check-three.json"),
     ("binomial-check support-binomial.txt", 0, "binomial-check-two.txt"),

@@ -119,6 +119,45 @@ def test_minor_divisible_by_the_first_primes():
         assert rational_rank(rows) == reference_rank(rows) == 2
 
 
+def test_short_rank_with_a_small_left_kernel_takes_one_prime(monkeypatch):
+    # Independent rows of 300-bit entries, then rows that are sums and
+    # differences of them: every vector of the left kernel's basis with an
+    # identity block on the free rows has entries in {-1, 0, 1}, so the
+    # first prime's kernel certifies the short rank, where the Hadamard
+    # bound would need ten primes or more.
+    def primitive(mat):
+        raise AssertionError("_primitive called on a certified short rank")
+
+    monkeypatch.setattr(_rational, "_primitive", primitive)
+    rng = random.Random(17)
+    for rank, n_free, n_cols in ((1, 1, 2), (2, 3, 5), (3, 2, 9), (4, 5, 6)):
+        base = [[rng.randrange(-(2**300), 2**300) for _ in range(n_cols)] for _ in range(rank)]
+        rows = list(base)
+        for _ in range(n_free):
+            signs = [rng.choice((-1, 0, 1)) for _ in base]
+            rows.append([sum(s * x for s, x in zip(signs, col)) for col in zip(*base)])
+        assert rank_mod_primes(monkeypatch, rows) == [_prime(0)]
+        assert rational_rank(rows) == reference_rank(rows) == rank
+
+
+def test_left_kernel_that_fails_the_exact_check_falls_back(monkeypatch):
+    # Modulo the first prime, `product` vanishes and the lifted kernel
+    # vector with a 1 on the last row misses the column that holds it, so
+    # the certificate fails, even where the other kernel vector (the
+    # repeated first row) holds, and the Hadamard loop finds rank 2.
+    for k in range(1, 4):
+        product = prod(_prime(i) for i in range(k))
+        for rows in ([[1, 0, 0], [1, product, 0]], [[1, 0, 0], [1, 0, 0], [1, product, 0]]):
+            assert len(rank_mod_primes(monkeypatch, rows)) > 1
+            assert rational_rank(rows) == reference_rank(rows) == 2
+    # Rank 0 modulo the first prime: every unit vector must be checked, on
+    # the primitive rows too, whose rank modulo that prime is full.
+    p = _prime(0)
+    for rows in ([[p]], [[p, 2 * p], [3 * p, p]], [[0, p], [0, 0]]):
+        assert len(rank_mod_primes(monkeypatch, rows)) > 1
+        assert rational_rank(rows) == reference_rank(rows) > 0
+
+
 def test_stored_primes_are_the_consecutive_primes_below_the_fixed_three():
     # The stored primes and the two the search adds past them are every
     # integer below the fixed three that `is_probable_prime` accepts,
